@@ -20,7 +20,7 @@ from .mesh import BackgroundMesh, element_areas
 from .quadrature import (clip_element_rule, surface_segment_rule,
                          triangle_reference_rule)
 from .space import (CombinedDofMap, all_element_gradients,
-                    evaluate_basis)
+                    evaluate_basis, prolongation)
 
 # Exact P1 element mass matrix is area * _M3.
 _M3 = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -50,13 +50,18 @@ class StabilizationParams:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Sparse symmetric system, right-hand side and assembly metadata."""
+    """Sparse symmetric system, right-hand side and assembly metadata.
+
+    prolongation: continuous-P1 injection (``space.prolongation``) that
+    gives the solver its coarse space; None for a system without a mesh.
+    """
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dofmap: CombinedDofMap
     params: StabilizationParams
     h: float
+    prolongation: sp.csr_matrix | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +466,8 @@ def assemble_system(mesh: BackgroundMesh, dls: DiscreteLevelSet,
          + assemble_coupling_form(mesh, dls, topo, dofmap, params, degree))
     rhs = assemble_rhs(mesh, dls, topo, dofmap, problem, params, degree)
     return AssembledSystem(matrix=a.tocsr(), rhs=rhs, dofmap=dofmap,
-                           params=params, h=mesh.h)
+                           params=params, h=mesh.h,
+                           prolongation=prolongation(dofmap, mesh))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .levelset import CutTopology
 from .mesh import BackgroundMesh
@@ -80,6 +81,27 @@ def build_spaces(mesh: BackgroundMesh, topo: CutTopology) -> CombinedDofMap:
     bulk = _make_space(topo.active_bulk, 0, mesh.n_elements)
     surface = _make_space(topo.active_surface, bulk.ndof, mesh.n_elements)
     return CombinedDofMap(bulk=bulk, surface=surface)
+
+
+def prolongation(dofmap: CombinedDofMap,
+                 mesh: BackgroundMesh) -> sp.csr_matrix:
+    """0/1 injection of continuous P1 into the broken combined space.
+
+    Columns are the vertices of the active bulk elements followed by
+    those of the active surface elements (ascending global vertex ids in
+    each block); every dof row holds one unit entry, in the column of its
+    element vertex. So P times the vertex values of a function is its
+    nodal interpolant in both blocks.
+    """
+    columns, n_coarse = [], 0
+    for space in (dofmap.bulk, dofmap.surface):
+        vertices = mesh.elements[space.elements].reshape(-1)
+        unique, local = np.unique(vertices, return_inverse=True)
+        columns.append(n_coarse + local)
+        n_coarse += unique.size
+    cols = np.concatenate(columns)
+    return sp.csr_matrix((np.ones(cols.size), cols, np.arange(cols.size + 1)),
+                         shape=(dofmap.ndof, n_coarse))
 
 
 def element_gradients(tri: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from cutdg.exceptions import DegenerateMatrixError, SolverError
 from cutdg.forms import AssembledSystem, StabilizationParams, assemble_system
@@ -9,7 +12,8 @@ from cutdg.levelset import build_cut_topology, circle_levelset, \
 from cutdg.manufactured import build_circle_problem
 from cutdg.mesh import build_structured_mesh
 from cutdg.solver import (condition_number, lanczos_largest, pcg,
-                          rescaled_matrix, smallest_magnitude, solve)
+                          preconditioner, rescaled_matrix, smallest_magnitude,
+                          solve)
 from cutdg.space import build_spaces
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
@@ -63,6 +67,65 @@ def test_solver_error_on_singular_system():
                           dofmap=None, params=PARAMS, h=0.1)
     with pytest.raises(SolverError):
         solve(bad)
+
+
+def test_solver_error_on_singular_coarse_matrix():
+    mat = sp.diags([1.0, 1.0, 0.0]).tocsr()
+    coarse = sp.csr_matrix(np.array([[0.0], [0.0], [1.0]]))
+    bad = AssembledSystem(matrix=mat, rhs=np.ones(3), dofmap=None,
+                          params=PARAMS, h=0.1, prolongation=coarse)
+    with pytest.raises(SolverError, match="coarse matrix is singular"):
+        solve(bad)
+
+
+def test_solver_error_at_iteration_cap():
+    system = _system(n=16)
+    with pytest.raises(SolverError, match="iteration cap"):
+        solve(system, max_iter=5)
+
+
+def test_two_level_solve_matches_sparse_lu():
+    system = _system(n=32)
+    u = solve(system)
+    direct = spla.splu(system.matrix.tocsc()).solve(system.rhs)
+    assert np.linalg.norm(u - direct) <= 1e-8 * np.linalg.norm(direct)
+
+
+def test_two_level_iterations_do_not_grow_with_refinement():
+    iters = []
+    for n in (8, 16, 32, 64):
+        system = _system(n=n)
+        two_level = preconditioner(system.matrix, system.prolongation)
+        _, k, converged = pcg(system.matrix, system.rhs, rel_tol=1e-10,
+                              max_iter=400, precondition=two_level)
+        assert converged
+        iters.append(k)
+    assert max(iters) <= 1.5 * min(iters), iters
+
+
+def test_true_residual_meets_rel_tol_at_level_3():
+    # Jacobi-PCG needs about 4,800 iterations here; its recursive residual
+    # drifts from the true one (1.17e-10 when stopping on the recursive
+    # one), so converged must come from the true residual
+    system = _system(n=64)
+    assert system.dofmap.ndof == 17778
+    target = 1e-10 * np.linalg.norm(system.rhs)
+    x, _, converged = pcg(system.matrix, system.rhs, rel_tol=1e-10)
+    assert converged
+    assert np.linalg.norm(system.rhs - system.matrix @ x) <= target
+    u = solve(system, rel_tol=1e-10)
+    assert np.linalg.norm(system.rhs - system.matrix @ u) <= target
+
+
+def test_system_without_prolongation_solves_with_jacobi():
+    n = 50
+    lap = sp.diags([-np.ones(n - 1), 2.5 * np.ones(n), -np.ones(n - 1)],
+                   [-1, 0, 1])
+    system = replace(_wrap(lap, n), rhs=np.linspace(1.0, 2.0, n))
+    assert system.prolongation is None
+    u = solve(system)
+    assert u == pytest.approx(np.linalg.solve(lap.toarray(), system.rhs),
+                              rel=1e-9)
 
 
 def test_pcg_matches_direct_solution():

@@ -5,7 +5,8 @@ from cutdg.levelset import circle_levelset, interpolate_levelset, \
     build_cut_topology
 from cutdg.mesh import build_structured_mesh
 from cutdg.space import (build_spaces, coefficients_to_text, element_gradients,
-                         evaluate_basis, interpolate_nodal, interpolate_pair)
+                         evaluate_basis, interpolate_nodal, interpolate_pair,
+                         prolongation)
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 BOX = ((-1.1, -1.1), (1.1, 1.1))
@@ -114,3 +115,19 @@ def test_interpolate_pair_layout():
     assert np.all(u[dofmap.n_bulk:] == 2.0)
     text = coefficients_to_text(u[:5])
     assert len(text.strip().splitlines()) == 5
+
+
+def test_prolongation_injects_continuous_p1_into_both_blocks():
+    mesh, _, _, dofmap = _setup()
+    p = prolongation(dofmap, mesh)
+    assert p.shape[0] == dofmap.ndof
+    assert np.all(np.diff(p.indptr) == 1) and np.all(p.data == 1.0)
+    bulk_vertices = np.unique(mesh.elements[dofmap.bulk.elements])
+    surface_vertices = np.unique(mesh.elements[dofmap.surface.elements])
+    assert p.shape[1] == bulk_vertices.size + surface_vertices.size
+    f_bulk = lambda x: 1.0 + 2.0 * x[..., 0] - x[..., 1]
+    f_surface = lambda x: -0.5 + 0.25 * x[..., 0] + 3.0 * x[..., 1]
+    vertex_values = np.concatenate([f_bulk(mesh.vertices[bulk_vertices]),
+                                    f_surface(mesh.vertices[surface_vertices])])
+    assert p @ vertex_values == pytest.approx(
+        interpolate_pair(dofmap, mesh, f_bulk, f_surface), abs=1e-14)
