@@ -22,6 +22,7 @@ from .quadrature import (QuadratureRule, clip_element_rule, cut_face_rule,
                          surface_segment_rule)
 from .solver import condition_number, rescaled_matrix, solve
 from .space import (BrokenSpace, CombinedDofMap, build_spaces, evaluate_basis,
-                    interpolate_nodal, interpolate_pair, prolongation)
+                    interpolate_nodal, interpolate_pair, levelset_null_basis,
+                    prolongation)
 
 __version__ = "0.1.0"

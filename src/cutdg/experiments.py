@@ -23,7 +23,7 @@ from .manufactured import build_circle_problem, compute_errors, eoc
 from .mesh import build_structured_mesh, refine_uniform
 from .solver import (condition_number, deflated_generalized_extremes,
                      rescaled_matrix, solve)
-from .space import build_spaces
+from .space import build_spaces, levelset_null_basis
 
 DEFAULT_BOX = ((-1.1, -1.1), (1.1, 1.1))
 # The property suite translates the circle by up to one full grid cell;
@@ -232,8 +232,8 @@ def _config_matrix(base, pieces, params, config):
 def run_condition_sweep(level: int = 1, positions: int = 101,
                         n0: int = DEFAULT_N0,
                         params: StabilizationParams | None = None,
-                        configs=SWEEP_CONFIGS, box=DEFAULT_BOX,
-                        scaling: str = "symmetric") -> StudyReport:
+                        configs=SWEEP_CONFIGS,
+                        box=DEFAULT_BOX) -> StudyReport:
     """Condition number of the rescaled system matrix while the circle is
     translated along the diagonal by delta times one grid cell, for
     delta = l/(positions-1). A full-cell translation maps the cut pattern
@@ -242,12 +242,14 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
 
     Each row also carries ``nullity``, the number of eigenvalues
     ``condition_number`` counted as zero; it stays out of the CSV. A
-    partial null space (the exact one of the ``no-surface`` matrix, one
-    direction per cut element) is deflated: kappa, lambda_min and
-    lambda_max then describe the nonzero spectrum, and the true condition
-    number is infinite. Only a matrix whose whole spectrum counts as zero
-    (or, beyond the dense limit, whose sparse LU is singular) is recorded
-    with the sentinel condition number, zero lambdas and nullity None."""
+    partial null space is deflated: the exact one of the ``no-surface``
+    matrix, one level-set direction per cut element, is passed in as
+    ``levelset_null_basis``. kappa, lambda_min and lambda_max then
+    describe the nonzero spectrum, and the true condition number is
+    infinite. Only a matrix whose whole spectrum counts as zero, or whose
+    shifted sparse LU is singular, is recorded with the sentinel condition
+    number, zero lambdas and nullity None; an ARPACK failure raises
+    SolverError."""
     if positions < 2:
         raise ValueError("sweep needs at least 2 positions")
     params = params or StabilizationParams()
@@ -256,14 +258,15 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
     for delta in np.linspace(0.0, 1.0, positions):
         dls, topo, dofmap = _surface_at(mesh, delta)
         base, pieces = _sweep_system(mesh, dls, topo, dofmap, params)
+        null_basis = levelset_null_basis(dofmap, mesh, dls)
         for config in configs:
             matrix = _config_matrix(base, pieces, params, config)
             system = AssembledSystem(matrix=matrix,
                                      rhs=np.zeros(dofmap.ndof),
                                      dofmap=dofmap, params=params, h=mesh.h)
-            rescaled = rescaled_matrix(system, scaling=scaling)
             try:
-                kappa, lam_min, lam_max, nullity = condition_number(rescaled)
+                kappa, lam_min, lam_max, nullity = condition_number(
+                    rescaled_matrix(system), null_basis)
             except DegenerateMatrixError:
                 kappa, lam_min, lam_max = SENTINEL_KAPPA, 0.0, 0.0
                 nullity = None

@@ -3,29 +3,33 @@
 Sparse matrices are scipy CSR throughout. The solver is a conjugate
 gradient with an additive two-level preconditioner, point Jacobi plus an
 exact solve on continuous P1, whose iteration count does not grow as h
-shrinks. Condition numbers of the rescaled system use a dense symmetric
-eigensolve at desk scale and a hand-rolled Lanczos / inverse-iteration
-pair beyond it, which also serves as the independent cross-check of the
-dense route.
+shrinks. Condition numbers of the rescaled system come from sparse
+ARPACK eigensolves: lambda_max directly, the smallest nonzero |lambda| by
+shift-invert after an explicit null basis is deflated.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .exceptions import DegenerateMatrixError, SolverError
 from .forms import AssembledSystem
 
-DENSE_EIG_LIMIT = 6000
 # two-level CG takes 38-57 iterations from 498 to 262k dofs, so this cap
 # only bounds the work of a failing solve
 SOLVE_MAX_ITER = 400
 # reliable-update interval of pcg, sqrt(eps) (van der Vorst and Ye, 2000)
 REPLACE = 1.5e-8
 EPS = np.finfo(float).eps
+# shift-invert shift of condition_number, relative to lambda_max. The
+# eigenvalue nearest the shift has at most twice the shift more magnitude
+# than the smallest nonzero one (none more for a positive semidefinite
+# matrix). Smaller shifts let an undeflated null space spoil the shifted
+# LU: at level 0 without a null basis, 1e-10 keeps lambda_min to 3e-11
+# and 1e-12 loses it to 3e-6.
+SHIFT = 1e-10
 
 
 def preconditioner(matrix: sp.spmatrix,
@@ -118,120 +122,85 @@ def solve(system: AssembledSystem, rel_tol: float = 1e-10,
     return x
 
 
-def rescaled_matrix(system: AssembledSystem,
-                    scaling: str = "symmetric") -> sp.csr_matrix:
-    """Surface-block rescaling that balances the bulk and surface norms.
-
-    ``symmetric``: D A D with D = diag(1 on bulk dofs, h^(1/4) on surface
-    dofs), so surface-surface entries scale by h^(1/2) and coupling
-    entries by h^(1/4). ``left``: the one-sided variant diag(1, h^(1/2)) A;
-    it is similar to the symmetric one (D^-1 (D^2 A) D = D A D) and has
-    the same spectrum but is not symmetric.
-    """
-    exponent = {"symmetric": 0.25, "left": 0.5}.get(scaling)
-    if exponent is None:
-        raise ValueError(f"unknown scaling {scaling!r}")
+def rescaled_matrix(system: AssembledSystem) -> sp.csr_matrix:
+    """Surface-block rescaling that balances the bulk and surface norms:
+    D A D with D = diag(1 on bulk dofs, h^(1/4) on surface dofs), so
+    surface-surface entries scale by h^(1/2) and coupling entries by
+    h^(1/4)."""
     d = np.ones(system.dofmap.ndof)
-    d[system.dofmap.n_bulk:] = system.h ** exponent
+    d[system.dofmap.n_bulk:] = system.h ** 0.25
     dm = sp.diags(d)
-    if scaling == "left":
-        return (dm @ system.matrix).tocsr()
     return (dm @ system.matrix @ dm).tocsr()
 
 
-def lanczos_largest(matrix: sp.spmatrix, max_iter: int = 200,
-                    tol: float = 1e-10, seed: int = 0) -> float:
-    """Largest-magnitude eigenvalue of a symmetric matrix via Lanczos
-    with full reorthogonalization."""
-    n = matrix.shape[0]
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    basis = [q]
-    alphas, betas = [], []
-    previous = None
-    for k in range(min(max_iter, n)):
-        u = matrix @ q
-        alpha = q @ u
-        u -= alpha * q
-        if betas:
-            u -= betas[-1] * basis[-2]
-        # full reorthogonalization against all Lanczos vectors
-        qmat = np.column_stack(basis)
-        u -= qmat @ (qmat.T @ u)
-        alphas.append(alpha)
-        beta = np.linalg.norm(u)
-        t = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        ext = float(np.max(np.abs(np.linalg.eigvalsh(t))))
-        if previous is not None and abs(ext - previous) <= tol * abs(ext):
-            return ext
-        previous = ext
-        if beta == 0.0:
-            return ext
-        betas.append(beta)
-        q = u / beta
-        basis.append(q)
-    return previous
-
-
-def smallest_magnitude(matrix: sp.spmatrix, max_iter: int = 200,
-                       tol: float = 1e-10, seed: int = 1) -> float:
-    """Smallest-magnitude eigenvalue via shift-free inverse iteration
-    (one sparse LU factorization, then repeated solves)."""
-    n = matrix.shape[0]
+def _eigsh(matrix, **kwargs):
+    """One ARPACK eigenpair; its failures become SolverError."""
     try:
-        lu = spla.splu(matrix.tocsc())
-    except RuntimeError as exc:
-        raise DegenerateMatrixError(f"matrix is numerically singular: {exc}") \
-            from exc
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    previous = None
-    for _ in range(max_iter):
-        y = lu.solve(x)
-        ny = np.linalg.norm(y)
-        if not np.isfinite(ny) or ny == 0.0:
-            raise DegenerateMatrixError("inverse iteration broke down")
-        x = y / ny
-        lam = x @ (matrix @ x)
-        if previous is not None and abs(lam - previous) <= tol * abs(lam):
-            return abs(lam)
-        previous = lam
-    return abs(previous)
+        return spla.eigsh(matrix, k=1, **kwargs)
+    except spla.ArpackError as exc:
+        raise SolverError(f"ARPACK eigensolver failed: {exc}") from exc
 
 
-def condition_number(matrix: sp.spmatrix, zero_threshold: float = 1e-12,
-                     dense_limit: int = DENSE_EIG_LIMIT):
+def condition_number(matrix: sp.spmatrix,
+                     null_basis: sp.spmatrix | None = None,
+                     zero_threshold: float = 1e-12):
     """Spectral condition number: largest over smallest nonzero
     eigenvalue magnitude of a symmetric matrix.
 
     Eigenvalues with |lambda| <= zero_threshold * |lambda|_max count as
-    zero. Dense symmetric eigensolve up to ``dense_limit`` unknowns,
-    Lanczos plus inverse iteration beyond (positive definite matrices
-    only on that path, which raises on singular input). Returns (kappa,
-    lambda_min_nonzero, lambda_max, nullity), where nullity is the number
-    of eigenvalues counted as zero: kappa is that of the nonzero spectrum
-    only, so the true condition number is infinite whenever nullity > 0.
+    zero. lambda_max is the largest-magnitude ARPACK eigenvalue. The
+    columns of the orthonormal candidate basis ``null_basis`` (e.g.
+    ``space.levelset_null_basis``) with ||A q|| within that threshold are
+    deflated as A + lambda_max Q Q^T; shift-invert ARPACK at a tiny
+    negative shift (one sparse LU) then returns the eigenvalue nearest
+    zero, and each one still counted as zero is projected out of the
+    shift-invert operator and counted. Returns (kappa, lambda_min_nonzero,
+    lambda_max, nullity), where nullity is the number of eigenvalues
+    counted as zero: kappa is that of the nonzero spectrum only, so the
+    true condition number is infinite whenever nullity > 0.
+
+    Raises DegenerateMatrixError for an all-zero matrix or a singular
+    shifted LU, and SolverError when ARPACK fails to converge.
     """
     n = matrix.shape[0]
-    if n <= dense_limit:
-        eigs = np.abs(scipy.linalg.eigvalsh(np.asarray(matrix.todense())))
-        lam_max = float(eigs.max())
-        nonzero = eigs[eigs > zero_threshold * lam_max]
-        if nonzero.size == 0:
-            raise DegenerateMatrixError("all eigenvalues fall below the "
-                                        "zero threshold")
-        lam_min = float(nonzero.min())
-        nullity = n - nonzero.size
-    else:
-        lam_max = lanczos_largest(matrix)
-        lam_min = smallest_magnitude(matrix)
-        if lam_min <= zero_threshold * lam_max:
-            raise DegenerateMatrixError("smallest eigenvalue estimate falls "
-                                        "below the zero threshold")
-        nullity = 0
-    return lam_max / lam_min, lam_min, lam_max, nullity
+    if matrix.count_nonzero() == 0:
+        raise DegenerateMatrixError("all eigenvalues fall below the zero "
+                                    "threshold")
+    # a fixed start vector: ARPACK's own random one differs between calls
+    start = np.random.default_rng(0).standard_normal(n)
+    lam_max = float(abs(_eigsh(matrix, which="LM", v0=start,
+                               return_eigenvectors=False)[0]))
+    cutoff = zero_threshold * lam_max
+    nullity = 0
+    if null_basis is not None:
+        keep = spla.norm(matrix @ null_basis, axis=0) <= cutoff
+        q = null_basis[:, np.flatnonzero(keep)]
+        nullity = q.shape[1]
+        matrix = (matrix + lam_max * (q @ q.T)).tocsr()
+    sigma = -SHIFT * lam_max
+    try:
+        lu = spla.splu((matrix - sigma * sp.identity(n)).tocsc())
+    except RuntimeError as exc:
+        raise DegenerateMatrixError(f"shifted matrix is singular: {exc}") \
+            from exc
+    found = np.zeros((n, 0))
+
+    def project(x):
+        return x - found @ (found.T @ x)
+
+    # directions found to be null get eigenvalue 0 in this operator, so
+    # shift-invert moves on to the next eigenvalue nearest the shift
+    inverse = spla.LinearOperator(
+        (n, n), matvec=lambda x: project(lu.solve(project(x))), dtype=float)
+    while True:
+        lams, vecs = _eigsh(matrix, sigma=sigma, OPinv=inverse,
+                            v0=project(start))
+        lam_min = abs(float(lams[0]))
+        if lam_min > cutoff:
+            return lam_max / lam_min, lam_min, lam_max, nullity
+        v = project(vecs[:, 0])
+        found = np.column_stack([found, v / np.linalg.norm(v)])
+        nullity += 1
 
 
 def deflated_generalized_extremes(a: sp.spmatrix, b: sp.spmatrix,

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .levelset import CutTopology
+from .levelset import CutTopology, DiscreteLevelSet
 from .mesh import BackgroundMesh
 
 
@@ -102,6 +102,23 @@ def prolongation(dofmap: CombinedDofMap,
     cols = np.concatenate(columns)
     return sp.csr_matrix((np.ones(cols.size), cols, np.arange(cols.size + 1)),
                          shape=(dofmap.ndof, n_coarse))
+
+
+def levelset_null_basis(dofmap: CombinedDofMap, mesh: BackgroundMesh,
+                        dls: DiscreteLevelSet) -> sp.csc_matrix:
+    """Orthonormal candidate basis of the surface null space: one column
+    per surface-active element, holding the discrete level-set values at
+    its vertices in its 3 surface dofs, normalized. The field vanishes on
+    the element's own segment, so without a surface ghost penalty it is a
+    null vector of the system matrix (and of its rescaled form, since the
+    surface rescaling is uniform). The supports are disjoint, so the
+    columns are orthonormal."""
+    values = dls.values[mesh.elements[dofmap.surface.elements]]
+    values /= np.linalg.norm(values, axis=1)[:, None]
+    rows = dofmap.surface.offset + np.arange(values.size)
+    return sp.csc_matrix((values.reshape(-1), rows,
+                          np.arange(0, values.size + 1, 3)),
+                         shape=(dofmap.ndof, values.shape[0]))
 
 
 def element_gradients(tri: np.ndarray) -> np.ndarray:

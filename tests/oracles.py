@@ -3,12 +3,15 @@
 The cut-region oracle decomposes the triangle into vertical slabs and
 integrates monomials by 1D quadrature in x with exact antiderivatives in
 y; the sign of the linear vertex interpolant restricts each x-section.
-It shares no code with the polygon-clipping quadrature it checks.
+It shares no code with the polygon-clipping quadrature it checks. The
+condition-number oracle is a dense symmetric eigensolve of the whole
+spectrum.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _PANELS = 96
@@ -90,3 +93,14 @@ def integrate_segment_monomial(p0, p1, a: int, b: int, panels: int = 4096) -> fl
     pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
     length = np.linalg.norm(p1 - p0)
     return float(np.mean(pts[:, 0] ** a * pts[:, 1] ** b) * length)
+
+
+def dense_condition_number(matrix, zero_threshold: float = 1e-12):
+    """(kappa, lambda_min_nonzero, lambda_max, nullity) of a sparse
+    symmetric matrix from all its eigenvalues, where |lambda| <=
+    zero_threshold * |lambda|_max counts as zero."""
+    eigs = np.abs(scipy.linalg.eigvalsh(matrix.toarray()))
+    lam_max = float(eigs.max())
+    nonzero = eigs[eigs > zero_threshold * lam_max]
+    lam_min = float(nonzero.min())
+    return lam_max / lam_min, lam_min, lam_max, eigs.size - nonzero.size

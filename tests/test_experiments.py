@@ -2,14 +2,18 @@ import numpy as np
 import pytest
 
 from cutdg.experiments import (CONDITION_HEADER, CONVERGENCE_HEADER,
-                               GEOMETRY_HEADER, PROPERTIES_HEADER,
-                               PROPERTY_BOX, ablated_params, fit_slope,
-                               mesh_at_level, run_condition_sweep,
-                               run_convergence, run_geometry_check,
-                               run_property_suite, sweep_weights)
-from cutdg.forms import StabilizationParams
+                               DEFAULT_BOX, GEOMETRY_HEADER,
+                               PROPERTIES_HEADER, PROPERTY_BOX, SWEEP_CONFIGS,
+                               _config_matrix, _surface_at, _sweep_system,
+                               ablated_params, fit_slope, mesh_at_level,
+                               run_condition_sweep, run_convergence,
+                               run_geometry_check, run_property_suite,
+                               sweep_weights)
+from cutdg.forms import AssembledSystem, StabilizationParams
 from cutdg.levelset import (build_cut_topology, circle_levelset,
                             interpolate_levelset)
+from cutdg.solver import rescaled_matrix
+from tests.oracles import dense_condition_number
 
 
 def test_mesh_at_level_matches_direct_build():
@@ -64,11 +68,13 @@ def test_convergence_determinism():
 
 
 def test_condition_sweep_rows_and_determinism():
-    report = run_condition_sweep(level=0, positions=3, configs=("full",))
-    assert len(report.condition_rows) == 3
+    # all four configurations: every ARPACK call must start from the same
+    # vector, or the last digits of kappa move between runs
+    report = run_condition_sweep(level=0, positions=3)
+    assert len(report.condition_rows) == 3 * len(SWEEP_CONFIGS)
     csv = report.condition_csv()
     assert csv.splitlines()[0] == CONDITION_HEADER
-    again = run_condition_sweep(level=0, positions=3, configs=("full",))
+    again = run_condition_sweep(level=0, positions=3)
     assert again.condition_csv() == csv
     with pytest.raises(ValueError):
         run_condition_sweep(positions=1)
@@ -89,6 +95,50 @@ def test_condition_sweep_nullity_is_the_cut_element_count():
             if row["config"] == "no-surface" else 0
         assert row["nullity"] == expected
     assert "nullity" not in report.condition_csv()
+
+
+def _dense_sweep_rows(level, deltas, box):
+    """Dense-oracle (kappa, lambda_min, lambda_max, nullity) of every sweep
+    row, from the same rescaled matrices."""
+    params = StabilizationParams()
+    mesh = mesh_at_level(level, box=box)
+    for delta in deltas:
+        dls, topo, dofmap = _surface_at(mesh, delta)
+        base, pieces = _sweep_system(mesh, dls, topo, dofmap, params)
+        for config in SWEEP_CONFIGS:
+            system = AssembledSystem(
+                matrix=_config_matrix(base, pieces, params, config),
+                rhs=np.zeros(dofmap.ndof), dofmap=dofmap, params=params,
+                h=mesh.h)
+            yield dense_condition_number(rescaled_matrix(system))
+
+
+@pytest.mark.parametrize("box", [DEFAULT_BOX, ((-1.05, -1.06), (1.15, 1.14))])
+def test_condition_sweep_matches_dense_eigensolve(box):
+    report = run_condition_sweep(level=1, positions=3, box=box)
+    dense = list(_dense_sweep_rows(1, (0.0, 0.5, 1.0), box))
+    assert len(dense) == len(report.condition_rows)
+    for row, (kappa, lam_min, lam_max, nullity) in zip(
+            report.condition_rows, dense):
+        assert (row["kappa"], row["lambda_min"], row["lambda_max"]) == \
+            pytest.approx((kappa, lam_min, lam_max), rel=1e-6)
+        assert row["nullity"] == nullity
+
+
+def test_condition_sweep_clipped_corner_null_field():
+    """On DEFAULT_BOX at level 0 and delta = 1 the box clips the circle.
+    The corner element (1.1, 0.825), (1.1, 1.1), (0.825, 1.1) is cut, and
+    its only interior face borders an element that is not surface-active,
+    so no surface ghost acts on its surface field equal to the level set:
+    even the fully stabilized matrix has that one null direction."""
+    report = run_condition_sweep(level=0, positions=5, configs=("full",))
+    row = report.condition_rows[-1]
+    assert row["delta"] == 1.0 and row["nullity"] == 1
+    assert all(r["nullity"] == 0 for r in report.condition_rows[:-1])
+    kappa, lam_min, lam_max, nullity = list(
+        _dense_sweep_rows(0, (1.0,), DEFAULT_BOX))[0]
+    assert nullity == 1
+    assert row["kappa"] == pytest.approx(kappa, rel=1e-6)
 
 
 def test_condition_sweep_full_cell_translation_is_periodic():

@@ -6,15 +6,16 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from cutdg.exceptions import DegenerateMatrixError, SolverError
+from cutdg.experiments import run_condition_sweep
 from cutdg.forms import AssembledSystem, StabilizationParams, assemble_system
 from cutdg.levelset import build_cut_topology, circle_levelset, \
     interpolate_levelset
 from cutdg.manufactured import build_circle_problem
 from cutdg.mesh import build_structured_mesh
-from cutdg.solver import (condition_number, lanczos_largest, pcg,
-                          preconditioner, rescaled_matrix, smallest_magnitude,
-                          solve)
+from cutdg.solver import (condition_number, pcg, preconditioner,
+                          rescaled_matrix, solve)
 from cutdg.space import build_spaces
+from tests.oracles import dense_condition_number
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
 PARAMS = StabilizationParams()
@@ -151,15 +152,6 @@ def test_rescaled_matrix_block_scaling():
     assert np.abs(r - r.T).max() <= 1e-12 * np.abs(r).max()
 
 
-def test_one_sided_rescaling_has_same_spectrum():
-    system = _system(n=6)
-    sym = rescaled_matrix(system, "symmetric").toarray()
-    left = rescaled_matrix(system, "left").toarray()
-    es = np.sort(np.linalg.eigvalsh(sym))
-    el = np.sort(np.linalg.eigvals(left).real)
-    assert es == pytest.approx(el, rel=1e-8, abs=1e-10 * np.abs(es).max())
-
-
 def test_condition_number_examples():
     diag = sp.diags([1.0, 2.0, 4.0]).tocsr()
     kappa, lmin, lmax, nullity = condition_number(diag)
@@ -176,20 +168,43 @@ def test_condition_number_examples():
 
 
 def test_iterative_matches_dense_condition_number():
-    system = _system(n=8)
-    resc = rescaled_matrix(system)
-    dense_kappa, _, _, _ = condition_number(resc)
-    iter_kappa, _, _, _ = condition_number(resc, dense_limit=0)
-    assert iter_kappa == pytest.approx(dense_kappa, rel=0.05)
+    resc = rescaled_matrix(_system(n=8))
+    kappa, lmin, lmax, nullity = condition_number(resc)
+    dense = dense_condition_number(resc)
+    assert (kappa, lmin, lmax) == pytest.approx(dense[:3], rel=1e-6)
+    assert nullity == dense[3]
 
 
-def test_lanczos_and_inverse_iteration_on_known_spectrum():
+def test_condition_number_deflates_an_unsupplied_indefinite_null_space():
     rng = np.random.default_rng(12)
     q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
-    eigs = np.linspace(0.5, 30.0, 60)
+    eigs = np.concatenate([[-30.0, -0.5, 0.0, 0.0],
+                           np.linspace(0.7, 20.0, 56)])
     m = sp.csr_matrix(q @ np.diag(eigs) @ q.T)
-    assert lanczos_largest(m) == pytest.approx(30.0, rel=1e-6)
-    assert smallest_magnitude(m) == pytest.approx(0.5, rel=1e-6)
+    kappa, lmin, lmax, nullity = condition_number(m)
+    assert (kappa, lmin, lmax) == pytest.approx((60.0, 0.5, 30.0), rel=1e-9)
+    assert nullity == 2
+    assert (kappa, lmin, lmax, nullity) == pytest.approx(
+        dense_condition_number(m), rel=1e-9)
+
+
+def test_condition_number_failures_are_typed(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+    with monkeypatch.context() as patch:
+        patch.setattr(spla, "splu", singular)
+        with pytest.raises(DegenerateMatrixError, match="singular"):
+            condition_number(sp.diags([1.0, 2.0, 4.0]).tocsr())
+
+    def no_convergence(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0),
+                                       np.zeros((3, 0)))
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    with pytest.raises(SolverError, match="ARPACK"):
+        condition_number(sp.diags([1.0, 2.0, 4.0]).tocsr())
+    # and the sweep raises it instead of writing a sentinel row
+    with pytest.raises(SolverError, match="ARPACK"):
+        run_condition_sweep(level=0, positions=2, configs=("full",))
 
 
 def test_condition_scaling_smoke():

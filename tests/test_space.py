@@ -6,7 +6,7 @@ from cutdg.levelset import circle_levelset, interpolate_levelset, \
 from cutdg.mesh import build_structured_mesh
 from cutdg.space import (build_spaces, coefficients_to_text, element_gradients,
                          evaluate_basis, interpolate_nodal, interpolate_pair,
-                         prolongation)
+                         levelset_null_basis, prolongation)
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 BOX = ((-1.1, -1.1), (1.1, 1.1))
@@ -131,3 +131,18 @@ def test_prolongation_injects_continuous_p1_into_both_blocks():
                                     f_surface(mesh.vertices[surface_vertices])])
     assert p @ vertex_values == pytest.approx(
         interpolate_pair(dofmap, mesh, f_bulk, f_surface), abs=1e-14)
+
+
+def test_levelset_null_basis_holds_the_level_set_on_each_cut_element():
+    mesh, dls, _, dofmap = _setup()
+    q = levelset_null_basis(dofmap, mesh, dls)
+    assert q.shape == (dofmap.ndof, dofmap.surface.elements.size)
+    assert (q.T @ q).toarray() == pytest.approx(np.eye(q.shape[1]),
+                                                abs=1e-14)
+    for column, element in enumerate(dofmap.surface.elements[:5]):
+        values = dls.values[mesh.elements[element]]
+        dofs = dofmap.surface.element_dofs(element)
+        expected = np.zeros(dofmap.ndof)
+        expected[dofs] = values / np.linalg.norm(values)
+        assert q[:, column].toarray().ravel() == pytest.approx(expected,
+                                                               abs=1e-15)
