@@ -2,7 +2,8 @@
 diffusion-reaction problems on unfitted structured 2D meshes."""
 
 from .exceptions import (ConfigurationError, CutDGError,
-                         DegenerateMatrixError, SolverError, StructuralError)
+                         DegenerateMatrixError, GeometryError, SolverError,
+                         StructuralError)
 from .forms import (AssembledSystem, StabilizationParams, assemble_bulk_form,
                     assemble_coupling_form, assemble_ghost_bulk,
                     assemble_ghost_surface, assemble_rhs,
@@ -17,9 +18,7 @@ from .manufactured import (ErrorReport, ManufacturedProblem,
                            compute_errors, eoc)
 from .mesh import (BackgroundMesh, build_structured_mesh, face_connectivity,
                    refine_uniform)
-from .quadrature import (QuadratureRule, clip_element_rule, cut_face_rule,
-                         full_element_rule, full_face_rule,
-                         surface_segment_rule)
+from .quadrature import QuadratureRule, clip_element_rule, surface_segment_rule
 from .solver import condition_number, rescaled_matrix, solve
 from .space import (BrokenSpace, CombinedDofMap, build_spaces, evaluate_basis,
                     interpolate_nodal, interpolate_pair, levelset_null_basis,

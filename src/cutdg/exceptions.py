@@ -10,6 +10,11 @@ class StructuralError(CutDGError):
     (non-manifold face, degenerate surface segment, missing entity)."""
 
 
+class GeometryError(CutDGError, ValueError):
+    """A point where the exact geometry is evaluated lies outside the
+    validity radius of the closest-point map."""
+
+
 class ConfigurationError(CutDGError):
     """A run configuration is unusable, e.g. the surface misses the
     background box entirely."""

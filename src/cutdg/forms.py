@@ -5,6 +5,13 @@ when only one block is populated) so that blocks can be summed directly.
 Jumps use the deterministic plus/minus orientation of the mesh faces;
 every assembled form is a product of jumps and averages and therefore
 independent of that orientation.
+
+Each kind of entity is assembled in one batch: uncut elements, cut
+elements (through ``quadrature.CutQuadrature``), surface segments,
+surface edges and faces. The triplets are emitted in a fixed order
+(uncut block, cut elements ascending, then each face scatter on its own),
+so that the sparse conversion sums duplicates as it always has and the
+matrices stay bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -14,13 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .exceptions import StructuralError
+from .exceptions import GeometryError
 from .levelset import CutTopology, DiscreteLevelSet
 from .mesh import BackgroundMesh, element_areas
-from .quadrature import (clip_element_rule, surface_segment_rule,
-                         triangle_reference_rule)
-from .space import (CombinedDofMap, all_element_gradients,
-                    evaluate_basis, prolongation)
+from .quadrature import CutQuadrature, triangle_reference_rule
+from .space import (CombinedDofMap, all_element_gradients, basis_values,
+                    prolongation)
 
 # Exact P1 element mass matrix is area * _M3.
 _M3 = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -84,11 +90,9 @@ def _scatter(dofs: np.ndarray, blocks: np.ndarray):
     return i.ravel(), j.ravel(), blocks.ravel()
 
 
-def _split_active(mesh, dls, topo):
-    """Active bulk elements split into fully interior and cut ones."""
-    vals = dls.values[mesh.elements[topo.active_bulk]]
-    cut = vals.max(axis=1) > 0.0
-    return topo.active_bulk[~cut], topo.active_bulk[cut]
+def _rows_dot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w[k] @ x[k] for every entity k, as the per-entity BLAS product."""
+    return np.matmul(w[:, None, :], x)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -166,205 +170,109 @@ def _face_consistency_blocks(J0, J1, g_avg, lengths, va, vb):
 # ---------------------------------------------------------------------------
 # bulk volume pieces
 
-def _bulk_volume_triplets(mesh, dls, topo, space, degree, mass=True,
-                          stiff=True, cut_parts=True):
-    grads_all = all_element_gradients(mesh)
-    areas = element_areas(mesh)
-    uncut, cut = _split_active(mesh, dls, topo)
+def _bulk_volume_triplets(cq: CutQuadrature, space, mass=True):
+    """Stiffness (and mass) blocks of the active elements: exact on the
+    uncut ones, by the cut-volume rules on the cut ones."""
+    areas = element_areas(cq.mesh)
+    uncut, cut = cq.split
     triplets = []
 
     if uncut.size:
         blocks = np.zeros((uncut.size, 3, 3))
-        if stiff:
-            g = grads_all[uncut]
-            blocks += areas[uncut, None, None] * np.einsum("eik,ejk->eij", g, g)
+        g = cq.grads[uncut]
+        blocks += areas[uncut, None, None] * np.einsum("eik,ejk->eij", g, g)
         if mass:
             blocks += areas[uncut, None, None] * _M3[None, :, :]
         triplets.append(_scatter(space.dofs_array(uncut), blocks))
 
-    i_idx, j_idx, vals = [], [], []
-    for e in cut:
-        tri = mesh.vertices[mesh.elements[e]]
-        if cut_parts:
-            rule = clip_element_rule(tri, dls.values[mesh.elements[e]], degree)
-            if rule.weights.size == 0:
-                raise StructuralError(f"active element {e} has an empty cut rule")
-            weight = rule.total_weight
-            pts, w = rule.points, rule.weights
-        else:
-            weight = areas[e]
-            pts = w = None
-        blk = np.zeros((3, 3))
-        if stiff:
-            g = grads_all[e]
-            blk += weight * (g @ g.T)
+    g = cq.grads[cut]
+    stiff = np.matmul(g, g.transpose(0, 2, 1))
+    blocks = np.zeros((cut.size, 3, 3))
+    for rules, phi in cq.volume:
+        k = rules.index
+        blocks[k] += rules.weights.sum(axis=1)[:, None, None] * stiff[k]
         if mass:
-            if cut_parts:
-                phi, _ = evaluate_basis(tri, pts)
-                blk += np.einsum("q,qi,qj->ij", w, phi, phi)
-            else:
-                blk += weight * _M3
-        dofs = space.element_dofs(e)
-        ii, jj, vv = _scatter(dofs[None, :], blk[None, :, :])
-        i_idx.append(ii)
-        j_idx.append(jj)
-        vals.append(vv)
-    if i_idx:
-        triplets.append((np.concatenate(i_idx), np.concatenate(j_idx),
-                         np.concatenate(vals)))
+            blocks[k] += np.einsum("kq,kqi,kqj->kij", rules.weights, phi, phi)
+    triplets.append(_scatter(space.dofs_array(cut), blocks))
     return triplets
 
 
 # ---------------------------------------------------------------------------
 # surface pieces (segments and their edges)
 
-def _require_surface(topo):
-    if topo.surface is None:
-        raise StructuralError("cut topology carries no surface geometry; "
-                              "build it with build_cut_topology")
-    return topo.surface
+def _segment_triplets(cq: CutQuadrature, space, mass=True, stiff=True):
+    surf = cq.surface
+    blocks = np.zeros((surf.n_segments, 3, 3))
+    if stiff:
+        g = cq.grads[surf.element]
+        n = surf.normal
+        pg = g - np.matmul(g, n[:, :, None]) * n[:, None, :]
+        blocks += surf.length[:, None, None] * np.matmul(
+            pg, pg.transpose(0, 2, 1))
+    if mass:
+        rules, phi = cq.segments
+        blocks += np.einsum("kq,kqi,kqj->kij", rules.weights, phi, phi)
+    return [_scatter(space.dofs_array(surf.element), blocks)]
 
 
-def _segment_triplets(mesh, topo, space, degree, mass=True, stiff=True):
-    surf = _require_surface(topo)
-    grads_all = all_element_gradients(mesh)
-    i_idx, j_idx, vals = [], [], []
-    for s in range(surf.n_segments):
-        e = surf.element[s]
-        tri = mesh.vertices[mesh.elements[e]]
-        blk = np.zeros((3, 3))
-        if stiff:
-            g = grads_all[e]
-            n = surf.normal[s]
-            pg = g - (g @ n)[:, None] * n[None, :]
-            blk += surf.length[s] * (pg @ pg.T)
-        if mass:
-            rule = surface_segment_rule(surf.points[s, 0], surf.points[s, 1],
-                                        degree)
-            phi, _ = evaluate_basis(tri, rule.points)
-            blk += np.einsum("q,qi,qj->ij", rule.weights, phi, phi)
-        dofs = space.element_dofs(e)
-        ii, jj, vv = _scatter(dofs[None, :], blk[None, :, :])
-        i_idx.append(ii)
-        j_idx.append(jj)
-        vals.append(vv)
-    if not i_idx:
-        return []
-    return [(np.concatenate(i_idx), np.concatenate(j_idx),
-             np.concatenate(vals))]
-
-
-def _edge_triplets(mesh, topo, space, h, gamma, consistency=True):
+def _edge_triplets(cq: CutQuadrature, space, gamma, consistency=True):
     """Pointwise edge terms: gamma/h [v][w] and the co-normal consistency
     pair -({ne.grad v},[w]) - ([v],{ne.grad w}), both with the measure-1
-    convention for 2D surface edges."""
-    surf = _require_surface(topo)
-    grads_all = all_element_gradients(mesh)
-    i_idx, j_idx, vals = [], [], []
-    for k in range(surf.n_edges):
-        sp_, sm_ = surf.edge_segments[k]
-        point = surf.edge_point[k]
-        blk = np.zeros((6, 6))
-        phis = []
-        flux = []
-        for side, s in enumerate((sp_, sm_)):
-            e = surf.element[s]
-            tri = mesh.vertices[mesh.elements[e]]
-            phi, _ = evaluate_basis(tri, point)
-            phis.append(phi)
-            flux.append(grads_all[e] @ surf.edge_conormals[k, side])
-        jump = np.concatenate([phis[0], -phis[1]])
-        gavg = 0.5 * np.concatenate([flux[0], -flux[1]])
-        if gamma:
-            blk += (gamma / h) * np.outer(jump, jump)
-        if consistency:
-            blk -= np.outer(gavg, jump) + np.outer(jump, gavg)
-        dofs = np.concatenate([space.element_dofs(surf.element[sp_]),
-                               space.element_dofs(surf.element[sm_])])
-        ii, jj, vv = _scatter(dofs[None, :], blk[None, :, :])
-        i_idx.append(ii)
-        j_idx.append(jj)
-        vals.append(vv)
-    if not i_idx:
-        return []
-    return [(np.concatenate(i_idx), np.concatenate(j_idx),
-             np.concatenate(vals))]
+    convention for 2D surface edges. Column 0 of each (edge, 2) array is
+    the plus segment."""
+    surf = cq.surface
+    elements = surf.element[surf.edge_segments]
+    tris = cq.mesh.vertices[cq.mesh.elements[elements]].reshape(-1, 3, 2)
+    points = np.repeat(surf.edge_point, 2, axis=0)[:, None, :]
+    phi = basis_values(tris, points).reshape(-1, 2, 3)
+    flux = np.matmul(cq.grads[elements], surf.edge_conormals[..., None])[..., 0]
+    jump = np.concatenate([phi[:, 0], -phi[:, 1]], axis=1)
+    gavg = 0.5 * np.concatenate([flux[:, 0], -flux[:, 1]], axis=1)
+    blocks = np.zeros((surf.n_edges, 6, 6))
+    if gamma:
+        blocks += (gamma / cq.mesh.h) * (jump[:, :, None] * jump[:, None, :])
+    if consistency:
+        blocks -= (gavg[:, :, None] * jump[:, None, :]
+                   + jump[:, :, None] * gavg[:, None, :])
+    dofs = np.hstack([space.dofs_array(elements[:, 0]),
+                      space.dofs_array(elements[:, 1])])
+    return [_scatter(dofs, blocks)]
 
 
 # ---------------------------------------------------------------------------
-# public assemblers (all on the combined dof map)
+# forms on a shared CutQuadrature (one per system)
 
-def assemble_bulk_form(mesh: BackgroundMesh, dls: DiscreteLevelSet,
-                       topo: CutTopology, dofmap: CombinedDofMap,
-                       params: StabilizationParams,
-                       degree: int = 2) -> sp.csr_matrix:
-    """Interior-penalty bulk form: cut-volume mass and stiffness, jump
-    penalty on full active faces, symmetric consistency fluxes on the
-    negative face parts."""
-    grads_all = all_element_gradients(mesh)
-    triplets = _bulk_volume_triplets(mesh, dls, topo, dofmap.bulk, degree)
+def _bulk_form(cq: CutQuadrature, dofmap, params):
+    mesh = cq.mesh
+    triplets = _bulk_volume_triplets(cq, dofmap.bulk)
     dofs, J0, J1, g_avg, _, lengths, fv = _face_batch(
-        mesh, dofmap.bulk, topo.bulk_faces, grads_all)
+        mesh, dofmap.bulk, cq.topo.bulk_faces, cq.grads)
     triplets.append(_scatter(dofs, _face_jump_blocks(
         J0, J1, lengths, params.gamma_bulk / mesh.h)))
-    va = dls.values[fv[:, 0]]
-    vb = dls.values[fv[:, 1]]
+    va = cq.dls.values[fv[:, 0]]
+    vb = cq.dls.values[fv[:, 1]]
     triplets.append(_scatter(dofs, _face_consistency_blocks(
         J0, J1, g_avg, lengths, va, vb)))
     return _accumulate(triplets, dofmap.ndof)
 
 
-def assemble_surface_form(mesh: BackgroundMesh, dls: DiscreteLevelSet,
-                          topo: CutTopology, dofmap: CombinedDofMap,
-                          params: StabilizationParams,
-                          degree: int = 2) -> sp.csr_matrix:
-    """Surface form: tangential stiffness and mass on the segments, jump
-    penalty and co-normal consistency at the surface edges."""
-    triplets = _segment_triplets(mesh, topo, dofmap.surface, degree)
-    triplets += _edge_triplets(mesh, topo, dofmap.surface, mesh.h,
-                               params.gamma_surf, consistency=True)
+def _surface_form(cq: CutQuadrature, dofmap, params):
+    triplets = _segment_triplets(cq, dofmap.surface)
+    triplets += _edge_triplets(cq, dofmap.surface, params.gamma_surf)
     return _accumulate(triplets, dofmap.ndof)
 
 
-def assemble_coupling_form(mesh: BackgroundMesh, dls: DiscreteLevelSet,
-                           topo: CutTopology, dofmap: CombinedDofMap,
-                           params: StabilizationParams,
-                           degree: int = 2) -> sp.csr_matrix:
-    """Robin-type coupling (c_b v_b - c_s v_s, c_b w_b - c_s w_s) over the
-    discrete surface; positive semidefinite by construction."""
-    surf = _require_surface(topo)
-    cb, cs = params.c_bulk, params.c_surf
-    i_idx, j_idx, vals = [], [], []
-    for s in range(surf.n_segments):
-        e = surf.element[s]
-        tri = mesh.vertices[mesh.elements[e]]
-        rule = surface_segment_rule(surf.points[s, 0], surf.points[s, 1], degree)
-        phi, _ = evaluate_basis(tri, rule.points)  # (q, 3)
-        r = np.concatenate([cb * phi, -cs * phi], axis=1)  # (q, 6)
-        blk = np.einsum("q,qi,qj->ij", rule.weights, r, r)
-        dofs = np.concatenate([dofmap.bulk.element_dofs(e),
-                               dofmap.surface.element_dofs(e)])
-        ii, jj, vv = _scatter(dofs[None, :], blk[None, :, :])
-        i_idx.append(ii)
-        j_idx.append(jj)
-        vals.append(vv)
-    if not i_idx:
-        return sp.csr_matrix((dofmap.ndof, dofmap.ndof))
-    return _accumulate([(np.concatenate(i_idx), np.concatenate(j_idx),
-                         np.concatenate(vals))], dofmap.ndof)
+def _coupling_form(cq: CutQuadrature, dofmap, params):
+    elements = cq.surface.element
+    rules, phi = cq.segments
+    r = np.concatenate([params.c_bulk * phi, -params.c_surf * phi], axis=2)
+    blocks = np.einsum("kq,kqi,kqj->kij", rules.weights, r, r)
+    dofs = np.hstack([dofmap.bulk.dofs_array(elements),
+                      dofmap.surface.dofs_array(elements)])
+    return _accumulate([_scatter(dofs, blocks)], dofmap.ndof)
 
 
-def ghost_penalty_pieces(mesh: BackgroundMesh, topo: CutTopology,
-                         dofmap: CombinedDofMap) -> dict:
-    """Unit-coefficient ghost penalty matrices.
-
-    Keys: ``bulk_value`` (h^-1 value jumps on the ghost band),
-    ``bulk_gradient`` (h-weighted normal gradient jumps on the ghost band),
-    ``surface_value`` (h^-2 value jumps on the surface-active faces),
-    ``surface_gradient`` (normal gradient jumps on the surface-active
-    faces). Multiply by mu/tau weights to obtain the ghost forms.
-    """
-    grads_all = all_element_gradients(mesh)
+def _ghost_pieces(mesh, topo, dofmap, grads_all) -> dict:
     h = mesh.h
     out = {}
     dofs, J0, J1, _, g_jump, lengths, _ = _face_batch(
@@ -386,37 +294,23 @@ def ghost_penalty_pieces(mesh: BackgroundMesh, topo: CutTopology,
     return out
 
 
-def assemble_ghost_bulk(mesh: BackgroundMesh, topo: CutTopology,
-                        dofmap: CombinedDofMap,
-                        params: StabilizationParams) -> sp.csr_matrix:
-    """Ghost penalty on the full faces of the band around the surface:
-    mu h^-1 value jumps plus tau h normal-gradient jumps."""
-    pieces = ghost_penalty_pieces(mesh, topo, dofmap)
+def _ghost_bulk(pieces, params):
     return (params.mu_bulk * pieces["bulk_value"]
             + params.tau_bulk * pieces["bulk_gradient"]).tocsr()
 
 
-def assemble_ghost_surface(mesh: BackgroundMesh, topo: CutTopology,
-                           dofmap: CombinedDofMap,
-                           params: StabilizationParams) -> sp.csr_matrix:
-    """Ghost penalty on all faces of the surface-active mesh: mu h^-2
-    value jumps plus tau normal-gradient jumps."""
-    pieces = ghost_penalty_pieces(mesh, topo, dofmap)
+def _ghost_surface(pieces, params):
     return (params.mu_surf * pieces["surface_value"]
             + params.tau_surf * pieces["surface_gradient"]).tocsr()
 
 
-def assemble_rhs(mesh: BackgroundMesh, dls: DiscreteLevelSet,
-                 topo: CutTopology, dofmap: CombinedDofMap, problem,
-                 params: StabilizationParams, degree: int = 2) -> np.ndarray:
-    """Load vector: c_b (f_bulk, v) over the cut volume plus c_s
-    (f_surf o p, v) over the discrete surface, the surface data extended
-    by the closest-point map of the problem geometry."""
+def _rhs(cq: CutQuadrature, dofmap, problem, params):
+    mesh = cq.mesh
     b = np.zeros(dofmap.ndof)
-    bary, wref = triangle_reference_rule(degree)
+    bary, wref = triangle_reference_rule(cq.degree)
     areas = element_areas(mesh)
 
-    uncut, cut = _split_active(mesh, dls, topo)
+    uncut, cut = cq.split
     if uncut.size:
         tris = mesh.vertices[mesh.elements[uncut]]
         pts = np.einsum("mb,kbd->kmd", bary, tris)
@@ -425,29 +319,96 @@ def assemble_rhs(mesh: BackgroundMesh, dls: DiscreteLevelSet,
         local = np.einsum("km,mi->ki", w * fvals, bary)
         np.add.at(b, dofmap.bulk.dofs_array(uncut),
                   params.c_bulk * local)
-    for e in cut:
-        tri = mesh.vertices[mesh.elements[e]]
-        rule = clip_element_rule(tri, dls.values[mesh.elements[e]], degree)
-        phi, _ = evaluate_basis(tri, rule.points)
-        fvals = np.asarray(problem.f_bulk(rule.points), dtype=float)
-        b[dofmap.bulk.element_dofs(e)] += params.c_bulk * (
-            (rule.weights * fvals) @ phi)
+    for rules, phi in cq.volume:
+        fvals = np.asarray(problem.f_bulk(rules.points), dtype=float)
+        b[dofmap.bulk.dofs_array(cut[rules.index])] += params.c_bulk * (
+            _rows_dot(rules.weights * fvals, phi))
 
-    surf = _require_surface(topo)
+    surf = cq.surface
+    rules, phi = cq.segments
     geom = problem.geometry
-    for s in range(surf.n_segments):
-        e = surf.element[s]
-        tri = mesh.vertices[mesh.elements[e]]
-        rule = surface_segment_rule(surf.points[s, 0], surf.points[s, 1], degree)
-        if np.any(np.abs(geom.rho(rule.points)) >= geom.validity_radius):
-            raise ValueError("surface extension evaluated outside the "
-                             "validity radius of the closest-point map")
-        fvals = np.asarray(problem.f_surf(geom.closest_point(rule.points)),
-                           dtype=float)
-        phi, _ = evaluate_basis(tri, rule.points)
-        b[dofmap.surface.element_dofs(e)] += params.c_surf * (
-            (rule.weights * fvals) @ phi)
+    if np.any(np.abs(geom.rho(rules.points)) >= geom.validity_radius):
+        raise GeometryError("surface extension evaluated outside the "
+                            "validity radius of the closest-point map")
+    fvals = np.asarray(problem.f_surf(geom.closest_point(rules.points)),
+                       dtype=float)
+    b[dofmap.surface.dofs_array(surf.element)] += params.c_surf * (
+        _rows_dot(rules.weights * fvals, phi))
     return b
+
+
+# ---------------------------------------------------------------------------
+# public assemblers (all on the combined dof map)
+
+def assemble_bulk_form(mesh: BackgroundMesh, dls: DiscreteLevelSet,
+                       topo: CutTopology, dofmap: CombinedDofMap,
+                       params: StabilizationParams,
+                       degree: int = 2) -> sp.csr_matrix:
+    """Interior-penalty bulk form: cut-volume mass and stiffness, jump
+    penalty on full active faces, symmetric consistency fluxes on the
+    negative face parts."""
+    return _bulk_form(CutQuadrature(mesh, dls, topo, degree), dofmap, params)
+
+
+def assemble_surface_form(mesh: BackgroundMesh, dls: DiscreteLevelSet,
+                          topo: CutTopology, dofmap: CombinedDofMap,
+                          params: StabilizationParams,
+                          degree: int = 2) -> sp.csr_matrix:
+    """Surface form: tangential stiffness and mass on the segments, jump
+    penalty and co-normal consistency at the surface edges."""
+    return _surface_form(CutQuadrature(mesh, dls, topo, degree), dofmap,
+                         params)
+
+
+def assemble_coupling_form(mesh: BackgroundMesh, dls: DiscreteLevelSet,
+                           topo: CutTopology, dofmap: CombinedDofMap,
+                           params: StabilizationParams,
+                           degree: int = 2) -> sp.csr_matrix:
+    """Robin-type coupling (c_b v_b - c_s v_s, c_b w_b - c_s w_s) over the
+    discrete surface; positive semidefinite by construction."""
+    return _coupling_form(CutQuadrature(mesh, dls, topo, degree), dofmap,
+                          params)
+
+
+def ghost_penalty_pieces(mesh: BackgroundMesh, topo: CutTopology,
+                         dofmap: CombinedDofMap) -> dict:
+    """Unit-coefficient ghost penalty matrices.
+
+    Keys: ``bulk_value`` (h^-1 value jumps on the ghost band),
+    ``bulk_gradient`` (h-weighted normal gradient jumps on the ghost band),
+    ``surface_value`` (h^-2 value jumps on the surface-active faces),
+    ``surface_gradient`` (normal gradient jumps on the surface-active
+    faces). Multiply by mu/tau weights to obtain the ghost forms.
+    """
+    return _ghost_pieces(mesh, topo, dofmap, all_element_gradients(mesh))
+
+
+def assemble_ghost_bulk(mesh: BackgroundMesh, topo: CutTopology,
+                        dofmap: CombinedDofMap,
+                        params: StabilizationParams) -> sp.csr_matrix:
+    """Ghost penalty on the full faces of the band around the surface:
+    mu h^-1 value jumps plus tau h normal-gradient jumps."""
+    return _ghost_bulk(ghost_penalty_pieces(mesh, topo, dofmap), params)
+
+
+def assemble_ghost_surface(mesh: BackgroundMesh, topo: CutTopology,
+                           dofmap: CombinedDofMap,
+                           params: StabilizationParams) -> sp.csr_matrix:
+    """Ghost penalty on all faces of the surface-active mesh: mu h^-2
+    value jumps plus tau normal-gradient jumps."""
+    return _ghost_surface(ghost_penalty_pieces(mesh, topo, dofmap), params)
+
+
+def assemble_rhs(mesh: BackgroundMesh, dls: DiscreteLevelSet,
+                 topo: CutTopology, dofmap: CombinedDofMap, problem,
+                 params: StabilizationParams, degree: int = 2) -> np.ndarray:
+    """Load vector: c_b (f_bulk, v) over the cut volume plus c_s
+    (f_surf o p, v) over the discrete surface, the surface data extended
+    by the closest-point map of the problem geometry. Raises GeometryError
+    when a surface quadrature point leaves the validity radius of that
+    map."""
+    return _rhs(CutQuadrature(mesh, dls, topo, degree), dofmap, problem,
+                params)
 
 
 def assemble_system(mesh: BackgroundMesh, dls: DiscreteLevelSet,
@@ -456,15 +417,14 @@ def assemble_system(mesh: BackgroundMesh, dls: DiscreteLevelSet,
                     degree: int = 2) -> AssembledSystem:
     """Full stabilized system: c_b (bulk + bulk ghost) + c_s (surface +
     surface ghost) + coupling, with the matching load vector."""
-    a = (params.c_bulk * (assemble_bulk_form(mesh, dls, topo, dofmap, params,
-                                             degree)
-                          + assemble_ghost_bulk(mesh, topo, dofmap, params))
-         + params.c_surf * (assemble_surface_form(mesh, dls, topo, dofmap,
-                                                  params, degree)
-                            + assemble_ghost_surface(mesh, topo, dofmap,
-                                                     params))
-         + assemble_coupling_form(mesh, dls, topo, dofmap, params, degree))
-    rhs = assemble_rhs(mesh, dls, topo, dofmap, problem, params, degree)
+    cq = CutQuadrature(mesh, dls, topo, degree)
+    pieces = _ghost_pieces(mesh, topo, dofmap, cq.grads)
+    a = (params.c_bulk * (_bulk_form(cq, dofmap, params)
+                          + _ghost_bulk(pieces, params))
+         + params.c_surf * (_surface_form(cq, dofmap, params)
+                            + _ghost_surface(pieces, params))
+         + _coupling_form(cq, dofmap, params))
+    rhs = _rhs(cq, dofmap, problem, params)
     return AssembledSystem(matrix=a.tocsr(), rhs=rhs, dofmap=dofmap,
                            params=params, h=mesh.h,
                            prolongation=prolongation(dofmap, mesh))
@@ -481,18 +441,16 @@ def gradient_gram(mesh: BackgroundMesh, dls: DiscreteLevelSet,
     (``cut``)."""
     if domain not in ("active", "cut"):
         raise ValueError(f"unknown gradient domain {domain!r}")
-    grads_all = all_element_gradients(mesh)
-    areas = element_areas(mesh)
+    cq = CutQuadrature(mesh, dls, topo, degree)
     if domain == "active":
-        g = grads_all[topo.active_bulk]
-        blocks = areas[topo.active_bulk, None, None] * np.einsum(
+        g = cq.grads[topo.active_bulk]
+        blocks = element_areas(mesh)[topo.active_bulk, None, None] * np.einsum(
             "eik,ejk->eij", g, g)
         return _accumulate(
             [_scatter(dofmap.bulk.dofs_array(topo.active_bulk), blocks)],
             dofmap.ndof)
-    triplets = _bulk_volume_triplets(mesh, dls, topo, dofmap.bulk, degree,
-                                     mass=False, stiff=True)
-    return _accumulate(triplets, dofmap.ndof)
+    return _accumulate(_bulk_volume_triplets(cq, dofmap.bulk, mass=False),
+                       dofmap.ndof)
 
 
 def surface_element_mass_gram(mesh: BackgroundMesh, topo: CutTopology,
@@ -508,31 +466,28 @@ def surface_element_mass_gram(mesh: BackgroundMesh, topo: CutTopology,
 def surface_tangential_gram(mesh: BackgroundMesh, topo: CutTopology,
                             dofmap: CombinedDofMap) -> sp.csr_matrix:
     """Tangential stiffness on the discrete surface (surface block)."""
-    triplets = _segment_triplets(mesh, topo, dofmap.surface, degree=2,
-                                 mass=False, stiff=True)
-    return _accumulate(triplets, dofmap.ndof)
+    cq = CutQuadrature(mesh, None, topo)
+    return _accumulate(_segment_triplets(cq, dofmap.surface, mass=False),
+                       dofmap.ndof)
 
 
 def surface_trace_mass_gram(mesh: BackgroundMesh, topo: CutTopology,
                             dofmap: CombinedDofMap,
                             degree: int = 2) -> sp.csr_matrix:
     """L2 mass on the discrete surface itself (surface block)."""
-    triplets = _segment_triplets(mesh, topo, dofmap.surface, degree,
-                                 mass=True, stiff=False)
-    return _accumulate(triplets, dofmap.ndof)
+    cq = CutQuadrature(mesh, None, topo, degree)
+    return _accumulate(_segment_triplets(cq, dofmap.surface, stiff=False),
+                       dofmap.ndof)
 
 
 def surface_trace_load(mesh: BackgroundMesh, topo: CutTopology,
                        dofmap: CombinedDofMap, degree: int = 2) -> np.ndarray:
     """Vector of int_Gamma_h phi_i, used for surface mean values."""
-    surf = _require_surface(topo)
+    cq = CutQuadrature(mesh, None, topo, degree)
+    rules, phi = cq.segments
     load = np.zeros(dofmap.ndof)
-    for s in range(surf.n_segments):
-        e = surf.element[s]
-        tri = mesh.vertices[mesh.elements[e]]
-        rule = surface_segment_rule(surf.points[s, 0], surf.points[s, 1], degree)
-        phi, _ = evaluate_basis(tri, rule.points)
-        load[dofmap.surface.element_dofs(e)] += rule.weights @ phi
+    load[dofmap.surface.dofs_array(cq.surface.element)] += _rows_dot(
+        rules.weights, phi)
     return load
 
 
@@ -547,33 +502,33 @@ def energy_gram(mesh: BackgroundMesh, dls: DiscreteLevelSet,
     h^-1 edge jumps + surface ghost penalty. ``total``: c_b bulk +
     c_s surface + the coupling seminorm.
     """
-    grads_all = all_element_gradients(mesh)
+    if variant not in ("bulk", "surface", "total"):
+        raise ValueError(f"unknown energy norm variant {variant!r}")
+    cq = CutQuadrature(mesh, dls, topo, degree)
+    pieces = _ghost_pieces(mesh, topo, dofmap, cq.grads)
 
     def bulk():
-        triplets = _bulk_volume_triplets(mesh, dls, topo, dofmap.bulk, degree)
+        triplets = _bulk_volume_triplets(cq, dofmap.bulk)
         dofs, J0, J1, _, _, lengths, _ = _face_batch(
-            mesh, dofmap.bulk, topo.bulk_faces, grads_all)
+            mesh, dofmap.bulk, topo.bulk_faces, cq.grads)
         triplets.append(_scatter(dofs, _face_jump_blocks(
             J0, J1, lengths, 1.0 / mesh.h)))
         return (_accumulate(triplets, dofmap.ndof)
-                + assemble_ghost_bulk(mesh, topo, dofmap, params)).tocsr()
+                + _ghost_bulk(pieces, params)).tocsr()
 
     def surface():
-        triplets = _segment_triplets(mesh, topo, dofmap.surface, degree)
-        triplets += _edge_triplets(mesh, topo, dofmap.surface, mesh.h,
-                                   gamma=1.0, consistency=False)
+        triplets = _segment_triplets(cq, dofmap.surface)
+        triplets += _edge_triplets(cq, dofmap.surface, gamma=1.0,
+                                   consistency=False)
         return (_accumulate(triplets, dofmap.ndof)
-                + assemble_ghost_surface(mesh, topo, dofmap, params)).tocsr()
+                + _ghost_surface(pieces, params)).tocsr()
 
     if variant == "bulk":
         return bulk()
     if variant == "surface":
         return surface()
-    if variant == "total":
-        return (params.c_bulk * bulk() + params.c_surf * surface()
-                + assemble_coupling_form(mesh, dls, topo, dofmap, params,
-                                         degree)).tocsr()
-    raise ValueError(f"unknown energy norm variant {variant!r}")
+    return (params.c_bulk * bulk() + params.c_surf * surface()
+            + _coupling_form(cq, dofmap, params)).tocsr()
 
 
 def coordinate_text(matrix: sp.spmatrix) -> str:

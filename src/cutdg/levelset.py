@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .exceptions import ConfigurationError, StructuralError
+from .exceptions import ConfigurationError, GeometryError, StructuralError
 from .mesh import BackgroundMesh
 
 SNAP_FACTOR = 1e-10
@@ -195,15 +195,10 @@ def classify_elements(mesh: BackgroundMesh, dls: DiscreteLevelSet) -> CutTopolog
                        bulk_ghost_faces, surface_faces, surface=None)
 
 
-def _edge_zero(mesh, dls, a, b):
-    """Zero of the linear interpolant on edge (a, b), computed from the
-    sorted vertex pair so that both incident elements share the exact
-    same floating-point point."""
-    if a > b:
-        a, b = b, a
-    va, vb = dls.values[a], dls.values[b]
-    t = va / (va - vb)
-    return mesh.vertices[a] + t * (mesh.vertices[b] - mesh.vertices[a])
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (k, 2) array, bit-identical to
+    ``np.linalg.norm`` of the row alone (a BLAS dot, unlike ``axis=1``)."""
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0, 0]
 
 
 def extract_surface_segments(mesh: BackgroundMesh,
@@ -212,44 +207,40 @@ def extract_surface_segments(mesh: BackgroundMesh,
     vals = dls.values[mesh.elements]
     is_cut = (vals.min(axis=1) < 0.0) & (vals.max(axis=1) > 0.0)
     cut_elements = np.flatnonzero(is_cut)
+    tri = mesh.elements[cut_elements]
+    v = vals[cut_elements]
 
-    zero_cache: dict[tuple[int, int], np.ndarray] = {}
-    seg_points = np.empty((cut_elements.size, 2, 2))
-    seg_normal = np.empty((cut_elements.size, 2))
-    endpoint_keys = []
+    # The sign of a cut element changes along exactly two of its local
+    # edges (i, i+1), an even count around the triangle that is not zero.
+    neg = v < 0.0
+    change = neg != np.roll(neg, -1, axis=1)
+    a, b = tri[change], np.roll(tri, -1, axis=1)[change]
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+    # Each zero is computed from the sorted vertex pair, so both elements
+    # of an edge share the same floating-point point.
+    va, vb = dls.values[lo], dls.values[hi]
+    t = va / (va - vb)
+    pts = mesh.vertices[lo] + t[:, None] * (mesh.vertices[hi] - mesh.vertices[lo])
+    pts = pts.reshape(-1, 2, 2)
+    keys = (lo * mesh.n_vertices + hi).reshape(-1, 2)
 
-    for s, e in enumerate(cut_elements):
-        tri = mesh.elements[e]
-        v = dls.values[tri]
-        keys = []
-        pts = []
-        for i in range(3):
-            a, b = tri[i], tri[(i + 1) % 3]
-            if (v[i] < 0.0) != (v[(i + 1) % 3] < 0.0):
-                key = (min(a, b), max(a, b))
-                if key not in zero_cache:
-                    zero_cache[key] = _edge_zero(mesh, dls, a, b)
-                keys.append(key)
-                pts.append(zero_cache[key])
-        if len(pts) != 2:
-            raise StructuralError(f"element {e} has {len(pts)} sign-change "
-                                  "edges; expected exactly 2 after snapping")
-        # Interpolant gradient: constant, points into the positive region.
-        p0, p1, p2 = mesh.vertices[tri]
-        det = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p1[1] - p0[1]) * (p2[0] - p0[0])
-        g1 = np.array([p2[1] - p0[1], p0[0] - p2[0]]) / det
-        g2 = np.array([p0[1] - p1[1], p1[0] - p0[0]]) / det
-        grad = (v[1] - v[0]) * g1 + (v[2] - v[0]) * g2
-        n = grad / np.linalg.norm(grad)
-        # Orient the segment so its tangent is the normal rotated by +90deg.
-        tangent = np.array([-n[1], n[0]])
-        if (pts[1] - pts[0]) @ tangent < 0.0:
-            pts = [pts[1], pts[0]]
-            keys = [keys[1], keys[0]]
-        seg_points[s, 0] = pts[0]
-        seg_points[s, 1] = pts[1]
-        seg_normal[s] = n
-        endpoint_keys.append((keys[0], keys[1]))
+    # Interpolant gradient: constant, points into the positive region.
+    p = mesh.vertices[tri]
+    p0, p1, p2 = p[:, 0], p[:, 1], p[:, 2]
+    det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) \
+        - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0])
+    g1 = np.column_stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]]) / det[:, None]
+    g2 = np.column_stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]]) / det[:, None]
+    grad = (v[:, 1] - v[:, 0])[:, None] * g1 + (v[:, 2] - v[:, 0])[:, None] * g2
+    seg_normal = grad / _norms(grad)[:, None]
+    # Orient each segment so its tangent is the normal rotated by +90deg.
+    tangent = np.column_stack([-seg_normal[:, 1], seg_normal[:, 0]])
+    flip = np.matmul((pts[:, 1] - pts[:, 0])[:, None, :],
+                     tangent[:, :, None])[:, 0, 0] < 0.0
+    pts[flip] = pts[flip, ::-1]
+    keys[flip] = keys[flip, ::-1]
+    seg_points = pts
 
     seg_length = np.linalg.norm(seg_points[:, 1] - seg_points[:, 0], axis=1)
     degenerate = seg_length < DEGENERATE_SEGMENT_FACTOR * mesh.h
@@ -258,43 +249,35 @@ def extract_surface_segments(mesh: BackgroundMesh,
             f"degenerate surface segment in elements "
             f"{cut_elements[degenerate].tolist()}")
 
-    incidence: dict[tuple[int, int], list[int]] = {}
-    for s, (k0, k1) in enumerate(endpoint_keys):
-        incidence.setdefault(k0, []).append(s)
-        incidence.setdefault(k1, []).append(s)
-
-    edge_point = []
-    edge_segments = []
-    edge_conormals = []
-    for key in sorted(incidence):
-        segs = incidence[key]
-        if len(segs) == 1:
-            continue  # open chain endpoint (surface clipped by the box)
-        if len(segs) > 2:
-            raise StructuralError(f"surface edge {key} shared by {len(segs)} "
-                                  "segments")
-        sa, sb = segs
-        if cut_elements[sa] > cut_elements[sb]:
-            sa, sb = sb, sa
-        point = zero_cache[key]
-        conormals = []
-        for s in (sa, sb):
-            ends = seg_points[s]
-            other = ends[1] if np.array_equal(ends[0], point) else ends[0]
-            t = point - other
-            conormals.append(t / np.linalg.norm(t))
-        edge_point.append(point)
-        edge_segments.append((sa, sb))
-        edge_conormals.append(conormals)
+    # Group the segment endpoints by edge key; a stable sort keeps the
+    # lower segment (and so the lower owning element) first in each group.
+    flat = keys.reshape(-1)
+    order = np.argsort(flat, kind="stable")
+    sorted_keys = flat[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    counts = np.diff(np.r_[starts, flat.size])
+    if np.any(counts > 2):
+        key = sorted_keys[starts[counts > 2][0]]
+        raise StructuralError(
+            f"surface edge {divmod(int(key), mesh.n_vertices)} shared by "
+            f"{counts[counts > 2][0]} segments")
+    # Groups of one are open chain ends (surface clipped by the box).
+    ends = np.column_stack([order[starts[counts == 2]],
+                            order[starts[counts == 2] + 1]])
+    edge_segments = ends // 2
+    edge_point = seg_points[edge_segments[:, 0], ends[:, 0] % 2]
+    others = seg_points[edge_segments, 1 - ends % 2]
+    tangents = (edge_point[:, None, :] - others).reshape(-1, 2)
+    edge_conormals = (tangents / _norms(tangents)[:, None]).reshape(-1, 2, 2)
 
     return SurfaceGeometry(
         element=cut_elements,
         points=seg_points,
         normal=seg_normal,
         length=seg_length,
-        edge_point=np.asarray(edge_point, dtype=float).reshape(-1, 2),
-        edge_segments=np.asarray(edge_segments, dtype=np.int64).reshape(-1, 2),
-        edge_conormals=np.asarray(edge_conormals, dtype=float).reshape(-1, 2, 2),
+        edge_point=edge_point,
+        edge_segments=edge_segments.astype(np.int64),
+        edge_conormals=edge_conormals,
     )
 
 
@@ -311,7 +294,7 @@ def check_geometry_assumptions(ls: LevelSet, topo: CutTopology,
     """Sampled sup of |rho| on the discrete surface and of the deviation
     between the exact normal (at the closest point) and the segment normal.
 
-    Returns (sup_dist, sup_normal_dev). Raises ValueError when a sample
+    Returns (sup_dist, sup_normal_dev). Raises GeometryError when a sample
     leaves the validity radius of the closest-point map.
     """
     surf = topo.surface
@@ -322,8 +305,8 @@ def check_geometry_assumptions(ls: LevelSet, topo: CutTopology,
            + surf.points[:, None, 1, :] * t[None, :, None])  # (ns, m, 2)
     rho = ls.rho(pts)
     if np.any(np.abs(rho) >= ls.validity_radius):
-        raise ValueError("sampled surface point outside the validity radius "
-                         "of the closest-point map")
+        raise GeometryError("sampled surface point outside the validity "
+                            "radius of the closest-point map")
     sup_dist = float(np.abs(rho).max())
     n_exact = ls.normal(pts)
     dev = n_exact - surf.normal[:, None, :]

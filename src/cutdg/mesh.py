@@ -97,6 +97,13 @@ def build_structured_mesh(box, n: int) -> BackgroundMesh:
                           fv, fe, fn, fl)
 
 
+def _edge_keys(vertices: np.ndarray, elements: np.ndarray):
+    """Sorted vertex pair (lo, hi) of the three edges of every element, in
+    element order, and its 1-D key lo * nv + hi, which sorts like the pair."""
+    pairs = np.sort(elements[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
+    return pairs, pairs[:, 0] * vertices.shape[0] + pairs[:, 1]
+
+
 def face_connectivity(vertices: np.ndarray, elements: np.ndarray):
     """Interior faces of a conforming triangle mesh.
 
@@ -105,26 +112,20 @@ def face_connectivity(vertices: np.ndarray, elements: np.ndarray):
     unit normal pointing from plus to minus. Raises StructuralError for
     non-manifold edges (more than two incident elements).
     """
-    ne = elements.shape[0]
-    edges = elements[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-    keys = np.sort(edges, axis=1)
-    owners = np.repeat(np.arange(ne, dtype=np.int64), 3)
-    uniq, inverse, counts = np.unique(keys, axis=0, return_inverse=True,
-                                      return_counts=True)
+    pairs, keys = _edge_keys(vertices, elements)
+    # The stable sort keeps the owners (edge position // 3) ascending within
+    # each group, so column 0 is the lower element index.
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
+    counts = np.diff(np.r_[starts, keys.size])
     if np.any(counts > 2):
-        bad = uniq[counts > 2][0]
+        bad = pairs[order[starts[counts > 2][0]]]
         raise StructuralError(f"non-manifold face {tuple(bad)} with "
                               f"{counts.max()} incident elements")
-    order = np.argsort(inverse, kind="stable")
-    owners_sorted = owners[order]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-
-    interior = np.flatnonzero(counts == 2)
-    face_vertices = uniq[interior]
-    # owners are ascending within each group (stable sort of an ascending
-    # array), so column 0 is already the lower element index.
-    face_elements = np.column_stack([owners_sorted[offsets[interior]],
-                                     owners_sorted[offsets[interior] + 1]])
+    first = order[starts[counts == 2]]
+    face_vertices = pairs[first]
+    face_elements = np.column_stack([first // 3, order[starts[counts == 2] + 1] // 3])
 
     pa = vertices[face_vertices[:, 0]]
     pb = vertices[face_vertices[:, 1]]
@@ -141,9 +142,10 @@ def face_connectivity(vertices: np.ndarray, elements: np.ndarray):
 def refine_uniform(mesh: BackgroundMesh) -> BackgroundMesh:
     """Split every triangle into 4 self-similar children via edge midpoints."""
     elements = mesh.elements
-    edges = elements[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2)
-    keys = np.sort(edges, axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    pairs, keys = _edge_keys(mesh.vertices, elements)
+    _, first, inverse = np.unique(keys, return_index=True,
+                                  return_inverse=True)
+    uniq = pairs[first]
     midpoints = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
     vertices = np.vstack([mesh.vertices, midpoints])
 

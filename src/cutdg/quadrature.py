@@ -5,16 +5,22 @@ traces and gradients on straight geometry, so the default exactness
 degree is 2 everywhere. Error norms use degree 4. Rules carry physical
 points and positive weights summing to the measure of their domain;
 empty rules (zero points) represent cut parts of zero measure.
+
+The per-entity rules (``clip_element_rule``, ``surface_segment_rule``)
+have batched twins (``clip_element_rules``, ``segment_rules``) that
+reproduce them bit for bit; ``CutQuadrature`` builds the batched rules of
+one topology once for every form and norm evaluated on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .exceptions import StructuralError
+from .space import all_element_gradients, basis_values
 
 # Symmetric triangle rules with positive weights only: barycentric point
 # coordinates and weights normalized to sum to 1. Odd degrees without a
@@ -60,10 +66,19 @@ class QuadratureRule:
     def total_weight(self) -> float:
         return float(self.weights.sum())
 
-    def integrate(self, f) -> float:
-        if self.weights.size == 0:
-            return 0.0
-        return float(self.weights @ np.asarray(f(self.points), dtype=float))
+
+@dataclass(frozen=True)
+class RuleBatch:
+    """Rules of equal size on a batch of entities.
+
+    index: (k,) position of each entity in the batch the rules were built
+        for.
+    points: (k, m, 2) physical points; weights: (k, m) positive weights.
+    """
+
+    index: np.ndarray
+    points: np.ndarray
+    weights: np.ndarray
 
 
 def triangle_reference_rule(degree: int):
@@ -98,55 +113,30 @@ def _map_triangles(tris: np.ndarray, degree: int, domain: str) -> QuadratureRule
     return QuadratureRule(pts, weights, domain)
 
 
-def full_element_rule(tri, degree: int = 2) -> QuadratureRule:
-    """Symmetric rule on a full triangle (3, 2), exact to ``degree``."""
-    tri = np.asarray(tri, dtype=float)
-    return _map_triangles(tri[None, :, :], degree, "fullElement")
-
-
-def _segment_rule(p0, p1, degree: int, domain: str) -> QuadratureRule:
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    t, w = _gauss_unit(degree)
-    pts = p0[None, :] * (1.0 - t)[:, None] + p1[None, :] * t[:, None]
-    length = float(np.linalg.norm(p1 - p0))
-    return QuadratureRule(pts, w * length, domain)
-
-
-def full_face_rule(p0, p1, degree: int = 2) -> QuadratureRule:
-    """Gauss rule on the full face from p0 to p1."""
-    return _segment_rule(p0, p1, degree, "fullFace")
-
-
 def surface_segment_rule(p0, p1, degree: int = 2) -> QuadratureRule:
     """Gauss rule on a surface segment; errors on zero length."""
-    if not np.linalg.norm(np.asarray(p1, dtype=float)
-                          - np.asarray(p0, dtype=float)) > 0.0:
-        raise StructuralError("degenerate surface segment")
-    return _segment_rule(p0, p1, degree, "surfaceSegment")
-
-
-def cut_face_rule(p0, p1, v0: float, v1: float, degree: int = 2) -> QuadratureRule:
-    """Gauss rule on the sub-segment of face (p0, p1) where the linear
-    interpolant of the endpoint values (v0, v1) is negative. Empty rule
-    when the face lies entirely in the positive region."""
     p0 = np.asarray(p0, dtype=float)
     p1 = np.asarray(p1, dtype=float)
-    if v0 < 0.0 and v1 < 0.0:
-        a, b = p0, p1
-    elif v0 >= 0.0 and v1 >= 0.0:
-        return _empty("faceCut")
-    else:
-        s = v0 / (v0 - v1)
-        zero = p0 + s * (p1 - p0)
-        a, b = (p0, zero) if v0 < 0.0 else (zero, p1)
-    return _segment_rule(a, b, degree, "faceCut")
+    length = float(np.linalg.norm(p1 - p0))
+    if not length > 0.0:
+        raise StructuralError("degenerate surface segment")
+    t, w = _gauss_unit(degree)
+    pts = p0[None, :] * (1.0 - t)[:, None] + p1[None, :] * t[:, None]
+    return QuadratureRule(pts, w * length, "surfaceSegment")
 
 
-def point_rule(x) -> QuadratureRule:
-    """Measure-1 rule at a single surface point."""
-    return QuadratureRule(np.asarray(x, dtype=float).reshape(1, 2),
-                          np.array([1.0]), "surfacePoint")
+def segment_rules(p0: np.ndarray, p1: np.ndarray, degree: int = 2) -> RuleBatch:
+    """``surface_segment_rule`` on the segments (p0[k], p1[k]) at once,
+    bit-identical to it; errors on a zero length."""
+    d = p1 - p0
+    # np.linalg.norm of one row is a BLAS dot, which matmul reproduces
+    length = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]))[:, 0, 0]
+    if not np.all(length > 0.0):
+        raise StructuralError("degenerate surface segment")
+    t, w = _gauss_unit(degree)
+    pts = p0[:, None, :] * (1.0 - t)[None, :, None] \
+        + p1[:, None, :] * t[None, :, None]
+    return RuleBatch(np.arange(d.shape[0]), pts, w[None, :] * length[:, None])
 
 
 def negative_polygon(tri, values) -> np.ndarray:
@@ -178,3 +168,89 @@ def clip_element_rule(tri, values, degree: int = 2) -> QuadratureRule:
         tris = np.stack([poly[[0, 1, 2]], poly[[0, 2, 3]]])
     rule = _map_triangles(tris, degree, "bulkCut")
     return rule
+
+
+def clip_element_rules(tris: np.ndarray, values: np.ndarray,
+                       degree: int = 2) -> tuple[RuleBatch, RuleBatch]:
+    """``clip_element_rule`` on the triangles tris[k] (k, 3, 2) with vertex
+    values[k] at once, bit-identical to it. Returns the triangular and the
+    quadrilateral negative parts as two batches; a triangle without a
+    negative part is in neither."""
+    j = [1, 2, 0]
+    neg = values < 0.0
+    change = neg != neg[:, j]
+    t = np.zeros(values.shape)
+    t[change] = values[change] / (values - values[:, j])[change]
+    crossing = tris + t[:, :, None] * (tris[:, j] - tris)
+    # negative_polygon's walk: vertex i if negative, then the crossing on
+    # edge (i, i+1) if the sign changes there
+    candidates = np.stack([tris, crossing], axis=2).reshape(-1, 6, 2)
+    keep = np.stack([neg, change], axis=2).reshape(-1, 6)
+    size = keep.sum(axis=1)
+    batches = []
+    for n, fan in ((3, [[0, 1, 2]]), (4, [[0, 1, 2], [0, 2, 3]])):
+        index = np.flatnonzero(size == n)
+        poly = candidates[index][keep[index]].reshape(-1, n, 2)
+        rule = _map_triangles(poly[:, fan].reshape(-1, 3, 2), degree, "bulkCut")
+        m = (n - 2) * triangle_reference_rule(degree)[1].size
+        batches.append(RuleBatch(index, rule.points.reshape(index.size, m, 2),
+                                 rule.weights.reshape(index.size, m)))
+    return tuple(batches)
+
+
+class CutQuadrature:
+    """Batched rules and P1 basis data of the cut entities of one topology.
+
+    Each piece is built on first use and then shared by every form and
+    norm evaluated on the same mesh, level set, topology and degree:
+
+    grads: (ne, 3, 2) basis gradients of every background element.
+    split: active bulk elements as (uncut, cut); cut ones have a vertex
+        value above zero.
+    volume: [(rules, phi)] for the cut elements with a triangular and with
+        a quadrilateral negative part; rules.index points into split[1]
+        and phi (k, m, 3) holds the basis values at the rule points.
+    segments: (rules, phi) of the surface segments, in segment order.
+    """
+
+    def __init__(self, mesh, dls, topo, degree: int = 2):
+        self.mesh, self.dls, self.topo, self.degree = mesh, dls, topo, degree
+
+    @property
+    def surface(self):
+        if self.topo.surface is None:
+            raise StructuralError("cut topology carries no surface geometry; "
+                                  "build it with build_cut_topology")
+        return self.topo.surface
+
+    @cached_property
+    def grads(self) -> np.ndarray:
+        return all_element_gradients(self.mesh)
+
+    @cached_property
+    def split(self):
+        active = self.topo.active_bulk
+        cut = self.dls.values[self.mesh.elements[active]].max(axis=1) > 0.0
+        return active[~cut], active[cut]
+
+    @cached_property
+    def volume(self):
+        cut = self.split[1]
+        nodes = self.mesh.elements[cut]
+        tris = self.mesh.vertices[nodes]
+        groups = clip_element_rules(tris, self.dls.values[nodes], self.degree)
+        covered = np.zeros(cut.size, dtype=bool)
+        for rules in groups:
+            covered[rules.index] = True
+        if not covered.all():
+            raise StructuralError(f"active element {cut[~covered][0]} has an "
+                                  "empty cut rule")
+        return [(rules, basis_values(tris[rules.index], rules.points))
+                for rules in groups]
+
+    @cached_property
+    def segments(self):
+        surf = self.surface
+        rules = segment_rules(surf.points[:, 0], surf.points[:, 1], self.degree)
+        tris = self.mesh.vertices[self.mesh.elements[surf.element]]
+        return rules, basis_values(tris, rules.points)

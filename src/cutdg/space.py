@@ -122,12 +122,16 @@ def levelset_null_basis(dofmap: CombinedDofMap, mesh: BackgroundMesh,
 
 
 def element_gradients(tri: np.ndarray) -> np.ndarray:
-    """(3, 2) constant gradients of the barycentric basis on one triangle."""
-    p0, p1, p2 = np.asarray(tri, dtype=float)
-    det = (p1[0] - p0[0]) * (p2[1] - p0[1]) - (p1[1] - p0[1]) * (p2[0] - p0[0])
-    g1 = np.array([p2[1] - p0[1], p0[0] - p2[0]]) / det
-    g2 = np.array([p0[1] - p1[1], p1[0] - p0[0]]) / det
-    return np.vstack([-g1 - g2, g1, g2])
+    """(..., 3, 2) constant gradients of the barycentric basis on one
+    triangle (3, 2) or on each of a batch of triangles (..., 3, 2)."""
+    p = np.asarray(tri, dtype=float)
+    x0, y0 = p[..., 0, 0], p[..., 0, 1]
+    x1, y1 = p[..., 1, 0], p[..., 1, 1]
+    x2, y2 = p[..., 2, 0], p[..., 2, 1]
+    det = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    g1 = np.stack([y2 - y0, x0 - x2], axis=-1) / det[..., None]
+    g2 = np.stack([y0 - y1, x1 - x0], axis=-1) / det[..., None]
+    return np.stack([-g1 - g2, g1, g2], axis=-2)
 
 
 def all_element_gradients(mesh: BackgroundMesh) -> np.ndarray:
@@ -156,6 +160,16 @@ def evaluate_basis(tri: np.ndarray, points: np.ndarray):
     lam2 = rel @ grads[2]
     values = np.stack([1.0 - lam1 - lam2, lam1, lam2], axis=-1)
     return values, grads
+
+
+def basis_values(tris: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``evaluate_basis`` values on a batch of triangles at once: (k, m, 3)
+    for tris (k, 3, 2) and points (k, m, 2), bit-identical to it."""
+    grads = element_gradients(tris)
+    rel = points - tris[:, None, 0, :]
+    lam1 = np.matmul(rel, grads[:, 1, :, None])[..., 0]
+    lam2 = np.matmul(rel, grads[:, 2, :, None])[..., 0]
+    return np.stack([1.0 - lam1 - lam2, lam1, lam2], axis=-1)
 
 
 def interpolate_nodal(space: BrokenSpace, mesh: BackgroundMesh,

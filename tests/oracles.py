@@ -6,12 +6,30 @@ y; the sign of the linear vertex interpolant restricts each x-section.
 It shares no code with the polygon-clipping quadrature it checks. The
 condition-number oracle is a dense symmetric eigensolve of the whole
 spectrum.
+
+The per-entity reference loops build the cut-entity parts of the forms,
+the load vectors and the error norms one element, segment or surface
+edge at a time from ``clip_element_rule``, ``surface_segment_rule`` and
+``evaluate_basis``. The batched assembly must reproduce them bit for bit,
+triplet order included. The triplet builders take the same arguments as
+the private batched builders of ``cutdg.forms`` they stand in for, but
+read only the mesh, level set, topology and degree from the
+``CutQuadrature``. ``face_connectivity_reference`` lists interior faces
+through a dict keyed by vertex pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+
+from cutdg.exceptions import StructuralError
+from cutdg.mesh import element_areas
+from cutdg.manufactured import ErrorReport
+from cutdg.quadrature import (clip_element_rule, surface_segment_rule,
+                              triangle_reference_rule)
+from cutdg.space import all_element_gradients, evaluate_basis
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _PANELS = 96
@@ -104,3 +122,227 @@ def dense_condition_number(matrix, zero_threshold: float = 1e-12):
     nonzero = eigs[eigs > zero_threshold * lam_max]
     lam_min = float(nonzero.min())
     return lam_max / lam_min, lam_min, lam_max, eigs.size - nonzero.size
+
+
+def face_connectivity_reference(elements):
+    """(face_vertices, face_elements) of the interior faces: sorted vertex
+    pairs in ascending order, the lower incident element first."""
+    owners = {}
+    for e, tri in enumerate(np.asarray(elements).tolist()):
+        for i in range(3):
+            a, b = tri[i], tri[(i + 1) % 3]
+            owners.setdefault((min(a, b), max(a, b)), []).append(e)
+    interior = [key for key in sorted(owners) if len(owners[key]) == 2]
+    return (np.array(interior, dtype=np.int64).reshape(-1, 2),
+            np.array([sorted(owners[key]) for key in interior],
+                     dtype=np.int64).reshape(-1, 2))
+
+
+# ---------------------------------------------------------------------------
+# per-entity reference loops of the batched assembly
+
+def _block_triplets(blocks):
+    """(rows, cols, values) of (dofs, block) pairs in list order."""
+    if not blocks:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), \
+            np.zeros(0)
+    rows, cols, vals = [], [], []
+    for dofs, blk in blocks:
+        rows.append(np.repeat(dofs, dofs.size))
+        cols.append(np.tile(dofs, dofs.size))
+        vals.append(blk.ravel())
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+def _split(mesh, dls, topo):
+    vals = dls.values[mesh.elements[topo.active_bulk]]
+    cut = vals.max(axis=1) > 0.0
+    return topo.active_bulk[~cut], topo.active_bulk[cut]
+
+
+def _tri(mesh, e):
+    return mesh.vertices[mesh.elements[e]]
+
+
+def bulk_volume_triplets(cq, space, mass=True):
+    """Uncut elements in one exact batch, then one block per cut element."""
+    mesh, dls = cq.mesh, cq.dls
+    grads_all = all_element_gradients(mesh)
+    areas = element_areas(mesh)
+    uncut, cut = _split(mesh, dls, cq.topo)
+    triplets = []
+    if uncut.size:
+        blocks = np.zeros((uncut.size, 3, 3))
+        g = grads_all[uncut]
+        blocks += areas[uncut, None, None] * np.einsum("eik,ejk->eij", g, g)
+        if mass:
+            blocks += areas[uncut, None, None] \
+                * ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :]
+        triplets.append(_block_triplets(
+            list(zip(space.dofs_array(uncut), blocks))))
+    blocks = []
+    for e in cut:
+        rule = clip_element_rule(_tri(mesh, e), dls.values[mesh.elements[e]],
+                                 cq.degree)
+        if rule.weights.size == 0:
+            raise StructuralError(f"active element {e} has an empty cut rule")
+        blk = np.zeros((3, 3))
+        g = grads_all[e]
+        blk += rule.total_weight * (g @ g.T)
+        if mass:
+            phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
+            blk += np.einsum("q,qi,qj->ij", rule.weights, phi, phi)
+        blocks.append((space.element_dofs(e), blk))
+    triplets.append(_block_triplets(blocks))
+    return triplets
+
+
+def _segment_rule(surf, s, degree):
+    return surface_segment_rule(surf.points[s, 0], surf.points[s, 1], degree)
+
+
+def segment_triplets(cq, space, mass=True, stiff=True):
+    mesh, surf = cq.mesh, cq.topo.surface
+    grads_all = all_element_gradients(mesh)
+    blocks = []
+    for s in range(surf.n_segments):
+        e = surf.element[s]
+        blk = np.zeros((3, 3))
+        if stiff:
+            g = grads_all[e]
+            n = surf.normal[s]
+            pg = g - (g @ n)[:, None] * n[None, :]
+            blk += surf.length[s] * (pg @ pg.T)
+        if mass:
+            rule = _segment_rule(surf, s, cq.degree)
+            phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
+            blk += np.einsum("q,qi,qj->ij", rule.weights, phi, phi)
+        blocks.append((space.element_dofs(e), blk))
+    return [_block_triplets(blocks)]
+
+
+def edge_triplets(cq, space, gamma, consistency=True):
+    mesh, surf = cq.mesh, cq.topo.surface
+    grads_all = all_element_gradients(mesh)
+    blocks = []
+    for k in range(surf.n_edges):
+        phis, flux = [], []
+        for side, s in enumerate(surf.edge_segments[k]):
+            e = surf.element[s]
+            phi, _ = evaluate_basis(_tri(mesh, e), surf.edge_point[k])
+            phis.append(phi)
+            flux.append(grads_all[e] @ surf.edge_conormals[k, side])
+        jump = np.concatenate([phis[0], -phis[1]])
+        gavg = 0.5 * np.concatenate([flux[0], -flux[1]])
+        blk = np.zeros((6, 6))
+        if gamma:
+            blk += (gamma / mesh.h) * np.outer(jump, jump)
+        if consistency:
+            blk -= np.outer(gavg, jump) + np.outer(jump, gavg)
+        blocks.append((np.concatenate(
+            [space.element_dofs(surf.element[s])
+             for s in surf.edge_segments[k]]), blk))
+    return [_block_triplets(blocks)]
+
+
+def coupling_form(cq, dofmap, params):
+    mesh, surf = cq.mesh, cq.topo.surface
+    blocks = []
+    for s in range(surf.n_segments):
+        e = surf.element[s]
+        rule = _segment_rule(surf, s, cq.degree)
+        phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
+        r = np.concatenate([params.c_bulk * phi, -params.c_surf * phi], axis=1)
+        blocks.append((np.concatenate([dofmap.bulk.element_dofs(e),
+                                       dofmap.surface.element_dofs(e)]),
+                       np.einsum("q,qi,qj->ij", rule.weights, r, r)))
+    i, j, v = _block_triplets(blocks)
+    return sp.coo_matrix((v, (i, j)), shape=(dofmap.ndof,) * 2).tocsr()
+
+
+def rhs(cq, dofmap, problem, params):
+    mesh, dls, degree = cq.mesh, cq.dls, cq.degree
+    b = np.zeros(dofmap.ndof)
+    uncut, cut = _split(mesh, dls, cq.topo)
+    if uncut.size:
+        bary, wref = triangle_reference_rule(degree)
+        pts = np.einsum("mb,kbd->kmd", bary, mesh.vertices[mesh.elements[uncut]])
+        w = wref[None, :] * (element_areas(mesh)[uncut, None] / 0.5)
+        local = np.einsum("km,mi->ki",
+                          w * np.asarray(problem.f_bulk(pts), dtype=float), bary)
+        np.add.at(b, dofmap.bulk.dofs_array(uncut), params.c_bulk * local)
+    for e in cut:
+        rule = clip_element_rule(_tri(mesh, e), dls.values[mesh.elements[e]],
+                                 degree)
+        phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
+        fvals = np.asarray(problem.f_bulk(rule.points), dtype=float)
+        b[dofmap.bulk.element_dofs(e)] += params.c_bulk * (
+            (rule.weights * fvals) @ phi)
+    surf, geom = cq.topo.surface, problem.geometry
+    for s in range(surf.n_segments):
+        e = surf.element[s]
+        rule = _segment_rule(surf, s, degree)
+        fvals = np.asarray(problem.f_surf(geom.closest_point(rule.points)),
+                           dtype=float)
+        phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
+        b[dofmap.surface.element_dofs(e)] += params.c_surf * (
+            (rule.weights * fvals) @ phi)
+    return b
+
+
+def surface_trace_load(mesh, topo, dofmap, degree=2):
+    surf = topo.surface
+    load = np.zeros(dofmap.ndof)
+    for s in range(surf.n_segments):
+        e = surf.element[s]
+        rule = _segment_rule(surf, s, degree)
+        phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
+        load[dofmap.surface.element_dofs(e)] += rule.weights @ phi
+    return load
+
+
+def compute_errors(coeffs, problem, mesh, dls, topo, dofmap, degree=4):
+    """Running sums over the uncut block, then cut elements, then
+    segments, one entity at a time."""
+    grads_all = all_element_gradients(mesh)
+    uncut, cut = _split(mesh, dls, topo)
+    l2b = semib = l2s = semis = 0.0
+    if uncut.size:
+        bary, wref = triangle_reference_rule(degree)
+        pts = np.einsum("mb,kbd->kmd", bary, mesh.vertices[mesh.elements[uncut]])
+        w = wref[None, :] * (element_areas(mesh)[uncut, None] / 0.5)
+        u_elem = coeffs[dofmap.bulk.dofs_array(uncut)]
+        diff = np.einsum("mb,kb->km", bary, u_elem) \
+            - np.asarray(problem.u_bulk(pts), dtype=float)
+        l2b += float(np.sum(w * diff ** 2))
+        gh = np.einsum("kbd,kb->kd", grads_all[uncut], u_elem)
+        gdiff = gh[:, None, :] - np.asarray(problem.grad_u_bulk(pts),
+                                            dtype=float)
+        semib += float(np.sum(w * np.sum(gdiff ** 2, axis=-1)))
+    for e in cut:
+        rule = clip_element_rule(_tri(mesh, e), dls.values[mesh.elements[e]],
+                                 degree)
+        phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
+        u_elem = coeffs[dofmap.bulk.element_dofs(e)]
+        diff = phi @ u_elem - np.asarray(problem.u_bulk(rule.points),
+                                         dtype=float)
+        l2b += float(rule.weights @ diff ** 2)
+        gdiff = (grads_all[e].T @ u_elem)[None, :] \
+            - np.asarray(problem.grad_u_bulk(rule.points), dtype=float)
+        semib += float(rule.weights @ np.sum(gdiff ** 2, axis=-1))
+    surf = topo.surface
+    for s in range(surf.n_segments):
+        e = surf.element[s]
+        rule = _segment_rule(surf, s, degree)
+        phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
+        u_elem = coeffs[dofmap.surface.element_dofs(e)]
+        diff = phi @ u_elem - np.asarray(problem.u_surf_ext(rule.points),
+                                         dtype=float)
+        l2s += float(rule.weights @ diff ** 2)
+        n = surf.normal[s]
+        gdiff = (grads_all[e].T @ u_elem)[None, :] \
+            - np.asarray(problem.grad_u_surf_ext(rule.points), dtype=float)
+        tangential = gdiff - np.einsum("qd,d->q", gdiff, n)[:, None] * n[None, :]
+        semis += float(rule.weights @ np.sum(tangential ** 2, axis=-1))
+    return ErrorReport(l2_bulk=np.sqrt(l2b), h1_bulk=np.sqrt(l2b + semib),
+                       l2_surf=np.sqrt(l2s), h1_surf=np.sqrt(l2s + semis))

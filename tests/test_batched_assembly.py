@@ -1,0 +1,120 @@
+"""The batched cut-entity assembly against the per-entity reference loops
+of ``tests.oracles``, and the error paths the batched layer keeps."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import cutdg.forms as forms
+from cutdg.exceptions import GeometryError, StructuralError
+from cutdg.experiments import DEFAULT_BOX, mesh_at_level
+from cutdg.forms import (StabilizationParams, assemble_bulk_form,
+                         assemble_coupling_form, assemble_rhs,
+                         assemble_surface_form, assemble_system, energy_gram,
+                         gradient_gram, surface_tangential_gram,
+                         surface_trace_load, surface_trace_mass_gram)
+from cutdg.levelset import (build_cut_topology, check_geometry_assumptions,
+                            interpolate_levelset)
+from cutdg.manufactured import build_circle_problem, compute_errors
+from cutdg.space import build_spaces, interpolate_pair
+from tests import oracles
+
+SHIFTED_BOX = ((-1.05, -1.07), (1.15, 1.13))
+PARAMS = StabilizationParams()
+
+
+def _setup(level, box, problem):
+    mesh = mesh_at_level(level, 8, box)
+    dls = interpolate_levelset(problem.geometry, mesh)
+    topo = build_cut_topology(mesh, dls)
+    return mesh, dls, topo, build_spaces(mesh, topo)
+
+
+def _matrices(mesh, dls, topo, dofmap, problem):
+    args = (mesh, dls, topo, dofmap, PARAMS)
+    system = assemble_system(*args[:4], problem, PARAMS)
+    out = {"bulk": assemble_bulk_form(*args),
+           "surface": assemble_surface_form(*args),
+           "coupling": assemble_coupling_form(*args),
+           "system": system.matrix,
+           "gradient_cut": gradient_gram(*args[:4], "cut"),
+           "tangential": surface_tangential_gram(mesh, topo, dofmap),
+           "trace_mass": surface_trace_mass_gram(mesh, topo, dofmap)}
+    for variant in ("bulk", "surface", "total"):
+        out[f"energy_{variant}"] = energy_gram(*args, variant)
+    out = {k: (m.data, m.indices, m.indptr) for k, m in out.items()}
+    out["system_rhs"] = (system.rhs,)
+    out["rhs"] = (assemble_rhs(*args[:4], problem, PARAMS),)
+    return out
+
+
+@pytest.mark.parametrize("box", [DEFAULT_BOX, SHIFTED_BOX],
+                         ids=["default", "shifted"])
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_batched_assembly_equals_per_entity_loops(level, box, monkeypatch):
+    """Every form, Gram matrix, load vector and error report, bit for bit
+    (np.array_equal on csr data, indices and indptr)."""
+    problem = build_circle_problem()
+    mesh, dls, topo, dofmap = _setup(level, box, problem)
+    batched = _matrices(mesh, dls, topo, dofmap, problem)
+    monkeypatch.setattr(forms, "_bulk_volume_triplets",
+                        oracles.bulk_volume_triplets)
+    monkeypatch.setattr(forms, "_segment_triplets", oracles.segment_triplets)
+    monkeypatch.setattr(forms, "_edge_triplets", oracles.edge_triplets)
+    monkeypatch.setattr(forms, "_coupling_form", oracles.coupling_form)
+    monkeypatch.setattr(forms, "_rhs", oracles.rhs)
+    reference = _matrices(mesh, dls, topo, dofmap, problem)
+    for key, arrays in reference.items():
+        for ref, new in zip(arrays, batched[key]):
+            assert np.array_equal(ref, new), key
+
+    assert np.array_equal(surface_trace_load(mesh, topo, dofmap),
+                          oracles.surface_trace_load(mesh, topo, dofmap))
+    exact = interpolate_pair(dofmap, mesh, problem.u_bulk,
+                             problem.u_surf_ext)
+    coeffs = exact + 1e-3 * np.sin(np.arange(dofmap.ndof))
+    assert compute_errors(coeffs, problem, mesh, dls, topo, dofmap) == \
+        oracles.compute_errors(coeffs, problem, mesh, dls, topo, dofmap)
+
+
+def test_empty_cut_rule_raises():
+    """An active element without a negative vertex has no cut part."""
+    problem = build_circle_problem()
+    mesh, dls, topo, dofmap = _setup(0, DEFAULT_BOX, problem)
+    outside = np.flatnonzero(dls.values[mesh.elements].min(axis=1) > 0.0)[0]
+    active = np.union1d(topo.active_bulk, [outside])
+    bad = dataclasses.replace(topo, active_bulk=active)
+    dofmap = build_spaces(mesh, bad)
+    with pytest.raises(StructuralError,
+                       match=f"active element {outside} has an empty cut"):
+        assemble_bulk_form(mesh, dls, bad, dofmap, PARAMS)
+
+
+def test_degenerate_segment_in_topology_raises():
+    problem = build_circle_problem()
+    mesh, dls, topo, dofmap = _setup(0, DEFAULT_BOX, problem)
+    points = topo.surface.points.copy()
+    points[3, 1] = points[3, 0]
+    bad = dataclasses.replace(
+        topo, surface=dataclasses.replace(topo.surface, points=points))
+    for assemble in (assemble_surface_form, assemble_coupling_form):
+        with pytest.raises(StructuralError, match="degenerate surface segment"):
+            assemble(mesh, dls, bad, dofmap, PARAMS)
+    with pytest.raises(StructuralError, match="degenerate surface segment"):
+        assemble_rhs(mesh, dls, bad, dofmap, problem, PARAMS)
+
+
+def test_surface_data_outside_validity_radius_raises_geometry_error():
+    """Both places that evaluate the closest-point map off the surface
+    reject points outside its validity radius with a typed error."""
+    problem = build_circle_problem()
+    mesh, dls, topo, dofmap = _setup(0, DEFAULT_BOX, problem)
+    narrow = dataclasses.replace(
+        problem, geometry=dataclasses.replace(problem.geometry,
+                                              validity_radius=1e-6))
+    with pytest.raises(GeometryError, match="validity radius"):
+        assemble_rhs(mesh, dls, topo, dofmap, narrow, PARAMS)
+    with pytest.raises(GeometryError, match="validity radius"):
+        check_geometry_assumptions(narrow.geometry, topo)
+    assert issubclass(GeometryError, ValueError)

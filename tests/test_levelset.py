@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from cutdg.exceptions import ConfigurationError
+from cutdg.exceptions import ConfigurationError, StructuralError
 from cutdg.levelset import (DiscreteLevelSet, build_cut_topology,
                             check_geometry_assumptions, circle_levelset,
                             classify_elements, closest_point_circle,
                             extract_surface_segments, interpolate_levelset,
                             line_levelset, segments_to_text, surface_length)
-from cutdg.mesh import build_structured_mesh, refine_uniform
+from cutdg.mesh import BackgroundMesh, build_structured_mesh, refine_uniform
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
 
@@ -139,6 +139,45 @@ def test_circle_chain_is_closed_and_watertight():
             assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-14)
             t = tangents[s] / np.linalg.norm(tangents[s])
             assert abs(abs(c @ t) - 1.0) < 1e-12
+
+
+def test_exact_zero_vertex_values_give_two_crossings_per_cut_element():
+    """Without snapping, some vertex values are exactly zero. A cut element
+    has a negative and a positive vertex, so its sign changes along exactly
+    two local edges (an even, nonzero count around the triangle), and each
+    cut element still gets one segment on the zero line."""
+    mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 4)
+    values = mesh.vertices[:, 0] + 2.0 * mesh.vertices[:, 1] - 1.0
+    assert np.sum(values == 0.0) == 3
+    dls = DiscreteLevelSet(values=values, snap_tol=0.0)
+    surf = extract_surface_segments(mesh, dls)
+    vals = values[mesh.elements]
+    cut = np.flatnonzero((vals.min(axis=1) < 0.0) & (vals.max(axis=1) > 0.0))
+    assert np.array_equal(surf.element, cut)
+    assert np.all(surf.length > 0.0)
+    on_line = surf.points[..., 0] + 2.0 * surf.points[..., 1] - 1.0
+    assert np.max(np.abs(on_line)) < 1e-15
+
+
+def test_extraction_error_paths():
+    """A segment shorter than 1e-14 h, and a mesh edge (of a non-manifold
+    mesh) crossed by the surface in three elements."""
+    mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 1)
+    tiny = DiscreteLevelSet(values=np.array([-1e-17, 1.0, 1.0, 1.0]),
+                            snap_tol=0.0)
+    with pytest.raises(StructuralError, match="degenerate surface segment"):
+        extract_surface_segments(mesh, tiny)
+    vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                         [-1.0, 1.0]])
+    fan = np.array([[0, 1, 2], [0, 2, 4], [0, 3, 2]])
+    empty = np.zeros((0, 2))
+    bad = BackgroundMesh(vertices, fan, ((-1.0, 0.0), (1.0, 1.0)), 1.0,
+                         (1.0, 1.0), empty.astype(np.int64),
+                         empty.astype(np.int64), empty, np.zeros(0))
+    dls = DiscreteLevelSet(values=np.array([-1.0, 1.0, 1.0, 1.0, 1.0]),
+                           snap_tol=0.0)
+    with pytest.raises(StructuralError, match=r"\(0, 2\) shared by 3"):
+        extract_surface_segments(bad, dls)
 
 
 def test_translation_sweep_never_breaks_extraction():

@@ -4,6 +4,7 @@ import pytest
 from cutdg.exceptions import StructuralError
 from cutdg.mesh import (build_structured_mesh, element_areas,
                         face_connectivity, mesh_to_text, refine_uniform)
+from tests.oracles import face_connectivity_reference
 
 UNIT = ((0.0, 0.0), (1.0, 1.0))
 BOX = ((-1.1, -1.1), (1.1, 1.1))
@@ -116,6 +117,29 @@ def test_non_manifold_detection():
     bad = np.array([[0, 1, 2], [0, 2, 4], [0, 2, 3]])
     with pytest.raises(StructuralError):
         face_connectivity(verts, bad)
+
+
+@pytest.mark.parametrize("n, levels", [(1, 0), (2, 0), (3, 0), (2, 1), (1, 2)])
+def test_face_connectivity_matches_dict_oracle(n, levels):
+    """Face order, plus/minus sides and normal orientation against a
+    dict-based listing, on the structured mesh and on a copy with shuffled
+    element order and rotated vertex order."""
+    mesh = build_structured_mesh(UNIT, n)
+    for _ in range(levels):
+        mesh = refine_uniform(mesh)
+    rng = np.random.default_rng(n + 10 * levels)
+    shuffled = mesh.elements[rng.permutation(mesh.n_elements)]
+    shuffled = np.array([np.roll(tri, r) for tri, r in
+                         zip(shuffled, rng.integers(0, 3, mesh.n_elements))])
+    for elements in (mesh.elements, shuffled):
+        fv, fe, normals, lengths = face_connectivity(mesh.vertices, elements)
+        ref_fv, ref_fe = face_connectivity_reference(elements)
+        assert np.array_equal(fv, ref_fv) and np.array_equal(fe, ref_fe)
+        pa, pb = mesh.vertices[fv[:, 0]], mesh.vertices[fv[:, 1]]
+        assert np.allclose(lengths, np.linalg.norm(pb - pa, axis=1))
+        plus = mesh.vertices[elements[fe[:, 0]]].mean(axis=1)
+        minus = mesh.vertices[elements[fe[:, 1]]].mean(axis=1)
+        assert np.all(np.einsum("fd,fd->f", normals, minus - plus) > 0.0)
 
 
 def test_mesh_dump_format():

@@ -4,9 +4,8 @@ import pytest
 from cutdg.exceptions import StructuralError
 from cutdg.levelset import circle_levelset, interpolate_levelset
 from cutdg.mesh import build_structured_mesh, refine_uniform
-from cutdg.quadrature import (clip_element_rule, cut_face_rule,
-                              full_element_rule, full_face_rule,
-                              negative_polygon, point_rule,
+from cutdg.quadrature import (clip_element_rule, clip_element_rules,
+                              negative_polygon, segment_rules,
                               surface_segment_rule, triangle_reference_rule)
 from tests.oracles import integrate_negative_monomial
 
@@ -36,21 +35,6 @@ def test_reference_triangle_rules_are_exact(degree):
             assert val == pytest.approx(_exact_ref_monomial(a, b), rel=1e-13)
 
 
-def test_full_element_rule_constant():
-    tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 1.0]])  # area 1
-    rule = full_element_rule(tri, degree=2)
-    assert rule.total_weight == pytest.approx(1.0, rel=1e-14)
-    assert rule.domain == "fullElement"
-
-
-def test_face_rules():
-    rule = full_face_rule((0.0, 0.0), (0.0, 3.0), degree=2)
-    assert rule.total_weight == pytest.approx(3.0, rel=1e-14)
-    # quadratic exactness on the unit edge
-    rule = full_face_rule((0.0, 0.0), (1.0, 0.0), degree=2)
-    assert rule.weights @ rule.points[:, 0] ** 2 == pytest.approx(1 / 3, rel=1e-14)
-
-
 def test_surface_segment_rule():
     rule = surface_segment_rule((0.5, 0.0), (0.0, 0.5), degree=2)
     assert rule.total_weight == pytest.approx(np.sqrt(2.0) / 2.0, rel=1e-14)
@@ -58,16 +42,6 @@ def test_surface_segment_rule():
     assert rule.weights @ rule.points[:, 0] == pytest.approx(0.5, rel=1e-14)
     with pytest.raises(StructuralError):
         surface_segment_rule((0.3, 0.3), (0.3, 0.3))
-
-
-def test_cut_face_rule_cases():
-    full = cut_face_rule((0.0, 0.0), (2.0, 0.0), -1.0, -0.5)
-    assert full.total_weight == pytest.approx(2.0, rel=1e-14)
-    half = cut_face_rule((0.0, 0.0), (2.0, 0.0), -1.0, 1.0)
-    assert half.total_weight == pytest.approx(1.0, rel=1e-14)
-    assert np.all(half.points[:, 0] < 1.0)
-    empty = cut_face_rule((0.0, 0.0), (2.0, 0.0), 1.0, 2.0)
-    assert empty.weights.size == 0 and empty.points.shape == (0, 2)
 
 
 def test_clip_examples():
@@ -149,7 +123,39 @@ def test_negative_polygon_shapes():
     assert negative_polygon(REF, [1.0, 1.0, 1.0]).shape == (0, 2)
 
 
-def test_point_rule():
-    rule = point_rule((0.3, -0.2))
-    assert rule.total_weight == 1.0
-    assert rule.domain == "surfacePoint"
+@pytest.mark.parametrize("degree", [1, 2, 4])
+def test_batched_clip_rules_equal_the_per_element_rules(degree):
+    """Every sign pattern, exact zeros included: each triangle lands in the
+    group of its polygon size with the per-element points and weights,
+    bit for bit, and one without a negative part in neither."""
+    rng = np.random.default_rng(11)
+    tris = rng.uniform(-1.0, 1.0, size=(400, 3, 2))
+    values = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0], size=(400, 3)) \
+        * rng.uniform(0.5, 1.5, size=(400, 3))
+    tri_cuts, quad_cuts = clip_element_rules(tris, values, degree)
+    seen = np.zeros(400, dtype=bool)
+    for batch, n_tris in ((tri_cuts, 1), (quad_cuts, 2)):
+        m = n_tris * triangle_reference_rule(degree)[1].size
+        assert batch.points.shape == (batch.index.size, m, 2)
+        for k, i in enumerate(batch.index):
+            rule = clip_element_rule(tris[i], values[i], degree)
+            assert rule.points.tobytes() == batch.points[k].tobytes()
+            assert rule.weights.tobytes() == batch.weights[k].tobytes()
+            assert rule.total_weight == batch.weights[k].sum()
+        seen[batch.index] = True
+    for i in np.flatnonzero(~seen):
+        assert clip_element_rule(tris[i], values[i], degree).weights.size == 0
+    assert 0 < (~seen).sum() < 400
+
+
+def test_batched_segment_rules_equal_the_per_segment_rules():
+    rng = np.random.default_rng(5)
+    p0, p1 = rng.uniform(-1.0, 1.0, size=(2, 300, 2))
+    batch = segment_rules(p0, p1, degree=4)
+    for k in range(300):
+        rule = surface_segment_rule(p0[k], p1[k], degree=4)
+        assert rule.points.tobytes() == batch.points[k].tobytes()
+        assert rule.weights.tobytes() == batch.weights[k].tobytes()
+    p1[7] = p0[7]
+    with pytest.raises(StructuralError, match="degenerate surface segment"):
+        segment_rules(p0, p1)
