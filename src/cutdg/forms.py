@@ -418,9 +418,11 @@ def assemble_system(mesh: BackgroundMesh, dls: DiscreteLevelSet,
     """Full stabilized system: c_b (bulk + bulk ghost) + c_s (surface +
     surface ghost) + coupling, with the matching load vector."""
     cq = CutQuadrature(mesh, dls, topo, degree)
+    # the bulk face scatter sets the peak memory; build the ghost pieces
+    # after it so they are not alive at that point
+    bulk = _bulk_form(cq, dofmap, params)
     pieces = _ghost_pieces(mesh, topo, dofmap, cq.grads)
-    a = (params.c_bulk * (_bulk_form(cq, dofmap, params)
-                          + _ghost_bulk(pieces, params))
+    a = (params.c_bulk * (bulk + _ghost_bulk(pieces, params))
          + params.c_surf * (_surface_form(cq, dofmap, params)
                             + _ghost_surface(pieces, params))
          + _coupling_form(cq, dofmap, params))

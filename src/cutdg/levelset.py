@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ConfigurationError, GeometryError, StructuralError
-from .mesh import BackgroundMesh
+from .mesh import BackgroundMesh, edge_key, group_keys
 
 SNAP_FACTOR = 1e-10
 DEGENERATE_SEGMENT_FACTOR = 1e-14
@@ -214,33 +214,33 @@ def extract_surface_segments(mesh: BackgroundMesh,
     # edges (i, i+1), an even count around the triangle that is not zero.
     neg = v < 0.0
     change = neg != np.roll(neg, -1, axis=1)
-    a, b = tri[change], np.roll(tri, -1, axis=1)[change]
-    lo = np.minimum(a, b)
-    hi = np.maximum(a, b)
+    nv = mesh.n_vertices
+    keys = edge_key(tri, np.roll(tri, -1, axis=1), nv)[change].reshape(-1, 2)
     # Each zero is computed from the sorted vertex pair, so both elements
     # of an edge share the same floating-point point.
+    lo, hi = divmod(keys.reshape(-1), nv)
     va, vb = dls.values[lo], dls.values[hi]
     t = va / (va - vb)
-    pts = mesh.vertices[lo] + t[:, None] * (mesh.vertices[hi] - mesh.vertices[lo])
-    pts = pts.reshape(-1, 2, 2)
-    keys = (lo * mesh.n_vertices + hi).reshape(-1, 2)
+    seg_points = (mesh.vertices[lo] + t[:, None]
+                  * (mesh.vertices[hi] - mesh.vertices[lo])).reshape(-1, 2, 2)
 
     # Interpolant gradient: constant, points into the positive region.
     p = mesh.vertices[tri]
     p0, p1, p2 = p[:, 0], p[:, 1], p[:, 2]
     det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) \
         - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0])
-    g1 = np.column_stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]]) / det[:, None]
-    g2 = np.column_stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]]) / det[:, None]
+    g1 = np.column_stack([p2[:, 1] - p0[:, 1],
+                          p0[:, 0] - p2[:, 0]]) / det[:, None]
+    g2 = np.column_stack([p0[:, 1] - p1[:, 1],
+                          p1[:, 0] - p0[:, 0]]) / det[:, None]
     grad = (v[:, 1] - v[:, 0])[:, None] * g1 + (v[:, 2] - v[:, 0])[:, None] * g2
     seg_normal = grad / _norms(grad)[:, None]
     # Orient each segment so its tangent is the normal rotated by +90deg.
     tangent = np.column_stack([-seg_normal[:, 1], seg_normal[:, 0]])
-    flip = np.matmul((pts[:, 1] - pts[:, 0])[:, None, :],
+    flip = np.matmul((seg_points[:, 1] - seg_points[:, 0])[:, None, :],
                      tangent[:, :, None])[:, 0, 0] < 0.0
-    pts[flip] = pts[flip, ::-1]
+    seg_points[flip] = seg_points[flip, ::-1]
     keys[flip] = keys[flip, ::-1]
-    seg_points = pts
 
     seg_length = np.linalg.norm(seg_points[:, 1] - seg_points[:, 0], axis=1)
     degenerate = seg_length < DEGENERATE_SEGMENT_FACTOR * mesh.h
@@ -252,18 +252,15 @@ def extract_surface_segments(mesh: BackgroundMesh,
     # Group the segment endpoints by edge key; a stable sort keeps the
     # lower segment (and so the lower owning element) first in each group.
     flat = keys.reshape(-1)
-    order = np.argsort(flat, kind="stable")
-    sorted_keys = flat[order]
-    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    counts = np.diff(np.r_[starts, flat.size])
+    order, starts, counts = group_keys(flat)
     if np.any(counts > 2):
-        key = sorted_keys[starts[counts > 2][0]]
+        key = flat[order[starts[counts > 2][0]]]
         raise StructuralError(
-            f"surface edge {divmod(int(key), mesh.n_vertices)} shared by "
+            f"surface edge {divmod(int(key), nv)} shared by "
             f"{counts[counts > 2][0]} segments")
     # Groups of one are open chain ends (surface clipped by the box).
-    ends = np.column_stack([order[starts[counts == 2]],
-                            order[starts[counts == 2] + 1]])
+    first = starts[counts == 2]
+    ends = order[np.column_stack([first, first + 1])]
     edge_segments = ends // 2
     edge_point = seg_points[edge_segments[:, 0], ends[:, 0] % 2]
     others = seg_points[edge_segments, 1 - ends % 2]
@@ -276,7 +273,7 @@ def extract_surface_segments(mesh: BackgroundMesh,
         normal=seg_normal,
         length=seg_length,
         edge_point=edge_point,
-        edge_segments=edge_segments.astype(np.int64),
+        edge_segments=edge_segments,
         edge_conormals=edge_conormals,
     )
 

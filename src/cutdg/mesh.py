@@ -97,11 +97,30 @@ def build_structured_mesh(box, n: int) -> BackgroundMesh:
                           fv, fe, fn, fl)
 
 
-def _edge_keys(vertices: np.ndarray, elements: np.ndarray):
-    """Sorted vertex pair (lo, hi) of the three edges of every element, in
-    element order, and its 1-D key lo * nv + hi, which sorts like the pair."""
-    pairs = np.sort(elements[:, [[0, 1], [1, 2], [2, 0]]].reshape(-1, 2), axis=1)
-    return pairs, pairs[:, 0] * vertices.shape[0] + pairs[:, 1]
+def edge_key(a: np.ndarray, b: np.ndarray, n_vertices: int) -> np.ndarray:
+    """1-D int64 key lo * n_vertices + hi of the undirected edges (a, b);
+    keys sort like the sorted vertex pairs (lo, hi), and
+    ``divmod(key, n_vertices)`` gives the pair back."""
+    return np.minimum(a, b) * n_vertices + np.maximum(a, b)
+
+
+def group_keys(keys: np.ndarray):
+    """Runs of equal values in the 1-D ``keys``: the stable argsort
+    ``order`` and, in ascending key order, the start of each run in
+    ``order`` and its length. Positions stay ascending within a run."""
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    starts = np.flatnonzero(first)
+    return order, starts, np.diff(np.r_[starts, keys.size])
+
+
+def _element_edge_keys(elements: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Keys of the local edges (0, 1), (1, 2), (2, 0) of every element, in
+    element order."""
+    return edge_key(elements, np.roll(elements, -1, axis=1),
+                    n_vertices).reshape(-1)
 
 
 def face_connectivity(vertices: np.ndarray, elements: np.ndarray):
@@ -112,20 +131,18 @@ def face_connectivity(vertices: np.ndarray, elements: np.ndarray):
     unit normal pointing from plus to minus. Raises StructuralError for
     non-manifold edges (more than two incident elements).
     """
-    pairs, keys = _edge_keys(vertices, elements)
-    # The stable sort keeps the owners (edge position // 3) ascending within
-    # each group, so column 0 is the lower element index.
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    starts = np.flatnonzero(np.r_[True, sorted_keys[1:] != sorted_keys[:-1]])
-    counts = np.diff(np.r_[starts, keys.size])
+    nv = vertices.shape[0]
+    keys = _element_edge_keys(elements, nv)
+    order, starts, counts = group_keys(keys)
     if np.any(counts > 2):
-        bad = pairs[order[starts[counts > 2][0]]]
-        raise StructuralError(f"non-manifold face {tuple(bad)} with "
+        bad = divmod(int(keys[order[starts[counts > 2][0]]]), nv)
+        raise StructuralError(f"non-manifold face {bad} with "
                               f"{counts.max()} incident elements")
-    first = order[starts[counts == 2]]
-    face_vertices = pairs[first]
-    face_elements = np.column_stack([first // 3, order[starts[counts == 2] + 1] // 3])
+    first = starts[counts == 2]
+    face_vertices = np.column_stack(divmod(keys[order[first]], nv))
+    # edge position // 3 is the owner, ascending within each run, so
+    # column 0 is the lower element index
+    face_elements = order[np.column_stack([first, first + 1])] // 3
 
     pa = vertices[face_vertices[:, 0]]
     pb = vertices[face_vertices[:, 1]]
@@ -142,11 +159,10 @@ def face_connectivity(vertices: np.ndarray, elements: np.ndarray):
 def refine_uniform(mesh: BackgroundMesh) -> BackgroundMesh:
     """Split every triangle into 4 self-similar children via edge midpoints."""
     elements = mesh.elements
-    pairs, keys = _edge_keys(mesh.vertices, elements)
-    _, first, inverse = np.unique(keys, return_index=True,
-                                  return_inverse=True)
-    uniq = pairs[first]
-    midpoints = 0.5 * (mesh.vertices[uniq[:, 0]] + mesh.vertices[uniq[:, 1]])
+    unique, inverse = np.unique(_element_edge_keys(elements, mesh.n_vertices),
+                                return_inverse=True)
+    lo, hi = divmod(unique, mesh.n_vertices)
+    midpoints = 0.5 * (mesh.vertices[lo] + mesh.vertices[hi])
     vertices = np.vstack([mesh.vertices, midpoints])
 
     mid = mesh.n_vertices + inverse.reshape(-1, 3)  # (ne, 3): m01, m12, m20
