@@ -7,22 +7,24 @@ deterministic for fixed inputs and can be dumped to CSV.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .exceptions import DegenerateMatrixError, SolverError
-from .forms import (AssembledSystem, StabilizationParams, assemble_bulk_form,
-                    assemble_coupling_form, assemble_surface_form,
-                    assemble_system, energy_gram, ghost_penalty_pieces,
-                    gradient_gram, surface_element_mass_gram,
-                    surface_tangential_gram, surface_trace_load)
+from .forms import (AssembledSystem, StabilizationParams, _bulk_form,
+                    _coupling_form, _energy_gram, _ghost_bulk, _ghost_pieces,
+                    _ghost_surface, _gradient_gram, _surface_form,
+                    _surface_tangential_gram, _surface_trace_load,
+                    assemble_system, surface_element_mass_gram)
 from .levelset import (build_cut_topology, check_geometry_assumptions,
                        circle_levelset, interpolate_levelset, surface_length)
 from .manufactured import build_circle_problem, compute_errors, eoc
 from .mesh import build_structured_mesh, refine_uniform
-from .solver import (condition_number, deflated_generalized_extremes,
-                     rescaled_matrix, solve)
+from .quadrature import CutQuadrature
+from .solver import (condition_number, deflated_gram_basis,
+                     deflated_generalized_extremes, rescaled_matrix, solve)
 from .space import build_spaces, levelset_null_basis
 
 DEFAULT_BOX = ((-1.1, -1.1), (1.1, 1.1))
@@ -62,11 +64,7 @@ def ablated_params(params: StabilizationParams) -> StabilizationParams:
     """Ghost-penalty ablation of the convergence study: the value-jump
     ghost weight of the bulk stays (it mirrors the DG jump penalty), all
     other ghost weights are switched off."""
-    return StabilizationParams(c_bulk=params.c_bulk, c_surf=params.c_surf,
-                               gamma_bulk=params.gamma_bulk,
-                               gamma_surf=params.gamma_surf,
-                               mu_bulk=params.mu_bulk, mu_surf=0.0,
-                               tau_bulk=0.0, tau_surf=0.0)
+    return replace(params, mu_surf=0.0, tau_bulk=0.0, tau_surf=0.0)
 
 
 def sweep_weights(params: StabilizationParams, config: str):
@@ -86,6 +84,11 @@ def _fmt(x) -> str:
     return f"{float(x):.16e}"
 
 
+def _csv(header: str, rows) -> str:
+    """The header line, then one line of comma-joined cells per row."""
+    return "\n".join([header] + [",".join(cells) for cells in rows]) + "\n"
+
+
 @dataclass
 class StudyReport:
     """Collected study rows plus side information that does not go into
@@ -101,37 +104,28 @@ class StudyReport:
     property_summary: dict = field(default_factory=dict)
 
     def convergence_csv(self) -> str:
-        lines = [CONVERGENCE_HEADER]
-        for r in self.convergence_rows:
-            eocs = ["" if e is None else _fmt(e) for e in r["eocs"]]
-            errs = [_fmt(e) for e in r["errors"]]
-            cells = [str(r["level"]), _fmt(r["h"])]
-            for err, ec in zip(errs, eocs):
-                cells += [err, ec]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        def cells(r):
+            out = [str(r["level"]), _fmt(r["h"])]
+            for err, ec in zip(r["errors"], r["eocs"]):
+                out += [_fmt(err), "" if ec is None else _fmt(ec)]
+            return out
+        return _csv(CONVERGENCE_HEADER, map(cells, self.convergence_rows))
 
     def condition_csv(self) -> str:
-        lines = [CONDITION_HEADER]
-        for r in self.condition_rows:
-            lines.append(",".join([_fmt(r["delta"]), _fmt(r["kappa"]),
-                                   _fmt(r["lambda_min"]), _fmt(r["lambda_max"]),
-                                   r["config"]]))
-        return "\n".join(lines) + "\n"
+        return _csv(CONDITION_HEADER, (
+            [_fmt(r[k]) for k in ("delta", "kappa", "lambda_min",
+                                  "lambda_max")] + [r["config"]]
+            for r in self.condition_rows))
 
     def geometry_csv(self) -> str:
-        lines = [GEOMETRY_HEADER]
-        for r in self.geometry_rows:
-            lines.append(",".join([str(r["level"]), _fmt(r["sup_dist"]),
-                                   _fmt(r["sup_normal_dev"])]))
-        return "\n".join(lines) + "\n"
+        return _csv(GEOMETRY_HEADER, (
+            [str(r["level"]), _fmt(r["sup_dist"]), _fmt(r["sup_normal_dev"])]
+            for r in self.geometry_rows))
 
     def properties_csv(self) -> str:
-        lines = [PROPERTIES_HEADER]
-        for r in self.property_rows:
-            lines.append(",".join([r["name"], _fmt(r["constant"]),
-                                   _fmt(r["delta"]), str(int(r["pass"]))]))
-        return "\n".join(lines) + "\n"
+        return _csv(PROPERTIES_HEADER, (
+            [r["name"], _fmt(r["constant"]), _fmt(r["delta"]),
+             str(int(r["pass"]))] for r in self.property_rows))
 
     def write(self, outdir: str) -> list:
         os.makedirs(outdir, exist_ok=True)
@@ -199,34 +193,58 @@ def run_convergence(levels: int = 5, n0: int = DEFAULT_N0,
     return report
 
 
-def _surface_at(mesh, delta: float):
-    """Discrete level set, cut topology and dof map of the unit circle
-    translated along the diagonal by delta times one grid cell."""
-    ls = circle_levelset(center=delta * np.asarray(mesh.cell), radius=1.0)
-    dls = interpolate_levelset(ls, mesh)
-    topo = build_cut_topology(mesh, dls)
-    return dls, topo, build_spaces(mesh, topo)
+class SurfaceState:
+    """The unit circle translated along the diagonal by delta grid cells of
+    ``mesh``, with what the studies share at that position: the discrete
+    level set, cut topology, dof map and one CutQuadrature, and, built on
+    first use, the unit ghost pieces, the base matrix, the level-set null
+    basis and the deflated energy Gram."""
 
+    def __init__(self, mesh, delta: float, params: StabilizationParams):
+        ls = circle_levelset(center=delta * np.asarray(mesh.cell), radius=1.0)
+        self.mesh, self.params = mesh, params
+        self.dls = interpolate_levelset(ls, mesh)
+        self.topo = build_cut_topology(mesh, self.dls)
+        self.dofmap = build_spaces(mesh, self.topo)
+        self.cq = CutQuadrature(mesh, self.dls, self.topo)
 
-def _sweep_system(mesh, dls, topo, dofmap, params, degree=2):
-    """Base matrix (no ghost penalties) and unit ghost pieces for one
-    surface position; configurations are linear combinations of these."""
-    base = (params.c_bulk * assemble_bulk_form(mesh, dls, topo, dofmap,
-                                               params, degree)
-            + params.c_surf * assemble_surface_form(mesh, dls, topo, dofmap,
-                                                    params, degree)
-            + assemble_coupling_form(mesh, dls, topo, dofmap, params, degree))
-    pieces = ghost_penalty_pieces(mesh, topo, dofmap)
-    return base, pieces
+    @cached_property
+    def pieces(self) -> dict:
+        return _ghost_pieces(self.mesh, self.topo, self.dofmap, self.cq.grads)
 
+    @cached_property
+    def base(self):
+        """System matrix without ghost penalties."""
+        cq, dofmap, p = self.cq, self.dofmap, self.params
+        return (p.c_bulk * _bulk_form(cq, dofmap, p)
+                + p.c_surf * _surface_form(cq, dofmap, p)
+                + _coupling_form(cq, dofmap, p))
 
-def _config_matrix(base, pieces, params, config):
-    mu_b, tau_b, mu_s, tau_s = sweep_weights(params, config)
-    return (base
-            + params.c_bulk * (mu_b * pieces["bulk_value"]
-                               + tau_b * pieces["bulk_gradient"])
-            + params.c_surf * (mu_s * pieces["surface_value"]
-                               + tau_s * pieces["surface_gradient"])).tocsr()
+    @cached_property
+    def null_basis(self):
+        return levelset_null_basis(self.dofmap, self.mesh, self.dls)
+
+    @cached_property
+    def energy_basis(self):
+        """``deflated_gram_basis`` of the fully stabilized energy Gram."""
+        return deflated_gram_basis(_energy_gram(
+            self.cq, self.dofmap, self.params, self.pieces, "total"))
+
+    def matrix(self, config: str):
+        """System matrix of one of ``SWEEP_CONFIGS``."""
+        mu_b, tau_b, mu_s, tau_s = sweep_weights(self.params, config)
+        p, g = self.params, self.pieces
+        return (self.base
+                + p.c_bulk * (mu_b * g["bulk_value"]
+                              + tau_b * g["bulk_gradient"])
+                + p.c_surf * (mu_s * g["surface_value"]
+                              + tau_s * g["surface_gradient"])).tocsr()
+
+    def coercivity(self, config: str) -> float:
+        """Smallest generalized eigenvalue of the matrix of one of
+        ``PROPERTY_CONFIGS`` against the fully stabilized energy Gram."""
+        return deflated_generalized_extremes(
+            self.matrix(PROPERTY_SWEEP_CONFIG[config]), self.energy_basis)[0]
 
 
 def run_condition_sweep(level: int = 1, positions: int = 101,
@@ -256,17 +274,14 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
     mesh = mesh_at_level(level, n0, box)
     report = StudyReport()
     for delta in np.linspace(0.0, 1.0, positions):
-        dls, topo, dofmap = _surface_at(mesh, delta)
-        base, pieces = _sweep_system(mesh, dls, topo, dofmap, params)
-        null_basis = levelset_null_basis(dofmap, mesh, dls)
+        state = SurfaceState(mesh, delta, params)
         for config in configs:
-            matrix = _config_matrix(base, pieces, params, config)
-            system = AssembledSystem(matrix=matrix,
-                                     rhs=np.zeros(dofmap.ndof),
-                                     dofmap=dofmap, params=params, h=mesh.h)
+            system = AssembledSystem(
+                matrix=state.matrix(config), rhs=np.zeros(state.dofmap.ndof),
+                dofmap=state.dofmap, params=params, h=mesh.h)
             try:
                 kappa, lam_min, lam_max, nullity = condition_number(
-                    rescaled_matrix(system), null_basis)
+                    rescaled_matrix(system), state.null_basis)
             except DegenerateMatrixError:
                 kappa, lam_min, lam_max = SENTINEL_KAPPA, 0.0, 0.0
                 nullity = None
@@ -309,27 +324,41 @@ def run_geometry_check(levels: int = 4, n0: int = DEFAULT_N0,
     return report
 
 
-def _poincare_constant(mesh, topo, dofmap, gram_tangent, gram_ghost, rng,
-                       n_random, h):
-    """Largest ratio h^-1 ||v||^2_(active elements) over the stabilized
-    tangential seminorm, over random mean-zero surface fields."""
-    mass_active = surface_element_mass_gram(mesh, topo, dofmap)
-    load = surface_trace_load(mesh, topo, dofmap)
-    total = surface_length(topo)
-    ones = np.zeros(dofmap.ndof)
-    ones[dofmap.n_bulk:] = 1.0
-    denom_matrix = gram_tangent if gram_ghost is None \
-        else (gram_tangent + gram_ghost).tocsr()
-    worst = 0.0
-    for _ in range(n_random):
-        v = np.zeros(dofmap.ndof)
-        v[dofmap.n_bulk:] = rng.standard_normal(dofmap.n_surface)
-        v -= ((load @ v) / total) * ones
-        num = (v @ (mass_active @ v)) / h
-        den = v @ (denom_matrix @ v)
-        if den > 0.0:
-            worst = max(worst, num / den)
-    return worst
+def _property_constants(state: SurfaceState, rng, n_random: int) -> dict:
+    """{property: {configuration: constant}} at one position (see
+    ``run_property_suite``). Each Poincare dot runs on contiguous rows, as
+    for one field at a time: on strided columns it can round differently."""
+    mesh, topo, dofmap, cq = state.mesh, state.topo, state.dofmap, state.cq
+    grad_active = _gradient_gram(cq, dofmap, "active")
+    grad_cut = _gradient_gram(cq, dofmap, "cut")
+    bulk_ghost = (grad_cut + _ghost_bulk(state.pieces, state.params)).tocsr()
+    bulk, bulk_bare = (deflated_generalized_extremes(
+        grad_active, deflated_gram_basis(gram))[1]
+        for gram in (bulk_ghost, grad_cut))
+    fields = np.hstack([np.zeros((n_random, dofmap.n_bulk)),
+                        rng.standard_normal((n_random, dofmap.n_surface))])
+    load = _surface_trace_load(cq, dofmap)
+    fields[:, dofmap.n_bulk:] -= np.array([[load @ v] for v in fields]) \
+        / surface_length(topo)
+
+    def quadratic(matrix):
+        products = np.ascontiguousarray((matrix @ fields.T).T)
+        return np.array([v @ w for v, w in zip(fields, products)])
+
+    num = quadratic(surface_element_mass_gram(mesh, topo, dofmap)) / mesh.h
+
+    def worst(den):
+        return float(np.max(num[den > 0.0] / den[den > 0.0], initial=0.0))
+
+    tangent = _surface_tangential_gram(cq, dofmap)
+    surf_ghost = (tangent + _ghost_surface(state.pieces, state.params)).tocsr()
+    poincare, poincare_bare = (worst(quadratic(gram))
+                               for gram in (surf_ghost, tangent))
+    return {"coercivity": {c: state.coercivity(c) for c in PROPERTY_CONFIGS},
+            "bulk_norm_equivalence": {"full": bulk, "no-bulk-ghost": bulk_bare,
+                                      "no-surface-ghost": bulk},
+            "surface_poincare": {"full": poincare, "no-bulk-ghost": poincare,
+                                 "no-surface-ghost": poincare_bare}}
 
 
 PROPERTY_NAMES = ("coercivity", "bulk_norm_equivalence", "surface_poincare")
@@ -353,22 +382,11 @@ def _contrast_vs_full(ablated: np.ndarray, full: np.ndarray) -> float:
     return float(ratio.max())
 
 
-def _coercivity(base, pieces, gram_total, params, config: str) -> float:
-    """Smallest generalized eigenvalue of a property configuration's
-    matrix against the fully stabilized energy Gram (deflated pencil)."""
-    matrix = _config_matrix(base, pieces, params,
-                            PROPERTY_SWEEP_CONFIG[config])
-    return deflated_generalized_extremes(matrix, gram_total)[0]
-
-
 def coercivity_at(mesh, delta: float, params: StabilizationParams,
                   config: str) -> float:
     """Coercivity constant of the property suite at one surface position
     delta (in grid cells of ``mesh``), for one of ``PROPERTY_CONFIGS``."""
-    dls, topo, dofmap = _surface_at(mesh, delta)
-    base, pieces = _sweep_system(mesh, dls, topo, dofmap, params)
-    gram_total = energy_gram(mesh, dls, topo, dofmap, params, "total")
-    return _coercivity(base, pieces, gram_total, params, config)
+    return SurfaceState(mesh, delta, params).coercivity(config)
 
 
 def run_property_suite(level: int = 0, positions: int = 101,
@@ -380,9 +398,14 @@ def run_property_suite(level: int = 0, positions: int = 101,
 
     Per position and configuration: coercivity (smallest generalized
     eigenvalue of the system matrix against the fully stabilized energy
-    Gram, on the deflated pencil), the ghost-penalty norm-extension
-    constant of the bulk gradient, and the discrete surface Poincare
-    constant over random mean-zero fields.
+    Gram, on the deflated pencil); the ghost-penalty norm-extension
+    constant of the bulk gradient (largest generalized eigenvalue of its
+    Gram on the active elements against the one on the cut elements plus
+    the bulk ghost); and the discrete surface Poincare constant (largest
+    ratio h^-1 ||v||^2 on the active elements over the tangential
+    seminorm plus the surface ghost) over n_random random mean-zero
+    fields. The fields are drawn once per position, from seed + 7 *
+    (position index), and the three configurations share them.
 
     Pass flags: the fully stabilized constants must stay within a factor
     2 across positions (coercivity also strictly positive). An ablated
@@ -405,32 +428,13 @@ def run_property_suite(level: int = 0, positions: int = 101,
     params = params or StabilizationParams()
     mesh = mesh_at_level(level, n0, box)
     report = StudyReport()
-    constants = {(p, c): [] for c in PROPERTY_CONFIGS for p in PROPERTY_NAMES}
     deltas = np.linspace(0.0, 1.0, positions)
-    for idx, delta in enumerate(deltas):
-        dls, topo, dofmap = _surface_at(mesh, delta)
-        base, pieces = _sweep_system(mesh, dls, topo, dofmap, params)
-        gram_total = energy_gram(mesh, dls, topo, dofmap, params, "total")
-        grad_active = gradient_gram(mesh, dls, topo, dofmap, "active")
-        grad_cut = gradient_gram(mesh, dls, topo, dofmap, "cut")
-        gram_tangent = surface_tangential_gram(mesh, topo, dofmap)
-        ghost_bulk = (params.mu_bulk * pieces["bulk_value"]
-                      + params.tau_bulk * pieces["bulk_gradient"]).tocsr()
-        ghost_surf = (params.mu_surf * pieces["surface_value"]
-                      + params.tau_surf * pieces["surface_gradient"]).tocsr()
-        for config in PROPERTY_CONFIGS:
-            constants[("coercivity", config)].append(
-                _coercivity(base, pieces, gram_total, params, config))
-            jb = None if config == "no-bulk-ghost" else ghost_bulk
-            rhs_gram = grad_cut if jb is None else (grad_cut + jb).tocsr()
-            constants[("bulk_norm_equivalence", config)].append(
-                deflated_generalized_extremes(grad_active, rhs_gram)[1])
-            js = None if config == "no-surface-ghost" else ghost_surf
-            rng = np.random.default_rng(seed + 7 * idx)
-            constants[("surface_poincare", config)].append(
-                _poincare_constant(mesh, topo, dofmap, gram_tangent, js, rng,
-                                   n_random, mesh.h))
-    arrays = {key: np.asarray(vals) for key, vals in constants.items()}
+    per_position = [_property_constants(
+        SurfaceState(mesh, delta, params),
+        np.random.default_rng(seed + 7 * idx), n_random)
+        for idx, delta in enumerate(deltas)]
+    arrays = {(p, c): np.asarray([k[p][c] for k in per_position])
+              for c in PROPERTY_CONFIGS for p in PROPERTY_NAMES}
     for (prop, config), values in arrays.items():
         across = _across_ratio(values)
         at_zero = float(values[0])

@@ -435,57 +435,26 @@ def assemble_system(mesh: BackgroundMesh, dls: DiscreteLevelSet,
 # ---------------------------------------------------------------------------
 # energy norms and property-suite Gram pieces
 
-def gradient_gram(mesh: BackgroundMesh, dls: DiscreteLevelSet,
-                  topo: CutTopology, dofmap: CombinedDofMap,
-                  domain: str = "active", degree: int = 2) -> sp.csr_matrix:
-    """Gram matrix of the broken gradient seminorm on the bulk space,
-    over full active elements (``active``) or their negative parts
-    (``cut``)."""
+def _gradient_gram(cq: CutQuadrature, dofmap, domain):
     if domain not in ("active", "cut"):
         raise ValueError(f"unknown gradient domain {domain!r}")
-    cq = CutQuadrature(mesh, dls, topo, degree)
     if domain == "active":
-        g = cq.grads[topo.active_bulk]
-        blocks = element_areas(mesh)[topo.active_bulk, None, None] * np.einsum(
+        active = cq.topo.active_bulk
+        g = cq.grads[active]
+        blocks = element_areas(cq.mesh)[active, None, None] * np.einsum(
             "eik,ejk->eij", g, g)
-        return _accumulate(
-            [_scatter(dofmap.bulk.dofs_array(topo.active_bulk), blocks)],
-            dofmap.ndof)
+        return _accumulate([_scatter(dofmap.bulk.dofs_array(active), blocks)],
+                           dofmap.ndof)
     return _accumulate(_bulk_volume_triplets(cq, dofmap.bulk, mass=False),
                        dofmap.ndof)
 
 
-def surface_element_mass_gram(mesh: BackgroundMesh, topo: CutTopology,
-                              dofmap: CombinedDofMap) -> sp.csr_matrix:
-    """Full-element L2 mass on the surface-active mesh (surface block)."""
-    areas = element_areas(mesh)
-    act = topo.active_surface
-    blocks = areas[act, None, None] * _M3[None, :, :]
-    return _accumulate([_scatter(dofmap.surface.dofs_array(act), blocks)],
-                       dofmap.ndof)
-
-
-def surface_tangential_gram(mesh: BackgroundMesh, topo: CutTopology,
-                            dofmap: CombinedDofMap) -> sp.csr_matrix:
-    """Tangential stiffness on the discrete surface (surface block)."""
-    cq = CutQuadrature(mesh, None, topo)
+def _surface_tangential_gram(cq: CutQuadrature, dofmap):
     return _accumulate(_segment_triplets(cq, dofmap.surface, mass=False),
                        dofmap.ndof)
 
 
-def surface_trace_mass_gram(mesh: BackgroundMesh, topo: CutTopology,
-                            dofmap: CombinedDofMap,
-                            degree: int = 2) -> sp.csr_matrix:
-    """L2 mass on the discrete surface itself (surface block)."""
-    cq = CutQuadrature(mesh, None, topo, degree)
-    return _accumulate(_segment_triplets(cq, dofmap.surface, stiff=False),
-                       dofmap.ndof)
-
-
-def surface_trace_load(mesh: BackgroundMesh, topo: CutTopology,
-                       dofmap: CombinedDofMap, degree: int = 2) -> np.ndarray:
-    """Vector of int_Gamma_h phi_i, used for surface mean values."""
-    cq = CutQuadrature(mesh, None, topo, degree)
+def _surface_trace_load(cq: CutQuadrature, dofmap):
     rules, phi = cq.segments
     load = np.zeros(dofmap.ndof)
     load[dofmap.surface.dofs_array(cq.surface.element)] += _rows_dot(
@@ -493,26 +462,16 @@ def surface_trace_load(mesh: BackgroundMesh, topo: CutTopology,
     return load
 
 
-def energy_gram(mesh: BackgroundMesh, dls: DiscreteLevelSet,
-                topo: CutTopology, dofmap: CombinedDofMap,
-                params: StabilizationParams, variant: str = "total",
-                degree: int = 2) -> sp.csr_matrix:
-    """Gram matrix of the discrete energy norm.
-
-    ``bulk``: cut-volume H1 norm + h^-1 value jumps on active faces +
-    bulk ghost penalty. ``surface``: tangential H1 norm on the surface +
-    h^-1 edge jumps + surface ghost penalty. ``total``: c_b bulk +
-    c_s surface + the coupling seminorm.
-    """
+def _energy_gram(cq: CutQuadrature, dofmap, params, pieces, variant):
+    """``energy_gram`` from a quadrature and its unit ghost pieces."""
     if variant not in ("bulk", "surface", "total"):
         raise ValueError(f"unknown energy norm variant {variant!r}")
-    cq = CutQuadrature(mesh, dls, topo, degree)
-    pieces = _ghost_pieces(mesh, topo, dofmap, cq.grads)
+    mesh = cq.mesh
 
     def bulk():
         triplets = _bulk_volume_triplets(cq, dofmap.bulk)
         dofs, J0, J1, _, _, lengths, _ = _face_batch(
-            mesh, dofmap.bulk, topo.bulk_faces, cq.grads)
+            mesh, dofmap.bulk, cq.topo.bulk_faces, cq.grads)
         triplets.append(_scatter(dofs, _face_jump_blocks(
             J0, J1, lengths, 1.0 / mesh.h)))
         return (_accumulate(triplets, dofmap.ndof)
@@ -533,9 +492,58 @@ def energy_gram(mesh: BackgroundMesh, dls: DiscreteLevelSet,
             + _coupling_form(cq, dofmap, params)).tocsr()
 
 
-def coordinate_text(matrix: sp.spmatrix) -> str:
-    """Plain-text coordinate dump: one ``i j value`` line per entry."""
-    coo = matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    lines = [f"{coo.row[k]} {coo.col[k]} {float(coo.data[k])!r}" for k in order]
-    return "\n".join(lines) + "\n"
+def gradient_gram(mesh: BackgroundMesh, dls: DiscreteLevelSet,
+                  topo: CutTopology, dofmap: CombinedDofMap,
+                  domain: str = "active", degree: int = 2) -> sp.csr_matrix:
+    """Gram matrix of the broken gradient seminorm on the bulk space,
+    over full active elements (``active``) or their negative parts
+    (``cut``)."""
+    return _gradient_gram(CutQuadrature(mesh, dls, topo, degree), dofmap,
+                          domain)
+
+
+def surface_element_mass_gram(mesh: BackgroundMesh, topo: CutTopology,
+                              dofmap: CombinedDofMap) -> sp.csr_matrix:
+    """Full-element L2 mass on the surface-active mesh (surface block)."""
+    areas = element_areas(mesh)
+    act = topo.active_surface
+    blocks = areas[act, None, None] * _M3[None, :, :]
+    return _accumulate([_scatter(dofmap.surface.dofs_array(act), blocks)],
+                       dofmap.ndof)
+
+
+def surface_tangential_gram(mesh: BackgroundMesh, topo: CutTopology,
+                            dofmap: CombinedDofMap) -> sp.csr_matrix:
+    """Tangential stiffness on the discrete surface (surface block)."""
+    return _surface_tangential_gram(CutQuadrature(mesh, None, topo), dofmap)
+
+
+def surface_trace_mass_gram(mesh: BackgroundMesh, topo: CutTopology,
+                            dofmap: CombinedDofMap,
+                            degree: int = 2) -> sp.csr_matrix:
+    """L2 mass on the discrete surface itself (surface block)."""
+    cq = CutQuadrature(mesh, None, topo, degree)
+    return _accumulate(_segment_triplets(cq, dofmap.surface, stiff=False),
+                       dofmap.ndof)
+
+
+def surface_trace_load(mesh: BackgroundMesh, topo: CutTopology,
+                       dofmap: CombinedDofMap, degree: int = 2) -> np.ndarray:
+    """Vector of int_Gamma_h phi_i, used for surface mean values."""
+    return _surface_trace_load(CutQuadrature(mesh, None, topo, degree), dofmap)
+
+
+def energy_gram(mesh: BackgroundMesh, dls: DiscreteLevelSet,
+                topo: CutTopology, dofmap: CombinedDofMap,
+                params: StabilizationParams, variant: str = "total",
+                degree: int = 2) -> sp.csr_matrix:
+    """Gram matrix of the discrete energy norm.
+
+    ``bulk``: cut-volume H1 norm + h^-1 value jumps on active faces +
+    bulk ghost penalty. ``surface``: tangential H1 norm on the surface +
+    h^-1 edge jumps + surface ghost penalty. ``total``: c_b bulk +
+    c_s surface + the coupling seminorm.
+    """
+    cq = CutQuadrature(mesh, dls, topo, degree)
+    pieces = _ghost_pieces(mesh, topo, dofmap, cq.grads)
+    return _energy_gram(cq, dofmap, params, pieces, variant)

@@ -215,12 +215,17 @@ def extract_surface_segments(mesh: BackgroundMesh,
     neg = v < 0.0
     change = neg != np.roll(neg, -1, axis=1)
     nv = mesh.n_vertices
-    keys = edge_key(tri, np.roll(tri, -1, axis=1), nv)[change].reshape(-1, 2)
+    keys = edge_key(tri, np.roll(tri, -1, axis=1), nv)[change]
     # Each zero is computed from the sorted vertex pair, so both elements
-    # of an edge share the same floating-point point.
-    lo, hi = divmod(keys.reshape(-1), nv)
+    # of an edge share the same floating-point point. A zero on a vertex v
+    # (an exact zero, which snapping never leaves) is keyed by the pair
+    # (v, v) and placed on v: the segments reaching it by other edges share it.
+    lo, hi = divmod(keys, nv)
     va, vb = dls.values[lo], dls.values[hi]
     t = va / (va - vb)
+    lo = np.where(vb == 0.0, hi, lo)
+    hi = np.where(va == 0.0, lo, hi)
+    keys = edge_key(lo, hi, nv).reshape(-1, 2)
     seg_points = (mesh.vertices[lo] + t[:, None]
                   * (mesh.vertices[hi] - mesh.vertices[lo])).reshape(-1, 2, 2)
 
@@ -316,13 +321,3 @@ def surface_length(topo: CutTopology) -> float:
     if topo.surface is None:
         raise StructuralError("topology carries no surface segments")
     return float(topo.surface.length.sum())
-
-
-def segments_to_text(topo: CutTopology) -> str:
-    """Plain-text dump: one ``s x0 y0 x1 y1`` line per segment."""
-    if topo.surface is None:
-        raise StructuralError("topology carries no surface segments")
-    lines = [f"s {float(p[0, 0])!r} {float(p[0, 1])!r} "
-             f"{float(p[1, 0])!r} {float(p[1, 1])!r}"
-             for p in topo.surface.points]
-    return "\n".join(lines) + "\n"

@@ -187,11 +187,3 @@ def element_areas(mesh: BackgroundMesh) -> np.ndarray:
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-
-def mesh_to_text(mesh: BackgroundMesh) -> str:
-    """Plain-text dump: one ``v x y`` line per vertex, one ``e i j k``
-    line per element."""
-    lines = [f"v {float(x)!r} {float(y)!r}" for x, y in mesh.vertices]
-    lines += [f"e {i} {j} {k}" for i, j, k in mesh.elements]
-    return "\n".join(lines) + "\n"

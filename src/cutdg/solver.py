@@ -203,17 +203,22 @@ def condition_number(matrix: sp.spmatrix,
         nullity += 1
 
 
-def deflated_generalized_extremes(a: sp.spmatrix, b: sp.spmatrix,
-                                  rel_cut: float = 1e-10):
-    """Smallest and largest generalized eigenvalue of (A, B) after
-    deflating the numerical null space of the positive semidefinite B."""
-    bd = np.asarray(b.todense())
-    w, v = np.linalg.eigh(bd)
+def deflated_gram_basis(b: sp.spmatrix, rel_cut: float = 1e-10) -> np.ndarray:
+    """Basis W of the numerical range of the positive semidefinite B with
+    W^T B W = I: the eigenvectors with an eigenvalue above rel_cut times
+    the largest, scaled. Raises DegenerateMatrixError for a zero B."""
+    w, v = np.linalg.eigh(np.asarray(b.todense()))
     keep = w > rel_cut * w.max()
     if not np.any(keep):
         raise DegenerateMatrixError("right-hand Gram matrix is numerically "
                                     "zero")
-    basis = v[:, keep] / np.sqrt(w[keep])[None, :]
+    return v[:, keep] / np.sqrt(w[keep])[None, :]
+
+
+def deflated_generalized_extremes(a: sp.spmatrix, basis: np.ndarray):
+    """Smallest and largest generalized eigenvalue of (A, B) after
+    deflating the numerical null space of the positive semidefinite B,
+    given B by its ``deflated_gram_basis``."""
     core = basis.T @ (np.asarray(a.todense()) @ basis)
     eigs = np.linalg.eigvalsh(core)
     return float(eigs.min()), float(eigs.max())

@@ -189,8 +189,3 @@ def interpolate_pair(dofmap: CombinedDofMap, mesh: BackgroundMesh,
     u[:dofmap.n_bulk] = interpolate_nodal(dofmap.bulk, mesh, f_bulk)
     u[dofmap.n_bulk:] = interpolate_nodal(dofmap.surface, mesh, f_surface)
     return u
-
-
-def coefficients_to_text(coeffs: np.ndarray) -> str:
-    """Plain-text list of coefficients, one per line."""
-    return "\n".join(repr(float(c)) for c in coeffs) + "\n"

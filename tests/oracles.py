@@ -27,8 +27,8 @@ import scipy.sparse as sp
 from cutdg.exceptions import StructuralError
 from cutdg.mesh import element_areas
 from cutdg.manufactured import ErrorReport
-from cutdg.quadrature import (clip_element_rule, surface_segment_rule,
-                              triangle_reference_rule)
+from cutdg.quadrature import (clip_element_rule, clip_element_rules,
+                              surface_segment_rule, triangle_reference_rule)
 from cutdg.space import all_element_gradients, evaluate_basis
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
@@ -101,6 +101,48 @@ def integrate_negative_monomial(tri, values, a: int, b: int) -> float:
                 inner = (yhi ** (b + 1) - ylo ** (b + 1)) / (b + 1)
                 total += gw * half * x ** a * inner
     return total
+
+
+def random_cut_triangles(rng, count: int):
+    """``count`` triangles (count, 3, 2) in [-1.5, 1.5]^2 with vertex values
+    (count, 3) in [-1, 1], drawn one triangle at a time; a triangle with
+    twice its signed area below 0.05, or values that do not reach both
+    -1e-3 and 1e-3, is drawn again."""
+    tris, values = [], []
+    while len(tris) < count:
+        tri = rng.uniform(-1.5, 1.5, size=(3, 2))
+        d1 = tri[1] - tri[0]
+        d2 = tri[2] - tri[0]
+        if d1[0] * d2[1] - d1[1] * d2[0] < 0.05:
+            continue
+        vals = rng.uniform(-1.0, 1.0, size=3)
+        if vals.min() > -1e-3 or vals.max() < 1e-3:
+            continue
+        tris.append(tri)
+        values.append(vals)
+    return np.array(tris), np.array(values)
+
+
+def cut_monomial_pairs(tris, values, degree: int = 2):
+    """(approx, exact) integrals of x^a y^b, a + b <= 2, over the negative
+    part of each cut triangle: approx by the batched
+    ``clip_element_rules``, exact by ``integrate_negative_monomial``.
+    Every triangle must land in one of the two batches."""
+    pairs = []
+    covered = np.zeros(len(tris), dtype=int)
+    for rules in clip_element_rules(tris, values, degree):
+        covered[rules.index] += 1
+        for k, points, weights in zip(rules.index, rules.points,
+                                      rules.weights):
+            for a in range(3):
+                for b in range(3 - a):
+                    approx = float(weights @ (points[:, 0] ** a
+                                              * points[:, 1] ** b))
+                    pairs.append((approx, integrate_negative_monomial(
+                        tris[k], values[k], a, b)))
+    if not np.all(covered == 1):
+        raise AssertionError("a cut triangle has no batched rule")
+    return pairs
 
 
 def integrate_segment_monomial(p0, p1, a: int, b: int, panels: int = 4096) -> float:

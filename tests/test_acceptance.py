@@ -28,10 +28,10 @@ from cutdg.levelset import (build_cut_topology, circle_levelset,
 from cutdg.manufactured import (build_affine_problem, build_circle_problem,
                                 compute_errors)
 from cutdg.mesh import build_structured_mesh, refine_uniform
-from cutdg.quadrature import clip_element_rule
+from cutdg.quadrature import clip_element_rules
 from cutdg.solver import condition_number, rescaled_matrix, solve
 from cutdg.space import build_spaces, interpolate_pair
-from tests.oracles import integrate_negative_monomial
+from tests.oracles import cut_monomial_pairs, random_cut_triangles
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
 PARAMS = StabilizationParams()
@@ -167,37 +167,17 @@ def test_criterion_5_geometry_assumptions():
 
 
 def test_criterion_6_quadrature_oracle():
-    rng = np.random.default_rng(61)
-    worst = 0.0
-    checked = 0
-    while checked < 50:
-        tri = rng.uniform(-1.5, 1.5, size=(3, 2))
-        d1 = tri[1] - tri[0]
-        d2 = tri[2] - tri[0]
-        if d1[0] * d2[1] - d1[1] * d2[0] < 0.05:
-            continue
-        vals = rng.uniform(-1.0, 1.0, size=3)
-        if vals.min() > -1e-3 or vals.max() < 1e-3:
-            continue
-        rule = clip_element_rule(tri, vals, degree=2)
-        for a in range(3):
-            for b in range(3 - a):
-                approx = float(rule.weights @ (rule.points[:, 0] ** a
-                                               * rule.points[:, 1] ** b))
-                exact = integrate_negative_monomial(tri, vals, a, b)
-                err = abs(approx - exact) / max(abs(exact), 1e-10)
-                worst = max(worst, err)
-        checked += 1
+    tris, values = random_cut_triangles(np.random.default_rng(61), 50)
+    worst = max(abs(approx - exact) / max(abs(exact), 1e-10)
+                for approx, exact in cut_monomial_pairs(tris, values, 2))
     # disk area recovery
     ls = circle_levelset()
     mesh = build_structured_mesh(BOX, 8)
     errors, hs = [], []
     for _ in range(4):
         dls = interpolate_levelset(ls, mesh)
-        total = sum(
-            clip_element_rule(mesh.vertices[mesh.elements[e]],
-                              dls.values[mesh.elements[e]]).total_weight
-            for e in range(mesh.n_elements))
+        total = sum(rules.weights.sum() for rules in clip_element_rules(
+            mesh.vertices[mesh.elements], dls.values[mesh.elements]))
         errors.append(abs(np.pi - total))
         hs.append(mesh.h)
         mesh = refine_uniform(mesh)

@@ -1,18 +1,28 @@
 import numpy as np
 import pytest
 
+from cutdg import experiments
 from cutdg.experiments import (CONDITION_HEADER, CONVERGENCE_HEADER,
                                DEFAULT_BOX, GEOMETRY_HEADER,
-                               PROPERTIES_HEADER, PROPERTY_BOX, SWEEP_CONFIGS,
-                               _config_matrix, _surface_at, _sweep_system,
-                               ablated_params, fit_slope, mesh_at_level,
+                               PROPERTIES_HEADER, PROPERTY_BOX,
+                               PROPERTY_CONFIGS, PROPERTY_SWEEP_CONFIG,
+                               SWEEP_CONFIGS, SurfaceState, ablated_params,
+                               coercivity_at, fit_slope, mesh_at_level,
                                run_condition_sweep, run_convergence,
                                run_geometry_check, run_property_suite,
                                sweep_weights)
-from cutdg.forms import AssembledSystem, StabilizationParams
+from cutdg.forms import (AssembledSystem, StabilizationParams,
+                         assemble_bulk_form, assemble_coupling_form,
+                         assemble_ghost_bulk, assemble_ghost_surface,
+                         assemble_surface_form, energy_gram,
+                         ghost_penalty_pieces, gradient_gram,
+                         surface_element_mass_gram, surface_tangential_gram,
+                         surface_trace_load)
 from cutdg.levelset import (build_cut_topology, circle_levelset,
-                            interpolate_levelset)
+                            interpolate_levelset, surface_length)
+from cutdg.quadrature import CutQuadrature
 from cutdg.solver import rescaled_matrix
+from cutdg.space import build_spaces
 from tests.oracles import dense_condition_number
 
 
@@ -103,13 +113,11 @@ def _dense_sweep_rows(level, deltas, box):
     params = StabilizationParams()
     mesh = mesh_at_level(level, box=box)
     for delta in deltas:
-        dls, topo, dofmap = _surface_at(mesh, delta)
-        base, pieces = _sweep_system(mesh, dls, topo, dofmap, params)
+        state = SurfaceState(mesh, delta, params)
         for config in SWEEP_CONFIGS:
             system = AssembledSystem(
-                matrix=_config_matrix(base, pieces, params, config),
-                rhs=np.zeros(dofmap.ndof), dofmap=dofmap, params=params,
-                h=mesh.h)
+                matrix=state.matrix(config), rhs=np.zeros(state.dofmap.ndof),
+                dofmap=state.dofmap, params=params, h=mesh.h)
             yield dense_condition_number(rescaled_matrix(system))
 
 
@@ -219,3 +227,119 @@ def test_every_csv_row_matches_its_header_width():
         assert len(lines) > 1
         for line in lines[1:]:
             assert len(line.split(",")) == width
+
+
+def _inline_extremes(a, b):
+    """Generalized extremes of (A, B) with B deflated in place, without
+    any cached basis."""
+    w, v = np.linalg.eigh(np.asarray(b.todense()))
+    keep = w > 1e-10 * w.max()
+    basis = v[:, keep] / np.sqrt(w[keep])[None, :]
+    eigs = np.linalg.eigvalsh(basis.T @ (np.asarray(a.todense()) @ basis))
+    return float(eigs.min()), float(eigs.max())
+
+
+def _per_call_constants(mesh, delta, params, seed, n_random):
+    """The property constants at one position, every Gram built by its
+    public function, every pencil deflated on its own and every
+    configuration drawing its own Poincare fields one at a time."""
+    ls = circle_levelset(center=delta * np.asarray(mesh.cell))
+    dls = interpolate_levelset(ls, mesh)
+    topo = build_cut_topology(mesh, dls)
+    dofmap = build_spaces(mesh, topo)
+    args = (mesh, dls, topo, dofmap, params)
+    base = (params.c_bulk * assemble_bulk_form(*args)
+            + params.c_surf * assemble_surface_form(*args)
+            + assemble_coupling_form(*args))
+    pieces = ghost_penalty_pieces(mesh, topo, dofmap)
+    ghost_bulk = assemble_ghost_bulk(mesh, topo, dofmap, params)
+    ghost_surf = assemble_ghost_surface(mesh, topo, dofmap, params)
+    gram_total = energy_gram(*args, "total")
+    grad_active = gradient_gram(mesh, dls, topo, dofmap, "active")
+    grad_cut = gradient_gram(mesh, dls, topo, dofmap, "cut")
+    mass = surface_element_mass_gram(mesh, topo, dofmap)
+    load = surface_trace_load(mesh, topo, dofmap)
+    tangent = surface_tangential_gram(mesh, topo, dofmap)
+    out = {}
+    for config in PROPERTY_CONFIGS:
+        mu_b, tau_b, mu_s, tau_s = sweep_weights(
+            params, PROPERTY_SWEEP_CONFIG[config])
+        matrix = (base + params.c_bulk * (mu_b * pieces["bulk_value"]
+                                          + tau_b * pieces["bulk_gradient"])
+                  + params.c_surf * (mu_s * pieces["surface_value"]
+                                     + tau_s * pieces["surface_gradient"])
+                  ).tocsr()
+        out[("coercivity", config)] = _inline_extremes(matrix, gram_total)[0]
+        rhs = grad_cut if config == "no-bulk-ghost" \
+            else (grad_cut + ghost_bulk).tocsr()
+        out[("bulk_norm_equivalence", config)] = \
+            _inline_extremes(grad_active, rhs)[1]
+        den_matrix = tangent if config == "no-surface-ghost" \
+            else (tangent + ghost_surf).tocsr()
+        rng = np.random.default_rng(seed)
+        ones = np.zeros(dofmap.ndof)
+        ones[dofmap.n_bulk:] = 1.0
+        worst = 0.0
+        for _ in range(n_random):
+            v = np.zeros(dofmap.ndof)
+            v[dofmap.n_bulk:] = rng.standard_normal(dofmap.n_surface)
+            v -= ((load @ v) / surface_length(topo)) * ones
+            num = (v @ (mass @ v)) / mesh.h
+            den = v @ (den_matrix @ v)
+            if den > 0.0:
+                worst = max(worst, num / den)
+        out[("surface_poincare", config)] = worst
+    return out
+
+
+def _suite_constants(report):
+    constants = {}
+    for row in report.property_rows:
+        prop, config = row["name"][:-1].split("[")
+        constants.setdefault((prop, config), []).append(row["constant"])
+    return constants
+
+
+def test_property_suite_equals_the_per_call_route():
+    # the shared state (one quadrature, one deflated basis per Gram, one
+    # block of random fields) must not move a single bit
+    params = StabilizationParams()
+    report = run_property_suite(level=0, positions=3, n_random=30, seed=5)
+    suite = _suite_constants(report)
+    mesh = mesh_at_level(0, box=PROPERTY_BOX)
+    for idx, delta in enumerate((0.0, 0.5, 1.0)):
+        reference = _per_call_constants(mesh, delta, params, 5 + 7 * idx, 30)
+        for key, value in reference.items():
+            assert np.array_equal(suite[key][idx], value), (key, delta)
+
+
+def test_coercivity_at_equals_the_suite_row():
+    params = StabilizationParams()
+    suite = _suite_constants(run_property_suite(level=0, positions=3,
+                                                n_random=2))
+    mesh = mesh_at_level(0, box=PROPERTY_BOX)
+    for config in PROPERTY_CONFIGS:
+        assert np.array_equal(coercivity_at(mesh, 0.5, params, config),
+                              suite[("coercivity", config)][1])
+
+
+def test_one_quadrature_and_three_gram_bases_per_position(monkeypatch):
+    calls = {"quadrature": 0, "basis": 0, "extremes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(CutQuadrature, "__init__",
+                        counted("quadrature", CutQuadrature.__init__))
+    for name, attr in (("basis", "deflated_gram_basis"),
+                       ("extremes", "deflated_generalized_extremes")):
+        monkeypatch.setattr(experiments, attr,
+                            counted(name, getattr(experiments, attr)))
+    run_condition_sweep(level=0, positions=3)
+    assert calls == {"quadrature": 3, "basis": 0, "extremes": 0}
+    run_property_suite(level=0, positions=3, n_random=2)
+    # per position: 3 coercivity and 2 bulk-norm pencils on 3 Grams
+    assert calls == {"quadrature": 6, "basis": 9, "extremes": 15}

@@ -5,7 +5,7 @@ from cutdg.forms import (StabilizationParams, assemble_bulk_form,
                          assemble_coupling_form, assemble_ghost_bulk,
                          assemble_ghost_surface, assemble_rhs,
                          assemble_surface_form, assemble_system,
-                         coordinate_text, energy_gram, ghost_penalty_pieces,
+                         energy_gram, ghost_penalty_pieces,
                          surface_tangential_gram, surface_trace_mass_gram)
 from cutdg.levelset import (DiscreteLevelSet, build_cut_topology,
                             circle_levelset, interpolate_levelset,
@@ -389,13 +389,3 @@ def test_galerkin_energy_error_decreases():
         energies.append(np.sqrt(d @ (g @ d)))
         mesh = refine_uniform(mesh)
     assert energies[2] < energies[1] < energies[0]
-
-
-def test_coordinate_dump_format():
-    mesh, dls, topo, dofmap = _uncut_pair()
-    a = assemble_bulk_form(mesh, dls, topo, dofmap, PARAMS)
-    lines = coordinate_text(a).strip().splitlines()
-    i, j, v = lines[0].split()
-    assert int(i) == 0 and int(j) >= 0
-    float(v)
-    assert len(lines) == a.tocoo().nnz

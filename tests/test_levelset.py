@@ -6,7 +6,7 @@ from cutdg.levelset import (DiscreteLevelSet, build_cut_topology,
                             check_geometry_assumptions, circle_levelset,
                             classify_elements, closest_point_circle,
                             extract_surface_segments, interpolate_levelset,
-                            line_levelset, segments_to_text, surface_length)
+                            line_levelset, surface_length)
 from cutdg.mesh import BackgroundMesh, build_structured_mesh, refine_uniform
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
@@ -145,7 +145,9 @@ def test_exact_zero_vertex_values_give_two_crossings_per_cut_element():
     """Without snapping, some vertex values are exactly zero. A cut element
     has a negative and a positive vertex, so its sign changes along exactly
     two local edges (an even, nonzero count around the triangle), and each
-    cut element still gets one segment on the zero line."""
+    cut element still gets one segment on the zero line. Two segments that
+    meet at a zero vertex reach it through different mesh edges, and they
+    still share it as a surface edge placed on the vertex."""
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 4)
     values = mesh.vertices[:, 0] + 2.0 * mesh.vertices[:, 1] - 1.0
     assert np.sum(values == 0.0) == 3
@@ -157,6 +159,11 @@ def test_exact_zero_vertex_values_give_two_crossings_per_cut_element():
     assert np.all(surf.length > 0.0)
     on_line = surf.points[..., 0] + 2.0 * surf.points[..., 1] - 1.0
     assert np.max(np.abs(on_line)) < 1e-15
+    # 4 segments in a chain: 3 shared endpoints, each a surface edge, one
+    # of them on the interior zero vertex (0.5, 0.25)
+    assert surf.n_segments == 4 and surf.n_edges == 3
+    on_vertex = np.all(surf.edge_point == (0.5, 0.25), axis=1)
+    assert on_vertex.sum() == 1
 
 
 def test_extraction_error_paths():
@@ -239,13 +246,3 @@ def test_validity_radius_violation_raises():
                       normal=tiny.normal, validity_radius=1e-9)
     with pytest.raises(ValueError):
         check_geometry_assumptions(tiny, topo)
-
-
-def test_segment_dump_format():
-    mesh = build_structured_mesh(BOX, 8)
-    dls = interpolate_levelset(circle_levelset(), mesh)
-    topo = build_cut_topology(mesh, dls)
-    lines = segments_to_text(topo).strip().splitlines()
-    assert len(lines) == topo.surface.n_segments
-    parts = lines[0].split()
-    assert parts[0] == "s" and len(parts) == 5

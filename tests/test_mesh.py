@@ -3,7 +3,7 @@ import pytest
 
 from cutdg.exceptions import StructuralError
 from cutdg.mesh import (build_structured_mesh, element_areas,
-                        face_connectivity, mesh_to_text, refine_uniform)
+                        face_connectivity, refine_uniform)
 from tests.oracles import face_connectivity_reference
 
 UNIT = ((0.0, 0.0), (1.0, 1.0))
@@ -140,13 +140,3 @@ def test_face_connectivity_matches_dict_oracle(n, levels):
         plus = mesh.vertices[elements[fe[:, 0]]].mean(axis=1)
         minus = mesh.vertices[elements[fe[:, 1]]].mean(axis=1)
         assert np.all(np.einsum("fd,fd->f", normals, minus - plus) > 0.0)
-
-
-def test_mesh_dump_format():
-    mesh = build_structured_mesh(UNIT, 1)
-    lines = mesh_to_text(mesh).strip().splitlines()
-    assert lines[0].startswith("v ")
-    assert len([ln for ln in lines if ln.startswith("v ")]) == 4
-    assert len([ln for ln in lines if ln.startswith("e ")]) == 2
-    kind, x, y = lines[0].split()
-    assert float(x) == 0.0 and float(y) == 0.0

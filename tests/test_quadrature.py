@@ -7,7 +7,7 @@ from cutdg.mesh import build_structured_mesh, refine_uniform
 from cutdg.quadrature import (clip_element_rule, clip_element_rules,
                               negative_polygon, segment_rules,
                               surface_segment_rule, triangle_reference_rule)
-from tests.oracles import integrate_negative_monomial
+from tests.oracles import cut_monomial_pairs, random_cut_triangles
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 BOX = ((-1.1, -1.1), (1.1, 1.1))
@@ -97,23 +97,11 @@ def test_disk_area_converges_quadratically():
 
 
 def test_monomial_oracle_on_random_cut_triangles():
-    rng = np.random.default_rng(2024)
-    checked = 0
-    while checked < 50:
-        tri = rng.uniform(-1.5, 1.5, size=(3, 2))
-        if _cross2(tri[1] - tri[0], tri[2] - tri[0]) < 0.05:
-            continue
-        vals = rng.uniform(-1.0, 1.0, size=3)
-        if vals.min() > -1e-3 or vals.max() < 1e-3:
-            continue  # want genuinely cut triangles
-        rule = clip_element_rule(tri, vals, degree=2)
-        for a in range(3):
-            for b in range(3 - a):
-                approx = float(rule.weights @ (rule.points[:, 0] ** a
-                                               * rule.points[:, 1] ** b))
-                exact = integrate_negative_monomial(tri, vals, a, b)
-                assert approx == pytest.approx(exact, rel=1e-6, abs=1e-12)
-        checked += 1
+    tris, values = random_cut_triangles(np.random.default_rng(2024), 50)
+    pairs = cut_monomial_pairs(tris, values, degree=2)
+    assert len(pairs) == 50 * 6
+    for approx, exact in pairs:
+        assert approx == pytest.approx(exact, rel=1e-6, abs=1e-12)
 
 
 def test_negative_polygon_shapes():

@@ -4,7 +4,7 @@ import pytest
 from cutdg.levelset import circle_levelset, interpolate_levelset, \
     build_cut_topology
 from cutdg.mesh import build_structured_mesh
-from cutdg.space import (build_spaces, coefficients_to_text, element_gradients,
+from cutdg.space import (build_spaces, element_gradients,
                          evaluate_basis, interpolate_nodal, interpolate_pair,
                          levelset_null_basis, prolongation)
 
@@ -113,8 +113,6 @@ def test_interpolate_pair_layout():
                          lambda p: 2.0 * np.ones(p.shape[:-1]))
     assert np.all(u[:dofmap.n_bulk] == 1.0)
     assert np.all(u[dofmap.n_bulk:] == 2.0)
-    text = coefficients_to_text(u[:5])
-    assert len(text.strip().splitlines()) == 5
 
 
 def test_prolongation_injects_continuous_p1_into_both_blocks():
