@@ -167,8 +167,9 @@ def test_exact_zero_vertex_values_give_two_crossings_per_cut_element():
 
 
 def test_extraction_error_paths():
-    """A segment shorter than 1e-14 h, and a mesh edge (of a non-manifold
-    mesh) crossed by the surface in three elements."""
+    """A segment shorter than 1e-14 h, a mesh edge (of a non-manifold
+    mesh) crossed by the surface in three elements, and a saddle of the
+    interpolant whose zero vertex ends four segments."""
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 1)
     tiny = DiscreteLevelSet(values=np.array([-1e-17, 1.0, 1.0, 1.0]),
                             snap_tol=0.0)
@@ -185,6 +186,12 @@ def test_extraction_error_paths():
                            snap_tol=0.0)
     with pytest.raises(StructuralError, match=r"\(0, 2\) shared by 3"):
         extract_surface_segments(bad, dls)
+    mesh = build_structured_mesh(((-1.0, -1.0), (1.0, 1.0)), 4)
+    x, y = mesh.vertices.T
+    saddle = DiscreteLevelSet(values=(x - y / 3.0) * (x + y / 2.0),
+                              snap_tol=0.0)
+    with pytest.raises(StructuralError, match=r"\(12, 12\) shared by 4"):
+        extract_surface_segments(mesh, saddle)
 
 
 def test_translation_sweep_never_breaks_extraction():
