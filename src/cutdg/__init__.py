@@ -4,10 +4,9 @@ diffusion-reaction problems on unfitted structured 2D meshes."""
 from .exceptions import (ConfigurationError, CutDGError,
                          DegenerateMatrixError, GeometryError, SolverError,
                          StructuralError)
-from .forms import (AssembledSystem, StabilizationParams, assemble_bulk_form,
-                    assemble_coupling_form, assemble_ghost_bulk,
-                    assemble_ghost_surface, assemble_rhs,
-                    assemble_surface_form, assemble_system, energy_gram)
+from .forms import (AssembledSystem, StabilizationParams, assemble_system,
+                    bulk_form, coupling_form, energy_gram, ghost_bulk,
+                    ghost_pieces, ghost_surface, load_vector, surface_form)
 from .levelset import (CutTopology, DiscreteLevelSet, LevelSet,
                        build_cut_topology, check_geometry_assumptions,
                        circle_levelset, classify_elements,
@@ -18,9 +17,9 @@ from .manufactured import (ErrorReport, ManufacturedProblem,
                            compute_errors, eoc)
 from .mesh import (BackgroundMesh, build_structured_mesh, face_connectivity,
                    refine_uniform)
-from .quadrature import QuadratureRule, clip_element_rule, surface_segment_rule
+from .quadrature import CutQuadrature
 from .solver import condition_number, rescaled_matrix, solve
-from .space import (BrokenSpace, CombinedDofMap, build_spaces, evaluate_basis,
+from .space import (BrokenSpace, CombinedDofMap, build_spaces,
                     interpolate_nodal, interpolate_pair, levelset_null_basis,
                     prolongation)
 

@@ -9,8 +9,10 @@ CSV output goes to the directory given by ``--out``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
+from .exceptions import CutDGError
 from .experiments import (DEFAULT_N0, SWEEP_CONFIGS, StudyReport,
                           run_condition_sweep, run_convergence,
                           run_geometry_check, run_property_suite)
@@ -71,27 +73,21 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return resolved
 
 
+# the six penalty weights of StabilizationParams and their defaults (the
+# coupling constants have no flag)
+_PARAM_DEFAULTS = {f.name: f.default
+                   for f in dataclasses.fields(StabilizationParams)
+                   if f.name not in ("c_bulk", "c_surf")}
+
+
 def _params_from(resolved: dict) -> StabilizationParams:
-    return StabilizationParams(
-        gamma_bulk=resolved["gamma_bulk"], gamma_surf=resolved["gamma_surf"],
-        mu_bulk=resolved["mu_bulk"], mu_surf=resolved["mu_surf"],
-        tau_bulk=resolved["tau_bulk"], tau_surf=resolved["tau_surf"])
-
-
-_PARAM_DEFAULTS = {
-    "gamma_bulk": 50.0, "gamma_surf": 50.0,
-    "mu_bulk": 50.0, "mu_surf": 50.0,
-    "tau_bulk": 0.01, "tau_surf": 0.01,
-}
+    return StabilizationParams(**{k: resolved[k] for k in _PARAM_DEFAULTS})
 
 
 def _add_param_flags(parser):
-    parser.add_argument("--gamma-bulk", type=float, dest="gamma_bulk")
-    parser.add_argument("--gamma-surf", type=float, dest="gamma_surf")
-    parser.add_argument("--mu-bulk", type=float, dest="mu_bulk")
-    parser.add_argument("--mu-surf", type=float, dest="mu_surf")
-    parser.add_argument("--tau-bulk", type=float, dest="tau_bulk")
-    parser.add_argument("--tau-surf", type=float, dest="tau_surf")
+    for name in _PARAM_DEFAULTS:
+        parser.add_argument("--" + name.replace("_", "-"), type=float,
+                            dest=name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,7 +206,7 @@ def main(argv=None) -> int:
             _print_properties(report)
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, CutDGError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.out:

@@ -13,11 +13,11 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DegenerateMatrixError, SolverError
-from .forms import (AssembledSystem, StabilizationParams, _bulk_form,
-                    _coupling_form, _energy_gram, _ghost_bulk, _ghost_pieces,
-                    _ghost_surface, _gradient_gram, _surface_form,
-                    _surface_tangential_gram, _surface_trace_load,
-                    assemble_system, surface_element_mass_gram)
+from .forms import (AssembledSystem, StabilizationParams, assemble_system,
+                    bulk_form, coupling_form, energy_gram, ghost_bulk,
+                    ghost_pieces, ghost_surface, gradient_gram,
+                    surface_element_mass_gram, surface_form,
+                    surface_tangential_gram, surface_trace_load)
 from .levelset import (build_cut_topology, check_geometry_assumptions,
                        circle_levelset, interpolate_levelset, surface_length)
 from .manufactured import build_circle_problem, compute_errors, eoc
@@ -146,8 +146,8 @@ class StudyReport:
 
 def run_convergence(levels: int = 5, n0: int = DEFAULT_N0,
                     params: StabilizationParams | None = None,
-                    ablate_ghost: bool = False, degree: int = 2,
-                    box=DEFAULT_BOX, solver_tol: float = 1e-10) -> StudyReport:
+                    ablate_ghost: bool = False,
+                    box=DEFAULT_BOX) -> StudyReport:
     """Manufactured-solution refinement study on the unit-circle geometry.
 
     Solves on ``levels`` successive refinements, records the four error
@@ -169,10 +169,9 @@ def run_convergence(levels: int = 5, n0: int = DEFAULT_N0,
         dls = interpolate_levelset(ls, mesh)
         topo = build_cut_topology(mesh, dls)
         dofmap = build_spaces(mesh, topo)
-        system = assemble_system(mesh, dls, topo, dofmap, problem, params,
-                                 degree)
+        system = assemble_system(mesh, dls, topo, dofmap, problem, params)
         try:
-            u = solve(system, rel_tol=solver_tol)
+            u = solve(system)
         except SolverError as exc:
             report.solver_failures.append((level, str(exc)))
             report.convergence_rows.append({
@@ -210,15 +209,15 @@ class SurfaceState:
 
     @cached_property
     def pieces(self) -> dict:
-        return _ghost_pieces(self.mesh, self.topo, self.dofmap, self.cq.grads)
+        return ghost_pieces(self.cq, self.dofmap)
 
     @cached_property
     def base(self):
         """System matrix without ghost penalties."""
         cq, dofmap, p = self.cq, self.dofmap, self.params
-        return (p.c_bulk * _bulk_form(cq, dofmap, p)
-                + p.c_surf * _surface_form(cq, dofmap, p)
-                + _coupling_form(cq, dofmap, p))
+        return (p.c_bulk * bulk_form(cq, dofmap, p)
+                + p.c_surf * surface_form(cq, dofmap, p)
+                + coupling_form(cq, dofmap, p))
 
     @cached_property
     def null_basis(self):
@@ -227,7 +226,7 @@ class SurfaceState:
     @cached_property
     def energy_basis(self):
         """``deflated_gram_basis`` of the fully stabilized energy Gram."""
-        return deflated_gram_basis(_energy_gram(
+        return deflated_gram_basis(energy_gram(
             self.cq, self.dofmap, self.params, self.pieces, "total"))
 
     def matrix(self, config: str):
@@ -329,15 +328,15 @@ def _property_constants(state: SurfaceState, rng, n_random: int) -> dict:
     ``run_property_suite``). Each Poincare dot runs on contiguous rows, as
     for one field at a time: on strided columns it can round differently."""
     mesh, topo, dofmap, cq = state.mesh, state.topo, state.dofmap, state.cq
-    grad_active = _gradient_gram(cq, dofmap, "active")
-    grad_cut = _gradient_gram(cq, dofmap, "cut")
-    bulk_ghost = (grad_cut + _ghost_bulk(state.pieces, state.params)).tocsr()
+    grad_active = gradient_gram(cq, dofmap, "active")
+    grad_cut = gradient_gram(cq, dofmap, "cut")
+    bulk_ghost = (grad_cut + ghost_bulk(state.pieces, state.params)).tocsr()
     bulk, bulk_bare = (deflated_generalized_extremes(
         grad_active, deflated_gram_basis(gram))[1]
         for gram in (bulk_ghost, grad_cut))
     fields = np.hstack([np.zeros((n_random, dofmap.n_bulk)),
                         rng.standard_normal((n_random, dofmap.n_surface))])
-    load = _surface_trace_load(cq, dofmap)
+    load = surface_trace_load(cq, dofmap)
     fields[:, dofmap.n_bulk:] -= np.array([[load @ v] for v in fields]) \
         / surface_length(topo)
 
@@ -345,13 +344,13 @@ def _property_constants(state: SurfaceState, rng, n_random: int) -> dict:
         products = np.ascontiguousarray((matrix @ fields.T).T)
         return np.array([v @ w for v, w in zip(fields, products)])
 
-    num = quadratic(surface_element_mass_gram(mesh, topo, dofmap)) / mesh.h
+    num = quadratic(surface_element_mass_gram(cq, dofmap)) / mesh.h
 
     def worst(den):
         return float(np.max(num[den > 0.0] / den[den > 0.0], initial=0.0))
 
-    tangent = _surface_tangential_gram(cq, dofmap)
-    surf_ghost = (tangent + _ghost_surface(state.pieces, state.params)).tocsr()
+    tangent = surface_tangential_gram(cq, dofmap)
+    surf_ghost = (tangent + ghost_surface(state.pieces, state.params)).tocsr()
     poincare, poincare_bare = (worst(quadratic(gram))
                                for gram in (surf_ghost, tangent))
     return {"coercivity": {c: state.coercivity(c) for c in PROPERTY_CONFIGS},

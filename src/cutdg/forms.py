@@ -6,8 +6,10 @@ Jumps use the deterministic plus/minus orientation of the mesh faces;
 every assembled form is a product of jumps and averages and therefore
 independent of that orientation.
 
-Each kind of entity is assembled in one batch: uncut elements, cut
-elements (through ``quadrature.CutQuadrature``), surface segments,
+Every form takes the ``quadrature.CutQuadrature`` of one mesh, level set
+and topology, which carries the rules and basis data the forms share;
+``assemble_system`` builds it from the mesh. Each kind of entity is
+assembled in one batch: uncut elements, cut elements, surface segments,
 surface edges and faces. The triplets are emitted in a fixed order
 (uncut block, cut elements ascending, then each face scatter on its own),
 so that the sparse conversion sums duplicates as it always has and the
@@ -25,8 +27,7 @@ from .exceptions import GeometryError
 from .levelset import CutTopology, DiscreteLevelSet
 from .mesh import BackgroundMesh, element_areas
 from .quadrature import CutQuadrature, triangle_reference_rule
-from .space import (CombinedDofMap, all_element_gradients, basis_values,
-                    prolongation)
+from .space import CombinedDofMap, basis_values, prolongation
 
 # Exact P1 element mass matrix is area * _M3.
 _M3 = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -240,9 +241,13 @@ def _edge_triplets(cq: CutQuadrature, space, gamma, consistency=True):
 
 
 # ---------------------------------------------------------------------------
-# forms on a shared CutQuadrature (one per system)
+# forms (all on the combined dof map)
 
-def _bulk_form(cq: CutQuadrature, dofmap, params):
+def bulk_form(cq: CutQuadrature, dofmap: CombinedDofMap,
+              params: StabilizationParams) -> sp.csr_matrix:
+    """Interior-penalty bulk form: cut-volume mass and stiffness, jump
+    penalty on full active faces, symmetric consistency fluxes on the
+    negative face parts."""
     mesh = cq.mesh
     triplets = _bulk_volume_triplets(cq, dofmap.bulk)
     dofs, J0, J1, g_avg, _, lengths, fv = _face_batch(
@@ -256,13 +261,19 @@ def _bulk_form(cq: CutQuadrature, dofmap, params):
     return _accumulate(triplets, dofmap.ndof)
 
 
-def _surface_form(cq: CutQuadrature, dofmap, params):
+def surface_form(cq: CutQuadrature, dofmap: CombinedDofMap,
+                 params: StabilizationParams) -> sp.csr_matrix:
+    """Surface form: tangential stiffness and mass on the segments, jump
+    penalty and co-normal consistency at the surface edges."""
     triplets = _segment_triplets(cq, dofmap.surface)
     triplets += _edge_triplets(cq, dofmap.surface, params.gamma_surf)
     return _accumulate(triplets, dofmap.ndof)
 
 
-def _coupling_form(cq: CutQuadrature, dofmap, params):
+def coupling_form(cq: CutQuadrature, dofmap: CombinedDofMap,
+                  params: StabilizationParams) -> sp.csr_matrix:
+    """Robin-type coupling (c_b v_b - c_s v_s, c_b w_b - c_s w_s) over the
+    discrete surface; positive semidefinite by construction."""
     elements = cq.surface.element
     rules, phi = cq.segments
     r = np.concatenate([params.c_bulk * phi, -params.c_surf * phi], axis=2)
@@ -272,11 +283,19 @@ def _coupling_form(cq: CutQuadrature, dofmap, params):
     return _accumulate([_scatter(dofs, blocks)], dofmap.ndof)
 
 
-def _ghost_pieces(mesh, topo, dofmap, grads_all) -> dict:
-    h = mesh.h
+def ghost_pieces(cq: CutQuadrature, dofmap: CombinedDofMap) -> dict:
+    """Unit-coefficient ghost penalty matrices.
+
+    Keys: ``bulk_value`` (h^-1 value jumps on the ghost band),
+    ``bulk_gradient`` (h-weighted normal gradient jumps on the ghost band),
+    ``surface_value`` (h^-2 value jumps on the surface-active faces),
+    ``surface_gradient`` (normal gradient jumps on the surface-active
+    faces). Multiply by mu/tau weights to obtain the ghost forms.
+    """
+    mesh, topo, h = cq.mesh, cq.topo, cq.mesh.h
     out = {}
     dofs, J0, J1, _, g_jump, lengths, _ = _face_batch(
-        mesh, dofmap.bulk, topo.bulk_ghost_faces, grads_all)
+        mesh, dofmap.bulk, topo.bulk_ghost_faces, cq.grads)
     out["bulk_value"] = _accumulate(
         [_scatter(dofs, _face_jump_blocks(J0, J1, lengths, 1.0 / h))],
         dofmap.ndof)
@@ -284,7 +303,7 @@ def _ghost_pieces(mesh, topo, dofmap, grads_all) -> dict:
         [_scatter(dofs, _face_gradjump_blocks(g_jump, lengths, h))],
         dofmap.ndof)
     dofs, J0, J1, _, g_jump, lengths, _ = _face_batch(
-        mesh, dofmap.surface, topo.surface_faces, grads_all)
+        mesh, dofmap.surface, topo.surface_faces, cq.grads)
     out["surface_value"] = _accumulate(
         [_scatter(dofs, _face_jump_blocks(J0, J1, lengths, 1.0 / h ** 2))],
         dofmap.ndof)
@@ -294,17 +313,27 @@ def _ghost_pieces(mesh, topo, dofmap, grads_all) -> dict:
     return out
 
 
-def _ghost_bulk(pieces, params):
+def ghost_bulk(pieces: dict, params: StabilizationParams) -> sp.csr_matrix:
+    """Ghost penalty on the full faces of the band around the surface:
+    mu h^-1 value jumps plus tau h normal-gradient jumps."""
     return (params.mu_bulk * pieces["bulk_value"]
             + params.tau_bulk * pieces["bulk_gradient"]).tocsr()
 
 
-def _ghost_surface(pieces, params):
+def ghost_surface(pieces: dict, params: StabilizationParams) -> sp.csr_matrix:
+    """Ghost penalty on all faces of the surface-active mesh: mu h^-2
+    value jumps plus tau normal-gradient jumps."""
     return (params.mu_surf * pieces["surface_value"]
             + params.tau_surf * pieces["surface_gradient"]).tocsr()
 
 
-def _rhs(cq: CutQuadrature, dofmap, problem, params):
+def load_vector(cq: CutQuadrature, dofmap: CombinedDofMap, problem,
+                params: StabilizationParams) -> np.ndarray:
+    """Load vector: c_b (f_bulk, v) over the cut volume plus c_s
+    (f_surf o p, v) over the discrete surface, the surface data extended
+    by the closest-point map of the problem geometry. Raises GeometryError
+    when a surface quadrature point leaves the validity radius of that
+    map."""
     mesh = cq.mesh
     b = np.zeros(dofmap.ndof)
     bary, wref = triangle_reference_rule(cq.degree)
@@ -337,96 +366,21 @@ def _rhs(cq: CutQuadrature, dofmap, problem, params):
     return b
 
 
-# ---------------------------------------------------------------------------
-# public assemblers (all on the combined dof map)
-
-def assemble_bulk_form(mesh: BackgroundMesh, dls: DiscreteLevelSet,
-                       topo: CutTopology, dofmap: CombinedDofMap,
-                       params: StabilizationParams,
-                       degree: int = 2) -> sp.csr_matrix:
-    """Interior-penalty bulk form: cut-volume mass and stiffness, jump
-    penalty on full active faces, symmetric consistency fluxes on the
-    negative face parts."""
-    return _bulk_form(CutQuadrature(mesh, dls, topo, degree), dofmap, params)
-
-
-def assemble_surface_form(mesh: BackgroundMesh, dls: DiscreteLevelSet,
-                          topo: CutTopology, dofmap: CombinedDofMap,
-                          params: StabilizationParams,
-                          degree: int = 2) -> sp.csr_matrix:
-    """Surface form: tangential stiffness and mass on the segments, jump
-    penalty and co-normal consistency at the surface edges."""
-    return _surface_form(CutQuadrature(mesh, dls, topo, degree), dofmap,
-                         params)
-
-
-def assemble_coupling_form(mesh: BackgroundMesh, dls: DiscreteLevelSet,
-                           topo: CutTopology, dofmap: CombinedDofMap,
-                           params: StabilizationParams,
-                           degree: int = 2) -> sp.csr_matrix:
-    """Robin-type coupling (c_b v_b - c_s v_s, c_b w_b - c_s w_s) over the
-    discrete surface; positive semidefinite by construction."""
-    return _coupling_form(CutQuadrature(mesh, dls, topo, degree), dofmap,
-                          params)
-
-
-def ghost_penalty_pieces(mesh: BackgroundMesh, topo: CutTopology,
-                         dofmap: CombinedDofMap) -> dict:
-    """Unit-coefficient ghost penalty matrices.
-
-    Keys: ``bulk_value`` (h^-1 value jumps on the ghost band),
-    ``bulk_gradient`` (h-weighted normal gradient jumps on the ghost band),
-    ``surface_value`` (h^-2 value jumps on the surface-active faces),
-    ``surface_gradient`` (normal gradient jumps on the surface-active
-    faces). Multiply by mu/tau weights to obtain the ghost forms.
-    """
-    return _ghost_pieces(mesh, topo, dofmap, all_element_gradients(mesh))
-
-
-def assemble_ghost_bulk(mesh: BackgroundMesh, topo: CutTopology,
-                        dofmap: CombinedDofMap,
-                        params: StabilizationParams) -> sp.csr_matrix:
-    """Ghost penalty on the full faces of the band around the surface:
-    mu h^-1 value jumps plus tau h normal-gradient jumps."""
-    return _ghost_bulk(ghost_penalty_pieces(mesh, topo, dofmap), params)
-
-
-def assemble_ghost_surface(mesh: BackgroundMesh, topo: CutTopology,
-                           dofmap: CombinedDofMap,
-                           params: StabilizationParams) -> sp.csr_matrix:
-    """Ghost penalty on all faces of the surface-active mesh: mu h^-2
-    value jumps plus tau normal-gradient jumps."""
-    return _ghost_surface(ghost_penalty_pieces(mesh, topo, dofmap), params)
-
-
-def assemble_rhs(mesh: BackgroundMesh, dls: DiscreteLevelSet,
-                 topo: CutTopology, dofmap: CombinedDofMap, problem,
-                 params: StabilizationParams, degree: int = 2) -> np.ndarray:
-    """Load vector: c_b (f_bulk, v) over the cut volume plus c_s
-    (f_surf o p, v) over the discrete surface, the surface data extended
-    by the closest-point map of the problem geometry. Raises GeometryError
-    when a surface quadrature point leaves the validity radius of that
-    map."""
-    return _rhs(CutQuadrature(mesh, dls, topo, degree), dofmap, problem,
-                params)
-
-
 def assemble_system(mesh: BackgroundMesh, dls: DiscreteLevelSet,
                     topo: CutTopology, dofmap: CombinedDofMap, problem,
-                    params: StabilizationParams,
-                    degree: int = 2) -> AssembledSystem:
+                    params: StabilizationParams) -> AssembledSystem:
     """Full stabilized system: c_b (bulk + bulk ghost) + c_s (surface +
     surface ghost) + coupling, with the matching load vector."""
-    cq = CutQuadrature(mesh, dls, topo, degree)
+    cq = CutQuadrature(mesh, dls, topo)
     # the bulk face scatter sets the peak memory; build the ghost pieces
     # after it so they are not alive at that point
-    bulk = _bulk_form(cq, dofmap, params)
-    pieces = _ghost_pieces(mesh, topo, dofmap, cq.grads)
-    a = (params.c_bulk * (bulk + _ghost_bulk(pieces, params))
-         + params.c_surf * (_surface_form(cq, dofmap, params)
-                            + _ghost_surface(pieces, params))
-         + _coupling_form(cq, dofmap, params))
-    rhs = _rhs(cq, dofmap, problem, params)
+    bulk = bulk_form(cq, dofmap, params)
+    pieces = ghost_pieces(cq, dofmap)
+    a = (params.c_bulk * (bulk + ghost_bulk(pieces, params))
+         + params.c_surf * (surface_form(cq, dofmap, params)
+                            + ghost_surface(pieces, params))
+         + coupling_form(cq, dofmap, params))
+    rhs = load_vector(cq, dofmap, problem, params)
     return AssembledSystem(matrix=a.tocsr(), rhs=rhs, dofmap=dofmap,
                            params=params, h=mesh.h,
                            prolongation=prolongation(dofmap, mesh))
@@ -435,7 +389,11 @@ def assemble_system(mesh: BackgroundMesh, dls: DiscreteLevelSet,
 # ---------------------------------------------------------------------------
 # energy norms and property-suite Gram pieces
 
-def _gradient_gram(cq: CutQuadrature, dofmap, domain):
+def gradient_gram(cq: CutQuadrature, dofmap: CombinedDofMap,
+                  domain: str) -> sp.csr_matrix:
+    """Gram matrix of the broken gradient seminorm on the bulk space,
+    over full active elements (``active``) or their negative parts
+    (``cut``)."""
     if domain not in ("active", "cut"):
         raise ValueError(f"unknown gradient domain {domain!r}")
     if domain == "active":
@@ -449,12 +407,32 @@ def _gradient_gram(cq: CutQuadrature, dofmap, domain):
                        dofmap.ndof)
 
 
-def _surface_tangential_gram(cq: CutQuadrature, dofmap):
+def surface_element_mass_gram(cq: CutQuadrature,
+                              dofmap: CombinedDofMap) -> sp.csr_matrix:
+    """Full-element L2 mass on the surface-active mesh (surface block)."""
+    act = cq.topo.active_surface
+    blocks = element_areas(cq.mesh)[act, None, None] * _M3[None, :, :]
+    return _accumulate([_scatter(dofmap.surface.dofs_array(act), blocks)],
+                       dofmap.ndof)
+
+
+def surface_tangential_gram(cq: CutQuadrature,
+                            dofmap: CombinedDofMap) -> sp.csr_matrix:
+    """Tangential stiffness on the discrete surface (surface block)."""
     return _accumulate(_segment_triplets(cq, dofmap.surface, mass=False),
                        dofmap.ndof)
 
 
-def _surface_trace_load(cq: CutQuadrature, dofmap):
+def surface_trace_mass_gram(cq: CutQuadrature,
+                            dofmap: CombinedDofMap) -> sp.csr_matrix:
+    """L2 mass on the discrete surface itself (surface block)."""
+    return _accumulate(_segment_triplets(cq, dofmap.surface, stiff=False),
+                       dofmap.ndof)
+
+
+def surface_trace_load(cq: CutQuadrature,
+                       dofmap: CombinedDofMap) -> np.ndarray:
+    """Vector of int_Gamma_h phi_i, used for surface mean values."""
     rules, phi = cq.segments
     load = np.zeros(dofmap.ndof)
     load[dofmap.surface.dofs_array(cq.surface.element)] += _rows_dot(
@@ -462,8 +440,17 @@ def _surface_trace_load(cq: CutQuadrature, dofmap):
     return load
 
 
-def _energy_gram(cq: CutQuadrature, dofmap, params, pieces, variant):
-    """``energy_gram`` from a quadrature and its unit ghost pieces."""
+def energy_gram(cq: CutQuadrature, dofmap: CombinedDofMap,
+                params: StabilizationParams, pieces: dict,
+                variant: str) -> sp.csr_matrix:
+    """Gram matrix of the discrete energy norm, with the ghost penalties
+    built from the unit ``pieces`` of ``ghost_pieces``.
+
+    ``bulk``: cut-volume H1 norm + h^-1 value jumps on active faces +
+    bulk ghost penalty. ``surface``: tangential H1 norm on the surface +
+    h^-1 edge jumps + surface ghost penalty. ``total``: c_b bulk +
+    c_s surface + the coupling seminorm.
+    """
     if variant not in ("bulk", "surface", "total"):
         raise ValueError(f"unknown energy norm variant {variant!r}")
     mesh = cq.mesh
@@ -475,75 +462,18 @@ def _energy_gram(cq: CutQuadrature, dofmap, params, pieces, variant):
         triplets.append(_scatter(dofs, _face_jump_blocks(
             J0, J1, lengths, 1.0 / mesh.h)))
         return (_accumulate(triplets, dofmap.ndof)
-                + _ghost_bulk(pieces, params)).tocsr()
+                + ghost_bulk(pieces, params)).tocsr()
 
     def surface():
         triplets = _segment_triplets(cq, dofmap.surface)
         triplets += _edge_triplets(cq, dofmap.surface, gamma=1.0,
                                    consistency=False)
         return (_accumulate(triplets, dofmap.ndof)
-                + _ghost_surface(pieces, params)).tocsr()
+                + ghost_surface(pieces, params)).tocsr()
 
     if variant == "bulk":
         return bulk()
     if variant == "surface":
         return surface()
     return (params.c_bulk * bulk() + params.c_surf * surface()
-            + _coupling_form(cq, dofmap, params)).tocsr()
-
-
-def gradient_gram(mesh: BackgroundMesh, dls: DiscreteLevelSet,
-                  topo: CutTopology, dofmap: CombinedDofMap,
-                  domain: str = "active", degree: int = 2) -> sp.csr_matrix:
-    """Gram matrix of the broken gradient seminorm on the bulk space,
-    over full active elements (``active``) or their negative parts
-    (``cut``)."""
-    return _gradient_gram(CutQuadrature(mesh, dls, topo, degree), dofmap,
-                          domain)
-
-
-def surface_element_mass_gram(mesh: BackgroundMesh, topo: CutTopology,
-                              dofmap: CombinedDofMap) -> sp.csr_matrix:
-    """Full-element L2 mass on the surface-active mesh (surface block)."""
-    areas = element_areas(mesh)
-    act = topo.active_surface
-    blocks = areas[act, None, None] * _M3[None, :, :]
-    return _accumulate([_scatter(dofmap.surface.dofs_array(act), blocks)],
-                       dofmap.ndof)
-
-
-def surface_tangential_gram(mesh: BackgroundMesh, topo: CutTopology,
-                            dofmap: CombinedDofMap) -> sp.csr_matrix:
-    """Tangential stiffness on the discrete surface (surface block)."""
-    return _surface_tangential_gram(CutQuadrature(mesh, None, topo), dofmap)
-
-
-def surface_trace_mass_gram(mesh: BackgroundMesh, topo: CutTopology,
-                            dofmap: CombinedDofMap,
-                            degree: int = 2) -> sp.csr_matrix:
-    """L2 mass on the discrete surface itself (surface block)."""
-    cq = CutQuadrature(mesh, None, topo, degree)
-    return _accumulate(_segment_triplets(cq, dofmap.surface, stiff=False),
-                       dofmap.ndof)
-
-
-def surface_trace_load(mesh: BackgroundMesh, topo: CutTopology,
-                       dofmap: CombinedDofMap, degree: int = 2) -> np.ndarray:
-    """Vector of int_Gamma_h phi_i, used for surface mean values."""
-    return _surface_trace_load(CutQuadrature(mesh, None, topo, degree), dofmap)
-
-
-def energy_gram(mesh: BackgroundMesh, dls: DiscreteLevelSet,
-                topo: CutTopology, dofmap: CombinedDofMap,
-                params: StabilizationParams, variant: str = "total",
-                degree: int = 2) -> sp.csr_matrix:
-    """Gram matrix of the discrete energy norm.
-
-    ``bulk``: cut-volume H1 norm + h^-1 value jumps on active faces +
-    bulk ghost penalty. ``surface``: tangential H1 norm on the surface +
-    h^-1 edge jumps + surface ghost penalty. ``total``: c_b bulk +
-    c_s surface + the coupling seminorm.
-    """
-    cq = CutQuadrature(mesh, dls, topo, degree)
-    pieces = _ghost_pieces(mesh, topo, dofmap, cq.grads)
-    return _energy_gram(cq, dofmap, params, pieces, variant)
+            + coupling_form(cq, dofmap, params)).tocsr()

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ConfigurationError, GeometryError, StructuralError
-from .mesh import BackgroundMesh, edge_key, group_keys
+from .mesh import BackgroundMesh, edge_key, element_gradients, group_keys
 
 SNAP_FACTOR = 1e-10
 DEGENERATE_SEGMENT_FACTOR = 1e-14
@@ -230,15 +230,9 @@ def extract_surface_segments(mesh: BackgroundMesh,
                   * (mesh.vertices[hi] - mesh.vertices[lo])).reshape(-1, 2, 2)
 
     # Interpolant gradient: constant, points into the positive region.
-    p = mesh.vertices[tri]
-    p0, p1, p2 = p[:, 0], p[:, 1], p[:, 2]
-    det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) \
-        - (p1[:, 1] - p0[:, 1]) * (p2[:, 0] - p0[:, 0])
-    g1 = np.column_stack([p2[:, 1] - p0[:, 1],
-                          p0[:, 0] - p2[:, 0]]) / det[:, None]
-    g2 = np.column_stack([p0[:, 1] - p1[:, 1],
-                          p1[:, 0] - p0[:, 0]]) / det[:, None]
-    grad = (v[:, 1] - v[:, 0])[:, None] * g1 + (v[:, 2] - v[:, 0])[:, None] * g2
+    g = element_gradients(mesh.vertices[tri])
+    grad = (v[:, 1] - v[:, 0])[:, None] * g[:, 1] \
+        + (v[:, 2] - v[:, 0])[:, None] * g[:, 2]
     seg_normal = grad / _norms(grad)[:, None]
     # Orient each segment so its tangent is the normal rotated by +90deg.
     tangent = np.column_stack([-seg_normal[:, 1], seg_normal[:, 0]])

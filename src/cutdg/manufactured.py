@@ -17,7 +17,7 @@ import numpy as np
 
 from .levelset import CutTopology, DiscreteLevelSet, LevelSet, circle_levelset
 from .mesh import BackgroundMesh, element_areas
-from .quadrature import CutQuadrature, triangle_reference_rule
+from .quadrature import ERROR_DEGREE, CutQuadrature, triangle_reference_rule
 from .space import CombinedDofMap
 
 
@@ -218,22 +218,21 @@ def _entity_errors(rules, phi, u, grads, value, gradient, normal=None):
 
 def compute_errors(coeffs: np.ndarray, problem: ManufacturedProblem,
                    mesh: BackgroundMesh, dls: DiscreteLevelSet,
-                   topo: CutTopology, dofmap: CombinedDofMap,
-                   degree: int = 4) -> ErrorReport:
+                   topo: CutTopology, dofmap: CombinedDofMap) -> ErrorReport:
     """L2 and full H1 errors of a coefficient vector against the exact
     pair, over the cut bulk domain and the discrete surface. The exact
     surface solution is evaluated through its closest-point extension.
 
     The element contributions are summed one after another in element
     (and segment) order, after the uncut block."""
-    cq = CutQuadrature(mesh, dls, topo, degree)
+    cq = CutQuadrature(mesh, dls, topo, ERROR_DEGREE)
     areas = element_areas(mesh)
     uncut, cut = cq.split
 
     l2b = 0.0
     semib = 0.0
     if uncut.size:
-        bary, wref = triangle_reference_rule(degree)
+        bary, wref = triangle_reference_rule(cq.degree)
         tris = mesh.vertices[mesh.elements[uncut]]
         pts = np.einsum("mb,kbd->kmd", bary, tris)
         w = wref[None, :] * (areas[uncut, None] / 0.5)

@@ -187,3 +187,17 @@ def element_areas(mesh: BackgroundMesh) -> np.ndarray:
     d1 = p[:, 1] - p[:, 0]
     d2 = p[:, 2] - p[:, 0]
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+
+
+def element_gradients(tri: np.ndarray) -> np.ndarray:
+    """(..., 3, 2) constant gradients of the barycentric basis on one
+    triangle (3, 2) or on each of a batch of triangles (..., 3, 2), e.g.
+    ``mesh.vertices[mesh.elements]``."""
+    p = np.asarray(tri, dtype=float)
+    x0, y0 = p[..., 0, 0], p[..., 0, 1]
+    x1, y1 = p[..., 1, 0], p[..., 1, 1]
+    x2, y2 = p[..., 2, 0], p[..., 2, 1]
+    det = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+    g1 = np.stack([y2 - y0, x0 - x2], axis=-1) / det[..., None]
+    g2 = np.stack([y0 - y1, x1 - x0], axis=-1) / det[..., None]
+    return np.stack([-g1 - g2, g1, g2], axis=-2)

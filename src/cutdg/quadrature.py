@@ -2,14 +2,11 @@
 
 All integrands assembled in this package are products of piecewise-linear
 traces and gradients on straight geometry, so the default exactness
-degree is 2 everywhere. Error norms use degree 4. Rules carry physical
-points and positive weights summing to the measure of their domain;
-empty rules (zero points) represent cut parts of zero measure.
-
-The per-entity rules (``clip_element_rule``, ``surface_segment_rule``)
-have batched twins (``clip_element_rules``, ``segment_rules``) that
-reproduce them bit for bit; ``CutQuadrature`` builds the batched rules of
-one topology once for every form and norm evaluated on it.
+degree is 2 everywhere. Error norms use ``ERROR_DEGREE``. Rules carry
+physical points and positive weights summing to the measure of their
+domain. Every rule is built for a batch of entities at once
+(``clip_element_rules``, ``segment_rules``); ``CutQuadrature`` builds the
+rules of one topology once for every form and norm evaluated on it.
 """
 
 from __future__ import annotations
@@ -20,7 +17,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .exceptions import StructuralError
-from .space import all_element_gradients, basis_values
+from .mesh import element_gradients
+from .space import basis_values
 
 # Symmetric triangle rules with positive weights only: barycentric point
 # coordinates and weights normalized to sum to 1. Odd degrees without a
@@ -53,18 +51,8 @@ _TRI_TABLES[5] = (np.vstack([np.array([[1 / 3, 1 / 3, 1 / 3]]),
 
 _DEGREE_TO_TABLE = {0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 5}
 
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Physical quadrature points, positive weights and a domain tag."""
-
-    points: np.ndarray   # (m, 2)
-    weights: np.ndarray  # (m,)
-    domain: str
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
+# exactness degree of the error-norm rules (the forms use the default 2)
+ERROR_DEGREE = 4
 
 
 @dataclass(frozen=True)
@@ -98,36 +86,20 @@ def _gauss_unit(degree: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _empty(domain: str) -> QuadratureRule:
-    return QuadratureRule(np.empty((0, 2)), np.empty(0), domain)
-
-
-def _map_triangles(tris: np.ndarray, degree: int, domain: str) -> QuadratureRule:
-    """Map the reference rule onto a batch of triangles (k, 3, 2)."""
+def _map_triangles(tris: np.ndarray, degree: int):
+    """Points (k, m, 2) and weights (k, m) of the reference rule mapped
+    onto a batch of triangles (k, 3, 2)."""
     bary, wref = triangle_reference_rule(degree)
-    pts = np.einsum("mb,kbd->kmd", bary, tris).reshape(-1, 2)
+    pts = np.einsum("mb,kbd->kmd", bary, tris)
     d1 = tris[:, 1] - tris[:, 0]
     d2 = tris[:, 2] - tris[:, 0]
     areas = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    weights = (wref[None, :] * (areas[:, None] / 0.5)).reshape(-1)
-    return QuadratureRule(pts, weights, domain)
-
-
-def surface_segment_rule(p0, p1, degree: int = 2) -> QuadratureRule:
-    """Gauss rule on a surface segment; errors on zero length."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    length = float(np.linalg.norm(p1 - p0))
-    if not length > 0.0:
-        raise StructuralError("degenerate surface segment")
-    t, w = _gauss_unit(degree)
-    pts = p0[None, :] * (1.0 - t)[:, None] + p1[None, :] * t[:, None]
-    return QuadratureRule(pts, w * length, "surfaceSegment")
+    return pts, wref[None, :] * (areas[:, None] / 0.5)
 
 
 def segment_rules(p0: np.ndarray, p1: np.ndarray, degree: int = 2) -> RuleBatch:
-    """``surface_segment_rule`` on the segments (p0[k], p1[k]) at once,
-    bit-identical to it; errors on a zero length."""
+    """Gauss rules on the segments (p0[k], p1[k]); errors on a zero
+    length."""
     d = p1 - p0
     # np.linalg.norm of one row is a BLAS dot, which matmul reproduces
     length = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]))[:, 0, 0]
@@ -139,51 +111,21 @@ def segment_rules(p0: np.ndarray, p1: np.ndarray, degree: int = 2) -> RuleBatch:
     return RuleBatch(np.arange(d.shape[0]), pts, w[None, :] * length[:, None])
 
 
-def negative_polygon(tri, values) -> np.ndarray:
-    """Vertices (CCW) of the sub-polygon of ``tri`` where the linear
-    interpolant of ``values`` is negative. Empty array if none."""
-    tri = np.asarray(tri, dtype=float)
-    values = np.asarray(values, dtype=float)
-    poly = []
-    for i in range(3):
-        j = (i + 1) % 3
-        if values[i] < 0.0:
-            poly.append(tri[i])
-        if (values[i] < 0.0) != (values[j] < 0.0):
-            t = values[i] / (values[i] - values[j])
-            poly.append(tri[i] + t * (tri[j] - tri[i]))
-    return np.asarray(poly, dtype=float).reshape(-1, 2)
-
-
-def clip_element_rule(tri, values, degree: int = 2) -> QuadratureRule:
-    """Rule on the part of ``tri`` where the interpolant of the vertex
-    ``values`` is negative. The sub-polygon (triangle or quadrilateral)
-    is fanned into at most two triangles."""
-    poly = negative_polygon(tri, values)
-    if poly.shape[0] == 0:
-        return _empty("bulkCut")
-    if poly.shape[0] == 3:
-        tris = poly[None, :, :]
-    else:  # quadrilateral
-        tris = np.stack([poly[[0, 1, 2]], poly[[0, 2, 3]]])
-    rule = _map_triangles(tris, degree, "bulkCut")
-    return rule
-
-
 def clip_element_rules(tris: np.ndarray, values: np.ndarray,
                        degree: int = 2) -> tuple[RuleBatch, RuleBatch]:
-    """``clip_element_rule`` on the triangles tris[k] (k, 3, 2) with vertex
-    values[k] at once, bit-identical to it. Returns the triangular and the
-    quadrilateral negative parts as two batches; a triangle without a
-    negative part is in neither."""
+    """Rules on the parts of the triangles tris[k] (k, 3, 2) where the
+    interpolant of the vertex values[k] is negative. Each part, a triangle
+    or a quadrilateral, is fanned into at most two triangles. Returns the
+    triangular and the quadrilateral parts as two batches; a triangle
+    without a negative part is in neither."""
     j = [1, 2, 0]
     neg = values < 0.0
     change = neg != neg[:, j]
     t = np.zeros(values.shape)
     t[change] = values[change] / (values - values[:, j])[change]
     crossing = tris + t[:, :, None] * (tris[:, j] - tris)
-    # negative_polygon's walk: vertex i if negative, then the crossing on
-    # edge (i, i+1) if the sign changes there
+    # walk the boundary: vertex i if negative, then the crossing on edge
+    # (i, i+1) if the sign changes there
     candidates = np.stack([tris, crossing], axis=2).reshape(-1, 6, 2)
     keep = np.stack([neg, change], axis=2).reshape(-1, 6)
     size = keep.sum(axis=1)
@@ -191,10 +133,10 @@ def clip_element_rules(tris: np.ndarray, values: np.ndarray,
     for n, fan in ((3, [[0, 1, 2]]), (4, [[0, 1, 2], [0, 2, 3]])):
         index = np.flatnonzero(size == n)
         poly = candidates[index][keep[index]].reshape(-1, n, 2)
-        rule = _map_triangles(poly[:, fan].reshape(-1, 3, 2), degree, "bulkCut")
-        m = (n - 2) * triangle_reference_rule(degree)[1].size
-        batches.append(RuleBatch(index, rule.points.reshape(index.size, m, 2),
-                                 rule.weights.reshape(index.size, m)))
+        pts, w = _map_triangles(poly[:, fan].reshape(-1, 3, 2), degree)
+        m = (n - 2) * w.shape[1]
+        batches.append(RuleBatch(index, pts.reshape(index.size, m, 2),
+                                 w.reshape(index.size, m)))
     return tuple(batches)
 
 
@@ -202,7 +144,8 @@ class CutQuadrature:
     """Batched rules and P1 basis data of the cut entities of one topology.
 
     Each piece is built on first use and then shared by every form and
-    norm evaluated on the same mesh, level set, topology and degree:
+    norm evaluated on the same mesh, level set, topology and degree (2
+    for the forms, ``ERROR_DEGREE`` for the error norms):
 
     grads: (ne, 3, 2) basis gradients of every background element.
     split: active bulk elements as (uncut, cut); cut ones have a vertex
@@ -225,7 +168,7 @@ class CutQuadrature:
 
     @cached_property
     def grads(self) -> np.ndarray:
-        return all_element_gradients(self.mesh)
+        return element_gradients(self.mesh.vertices[self.mesh.elements])
 
     @cached_property
     def split(self):

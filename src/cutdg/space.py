@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .levelset import CutTopology, DiscreteLevelSet
-from .mesh import BackgroundMesh
+from .mesh import BackgroundMesh, element_gradients
 
 
 @dataclass(frozen=True)
@@ -121,50 +121,9 @@ def levelset_null_basis(dofmap: CombinedDofMap, mesh: BackgroundMesh,
                          shape=(dofmap.ndof, values.shape[0]))
 
 
-def element_gradients(tri: np.ndarray) -> np.ndarray:
-    """(..., 3, 2) constant gradients of the barycentric basis on one
-    triangle (3, 2) or on each of a batch of triangles (..., 3, 2)."""
-    p = np.asarray(tri, dtype=float)
-    x0, y0 = p[..., 0, 0], p[..., 0, 1]
-    x1, y1 = p[..., 1, 0], p[..., 1, 1]
-    x2, y2 = p[..., 2, 0], p[..., 2, 1]
-    det = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
-    g1 = np.stack([y2 - y0, x0 - x2], axis=-1) / det[..., None]
-    g2 = np.stack([y0 - y1, x1 - x0], axis=-1) / det[..., None]
-    return np.stack([-g1 - g2, g1, g2], axis=-2)
-
-
-def all_element_gradients(mesh: BackgroundMesh) -> np.ndarray:
-    """(ne, 3, 2) basis gradients for every background element."""
-    p = mesh.vertices[mesh.elements]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    det = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    g1 = np.stack([d2[:, 1], -d2[:, 0]], axis=1) / det[:, None]
-    g2 = np.stack([-d1[:, 1], d1[:, 0]], axis=1) / det[:, None]
-    return np.stack([-g1 - g2, g1, g2], axis=1)
-
-
-def evaluate_basis(tri: np.ndarray, points: np.ndarray):
-    """Barycentric basis values and gradients on one triangle.
-
-    Returns (values, gradients) with values of shape (..., 3) for points
-    of shape (..., 2) and constant gradients of shape (3, 2). Values sum
-    to 1 and gradients sum to the zero vector.
-    """
-    tri = np.asarray(tri, dtype=float)
-    grads = element_gradients(tri)
-    points = np.asarray(points, dtype=float)
-    rel = points - tri[0]
-    lam1 = rel @ grads[1]
-    lam2 = rel @ grads[2]
-    values = np.stack([1.0 - lam1 - lam2, lam1, lam2], axis=-1)
-    return values, grads
-
-
 def basis_values(tris: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``evaluate_basis`` values on a batch of triangles at once: (k, m, 3)
-    for tris (k, 3, 2) and points (k, m, 2), bit-identical to it."""
+    """Barycentric basis values (k, m, 3) on the triangles tris (k, 3, 2)
+    at the points (k, m, 2)."""
     grads = element_gradients(tris)
     rel = points - tris[:, None, 0, :]
     lam1 = np.matmul(rel, grads[:, 1, :, None])[..., 0]

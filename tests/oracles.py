@@ -7,29 +7,33 @@ It shares no code with the polygon-clipping quadrature it checks. The
 condition-number oracle is a dense symmetric eigensolve of the whole
 spectrum.
 
-The per-entity reference loops build the cut-entity parts of the forms,
-the load vectors and the error norms one element, segment or surface
-edge at a time from ``clip_element_rule``, ``surface_segment_rule`` and
-``evaluate_basis``. The batched assembly must reproduce them bit for bit,
-triplet order included. The triplet builders take the same arguments as
-the private batched builders of ``cutdg.forms`` they stand in for, but
-read only the mesh, level set, topology and degree from the
-``CutQuadrature``. ``face_connectivity_reference`` lists interior faces
-through a dict keyed by vertex pair.
+The per-entity rules (``clip_element_rule``, ``surface_segment_rule``)
+and basis (``evaluate_basis``) are the reference for the batched
+``cutdg.quadrature`` rules and ``cutdg.space.basis_values``. The
+per-entity reference loops build the cut-entity parts of the forms, the
+load vectors and the error norms from them, one element, segment or
+surface edge at a time. The batched assembly must reproduce them bit for
+bit, triplet order included. Each builder stands in for the
+``cutdg.forms`` function of the same name (with a leading underscore for
+the triplet builders) and takes its arguments, but reads only the mesh,
+level set, topology and degree from the ``CutQuadrature``.
+``face_connectivity_reference`` lists interior faces through a dict
+keyed by vertex pair.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
 from cutdg.exceptions import StructuralError
-from cutdg.mesh import element_areas
 from cutdg.manufactured import ErrorReport
-from cutdg.quadrature import (clip_element_rule, clip_element_rules,
-                              surface_segment_rule, triangle_reference_rule)
-from cutdg.space import all_element_gradients, evaluate_basis
+from cutdg.mesh import element_areas, element_gradients
+from cutdg.quadrature import (ERROR_DEGREE, _gauss_unit, _map_triangles,
+                              clip_element_rules, triangle_reference_rule)
 
 _GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(8)
 _PANELS = 96
@@ -181,6 +185,81 @@ def face_connectivity_reference(elements):
 
 
 # ---------------------------------------------------------------------------
+# per-entity rules and basis
+
+@dataclass(frozen=True)
+class QuadratureRule:
+    """Physical quadrature points (m, 2) and positive weights (m,)."""
+
+    points: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def total_weight(self) -> float:
+        return float(self.weights.sum())
+
+
+def surface_segment_rule(p0, p1, degree: int = 2) -> QuadratureRule:
+    """Gauss rule on a surface segment; errors on zero length."""
+    p0 = np.asarray(p0, dtype=float)
+    p1 = np.asarray(p1, dtype=float)
+    length = float(np.linalg.norm(p1 - p0))
+    if not length > 0.0:
+        raise StructuralError("degenerate surface segment")
+    t, w = _gauss_unit(degree)
+    pts = p0[None, :] * (1.0 - t)[:, None] + p1[None, :] * t[:, None]
+    return QuadratureRule(pts, w * length)
+
+
+def negative_polygon(tri, values) -> np.ndarray:
+    """Vertices (CCW) of the sub-polygon of ``tri`` where the linear
+    interpolant of ``values`` is negative. Empty array if none."""
+    tri = np.asarray(tri, dtype=float)
+    values = np.asarray(values, dtype=float)
+    poly = []
+    for i in range(3):
+        j = (i + 1) % 3
+        if values[i] < 0.0:
+            poly.append(tri[i])
+        if (values[i] < 0.0) != (values[j] < 0.0):
+            t = values[i] / (values[i] - values[j])
+            poly.append(tri[i] + t * (tri[j] - tri[i]))
+    return np.asarray(poly, dtype=float).reshape(-1, 2)
+
+
+def clip_element_rule(tri, values, degree: int = 2) -> QuadratureRule:
+    """Rule on the part of ``tri`` where the interpolant of the vertex
+    ``values`` is negative (no points if there is none). The sub-polygon
+    (triangle or quadrilateral) is fanned into at most two triangles."""
+    poly = negative_polygon(tri, values)
+    if poly.shape[0] == 0:
+        return QuadratureRule(np.empty((0, 2)), np.empty(0))
+    if poly.shape[0] == 3:
+        tris = poly[None, :, :]
+    else:  # quadrilateral
+        tris = np.stack([poly[[0, 1, 2]], poly[[0, 2, 3]]])
+    pts, weights = _map_triangles(tris, degree)
+    return QuadratureRule(pts.reshape(-1, 2), weights.reshape(-1))
+
+
+def evaluate_basis(tri: np.ndarray, points: np.ndarray):
+    """Barycentric basis values and gradients on one triangle.
+
+    Returns (values, gradients) with values of shape (..., 3) for points
+    of shape (..., 2) and constant gradients of shape (3, 2). Values sum
+    to 1 and gradients sum to the zero vector.
+    """
+    tri = np.asarray(tri, dtype=float)
+    grads = element_gradients(tri)
+    points = np.asarray(points, dtype=float)
+    rel = points - tri[0]
+    lam1 = rel @ grads[1]
+    lam2 = rel @ grads[2]
+    values = np.stack([1.0 - lam1 - lam2, lam1, lam2], axis=-1)
+    return values, grads
+
+
+# ---------------------------------------------------------------------------
 # per-entity reference loops of the batched assembly
 
 def _block_triplets(blocks):
@@ -209,7 +288,7 @@ def _tri(mesh, e):
 def bulk_volume_triplets(cq, space, mass=True):
     """Uncut elements in one exact batch, then one block per cut element."""
     mesh, dls = cq.mesh, cq.dls
-    grads_all = all_element_gradients(mesh)
+    grads_all = element_gradients(mesh.vertices[mesh.elements])
     areas = element_areas(mesh)
     uncut, cut = _split(mesh, dls, cq.topo)
     triplets = []
@@ -245,7 +324,7 @@ def _segment_rule(surf, s, degree):
 
 def segment_triplets(cq, space, mass=True, stiff=True):
     mesh, surf = cq.mesh, cq.topo.surface
-    grads_all = all_element_gradients(mesh)
+    grads_all = element_gradients(mesh.vertices[mesh.elements])
     blocks = []
     for s in range(surf.n_segments):
         e = surf.element[s]
@@ -265,7 +344,7 @@ def segment_triplets(cq, space, mass=True, stiff=True):
 
 def edge_triplets(cq, space, gamma, consistency=True):
     mesh, surf = cq.mesh, cq.topo.surface
-    grads_all = all_element_gradients(mesh)
+    grads_all = element_gradients(mesh.vertices[mesh.elements])
     blocks = []
     for k in range(surf.n_edges):
         phis, flux = [], []
@@ -302,7 +381,7 @@ def coupling_form(cq, dofmap, params):
     return sp.coo_matrix((v, (i, j)), shape=(dofmap.ndof,) * 2).tocsr()
 
 
-def rhs(cq, dofmap, problem, params):
+def load_vector(cq, dofmap, problem, params):
     mesh, dls, degree = cq.mesh, cq.dls, cq.degree
     b = np.zeros(dofmap.ndof)
     uncut, cut = _split(mesh, dls, cq.topo)
@@ -343,10 +422,11 @@ def surface_trace_load(mesh, topo, dofmap, degree=2):
     return load
 
 
-def compute_errors(coeffs, problem, mesh, dls, topo, dofmap, degree=4):
+def compute_errors(coeffs, problem, mesh, dls, topo, dofmap,
+                   degree=ERROR_DEGREE):
     """Running sums over the uncut block, then cut elements, then
     segments, one entity at a time."""
-    grads_all = all_element_gradients(mesh)
+    grads_all = element_gradients(mesh.vertices[mesh.elements])
     uncut, cut = _split(mesh, dls, topo)
     l2b = semib = l2s = semis = 0.0
     if uncut.size:

@@ -21,14 +21,14 @@ from cutdg.experiments import (PROPERTY_BOX, SENTINEL_KAPPA, coercivity_at,
                                fit_slope, mesh_at_level, run_condition_sweep,
                                run_convergence, run_geometry_check,
                                run_property_suite, sweep_weights)
-from cutdg.forms import (StabilizationParams, assemble_ghost_bulk,
-                         assemble_ghost_surface, assemble_system)
+from cutdg.forms import (StabilizationParams, assemble_system, ghost_bulk,
+                         ghost_pieces, ghost_surface)
 from cutdg.levelset import (build_cut_topology, circle_levelset,
                             interpolate_levelset)
 from cutdg.manufactured import (build_affine_problem, build_circle_problem,
                                 compute_errors)
 from cutdg.mesh import build_structured_mesh, refine_uniform
-from cutdg.quadrature import clip_element_rules
+from cutdg.quadrature import CutQuadrature, clip_element_rules
 from cutdg.solver import condition_number, rescaled_matrix, solve
 from cutdg.space import build_spaces, interpolate_pair
 from tests.oracles import cut_monomial_pairs, random_cut_triangles
@@ -313,8 +313,9 @@ def test_criterion_8_exactness():
         worst_interp = max(worst_interp, max(rep.as_tuple()))
         # DG consistency: every stabilization/jump term vanishes on the
         # affine pair, so the forms reduce to the smooth integrals
-        jb = assemble_ghost_bulk(mesh, topo, dofmap, PARAMS)
-        js = assemble_ghost_surface(mesh, topo, dofmap, PARAMS)
+        pieces = ghost_pieces(CutQuadrature(mesh, dls, topo), dofmap)
+        jb = ghost_bulk(pieces, PARAMS)
+        js = ghost_surface(pieces, PARAMS)
         scale = max(np.abs(jb).max(), np.abs(js).max())
         worst_forms = max(worst_forms, abs(ui @ (jb @ ui)) / scale,
                           abs(ui @ (js @ ui)) / scale)

@@ -9,14 +9,11 @@ import pytest
 import cutdg.forms as forms
 from cutdg.exceptions import GeometryError, StructuralError
 from cutdg.experiments import DEFAULT_BOX, mesh_at_level
-from cutdg.forms import (StabilizationParams, assemble_bulk_form,
-                         assemble_coupling_form, assemble_rhs,
-                         assemble_surface_form, assemble_system, energy_gram,
-                         gradient_gram, surface_tangential_gram,
-                         surface_trace_load, surface_trace_mass_gram)
+from cutdg.forms import StabilizationParams
 from cutdg.levelset import (build_cut_topology, check_geometry_assumptions,
                             interpolate_levelset)
 from cutdg.manufactured import build_circle_problem, compute_errors
+from cutdg.quadrature import CutQuadrature
 from cutdg.space import build_spaces, interpolate_pair
 from tests import oracles
 
@@ -32,20 +29,24 @@ def _setup(level, box, problem):
 
 
 def _matrices(mesh, dls, topo, dofmap, problem):
-    args = (mesh, dls, topo, dofmap, PARAMS)
-    system = assemble_system(*args[:4], problem, PARAMS)
-    out = {"bulk": assemble_bulk_form(*args),
-           "surface": assemble_surface_form(*args),
-           "coupling": assemble_coupling_form(*args),
+    """Every form on one fresh CutQuadrature, called through the module
+    so that the monkeypatched oracles are reached."""
+    cq = CutQuadrature(mesh, dls, topo)
+    system = forms.assemble_system(mesh, dls, topo, dofmap, problem, PARAMS)
+    pieces = forms.ghost_pieces(cq, dofmap)
+    out = {"bulk": forms.bulk_form(cq, dofmap, PARAMS),
+           "surface": forms.surface_form(cq, dofmap, PARAMS),
+           "coupling": forms.coupling_form(cq, dofmap, PARAMS),
            "system": system.matrix,
-           "gradient_cut": gradient_gram(*args[:4], "cut"),
-           "tangential": surface_tangential_gram(mesh, topo, dofmap),
-           "trace_mass": surface_trace_mass_gram(mesh, topo, dofmap)}
+           "gradient_cut": forms.gradient_gram(cq, dofmap, "cut"),
+           "tangential": forms.surface_tangential_gram(cq, dofmap),
+           "trace_mass": forms.surface_trace_mass_gram(cq, dofmap)}
     for variant in ("bulk", "surface", "total"):
-        out[f"energy_{variant}"] = energy_gram(*args, variant)
+        out[f"energy_{variant}"] = forms.energy_gram(cq, dofmap, PARAMS,
+                                                     pieces, variant)
     out = {k: (m.data, m.indices, m.indptr) for k, m in out.items()}
     out["system_rhs"] = (system.rhs,)
-    out["rhs"] = (assemble_rhs(*args[:4], problem, PARAMS),)
+    out["rhs"] = (forms.load_vector(cq, dofmap, problem, PARAMS),)
     return out
 
 
@@ -62,15 +63,16 @@ def test_batched_assembly_equals_per_entity_loops(level, box, monkeypatch):
                         oracles.bulk_volume_triplets)
     monkeypatch.setattr(forms, "_segment_triplets", oracles.segment_triplets)
     monkeypatch.setattr(forms, "_edge_triplets", oracles.edge_triplets)
-    monkeypatch.setattr(forms, "_coupling_form", oracles.coupling_form)
-    monkeypatch.setattr(forms, "_rhs", oracles.rhs)
+    monkeypatch.setattr(forms, "coupling_form", oracles.coupling_form)
+    monkeypatch.setattr(forms, "load_vector", oracles.load_vector)
     reference = _matrices(mesh, dls, topo, dofmap, problem)
     for key, arrays in reference.items():
         for ref, new in zip(arrays, batched[key]):
             assert np.array_equal(ref, new), key
 
-    assert np.array_equal(surface_trace_load(mesh, topo, dofmap),
-                          oracles.surface_trace_load(mesh, topo, dofmap))
+    assert np.array_equal(
+        forms.surface_trace_load(CutQuadrature(mesh, dls, topo), dofmap),
+        oracles.surface_trace_load(mesh, topo, dofmap))
     exact = interpolate_pair(dofmap, mesh, problem.u_bulk,
                              problem.u_surf_ext)
     coeffs = exact + 1e-3 * np.sin(np.arange(dofmap.ndof))
@@ -88,7 +90,7 @@ def test_empty_cut_rule_raises():
     dofmap = build_spaces(mesh, bad)
     with pytest.raises(StructuralError,
                        match=f"active element {outside} has an empty cut"):
-        assemble_bulk_form(mesh, dls, bad, dofmap, PARAMS)
+        forms.bulk_form(CutQuadrature(mesh, dls, bad), dofmap, PARAMS)
 
 
 def test_degenerate_segment_in_topology_raises():
@@ -98,11 +100,12 @@ def test_degenerate_segment_in_topology_raises():
     points[3, 1] = points[3, 0]
     bad = dataclasses.replace(
         topo, surface=dataclasses.replace(topo.surface, points=points))
-    for assemble in (assemble_surface_form, assemble_coupling_form):
+    for assemble in (forms.surface_form, forms.coupling_form):
         with pytest.raises(StructuralError, match="degenerate surface segment"):
-            assemble(mesh, dls, bad, dofmap, PARAMS)
+            assemble(CutQuadrature(mesh, dls, bad), dofmap, PARAMS)
     with pytest.raises(StructuralError, match="degenerate surface segment"):
-        assemble_rhs(mesh, dls, bad, dofmap, problem, PARAMS)
+        forms.load_vector(CutQuadrature(mesh, dls, bad), dofmap, problem,
+                          PARAMS)
 
 
 def test_surface_data_outside_validity_radius_raises_geometry_error():
@@ -114,7 +117,8 @@ def test_surface_data_outside_validity_radius_raises_geometry_error():
         problem, geometry=dataclasses.replace(problem.geometry,
                                               validity_radius=1e-6))
     with pytest.raises(GeometryError, match="validity radius"):
-        assemble_rhs(mesh, dls, topo, dofmap, narrow, PARAMS)
+        forms.load_vector(CutQuadrature(mesh, dls, topo), dofmap, narrow,
+                          PARAMS)
     with pytest.raises(GeometryError, match="validity radius"):
         check_geometry_assumptions(narrow.geometry, topo)
     assert issubclass(GeometryError, ValueError)

@@ -1,7 +1,9 @@
 import pytest
 
+from cutdg import cli
 from cutdg.cli import main, read_config_file
-from cutdg.experiments import CONVERGENCE_HEADER
+from cutdg.experiments import CONVERGENCE_HEADER, StudyReport
+from cutdg.forms import StabilizationParams
 
 
 def test_convergence_subcommand_writes_csv(tmp_path, capsys):
@@ -77,7 +79,38 @@ def test_properties_subcommand(tmp_path, capsys):
     assert "coercivity[full]" in capsys.readouterr().out
 
 
-def test_invalid_arguments_exit_nonzero():
+def test_invalid_arguments_exit_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["condition-sweep", "--config", "bogus"])
     assert main(["convergence", "--levels", "1"]) == 2
+    capsys.readouterr()
+    # a one-cell start mesh has no cut element: a typed CutDGError
+    for argv in (["convergence", "--levels", "3"],
+                 ["geometry-check", "--levels", "3"],
+                 ["condition-sweep", "--level", "0", "--positions", "2"]):
+        assert main(argv + ["--n0", "1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: surface misses the background box")
+
+
+@pytest.mark.parametrize("command,study", [
+    ("convergence", "run_convergence"),
+    ("condition-sweep", "run_condition_sweep"),
+    ("properties", "run_property_suite")])
+def test_penalty_flags_default_to_the_stabilization_params(
+        command, study, monkeypatch):
+    seen = []
+
+    def fake(**kwargs):
+        seen.append(kwargs["params"])
+        return StudyReport()
+
+    monkeypatch.setattr(cli, study, fake)
+    assert main([command]) == 0
+    assert main([command, "--gamma-bulk", "1", "--gamma-surf", "2",
+                 "--mu-bulk", "3", "--mu-surf", "4", "--tau-bulk", "5",
+                 "--tau-surf", "6"]) == 0
+    assert seen == [StabilizationParams(),
+                    StabilizationParams(gamma_bulk=1.0, gamma_surf=2.0,
+                                        mu_bulk=3.0, mu_surf=4.0,
+                                        tau_bulk=5.0, tau_surf=6.0)]

@@ -11,13 +11,11 @@ from cutdg.experiments import (CONDITION_HEADER, CONVERGENCE_HEADER,
                                run_condition_sweep, run_convergence,
                                run_geometry_check, run_property_suite,
                                sweep_weights)
-from cutdg.forms import (AssembledSystem, StabilizationParams,
-                         assemble_bulk_form, assemble_coupling_form,
-                         assemble_ghost_bulk, assemble_ghost_surface,
-                         assemble_surface_form, energy_gram,
-                         ghost_penalty_pieces, gradient_gram,
-                         surface_element_mass_gram, surface_tangential_gram,
-                         surface_trace_load)
+from cutdg.forms import (AssembledSystem, StabilizationParams, bulk_form,
+                         coupling_form, energy_gram, ghost_bulk, ghost_pieces,
+                         ghost_surface, gradient_gram,
+                         surface_element_mass_gram, surface_form,
+                         surface_tangential_gram, surface_trace_load)
 from cutdg.levelset import (build_cut_topology, circle_levelset,
                             interpolate_levelset, surface_length)
 from cutdg.quadrature import CutQuadrature
@@ -241,25 +239,30 @@ def _inline_extremes(a, b):
 
 def _per_call_constants(mesh, delta, params, seed, n_random):
     """The property constants at one position, every Gram built by its
-    public function, every pencil deflated on its own and every
-    configuration drawing its own Poincare fields one at a time."""
+    public function on a fresh CutQuadrature, every pencil deflated on
+    its own and every configuration drawing its own Poincare fields one at
+    a time."""
     ls = circle_levelset(center=delta * np.asarray(mesh.cell))
     dls = interpolate_levelset(ls, mesh)
     topo = build_cut_topology(mesh, dls)
     dofmap = build_spaces(mesh, topo)
-    args = (mesh, dls, topo, dofmap, params)
-    base = (params.c_bulk * assemble_bulk_form(*args)
-            + params.c_surf * assemble_surface_form(*args)
-            + assemble_coupling_form(*args))
-    pieces = ghost_penalty_pieces(mesh, topo, dofmap)
-    ghost_bulk = assemble_ghost_bulk(mesh, topo, dofmap, params)
-    ghost_surf = assemble_ghost_surface(mesh, topo, dofmap, params)
-    gram_total = energy_gram(*args, "total")
-    grad_active = gradient_gram(mesh, dls, topo, dofmap, "active")
-    grad_cut = gradient_gram(mesh, dls, topo, dofmap, "cut")
-    mass = surface_element_mass_gram(mesh, topo, dofmap)
-    load = surface_trace_load(mesh, topo, dofmap)
-    tangent = surface_tangential_gram(mesh, topo, dofmap)
+
+    def cq():
+        return CutQuadrature(mesh, dls, topo)
+
+    base = (params.c_bulk * bulk_form(cq(), dofmap, params)
+            + params.c_surf * surface_form(cq(), dofmap, params)
+            + coupling_form(cq(), dofmap, params))
+    pieces = ghost_pieces(cq(), dofmap)
+    bulk_ghost = ghost_bulk(ghost_pieces(cq(), dofmap), params)
+    surf_ghost = ghost_surface(ghost_pieces(cq(), dofmap), params)
+    gram_total = energy_gram(cq(), dofmap, params,
+                             ghost_pieces(cq(), dofmap), "total")
+    grad_active = gradient_gram(cq(), dofmap, "active")
+    grad_cut = gradient_gram(cq(), dofmap, "cut")
+    mass = surface_element_mass_gram(cq(), dofmap)
+    load = surface_trace_load(cq(), dofmap)
+    tangent = surface_tangential_gram(cq(), dofmap)
     out = {}
     for config in PROPERTY_CONFIGS:
         mu_b, tau_b, mu_s, tau_s = sweep_weights(
@@ -271,11 +274,11 @@ def _per_call_constants(mesh, delta, params, seed, n_random):
                   ).tocsr()
         out[("coercivity", config)] = _inline_extremes(matrix, gram_total)[0]
         rhs = grad_cut if config == "no-bulk-ghost" \
-            else (grad_cut + ghost_bulk).tocsr()
+            else (grad_cut + bulk_ghost).tocsr()
         out[("bulk_norm_equivalence", config)] = \
             _inline_extremes(grad_active, rhs)[1]
         den_matrix = tangent if config == "no-surface-ghost" \
-            else (tangent + ghost_surf).tocsr()
+            else (tangent + surf_ghost).tocsr()
         rng = np.random.default_rng(seed)
         ones = np.zeros(dofmap.ndof)
         ones[dofmap.n_bulk:] = 1.0

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from cutdg.forms import (StabilizationParams, assemble_bulk_form,
-                         assemble_coupling_form, assemble_ghost_bulk,
-                         assemble_ghost_surface, assemble_rhs,
-                         assemble_surface_form, assemble_system,
-                         energy_gram, ghost_penalty_pieces,
+from cutdg.forms import (StabilizationParams, assemble_system, bulk_form,
+                         coupling_form, energy_gram, ghost_bulk, ghost_pieces,
+                         ghost_surface, load_vector, surface_form,
                          surface_tangential_gram, surface_trace_mass_gram)
 from cutdg.levelset import (DiscreteLevelSet, build_cut_topology,
                             circle_levelset, interpolate_levelset,
@@ -13,9 +11,10 @@ from cutdg.levelset import (DiscreteLevelSet, build_cut_topology,
 from cutdg.manufactured import build_circle_problem
 from cutdg.mesh import BackgroundMesh, build_structured_mesh, \
     face_connectivity, refine_uniform
-from cutdg.quadrature import clip_element_rule
+from cutdg.quadrature import CutQuadrature
 from cutdg.solver import solve
 from cutdg.space import build_spaces, interpolate_nodal, interpolate_pair
+from tests.oracles import clip_element_rule
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
 PARAMS = StabilizationParams()
@@ -36,6 +35,12 @@ def _uncut_pair():
     return mesh, dls, topo, build_spaces(mesh, topo)
 
 
+def _ghosts(mesh, dls, topo, dofmap):
+    """Bulk and surface ghost penalties at the default weights."""
+    pieces = ghost_pieces(CutQuadrature(mesh, dls, topo), dofmap)
+    return ghost_bulk(pieces, PARAMS), ghost_surface(pieces, PARAMS)
+
+
 def _cut_volume(mesh, dls, topo, f, degree=4):
     total = 0.0
     for e in topo.active_bulk:
@@ -48,7 +53,7 @@ def _cut_volume(mesh, dls, topo, f, degree=4):
 
 def test_bulk_form_constant_gives_cut_area():
     mesh, dls, topo, dofmap = _circle_setup()
-    a = assemble_bulk_form(mesh, dls, topo, dofmap, PARAMS)
+    a = bulk_form(CutQuadrature(mesh, dls, topo), dofmap, PARAMS)
     ones = np.zeros(dofmap.ndof)
     ones[:dofmap.n_bulk] = 1.0
     area = _cut_volume(mesh, dls, topo, lambda p: np.ones(len(p)))
@@ -57,7 +62,7 @@ def test_bulk_form_constant_gives_cut_area():
 
 def test_bulk_form_linear_matches_clip_integration():
     mesh, dls, topo, dofmap = _circle_setup()
-    a = assemble_bulk_form(mesh, dls, topo, dofmap, PARAMS)
+    a = bulk_form(CutQuadrature(mesh, dls, topo), dofmap, PARAMS)
     vx = interpolate_pair(dofmap, mesh, lambda p: p[..., 0],
                           lambda p: np.zeros(p.shape[:-1]))
     expected = _cut_volume(mesh, dls, topo,
@@ -76,7 +81,7 @@ def _simpson_line(f, pa, pb):
 
 def test_uncut_pair_reproduces_hand_assembled_sip_matrix():
     mesh, dls, topo, dofmap = _uncut_pair()
-    a = assemble_bulk_form(mesh, dls, topo, dofmap, PARAMS).toarray()
+    a = bulk_form(CutQuadrature(mesh, dls, topo), dofmap, PARAMS).toarray()
     h = mesh.h
     gamma = PARAMS.gamma_bulk
 
@@ -133,7 +138,7 @@ def test_uncut_pair_reproduces_hand_assembled_sip_matrix():
 
 def test_surface_form_constant_gives_surface_length():
     mesh, dls, topo, dofmap = _circle_setup()
-    a = assemble_surface_form(mesh, dls, topo, dofmap, PARAMS)
+    a = surface_form(CutQuadrature(mesh, dls, topo), dofmap, PARAMS)
     ones = np.zeros(dofmap.ndof)
     ones[dofmap.n_bulk:] = 1.0
     assert ones @ (a @ ones) == pytest.approx(surface_length(topo), rel=1e-12)
@@ -145,7 +150,7 @@ def test_tangential_stiffness_on_straight_surface():
     dls = interpolate_levelset(ls, mesh)
     topo = build_cut_topology(mesh, dls)
     dofmap = build_spaces(mesh, topo)
-    g = surface_tangential_gram(mesh, topo, dofmap)
+    g = surface_tangential_gram(CutQuadrature(mesh, dls, topo), dofmap)
     vx = np.zeros(dofmap.ndof)
     vx[dofmap.n_bulk:] = interpolate_nodal(dofmap.surface, mesh,
                                            lambda p: p[..., 0])
@@ -154,9 +159,9 @@ def test_tangential_stiffness_on_straight_surface():
 
 def test_continuous_linear_kills_edge_terms():
     mesh, dls, topo, dofmap = _circle_setup()
-    a = assemble_surface_form(mesh, dls, topo, dofmap, PARAMS)
-    smooth = surface_tangential_gram(mesh, topo, dofmap) \
-        + surface_trace_mass_gram(mesh, topo, dofmap)
+    a = surface_form(CutQuadrature(mesh, dls, topo), dofmap, PARAMS)
+    smooth = surface_tangential_gram(CutQuadrature(mesh, dls, topo), dofmap) \
+        + surface_trace_mass_gram(CutQuadrature(mesh, dls, topo), dofmap)
     v = np.zeros(dofmap.ndof)
     v[dofmap.n_bulk:] = interpolate_nodal(
         dofmap.surface, mesh, lambda p: 0.4 + p[..., 0] - 2.0 * p[..., 1])
@@ -165,7 +170,7 @@ def test_continuous_linear_kills_edge_terms():
 
 def test_coupling_form_values():
     mesh, dls, topo, dofmap = _circle_setup()
-    c = assemble_coupling_form(mesh, dls, topo, dofmap, PARAMS)
+    c = coupling_form(CutQuadrature(mesh, dls, topo), dofmap, PARAMS)
     length = surface_length(topo)
     bulk_one = np.zeros(dofmap.ndof)
     bulk_one[:dofmap.n_bulk] = 1.0
@@ -192,12 +197,11 @@ def test_ghost_single_face_closed_forms():
     mesh, dls, topo, dofmap = _single_ghost_face_setup()
     assert topo.bulk_ghost_faces.size == 1
     length = np.sqrt(2.0)
-    jb = assemble_ghost_bulk(mesh, topo, dofmap, PARAMS)
+    jb, js = _ghosts(mesh, dls, topo, dofmap)
     v = np.zeros(dofmap.ndof)
     v[dofmap.bulk.element_dofs(0)] = 1.0  # one on element 0, zero elsewhere
     assert v @ (jb @ v) == pytest.approx(
         PARAMS.mu_bulk / mesh.h * length, rel=1e-12)
-    js = assemble_ghost_surface(mesh, topo, dofmap, PARAMS)
     w = np.zeros(dofmap.ndof)
     w[dofmap.surface.element_dofs(0)] = 1.0
     assert w @ (js @ w) == pytest.approx(
@@ -213,7 +217,7 @@ def test_surface_ghost_weight_scales_with_refinement():
                                snap_tol=1e-10)
         topo = build_cut_topology(mesh, dls)
         dofmap = build_spaces(mesh, topo)
-        js = assemble_ghost_surface(mesh, topo, dofmap, PARAMS)
+        js = _ghosts(mesh, dls, topo, dofmap)[1]
         v = np.zeros(dofmap.ndof)
         v[dofmap.surface.element_dofs(0)] = 1.0
         return v @ (js @ v), mesh.h
@@ -229,8 +233,7 @@ def test_surface_ghost_weight_scales_with_refinement():
 
 def test_ghost_vanishes_on_affine_fields():
     mesh, dls, topo, dofmap = _circle_setup()
-    jb = assemble_ghost_bulk(mesh, topo, dofmap, PARAMS)
-    js = assemble_ghost_surface(mesh, topo, dofmap, PARAMS)
+    jb, js = _ghosts(mesh, dls, topo, dofmap)
     lin = lambda p: 0.3 - 1.7 * p[..., 0] + 0.9 * p[..., 1]
     v = interpolate_pair(dofmap, mesh, lin, lin)
     scale = max(np.abs(jb).max(), np.abs(js).max())
@@ -241,7 +244,7 @@ def test_ghost_vanishes_on_affine_fields():
 def test_ghost_empty_without_cut_elements():
     mesh, dls, topo, dofmap = _uncut_pair()
     assert topo.bulk_ghost_faces.size == 0
-    jb = assemble_ghost_bulk(mesh, topo, dofmap, PARAMS)
+    jb = _ghosts(mesh, dls, topo, dofmap)[0]
     assert jb.nnz == 0 or np.abs(jb.toarray()).max() == 0.0
 
 
@@ -250,7 +253,7 @@ def test_rhs_partition_of_unity_sums():
     problem = build_circle_problem()
     one = lambda p: np.ones(p.shape[:-1])
     fake = type(problem)(**{**problem.__dict__, "f_bulk": one, "f_surf": one})
-    b = assemble_rhs(mesh, dls, topo, dofmap, fake, PARAMS)
+    b = load_vector(CutQuadrature(mesh, dls, topo), dofmap, fake, PARAMS)
     area = _cut_volume(mesh, dls, topo, lambda p: np.ones(len(p)), degree=2)
     assert b[:dofmap.n_bulk].sum() == pytest.approx(area, rel=1e-12)
     assert b[dofmap.n_bulk:].sum() == pytest.approx(surface_length(topo),
@@ -263,7 +266,7 @@ def test_rhs_interior_element_load_oracle():
     fx = lambda p: p[..., 0]
     fake = type(problem)(**{**problem.__dict__, "f_bulk": fx,
                             "f_surf": lambda p: np.zeros(p.shape[:-1])})
-    b = assemble_rhs(mesh, dls, topo, dofmap, fake, PARAMS)
+    b = load_vector(CutQuadrature(mesh, dls, topo), dofmap, fake, PARAMS)
     # pick a fully interior element; the exact P1 load of f = x on a
     # triangle is area/12 * (2 x_i + x_j + x_k) for each vertex i
     vals = dls.values[mesh.elements[topo.active_bulk]]
@@ -288,7 +291,7 @@ def test_system_symmetry_and_additivity():
     # ablation switch honored: the system is an additive combination
     ablated = StabilizationParams(mu_surf=0.0, tau_bulk=0.0, tau_surf=0.0)
     sys_abl = assemble_system(mesh, dls, topo, dofmap, problem, ablated)
-    pieces = ghost_penalty_pieces(mesh, topo, dofmap)
+    pieces = ghost_pieces(CutQuadrature(mesh, dls, topo), dofmap)
     rebuilt = (sys_abl.matrix
                + PARAMS.tau_bulk * pieces["bulk_gradient"]
                + PARAMS.mu_surf * pieces["surface_value"]
@@ -310,12 +313,14 @@ def test_system_positive_definite_at_defaults():
 
 def test_energy_gram_values_and_psd():
     mesh, dls, topo, dofmap = _circle_setup(6)
-    g_bulk = energy_gram(mesh, dls, topo, dofmap, PARAMS, "bulk")
+    cq = CutQuadrature(mesh, dls, topo)
+    pieces = ghost_pieces(cq, dofmap)
+    g_bulk = energy_gram(cq, dofmap, PARAMS, pieces, "bulk")
     ones_bulk = np.zeros(dofmap.ndof)
     ones_bulk[:dofmap.n_bulk] = 1.0
     area = _cut_volume(mesh, dls, topo, lambda p: np.ones(len(p)), degree=2)
     assert ones_bulk @ (g_bulk @ ones_bulk) == pytest.approx(area, rel=1e-12)
-    g_total = energy_gram(mesh, dls, topo, dofmap, PARAMS, "total")
+    g_total = energy_gram(cq, dofmap, PARAMS, pieces, "total")
     both = np.ones(dofmap.ndof)
     expect = area + surface_length(topo)  # coupling part vanishes for (1, 1)
     assert both @ (g_total @ both) == pytest.approx(expect, rel=1e-12)
@@ -384,7 +389,8 @@ def test_galerkin_energy_error_decreases():
         u = solve(system)
         ui = interpolate_pair(dofmap, mesh, problem.u_bulk,
                               problem.u_surf_ext)
-        g = energy_gram(mesh, dls, topo, dofmap, PARAMS, "total")
+        cq = CutQuadrature(mesh, dls, topo)
+        g = energy_gram(cq, dofmap, PARAMS, ghost_pieces(cq, dofmap), "total")
         d = u - ui
         energies.append(np.sqrt(d @ (g @ d)))
         mesh = refine_uniform(mesh)

@@ -4,10 +4,11 @@ import pytest
 from cutdg.exceptions import StructuralError
 from cutdg.levelset import circle_levelset, interpolate_levelset
 from cutdg.mesh import build_structured_mesh, refine_uniform
-from cutdg.quadrature import (clip_element_rule, clip_element_rules,
-                              negative_polygon, segment_rules,
-                              surface_segment_rule, triangle_reference_rule)
-from tests.oracles import cut_monomial_pairs, random_cut_triangles
+from cutdg.quadrature import (clip_element_rules, segment_rules,
+                              triangle_reference_rule)
+from tests.oracles import (clip_element_rule, cut_monomial_pairs,
+                           negative_polygon, random_cut_triangles,
+                           surface_segment_rule)
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 BOX = ((-1.1, -1.1), (1.1, 1.1))

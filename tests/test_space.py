@@ -3,10 +3,10 @@ import pytest
 
 from cutdg.levelset import circle_levelset, interpolate_levelset, \
     build_cut_topology
-from cutdg.mesh import build_structured_mesh
-from cutdg.space import (build_spaces, element_gradients,
-                         evaluate_basis, interpolate_nodal, interpolate_pair,
+from cutdg.mesh import build_structured_mesh, element_gradients
+from cutdg.space import (build_spaces, interpolate_nodal, interpolate_pair,
                          levelset_null_basis, prolongation)
+from tests.oracles import evaluate_basis
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 BOX = ((-1.1, -1.1), (1.1, 1.1))
@@ -65,8 +65,7 @@ def test_interpolation_reproduces_constants_and_linears():
     lin = interpolate_nodal(dofmap.bulk, mesh,
                             lambda p: 1.0 + 2.0 * p[..., 0] - p[..., 1])
     # zero jumps in value and gradient across every active face
-    from cutdg.space import all_element_gradients
-    grads_all = all_element_gradients(mesh)
+    grads_all = element_gradients(mesh.vertices[mesh.elements])
     coeffs = lin.reshape(-1, 3)
     for f in topo.bulk_faces:
         ep, em = mesh.face_elements[f]
@@ -85,8 +84,7 @@ def test_quadratic_interpolant_has_gradient_jumps():
     # two cells side by side: the interpolant of x^2 kinks across x = 1
     mesh = build_structured_mesh(((0.0, 0.0), (2.0, 1.0)), 2)
     # pick the vertical face at x = 1 between cells
-    from cutdg.space import all_element_gradients
-    grads_all = all_element_gradients(mesh)
+    grads_all = element_gradients(mesh.vertices[mesh.elements])
     fid = None
     for f in range(mesh.n_faces):
         pa, pb = mesh.vertices[mesh.face_vertices[f]]
