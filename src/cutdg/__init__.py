@@ -6,12 +6,13 @@ from .exceptions import (ConfigurationError, CutDGError,
                          StructuralError)
 from .forms import (AssembledSystem, StabilizationParams, assemble_system,
                     bulk_form, coupling_form, energy_gram, ghost_bulk,
-                    ghost_pieces, ghost_surface, load_vector, surface_form)
+                    ghost_pieces, ghost_surface, load_vector, stabilized,
+                    surface_form)
 from .levelset import (CutTopology, DiscreteLevelSet, LevelSet,
                        build_cut_topology, check_geometry_assumptions,
-                       circle_levelset, classify_elements,
-                       closest_point_circle, extract_surface_segments,
-                       interpolate_levelset, line_levelset, surface_length)
+                       circle_levelset, closest_point_circle,
+                       extract_surface_segments, interpolate_levelset,
+                       line_levelset, surface_length)
 from .manufactured import (ErrorReport, ManufacturedProblem,
                            build_affine_problem, build_circle_problem,
                            compute_errors, eoc)

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import sys
 
 from .exceptions import CutDGError
-from .experiments import (DEFAULT_N0, SWEEP_CONFIGS, StudyReport,
-                          run_condition_sweep, run_convergence,
-                          run_geometry_check, run_property_suite)
+from .experiments import (SWEEP_CONFIGS, StudyReport, run_condition_sweep,
+                          run_convergence, run_geometry_check,
+                          run_property_suite)
 from .forms import StabilizationParams
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
@@ -78,6 +79,25 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 _PARAM_DEFAULTS = {f.name: f.default
                    for f in dataclasses.fields(StabilizationParams)
                    if f.name not in ("c_bulk", "c_surf")}
+
+
+def _defaults(study, *names) -> dict:
+    """The defaults of the keyword arguments ``names`` of ``study``."""
+    parameters = inspect.signature(study).parameters
+    return {name: parameters[name].default for name in names}
+
+
+# each subcommand's flags default to the keyword defaults of its study
+_STUDY_DEFAULTS = {
+    "convergence": {**_defaults(run_convergence, "levels", "n0",
+                                "ablate_ghost"), **_PARAM_DEFAULTS},
+    "condition-sweep": {**_defaults(run_condition_sweep, "level", "positions",
+                                    "n0"), **_PARAM_DEFAULTS},
+    "geometry-check": _defaults(run_geometry_check, "levels", "n0"),
+    "properties": {**_defaults(run_property_suite, "level", "positions",
+                               "n0"), **_PARAM_DEFAULTS},
+}
+_SWEEP_CONFIGS_DEFAULT = _defaults(run_condition_sweep, "configs")["configs"]
 
 
 def _params_from(resolved: dict) -> StabilizationParams:
@@ -171,20 +191,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        resolved = _resolve(args, _STUDY_DEFAULTS[args.command])
         if args.command == "convergence":
-            resolved = _resolve(args, {"levels": 5, "n0": DEFAULT_N0,
-                                       "ablate_ghost": False,
-                                       **_PARAM_DEFAULTS})
             report = run_convergence(levels=resolved["levels"],
                                      n0=resolved["n0"],
                                      params=_params_from(resolved),
                                      ablate_ghost=resolved["ablate_ghost"])
             _print_convergence(report)
         elif args.command == "condition-sweep":
-            defaults = {"level": 1, "positions": 101, "n0": DEFAULT_N0,
-                        **_PARAM_DEFAULTS}
-            resolved = _resolve(args, defaults)
-            configs = tuple(args.config) if args.config else SWEEP_CONFIGS
+            configs = tuple(args.config) if args.config \
+                else _SWEEP_CONFIGS_DEFAULT
             report = run_condition_sweep(level=resolved["level"],
                                          positions=resolved["positions"],
                                          n0=resolved["n0"],
@@ -192,20 +208,15 @@ def main(argv=None) -> int:
                                          configs=configs)
             _print_condition(report)
         elif args.command == "geometry-check":
-            resolved = _resolve(args, {"levels": 4, "n0": DEFAULT_N0})
             report = run_geometry_check(levels=resolved["levels"],
                                         n0=resolved["n0"])
             _print_geometry(report)
-        elif args.command == "properties":
-            resolved = _resolve(args, {"level": 0, "positions": 101,
-                                       "n0": DEFAULT_N0, **_PARAM_DEFAULTS})
+        else:  # properties; argparse enforces the choices
             report = run_property_suite(level=resolved["level"],
                                         positions=resolved["positions"],
                                         n0=resolved["n0"],
                                         params=_params_from(resolved))
             _print_properties(report)
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.command!r}")
     except (ValueError, OSError, CutDGError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,9 +13,9 @@ from functools import cached_property
 import numpy as np
 
 from .exceptions import DegenerateMatrixError, SolverError
-from .forms import (AssembledSystem, StabilizationParams, assemble_system,
-                    bulk_form, coupling_form, energy_gram, ghost_bulk,
-                    ghost_pieces, ghost_surface, gradient_gram,
+from .forms import (StabilizationParams, assemble_system, bulk_form,
+                    coupling_form, energy_gram, ghost_bulk, ghost_pieces,
+                    ghost_surface, gradient_gram, stabilized,
                     surface_element_mass_gram, surface_form,
                     surface_tangential_gram, surface_trace_load)
 from .levelset import (build_cut_topology, check_geometry_assumptions,
@@ -37,7 +37,11 @@ PROPERTY_BOX = ((-1.4, -1.4), (1.4, 1.4))
 DEFAULT_N0 = 8
 SENTINEL_KAPPA = 1e300
 SENTINEL_ERROR = 1e300
-SWEEP_CONFIGS = ("full", "no-surface", "no-bulk", "none")
+# the ghost weights each sweep configuration switches off
+SWEEP_GHOSTS_OFF = {"full": (), "no-surface": ("mu_surf", "tau_surf"),
+                    "no-bulk": ("mu_bulk", "tau_bulk"),
+                    "none": ("mu_bulk", "tau_bulk", "mu_surf", "tau_surf")}
+SWEEP_CONFIGS = tuple(SWEEP_GHOSTS_OFF)
 PROPERTY_CONFIGS = ("full", "no-bulk-ghost", "no-surface-ghost")
 # the sweep configuration whose matrix each property configuration uses
 PROPERTY_SWEEP_CONFIG = {"full": "full", "no-bulk-ghost": "no-bulk",
@@ -67,17 +71,13 @@ def ablated_params(params: StabilizationParams) -> StabilizationParams:
     return replace(params, mu_surf=0.0, tau_bulk=0.0, tau_surf=0.0)
 
 
-def sweep_weights(params: StabilizationParams, config: str):
-    """(mu_bulk, tau_bulk, mu_surf, tau_surf) of a sweep configuration."""
-    if config == "full":
-        return params.mu_bulk, params.tau_bulk, params.mu_surf, params.tau_surf
-    if config == "no-surface":
-        return params.mu_bulk, params.tau_bulk, 0.0, 0.0
-    if config == "no-bulk":
-        return 0.0, 0.0, params.mu_surf, params.tau_surf
-    if config == "none":
-        return 0.0, 0.0, 0.0, 0.0
-    raise ValueError(f"unknown sweep configuration {config!r}")
+def config_params(params: StabilizationParams,
+                  config: str) -> StabilizationParams:
+    """``params`` with the ghost weights that the sweep configuration
+    ``config`` switches off set to zero."""
+    if config not in SWEEP_GHOSTS_OFF:
+        raise ValueError(f"unknown sweep configuration {config!r}")
+    return replace(params, **dict.fromkeys(SWEEP_GHOSTS_OFF[config], 0.0))
 
 
 def _fmt(x) -> str:
@@ -146,8 +146,7 @@ class StudyReport:
 
 def run_convergence(levels: int = 5, n0: int = DEFAULT_N0,
                     params: StabilizationParams | None = None,
-                    ablate_ghost: bool = False,
-                    box=DEFAULT_BOX) -> StudyReport:
+                    ablate_ghost: bool = False) -> StudyReport:
     """Manufactured-solution refinement study on the unit-circle geometry.
 
     Solves on ``levels`` successive refinements, records the four error
@@ -165,7 +164,7 @@ def run_convergence(levels: int = 5, n0: int = DEFAULT_N0,
     report = StudyReport()
     prev_errors = None
     for level in range(levels):
-        mesh = mesh_at_level(level, n0, box)
+        mesh = mesh_at_level(level, n0)
         dls = interpolate_levelset(ls, mesh)
         topo = build_cut_topology(mesh, dls)
         dofmap = build_spaces(mesh, topo)
@@ -196,8 +195,8 @@ class SurfaceState:
     """The unit circle translated along the diagonal by delta grid cells of
     ``mesh``, with what the studies share at that position: the discrete
     level set, cut topology, dof map and one CutQuadrature, and, built on
-    first use, the unit ghost pieces, the base matrix, the level-set null
-    basis and the deflated energy Gram."""
+    first use, the unit ghost pieces, the unweighted forms, the level-set
+    null basis and the deflated energy Gram."""
 
     def __init__(self, mesh, delta: float, params: StabilizationParams):
         ls = circle_levelset(center=delta * np.asarray(mesh.cell), radius=1.0)
@@ -212,12 +211,12 @@ class SurfaceState:
         return ghost_pieces(self.cq, self.dofmap)
 
     @cached_property
-    def base(self):
-        """System matrix without ghost penalties."""
+    def forms(self) -> tuple:
+        """The bulk, surface and coupling forms that ``stabilized``
+        weights."""
         cq, dofmap, p = self.cq, self.dofmap, self.params
-        return (p.c_bulk * bulk_form(cq, dofmap, p)
-                + p.c_surf * surface_form(cq, dofmap, p)
-                + coupling_form(cq, dofmap, p))
+        return (bulk_form(cq, dofmap, p), surface_form(cq, dofmap, p),
+                coupling_form(cq, dofmap, p))
 
     @cached_property
     def null_basis(self):
@@ -227,17 +226,12 @@ class SurfaceState:
     def energy_basis(self):
         """``deflated_gram_basis`` of the fully stabilized energy Gram."""
         return deflated_gram_basis(energy_gram(
-            self.cq, self.dofmap, self.params, self.pieces, "total"))
+            self.cq, self.dofmap, self.params, self.pieces))
 
     def matrix(self, config: str):
         """System matrix of one of ``SWEEP_CONFIGS``."""
-        mu_b, tau_b, mu_s, tau_s = sweep_weights(self.params, config)
-        p, g = self.params, self.pieces
-        return (self.base
-                + p.c_bulk * (mu_b * g["bulk_value"]
-                              + tau_b * g["bulk_gradient"])
-                + p.c_surf * (mu_s * g["surface_value"]
-                              + tau_s * g["surface_gradient"])).tocsr()
+        return stabilized(*self.forms, self.pieces,
+                          config_params(self.params, config))
 
     def coercivity(self, config: str) -> float:
         """Smallest generalized eigenvalue of the matrix of one of
@@ -275,12 +269,10 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
     for delta in np.linspace(0.0, 1.0, positions):
         state = SurfaceState(mesh, delta, params)
         for config in configs:
-            system = AssembledSystem(
-                matrix=state.matrix(config), rhs=np.zeros(state.dofmap.ndof),
-                dofmap=state.dofmap, params=params, h=mesh.h)
             try:
                 kappa, lam_min, lam_max, nullity = condition_number(
-                    rescaled_matrix(system), state.null_basis)
+                    rescaled_matrix(state.matrix(config), state.dofmap.n_bulk,
+                                    mesh.h), state.null_basis)
             except DegenerateMatrixError:
                 kappa, lam_min, lam_max = SENTINEL_KAPPA, 0.0, 0.0
                 nullity = None
@@ -300,9 +292,7 @@ def fit_slope(h_values, quantities) -> float:
     return float(np.polyfit(np.log(h_values), np.log(quantities), 1)[0])
 
 
-def run_geometry_check(levels: int = 4, n0: int = DEFAULT_N0,
-                       samples_per_segment: int = 8,
-                       box=DEFAULT_BOX) -> StudyReport:
+def run_geometry_check(levels: int = 4, n0: int = DEFAULT_N0) -> StudyReport:
     """Per-level sup of |rho| on the discrete surface and of the normal
     deviation, plus the discrete surface length (kept on the report for
     the length-convergence check)."""
@@ -311,11 +301,10 @@ def run_geometry_check(levels: int = 4, n0: int = DEFAULT_N0,
     ls = circle_levelset()
     report = StudyReport()
     for level in range(levels):
-        mesh = mesh_at_level(level, n0, box)
+        mesh = mesh_at_level(level, n0)
         dls = interpolate_levelset(ls, mesh)
         topo = build_cut_topology(mesh, dls)
-        sup_dist, sup_dev = check_geometry_assumptions(ls, topo,
-                                                       samples_per_segment)
+        sup_dist, sup_dev = check_geometry_assumptions(ls, topo)
         report.geometry_rows.append({"level": level, "sup_dist": sup_dist,
                                      "sup_normal_dev": sup_dev})
         report.geometry_lengths.append(surface_length(topo))
@@ -379,13 +368,6 @@ def _contrast_vs_full(ablated: np.ndarray, full: np.ndarray) -> float:
         return np.inf
     ratio = np.maximum(ablated / full, full / ablated)
     return float(ratio.max())
-
-
-def coercivity_at(mesh, delta: float, params: StabilizationParams,
-                  config: str) -> float:
-    """Coercivity constant of the property suite at one surface position
-    delta (in grid cells of ``mesh``), for one of ``PROPERTY_CONFIGS``."""
-    return SurfaceState(mesh, delta, params).coercivity(config)
 
 
 def run_property_suite(level: int = 0, positions: int = 101,

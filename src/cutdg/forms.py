@@ -66,7 +66,6 @@ class AssembledSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     dofmap: CombinedDofMap
-    params: StabilizationParams
     h: float
     prolongation: sp.csr_matrix | None = None
 
@@ -201,15 +200,12 @@ def _bulk_volume_triplets(cq: CutQuadrature, space, mass=True):
 # ---------------------------------------------------------------------------
 # surface pieces (segments and their edges)
 
-def _segment_triplets(cq: CutQuadrature, space, mass=True, stiff=True):
-    surf = cq.surface
-    blocks = np.zeros((surf.n_segments, 3, 3))
-    if stiff:
-        g = cq.grads[surf.element]
-        n = surf.normal
-        pg = g - np.matmul(g, n[:, :, None]) * n[:, None, :]
-        blocks += surf.length[:, None, None] * np.matmul(
-            pg, pg.transpose(0, 2, 1))
+def _segment_triplets(cq: CutQuadrature, space, mass=True):
+    surf = cq.topo.surface
+    g = cq.grads[surf.element]
+    n = surf.normal
+    pg = g - np.matmul(g, n[:, :, None]) * n[:, None, :]
+    blocks = surf.length[:, None, None] * np.matmul(pg, pg.transpose(0, 2, 1))
     if mass:
         rules, phi = cq.segments
         blocks += np.einsum("kq,kqi,kqj->kij", rules.weights, phi, phi)
@@ -221,7 +217,7 @@ def _edge_triplets(cq: CutQuadrature, space, gamma, consistency=True):
     pair -({ne.grad v},[w]) - ([v],{ne.grad w}), both with the measure-1
     convention for 2D surface edges. Column 0 of each (edge, 2) array is
     the plus segment."""
-    surf = cq.surface
+    surf = cq.topo.surface
     elements = surf.element[surf.edge_segments]
     tris = cq.mesh.vertices[cq.mesh.elements[elements]].reshape(-1, 3, 2)
     points = np.repeat(surf.edge_point, 2, axis=0)[:, None, :]
@@ -274,7 +270,7 @@ def coupling_form(cq: CutQuadrature, dofmap: CombinedDofMap,
                   params: StabilizationParams) -> sp.csr_matrix:
     """Robin-type coupling (c_b v_b - c_s v_s, c_b w_b - c_s w_s) over the
     discrete surface; positive semidefinite by construction."""
-    elements = cq.surface.element
+    elements = cq.topo.surface.element
     rules, phi = cq.segments
     r = np.concatenate([params.c_bulk * phi, -params.c_surf * phi], axis=2)
     blocks = np.einsum("kq,kqi,kqj->kij", rules.weights, r, r)
@@ -327,6 +323,16 @@ def ghost_surface(pieces: dict, params: StabilizationParams) -> sp.csr_matrix:
             + params.tau_surf * pieces["surface_gradient"]).tocsr()
 
 
+def stabilized(bulk: sp.spmatrix, surface: sp.spmatrix, coupling: sp.spmatrix,
+               pieces: dict, params: StabilizationParams) -> sp.csr_matrix:
+    """c_b (bulk + bulk ghost) + c_s (surface + surface ghost) + coupling:
+    the one place where the coupling constants and the ghost weights of
+    ``params`` weight the forms (the ghosts from the unit ``pieces``)."""
+    return (params.c_bulk * (bulk + ghost_bulk(pieces, params))
+            + params.c_surf * (surface + ghost_surface(pieces, params))
+            + coupling).tocsr()
+
+
 def load_vector(cq: CutQuadrature, dofmap: CombinedDofMap, problem,
                 params: StabilizationParams) -> np.ndarray:
     """Load vector: c_b (f_bulk, v) over the cut volume plus c_s
@@ -353,7 +359,7 @@ def load_vector(cq: CutQuadrature, dofmap: CombinedDofMap, problem,
         b[dofmap.bulk.dofs_array(cut[rules.index])] += params.c_bulk * (
             _rows_dot(rules.weights * fvals, phi))
 
-    surf = cq.surface
+    surf = cq.topo.surface
     rules, phi = cq.segments
     geom = problem.geometry
     if np.any(np.abs(geom.rho(rules.points)) >= geom.validity_radius):
@@ -369,20 +375,17 @@ def load_vector(cq: CutQuadrature, dofmap: CombinedDofMap, problem,
 def assemble_system(mesh: BackgroundMesh, dls: DiscreteLevelSet,
                     topo: CutTopology, dofmap: CombinedDofMap, problem,
                     params: StabilizationParams) -> AssembledSystem:
-    """Full stabilized system: c_b (bulk + bulk ghost) + c_s (surface +
-    surface ghost) + coupling, with the matching load vector."""
+    """Full system: the ``stabilized`` bulk, surface and coupling forms,
+    with the matching load vector."""
     cq = CutQuadrature(mesh, dls, topo)
     # the bulk face scatter sets the peak memory; build the ghost pieces
     # after it so they are not alive at that point
     bulk = bulk_form(cq, dofmap, params)
     pieces = ghost_pieces(cq, dofmap)
-    a = (params.c_bulk * (bulk + ghost_bulk(pieces, params))
-         + params.c_surf * (surface_form(cq, dofmap, params)
-                            + ghost_surface(pieces, params))
-         + coupling_form(cq, dofmap, params))
+    a = stabilized(bulk, surface_form(cq, dofmap, params),
+                   coupling_form(cq, dofmap, params), pieces, params)
     rhs = load_vector(cq, dofmap, problem, params)
-    return AssembledSystem(matrix=a.tocsr(), rhs=rhs, dofmap=dofmap,
-                           params=params, h=mesh.h,
+    return AssembledSystem(matrix=a, rhs=rhs, dofmap=dofmap, h=mesh.h,
                            prolongation=prolongation(dofmap, mesh))
 
 
@@ -423,57 +426,31 @@ def surface_tangential_gram(cq: CutQuadrature,
                        dofmap.ndof)
 
 
-def surface_trace_mass_gram(cq: CutQuadrature,
-                            dofmap: CombinedDofMap) -> sp.csr_matrix:
-    """L2 mass on the discrete surface itself (surface block)."""
-    return _accumulate(_segment_triplets(cq, dofmap.surface, stiff=False),
-                       dofmap.ndof)
-
-
 def surface_trace_load(cq: CutQuadrature,
                        dofmap: CombinedDofMap) -> np.ndarray:
     """Vector of int_Gamma_h phi_i, used for surface mean values."""
     rules, phi = cq.segments
     load = np.zeros(dofmap.ndof)
-    load[dofmap.surface.dofs_array(cq.surface.element)] += _rows_dot(
+    load[dofmap.surface.dofs_array(cq.topo.surface.element)] += _rows_dot(
         rules.weights, phi)
     return load
 
 
 def energy_gram(cq: CutQuadrature, dofmap: CombinedDofMap,
-                params: StabilizationParams, pieces: dict,
-                variant: str) -> sp.csr_matrix:
-    """Gram matrix of the discrete energy norm, with the ghost penalties
-    built from the unit ``pieces`` of ``ghost_pieces``.
-
-    ``bulk``: cut-volume H1 norm + h^-1 value jumps on active faces +
-    bulk ghost penalty. ``surface``: tangential H1 norm on the surface +
-    h^-1 edge jumps + surface ghost penalty. ``total``: c_b bulk +
-    c_s surface + the coupling seminorm.
-    """
-    if variant not in ("bulk", "surface", "total"):
-        raise ValueError(f"unknown energy norm variant {variant!r}")
+                params: StabilizationParams, pieces: dict) -> sp.csr_matrix:
+    """Gram matrix of the discrete energy norm: ``stabilized`` applied to
+    the bulk part (cut-volume H1 norm + h^-1 value jumps on the active
+    faces), the surface part (tangential H1 norm + h^-1 edge jumps) and
+    the coupling seminorm, with the ghosts from the unit ``pieces`` of
+    ``ghost_pieces``."""
     mesh = cq.mesh
-
-    def bulk():
-        triplets = _bulk_volume_triplets(cq, dofmap.bulk)
-        dofs, J0, J1, _, _, lengths, _ = _face_batch(
-            mesh, dofmap.bulk, cq.topo.bulk_faces, cq.grads)
-        triplets.append(_scatter(dofs, _face_jump_blocks(
-            J0, J1, lengths, 1.0 / mesh.h)))
-        return (_accumulate(triplets, dofmap.ndof)
-                + ghost_bulk(pieces, params)).tocsr()
-
-    def surface():
-        triplets = _segment_triplets(cq, dofmap.surface)
-        triplets += _edge_triplets(cq, dofmap.surface, gamma=1.0,
-                                   consistency=False)
-        return (_accumulate(triplets, dofmap.ndof)
-                + ghost_surface(pieces, params)).tocsr()
-
-    if variant == "bulk":
-        return bulk()
-    if variant == "surface":
-        return surface()
-    return (params.c_bulk * bulk() + params.c_surf * surface()
-            + coupling_form(cq, dofmap, params)).tocsr()
+    bulk = _bulk_volume_triplets(cq, dofmap.bulk)
+    dofs, J0, J1, _, _, lengths, _ = _face_batch(
+        mesh, dofmap.bulk, cq.topo.bulk_faces, cq.grads)
+    bulk.append(_scatter(dofs, _face_jump_blocks(J0, J1, lengths,
+                                                  1.0 / mesh.h)))
+    surface = _segment_triplets(cq, dofmap.surface) + _edge_triplets(
+        cq, dofmap.surface, gamma=1.0, consistency=False)
+    return stabilized(_accumulate(bulk, dofmap.ndof),
+                      _accumulate(surface, dofmap.ndof),
+                      coupling_form(cq, dofmap, params), pieces, params)

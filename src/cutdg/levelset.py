@@ -21,6 +21,8 @@ from .mesh import BackgroundMesh, edge_key, element_gradients, group_keys
 
 SNAP_FACTOR = 1e-10
 DEGENERATE_SEGMENT_FACTOR = 1e-14
+# points per segment at which check_geometry_assumptions samples
+GEOMETRY_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,9 @@ class DiscreteLevelSet:
     snap_tol: float
 
 
-def interpolate_levelset(ls: LevelSet, mesh: BackgroundMesh,
-                         snap_factor: float = SNAP_FACTOR) -> DiscreteLevelSet:
+def interpolate_levelset(ls: LevelSet, mesh: BackgroundMesh) -> DiscreteLevelSet:
     values = np.asarray(ls.rho(mesh.vertices), dtype=float).copy()
-    snap = snap_factor * mesh.h
+    snap = SNAP_FACTOR * mesh.h
     values[np.abs(values) < snap] = -snap
     return DiscreteLevelSet(values=values, snap_tol=snap)
 
@@ -158,7 +159,7 @@ class CutTopology:
         active_surface (the ghost-penalty band).
     surface_faces: interior faces with both incident elements in
         active_surface.
-    surface: segment/edge geometry, or None if not extracted.
+    surface: segment/edge geometry.
     """
 
     active_bulk: np.ndarray
@@ -166,33 +167,7 @@ class CutTopology:
     bulk_faces: np.ndarray
     bulk_ghost_faces: np.ndarray
     surface_faces: np.ndarray
-    surface: SurfaceGeometry | None
-
-
-def classify_elements(mesh: BackgroundMesh, dls: DiscreteLevelSet) -> CutTopology:
-    """Classify elements and faces from snapped nodal level-set values.
-
-    The surface geometry field is left unset; use build_cut_topology for
-    the complete structure.
-    """
-    vals = dls.values[mesh.elements]
-    is_bulk = vals.min(axis=1) < 0.0
-    is_cut = is_bulk & (vals.max(axis=1) > 0.0)
-    active_bulk = np.flatnonzero(is_bulk)
-    active_surface = np.flatnonzero(is_cut)
-    if active_bulk.size == 0:
-        raise ConfigurationError("surface misses the background box: "
-                                 "no element has a negative vertex value")
-
-    fe = mesh.face_elements
-    both_bulk = is_bulk[fe[:, 0]] & is_bulk[fe[:, 1]]
-    bulk_faces = np.flatnonzero(both_bulk)
-    ghost = both_bulk & (is_cut[fe[:, 0]] | is_cut[fe[:, 1]])
-    bulk_ghost_faces = np.flatnonzero(ghost)
-    both_cut = is_cut[fe[:, 0]] & is_cut[fe[:, 1]]
-    surface_faces = np.flatnonzero(both_cut)
-    return CutTopology(active_bulk, active_surface, bulk_faces,
-                       bulk_ghost_faces, surface_faces, surface=None)
+    surface: SurfaceGeometry
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -203,9 +178,23 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 def extract_surface_segments(mesh: BackgroundMesh,
                              dls: DiscreteLevelSet) -> SurfaceGeometry:
-    """Extract one straight segment per cut element plus interior edges."""
+    """Extract one straight segment per cut element plus interior edges.
+
+    Raises StructuralError where the zero set runs along an interior mesh
+    edge between an element with a negative vertex value and one without:
+    both vertex values of that edge are exactly zero, no segment
+    represents it, and the chain would end inside the mesh.
+    """
     vals = dls.values[mesh.elements]
-    is_cut = (vals.min(axis=1) < 0.0) & (vals.max(axis=1) > 0.0)
+    is_bulk = vals.min(axis=1) < 0.0
+    fe, fv = mesh.face_elements, mesh.face_vertices
+    on_edge = np.all(dls.values[fv] == 0.0, axis=1) \
+        & (is_bulk[fe[:, 0]] != is_bulk[fe[:, 1]])
+    if np.any(on_edge):
+        a, b = sorted(fv[np.flatnonzero(on_edge)[0]].tolist())
+        raise StructuralError(f"surface runs along mesh edge ({a}, {b}), "
+                              "whose vertex values are both exactly zero")
+    is_cut = is_bulk & (vals.max(axis=1) > 0.0)
     cut_elements = np.flatnonzero(is_cut)
     tri = mesh.elements[cut_elements]
     v = vals[cut_elements]
@@ -278,15 +267,26 @@ def extract_surface_segments(mesh: BackgroundMesh,
 
 
 def build_cut_topology(mesh: BackgroundMesh, dls: DiscreteLevelSet) -> CutTopology:
-    """Classification plus surface extraction in one call."""
-    topo = classify_elements(mesh, dls)
-    surface = extract_surface_segments(mesh, dls)
-    return CutTopology(topo.active_bulk, topo.active_surface, topo.bulk_faces,
-                       topo.bulk_ghost_faces, topo.surface_faces, surface)
+    """Active elements and face sets from the snapped nodal level-set
+    values, and the extracted surface. Raises ConfigurationError when no
+    element has a negative vertex value."""
+    vals = dls.values[mesh.elements]
+    is_bulk = vals.min(axis=1) < 0.0
+    is_cut = is_bulk & (vals.max(axis=1) > 0.0)
+    if not is_bulk.any():
+        raise ConfigurationError("surface misses the background box: "
+                                 "no element has a negative vertex value")
+    fe = mesh.face_elements
+    both_bulk = is_bulk[fe[:, 0]] & is_bulk[fe[:, 1]]
+    ghost = both_bulk & (is_cut[fe[:, 0]] | is_cut[fe[:, 1]])
+    both_cut = is_cut[fe[:, 0]] & is_cut[fe[:, 1]]
+    return CutTopology(np.flatnonzero(is_bulk), np.flatnonzero(is_cut),
+                       np.flatnonzero(both_bulk), np.flatnonzero(ghost),
+                       np.flatnonzero(both_cut),
+                       extract_surface_segments(mesh, dls))
 
 
-def check_geometry_assumptions(ls: LevelSet, topo: CutTopology,
-                               samples_per_segment: int = 8):
+def check_geometry_assumptions(ls: LevelSet, topo: CutTopology):
     """Sampled sup of |rho| on the discrete surface and of the deviation
     between the exact normal (at the closest point) and the segment normal.
 
@@ -294,9 +294,9 @@ def check_geometry_assumptions(ls: LevelSet, topo: CutTopology,
     leaves the validity radius of the closest-point map.
     """
     surf = topo.surface
-    if surf is None or surf.n_segments == 0:
+    if surf.n_segments == 0:
         raise StructuralError("topology carries no surface segments")
-    t = np.linspace(0.0, 1.0, samples_per_segment)
+    t = np.linspace(0.0, 1.0, GEOMETRY_SAMPLES)
     pts = (surf.points[:, None, 0, :] * (1.0 - t)[None, :, None]
            + surf.points[:, None, 1, :] * t[None, :, None])  # (ns, m, 2)
     rho = ls.rho(pts)
@@ -312,6 +312,4 @@ def check_geometry_assumptions(ls: LevelSet, topo: CutTopology,
 
 def surface_length(topo: CutTopology) -> float:
     """Total length of the discrete surface."""
-    if topo.surface is None:
-        raise StructuralError("topology carries no surface segments")
     return float(topo.surface.length.sum())

@@ -252,7 +252,7 @@ def compute_errors(coeffs: np.ndarray, problem: ManufacturedProblem,
             rules, phi, coeffs[dofmap.bulk.dofs_array(e)], cq.grads[e],
             problem.u_bulk, problem.grad_u_bulk)
 
-    surf = cq.surface
+    surf = cq.topo.surface
     rules, phi = cq.segments
     l2_seg, semi_seg = _entity_errors(
         rules, phi, coeffs[dofmap.surface.dofs_array(surf.element)],

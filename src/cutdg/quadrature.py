@@ -159,13 +159,6 @@ class CutQuadrature:
     def __init__(self, mesh, dls, topo, degree: int = 2):
         self.mesh, self.dls, self.topo, self.degree = mesh, dls, topo, degree
 
-    @property
-    def surface(self):
-        if self.topo.surface is None:
-            raise StructuralError("cut topology carries no surface geometry; "
-                                  "build it with build_cut_topology")
-        return self.topo.surface
-
     @cached_property
     def grads(self) -> np.ndarray:
         return element_gradients(self.mesh.vertices[self.mesh.elements])
@@ -193,7 +186,7 @@ class CutQuadrature:
 
     @cached_property
     def segments(self):
-        surf = self.surface
+        surf = self.topo.surface
         rules = segment_rules(surf.points[:, 0], surf.points[:, 1], self.degree)
         tris = self.mesh.vertices[self.mesh.elements[surf.element]]
         return rules, basis_values(tris, rules.points)

@@ -30,6 +30,10 @@ EPS = np.finfo(float).eps
 # LU: at level 0 without a null basis, 1e-10 keeps lambda_min to 3e-11
 # and 1e-12 loses it to 3e-6.
 SHIFT = 1e-10
+# eigenvalues of magnitude at most this times the largest count as zero
+ZERO_THRESHOLD = 1e-12
+# deflated_gram_basis drops Gram eigenvalues at most this times the largest
+GRAM_CUT = 1e-10
 
 
 def preconditioner(matrix: sp.spmatrix,
@@ -122,15 +126,16 @@ def solve(system: AssembledSystem, rel_tol: float = 1e-10,
     return x
 
 
-def rescaled_matrix(system: AssembledSystem) -> sp.csr_matrix:
+def rescaled_matrix(matrix: sp.spmatrix, n_bulk: int,
+                    h: float) -> sp.csr_matrix:
     """Surface-block rescaling that balances the bulk and surface norms:
-    D A D with D = diag(1 on bulk dofs, h^(1/4) on surface dofs), so
-    surface-surface entries scale by h^(1/2) and coupling entries by
-    h^(1/4)."""
-    d = np.ones(system.dofmap.ndof)
-    d[system.dofmap.n_bulk:] = system.h ** 0.25
+    D A D with D = diag(1 on the first n_bulk dofs, h^(1/4) on the
+    surface dofs after them), so surface-surface entries scale by h^(1/2)
+    and coupling entries by h^(1/4)."""
+    d = np.ones(matrix.shape[0])
+    d[n_bulk:] = h ** 0.25
     dm = sp.diags(d)
-    return (dm @ system.matrix @ dm).tocsr()
+    return (dm @ matrix @ dm).tocsr()
 
 
 def _eigsh(matrix, **kwargs):
@@ -142,12 +147,11 @@ def _eigsh(matrix, **kwargs):
 
 
 def condition_number(matrix: sp.spmatrix,
-                     null_basis: sp.spmatrix | None = None,
-                     zero_threshold: float = 1e-12):
+                     null_basis: sp.spmatrix | None = None):
     """Spectral condition number: largest over smallest nonzero
     eigenvalue magnitude of a symmetric matrix.
 
-    Eigenvalues with |lambda| <= zero_threshold * |lambda|_max count as
+    Eigenvalues with |lambda| <= ZERO_THRESHOLD * |lambda|_max count as
     zero. lambda_max is the largest-magnitude ARPACK eigenvalue. The
     columns of the orthonormal candidate basis ``null_basis`` (e.g.
     ``space.levelset_null_basis``) with ||A q|| within that threshold are
@@ -170,7 +174,7 @@ def condition_number(matrix: sp.spmatrix,
     start = np.random.default_rng(0).standard_normal(n)
     lam_max = float(abs(_eigsh(matrix, which="LM", v0=start,
                                return_eigenvectors=False)[0]))
-    cutoff = zero_threshold * lam_max
+    cutoff = ZERO_THRESHOLD * lam_max
     nullity = 0
     if null_basis is not None:
         keep = spla.norm(matrix @ null_basis, axis=0) <= cutoff
@@ -203,12 +207,12 @@ def condition_number(matrix: sp.spmatrix,
         nullity += 1
 
 
-def deflated_gram_basis(b: sp.spmatrix, rel_cut: float = 1e-10) -> np.ndarray:
+def deflated_gram_basis(b: sp.spmatrix) -> np.ndarray:
     """Basis W of the numerical range of the positive semidefinite B with
-    W^T B W = I: the eigenvectors with an eigenvalue above rel_cut times
+    W^T B W = I: the eigenvectors with an eigenvalue above GRAM_CUT times
     the largest, scaled. Raises DegenerateMatrixError for a zero B."""
     w, v = np.linalg.eigh(np.asarray(b.todense()))
-    keep = w > rel_cut * w.max()
+    keep = w > GRAM_CUT * w.max()
     if not np.any(keep):
         raise DegenerateMatrixError("right-hand Gram matrix is numerically "
                                     "zero")

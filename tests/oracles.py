@@ -322,18 +322,16 @@ def _segment_rule(surf, s, degree):
     return surface_segment_rule(surf.points[s, 0], surf.points[s, 1], degree)
 
 
-def segment_triplets(cq, space, mass=True, stiff=True):
+def segment_triplets(cq, space, mass=True):
     mesh, surf = cq.mesh, cq.topo.surface
     grads_all = element_gradients(mesh.vertices[mesh.elements])
     blocks = []
     for s in range(surf.n_segments):
         e = surf.element[s]
-        blk = np.zeros((3, 3))
-        if stiff:
-            g = grads_all[e]
-            n = surf.normal[s]
-            pg = g - (g @ n)[:, None] * n[None, :]
-            blk += surf.length[s] * (pg @ pg.T)
+        g = grads_all[e]
+        n = surf.normal[s]
+        pg = g - (g @ n)[:, None] * n[None, :]
+        blk = surf.length[s] * (pg @ pg.T)
         if mass:
             rule = _segment_rule(surf, s, cq.degree)
             phi, _ = evaluate_basis(_tri(mesh, e), rule.points)

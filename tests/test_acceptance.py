@@ -17,10 +17,10 @@ import time
 import numpy as np
 import pytest
 
-from cutdg.experiments import (PROPERTY_BOX, SENTINEL_KAPPA, coercivity_at,
-                               fit_slope, mesh_at_level, run_condition_sweep,
-                               run_convergence, run_geometry_check,
-                               run_property_suite, sweep_weights)
+from cutdg.experiments import (PROPERTY_BOX, SENTINEL_KAPPA, SurfaceState,
+                               config_params, fit_slope, mesh_at_level,
+                               run_condition_sweep, run_convergence,
+                               run_geometry_check, run_property_suite)
 from cutdg.forms import (StabilizationParams, assemble_system, ghost_bulk,
                          ghost_pieces, ghost_surface)
 from cutdg.levelset import (build_cut_topology, circle_levelset,
@@ -107,7 +107,8 @@ def test_criterion_3_condition_scaling():
         topo = build_cut_topology(mesh, dls)
         dofmap = build_spaces(mesh, topo)
         system = assemble_system(mesh, dls, topo, dofmap, problem, PARAMS)
-        kappa, _, _, _ = condition_number(rescaled_matrix(system))
+        kappa, _, _, _ = condition_number(rescaled_matrix(
+            system.matrix, system.dofmap.n_bulk, system.h))
         hs.append(mesh.h)
         kappas.append(kappa)
     slope = fit_slope(hs, kappas)
@@ -139,7 +140,7 @@ def test_criterion_4_condition_robustness(sweep_report, config, kind):
             and sweep_report.elapsed <= 600.0
         detail = f"{measured}; robust needs spread <= 10, no infinite " \
                  f"kappa, runtime {sweep_report.elapsed:.0f}s <= 600s"
-    elif sweep_weights(PARAMS, config)[:2] == (0.0, 0.0):
+    elif config_params(PARAMS, config).mu_bulk == 0.0:
         # the null space comes from the surface; the loss of the bulk
         # ghost must show in the deflated spread on its own
         ok = spread >= 100.0
@@ -229,14 +230,14 @@ def _coercivity_limit_check(property_report, config: str):
     worst = min(rows, key=lambda r: r["constant"])["delta"]
     roots = _degenerate_positions(coarse)
     star = float(roots[np.argmin(np.abs(roots - worst))])
-    path = [coercivity_at(coarse, star + (worst - star) * 10.0 ** -k, PARAMS,
-                          config) for k in range(5)]
-    limits = {r + side * 1e-6: coercivity_at(coarse, r + side * 1e-6, PARAMS,
-                                             config)
+    path = [SurfaceState(coarse, star + (worst - star) * 10.0 ** -k,
+                         PARAMS).coercivity(config) for k in range(5)]
+    limits = {r + side * 1e-6: SurfaceState(coarse, r + side * 1e-6,
+                                            PARAMS).coercivity(config)
               for r in roots for side in (-1.0, 1.0)}
     low = min(limits, key=limits.get)
     at_level0 = {star + (worst - star) * 1e-4: path[-1], low: limits[low]}
-    at_level1 = {d: coercivity_at(fine, 2.0 * d, PARAMS, config)
+    at_level1 = {d: SurfaceState(fine, 2.0 * d, PARAMS).coercivity(config)
                  for d in at_level0}
     ratio = min(path) / path[0] if path[0] > 0.0 else 0.0
     limit_ratio = limits[low] / path[0] if path[0] > 0.0 else 0.0

@@ -40,10 +40,7 @@ def _matrices(mesh, dls, topo, dofmap, problem):
            "system": system.matrix,
            "gradient_cut": forms.gradient_gram(cq, dofmap, "cut"),
            "tangential": forms.surface_tangential_gram(cq, dofmap),
-           "trace_mass": forms.surface_trace_mass_gram(cq, dofmap)}
-    for variant in ("bulk", "surface", "total"):
-        out[f"energy_{variant}"] = forms.energy_gram(cq, dofmap, PARAMS,
-                                                     pieces, variant)
+           "energy": forms.energy_gram(cq, dofmap, PARAMS, pieces)}
     out = {k: (m.data, m.indices, m.indptr) for k, m in out.items()}
     out["system_rhs"] = (system.rhs,)
     out["rhs"] = (forms.load_vector(cq, dofmap, problem, PARAMS),)

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from cutdg import cli
@@ -114,3 +116,24 @@ def test_penalty_flags_default_to_the_stabilization_params(
                     StabilizationParams(gamma_bulk=1.0, gamma_surf=2.0,
                                         mu_bulk=3.0, mu_surf=4.0,
                                         tau_bulk=5.0, tau_surf=6.0)]
+
+
+@pytest.mark.parametrize("command,study", [
+    ("convergence", "run_convergence"),
+    ("condition-sweep", "run_condition_sweep"),
+    ("geometry-check", "run_geometry_check"),
+    ("properties", "run_property_suite")])
+def test_subcommand_without_flags_uses_the_study_defaults(
+        command, study, monkeypatch):
+    defaults = inspect.signature(getattr(cli, study)).parameters
+    seen = {}
+
+    def fake(**kwargs):
+        seen.update(kwargs)
+        return StudyReport()
+
+    monkeypatch.setattr(cli, study, fake)
+    assert main([command]) == 0
+    assert seen.pop("params", StabilizationParams()) == StabilizationParams()
+    assert seen and all(value == defaults[name].default
+                        for name, value in seen.items())

@@ -7,17 +7,17 @@ from cutdg.experiments import (CONDITION_HEADER, CONVERGENCE_HEADER,
                                PROPERTIES_HEADER, PROPERTY_BOX,
                                PROPERTY_CONFIGS, PROPERTY_SWEEP_CONFIG,
                                SWEEP_CONFIGS, SurfaceState, ablated_params,
-                               coercivity_at, fit_slope, mesh_at_level,
+                               config_params, fit_slope, mesh_at_level,
                                run_condition_sweep, run_convergence,
-                               run_geometry_check, run_property_suite,
-                               sweep_weights)
-from cutdg.forms import (AssembledSystem, StabilizationParams, bulk_form,
+                               run_geometry_check, run_property_suite)
+from cutdg.forms import (StabilizationParams, assemble_system, bulk_form,
                          coupling_form, energy_gram, ghost_bulk, ghost_pieces,
-                         ghost_surface, gradient_gram,
+                         ghost_surface, gradient_gram, stabilized,
                          surface_element_mass_gram, surface_form,
                          surface_tangential_gram, surface_trace_load)
 from cutdg.levelset import (build_cut_topology, circle_levelset,
                             interpolate_levelset, surface_length)
+from cutdg.manufactured import build_circle_problem
 from cutdg.quadrature import CutQuadrature
 from cutdg.solver import rescaled_matrix
 from cutdg.space import build_spaces
@@ -37,14 +37,31 @@ def test_ablated_params():
     assert p.gamma_bulk == 50.0 and p.gamma_surf == 50.0
 
 
-def test_sweep_weights():
+def test_config_params():
     p = StabilizationParams()
-    assert sweep_weights(p, "full") == (50.0, 0.01, 50.0, 0.01)
-    assert sweep_weights(p, "no-surface") == (50.0, 0.01, 0.0, 0.0)
-    assert sweep_weights(p, "no-bulk") == (0.0, 0.0, 50.0, 0.01)
-    assert sweep_weights(p, "none") == (0.0, 0.0, 0.0, 0.0)
+    assert config_params(p, "full") == p
+    assert config_params(p, "no-surface") == StabilizationParams(
+        mu_surf=0.0, tau_surf=0.0)
+    assert config_params(p, "no-bulk") == StabilizationParams(
+        mu_bulk=0.0, tau_bulk=0.0)
+    assert config_params(p, "none") == StabilizationParams(
+        mu_bulk=0.0, tau_bulk=0.0, mu_surf=0.0, tau_surf=0.0)
     with pytest.raises(ValueError):
-        sweep_weights(p, "bogus")
+        config_params(p, "bogus")
+
+
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_full_sweep_matrix_is_the_solved_matrix(level):
+    """At delta = 0 the sweep's fully stabilized matrix is the matrix the
+    convergence study solves, bit for bit."""
+    params = StabilizationParams()
+    mesh = mesh_at_level(level)
+    state = SurfaceState(mesh, 0.0, params)
+    solved = assemble_system(mesh, state.dls, state.topo, state.dofmap,
+                             build_circle_problem(), params).matrix
+    swept = state.matrix("full")
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(swept, attr), getattr(solved, attr))
 
 
 def test_convergence_rows_and_csv(tmp_path):
@@ -113,10 +130,8 @@ def _dense_sweep_rows(level, deltas, box):
     for delta in deltas:
         state = SurfaceState(mesh, delta, params)
         for config in SWEEP_CONFIGS:
-            system = AssembledSystem(
-                matrix=state.matrix(config), rhs=np.zeros(state.dofmap.ndof),
-                dofmap=state.dofmap, params=params, h=mesh.h)
-            yield dense_condition_number(rescaled_matrix(system))
+            yield dense_condition_number(rescaled_matrix(
+                state.matrix(config), state.dofmap.n_bulk, mesh.h))
 
 
 @pytest.mark.parametrize("box", [DEFAULT_BOX, ((-1.05, -1.06), (1.15, 1.14))])
@@ -250,14 +265,13 @@ def _per_call_constants(mesh, delta, params, seed, n_random):
     def cq():
         return CutQuadrature(mesh, dls, topo)
 
-    base = (params.c_bulk * bulk_form(cq(), dofmap, params)
-            + params.c_surf * surface_form(cq(), dofmap, params)
-            + coupling_form(cq(), dofmap, params))
+    forms = (bulk_form(cq(), dofmap, params),
+             surface_form(cq(), dofmap, params),
+             coupling_form(cq(), dofmap, params))
     pieces = ghost_pieces(cq(), dofmap)
     bulk_ghost = ghost_bulk(ghost_pieces(cq(), dofmap), params)
     surf_ghost = ghost_surface(ghost_pieces(cq(), dofmap), params)
-    gram_total = energy_gram(cq(), dofmap, params,
-                             ghost_pieces(cq(), dofmap), "total")
+    gram_total = energy_gram(cq(), dofmap, params, ghost_pieces(cq(), dofmap))
     grad_active = gradient_gram(cq(), dofmap, "active")
     grad_cut = gradient_gram(cq(), dofmap, "cut")
     mass = surface_element_mass_gram(cq(), dofmap)
@@ -265,13 +279,8 @@ def _per_call_constants(mesh, delta, params, seed, n_random):
     tangent = surface_tangential_gram(cq(), dofmap)
     out = {}
     for config in PROPERTY_CONFIGS:
-        mu_b, tau_b, mu_s, tau_s = sweep_weights(
-            params, PROPERTY_SWEEP_CONFIG[config])
-        matrix = (base + params.c_bulk * (mu_b * pieces["bulk_value"]
-                                          + tau_b * pieces["bulk_gradient"])
-                  + params.c_surf * (mu_s * pieces["surface_value"]
-                                     + tau_s * pieces["surface_gradient"])
-                  ).tocsr()
+        matrix = stabilized(*forms, pieces, config_params(
+            params, PROPERTY_SWEEP_CONFIG[config]))
         out[("coercivity", config)] = _inline_extremes(matrix, gram_total)[0]
         rhs = grad_cut if config == "no-bulk-ghost" \
             else (grad_cut + bulk_ghost).tocsr()
@@ -316,14 +325,14 @@ def test_property_suite_equals_the_per_call_route():
             assert np.array_equal(suite[key][idx], value), (key, delta)
 
 
-def test_coercivity_at_equals_the_suite_row():
+def test_surface_state_coercivity_equals_the_suite_row():
     params = StabilizationParams()
     suite = _suite_constants(run_property_suite(level=0, positions=3,
                                                 n_random=2))
     mesh = mesh_at_level(0, box=PROPERTY_BOX)
     for config in PROPERTY_CONFIGS:
-        assert np.array_equal(coercivity_at(mesh, 0.5, params, config),
-                              suite[("coercivity", config)][1])
+        assert np.array_equal(SurfaceState(mesh, 0.5, params).coercivity(
+            config), suite[("coercivity", config)][1])
 
 
 def test_one_quadrature_and_three_gram_bases_per_position(monkeypatch):

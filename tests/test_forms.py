@@ -4,7 +4,7 @@ import pytest
 from cutdg.forms import (StabilizationParams, assemble_system, bulk_form,
                          coupling_form, energy_gram, ghost_bulk, ghost_pieces,
                          ghost_surface, load_vector, surface_form,
-                         surface_tangential_gram, surface_trace_mass_gram)
+                         surface_tangential_gram)
 from cutdg.levelset import (DiscreteLevelSet, build_cut_topology,
                             circle_levelset, interpolate_levelset,
                             line_levelset, surface_length)
@@ -159,13 +159,19 @@ def test_tangential_stiffness_on_straight_surface():
 
 def test_continuous_linear_kills_edge_terms():
     mesh, dls, topo, dofmap = _circle_setup()
-    a = surface_form(CutQuadrature(mesh, dls, topo), dofmap, PARAMS)
-    smooth = surface_tangential_gram(CutQuadrature(mesh, dls, topo), dofmap) \
-        + surface_trace_mass_gram(CutQuadrature(mesh, dls, topo), dofmap)
+    cq = CutQuadrature(mesh, dls, topo)
+    a = surface_form(cq, dofmap, PARAMS)
+    tangential = surface_tangential_gram(cq, dofmap)
+
+    def linear(p):
+        return 0.4 + p[..., 0] - 2.0 * p[..., 1]
+
     v = np.zeros(dofmap.ndof)
-    v[dofmap.n_bulk:] = interpolate_nodal(
-        dofmap.surface, mesh, lambda p: 0.4 + p[..., 0] - 2.0 * p[..., 1])
-    assert v @ (a @ v) == pytest.approx(v @ (smooth @ v), rel=1e-12)
+    v[dofmap.n_bulk:] = interpolate_nodal(dofmap.surface, mesh, linear)
+    rules, _ = cq.segments
+    mass = np.sum(rules.weights * linear(rules.points) ** 2)
+    assert v @ (a @ v) == pytest.approx(v @ (tangential @ v) + mass,
+                                        rel=1e-12)
 
 
 def test_coupling_form_values():
@@ -314,15 +320,16 @@ def test_system_positive_definite_at_defaults():
 def test_energy_gram_values_and_psd():
     mesh, dls, topo, dofmap = _circle_setup(6)
     cq = CutQuadrature(mesh, dls, topo)
-    pieces = ghost_pieces(cq, dofmap)
-    g_bulk = energy_gram(cq, dofmap, PARAMS, pieces, "bulk")
+    g_total = energy_gram(cq, dofmap, PARAMS, ghost_pieces(cq, dofmap))
     ones_bulk = np.zeros(dofmap.ndof)
     ones_bulk[:dofmap.n_bulk] = 1.0
     area = _cut_volume(mesh, dls, topo, lambda p: np.ones(len(p)), degree=2)
-    assert ones_bulk @ (g_bulk @ ones_bulk) == pytest.approx(area, rel=1e-12)
-    g_total = energy_gram(cq, dofmap, PARAMS, pieces, "total")
+    length = surface_length(topo)
+    # jumps and ghosts vanish on constants; the coupling adds the length
+    assert ones_bulk @ (g_total @ ones_bulk) == pytest.approx(area + length,
+                                                              rel=1e-12)
     both = np.ones(dofmap.ndof)
-    expect = area + surface_length(topo)  # coupling part vanishes for (1, 1)
+    expect = area + length  # coupling part vanishes for (1, 1)
     assert both @ (g_total @ both) == pytest.approx(expect, rel=1e-12)
     eigs = np.linalg.eigvalsh(g_total.toarray())
     assert eigs.min() >= -1e-10 * eigs.max()
@@ -390,7 +397,7 @@ def test_galerkin_energy_error_decreases():
         ui = interpolate_pair(dofmap, mesh, problem.u_bulk,
                               problem.u_surf_ext)
         cq = CutQuadrature(mesh, dls, topo)
-        g = energy_gram(cq, dofmap, PARAMS, ghost_pieces(cq, dofmap), "total")
+        g = energy_gram(cq, dofmap, PARAMS, ghost_pieces(cq, dofmap))
         d = u - ui
         energies.append(np.sqrt(d @ (g @ d)))
         mesh = refine_uniform(mesh)

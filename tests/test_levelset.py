@@ -4,9 +4,9 @@ import pytest
 from cutdg.exceptions import ConfigurationError, StructuralError
 from cutdg.levelset import (DiscreteLevelSet, build_cut_topology,
                             check_geometry_assumptions, circle_levelset,
-                            classify_elements, closest_point_circle,
-                            extract_surface_segments, interpolate_levelset,
-                            line_levelset, surface_length)
+                            closest_point_circle, extract_surface_segments,
+                            interpolate_levelset, line_levelset,
+                            surface_length)
 from cutdg.mesh import BackgroundMesh, build_structured_mesh, refine_uniform
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
@@ -68,9 +68,9 @@ def test_classification_sign_patterns():
         dls = DiscreteLevelSet(values=values, snap_tol=1e-10)
         if bulk is None:
             with pytest.raises(ConfigurationError):
-                classify_elements(mesh, dls)
+                build_cut_topology(mesh, dls)
             continue
-        topo = classify_elements(mesh, dls)
+        topo = build_cut_topology(mesh, dls)
         assert set(topo.active_bulk) == bulk
         assert set(topo.active_surface) == cut
         assert set(topo.active_surface) <= set(topo.active_bulk)
@@ -79,7 +79,7 @@ def test_classification_sign_patterns():
 def test_face_sets_on_circle():
     mesh = build_structured_mesh(BOX, 8)
     dls = interpolate_levelset(circle_levelset(), mesh)
-    topo = classify_elements(mesh, dls)
+    topo = build_cut_topology(mesh, dls)
     bulk_set = set(topo.active_bulk)
     cut_set = set(topo.active_surface)
     for f in topo.bulk_faces:
@@ -192,6 +192,27 @@ def test_extraction_error_paths():
                               snap_tol=0.0)
     with pytest.raises(StructuralError, match=r"\(12, 12\) shared by 4"):
         extract_surface_segments(mesh, saddle)
+
+
+@pytest.mark.parametrize("bump", [None, 0.1], ids=["on-edges", "bumped"])
+def test_surface_along_a_mesh_edge_raises(bump):
+    """x - 0.5 on the 4x4 unit mesh is zero along the mesh edges of the
+    line x = 0.5: no element is cut, so no segment would represent the
+    surface. With the vertex (0.5, 0.5) raised to 0.1, three segments
+    circle it, and their chain would end at (0.5, 0.25) and (0.5, 0.75)
+    inside the box. Both name the first such edge, (0.5, 0)-(0.5, 0.25)."""
+    mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 4)
+    x, y = mesh.vertices.T
+    values = x - 0.5
+    if bump is not None:
+        values[(x == 0.5) & (y == 0.5)] = bump
+    dls = DiscreteLevelSet(values=values, snap_tol=0.0)
+    a, b = np.flatnonzero((x == 0.5) & (y <= 0.25))
+    assert np.array_equal(mesh.vertices[[a, b]], [[0.5, 0.0], [0.5, 0.25]])
+    for build in (extract_surface_segments, build_cut_topology):
+        with pytest.raises(StructuralError, match=rf"mesh edge \({a}, {b}\), "
+                           "whose vertex values are both exactly zero"):
+            build(mesh, dls)
 
 
 def test_translation_sweep_never_breaks_extraction():
