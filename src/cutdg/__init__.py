@@ -8,11 +8,10 @@ from .forms import (AssembledSystem, StabilizationParams, assemble_system,
                     bulk_form, coupling_form, energy_gram, ghost_bulk,
                     ghost_pieces, ghost_surface, load_vector, stabilized,
                     surface_form)
-from .levelset import (CutTopology, DiscreteLevelSet, LevelSet,
-                       build_cut_topology, check_geometry_assumptions,
-                       circle_levelset, closest_point_circle,
-                       extract_surface_segments, interpolate_levelset,
-                       line_levelset, surface_length)
+from .levelset import (CutTopology, LevelSet, build_cut_topology,
+                       check_geometry_assumptions, circle_levelset,
+                       closest_point_circle, extract_surface_segments,
+                       interpolate_levelset, line_levelset, surface_length)
 from .manufactured import (ErrorReport, ManufacturedProblem,
                            build_affine_problem, build_circle_problem,
                            compute_errors, eoc)

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .exceptions import GeometryError
-from .levelset import CutTopology, DiscreteLevelSet
+from .levelset import CutTopology
 from .mesh import BackgroundMesh, element_areas
 from .quadrature import CutQuadrature, triangle_reference_rule
 from .space import CombinedDofMap, basis_values, prolongation
@@ -57,17 +57,13 @@ class StabilizationParams:
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Sparse symmetric system, right-hand side and assembly metadata.
-
-    prolongation: continuous-P1 injection (``space.prolongation``) that
-    gives the solver its coarse space; None for a system without a mesh.
-    """
+    """Sparse symmetric system, right-hand side and the continuous-P1
+    injection (``space.prolongation``) that gives the solver its coarse
+    space."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    dofmap: CombinedDofMap
-    h: float
-    prolongation: sp.csr_matrix | None = None
+    prolongation: sp.csr_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +246,8 @@ def bulk_form(cq: CutQuadrature, dofmap: CombinedDofMap,
         mesh, dofmap.bulk, cq.topo.bulk_faces, cq.grads)
     triplets.append(_scatter(dofs, _face_jump_blocks(
         J0, J1, lengths, params.gamma_bulk / mesh.h)))
-    va = cq.dls.values[fv[:, 0]]
-    vb = cq.dls.values[fv[:, 1]]
+    va = cq.dls[fv[:, 0]]
+    vb = cq.dls[fv[:, 1]]
     triplets.append(_scatter(dofs, _face_consistency_blocks(
         J0, J1, g_avg, lengths, va, vb)))
     return _accumulate(triplets, dofmap.ndof)
@@ -372,7 +368,7 @@ def load_vector(cq: CutQuadrature, dofmap: CombinedDofMap, problem,
     return b
 
 
-def assemble_system(mesh: BackgroundMesh, dls: DiscreteLevelSet,
+def assemble_system(mesh: BackgroundMesh, dls: np.ndarray,
                     topo: CutTopology, dofmap: CombinedDofMap, problem,
                     params: StabilizationParams) -> AssembledSystem:
     """Full system: the ``stabilized`` bulk, surface and coupling forms,
@@ -385,7 +381,7 @@ def assemble_system(mesh: BackgroundMesh, dls: DiscreteLevelSet,
     a = stabilized(bulk, surface_form(cq, dofmap, params),
                    coupling_form(cq, dofmap, params), pieces, params)
     rhs = load_vector(cq, dofmap, problem, params)
-    return AssembledSystem(matrix=a, rhs=rhs, dofmap=dofmap, h=mesh.h,
+    return AssembledSystem(matrix=a, rhs=rhs,
                            prolongation=prolongation(dofmap, mesh))
 
 

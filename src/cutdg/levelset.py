@@ -2,7 +2,8 @@
 
 The surface is described by a signed distance function (negative inside
 the bulk domain). Its continuous piecewise-linear interpolant on the
-background mesh defines the discrete surface (zero level set) and the
+background mesh, the discrete level set, is held as its array of vertex
+values; it defines the discrete surface (zero level set) and the
 discrete bulk domain (negative region). This module classifies active
 elements and faces, extracts the polygonal surface segments with their
 normals and edge co-normals, and checks how well the discrete geometry
@@ -92,24 +93,15 @@ def line_levelset(normal, offset: float) -> LevelSet:
                     validity_radius=np.inf)
 
 
-@dataclass(frozen=True)
-class DiscreteLevelSet:
-    """Nodal values of the continuous piecewise-linear interpolant.
-
-    Values within snap_tol of zero were replaced by -snap_tol, so no
-    vertex value is exactly zero and every cut element has exactly two
-    sign-change edges.
-    """
-
-    values: np.ndarray
-    snap_tol: float
-
-
-def interpolate_levelset(ls: LevelSet, mesh: BackgroundMesh) -> DiscreteLevelSet:
+def interpolate_levelset(ls: LevelSet, mesh: BackgroundMesh) -> np.ndarray:
+    """Vertex values of the continuous piecewise-linear interpolant of
+    ``ls`` on ``mesh``. Values within SNAP_FACTOR * h of zero are replaced
+    by -SNAP_FACTOR * h, so no vertex value is exactly zero and every cut
+    element has exactly two sign-change edges."""
     values = np.asarray(ls.rho(mesh.vertices), dtype=float).copy()
     snap = SNAP_FACTOR * mesh.h
     values[np.abs(values) < snap] = -snap
-    return DiscreteLevelSet(values=values, snap_tol=snap)
+    return values
 
 
 @dataclass(frozen=True)
@@ -177,18 +169,19 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def extract_surface_segments(mesh: BackgroundMesh,
-                             dls: DiscreteLevelSet) -> SurfaceGeometry:
-    """Extract one straight segment per cut element plus interior edges.
+                             dls: np.ndarray) -> SurfaceGeometry:
+    """Extract one straight segment per cut element plus interior edges,
+    from the vertex values ``dls`` of the discrete level set.
 
     Raises StructuralError where the zero set runs along an interior mesh
     edge between an element with a negative vertex value and one without:
     both vertex values of that edge are exactly zero, no segment
     represents it, and the chain would end inside the mesh.
     """
-    vals = dls.values[mesh.elements]
+    vals = dls[mesh.elements]
     is_bulk = vals.min(axis=1) < 0.0
     fe, fv = mesh.face_elements, mesh.face_vertices
-    on_edge = np.all(dls.values[fv] == 0.0, axis=1) \
+    on_edge = np.all(dls[fv] == 0.0, axis=1) \
         & (is_bulk[fe[:, 0]] != is_bulk[fe[:, 1]])
     if np.any(on_edge):
         a, b = sorted(fv[np.flatnonzero(on_edge)[0]].tolist())
@@ -210,7 +203,7 @@ def extract_surface_segments(mesh: BackgroundMesh,
     # (an exact zero, which snapping never leaves) is keyed by the pair
     # (v, v) and placed on v: the segments reaching it by other edges share it.
     lo, hi = divmod(keys, nv)
-    va, vb = dls.values[lo], dls.values[hi]
+    va, vb = dls[lo], dls[hi]
     t = va / (va - vb)
     lo = np.where(vb == 0.0, hi, lo)
     hi = np.where(va == 0.0, lo, hi)
@@ -266,24 +259,26 @@ def extract_surface_segments(mesh: BackgroundMesh,
     )
 
 
-def build_cut_topology(mesh: BackgroundMesh, dls: DiscreteLevelSet) -> CutTopology:
-    """Active elements and face sets from the snapped nodal level-set
-    values, and the extracted surface. Raises ConfigurationError when no
-    element has a negative vertex value."""
-    vals = dls.values[mesh.elements]
+def build_cut_topology(mesh: BackgroundMesh, dls: np.ndarray) -> CutTopology:
+    """Active elements and face sets from the vertex values ``dls`` of the
+    discrete level set, and the extracted surface. Raises
+    ConfigurationError when no element is cut, that is when the mesh
+    carries no part of the surface (and so also when no element has a
+    negative vertex value)."""
+    vals = dls[mesh.elements]
     is_bulk = vals.min(axis=1) < 0.0
     is_cut = is_bulk & (vals.max(axis=1) > 0.0)
-    if not is_bulk.any():
+    surface = extract_surface_segments(mesh, dls)
+    if not is_cut.any():
         raise ConfigurationError("surface misses the background box: "
-                                 "no element has a negative vertex value")
+                                 "no element is cut")
     fe = mesh.face_elements
     both_bulk = is_bulk[fe[:, 0]] & is_bulk[fe[:, 1]]
     ghost = both_bulk & (is_cut[fe[:, 0]] | is_cut[fe[:, 1]])
     both_cut = is_cut[fe[:, 0]] & is_cut[fe[:, 1]]
     return CutTopology(np.flatnonzero(is_bulk), np.flatnonzero(is_cut),
                        np.flatnonzero(both_bulk), np.flatnonzero(ghost),
-                       np.flatnonzero(both_cut),
-                       extract_surface_segments(mesh, dls))
+                       np.flatnonzero(both_cut), surface)
 
 
 def check_geometry_assumptions(ls: LevelSet, topo: CutTopology):
@@ -294,8 +289,6 @@ def check_geometry_assumptions(ls: LevelSet, topo: CutTopology):
     leaves the validity radius of the closest-point map.
     """
     surf = topo.surface
-    if surf.n_segments == 0:
-        raise StructuralError("topology carries no surface segments")
     t = np.linspace(0.0, 1.0, GEOMETRY_SAMPLES)
     pts = (surf.points[:, None, 0, :] * (1.0 - t)[None, :, None]
            + surf.points[:, None, 1, :] * t[None, :, None])  # (ns, m, 2)

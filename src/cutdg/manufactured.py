@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .levelset import CutTopology, DiscreteLevelSet, LevelSet, circle_levelset
+from .levelset import CutTopology, LevelSet, circle_levelset
 from .mesh import BackgroundMesh, element_areas
 from .quadrature import ERROR_DEGREE, CutQuadrature, triangle_reference_rule
 from .space import CombinedDofMap
@@ -39,8 +39,6 @@ class ManufacturedProblem:
     u_surf_ext: Callable
     grad_u_surf_ext: Callable
     geometry: LevelSet
-    c_bulk: float
-    c_surf: float
 
 
 def _bundle(p):
@@ -133,8 +131,7 @@ def build_circle_problem(c_bulk: float = 1.0,
         return (grad - radial[..., None] * xhat) / r[..., None]
 
     return ManufacturedProblem(u_bulk, grad_u_bulk, f_bulk, u_surf, f_surf,
-                               u_surf_ext, grad_u_surf_ext, geometry,
-                               c_bulk, c_surf)
+                               u_surf_ext, grad_u_surf_ext, geometry)
 
 
 def build_affine_problem(coeffs=(0.7, 0.3, -0.2), c_bulk: float = 1.0,
@@ -181,7 +178,7 @@ def build_affine_problem(coeffs=(0.7, 0.3, -0.2), c_bulk: float = 1.0,
         return g
 
     return ManufacturedProblem(u_bulk, grad_u_bulk, u_bulk, u_surf, f_surf,
-                               u_surf, grad_u_surf, geometry, c_bulk, c_surf)
+                               u_surf, grad_u_surf, geometry)
 
 
 @dataclass(frozen=True)
@@ -217,7 +214,7 @@ def _entity_errors(rules, phi, u, grads, value, gradient, normal=None):
 
 
 def compute_errors(coeffs: np.ndarray, problem: ManufacturedProblem,
-                   mesh: BackgroundMesh, dls: DiscreteLevelSet,
+                   mesh: BackgroundMesh, dls: np.ndarray,
                    topo: CutTopology, dofmap: CombinedDofMap) -> ErrorReport:
     """L2 and full H1 errors of a coefficient vector against the exact
     pair, over the cut bulk domain and the discrete surface. The exact

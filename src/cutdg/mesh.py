@@ -22,7 +22,6 @@ class BackgroundMesh:
 
     vertices: (nv, 2) coordinates.
     elements: (ne, 3) vertex indices, counterclockwise.
-    box: ((ax, ay), (bx, by)).
     h: global mesh size, i.e. the longest edge (the cell diagonal).
     cell: (dx, dy) grid period of the structured construction.
     face_vertices: (nf, 2) vertex pair of each interior face, sorted.
@@ -34,7 +33,6 @@ class BackgroundMesh:
 
     vertices: np.ndarray
     elements: np.ndarray
-    box: tuple
     h: float
     cell: tuple
     face_vertices: np.ndarray
@@ -49,10 +47,6 @@ class BackgroundMesh:
     @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
-
-    @property
-    def n_faces(self) -> int:
-        return self.face_vertices.shape[0]
 
 
 def build_structured_mesh(box, n: int) -> BackgroundMesh:
@@ -93,8 +87,7 @@ def build_structured_mesh(box, n: int) -> BackgroundMesh:
     dy = (by - ay) / n
     h = float(np.hypot(dx, dy))
     fv, fe, fn, fl = face_connectivity(vertices, elements)
-    return BackgroundMesh(vertices, elements, ((ax, ay), (bx, by)), h, (dx, dy),
-                          fv, fe, fn, fl)
+    return BackgroundMesh(vertices, elements, h, (dx, dy), fv, fe, fn, fl)
 
 
 def edge_key(a: np.ndarray, b: np.ndarray, n_vertices: int) -> np.ndarray:
@@ -177,8 +170,8 @@ def refine_uniform(mesh: BackgroundMesh) -> BackgroundMesh:
     fv, fe, fn, fl = face_connectivity(vertices, children)
     dx, dy = mesh.cell
     # Exact halving: midpoint refinement scales every edge by 1/2.
-    return BackgroundMesh(vertices, children, mesh.box, mesh.h / 2,
-                          (dx / 2, dy / 2), fv, fe, fn, fl)
+    return BackgroundMesh(vertices, children, mesh.h / 2, (dx / 2, dy / 2),
+                          fv, fe, fn, fl)
 
 
 def element_areas(mesh: BackgroundMesh) -> np.ndarray:

@@ -20,19 +20,6 @@ from .exceptions import StructuralError
 from .mesh import element_gradients
 from .space import basis_values
 
-# Symmetric triangle rules with positive weights only: barycentric point
-# coordinates and weights normalized to sum to 1. Odd degrees without a
-# positive rule of their own fall through to the next table entry.
-_TRI_TABLES = {
-    1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
-    2: (np.array([[2 / 3, 1 / 6, 1 / 6],
-                  [1 / 6, 2 / 3, 1 / 6],
-                  [1 / 6, 1 / 6, 2 / 3]]),
-        np.array([1 / 3, 1 / 3, 1 / 3])),
-    4: (None, None),  # filled below
-    5: (None, None),
-}
-
 
 def _sym3(a):
     b = 1.0 - 2.0 * a
@@ -41,15 +28,16 @@ def _sym3(a):
 
 _a1, _w1 = 0.445948490915965, 0.223381589678011
 _a2, _w2 = 0.091576213509771, 0.109951743655322
-_TRI_TABLES[4] = (np.vstack([_sym3(_a1), _sym3(_a2)]),
-                  np.array([_w1] * 3 + [_w2] * 3))
-_b1, _v1 = 0.470142064105115, 0.132394152788506
-_b2, _v2 = 0.101286507323456, 0.125939180544827
-_TRI_TABLES[5] = (np.vstack([np.array([[1 / 3, 1 / 3, 1 / 3]]),
-                             _sym3(_b1), _sym3(_b2)]),
-                  np.array([9 / 40] + [_v1] * 3 + [_v2] * 3))
-
-_DEGREE_TO_TABLE = {0: 1, 1: 1, 2: 2, 3: 4, 4: 4, 5: 5}
+# Symmetric triangle rules with positive weights only, by exactness
+# degree: barycentric point coordinates and weights normalized to sum to 1.
+_TRI_TABLES = {
+    2: (np.array([[2 / 3, 1 / 6, 1 / 6],
+                  [1 / 6, 2 / 3, 1 / 6],
+                  [1 / 6, 1 / 6, 2 / 3]]),
+        np.array([1 / 3, 1 / 3, 1 / 3])),
+    4: (np.vstack([_sym3(_a1), _sym3(_a2)]),
+        np.array([_w1] * 3 + [_w2] * 3)),
+}
 
 # exactness degree of the error-norm rules (the forms use the default 2)
 ERROR_DEGREE = 4
@@ -70,9 +58,10 @@ class RuleBatch:
 
 
 def triangle_reference_rule(degree: int):
-    """Barycentric points and weights (summing to 1/2) exact to ``degree``."""
+    """Barycentric points and weights (summing to 1/2) exact to ``degree``,
+    which is 2 (the forms) or ``ERROR_DEGREE`` = 4 (the error norms)."""
     try:
-        bary, w = _TRI_TABLES[_DEGREE_TO_TABLE[degree]]
+        bary, w = _TRI_TABLES[degree]
     except KeyError:
         raise ValueError(f"no triangle rule tabulated for degree {degree}")
     return bary, 0.5 * w
@@ -148,8 +137,8 @@ class CutQuadrature:
     for the forms, ``ERROR_DEGREE`` for the error norms):
 
     grads: (ne, 3, 2) basis gradients of every background element.
-    split: active bulk elements as (uncut, cut); cut ones have a vertex
-        value above zero.
+    split: active bulk elements as (uncut, cut); the cut ones are the
+        surface-active elements ``topo.active_surface``.
     volume: [(rules, phi)] for the cut elements with a triangular and with
         a quadrilateral negative part; rules.index points into split[1]
         and phi (k, m, 3) holds the basis values at the rule points.
@@ -165,16 +154,16 @@ class CutQuadrature:
 
     @cached_property
     def split(self):
-        active = self.topo.active_bulk
-        cut = self.dls.values[self.mesh.elements[active]].max(axis=1) > 0.0
-        return active[~cut], active[cut]
+        cut = self.topo.active_surface
+        uncut = np.setdiff1d(self.topo.active_bulk, cut, assume_unique=True)
+        return uncut, cut
 
     @cached_property
     def volume(self):
         cut = self.split[1]
         nodes = self.mesh.elements[cut]
         tris = self.mesh.vertices[nodes]
-        groups = clip_element_rules(tris, self.dls.values[nodes], self.degree)
+        groups = clip_element_rules(tris, self.dls[nodes], self.degree)
         covered = np.zeros(cut.size, dtype=bool)
         for rules in groups:
             covered[rules.index] = True

@@ -36,18 +36,15 @@ ZERO_THRESHOLD = 1e-12
 GRAM_CUT = 1e-10
 
 
-def preconditioner(matrix: sp.spmatrix,
-                   prolongation: sp.spmatrix | None = None):
+def preconditioner(matrix: sp.spmatrix, prolongation: sp.spmatrix):
     """r -> D^-1 r + P (P^T A P)^-1 P^T r, with D the diagonal of A and
-    the coarse matrix factorized once; point Jacobi alone without a
-    prolongation. Raises SolverError when the coarse matrix is singular.
+    the coarse matrix factorized once. Raises SolverError when the coarse
+    matrix is singular.
     """
     diag = matrix.diagonal()
     # zero diagonal entries (possible under ablation) fall back to the
     # identity; pcg's breakdown check handles indefiniteness
     inv_diag = 1.0 / np.where(diag == 0.0, 1.0, diag)
-    if prolongation is None:
-        return lambda r: inv_diag * r
     p = prolongation
     try:
         lu = spla.splu((p.T @ matrix @ p).tocsc())
@@ -56,9 +53,9 @@ def preconditioner(matrix: sp.spmatrix,
     return lambda r: inv_diag * r + p @ lu.solve(p.T @ r)
 
 
-def pcg(matrix: sp.spmatrix, rhs: np.ndarray, rel_tol: float = 1e-10,
-        max_iter: int | None = None, precondition=None):
-    """Preconditioned conjugate gradient (Jacobi by default).
+def pcg(matrix: sp.spmatrix, rhs: np.ndarray, precondition, max_iter: int,
+        rel_tol: float = 1e-10):
+    """Conjugate gradient preconditioned by the map ``precondition``.
 
     Returns (x, iterations, converged); converged means the true residual
     ||rhs - A x|| is at most rel_tol ||rhs|| or, if rel_tol asks for
@@ -66,11 +63,9 @@ def pcg(matrix: sp.spmatrix, rhs: np.ndarray, rel_tol: float = 1e-10,
     drop of the recursive residual, and when it meets the target, the
     update is folded into x and the true residual replaces the recursive
     one, which rounding makes drift (reliable update); a missed target
-    then restarts CG from x. Default max_iter: 20 n.
+    then restarts CG from x.
     """
     n = rhs.shape[0]
-    max_iter = 20 * n if max_iter is None else max_iter
-    precondition = precondition or preconditioner(matrix)
     x, update, r = np.zeros(n), np.zeros(n), rhs.copy()
     target = rel_tol * np.linalg.norm(rhs)
     reference = np.linalg.norm(r)
@@ -108,15 +103,15 @@ def solve(system: AssembledSystem, rel_tol: float = 1e-10,
           max_iter: int = SOLVE_MAX_ITER) -> np.ndarray:
     """Solve the assembled system to a true relative residual of rel_tol
     (see ``pcg``) by CG with the two-level preconditioner on the system's
-    prolongation, or Jacobi alone for a system without one.
+    prolongation.
 
     Raises SolverError on a singular coarse matrix, a CG breakdown or
     when max_iter is reached (expected when the stabilization is ablated).
     """
     a = system.matrix
     x, iterations, converged = pcg(
-        a, system.rhs, rel_tol, max_iter,
-        preconditioner(a, system.prolongation))
+        a, system.rhs, preconditioner(a, system.prolongation), max_iter,
+        rel_tol)
     if not converged:
         cause = ("hit its iteration cap" if iterations == max_iter else
                  f"broke down at iteration {iterations} (not positive "

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .levelset import CutTopology, DiscreteLevelSet
+from .levelset import CutTopology
 from .mesh import BackgroundMesh, element_gradients
 
 
@@ -35,13 +35,6 @@ class BrokenSpace:
     @property
     def ndof(self) -> int:
         return 3 * self.elements.shape[0]
-
-    def element_dofs(self, element: int) -> np.ndarray:
-        """Global dof triple of one active element."""
-        s = self.slot[element]
-        if s < 0:
-            raise KeyError(f"element {element} is not active in this space")
-        return self.offset + 3 * s + np.arange(3)
 
     def dofs_array(self, elements: np.ndarray) -> np.ndarray:
         """(k, 3) global dofs for a batch of active elements."""
@@ -105,7 +98,7 @@ def prolongation(dofmap: CombinedDofMap,
 
 
 def levelset_null_basis(dofmap: CombinedDofMap, mesh: BackgroundMesh,
-                        dls: DiscreteLevelSet) -> sp.csc_matrix:
+                        dls: np.ndarray) -> sp.csc_matrix:
     """Orthonormal candidate basis of the surface null space: one column
     per surface-active element, holding the discrete level-set values at
     its vertices in its 3 surface dofs, normalized. The field vanishes on
@@ -113,7 +106,7 @@ def levelset_null_basis(dofmap: CombinedDofMap, mesh: BackgroundMesh,
     null vector of the system matrix (and of its rescaled form, since the
     surface rescaling is uniform). The supports are disjoint, so the
     columns are orthonormal."""
-    values = dls.values[mesh.elements[dofmap.surface.elements]]
+    values = dls[mesh.elements[dofmap.surface.elements]]
     values /= np.linalg.norm(values, axis=1)[:, None]
     rows = dofmap.surface.offset + np.arange(values.size)
     return sp.csc_matrix((values.reshape(-1), rows,

@@ -46,24 +46,28 @@ def _interpolant_coefficients(tri, values):
     return np.linalg.solve(a, values)
 
 
-def _section(tri, x):
-    """y-interval of the triangle at abscissa x (may be empty)."""
-    ys = []
+def _sections(tri, x):
+    """y-intervals (ylo, yhi) of the triangle at the abscissas x, and
+    where each is not empty: an edge not parallel to the y-axis meets
+    abscissa x inside its x-range, and a section needs two such meets."""
+    ys, meets = [], []
     for i in range(3):
         p, q = tri[i], tri[(i + 1) % 3]
         lo, hi = min(p[0], q[0]), max(p[0], q[0])
-        if lo <= x <= hi and hi > lo:
-            t = (x - p[0]) / (q[0] - p[0])
-            if 0.0 <= t <= 1.0:
-                ys.append(p[1] + t * (q[1] - p[1]))
-    if len(ys) < 2:
-        return None
-    return min(ys), max(ys)
+        if not hi > lo:
+            continue
+        t = (x - p[0]) / (q[0] - p[0])
+        ys.append(p[1] + t * (q[1] - p[1]))
+        meets.append((lo <= x) & (x <= hi) & (0.0 <= t) & (t <= 1.0))
+    ys, meets = np.array(ys), np.array(meets)
+    return (np.where(meets, ys, np.inf).min(axis=0),
+            np.where(meets, ys, -np.inf).max(axis=0), meets.sum(axis=0) >= 2)
 
 
 def integrate_negative_monomial(tri, values, a: int, b: int) -> float:
     """Brute-force integral of x^a y^b over the sub-region of ``tri``
-    where the linear interpolant of ``values`` is negative."""
+    where the linear interpolant of ``values`` is negative: _PANELS
+    panels of 8 Gauss points in x per slab, evaluated as arrays."""
     tri = np.asarray(tri, dtype=float)
     values = np.asarray(values, dtype=float)
     c0, c1, c2 = _interpolant_coefficients(tri, values)
@@ -81,29 +85,20 @@ def integrate_negative_monomial(tri, values, a: int, b: int) -> float:
         if xr - xl <= 0.0:
             continue
         edges = np.linspace(xl, xr, _PANELS + 1)
-        for pl, pr in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (pr - pl)
-            mid = 0.5 * (pr + pl)
-            for gx, gw in zip(_GAUSS_X, _GAUSS_W):
-                x = mid + half * gx
-                section = _section(tri, x)
-                if section is None:
-                    continue
-                ylo, yhi = section
-                # restrict to the negative part of the linear interpolant
-                if abs(c2) < 1e-300:
-                    if c0 + c1 * x >= 0.0:
-                        continue
-                else:
-                    ystar = -(c0 + c1 * x) / c2
-                    if c2 > 0.0:
-                        yhi = min(yhi, ystar)
-                    else:
-                        ylo = max(ylo, ystar)
-                if yhi <= ylo:
-                    continue
-                inner = (yhi ** (b + 1) - ylo ** (b + 1)) / (b + 1)
-                total += gw * half * x ** a * inner
+        half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+        x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * _GAUSS_X
+        ylo, yhi, keep = _sections(tri, x)
+        # restrict to the negative part of the linear interpolant
+        if abs(c2) < 1e-300:
+            keep &= c0 + c1 * x < 0.0
+        elif c2 > 0.0:
+            yhi = np.minimum(yhi, -(c0 + c1 * x) / c2)
+        else:
+            ylo = np.maximum(ylo, -(c0 + c1 * x) / c2)
+        keep &= yhi > ylo
+        ylo, yhi = np.where(keep, ylo, 0.0), np.where(keep, yhi, 0.0)
+        inner = (yhi ** (b + 1) - ylo ** (b + 1)) / (b + 1)
+        total += float(np.sum(_GAUSS_W * half * x ** a * inner))
     return total
 
 
@@ -276,13 +271,18 @@ def _block_triplets(blocks):
 
 
 def _split(mesh, dls, topo):
-    vals = dls.values[mesh.elements[topo.active_bulk]]
+    vals = dls[mesh.elements[topo.active_bulk]]
     cut = vals.max(axis=1) > 0.0
     return topo.active_bulk[~cut], topo.active_bulk[cut]
 
 
 def _tri(mesh, e):
     return mesh.vertices[mesh.elements[e]]
+
+
+def _dofs(space, e):
+    """Global dof triple of the active element e."""
+    return space.dofs_array(np.array([e]))[0]
 
 
 def bulk_volume_triplets(cq, space, mass=True):
@@ -303,7 +303,7 @@ def bulk_volume_triplets(cq, space, mass=True):
             list(zip(space.dofs_array(uncut), blocks))))
     blocks = []
     for e in cut:
-        rule = clip_element_rule(_tri(mesh, e), dls.values[mesh.elements[e]],
+        rule = clip_element_rule(_tri(mesh, e), dls[mesh.elements[e]],
                                  cq.degree)
         if rule.weights.size == 0:
             raise StructuralError(f"active element {e} has an empty cut rule")
@@ -313,7 +313,7 @@ def bulk_volume_triplets(cq, space, mass=True):
         if mass:
             phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
             blk += np.einsum("q,qi,qj->ij", rule.weights, phi, phi)
-        blocks.append((space.element_dofs(e), blk))
+        blocks.append((_dofs(space, e), blk))
     triplets.append(_block_triplets(blocks))
     return triplets
 
@@ -336,7 +336,7 @@ def segment_triplets(cq, space, mass=True):
             rule = _segment_rule(surf, s, cq.degree)
             phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
             blk += np.einsum("q,qi,qj->ij", rule.weights, phi, phi)
-        blocks.append((space.element_dofs(e), blk))
+        blocks.append((_dofs(space, e), blk))
     return [_block_triplets(blocks)]
 
 
@@ -359,7 +359,7 @@ def edge_triplets(cq, space, gamma, consistency=True):
         if consistency:
             blk -= np.outer(gavg, jump) + np.outer(jump, gavg)
         blocks.append((np.concatenate(
-            [space.element_dofs(surf.element[s])
+            [_dofs(space, surf.element[s])
              for s in surf.edge_segments[k]]), blk))
     return [_block_triplets(blocks)]
 
@@ -372,8 +372,8 @@ def coupling_form(cq, dofmap, params):
         rule = _segment_rule(surf, s, cq.degree)
         phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
         r = np.concatenate([params.c_bulk * phi, -params.c_surf * phi], axis=1)
-        blocks.append((np.concatenate([dofmap.bulk.element_dofs(e),
-                                       dofmap.surface.element_dofs(e)]),
+        blocks.append((np.concatenate([_dofs(dofmap.bulk, e),
+                                       _dofs(dofmap.surface, e)]),
                        np.einsum("q,qi,qj->ij", rule.weights, r, r)))
     i, j, v = _block_triplets(blocks)
     return sp.coo_matrix((v, (i, j)), shape=(dofmap.ndof,) * 2).tocsr()
@@ -391,11 +391,11 @@ def load_vector(cq, dofmap, problem, params):
                           w * np.asarray(problem.f_bulk(pts), dtype=float), bary)
         np.add.at(b, dofmap.bulk.dofs_array(uncut), params.c_bulk * local)
     for e in cut:
-        rule = clip_element_rule(_tri(mesh, e), dls.values[mesh.elements[e]],
+        rule = clip_element_rule(_tri(mesh, e), dls[mesh.elements[e]],
                                  degree)
         phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
         fvals = np.asarray(problem.f_bulk(rule.points), dtype=float)
-        b[dofmap.bulk.element_dofs(e)] += params.c_bulk * (
+        b[_dofs(dofmap.bulk, e)] += params.c_bulk * (
             (rule.weights * fvals) @ phi)
     surf, geom = cq.topo.surface, problem.geometry
     for s in range(surf.n_segments):
@@ -404,7 +404,7 @@ def load_vector(cq, dofmap, problem, params):
         fvals = np.asarray(problem.f_surf(geom.closest_point(rule.points)),
                            dtype=float)
         phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
-        b[dofmap.surface.element_dofs(e)] += params.c_surf * (
+        b[_dofs(dofmap.surface, e)] += params.c_surf * (
             (rule.weights * fvals) @ phi)
     return b
 
@@ -416,7 +416,7 @@ def surface_trace_load(mesh, topo, dofmap, degree=2):
         e = surf.element[s]
         rule = _segment_rule(surf, s, degree)
         phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
-        load[dofmap.surface.element_dofs(e)] += rule.weights @ phi
+        load[_dofs(dofmap.surface, e)] += rule.weights @ phi
     return load
 
 
@@ -440,10 +440,10 @@ def compute_errors(coeffs, problem, mesh, dls, topo, dofmap,
                                             dtype=float)
         semib += float(np.sum(w * np.sum(gdiff ** 2, axis=-1)))
     for e in cut:
-        rule = clip_element_rule(_tri(mesh, e), dls.values[mesh.elements[e]],
+        rule = clip_element_rule(_tri(mesh, e), dls[mesh.elements[e]],
                                  degree)
         phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
-        u_elem = coeffs[dofmap.bulk.element_dofs(e)]
+        u_elem = coeffs[_dofs(dofmap.bulk, e)]
         diff = phi @ u_elem - np.asarray(problem.u_bulk(rule.points),
                                          dtype=float)
         l2b += float(rule.weights @ diff ** 2)
@@ -455,7 +455,7 @@ def compute_errors(coeffs, problem, mesh, dls, topo, dofmap,
         e = surf.element[s]
         rule = _segment_rule(surf, s, degree)
         phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
-        u_elem = coeffs[dofmap.surface.element_dofs(e)]
+        u_elem = coeffs[_dofs(dofmap.surface, e)]
         diff = phi @ u_elem - np.asarray(problem.u_surf_ext(rule.points),
                                          dtype=float)
         l2s += float(rule.weights @ diff ** 2)

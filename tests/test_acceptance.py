@@ -108,7 +108,7 @@ def test_criterion_3_condition_scaling():
         dofmap = build_spaces(mesh, topo)
         system = assemble_system(mesh, dls, topo, dofmap, problem, PARAMS)
         kappa, _, _, _ = condition_number(rescaled_matrix(
-            system.matrix, system.dofmap.n_bulk, system.h))
+            system.matrix, dofmap.n_bulk, mesh.h))
         hs.append(mesh.h)
         kappas.append(kappa)
     slope = fit_slope(hs, kappas)
@@ -178,7 +178,7 @@ def test_criterion_6_quadrature_oracle():
     for _ in range(4):
         dls = interpolate_levelset(ls, mesh)
         total = sum(rules.weights.sum() for rules in clip_element_rules(
-            mesh.vertices[mesh.elements], dls.values[mesh.elements]))
+            mesh.vertices[mesh.elements], dls[mesh.elements]))
         errors.append(abs(np.pi - total))
         hs.append(mesh.h)
         mesh = refine_uniform(mesh)

@@ -78,12 +78,14 @@ def test_batched_assembly_equals_per_entity_loops(level, box, monkeypatch):
 
 
 def test_empty_cut_rule_raises():
-    """An active element without a negative vertex has no cut part."""
+    """A cut (surface-active) element without a negative vertex has no cut
+    part."""
     problem = build_circle_problem()
     mesh, dls, topo, dofmap = _setup(0, DEFAULT_BOX, problem)
-    outside = np.flatnonzero(dls.values[mesh.elements].min(axis=1) > 0.0)[0]
-    active = np.union1d(topo.active_bulk, [outside])
-    bad = dataclasses.replace(topo, active_bulk=active)
+    outside = np.flatnonzero(dls[mesh.elements].min(axis=1) > 0.0)[0]
+    bad = dataclasses.replace(
+        topo, active_bulk=np.union1d(topo.active_bulk, [outside]),
+        active_surface=np.union1d(topo.active_surface, [outside]))
     dofmap = build_spaces(mesh, bad)
     with pytest.raises(StructuralError,
                        match=f"active element {outside} has an empty cut"):

@@ -5,9 +5,10 @@ from cutdg.forms import (StabilizationParams, assemble_system, bulk_form,
                          coupling_form, energy_gram, ghost_bulk, ghost_pieces,
                          ghost_surface, load_vector, surface_form,
                          surface_tangential_gram)
-from cutdg.levelset import (DiscreteLevelSet, build_cut_topology,
-                            circle_levelset, interpolate_levelset,
-                            line_levelset, surface_length)
+from cutdg.levelset import (CutTopology, build_cut_topology,
+                            circle_levelset, extract_surface_segments,
+                            interpolate_levelset, line_levelset,
+                            surface_length)
 from cutdg.manufactured import build_circle_problem
 from cutdg.mesh import BackgroundMesh, build_structured_mesh, \
     face_connectivity, refine_uniform
@@ -28,10 +29,15 @@ def _circle_setup(n=8):
 
 
 def _uncut_pair():
-    """Two-triangle mesh fully inside the bulk domain."""
+    """Two-triangle mesh fully inside the bulk domain. It carries no
+    surface, which ``build_cut_topology`` refuses, so its topology is
+    built by hand: both elements and their one face are bulk, nothing is
+    cut."""
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 1)
-    dls = DiscreteLevelSet(values=-np.ones(4), snap_tol=1e-10)
-    topo = build_cut_topology(mesh, dls)
+    dls = -np.ones(4)
+    none = np.zeros(0, dtype=np.int64)
+    topo = CutTopology(np.arange(2), none, np.arange(1), none, none,
+                       extract_surface_segments(mesh, dls))
     return mesh, dls, topo, build_spaces(mesh, topo)
 
 
@@ -45,7 +51,7 @@ def _cut_volume(mesh, dls, topo, f, degree=4):
     total = 0.0
     for e in topo.active_bulk:
         tri = mesh.vertices[mesh.elements[e]]
-        rule = clip_element_rule(tri, dls.values[mesh.elements[e]], degree)
+        rule = clip_element_rule(tri, dls[mesh.elements[e]], degree)
         if rule.weights.size:
             total += rule.weights @ f(rule.points)
     return total
@@ -131,8 +137,7 @@ def test_uncut_pair_reproduces_hand_assembled_sip_matrix():
             jump_int_k = _simpson_line(jump(k), pa, pb)
             hand[k, m] += -flux[k] * jump_int_m - flux[m] * jump_int_k
 
-    order = np.concatenate([dofmap.bulk.element_dofs(0),
-                            dofmap.bulk.element_dofs(1)])
+    order = dofmap.bulk.dofs_array(np.arange(2)).ravel()
     assert a[np.ix_(order, order)] == pytest.approx(hand, abs=1e-13)
 
 
@@ -193,8 +198,7 @@ def _single_ghost_face_setup():
     """Unit-square pair where both triangles are cut, so the shared
     diagonal is the single bulk ghost face (and surface face)."""
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 1)
-    values = np.array([-1.0, 0.5, 0.5, -0.5])
-    dls = DiscreteLevelSet(values=values, snap_tol=1e-10)
+    dls = np.array([-1.0, 0.5, 0.5, -0.5])
     topo = build_cut_topology(mesh, dls)
     return mesh, dls, topo, build_spaces(mesh, topo)
 
@@ -205,11 +209,11 @@ def test_ghost_single_face_closed_forms():
     length = np.sqrt(2.0)
     jb, js = _ghosts(mesh, dls, topo, dofmap)
     v = np.zeros(dofmap.ndof)
-    v[dofmap.bulk.element_dofs(0)] = 1.0  # one on element 0, zero elsewhere
+    v[dofmap.bulk.dofs_array([0])] = 1.0  # one on element 0, zero elsewhere
     assert v @ (jb @ v) == pytest.approx(
         PARAMS.mu_bulk / mesh.h * length, rel=1e-12)
     w = np.zeros(dofmap.ndof)
-    w[dofmap.surface.element_dofs(0)] = 1.0
+    w[dofmap.surface.dofs_array([0])] = 1.0
     assert w @ (js @ w) == pytest.approx(
         PARAMS.mu_surf / mesh.h ** 2 * length, rel=1e-12)
 
@@ -219,13 +223,12 @@ def test_surface_ghost_weight_scales_with_refinement():
     # quadruples the h^-2 weight (and halves the face length)
     def unit_jump_value(box):
         mesh = build_structured_mesh(box, 1)
-        dls = DiscreteLevelSet(values=np.array([-1.0, 0.5, 0.5, -0.5]),
-                               snap_tol=1e-10)
+        dls = np.array([-1.0, 0.5, 0.5, -0.5])
         topo = build_cut_topology(mesh, dls)
         dofmap = build_spaces(mesh, topo)
         js = _ghosts(mesh, dls, topo, dofmap)[1]
         v = np.zeros(dofmap.ndof)
-        v[dofmap.surface.element_dofs(0)] = 1.0
+        v[dofmap.surface.dofs_array([0])] = 1.0
         return v @ (js @ v), mesh.h
 
     coarse, h = unit_jump_value(((0.0, 0.0), (1.0, 1.0)))
@@ -275,7 +278,7 @@ def test_rhs_interior_element_load_oracle():
     b = load_vector(CutQuadrature(mesh, dls, topo), dofmap, fake, PARAMS)
     # pick a fully interior element; the exact P1 load of f = x on a
     # triangle is area/12 * (2 x_i + x_j + x_k) for each vertex i
-    vals = dls.values[mesh.elements[topo.active_bulk]]
+    vals = dls[mesh.elements[topo.active_bulk]]
     interior = topo.active_bulk[vals.max(axis=1) < 0.0][0]
     tri = mesh.vertices[mesh.elements[interior]]
     area = 0.5 * abs((tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
@@ -284,7 +287,7 @@ def test_rhs_interior_element_load_oracle():
     expected = area / 12.0 * np.array([2 * xs[0] + xs[1] + xs[2],
                                        xs[0] + 2 * xs[1] + xs[2],
                                        xs[0] + xs[1] + 2 * xs[2]])
-    assert b[dofmap.bulk.element_dofs(interior)] == pytest.approx(
+    assert b[dofmap.bulk.dofs_array([interior])[0]] == pytest.approx(
         expected, rel=1e-12)
 
 
@@ -343,8 +346,8 @@ def test_assembly_is_relabeling_invariant():
     perm = rng.permutation(mesh.n_elements)
     elements2 = mesh.elements[perm]
     fv, fe, fn, fl = face_connectivity(mesh.vertices, elements2)
-    mesh2 = BackgroundMesh(mesh.vertices, elements2, mesh.box, mesh.h,
-                           mesh.cell, fv, fe, fn, fl)
+    mesh2 = BackgroundMesh(mesh.vertices, elements2, mesh.h, mesh.cell,
+                           fv, fe, fn, fl)
     topo2 = build_cut_topology(mesh2, dls)
     dofmap2 = build_spaces(mesh2, topo2)
     a2 = assemble_system(mesh2, dls, topo2, dofmap2, problem, PARAMS).matrix
@@ -353,8 +356,8 @@ def test_assembly_is_relabeling_invariant():
     mapping = np.empty(dofmap.ndof, dtype=int)
     for space, space2 in ((dofmap.bulk, dofmap2.bulk),
                           (dofmap.surface, dofmap2.surface)):
-        for e in space.elements:
-            mapping[space.element_dofs(e)] = space2.element_dofs(invp[e])
+        mapping[space.dofs_array(space.elements)] = space2.dofs_array(
+            invp[space.elements])
     d1 = a1.toarray()
     d2 = a2.toarray()[np.ix_(mapping, mapping)]
     assert np.abs(d1 - d2).max() <= 1e-12 * np.abs(d1).max()
@@ -379,7 +382,7 @@ def test_surface_ghost_off_creates_exact_null_space():
     # to one cut element annihilate the ablated quadratic form exactly
     e = topo.active_surface[0]
     v = np.zeros(dofmap.ndof)
-    v[dofmap.surface.element_dofs(e)] = dls.values[mesh.elements[e]]
+    v[dofmap.surface.dofs_array([e])[0]] = dls[mesh.elements[e]]
     scale = np.abs(a).max() * (v @ v)
     assert abs(v @ (a @ v)) <= 1e-14 * scale
 

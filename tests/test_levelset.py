@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cutdg.exceptions import ConfigurationError, StructuralError
-from cutdg.levelset import (DiscreteLevelSet, build_cut_topology,
+from cutdg.levelset import (SNAP_FACTOR, build_cut_topology,
                             check_geometry_assumptions, circle_levelset,
                             closest_point_circle, extract_surface_segments,
                             interpolate_levelset, line_levelset,
@@ -47,30 +47,29 @@ def test_interpolation_and_snapping():
     ls = circle_levelset()
     dls = interpolate_levelset(ls, mesh)
     vid = {tuple(np.round(v, 12)): i for i, v in enumerate(mesh.vertices)}
-    assert dls.values[vid[(2.0, 0.0)]] == pytest.approx(1.0)
-    assert dls.values[vid[(0.0, 0.0)]] == pytest.approx(-1.0)
-    # vertex (1, 0) lies exactly on the circle: snapped to -snap_tol
-    assert dls.values[vid[(1.0, 0.0)]] == -dls.snap_tol
-    assert dls.snap_tol == pytest.approx(1e-10 * mesh.h)
-    assert np.all(dls.values != 0.0)
+    assert dls[vid[(2.0, 0.0)]] == pytest.approx(1.0)
+    assert dls[vid[(0.0, 0.0)]] == pytest.approx(-1.0)
+    # vertex (1, 0) lies exactly on the circle: snapped to -1e-10 h
+    assert SNAP_FACTOR == 1e-10
+    assert dls[vid[(1.0, 0.0)]] == -SNAP_FACTOR * mesh.h
+    assert np.all(dls != 0.0)
 
 
 def test_classification_sign_patterns():
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 1)
     # element 0 has vertices 0, 1, 2; element 1 has vertices 1, 3, 2
     cases = [
-        (np.array([-1.0, -1.0, -1.0, -1.0]), {0, 1}, set()),
+        (np.array([-1.0, -1.0, -1.0, -1.0]), None, None),  # uncut: error
         (np.array([-1.0, 1.0, 1.0, 1.0]), {0}, {0}),
         (np.array([1.0, 1.0, 1.0, 1.0]), None, None),  # empty: error
         (np.array([-1.0, -1.0, -1.0, 1.0]), {0, 1}, {1}),
     ]
     for values, bulk, cut in cases:
-        dls = DiscreteLevelSet(values=values, snap_tol=1e-10)
         if bulk is None:
             with pytest.raises(ConfigurationError):
-                build_cut_topology(mesh, dls)
+                build_cut_topology(mesh, values)
             continue
-        topo = build_cut_topology(mesh, dls)
+        topo = build_cut_topology(mesh, values)
         assert set(topo.active_bulk) == bulk
         assert set(topo.active_surface) == cut
         assert set(topo.active_surface) <= set(topo.active_bulk)
@@ -97,9 +96,7 @@ def test_single_element_segment_oracle():
     # triangle (0,0), (1,0), (0,1) with values (-1, 1, 1): the zeros sit at
     # the edge midpoints (0.5, 0) and (0, 0.5)
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 1)
-    values = np.array([-1.0, 1.0, 1.0, 3.0])
-    dls = DiscreteLevelSet(values=values, snap_tol=1e-10)
-    surf = extract_surface_segments(mesh, dls)
+    surf = extract_surface_segments(mesh, np.array([-1.0, 1.0, 1.0, 3.0]))
     assert surf.n_segments == 1
     pts = {tuple(p) for p in surf.points[0]}
     assert pts == {(0.5, 0.0), (0.0, 0.5)}
@@ -151,8 +148,7 @@ def test_exact_zero_vertex_values_give_two_crossings_per_cut_element():
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 4)
     values = mesh.vertices[:, 0] + 2.0 * mesh.vertices[:, 1] - 1.0
     assert np.sum(values == 0.0) == 3
-    dls = DiscreteLevelSet(values=values, snap_tol=0.0)
-    surf = extract_surface_segments(mesh, dls)
+    surf = extract_surface_segments(mesh, values)
     vals = values[mesh.elements]
     cut = np.flatnonzero((vals.min(axis=1) < 0.0) & (vals.max(axis=1) > 0.0))
     assert np.array_equal(surf.element, cut)
@@ -171,25 +167,21 @@ def test_extraction_error_paths():
     mesh) crossed by the surface in three elements, and a saddle of the
     interpolant whose zero vertex ends four segments."""
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 1)
-    tiny = DiscreteLevelSet(values=np.array([-1e-17, 1.0, 1.0, 1.0]),
-                            snap_tol=0.0)
+    tiny = np.array([-1e-17, 1.0, 1.0, 1.0])
     with pytest.raises(StructuralError, match="degenerate surface segment"):
         extract_surface_segments(mesh, tiny)
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                          [-1.0, 1.0]])
     fan = np.array([[0, 1, 2], [0, 2, 4], [0, 3, 2]])
     empty = np.zeros((0, 2))
-    bad = BackgroundMesh(vertices, fan, ((-1.0, 0.0), (1.0, 1.0)), 1.0,
-                         (1.0, 1.0), empty.astype(np.int64),
-                         empty.astype(np.int64), empty, np.zeros(0))
-    dls = DiscreteLevelSet(values=np.array([-1.0, 1.0, 1.0, 1.0, 1.0]),
-                           snap_tol=0.0)
+    bad = BackgroundMesh(vertices, fan, 1.0, (1.0, 1.0),
+                         empty.astype(np.int64), empty.astype(np.int64),
+                         empty, np.zeros(0))
     with pytest.raises(StructuralError, match=r"\(0, 2\) shared by 3"):
-        extract_surface_segments(bad, dls)
+        extract_surface_segments(bad, np.array([-1.0, 1.0, 1.0, 1.0, 1.0]))
     mesh = build_structured_mesh(((-1.0, -1.0), (1.0, 1.0)), 4)
     x, y = mesh.vertices.T
-    saddle = DiscreteLevelSet(values=(x - y / 3.0) * (x + y / 2.0),
-                              snap_tol=0.0)
+    saddle = (x - y / 3.0) * (x + y / 2.0)
     with pytest.raises(StructuralError, match=r"\(12, 12\) shared by 4"):
         extract_surface_segments(mesh, saddle)
 
@@ -206,13 +198,35 @@ def test_surface_along_a_mesh_edge_raises(bump):
     values = x - 0.5
     if bump is not None:
         values[(x == 0.5) & (y == 0.5)] = bump
-    dls = DiscreteLevelSet(values=values, snap_tol=0.0)
     a, b = np.flatnonzero((x == 0.5) & (y <= 0.25))
     assert np.array_equal(mesh.vertices[[a, b]], [[0.5, 0.0], [0.5, 0.25]])
     for build in (extract_surface_segments, build_cut_topology):
         with pytest.raises(StructuralError, match=rf"mesh edge \({a}, {b}\), "
                            "whose vertex values are both exactly zero"):
-            build(mesh, dls)
+            build(mesh, values)
+
+
+UNIT4 = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 4)
+
+
+@pytest.mark.parametrize("mesh, values", [
+    # the snapped line x = 1 on the box boundary: every vertex is negative
+    (UNIT4, interpolate_levelset(line_levelset((1.0, 0.0), 1.0), UNIT4)),
+    # the same line by hand, exactly zero on the boundary vertices
+    (UNIT4, UNIT4.vertices[:, 0] - 1.0),
+    # a circle of radius 10 around the whole box
+    (build_structured_mesh(BOX, 8), None),
+], ids=["snapped-boundary-line", "exact-zero-boundary-line", "big-circle"])
+def test_surface_the_mesh_does_not_carry_raises(mesh, values):
+    """The mesh carries bulk elements but no cut one, so no part of the
+    surface: the topology is refused instead of assembling a system
+    without a surface block."""
+    if values is None:
+        values = interpolate_levelset(circle_levelset(radius=10.0), mesh)
+    assert np.any(values[mesh.elements].min(axis=1) < 0.0)
+    with pytest.raises(ConfigurationError,
+                       match="surface misses the background box"):
+        build_cut_topology(mesh, values)
 
 
 def test_translation_sweep_never_breaks_extraction():

@@ -24,7 +24,7 @@ def _exact_ref_monomial(a, b):
     return factorial(a) * factorial(b) / factorial(a + b + 2)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("degree", [2, 4])
 def test_reference_triangle_rules_are_exact(degree):
     bary, w = triangle_reference_rule(degree)
     assert np.all(w > 0.0)
@@ -34,6 +34,12 @@ def test_reference_triangle_rules_are_exact(degree):
         for b in range(degree + 1 - a):
             val = w @ (pts[:, 0] ** a * pts[:, 1] ** b)
             assert val == pytest.approx(_exact_ref_monomial(a, b), rel=1e-13)
+
+
+@pytest.mark.parametrize("degree", [1, 3, 5])
+def test_untabulated_triangle_degrees_raise(degree):
+    with pytest.raises(ValueError, match=f"degree {degree}"):
+        triangle_reference_rule(degree)
 
 
 def test_surface_segment_rule():
@@ -89,7 +95,7 @@ def test_disk_area_converges_quadratically():
         total = 0.0
         for e in range(mesh.n_elements):
             tri = mesh.vertices[mesh.elements[e]]
-            total += clip_element_rule(tri, dls.values[mesh.elements[e]]).total_weight
+            total += clip_element_rule(tri, dls[mesh.elements[e]]).total_weight
         errors.append(abs(np.pi - total))
         hs.append(mesh.h)
         mesh = refine_uniform(mesh)
@@ -112,7 +118,7 @@ def test_negative_polygon_shapes():
     assert negative_polygon(REF, [1.0, 1.0, 1.0]).shape == (0, 2)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 4])
+@pytest.mark.parametrize("degree", [2, 4])
 def test_batched_clip_rules_equal_the_per_element_rules(degree):
     """Every sign pattern, exact zeros included: each triangle lands in the
     group of its polygon size with the per-element points and weights,

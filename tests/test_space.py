@@ -48,14 +48,13 @@ def test_dof_map_counts_and_bijection():
     assert dofmap.ndof == dofmap.n_bulk + dofmap.n_surface
     seen = set()
     for space in (dofmap.bulk, dofmap.surface):
-        for e in space.elements:
-            dofs = space.element_dofs(e)
+        for dofs in space.dofs_array(space.elements):
             assert len(set(dofs)) == 3
             seen.update(dofs)
     assert seen == set(range(dofmap.ndof))
     with pytest.raises(KeyError):
-        dofmap.surface.element_dofs(int(np.setdiff1d(
-            topo.active_bulk, topo.active_surface)[0]))
+        dofmap.surface.dofs_array(np.setdiff1d(
+            topo.active_bulk, topo.active_surface)[:1])
 
 
 def test_interpolation_reproduces_constants_and_linears():
@@ -86,7 +85,7 @@ def test_quadratic_interpolant_has_gradient_jumps():
     # pick the vertical face at x = 1 between cells
     grads_all = element_gradients(mesh.vertices[mesh.elements])
     fid = None
-    for f in range(mesh.n_faces):
+    for f in range(len(mesh.face_vertices)):
         pa, pb = mesh.vertices[mesh.face_vertices[f]]
         if pa[0] == 1.0 and pb[0] == 1.0:
             fid = f
@@ -136,8 +135,8 @@ def test_levelset_null_basis_holds_the_level_set_on_each_cut_element():
     assert (q.T @ q).toarray() == pytest.approx(np.eye(q.shape[1]),
                                                 abs=1e-14)
     for column, element in enumerate(dofmap.surface.elements[:5]):
-        values = dls.values[mesh.elements[element]]
-        dofs = dofmap.surface.element_dofs(element)
+        values = dls[mesh.elements[element]]
+        dofs = dofmap.surface.dofs_array([element])[0]
         expected = np.zeros(dofmap.ndof)
         expected[dofs] = values / np.linalg.norm(values)
         assert q[:, column].toarray().ravel() == pytest.approx(expected,
