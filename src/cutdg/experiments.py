@@ -237,7 +237,8 @@ class SurfaceState:
         """Smallest generalized eigenvalue of the matrix of one of
         ``PROPERTY_CONFIGS`` against the fully stabilized energy Gram."""
         return deflated_generalized_extremes(
-            self.matrix(PROPERTY_SWEEP_CONFIG[config]), self.energy_basis)[0]
+            self.matrix(PROPERTY_SWEEP_CONFIG[config]), self.energy_basis,
+            largest=False)
 
 
 def run_condition_sweep(level: int = 1, positions: int = 101,
@@ -285,13 +286,6 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
     return report
 
 
-def fit_slope(h_values, quantities) -> float:
-    """Least-squares slope of log(quantity) against log(h)."""
-    h_values = np.asarray(h_values, dtype=float)
-    quantities = np.asarray(quantities, dtype=float)
-    return float(np.polyfit(np.log(h_values), np.log(quantities), 1)[0])
-
-
 def run_geometry_check(levels: int = 4, n0: int = DEFAULT_N0) -> StudyReport:
     """Per-level sup of |rho| on the discrete surface and of the normal
     deviation, plus the discrete surface length (kept on the report for
@@ -321,7 +315,7 @@ def _property_constants(state: SurfaceState, rng, n_random: int) -> dict:
     grad_cut = gradient_gram(cq, dofmap, "cut")
     bulk_ghost = (grad_cut + ghost_bulk(state.pieces, state.params)).tocsr()
     bulk, bulk_bare = (deflated_generalized_extremes(
-        grad_active, deflated_gram_basis(gram))[1]
+        grad_active, deflated_gram_basis(gram), largest=True)
         for gram in (bulk_ghost, grad_cut))
     fields = np.hstack([np.zeros((n_random, dofmap.n_bulk)),
                         rng.standard_normal((n_random, dofmap.n_surface))])

@@ -235,10 +235,14 @@ def extract_surface_segments(mesh: BackgroundMesh,
     flat = keys.reshape(-1)
     order, starts, counts = group_keys(flat)
     if np.any(counts > 2):
-        key = flat[order[starts[counts > 2][0]]]
+        lo, hi = divmod(int(flat[order[starts[counts > 2][0]]]), nv)
+        count = counts[counts > 2][0]
+        # a key with lo == hi is an exact-zero vertex, not a mesh edge
         raise StructuralError(
-            f"surface edge {divmod(int(key), nv)} shared by "
-            f"{counts[counts > 2][0]} segments")
+            f"surface vertex {lo} at {tuple(mesh.vertices[lo].tolist())} "
+            f"ends {count} segments: a saddle of the discrete level set"
+            if lo == hi else
+            f"surface edge ({lo}, {hi}) shared by {count} segments")
     # Groups of one are open chain ends (surface clipped by the box).
     first = starts[counts == 2]
     ends = order[np.column_stack([first, first + 1])]

@@ -11,6 +11,7 @@ shift-invert after an explicit null basis is deflated.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -204,20 +205,39 @@ def condition_number(matrix: sp.spmatrix,
 
 def deflated_gram_basis(b: sp.spmatrix) -> np.ndarray:
     """Basis W of the numerical range of the positive semidefinite B with
-    W^T B W = I: the eigenvectors with an eigenvalue above GRAM_CUT times
-    the largest, scaled. Raises DegenerateMatrixError for a zero B."""
-    w, v = np.linalg.eigh(np.asarray(b.todense()))
-    keep = w > GRAM_CUT * w.max()
+    W^T B W = I: the eigenvectors of B with an eigenvalue above GRAM_CUT
+    times the largest, scaled. Only the support of B, its rows with a
+    nonzero diagonal, is eigendecomposed, and W is zero off it: a zero
+    diagonal entry of a positive semidefinite matrix zeroes its row and
+    column, so every eigenvalue left out is an exact zero. Raises
+    DegenerateMatrixError for a zero B."""
+    support = np.flatnonzero(b.diagonal())
+    w, v = np.linalg.eigh(b.tocsr()[support][:, support].toarray())
+    keep = w > GRAM_CUT * w.max(initial=0.0)
     if not np.any(keep):
         raise DegenerateMatrixError("right-hand Gram matrix is numerically "
                                     "zero")
-    return v[:, keep] / np.sqrt(w[keep])[None, :]
+    basis = np.zeros((b.shape[0], np.count_nonzero(keep)))
+    basis[support] = v[:, keep]
+    basis /= np.sqrt(w[keep])
+    return basis
 
 
-def deflated_generalized_extremes(a: sp.spmatrix, basis: np.ndarray):
-    """Smallest and largest generalized eigenvalue of (A, B) after
-    deflating the numerical null space of the positive semidefinite B,
-    given B by its ``deflated_gram_basis``."""
-    core = basis.T @ (np.asarray(a.todense()) @ basis)
-    eigs = np.linalg.eigvalsh(core)
-    return float(eigs.min()), float(eigs.max())
+def deflated_generalized_extremes(a: sp.spmatrix, basis: np.ndarray, *,
+                                  largest: bool) -> float:
+    """Smallest generalized eigenvalue of (A, B), or with ``largest`` the
+    largest, after deflating the numerical null space of the positive
+    semidefinite B, given B by its ``deflated_gram_basis``. Only that one
+    eigenvalue of the deflated pencil W^T A W is computed, unless the
+    subset eigensolver fails and every eigenvalue is."""
+    core = basis.T @ (a @ basis)
+    end = core.shape[0] - 1 if largest else 0
+    try:
+        return float(scipy.linalg.eigh(core, eigvals_only=True,
+                                       subset_by_index=[end, end],
+                                       driver="evr")[0])
+    except scipy.linalg.LinAlgError:
+        # the subset drivers can fail on a cluster of exactly equal
+        # eigenvalues at the requested end, as in the element-wise bulk
+        # gradient pencil without ghost penalty at some positions
+        return float(np.linalg.eigvalsh(core)[end])

@@ -5,7 +5,10 @@ integrates monomials by 1D quadrature in x with exact antiderivatives in
 y; the sign of the linear vertex interpolant restricts each x-section.
 It shares no code with the polygon-clipping quadrature it checks. The
 condition-number oracle is a dense symmetric eigensolve of the whole
-spectrum.
+spectrum, and the generalized-extremes oracle deflates the whole dense
+Gram and computes every eigenvalue of the deflated pencil.
+``fit_slope`` gives the observed rates that the convergence, geometry
+and conditioning tests bound.
 
 The per-entity rules (``clip_element_rule``, ``surface_segment_rule``)
 and basis (``evaluate_basis``) are the reference for the batched
@@ -163,6 +166,32 @@ def dense_condition_number(matrix, zero_threshold: float = 1e-12):
     nonzero = eigs[eigs > zero_threshold * lam_max]
     lam_min = float(nonzero.min())
     return lam_max / lam_min, lam_min, lam_max, eigs.size - nonzero.size
+
+
+def dense_gram_basis(b):
+    """Basis W of the numerical range of the positive semidefinite B with
+    W^T B W = I, from the eigendecomposition of the whole dense B: the
+    eigenvectors with an eigenvalue above 1e-10 times the largest,
+    scaled."""
+    w, v = np.linalg.eigh(b.toarray())
+    keep = w > 1e-10 * w.max()
+    return v[:, keep] / np.sqrt(w[keep])[None, :]
+
+
+def dense_generalized_extremes(a, b):
+    """Smallest and largest generalized eigenvalue of (A, B) after
+    deflating the numerical null space of B: every eigenvalue of the dense
+    deflated pencil W^T A W, with W the ``dense_gram_basis`` of B."""
+    basis = dense_gram_basis(b)
+    eigs = np.linalg.eigvalsh(basis.T @ (a.toarray() @ basis))
+    return float(eigs.min()), float(eigs.max())
+
+
+def fit_slope(h_values, quantities) -> float:
+    """Least-squares slope of log(quantity) against log(h)."""
+    h_values = np.asarray(h_values, dtype=float)
+    quantities = np.asarray(quantities, dtype=float)
+    return float(np.polyfit(np.log(h_values), np.log(quantities), 1)[0])
 
 
 def face_connectivity_reference(elements):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from cutdg.experiments import (PROPERTY_BOX, SENTINEL_KAPPA, SurfaceState,
-                               config_params, fit_slope, mesh_at_level,
+                               config_params, mesh_at_level,
                                run_condition_sweep, run_convergence,
                                run_geometry_check, run_property_suite)
 from cutdg.forms import (StabilizationParams, assemble_system, ghost_bulk,
@@ -31,7 +31,7 @@ from cutdg.mesh import build_structured_mesh, refine_uniform
 from cutdg.quadrature import CutQuadrature, clip_element_rules
 from cutdg.solver import condition_number, rescaled_matrix, solve
 from cutdg.space import build_spaces, interpolate_pair
-from tests.oracles import cut_monomial_pairs, random_cut_triangles
+from tests.oracles import cut_monomial_pairs, fit_slope, random_cut_triangles
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
 PARAMS = StabilizationParams()

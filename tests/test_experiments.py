@@ -7,7 +7,7 @@ from cutdg.experiments import (CONDITION_HEADER, CONVERGENCE_HEADER,
                                PROPERTIES_HEADER, PROPERTY_BOX,
                                PROPERTY_CONFIGS, PROPERTY_SWEEP_CONFIG,
                                SWEEP_CONFIGS, SurfaceState, ablated_params,
-                               config_params, fit_slope, mesh_at_level,
+                               config_params, mesh_at_level,
                                run_condition_sweep, run_convergence,
                                run_geometry_check, run_property_suite)
 from cutdg.forms import (StabilizationParams, assemble_system, bulk_form,
@@ -19,9 +19,11 @@ from cutdg.levelset import (build_cut_topology, circle_levelset,
                             interpolate_levelset, surface_length)
 from cutdg.manufactured import build_circle_problem
 from cutdg.quadrature import CutQuadrature
-from cutdg.solver import rescaled_matrix
+from cutdg.solver import (deflated_generalized_extremes, deflated_gram_basis,
+                          rescaled_matrix)
 from cutdg.space import build_spaces
-from tests.oracles import dense_condition_number
+from tests.oracles import (dense_condition_number, dense_generalized_extremes,
+                           fit_slope)
 
 
 def test_mesh_at_level_matches_direct_build():
@@ -242,21 +244,16 @@ def test_every_csv_row_matches_its_header_width():
             assert len(line.split(",")) == width
 
 
-def _inline_extremes(a, b):
-    """Generalized extremes of (A, B) with B deflated in place, without
-    any cached basis."""
-    w, v = np.linalg.eigh(np.asarray(b.todense()))
-    keep = w > 1e-10 * w.max()
-    basis = v[:, keep] / np.sqrt(w[keep])[None, :]
-    eigs = np.linalg.eigvalsh(basis.T @ (np.asarray(a.todense()) @ basis))
-    return float(eigs.min()), float(eigs.max())
-
-
 def _per_call_constants(mesh, delta, params, seed, n_random):
     """The property constants at one position, every Gram built by its
     public function on a fresh CutQuadrature, every pencil deflated on
-    its own and every configuration drawing its own Poincare fields one at
-    a time."""
+    its own Gram and every configuration drawing its own Poincare fields
+    one at a time."""
+
+    def extremes(a, b, largest):
+        return deflated_generalized_extremes(a, deflated_gram_basis(b),
+                                             largest=largest)
+
     ls = circle_levelset(center=delta * np.asarray(mesh.cell))
     dls = interpolate_levelset(ls, mesh)
     topo = build_cut_topology(mesh, dls)
@@ -281,11 +278,11 @@ def _per_call_constants(mesh, delta, params, seed, n_random):
     for config in PROPERTY_CONFIGS:
         matrix = stabilized(*forms, pieces, config_params(
             params, PROPERTY_SWEEP_CONFIG[config]))
-        out[("coercivity", config)] = _inline_extremes(matrix, gram_total)[0]
+        out[("coercivity", config)] = extremes(matrix, gram_total, False)
         rhs = grad_cut if config == "no-bulk-ghost" \
             else (grad_cut + bulk_ghost).tocsr()
         out[("bulk_norm_equivalence", config)] = \
-            _inline_extremes(grad_active, rhs)[1]
+            extremes(grad_active, rhs, True)
         den_matrix = tangent if config == "no-surface-ghost" \
             else (tangent + surf_ghost).tocsr()
         rng = np.random.default_rng(seed)
@@ -323,6 +320,28 @@ def test_property_suite_equals_the_per_call_route():
         reference = _per_call_constants(mesh, delta, params, 5 + 7 * idx, 30)
         for key, value in reference.items():
             assert np.array_equal(suite[key][idx], value), (key, delta)
+
+
+def test_property_suite_matches_the_dense_oracle(monkeypatch):
+    # The suite deflates each Gram on its support and computes one
+    # eigenvalue per pencil; the oracle deflates the whole dense Gram and
+    # computes every eigenvalue. The oracle takes the Gram itself where
+    # the suite passes its basis, so the same suite code sets the flags.
+    report = run_property_suite(level=0, positions=5)
+    monkeypatch.setattr(experiments, "deflated_gram_basis", lambda b: b)
+    monkeypatch.setattr(
+        experiments, "deflated_generalized_extremes",
+        lambda a, b, largest: dense_generalized_extremes(a, b)[largest])
+    oracle = run_property_suite(level=0, positions=5)
+    suite, reference = _suite_constants(report), _suite_constants(oracle)
+    assert suite.keys() == reference.keys()
+    for key, expected in reference.items():
+        expected = np.asarray(expected)
+        scale = np.abs(expected).max()
+        assert np.abs(np.asarray(suite[key]) - expected).max() \
+            <= 1e-11 * scale, key
+    assert {k: v["passed"] for k, v in report.property_summary.items()} == \
+        {k: v["passed"] for k, v in oracle.property_summary.items()}
 
 
 def test_surface_state_coercivity_equals_the_suite_row():

@@ -182,7 +182,9 @@ def test_extraction_error_paths():
     mesh = build_structured_mesh(((-1.0, -1.0), (1.0, 1.0)), 4)
     x, y = mesh.vertices.T
     saddle = (x - y / 3.0) * (x + y / 2.0)
-    with pytest.raises(StructuralError, match=r"\(12, 12\) shared by 4"):
+    with pytest.raises(StructuralError,
+                       match=r"surface vertex 12 at \(0\.0, 0\.0\) ends 4 "
+                       "segments: a saddle of the discrete level set"):
         extract_surface_segments(mesh, saddle)
 
 
