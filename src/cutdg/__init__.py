@@ -11,10 +11,9 @@ from .forms import (AssembledSystem, StabilizationParams, assemble_system,
 from .levelset import (CutTopology, LevelSet, build_cut_topology,
                        check_geometry_assumptions, circle_levelset,
                        closest_point_circle, extract_surface_segments,
-                       interpolate_levelset, line_levelset, surface_length)
+                       interpolate_levelset, surface_length)
 from .manufactured import (ErrorReport, ManufacturedProblem,
-                           build_affine_problem, build_circle_problem,
-                           compute_errors, eoc)
+                           build_circle_problem, compute_errors, eoc)
 from .mesh import (BackgroundMesh, build_structured_mesh, face_connectivity,
                    refine_uniform)
 from .quadrature import CutQuadrature

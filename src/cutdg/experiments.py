@@ -11,8 +11,10 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from .exceptions import DegenerateMatrixError, SolverError
+from .exceptions import ConfigurationError, DegenerateMatrixError, SolverError
 from .forms import (StabilizationParams, assemble_system, bulk_form,
                     coupling_form, energy_gram, ghost_bulk, ghost_pieces,
                     ghost_surface, gradient_gram, stabilized,
@@ -21,10 +23,10 @@ from .forms import (StabilizationParams, assemble_system, bulk_form,
 from .levelset import (build_cut_topology, check_geometry_assumptions,
                        circle_levelset, interpolate_levelset, surface_length)
 from .manufactured import build_circle_problem, compute_errors, eoc
-from .mesh import build_structured_mesh, refine_uniform
+from .mesh import build_structured_mesh, element_areas, refine_uniform
 from .quadrature import CutQuadrature
-from .solver import (condition_number, deflated_gram_basis,
-                     deflated_generalized_extremes, rescaled_matrix, solve)
+from .solver import (condition_number, generalized_extreme, rescaled_matrix,
+                     solve)
 from .space import build_spaces, levelset_null_basis
 
 DEFAULT_BOX = ((-1.1, -1.1), (1.1, 1.1))
@@ -196,7 +198,7 @@ class SurfaceState:
     ``mesh``, with what the studies share at that position: the discrete
     level set, cut topology, dof map and one CutQuadrature, and, built on
     first use, the unit ghost pieces, the unweighted forms, the level-set
-    null basis and the deflated energy Gram."""
+    null basis and the energy Gram."""
 
     def __init__(self, mesh, delta: float, params: StabilizationParams):
         ls = circle_levelset(center=delta * np.asarray(mesh.cell), radius=1.0)
@@ -223,10 +225,16 @@ class SurfaceState:
         return levelset_null_basis(self.dofmap, self.mesh, self.dls)
 
     @cached_property
-    def energy_basis(self):
-        """``deflated_gram_basis`` of the fully stabilized energy Gram."""
-        return deflated_gram_basis(energy_gram(
-            self.cq, self.dofmap, self.params, self.pieces))
+    def energy(self):
+        """The fully stabilized energy Gram, positive definite on a closed
+        surface chain. A chain the box leaves open can make it singular and
+        raises ConfigurationError."""
+        surf = self.topo.surface
+        if surf.n_edges < surf.n_segments:
+            raise ConfigurationError("the box clips the discrete surface to "
+                                     "an open chain, on which the energy "
+                                     "Gram need not be positive definite")
+        return energy_gram(self.cq, self.dofmap, self.params, self.pieces)
 
     def matrix(self, config: str):
         """System matrix of one of ``SWEEP_CONFIGS``."""
@@ -236,9 +244,8 @@ class SurfaceState:
     def coercivity(self, config: str) -> float:
         """Smallest generalized eigenvalue of the matrix of one of
         ``PROPERTY_CONFIGS`` against the fully stabilized energy Gram."""
-        return deflated_generalized_extremes(
-            self.matrix(PROPERTY_SWEEP_CONFIG[config]), self.energy_basis,
-            largest=False)
+        return generalized_extreme(self.matrix(PROPERTY_SWEEP_CONFIG[config]),
+                                   self.energy, largest=False)
 
 
 def run_condition_sweep(level: int = 1, positions: int = 101,
@@ -306,17 +313,43 @@ def run_geometry_check(levels: int = 4, n0: int = DEFAULT_N0) -> StudyReport:
     return report
 
 
+def _bulk_norm_equivalence(active, gram, n_bulk: int) -> float:
+    """Largest generalized eigenvalue of the active gradient Gram against
+    ``gram`` (the cut one plus the bulk ghost) on the bulk block. Both
+    vanish exactly on the constants of each connected component of the
+    graph of ``gram``. With Q their 0/1 indicators, (active, gram + Q Q^T)
+    has eigenvalue 0 on span Q and is the same pencil on its complement,
+    and gram + Q Q^T is positive definite."""
+    a, b = active[:n_bulk, :n_bulk], gram[:n_bulk, :n_bulk]
+    count, labels = connected_components(b != 0, directed=False)
+    q = sp.csr_matrix((np.ones(n_bulk), (np.arange(n_bulk), labels)),
+                      shape=(n_bulk, count))
+    return generalized_extreme(a, b + q @ q.T, largest=True)
+
+
+def _cut_area_ratio(cq: CutQuadrature) -> float:
+    """Largest generalized eigenvalue of the active against the cut
+    gradient Gram in closed form: both sum the element stiffnesses S_K,
+    weighted by |K| and by |K cap Omega_h| (the sum of the cut-volume rule
+    weights), so it is the largest |K| / |K cap Omega_h| over the cut
+    elements (every uncut one gives 1)."""
+    cut = cq.split[1]
+    inside = np.empty(cut.size)
+    for rules, _ in cq.volume:
+        inside[rules.index] = rules.weights.sum(axis=1)
+    return float(np.max(element_areas(cq.mesh)[cut] / inside))
+
+
 def _property_constants(state: SurfaceState, rng, n_random: int) -> dict:
     """{property: {configuration: constant}} at one position (see
     ``run_property_suite``). Each Poincare dot runs on contiguous rows, as
     for one field at a time: on strided columns it can round differently."""
     mesh, topo, dofmap, cq = state.mesh, state.topo, state.dofmap, state.cq
-    grad_active = gradient_gram(cq, dofmap, "active")
-    grad_cut = gradient_gram(cq, dofmap, "cut")
-    bulk_ghost = (grad_cut + ghost_bulk(state.pieces, state.params)).tocsr()
-    bulk, bulk_bare = (deflated_generalized_extremes(
-        grad_active, deflated_gram_basis(gram), largest=True)
-        for gram in (bulk_ghost, grad_cut))
+    bulk = _bulk_norm_equivalence(
+        gradient_gram(cq, dofmap, "active"),
+        gradient_gram(cq, dofmap, "cut") + ghost_bulk(state.pieces,
+                                                      state.params),
+        dofmap.n_bulk)
     fields = np.hstack([np.zeros((n_random, dofmap.n_bulk)),
                         rng.standard_normal((n_random, dofmap.n_surface))])
     load = surface_trace_load(cq, dofmap)
@@ -337,7 +370,8 @@ def _property_constants(state: SurfaceState, rng, n_random: int) -> dict:
     poincare, poincare_bare = (worst(quadratic(gram))
                                for gram in (surf_ghost, tangent))
     return {"coercivity": {c: state.coercivity(c) for c in PROPERTY_CONFIGS},
-            "bulk_norm_equivalence": {"full": bulk, "no-bulk-ghost": bulk_bare,
+            "bulk_norm_equivalence": {"full": bulk,
+                                      "no-bulk-ghost": _cut_area_ratio(cq),
                                       "no-surface-ghost": bulk},
             "surface_poincare": {"full": poincare, "no-bulk-ghost": poincare,
                                  "no-surface-ghost": poincare_bare}}
@@ -367,20 +401,22 @@ def _contrast_vs_full(ablated: np.ndarray, full: np.ndarray) -> float:
 def run_property_suite(level: int = 0, positions: int = 101,
                        n0: int = DEFAULT_N0,
                        params: StabilizationParams | None = None,
-                       n_random: int = 100, box=PROPERTY_BOX,
+                       n_random: int = 100,
                        seed: int = 9176) -> StudyReport:
     """Measured stability constants across the surface-position sweep.
 
-    Per position and configuration: coercivity (smallest generalized
-    eigenvalue of the system matrix against the fully stabilized energy
-    Gram, on the deflated pencil); the ghost-penalty norm-extension
-    constant of the bulk gradient (largest generalized eigenvalue of its
-    Gram on the active elements against the one on the cut elements plus
-    the bulk ghost); and the discrete surface Poincare constant (largest
-    ratio h^-1 ||v||^2 on the active elements over the tangential
-    seminorm plus the surface ghost) over n_random random mean-zero
-    fields. The fields are drawn once per position, from seed + 7 *
-    (position index), and the three configurations share them.
+    The mesh covers ``PROPERTY_BOX``. Per position and configuration:
+    coercivity (smallest generalized eigenvalue of the system matrix
+    against the fully stabilized energy Gram); the ghost-penalty
+    norm-extension constant of the bulk gradient (largest generalized
+    eigenvalue of its Gram on the active elements against the one on the
+    cut elements plus the bulk ghost, which without the ghost is the
+    largest |K| / |K cap Omega_h| over the cut elements); and the discrete
+    surface Poincare constant (largest ratio h^-1 ||v||^2 on the active
+    elements over the tangential seminorm plus the surface ghost) over
+    n_random random mean-zero fields. The fields are drawn once per
+    position, from seed + 7 * (position index), and the three
+    configurations share them.
 
     Pass flags: the fully stabilized constants must stay within a factor
     2 across positions (coercivity also strictly positive). An ablated
@@ -401,7 +437,7 @@ def run_property_suite(level: int = 0, positions: int = 101,
     if positions < 2:
         raise ValueError("property sweep needs at least 2 positions")
     params = params or StabilizationParams()
-    mesh = mesh_at_level(level, n0, box)
+    mesh = mesh_at_level(level, n0, PROPERTY_BOX)
     report = StudyReport()
     deltas = np.linspace(0.0, 1.0, positions)
     per_position = [_property_constants(

@@ -73,26 +73,6 @@ def circle_levelset(center=(0.0, 0.0), radius: float = 1.0) -> LevelSet:
                     validity_radius=radius)
 
 
-def line_levelset(normal, offset: float) -> LevelSet:
-    """Half-plane level set rho(x) = n.x - offset with |n| = 1."""
-    n = np.asarray(normal, dtype=float)
-    n = n / np.linalg.norm(n)
-
-    def rho(x):
-        return np.asarray(x, dtype=float) @ n - offset
-
-    def closest(x):
-        x = np.asarray(x, dtype=float)
-        return x - rho(x)[..., None] * n
-
-    def nrm(x):
-        x = np.asarray(x, dtype=float)
-        return np.broadcast_to(n, x.shape).copy()
-
-    return LevelSet(rho=rho, closest_point=closest, normal=nrm,
-                    validity_radius=np.inf)
-
-
 def interpolate_levelset(ls: LevelSet, mesh: BackgroundMesh) -> np.ndarray:
     """Vertex values of the continuous piecewise-linear interpolant of
     ``ls`` on ``mesh``. Values within SNAP_FACTOR * h of zero are replaced

@@ -134,53 +134,6 @@ def build_circle_problem(c_bulk: float = 1.0,
                                u_surf_ext, grad_u_surf_ext, geometry)
 
 
-def build_affine_problem(coeffs=(0.7, 0.3, -0.2), c_bulk: float = 1.0,
-                         c_surf: float = 1.0) -> ManufacturedProblem:
-    """Globally affine bulk solution alpha + beta x + gamma y on the unit
-    disk with the coupling-derived (affine) surface solution. Used for
-    reproduction and consistency checks.
-
-    Unlike the generic case, the affine surface solution has a canonical
-    ambient extension (itself), so u_surf_ext evaluates it directly; the
-    closest-point extension of an affine function is not affine and would
-    put an artificial geometric floor under the reproduction error."""
-    alpha, beta, gamma = (float(c) for c in coeffs)
-    geometry = circle_levelset((0.0, 0.0), 1.0)
-    # surface solution (c_bulk u + du/dn)/c_surf is affine as well
-    sa = c_bulk * alpha / c_surf
-    sb = (c_bulk + 1.0) * beta / c_surf
-    sc = (c_bulk + 1.0) * gamma / c_surf
-
-    def u_bulk(p):
-        return alpha + beta * p[..., 0] + gamma * p[..., 1]
-
-    def grad_u_bulk(p):
-        p = np.asarray(p, dtype=float)
-        g = np.empty(p.shape)
-        g[..., 0] = beta
-        g[..., 1] = gamma
-        return g
-
-    def u_surf(p):
-        return sa + sb * p[..., 0] + sc * p[..., 1]
-
-    def f_surf(p):
-        # Laplace-Beltrami of an affine function on the unit circle is
-        # minus its linear part.
-        x, y = p[..., 0], p[..., 1]
-        return (sb * x + sc * y) + u_surf(p) + (beta * x + gamma * y)
-
-    def grad_u_surf(p):
-        p = np.asarray(p, dtype=float)
-        g = np.empty(p.shape)
-        g[..., 0] = sb
-        g[..., 1] = sc
-        return g
-
-    return ManufacturedProblem(u_bulk, grad_u_bulk, u_bulk, u_surf, f_surf,
-                               u_surf, grad_u_surf, geometry)
-
-
 @dataclass(frozen=True)
 class ErrorReport:
     """Discrete error norms on the cut bulk domain and discrete surface."""

@@ -5,7 +5,8 @@ gradient with an additive two-level preconditioner, point Jacobi plus an
 exact solve on continuous P1, whose iteration count does not grow as h
 shrinks. Condition numbers of the rescaled system come from sparse
 ARPACK eigensolves: lambda_max directly, the smallest nonzero |lambda| by
-shift-invert after an explicit null basis is deflated.
+shift-invert after an explicit null basis is deflated. The stability
+constants come from one dense generalized eigensolve per pencil.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ EPS = np.finfo(float).eps
 SHIFT = 1e-10
 # eigenvalues of magnitude at most this times the largest count as zero
 ZERO_THRESHOLD = 1e-12
-# deflated_gram_basis drops Gram eigenvalues at most this times the largest
-GRAM_CUT = 1e-10
 
 
 def preconditioner(matrix: sp.spmatrix, prolongation: sp.spmatrix):
@@ -203,41 +202,16 @@ def condition_number(matrix: sp.spmatrix,
         nullity += 1
 
 
-def deflated_gram_basis(b: sp.spmatrix) -> np.ndarray:
-    """Basis W of the numerical range of the positive semidefinite B with
-    W^T B W = I: the eigenvectors of B with an eigenvalue above GRAM_CUT
-    times the largest, scaled. Only the support of B, its rows with a
-    nonzero diagonal, is eigendecomposed, and W is zero off it: a zero
-    diagonal entry of a positive semidefinite matrix zeroes its row and
-    column, so every eigenvalue left out is an exact zero. Raises
-    DegenerateMatrixError for a zero B."""
-    support = np.flatnonzero(b.diagonal())
-    w, v = np.linalg.eigh(b.tocsr()[support][:, support].toarray())
-    keep = w > GRAM_CUT * w.max(initial=0.0)
-    if not np.any(keep):
-        raise DegenerateMatrixError("right-hand Gram matrix is numerically "
-                                    "zero")
-    basis = np.zeros((b.shape[0], np.count_nonzero(keep)))
-    basis[support] = v[:, keep]
-    basis /= np.sqrt(w[keep])
-    return basis
-
-
-def deflated_generalized_extremes(a: sp.spmatrix, basis: np.ndarray, *,
-                                  largest: bool) -> float:
-    """Smallest generalized eigenvalue of (A, B), or with ``largest`` the
-    largest, after deflating the numerical null space of the positive
-    semidefinite B, given B by its ``deflated_gram_basis``. Only that one
-    eigenvalue of the deflated pencil W^T A W is computed, unless the
-    subset eigensolver fails and every eigenvalue is."""
-    core = basis.T @ (a @ basis)
-    end = core.shape[0] - 1 if largest else 0
+def generalized_extreme(a: sp.spmatrix, b: sp.spmatrix, *,
+                        largest: bool) -> float:
+    """Smallest generalized eigenvalue of the symmetric pencil (A, B) with
+    B positive definite, or with ``largest`` the largest: one dense LAPACK
+    call that computes only that eigenvalue. A LAPACK failure, such as a B
+    that is not positive definite, raises SolverError."""
+    end = a.shape[0] - 1 if largest else 0
     try:
-        return float(scipy.linalg.eigh(core, eigvals_only=True,
-                                       subset_by_index=[end, end],
-                                       driver="evr")[0])
-    except scipy.linalg.LinAlgError:
-        # the subset drivers can fail on a cluster of exactly equal
-        # eigenvalues at the requested end, as in the element-wise bulk
-        # gradient pencil without ghost penalty at some positions
-        return float(np.linalg.eigvalsh(core)[end])
+        return float(scipy.linalg.eigh(a.toarray(), b.toarray(),
+                                       eigvals_only=True,
+                                       subset_by_index=[end, end])[0])
+    except scipy.linalg.LinAlgError as exc:
+        raise SolverError(f"generalized eigensolver failed: {exc}") from exc

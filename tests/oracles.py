@@ -9,6 +9,9 @@ spectrum, and the generalized-extremes oracle deflates the whole dense
 Gram and computes every eigenvalue of the deflated pencil.
 ``fit_slope`` gives the observed rates that the convergence, geometry
 and conditioning tests bound.
+``line_levelset`` (a half-plane) and ``build_affine_problem`` (an affine
+bulk-surface pair on the unit disk) are the exact data of the
+straight-surface tests and of the affine exactness check.
 
 The per-entity rules (``clip_element_rule``, ``surface_segment_rule``)
 and basis (``evaluate_basis``) are the reference for the batched
@@ -33,7 +36,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from cutdg.exceptions import StructuralError
-from cutdg.manufactured import ErrorReport
+from cutdg.levelset import LevelSet, circle_levelset
+from cutdg.manufactured import ErrorReport, ManufacturedProblem
 from cutdg.mesh import element_areas, element_gradients
 from cutdg.quadrature import (ERROR_DEGREE, _gauss_unit, _map_triangles,
                               clip_element_rules, triangle_reference_rule)
@@ -185,6 +189,76 @@ def dense_generalized_extremes(a, b):
     basis = dense_gram_basis(b)
     eigs = np.linalg.eigvalsh(basis.T @ (a.toarray() @ basis))
     return float(eigs.min()), float(eigs.max())
+
+
+# ---------------------------------------------------------------------------
+# straight and affine exact data
+
+def line_levelset(normal, offset: float) -> LevelSet:
+    """Half-plane level set rho(x) = n.x - offset with |n| = 1."""
+    n = np.asarray(normal, dtype=float)
+    n = n / np.linalg.norm(n)
+
+    def rho(x):
+        return np.asarray(x, dtype=float) @ n - offset
+
+    def closest(x):
+        x = np.asarray(x, dtype=float)
+        return x - rho(x)[..., None] * n
+
+    def nrm(x):
+        x = np.asarray(x, dtype=float)
+        return np.broadcast_to(n, x.shape).copy()
+
+    return LevelSet(rho=rho, closest_point=closest, normal=nrm,
+                    validity_radius=np.inf)
+
+
+def build_affine_problem(coeffs=(0.7, 0.3, -0.2), c_bulk: float = 1.0,
+                         c_surf: float = 1.0) -> ManufacturedProblem:
+    """Globally affine bulk solution alpha + beta x + gamma y on the unit
+    disk with the coupling-derived (affine) surface solution. Used for
+    reproduction and consistency checks.
+
+    Unlike the generic case, the affine surface solution has a canonical
+    ambient extension (itself), so u_surf_ext evaluates it directly; the
+    closest-point extension of an affine function is not affine and would
+    put an artificial geometric floor under the reproduction error."""
+    alpha, beta, gamma = (float(c) for c in coeffs)
+    geometry = circle_levelset((0.0, 0.0), 1.0)
+    # surface solution (c_bulk u + du/dn)/c_surf is affine as well
+    sa = c_bulk * alpha / c_surf
+    sb = (c_bulk + 1.0) * beta / c_surf
+    sc = (c_bulk + 1.0) * gamma / c_surf
+
+    def u_bulk(p):
+        return alpha + beta * p[..., 0] + gamma * p[..., 1]
+
+    def grad_u_bulk(p):
+        p = np.asarray(p, dtype=float)
+        g = np.empty(p.shape)
+        g[..., 0] = beta
+        g[..., 1] = gamma
+        return g
+
+    def u_surf(p):
+        return sa + sb * p[..., 0] + sc * p[..., 1]
+
+    def f_surf(p):
+        # Laplace-Beltrami of an affine function on the unit circle is
+        # minus its linear part.
+        x, y = p[..., 0], p[..., 1]
+        return (sb * x + sc * y) + u_surf(p) + (beta * x + gamma * y)
+
+    def grad_u_surf(p):
+        p = np.asarray(p, dtype=float)
+        g = np.empty(p.shape)
+        g[..., 0] = sb
+        g[..., 1] = sc
+        return g
+
+    return ManufacturedProblem(u_bulk, grad_u_bulk, u_bulk, u_surf, f_surf,
+                               u_surf, grad_u_surf, geometry)
 
 
 def fit_slope(h_values, quantities) -> float:

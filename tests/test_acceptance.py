@@ -25,13 +25,13 @@ from cutdg.forms import (StabilizationParams, assemble_system, ghost_bulk,
                          ghost_pieces, ghost_surface)
 from cutdg.levelset import (build_cut_topology, circle_levelset,
                             interpolate_levelset)
-from cutdg.manufactured import (build_affine_problem, build_circle_problem,
-                                compute_errors)
+from cutdg.manufactured import build_circle_problem, compute_errors
 from cutdg.mesh import build_structured_mesh, refine_uniform
 from cutdg.quadrature import CutQuadrature, clip_element_rules
 from cutdg.solver import condition_number, rescaled_matrix, solve
 from cutdg.space import build_spaces, interpolate_pair
-from tests.oracles import cut_monomial_pairs, fit_slope, random_cut_triangles
+from tests.oracles import (build_affine_problem, cut_monomial_pairs,
+                           fit_slope, random_cut_triangles)
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
 PARAMS = StabilizationParams()

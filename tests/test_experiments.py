@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cutdg import experiments
+from cutdg.exceptions import ConfigurationError
 from cutdg.experiments import (CONDITION_HEADER, CONVERGENCE_HEADER,
                                DEFAULT_BOX, GEOMETRY_HEADER,
                                PROPERTIES_HEADER, PROPERTY_BOX,
@@ -19,8 +21,7 @@ from cutdg.levelset import (build_cut_topology, circle_levelset,
                             interpolate_levelset, surface_length)
 from cutdg.manufactured import build_circle_problem
 from cutdg.quadrature import CutQuadrature
-from cutdg.solver import (deflated_generalized_extremes, deflated_gram_basis,
-                          rescaled_matrix)
+from cutdg.solver import generalized_extreme, rescaled_matrix
 from cutdg.space import build_spaces
 from tests.oracles import (dense_condition_number, dense_generalized_extremes,
                            fit_slope)
@@ -246,14 +247,9 @@ def test_every_csv_row_matches_its_header_width():
 
 def _per_call_constants(mesh, delta, params, seed, n_random):
     """The property constants at one position, every Gram built by its
-    public function on a fresh CutQuadrature, every pencil deflated on
-    its own Gram and every configuration drawing its own Poincare fields
-    one at a time."""
-
-    def extremes(a, b, largest):
-        return deflated_generalized_extremes(a, deflated_gram_basis(b),
-                                             largest=largest)
-
+    public function on a fresh CutQuadrature, every pencil solved on its
+    own and every configuration drawing its own Poincare fields one at a
+    time."""
     ls = circle_levelset(center=delta * np.asarray(mesh.cell))
     dls = interpolate_levelset(ls, mesh)
     topo = build_cut_topology(mesh, dls)
@@ -278,11 +274,12 @@ def _per_call_constants(mesh, delta, params, seed, n_random):
     for config in PROPERTY_CONFIGS:
         matrix = stabilized(*forms, pieces, config_params(
             params, PROPERTY_SWEEP_CONFIG[config]))
-        out[("coercivity", config)] = extremes(matrix, gram_total, False)
-        rhs = grad_cut if config == "no-bulk-ghost" \
-            else (grad_cut + bulk_ghost).tocsr()
+        out[("coercivity", config)] = generalized_extreme(
+            matrix, gram_total, largest=False)
         out[("bulk_norm_equivalence", config)] = \
-            extremes(grad_active, rhs, True)
+            experiments._cut_area_ratio(cq()) if config == "no-bulk-ghost" \
+            else experiments._bulk_norm_equivalence(
+                grad_active, (grad_cut + bulk_ghost).tocsr(), dofmap.n_bulk)
         den_matrix = tangent if config == "no-surface-ghost" \
             else (tangent + surf_ghost).tocsr()
         rng = np.random.default_rng(seed)
@@ -310,8 +307,8 @@ def _suite_constants(report):
 
 
 def test_property_suite_equals_the_per_call_route():
-    # the shared state (one quadrature, one deflated basis per Gram, one
-    # block of random fields) must not move a single bit
+    # the shared state (one quadrature, one energy Gram, one block of
+    # random fields) must not move a single bit
     params = StabilizationParams()
     report = run_property_suite(level=0, positions=3, n_random=30, seed=5)
     suite = _suite_constants(report)
@@ -323,15 +320,30 @@ def test_property_suite_equals_the_per_call_route():
 
 
 def test_property_suite_matches_the_dense_oracle(monkeypatch):
-    # The suite deflates each Gram on its support and computes one
-    # eigenvalue per pencil; the oracle deflates the whole dense Gram and
-    # computes every eigenvalue. The oracle takes the Gram itself where
-    # the suite passes its basis, so the same suite code sets the flags.
+    # The suite solves each pencil by one generalized eigensolve against a
+    # positive definite Gram, and takes the bare bulk constant in closed
+    # form. The oracle deflates each raw Gram and computes every
+    # eigenvalue; it runs inside the same suite code, which sets the flags.
     report = run_property_suite(level=0, positions=5)
-    monkeypatch.setattr(experiments, "deflated_gram_basis", lambda b: b)
-    monkeypatch.setattr(
-        experiments, "deflated_generalized_extremes",
-        lambda a, b, largest: dense_generalized_extremes(a, b)[largest])
+    suite_constants = experiments._property_constants
+
+    def oracle_constants(state, rng, n_random):
+        out = suite_constants(state, rng, n_random)
+        cq, dofmap, pieces = state.cq, state.dofmap, state.pieces
+        energy = energy_gram(cq, dofmap, state.params, pieces)
+        for config in PROPERTY_CONFIGS:
+            out["coercivity"][config] = dense_generalized_extremes(
+                state.matrix(PROPERTY_SWEEP_CONFIG[config]), energy)[0]
+        active = gradient_gram(cq, dofmap, "active")
+        cut = gradient_gram(cq, dofmap, "cut")
+        full = dense_generalized_extremes(
+            active, cut + ghost_bulk(pieces, state.params))[1]
+        out["bulk_norm_equivalence"] = {
+            "full": full, "no-surface-ghost": full,
+            "no-bulk-ghost": dense_generalized_extremes(active, cut)[1]}
+        return out
+
+    monkeypatch.setattr(experiments, "_property_constants", oracle_constants)
     oracle = run_property_suite(level=0, positions=5)
     suite, reference = _suite_constants(report), _suite_constants(oracle)
     assert suite.keys() == reference.keys()
@@ -344,6 +356,75 @@ def test_property_suite_matches_the_dense_oracle(monkeypatch):
         {k: v["passed"] for k, v in oracle.property_summary.items()}
 
 
+def test_bare_bulk_constant_is_the_dense_pencil():
+    # at delta = 0.48 the top of the bare pencil is a cluster of exactly
+    # equal eigenvalues, on which the LAPACK subset eigensolvers fail
+    state = SurfaceState(mesh_at_level(0, box=PROPERTY_BOX), 0.48,
+                         StabilizationParams())
+    cq, dofmap = state.cq, state.dofmap
+    expected = dense_generalized_extremes(gradient_gram(cq, dofmap, "active"),
+                                          gradient_gram(cq, dofmap, "cut"))[1]
+    assert experiments._cut_area_ratio(cq) == pytest.approx(expected,
+                                                           rel=1e-12)
+
+
+def test_bulk_constant_without_bulk_ghost_weights_is_the_closed_form():
+    # with mu_bulk = tau_bulk = 0 the ghost couples no elements, so each
+    # element is a component of its own and the constant is the closed
+    # form of the bare pencil
+    params = StabilizationParams(mu_bulk=0.0, tau_bulk=0.0)
+    constants = _suite_constants(run_property_suite(
+        level=0, positions=3, n_random=2, params=params))
+    assert constants[("bulk_norm_equivalence", "full")] == pytest.approx(
+        constants[("bulk_norm_equivalence", "no-bulk-ghost")], rel=1e-12)
+    # a zero ghost stored as explicit zeros, as on a matrix pattern shared
+    # by every weight, must not join components either
+    state = SurfaceState(mesh_at_level(0, box=PROPERTY_BOX), 0.3, params)
+    cq, dofmap = state.cq, state.dofmap
+    cut = gradient_gram(cq, dofmap, "cut").tocoo()
+    ghost = state.pieces["bulk_value"].tocoo()
+    gram = sp.csr_matrix((np.concatenate([cut.data, 0.0 * ghost.data]),
+                          (np.concatenate([cut.row, ghost.row]),
+                           np.concatenate([cut.col, ghost.col]))),
+                         shape=cut.shape)
+    assert gram.nnz > gram.count_nonzero()
+    assert experiments._bulk_norm_equivalence(
+        gradient_gram(cq, dofmap, "active"), gram, dofmap.n_bulk) == \
+        pytest.approx(experiments._cut_area_ratio(cq), rel=1e-12)
+
+
+def test_open_surface_chain_raises():
+    # on the tight default box the circle at delta = 1 leaves the mesh,
+    # and the energy Gram can be singular there
+    state = SurfaceState(mesh_at_level(0), 1.0, StabilizationParams())
+    assert state.topo.surface.n_edges < state.topo.surface.n_segments
+    with pytest.raises(ConfigurationError, match="open chain"):
+        state.coercivity("full")
+
+
+def test_coercivity_next_to_tiny_segments_matches_the_dense_oracle():
+    # At the level-0 positions 2/7 and 5/7 a background vertex lies on
+    # the circle and a surface segment shrinks to zero. Approach each from
+    # both sides down to 1e-12 of a cell.
+    params = StabilizationParams()
+    mesh = mesh_at_level(0, box=PROPERTY_BOX)
+    got = {config: [] for config in PROPERTY_CONFIGS}
+    expected = {config: [] for config in PROPERTY_CONFIGS}
+    for star in (2.0 / 7.0, 5.0 / 7.0):
+        for offset in (1e-3, 1e-6, 1e-9, 1e-12):
+            for side in (-1.0, 1.0):
+                state = SurfaceState(mesh, star + side * offset, params)
+                for config in PROPERTY_CONFIGS:
+                    got[config].append(state.coercivity(config))
+                    expected[config].append(dense_generalized_extremes(
+                        state.matrix(PROPERTY_SWEEP_CONFIG[config]),
+                        state.energy)[0])
+    for config in PROPERTY_CONFIGS:
+        row = np.asarray(expected[config])
+        assert np.abs(np.asarray(got[config]) - row).max() \
+            <= 1e-11 * np.abs(row).max(), config
+
+
 def test_surface_state_coercivity_equals_the_suite_row():
     params = StabilizationParams()
     suite = _suite_constants(run_property_suite(level=0, positions=3,
@@ -354,8 +435,8 @@ def test_surface_state_coercivity_equals_the_suite_row():
             config), suite[("coercivity", config)][1])
 
 
-def test_one_quadrature_and_three_gram_bases_per_position(monkeypatch):
-    calls = {"quadrature": 0, "basis": 0, "extremes": 0}
+def test_one_quadrature_and_one_energy_gram_per_position(monkeypatch):
+    calls = {"quadrature": 0, "energy": 0, "extremes": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -365,12 +446,13 @@ def test_one_quadrature_and_three_gram_bases_per_position(monkeypatch):
 
     monkeypatch.setattr(CutQuadrature, "__init__",
                         counted("quadrature", CutQuadrature.__init__))
-    for name, attr in (("basis", "deflated_gram_basis"),
-                       ("extremes", "deflated_generalized_extremes")):
+    for name, attr in (("energy", "energy_gram"),
+                       ("extremes", "generalized_extreme")):
         monkeypatch.setattr(experiments, attr,
                             counted(name, getattr(experiments, attr)))
     run_condition_sweep(level=0, positions=3)
-    assert calls == {"quadrature": 3, "basis": 0, "extremes": 0}
+    assert calls == {"quadrature": 3, "energy": 0, "extremes": 0}
     run_property_suite(level=0, positions=3, n_random=2)
-    # per position: 3 coercivity and 2 bulk-norm pencils on 3 Grams
-    assert calls == {"quadrature": 6, "basis": 9, "extremes": 15}
+    # per position: 3 coercivity pencils on one energy Gram and one bulk
+    # norm-equivalence pencil; the bare bulk constant is in closed form
+    assert calls == {"quadrature": 6, "energy": 3, "extremes": 12}

@@ -7,15 +7,14 @@ from cutdg.forms import (StabilizationParams, assemble_system, bulk_form,
                          surface_tangential_gram)
 from cutdg.levelset import (CutTopology, build_cut_topology,
                             circle_levelset, extract_surface_segments,
-                            interpolate_levelset, line_levelset,
-                            surface_length)
+                            interpolate_levelset, surface_length)
 from cutdg.manufactured import build_circle_problem
 from cutdg.mesh import BackgroundMesh, build_structured_mesh, \
     face_connectivity, refine_uniform
 from cutdg.quadrature import CutQuadrature
 from cutdg.solver import solve
 from cutdg.space import build_spaces, interpolate_nodal, interpolate_pair
-from tests.oracles import clip_element_rule
+from tests.oracles import clip_element_rule, line_levelset
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
 PARAMS = StabilizationParams()

@@ -18,10 +18,11 @@ from cutdg.exceptions import CutDGError
 from cutdg.forms import (StabilizationParams, bulk_form, coupling_form,
                          ghost_pieces, stabilized, surface_form)
 from cutdg.levelset import (build_cut_topology, circle_levelset,
-                            interpolate_levelset, line_levelset)
+                            interpolate_levelset)
 from cutdg.mesh import build_structured_mesh, element_areas
 from cutdg.quadrature import CutQuadrature, clip_element_rules
 from cutdg.space import build_spaces
+from tests.oracles import line_levelset
 
 UNIT = ((0.0, 0.0), (1.0, 1.0))
 PARAMS = StabilizationParams()

@@ -5,9 +5,9 @@ from cutdg.exceptions import ConfigurationError, StructuralError
 from cutdg.levelset import (SNAP_FACTOR, build_cut_topology,
                             check_geometry_assumptions, circle_levelset,
                             closest_point_circle, extract_surface_segments,
-                            interpolate_levelset, line_levelset,
-                            surface_length)
+                            interpolate_levelset, surface_length)
 from cutdg.mesh import BackgroundMesh, build_structured_mesh, refine_uniform
+from tests.oracles import line_levelset
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
 

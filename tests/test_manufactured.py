@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from cutdg.levelset import build_cut_topology, interpolate_levelset
-from cutdg.manufactured import (build_affine_problem, build_circle_problem,
-                                compute_errors, eoc)
+from cutdg.manufactured import build_circle_problem, compute_errors, eoc
 from cutdg.mesh import build_structured_mesh, refine_uniform
 from cutdg.space import build_spaces, interpolate_pair
+from tests.oracles import build_affine_problem
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
 

@@ -8,18 +8,15 @@ import scipy.sparse.linalg as spla
 from cutdg.exceptions import DegenerateMatrixError, SolverError
 from cutdg.experiments import (PROPERTY_BOX, SurfaceState, mesh_at_level,
                                run_condition_sweep)
-from cutdg.forms import (AssembledSystem, StabilizationParams,
-                         assemble_system, gradient_gram)
+from cutdg.forms import AssembledSystem, StabilizationParams, assemble_system
 from cutdg.levelset import build_cut_topology, circle_levelset, \
     interpolate_levelset
 from cutdg.manufactured import build_circle_problem
 from cutdg.mesh import build_structured_mesh
-from cutdg.solver import (condition_number, deflated_generalized_extremes,
-                          deflated_gram_basis, pcg, preconditioner,
-                          rescaled_matrix, solve)
+from cutdg.solver import (condition_number, generalized_extreme, pcg,
+                          preconditioner, rescaled_matrix, solve)
 from cutdg.space import build_spaces
-from tests.oracles import (dense_condition_number, dense_generalized_extremes,
-                           dense_gram_basis)
+from tests.oracles import dense_condition_number, dense_generalized_extremes
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
 PARAMS = StabilizationParams()
@@ -203,35 +200,22 @@ def test_condition_number_failures_are_typed(monkeypatch):
         run_condition_sweep(level=0, positions=2, configs=("full",))
 
 
-def test_gram_basis_on_a_gram_with_zero_rows():
-    # the bulk gradient Gram on the cut elements is zero on every surface
-    # row; only its support is eigendecomposed
+@pytest.mark.parametrize("largest", [False, True])
+def test_generalized_extreme_on_a_coercivity_pencil(largest):
+    # the full system matrix against the energy Gram, at either end of
+    # the spectrum, against every eigenvalue of the deflated dense pencil
     state = SurfaceState(mesh_at_level(0, box=PROPERTY_BOX), 0.3, PARAMS)
-    gram = gradient_gram(state.cq, state.dofmap, "cut")
-    zero_rows = gram.diagonal() == 0.0
-    assert zero_rows[state.dofmap.n_bulk:].all()
-    assert abs(gram[zero_rows]).sum() == 0.0
-    basis = deflated_gram_basis(gram)
-    assert basis.shape == dense_gram_basis(gram).shape
-    assert not basis[zero_rows].any()
-    eye = np.eye(basis.shape[1])
-    assert np.abs(basis.T @ (gram @ basis) - eye).max() <= 1e-12
-    with pytest.raises(DegenerateMatrixError, match="numerically zero"):
-        deflated_gram_basis(sp.csr_matrix((4, 4)))
+    a = state.matrix("full")
+    expected = dense_generalized_extremes(a, state.energy)[largest]
+    got = generalized_extreme(a, state.energy, largest=largest)
+    assert got == pytest.approx(expected, rel=1e-11)
 
 
-def test_generalized_extremes_on_a_clustered_pencil():
-    # the bulk gradient pencil without ghost penalty is block diagonal by
-    # element: its top is a cluster of exactly equal eigenvalues, on which
-    # the LAPACK subset eigensolver fails at this position
-    state = SurfaceState(mesh_at_level(0, box=PROPERTY_BOX), 0.48, PARAMS)
-    active = gradient_gram(state.cq, state.dofmap, "active")
-    cut = gradient_gram(state.cq, state.dofmap, "cut")
-    basis = deflated_gram_basis(cut)
-    got = [deflated_generalized_extremes(active, basis, largest=end)
-           for end in (False, True)]
-    expected = dense_generalized_extremes(active, cut)
-    assert got == pytest.approx(expected, rel=1e-12)
+def test_generalized_extreme_needs_a_positive_definite_b():
+    a = sp.diags([1.0, 2.0, 3.0]).tocsr()
+    b = sp.diags([1.0, 0.0, 1.0]).tocsr()
+    with pytest.raises(SolverError, match="generalized eigensolver"):
+        generalized_extreme(a, b, largest=True)
 
 
 def test_condition_scaling_smoke():
