@@ -30,11 +30,9 @@ from .solver import (condition_number, generalized_extreme, rescaled_matrix,
 from .space import build_spaces, levelset_null_basis
 
 DEFAULT_BOX = ((-1.1, -1.1), (1.1, 1.1))
-# The property suite translates the circle by up to one full grid cell;
-# this wider box keeps the translated surface strictly inside the mesh at
-# every sweep position, which is the regime the stability statements
-# address (the tight default box lets the surface leave the mesh for
-# large shifts, an artifact of the translation construction).
+# The property suite translates the circle by up to one grid cell; this
+# wider box keeps the surface a closed chain inside the mesh at every
+# position (the default box clips it for large shifts).
 PROPERTY_BOX = ((-1.4, -1.4), (1.4, 1.4))
 DEFAULT_N0 = 8
 SENTINEL_KAPPA = 1e300
@@ -227,13 +225,13 @@ class SurfaceState:
     @cached_property
     def energy(self):
         """The fully stabilized energy Gram, positive definite on a closed
-        surface chain. A chain the box leaves open can make it singular and
-        raises ConfigurationError."""
-        surf = self.topo.surface
-        if surf.n_edges < surf.n_segments:
-            raise ConfigurationError("the box clips the discrete surface to "
-                                     "an open chain, on which the energy "
-                                     "Gram need not be positive definite")
+        surface chain with both surface ghost weights positive (a field of
+        zero energy is then one affine function that vanishes on the
+        chain); otherwise ConfigurationError."""
+        surf, p = self.topo.surface, self.params
+        if surf.n_edges < surf.n_segments or min(p.mu_surf, p.tau_surf) == 0:
+            raise ConfigurationError("singular energy Gram: open surface "
+                                     "chain or zero surface ghost weight")
         return energy_gram(self.cq, self.dofmap, self.params, self.pieces)
 
     def matrix(self, config: str):
@@ -313,31 +311,28 @@ def run_geometry_check(levels: int = 4, n0: int = DEFAULT_N0) -> StudyReport:
     return report
 
 
-def _bulk_norm_equivalence(active, gram, n_bulk: int) -> float:
+def _bulk_norm_equivalence(cq, dofmap, pieces, params) -> float:
     """Largest generalized eigenvalue of the active gradient Gram against
-    ``gram`` (the cut one plus the bulk ghost) on the bulk block. Both
-    vanish exactly on the constants of each connected component of the
-    graph of ``gram``. With Q their 0/1 indicators, (active, gram + Q Q^T)
-    has eigenvalue 0 on span Q and is the same pencil on its complement,
-    and gram + Q Q^T is positive definite."""
-    a, b = active[:n_bulk, :n_bulk], gram[:n_bulk, :n_bulk]
-    count, labels = connected_components(b != 0, directed=False)
-    q = sp.csr_matrix((np.ones(n_bulk), (np.arange(n_bulk), labels)),
-                      shape=(n_bulk, count))
-    return generalized_extreme(a, b + q @ q.T, largest=True)
+    the cut one plus the bulk ghost, on the bulk block. Both vanish exactly
+    on the constants of each set of elements that the value ghost joins;
+    adding Q Q^T, Q their indicators, keeps that eigenvalue and makes the
+    right-hand side positive definite."""
+    n, cut = dofmap.n_bulk, gradient_gram(cq, dofmap, "cut")
+    joined = (cut + params.mu_bulk * pieces["bulk_value"])[:n, :n] != 0
+    count, labels = connected_components(joined, directed=False)
+    q = sp.csr_matrix((np.ones(n), (np.arange(n), labels)), shape=(n, count))
+    gram = (cut + ghost_bulk(pieces, params))[:n, :n] + q @ q.T
+    return generalized_extreme(gradient_gram(cq, dofmap, "active")[:n, :n],
+                               gram, largest=True)
 
 
 def _cut_area_ratio(cq: CutQuadrature) -> float:
-    """Largest generalized eigenvalue of the active against the cut
-    gradient Gram in closed form: both sum the element stiffnesses S_K,
-    weighted by |K| and by |K cap Omega_h| (the sum of the cut-volume rule
-    weights), so it is the largest |K| / |K cap Omega_h| over the cut
-    elements (every uncut one gives 1)."""
-    cut = cq.split[1]
-    inside = np.empty(cut.size)
-    for rules, _ in cq.volume:
-        inside[rules.index] = rules.weights.sum(axis=1)
-    return float(np.max(element_areas(cq.mesh)[cut] / inside))
+    """The bulk constant without ghost, max |K| / |K cap Omega_h| over the
+    cut elements: both gradient Grams sum the element stiffnesses S_K,
+    weighted by |K| and by |K cap Omega_h|."""
+    areas = element_areas(cq.mesh)[cq.split[1]]
+    return max(float(np.max(areas[rules.index] / rules.weights.sum(axis=1)))
+               for rules, _ in cq.volume)
 
 
 def _property_constants(state: SurfaceState, rng, n_random: int) -> dict:
@@ -345,11 +340,7 @@ def _property_constants(state: SurfaceState, rng, n_random: int) -> dict:
     ``run_property_suite``). Each Poincare dot runs on contiguous rows, as
     for one field at a time: on strided columns it can round differently."""
     mesh, topo, dofmap, cq = state.mesh, state.topo, state.dofmap, state.cq
-    bulk = _bulk_norm_equivalence(
-        gradient_gram(cq, dofmap, "active"),
-        gradient_gram(cq, dofmap, "cut") + ghost_bulk(state.pieces,
-                                                      state.params),
-        dofmap.n_bulk)
+    bulk = _bulk_norm_equivalence(cq, dofmap, state.pieces, state.params)
     fields = np.hstack([np.zeros((n_random, dofmap.n_bulk)),
                         rng.standard_normal((n_random, dofmap.n_surface))])
     load = surface_trace_load(cq, dofmap)
@@ -407,16 +398,15 @@ def run_property_suite(level: int = 0, positions: int = 101,
 
     The mesh covers ``PROPERTY_BOX``. Per position and configuration:
     coercivity (smallest generalized eigenvalue of the system matrix
-    against the fully stabilized energy Gram); the ghost-penalty
-    norm-extension constant of the bulk gradient (largest generalized
-    eigenvalue of its Gram on the active elements against the one on the
-    cut elements plus the bulk ghost, which without the ghost is the
-    largest |K| / |K cap Omega_h| over the cut elements); and the discrete
-    surface Poincare constant (largest ratio h^-1 ||v||^2 on the active
-    elements over the tangential seminorm plus the surface ghost) over
-    n_random random mean-zero fields. The fields are drawn once per
-    position, from seed + 7 * (position index), and the three
-    configurations share them.
+    against the fully stabilized energy Gram, which needs both surface
+    ghost weights positive); the ghost-penalty norm-extension constant of
+    the bulk gradient (largest generalized eigenvalue of its Gram on the
+    active elements against the one on the cut elements plus the bulk
+    ghost); and the discrete surface Poincare constant (largest ratio
+    h^-1 ||v||^2 on the active elements over the tangential seminorm plus
+    the surface ghost) over n_random random mean-zero fields, drawn once
+    per position from seed + 7 * (position index) and shared by the three
+    configurations.
 
     Pass flags: the fully stabilized constants must stay within a factor
     2 across positions (coercivity also strictly positive). An ablated

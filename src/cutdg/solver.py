@@ -204,10 +204,9 @@ def condition_number(matrix: sp.spmatrix,
 
 def generalized_extreme(a: sp.spmatrix, b: sp.spmatrix, *,
                         largest: bool) -> float:
-    """Smallest generalized eigenvalue of the symmetric pencil (A, B) with
-    B positive definite, or with ``largest`` the largest: one dense LAPACK
-    call that computes only that eigenvalue. A LAPACK failure, such as a B
-    that is not positive definite, raises SolverError."""
+    """Smallest generalized eigenvalue of the symmetric pencil (A, B), or
+    with ``largest`` the largest, by one dense LAPACK call that needs B
+    positive definite; a LAPACK failure raises SolverError."""
     end = a.shape[0] - 1 if largest else 0
     try:
         return float(scipy.linalg.eigh(a.toarray(), b.toarray(),

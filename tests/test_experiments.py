@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from cutdg import experiments
 from cutdg.exceptions import ConfigurationError
@@ -262,11 +261,8 @@ def _per_call_constants(mesh, delta, params, seed, n_random):
              surface_form(cq(), dofmap, params),
              coupling_form(cq(), dofmap, params))
     pieces = ghost_pieces(cq(), dofmap)
-    bulk_ghost = ghost_bulk(ghost_pieces(cq(), dofmap), params)
     surf_ghost = ghost_surface(ghost_pieces(cq(), dofmap), params)
     gram_total = energy_gram(cq(), dofmap, params, ghost_pieces(cq(), dofmap))
-    grad_active = gradient_gram(cq(), dofmap, "active")
-    grad_cut = gradient_gram(cq(), dofmap, "cut")
     mass = surface_element_mass_gram(cq(), dofmap)
     load = surface_trace_load(cq(), dofmap)
     tangent = surface_tangential_gram(cq(), dofmap)
@@ -279,7 +275,7 @@ def _per_call_constants(mesh, delta, params, seed, n_random):
         out[("bulk_norm_equivalence", config)] = \
             experiments._cut_area_ratio(cq()) if config == "no-bulk-ghost" \
             else experiments._bulk_norm_equivalence(
-                grad_active, (grad_cut + bulk_ghost).tocsr(), dofmap.n_bulk)
+                cq(), dofmap, ghost_pieces(cq(), dofmap), params)
         den_matrix = tangent if config == "no-surface-ghost" \
             else (tangent + surf_ghost).tocsr()
         rng = np.random.default_rng(seed)
@@ -319,12 +315,12 @@ def test_property_suite_equals_the_per_call_route():
             assert np.array_equal(suite[key][idx], value), (key, delta)
 
 
-def test_property_suite_matches_the_dense_oracle(monkeypatch):
+def _assert_suite_matches_the_dense_oracle(monkeypatch, params):
     # The suite solves each pencil by one generalized eigensolve against a
     # positive definite Gram, and takes the bare bulk constant in closed
     # form. The oracle deflates each raw Gram and computes every
     # eigenvalue; it runs inside the same suite code, which sets the flags.
-    report = run_property_suite(level=0, positions=5)
+    report = run_property_suite(level=0, positions=5, params=params)
     suite_constants = experiments._property_constants
 
     def oracle_constants(state, rng, n_random):
@@ -344,7 +340,7 @@ def test_property_suite_matches_the_dense_oracle(monkeypatch):
         return out
 
     monkeypatch.setattr(experiments, "_property_constants", oracle_constants)
-    oracle = run_property_suite(level=0, positions=5)
+    oracle = run_property_suite(level=0, positions=5, params=params)
     suite, reference = _suite_constants(report), _suite_constants(oracle)
     assert suite.keys() == reference.keys()
     for key, expected in reference.items():
@@ -354,6 +350,18 @@ def test_property_suite_matches_the_dense_oracle(monkeypatch):
             <= 1e-11 * scale, key
     assert {k: v["passed"] for k, v in report.property_summary.items()} == \
         {k: v["passed"] for k, v in oracle.property_summary.items()}
+
+
+def test_property_suite_matches_the_dense_oracle(monkeypatch):
+    _assert_suite_matches_the_dense_oracle(monkeypatch, StabilizationParams())
+
+
+def test_bulk_constant_without_value_ghost_matches_the_dense_oracle(
+        monkeypatch):
+    # the gradient ghost alone joins the elements but leaves every
+    # element-wise constant in the null space of the bulk Gram
+    _assert_suite_matches_the_dense_oracle(
+        monkeypatch, StabilizationParams(mu_bulk=0.0))
 
 
 def test_bare_bulk_constant_is_the_dense_pencil():
@@ -377,20 +385,6 @@ def test_bulk_constant_without_bulk_ghost_weights_is_the_closed_form():
         level=0, positions=3, n_random=2, params=params))
     assert constants[("bulk_norm_equivalence", "full")] == pytest.approx(
         constants[("bulk_norm_equivalence", "no-bulk-ghost")], rel=1e-12)
-    # a zero ghost stored as explicit zeros, as on a matrix pattern shared
-    # by every weight, must not join components either
-    state = SurfaceState(mesh_at_level(0, box=PROPERTY_BOX), 0.3, params)
-    cq, dofmap = state.cq, state.dofmap
-    cut = gradient_gram(cq, dofmap, "cut").tocoo()
-    ghost = state.pieces["bulk_value"].tocoo()
-    gram = sp.csr_matrix((np.concatenate([cut.data, 0.0 * ghost.data]),
-                          (np.concatenate([cut.row, ghost.row]),
-                           np.concatenate([cut.col, ghost.col]))),
-                         shape=cut.shape)
-    assert gram.nnz > gram.count_nonzero()
-    assert experiments._bulk_norm_equivalence(
-        gradient_gram(cq, dofmap, "active"), gram, dofmap.n_bulk) == \
-        pytest.approx(experiments._cut_area_ratio(cq), rel=1e-12)
 
 
 def test_open_surface_chain_raises():
@@ -398,8 +392,23 @@ def test_open_surface_chain_raises():
     # and the energy Gram can be singular there
     state = SurfaceState(mesh_at_level(0), 1.0, StabilizationParams())
     assert state.topo.surface.n_edges < state.topo.surface.n_segments
-    with pytest.raises(ConfigurationError, match="open chain"):
+    with pytest.raises(ConfigurationError, match="open surface chain"):
         state.coercivity("full")
+
+
+@pytest.mark.parametrize("weight", ["mu_surf", "tau_surf"])
+def test_zero_surface_ghost_weight_raises(weight):
+    # without either surface ghost a field that vanishes on every segment
+    # has zero energy, so the energy Gram is singular
+    params = StabilizationParams(**{weight: 0.0})
+    state = SurfaceState(mesh_at_level(0, box=PROPERTY_BOX), 0.3, params)
+    eigs = np.linalg.eigvalsh(energy_gram(state.cq, state.dofmap, params,
+                                          state.pieces).toarray())
+    assert abs(eigs[0]) < 1e-12 * eigs[-1]
+    with pytest.raises(ConfigurationError, match="zero surface ghost"):
+        state.coercivity("full")
+    with pytest.raises(ConfigurationError, match="zero surface ghost"):
+        run_property_suite(level=0, positions=2, n_random=2, params=params)
 
 
 def test_coercivity_next_to_tiny_segments_matches_the_dense_oracle():
