@@ -3,14 +3,14 @@
 Subcommands: ``convergence``, ``condition-sweep``, ``geometry-check`` and
 ``properties``. Flags can also be supplied through a key=value text file
 (``--config-file``); explicit command line flags win over file entries.
+A flag set nowhere is not passed, so the study's keyword default (and
+for the penalty weights the ``StabilizationParams`` default) applies.
 CSV output goes to the directory given by ``--out``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import inspect
 import sys
 
 from .exceptions import CutDGError
@@ -18,10 +18,6 @@ from .experiments import (SWEEP_CONFIGS, StudyReport, run_condition_sweep,
                           run_convergence, run_geometry_check,
                           run_property_suite)
 from .forms import StabilizationParams
-
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
 
 def read_config_file(path: str) -> dict:
     """key=value lines; blank lines and '#' comments are ignored."""
@@ -39,115 +35,14 @@ def read_config_file(path: str) -> dict:
     return entries
 
 
-def _coerce(value: str, like):
-    if isinstance(like, bool):
-        low = value.lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ValueError(f"expected a boolean, got {value!r}")
-    if isinstance(like, int):
-        return int(value)
-    if isinstance(like, float):
-        return float(value)
-    return value
-
-
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge priority: command line flag > config file entry > default."""
-    entries = {}
-    if args.config_file:
-        entries = read_config_file(args.config_file)
-    resolved = {}
-    for key, default in defaults.items():
-        cli_value = getattr(args, key, None)
-        if cli_value is not None:
-            resolved[key] = cli_value
-        elif key in entries:
-            resolved[key] = _coerce(entries[key], default)
-        else:
-            resolved[key] = default
-    unknown = set(entries) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown config file keys: {sorted(unknown)}")
-    return resolved
-
-
-# the six penalty weights of StabilizationParams and their defaults (the
-# coupling constants have no flag)
-_PARAM_DEFAULTS = {f.name: f.default
-                   for f in dataclasses.fields(StabilizationParams)
-                   if f.name not in ("c_bulk", "c_surf")}
-
-
-def _defaults(study, *names) -> dict:
-    """The defaults of the keyword arguments ``names`` of ``study``."""
-    parameters = inspect.signature(study).parameters
-    return {name: parameters[name].default for name in names}
-
-
-# each subcommand's flags default to the keyword defaults of its study
-_STUDY_DEFAULTS = {
-    "convergence": {**_defaults(run_convergence, "levels", "n0",
-                                "ablate_ghost"), **_PARAM_DEFAULTS},
-    "condition-sweep": {**_defaults(run_condition_sweep, "level", "positions",
-                                    "n0"), **_PARAM_DEFAULTS},
-    "geometry-check": _defaults(run_geometry_check, "levels", "n0"),
-    "properties": {**_defaults(run_property_suite, "level", "positions",
-                               "n0"), **_PARAM_DEFAULTS},
-}
-_SWEEP_CONFIGS_DEFAULT = _defaults(run_condition_sweep, "configs")["configs"]
-
-
-def _params_from(resolved: dict) -> StabilizationParams:
-    return StabilizationParams(**{k: resolved[k] for k in _PARAM_DEFAULTS})
-
-
-def _add_param_flags(parser):
-    for name in _PARAM_DEFAULTS:
-        parser.add_argument("--" + name.replace("_", "-"), type=float,
-                            dest=name)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cutdg",
-        description="Stabilized cut DG studies for the coupled bulk-surface "
-                    "diffusion-reaction problem on the unit circle.")
-    parser.add_argument("--config-file", help="key=value defaults file")
-    parser.add_argument("--out", help="directory for CSV output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("convergence", help="refinement/EOC study")
-    p.add_argument("--levels", type=int)
-    p.add_argument("--n0", type=int)
-    p.add_argument("--ablate-ghost", action="store_true", default=None,
-                   dest="ablate_ghost")
-    _add_param_flags(p)
-
-    p = sub.add_parser("condition-sweep", help="condition number vs. "
-                                               "surface position")
-    p.add_argument("--level", type=int)
-    p.add_argument("--positions", type=int)
-    p.add_argument("--n0", type=int)
-    p.add_argument("--config", action="append", choices=SWEEP_CONFIGS,
-                   help="stabilization configuration (repeatable; "
-                        "default: all four)")
-    _add_param_flags(p)
-
-    p = sub.add_parser("geometry-check", help="geometry approximation sup "
-                                              "distances per level")
-    p.add_argument("--levels", type=int)
-    p.add_argument("--n0", type=int)
-
-    p = sub.add_parser("properties", help="stability constants across the "
-                                          "position sweep")
-    p.add_argument("--level", type=int)
-    p.add_argument("--positions", type=int)
-    p.add_argument("--n0", type=int)
-    _add_param_flags(p)
-    return parser
+def _boolean(value: str) -> bool:
+    """A config-file switch: 1/true/yes/on or 0/false/no/off."""
+    low = value.lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def _print_convergence(report: StudyReport):
@@ -187,36 +82,85 @@ def _print_properties(report: StudyReport):
               f"vs stabilized = {info['contrast']:.4e} ({verdict})")
 
 
+# the penalty weights of StabilizationParams (the coupling constants have
+# no flag); they reach the study as its ``params``
+_WEIGHTS = {name: float for name in ("gamma_bulk", "gamma_surf", "mu_bulk",
+                                     "mu_surf", "tau_bulk", "tau_surf")}
+
+# subcommand: (study, printer, help, flags). Each flag is the study keyword
+# it sets, spelled --with-dashes, and its type, which also converts its
+# config-file entry; a ``_boolean`` flag is a switch. A tuple of choices is
+# a repeatable flag named by the singular of its keyword (--config), which
+# the config file cannot set.
+_COMMANDS = {
+    "convergence": ("run_convergence", _print_convergence,
+                    "refinement/EOC study",
+                    {"levels": int, "n0": int, "ablate_ghost": _boolean,
+                     **_WEIGHTS}),
+    "condition-sweep": ("run_condition_sweep", _print_condition,
+                        "condition number vs. surface position",
+                        {"level": int, "positions": int, "n0": int,
+                         "configs": SWEEP_CONFIGS, **_WEIGHTS}),
+    "geometry-check": ("run_geometry_check", _print_geometry,
+                       "geometry approximation sup distances per level",
+                       {"levels": int, "n0": int}),
+    "properties": ("run_property_suite", _print_properties,
+                   "stability constants across the position sweep",
+                   {"level": int, "positions": int, "n0": int, **_WEIGHTS}),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cutdg",
+        description="Stabilized cut DG studies for the coupled bulk-surface "
+                    "diffusion-reaction problem on the unit circle.")
+    parser.add_argument("--config-file", help="key=value defaults file")
+    parser.add_argument("--out", help="directory for CSV output")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, _, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, kind in flags.items():
+            option = "--" + name.replace("_", "-")
+            if kind is _boolean:
+                p.add_argument(option, action="store_true", default=None)
+            elif isinstance(kind, tuple):
+                p.add_argument(option[:-1], action="append", choices=kind,
+                               dest=name,
+                               help="stabilization configuration "
+                                    "(repeatable; default: all four)")
+            else:
+                p.add_argument(option, type=kind)
+    return parser
+
+
+def _study_kwargs(args: argparse.Namespace, flags: dict) -> dict:
+    """The flags set on the command line or, failing that, in the config
+    file, converted with their types; the weights folded into params."""
+    entries = read_config_file(args.config_file) if args.config_file else {}
+    kwargs = {}
+    for name, kind in flags.items():
+        value = getattr(args, name)
+        entry = entries.pop(name, None) if callable(kind) else None
+        if value is None and entry is not None:
+            value = kind(entry)
+        if value is not None:
+            kwargs[name] = value
+    if entries:
+        raise ValueError(f"unknown config file keys: {sorted(entries)}")
+    if "gamma_bulk" in flags:  # all but geometry-check take the weights
+        kwargs["params"] = StabilizationParams(
+            **{name: kwargs.pop(name) for name in _WEIGHTS if name in kwargs})
+    return kwargs
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    study, printer, _, flags = _COMMANDS[args.command]
     try:
-        resolved = _resolve(args, _STUDY_DEFAULTS[args.command])
-        if args.command == "convergence":
-            report = run_convergence(levels=resolved["levels"],
-                                     n0=resolved["n0"],
-                                     params=_params_from(resolved),
-                                     ablate_ghost=resolved["ablate_ghost"])
-            _print_convergence(report)
-        elif args.command == "condition-sweep":
-            configs = tuple(args.config) if args.config \
-                else _SWEEP_CONFIGS_DEFAULT
-            report = run_condition_sweep(level=resolved["level"],
-                                         positions=resolved["positions"],
-                                         n0=resolved["n0"],
-                                         params=_params_from(resolved),
-                                         configs=configs)
-            _print_condition(report)
-        elif args.command == "geometry-check":
-            report = run_geometry_check(levels=resolved["levels"],
-                                        n0=resolved["n0"])
-            _print_geometry(report)
-        else:  # properties; argparse enforces the choices
-            report = run_property_suite(level=resolved["level"],
-                                        positions=resolved["positions"],
-                                        n0=resolved["n0"],
-                                        params=_params_from(resolved))
-            _print_properties(report)
+        # looked up at call time, so a replaced study is the one called
+        report = globals()[study](**_study_kwargs(args, flags))
+        printer(report)
     except (ValueError, OSError, CutDGError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,8 @@ matrices stay bit-for-bit reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,6 +48,10 @@ class StabilizationParams:
     tau_surf: float = 0.01
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if not (self.c_bulk > 0.0 and self.c_surf > 0.0):
             raise ValueError("coupling constants must be positive")
         for name in ("gamma_bulk", "gamma_surf", "mu_bulk", "mu_surf",
@@ -336,17 +341,13 @@ def load_vector(cq: CutQuadrature, dofmap: CombinedDofMap, problem,
     by the closest-point map of the problem geometry. Raises GeometryError
     when a surface quadrature point leaves the validity radius of that
     map."""
-    mesh = cq.mesh
     b = np.zeros(dofmap.ndof)
-    bary, wref = triangle_reference_rule(cq.degree)
-    areas = element_areas(mesh)
+    bary, _ = triangle_reference_rule(cq.degree)
 
     uncut, cut = cq.split
     if uncut.size:
-        tris = mesh.vertices[mesh.elements[uncut]]
-        pts = np.einsum("mb,kbd->kmd", bary, tris)
+        pts, w = cq.uncut
         fvals = np.asarray(problem.f_bulk(pts), dtype=float)
-        w = wref[None, :] * (areas[uncut, None] / 0.5)
         local = np.einsum("km,mi->ki", w * fvals, bary)
         np.add.at(b, dofmap.bulk.dofs_array(uncut),
                   params.c_bulk * local)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .levelset import CutTopology, LevelSet, circle_levelset
-from .mesh import BackgroundMesh, element_areas
+from .mesh import BackgroundMesh
 from .quadrature import ERROR_DEGREE, CutQuadrature, triangle_reference_rule
 from .space import CombinedDofMap
 
@@ -176,16 +176,13 @@ def compute_errors(coeffs: np.ndarray, problem: ManufacturedProblem,
     The element contributions are summed one after another in element
     (and segment) order, after the uncut block."""
     cq = CutQuadrature(mesh, dls, topo, ERROR_DEGREE)
-    areas = element_areas(mesh)
     uncut, cut = cq.split
 
     l2b = 0.0
     semib = 0.0
     if uncut.size:
-        bary, wref = triangle_reference_rule(cq.degree)
-        tris = mesh.vertices[mesh.elements[uncut]]
-        pts = np.einsum("mb,kbd->kmd", bary, tris)
-        w = wref[None, :] * (areas[uncut, None] / 0.5)
+        bary, _ = triangle_reference_rule(cq.degree)
+        pts, w = cq.uncut
         u_elem = coeffs[dofmap.bulk.dofs_array(uncut)]
         uh = np.einsum("mb,kb->km", bary, u_elem)
         diff = uh - np.asarray(problem.u_bulk(pts), dtype=float)

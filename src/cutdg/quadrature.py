@@ -139,6 +139,8 @@ class CutQuadrature:
     grads: (ne, 3, 2) basis gradients of every background element.
     split: active bulk elements as (uncut, cut); the cut ones are the
         surface-active elements ``topo.active_surface``.
+    uncut: (points, weights) of the reference rule on the uncut active
+        elements split[0], shaped (k, m, 2) and (k, m).
     volume: [(rules, phi)] for the cut elements with a triangular and with
         a quadrilateral negative part; rules.index points into split[1]
         and phi (k, m, 3) holds the basis values at the rule points.
@@ -157,6 +159,11 @@ class CutQuadrature:
         cut = self.topo.active_surface
         uncut = np.setdiff1d(self.topo.active_bulk, cut, assume_unique=True)
         return uncut, cut
+
+    @cached_property
+    def uncut(self):
+        nodes = self.mesh.elements[self.split[0]]
+        return _map_triangles(self.mesh.vertices[nodes], self.degree)
 
     @cached_property
     def volume(self):

@@ -1,4 +1,4 @@
-import inspect
+import argparse
 
 import pytest
 
@@ -125,15 +125,83 @@ def test_penalty_flags_default_to_the_stabilization_params(
     ("properties", "run_property_suite")])
 def test_subcommand_without_flags_uses_the_study_defaults(
         command, study, monkeypatch):
-    defaults = inspect.signature(getattr(cli, study)).parameters
-    seen = {}
+    calls = []
 
     def fake(**kwargs):
-        seen.update(kwargs)
+        calls.append(kwargs)
         return StudyReport()
 
     monkeypatch.setattr(cli, study, fake)
     assert main([command]) == 0
-    assert seen.pop("params", StabilizationParams()) == StabilizationParams()
-    assert seen and all(value == defaults[name].default
-                        for name, value in seen.items())
+    # nothing is passed but the default penalty weights, so every other
+    # keyword default of the study applies
+    expected = {} if command == "geometry-check" \
+        else {"params": StabilizationParams()}
+    assert calls == [expected]
+
+
+def _never_called(**kwargs):
+    raise AssertionError("the study must not be called")
+
+
+@pytest.mark.parametrize("spelling,expected", [
+    ("yes", True), ("On", True), ("1", True),
+    ("off", False), ("NO", False), ("0", False)])
+def test_config_file_boolean_reaches_the_study(
+        tmp_path, monkeypatch, spelling, expected):
+    calls = []
+
+    def fake(**kwargs):
+        calls.append(kwargs)
+        return StudyReport()
+
+    monkeypatch.setattr(cli, "run_convergence", fake)
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"ablate-ghost = {spelling}\n")
+    assert main(["--config-file", str(cfg), "convergence"]) == 0
+    assert calls == [{"ablate_ghost": expected,
+                      "params": StabilizationParams()}]
+
+
+def test_config_file_bad_boolean_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_convergence", _never_called)
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("ablate_ghost = maybe\n")
+    assert main(["--config-file", str(cfg), "convergence"]) == 2
+    assert capsys.readouterr().err == \
+        "error: expected a boolean, got 'maybe'\n"
+
+
+@pytest.mark.parametrize("command,study", [
+    ("convergence", "run_convergence"),
+    ("condition-sweep", "run_condition_sweep"),
+    ("properties", "run_property_suite")])
+def test_non_finite_weight_exits_2_before_the_study(
+        command, study, monkeypatch, capsys):
+    monkeypatch.setattr(cli, study, _never_called)
+    assert main([command, "--mu-bulk", "nan"]) == 2
+    assert main([command, "--tau-surf", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert "mu_bulk must be finite" in err and "tau_surf must be finite" in err
+
+
+_WEIGHT_FLAGS = ["--gamma-bulk", "--gamma-surf", "--mu-bulk", "--mu-surf",
+                 "--tau-bulk", "--tau-surf"]
+
+
+def test_option_strings_of_every_subcommand():
+    parser = cli.build_parser()
+    assert [o for a in parser._actions for o in a.option_strings] == \
+        ["-h", "--help", "--config-file", "--out"]
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {command: [o for a in sub._actions for o in a.option_strings]
+               for command, sub in subparsers.choices.items()}
+    assert options == {
+        "convergence": ["-h", "--help", "--levels", "--n0", "--ablate-ghost",
+                        *_WEIGHT_FLAGS],
+        "condition-sweep": ["-h", "--help", "--level", "--positions", "--n0",
+                            "--config", *_WEIGHT_FLAGS],
+        "geometry-check": ["-h", "--help", "--levels", "--n0"],
+        "properties": ["-h", "--help", "--level", "--positions", "--n0",
+                       *_WEIGHT_FLAGS]}

@@ -20,6 +20,15 @@ BOX = ((-1.1, -1.1), (1.1, 1.1))
 PARAMS = StabilizationParams()
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["c_bulk", "c_surf", "gamma_bulk",
+                                  "gamma_surf", "mu_bulk", "mu_surf",
+                                  "tau_bulk", "tau_surf"])
+def test_stabilization_params_reject_non_finite_values(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        StabilizationParams(**{name: value})
+
+
 def _circle_setup(n=8):
     mesh = build_structured_mesh(BOX, n)
     dls = interpolate_levelset(circle_levelset(), mesh)

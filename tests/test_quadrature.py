@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from cutdg.exceptions import StructuralError
-from cutdg.levelset import circle_levelset, interpolate_levelset
-from cutdg.mesh import build_structured_mesh, refine_uniform
-from cutdg.quadrature import (clip_element_rules, segment_rules,
-                              triangle_reference_rule)
+from cutdg.levelset import (build_cut_topology, circle_levelset,
+                            interpolate_levelset)
+from cutdg.mesh import build_structured_mesh, element_areas, refine_uniform
+from cutdg.quadrature import (CutQuadrature, clip_element_rules,
+                              segment_rules, triangle_reference_rule)
 from tests.oracles import (clip_element_rule, cut_monomial_pairs,
                            negative_polygon, random_cut_triangles,
                            surface_segment_rule)
@@ -154,3 +155,19 @@ def test_batched_segment_rules_equal_the_per_segment_rules():
     p1[7] = p0[7]
     with pytest.raises(StructuralError, match="degenerate surface segment"):
         segment_rules(p0, p1)
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_uncut_rule_is_the_reference_rule_on_the_uncut_elements(degree):
+    mesh = build_structured_mesh(BOX, 8)
+    dls = interpolate_levelset(circle_levelset(), mesh)
+    cq = CutQuadrature(mesh, dls, build_cut_topology(mesh, dls), degree)
+    uncut = cq.split[0]
+    bary, wref = triangle_reference_rule(degree)
+    points, weights = cq.uncut
+    assert uncut.size and points.shape == (uncut.size, bary.shape[0], 2)
+    tris = mesh.vertices[mesh.elements[uncut]]
+    np.testing.assert_allclose(points, np.einsum("mb,kbd->kmd", bary, tris),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(weights.sum(axis=1),
+                               element_areas(mesh)[uncut], rtol=1e-14)
