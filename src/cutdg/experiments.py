@@ -58,6 +58,8 @@ PROPERTIES_HEADER = "name,constant,delta,pass"
 def mesh_at_level(level: int, n0: int = DEFAULT_N0, box=DEFAULT_BOX):
     """Background mesh at refinement level ``level``, built by uniformly
     refining the n0-by-n0 starting mesh."""
+    if level < 0:
+        raise ValueError(f"refinement level must be >= 0, got {level}")
     mesh = build_structured_mesh(box, n0)
     for _ in range(level):
         mesh = refine_uniform(mesh)
@@ -269,6 +271,10 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
     SolverError."""
     if positions < 2:
         raise ValueError("sweep needs at least 2 positions")
+    configs = tuple(configs)
+    repeated = sorted({c for c in configs if configs.count(c) > 1})
+    if repeated:
+        raise ValueError(f"sweep configuration repeated: {', '.join(repeated)}")
     params = params or StabilizationParams()
     mesh = mesh_at_level(level, n0, box)
     report = StudyReport()

@@ -10,10 +10,11 @@ Every form takes the ``quadrature.CutQuadrature`` of one mesh, level set
 and topology, which carries the rules and basis data the forms share;
 ``assemble_system`` builds it from the mesh. Each kind of entity is
 assembled in one batch: uncut elements, cut elements, surface segments,
-surface edges and faces. The triplets are emitted in a fixed order
-(uncut block, cut elements ascending, then each face scatter on its own),
-so that the sparse conversion sums duplicates as it always has and the
-matrices stay bit-for-bit reproducible.
+surface edges and faces. Each batch is one (dofs, blocks) part, and
+``_accumulate`` writes the triplets of a form's parts once, in a fixed
+order (uncut block, cut elements ascending, then each face scatter on its
+own), so that the sparse conversion sums duplicates as it always has and
+the matrices stay bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -74,21 +75,28 @@ class AssembledSystem:
 # ---------------------------------------------------------------------------
 # low-level accumulation helpers
 
-def _accumulate(triplets, n: int) -> sp.csr_matrix:
-    triplets = [t for t in triplets if t[0].size]
-    if not triplets:
-        return sp.csr_matrix((n, n))
-    i = np.concatenate([t[0] for t in triplets])
-    j = np.concatenate([t[1] for t in triplets])
-    v = np.concatenate([t[2] for t in triplets])
+def _accumulate(parts: list, n: int) -> sp.csr_matrix:
+    """Sum the (dofs, blocks) parts into an n x n CSR matrix: block e of a
+    part lands on rows and columns dofs[e]. The triplets of all parts are
+    written once, in list order, into one buffer each for rows, columns
+    and values; ``parts`` is emptied before the conversion, so the blocks
+    are freed by then."""
+    total = sum(blocks.size for _, blocks in parts)
+    index = sp.get_index_dtype(maxval=n)
+    i = np.empty(total, dtype=index)
+    j = np.empty(total, dtype=index)
+    v = np.empty(total)
+    start = 0
+    for dofs, blocks in parts:
+        m, k = dofs.shape
+        end = start + m * k * k
+        i[start:end].reshape(m, k, k)[...] = dofs[:, :, None]
+        j[start:end].reshape(m, k, k)[...] = dofs[:, None, :]
+        v[start:end].reshape(m, k, k)[...] = blocks
+        start = end
+    parts.clear()
+    dofs = blocks = None  # the loop's last part, not alive at the conversion
     return sp.coo_matrix((v, (i, j)), shape=(n, n)).tocsr()
-
-
-def _scatter(dofs: np.ndarray, blocks: np.ndarray):
-    k = dofs.shape[1]
-    i = np.broadcast_to(dofs[:, :, None], (dofs.shape[0], k, k))
-    j = np.broadcast_to(dofs[:, None, :], (dofs.shape[0], k, k))
-    return i.ravel(), j.ravel(), blocks.ravel()
 
 
 def _rows_dot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -171,12 +179,12 @@ def _face_consistency_blocks(J0, J1, g_avg, lengths, va, vb):
 # ---------------------------------------------------------------------------
 # bulk volume pieces
 
-def _bulk_volume_triplets(cq: CutQuadrature, space, mass=True):
+def _bulk_volume_blocks(cq: CutQuadrature, space, mass=True):
     """Stiffness (and mass) blocks of the active elements: exact on the
     uncut ones, by the cut-volume rules on the cut ones."""
     areas = element_areas(cq.mesh)
     uncut, cut = cq.split
-    triplets = []
+    parts = []
 
     if uncut.size:
         blocks = np.zeros((uncut.size, 3, 3))
@@ -184,7 +192,7 @@ def _bulk_volume_triplets(cq: CutQuadrature, space, mass=True):
         blocks += areas[uncut, None, None] * np.einsum("eik,ejk->eij", g, g)
         if mass:
             blocks += areas[uncut, None, None] * _M3[None, :, :]
-        triplets.append(_scatter(space.dofs_array(uncut), blocks))
+        parts.append((space.dofs_array(uncut), blocks))
 
     g = cq.grads[cut]
     stiff = np.matmul(g, g.transpose(0, 2, 1))
@@ -194,14 +202,14 @@ def _bulk_volume_triplets(cq: CutQuadrature, space, mass=True):
         blocks[k] += rules.weights.sum(axis=1)[:, None, None] * stiff[k]
         if mass:
             blocks[k] += np.einsum("kq,kqi,kqj->kij", rules.weights, phi, phi)
-    triplets.append(_scatter(space.dofs_array(cut), blocks))
-    return triplets
+    parts.append((space.dofs_array(cut), blocks))
+    return parts
 
 
 # ---------------------------------------------------------------------------
 # surface pieces (segments and their edges)
 
-def _segment_triplets(cq: CutQuadrature, space, mass=True):
+def _segment_blocks(cq: CutQuadrature, space, mass=True):
     surf = cq.topo.surface
     g = cq.grads[surf.element]
     n = surf.normal
@@ -210,10 +218,10 @@ def _segment_triplets(cq: CutQuadrature, space, mass=True):
     if mass:
         rules, phi = cq.segments
         blocks += np.einsum("kq,kqi,kqj->kij", rules.weights, phi, phi)
-    return [_scatter(space.dofs_array(surf.element), blocks)]
+    return [(space.dofs_array(surf.element), blocks)]
 
 
-def _edge_triplets(cq: CutQuadrature, space, gamma, consistency=True):
+def _edge_blocks(cq: CutQuadrature, space, gamma, consistency=True):
     """Pointwise edge terms: gamma/h [v][w] and the co-normal consistency
     pair -({ne.grad v},[w]) - ([v],{ne.grad w}), both with the measure-1
     convention for 2D surface edges. Column 0 of each (edge, 2) array is
@@ -234,7 +242,7 @@ def _edge_triplets(cq: CutQuadrature, space, gamma, consistency=True):
                    + jump[:, :, None] * gavg[:, None, :])
     dofs = np.hstack([space.dofs_array(elements[:, 0]),
                       space.dofs_array(elements[:, 1])])
-    return [_scatter(dofs, blocks)]
+    return [(dofs, blocks)]
 
 
 # ---------------------------------------------------------------------------
@@ -246,25 +254,25 @@ def bulk_form(cq: CutQuadrature, dofmap: CombinedDofMap,
     penalty on full active faces, symmetric consistency fluxes on the
     negative face parts."""
     mesh = cq.mesh
-    triplets = _bulk_volume_triplets(cq, dofmap.bulk)
+    parts = _bulk_volume_blocks(cq, dofmap.bulk)
     dofs, J0, J1, g_avg, _, lengths, fv = _face_batch(
         mesh, dofmap.bulk, cq.topo.bulk_faces, cq.grads)
-    triplets.append(_scatter(dofs, _face_jump_blocks(
+    parts.append((dofs, _face_jump_blocks(
         J0, J1, lengths, params.gamma_bulk / mesh.h)))
     va = cq.dls[fv[:, 0]]
     vb = cq.dls[fv[:, 1]]
-    triplets.append(_scatter(dofs, _face_consistency_blocks(
+    parts.append((dofs, _face_consistency_blocks(
         J0, J1, g_avg, lengths, va, vb)))
-    return _accumulate(triplets, dofmap.ndof)
+    return _accumulate(parts, dofmap.ndof)
 
 
 def surface_form(cq: CutQuadrature, dofmap: CombinedDofMap,
                  params: StabilizationParams) -> sp.csr_matrix:
     """Surface form: tangential stiffness and mass on the segments, jump
     penalty and co-normal consistency at the surface edges."""
-    triplets = _segment_triplets(cq, dofmap.surface)
-    triplets += _edge_triplets(cq, dofmap.surface, params.gamma_surf)
-    return _accumulate(triplets, dofmap.ndof)
+    parts = _segment_blocks(cq, dofmap.surface)
+    parts += _edge_blocks(cq, dofmap.surface, params.gamma_surf)
+    return _accumulate(parts, dofmap.ndof)
 
 
 def coupling_form(cq: CutQuadrature, dofmap: CombinedDofMap,
@@ -277,7 +285,7 @@ def coupling_form(cq: CutQuadrature, dofmap: CombinedDofMap,
     blocks = np.einsum("kq,kqi,kqj->kij", rules.weights, r, r)
     dofs = np.hstack([dofmap.bulk.dofs_array(elements),
                       dofmap.surface.dofs_array(elements)])
-    return _accumulate([_scatter(dofs, blocks)], dofmap.ndof)
+    return _accumulate([(dofs, blocks)], dofmap.ndof)
 
 
 def ghost_pieces(cq: CutQuadrature, dofmap: CombinedDofMap) -> dict:
@@ -294,18 +302,18 @@ def ghost_pieces(cq: CutQuadrature, dofmap: CombinedDofMap) -> dict:
     dofs, J0, J1, _, g_jump, lengths, _ = _face_batch(
         mesh, dofmap.bulk, topo.bulk_ghost_faces, cq.grads)
     out["bulk_value"] = _accumulate(
-        [_scatter(dofs, _face_jump_blocks(J0, J1, lengths, 1.0 / h))],
+        [(dofs, _face_jump_blocks(J0, J1, lengths, 1.0 / h))],
         dofmap.ndof)
     out["bulk_gradient"] = _accumulate(
-        [_scatter(dofs, _face_gradjump_blocks(g_jump, lengths, h))],
+        [(dofs, _face_gradjump_blocks(g_jump, lengths, h))],
         dofmap.ndof)
     dofs, J0, J1, _, g_jump, lengths, _ = _face_batch(
         mesh, dofmap.surface, topo.surface_faces, cq.grads)
     out["surface_value"] = _accumulate(
-        [_scatter(dofs, _face_jump_blocks(J0, J1, lengths, 1.0 / h ** 2))],
+        [(dofs, _face_jump_blocks(J0, J1, lengths, 1.0 / h ** 2))],
         dofmap.ndof)
     out["surface_gradient"] = _accumulate(
-        [_scatter(dofs, _face_gradjump_blocks(g_jump, lengths, 1.0))],
+        [(dofs, _face_gradjump_blocks(g_jump, lengths, 1.0))],
         dofmap.ndof)
     return out
 
@@ -375,8 +383,8 @@ def assemble_system(mesh: BackgroundMesh, dls: np.ndarray,
     """Full system: the ``stabilized`` bulk, surface and coupling forms,
     with the matching load vector."""
     cq = CutQuadrature(mesh, dls, topo)
-    # the bulk face scatter sets the peak memory; build the ghost pieces
-    # after it so they are not alive at that point
+    # the triplet buffer of the bulk form and its conversion set the peak
+    # memory; build the ghost pieces after it so they are not alive then
     bulk = bulk_form(cq, dofmap, params)
     pieces = ghost_pieces(cq, dofmap)
     a = stabilized(bulk, surface_form(cq, dofmap, params),
@@ -401,9 +409,9 @@ def gradient_gram(cq: CutQuadrature, dofmap: CombinedDofMap,
         g = cq.grads[active]
         blocks = element_areas(cq.mesh)[active, None, None] * np.einsum(
             "eik,ejk->eij", g, g)
-        return _accumulate([_scatter(dofmap.bulk.dofs_array(active), blocks)],
+        return _accumulate([(dofmap.bulk.dofs_array(active), blocks)],
                            dofmap.ndof)
-    return _accumulate(_bulk_volume_triplets(cq, dofmap.bulk, mass=False),
+    return _accumulate(_bulk_volume_blocks(cq, dofmap.bulk, mass=False),
                        dofmap.ndof)
 
 
@@ -412,14 +420,14 @@ def surface_element_mass_gram(cq: CutQuadrature,
     """Full-element L2 mass on the surface-active mesh (surface block)."""
     act = cq.topo.active_surface
     blocks = element_areas(cq.mesh)[act, None, None] * _M3[None, :, :]
-    return _accumulate([_scatter(dofmap.surface.dofs_array(act), blocks)],
+    return _accumulate([(dofmap.surface.dofs_array(act), blocks)],
                        dofmap.ndof)
 
 
 def surface_tangential_gram(cq: CutQuadrature,
                             dofmap: CombinedDofMap) -> sp.csr_matrix:
     """Tangential stiffness on the discrete surface (surface block)."""
-    return _accumulate(_segment_triplets(cq, dofmap.surface, mass=False),
+    return _accumulate(_segment_blocks(cq, dofmap.surface, mass=False),
                        dofmap.ndof)
 
 
@@ -441,12 +449,12 @@ def energy_gram(cq: CutQuadrature, dofmap: CombinedDofMap,
     the coupling seminorm, with the ghosts from the unit ``pieces`` of
     ``ghost_pieces``."""
     mesh = cq.mesh
-    bulk = _bulk_volume_triplets(cq, dofmap.bulk)
+    bulk = _bulk_volume_blocks(cq, dofmap.bulk)
     dofs, J0, J1, _, _, lengths, _ = _face_batch(
         mesh, dofmap.bulk, cq.topo.bulk_faces, cq.grads)
-    bulk.append(_scatter(dofs, _face_jump_blocks(J0, J1, lengths,
+    bulk.append((dofs, _face_jump_blocks(J0, J1, lengths,
                                                   1.0 / mesh.h)))
-    surface = _segment_triplets(cq, dofmap.surface) + _edge_triplets(
+    surface = _segment_blocks(cq, dofmap.surface) + _edge_blocks(
         cq, dofmap.surface, gamma=1.0, consistency=False)
     return stabilized(_accumulate(bulk, dofmap.ndof),
                       _accumulate(surface, dofmap.ndof),

@@ -19,10 +19,12 @@ and basis (``evaluate_basis``) are the reference for the batched
 per-entity reference loops build the cut-entity parts of the forms, the
 load vectors and the error norms from them, one element, segment or
 surface edge at a time. The batched assembly must reproduce them bit for
-bit, triplet order included. Each builder stands in for the
+bit, block order included. Each builder stands in for the
 ``cutdg.forms`` function of the same name (with a leading underscore for
-the triplet builders) and takes its arguments, but reads only the mesh,
+the block builders) and takes its arguments, but reads only the mesh,
 level set, topology and degree from the ``CutQuadrature``.
+``accumulate`` expands (dofs, blocks) parts into triplets one block at a
+time, the reference of the single triplet buffer of ``forms._accumulate``.
 ``face_connectivity_reference`` lists interior faces through a dict
 keyed by vertex pair.
 """
@@ -360,17 +362,27 @@ def evaluate_basis(tri: np.ndarray, points: np.ndarray):
 # ---------------------------------------------------------------------------
 # per-entity reference loops of the batched assembly
 
-def _block_triplets(blocks):
-    """(rows, cols, values) of (dofs, block) pairs in list order."""
-    if not blocks:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), \
-            np.zeros(0)
-    rows, cols, vals = [], [], []
-    for dofs, blk in blocks:
-        rows.append(np.repeat(dofs, dofs.size))
-        cols.append(np.tile(dofs, dofs.size))
-        vals.append(blk.ravel())
-    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+def accumulate(parts, n: int) -> sp.csr_matrix:
+    """Reference of ``forms._accumulate``: the (row, column, value)
+    triplets of every (dofs, blocks) part, block by block in list order,
+    concatenated and converted by ``coo_matrix(...).tocsr()``."""
+    rows = [np.zeros(0, dtype=np.int64)]
+    cols = [np.zeros(0, dtype=np.int64)]
+    vals = [np.zeros(0)]
+    for dofs, blocks in parts:
+        for d, blk in zip(dofs, blocks):
+            rows.append(np.repeat(d, d.size))
+            cols.append(np.tile(d, d.size))
+            vals.append(blk.ravel())
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)).tocsr()
+
+
+def _part(blocks, k: int):
+    """One (dofs, blocks) part from (dofs, block) pairs in list order."""
+    dofs = np.array([d for d, _ in blocks], dtype=np.int64).reshape(-1, k)
+    return dofs, np.array([blk for _, blk in blocks]).reshape(-1, k, k)
 
 
 def _split(mesh, dls, topo):
@@ -388,13 +400,13 @@ def _dofs(space, e):
     return space.dofs_array(np.array([e]))[0]
 
 
-def bulk_volume_triplets(cq, space, mass=True):
+def bulk_volume_blocks(cq, space, mass=True):
     """Uncut elements in one exact batch, then one block per cut element."""
     mesh, dls = cq.mesh, cq.dls
     grads_all = element_gradients(mesh.vertices[mesh.elements])
     areas = element_areas(mesh)
     uncut, cut = _split(mesh, dls, cq.topo)
-    triplets = []
+    parts = []
     if uncut.size:
         blocks = np.zeros((uncut.size, 3, 3))
         g = grads_all[uncut]
@@ -402,8 +414,7 @@ def bulk_volume_triplets(cq, space, mass=True):
         if mass:
             blocks += areas[uncut, None, None] \
                 * ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :]
-        triplets.append(_block_triplets(
-            list(zip(space.dofs_array(uncut), blocks))))
+        parts.append((space.dofs_array(uncut), blocks))
     blocks = []
     for e in cut:
         rule = clip_element_rule(_tri(mesh, e), dls[mesh.elements[e]],
@@ -417,15 +428,15 @@ def bulk_volume_triplets(cq, space, mass=True):
             phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
             blk += np.einsum("q,qi,qj->ij", rule.weights, phi, phi)
         blocks.append((_dofs(space, e), blk))
-    triplets.append(_block_triplets(blocks))
-    return triplets
+    parts.append(_part(blocks, 3))
+    return parts
 
 
 def _segment_rule(surf, s, degree):
     return surface_segment_rule(surf.points[s, 0], surf.points[s, 1], degree)
 
 
-def segment_triplets(cq, space, mass=True):
+def segment_blocks(cq, space, mass=True):
     mesh, surf = cq.mesh, cq.topo.surface
     grads_all = element_gradients(mesh.vertices[mesh.elements])
     blocks = []
@@ -440,10 +451,10 @@ def segment_triplets(cq, space, mass=True):
             phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
             blk += np.einsum("q,qi,qj->ij", rule.weights, phi, phi)
         blocks.append((_dofs(space, e), blk))
-    return [_block_triplets(blocks)]
+    return [_part(blocks, 3)]
 
 
-def edge_triplets(cq, space, gamma, consistency=True):
+def edge_blocks(cq, space, gamma, consistency=True):
     mesh, surf = cq.mesh, cq.topo.surface
     grads_all = element_gradients(mesh.vertices[mesh.elements])
     blocks = []
@@ -464,7 +475,7 @@ def edge_triplets(cq, space, gamma, consistency=True):
         blocks.append((np.concatenate(
             [_dofs(space, surf.element[s])
              for s in surf.edge_segments[k]]), blk))
-    return [_block_triplets(blocks)]
+    return [_part(blocks, 6)]
 
 
 def coupling_form(cq, dofmap, params):
@@ -478,8 +489,7 @@ def coupling_form(cq, dofmap, params):
         blocks.append((np.concatenate([_dofs(dofmap.bulk, e),
                                        _dofs(dofmap.surface, e)]),
                        np.einsum("q,qi,qj->ij", rule.weights, r, r)))
-    i, j, v = _block_triplets(blocks)
-    return sp.coo_matrix((v, (i, j)), shape=(dofmap.ndof,) * 2).tocsr()
+    return accumulate([_part(blocks, 6)], dofmap.ndof)
 
 
 def load_vector(cq, dofmap, problem, params):

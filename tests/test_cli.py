@@ -95,6 +95,20 @@ def test_invalid_arguments_exit_nonzero(capsys):
             "error: surface misses the background box")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["condition-sweep", "--level", "-1", "--positions", "2", "--config",
+      "full"], "error: refinement level must be >= 0, got -1"),
+    (["properties", "--level", "-1", "--positions", "2"],
+     "error: refinement level must be >= 0, got -1"),
+    (["condition-sweep", "--level", "0", "--positions", "2", "--config",
+      "full", "--config", "full"], "error: sweep configuration repeated: full")])
+def test_negative_level_and_repeated_config_exit_2(argv, message, tmp_path,
+                                                   capsys):
+    assert main(["--out", str(tmp_path / "out"), *argv]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command,study", [
     ("convergence", "run_convergence"),
     ("condition-sweep", "run_condition_sweep"),

@@ -30,6 +30,8 @@ def test_mesh_at_level_matches_direct_build():
     mesh = mesh_at_level(2, n0=2)
     assert mesh.n_elements == 2 * 8 * 8
     assert mesh.h == pytest.approx(mesh_at_level(0, n0=8).h, rel=1e-12)
+    with pytest.raises(ValueError, match="level must be >= 0, got -1"):
+        mesh_at_level(-1)
 
 
 def test_ablated_params():
@@ -105,6 +107,17 @@ def test_condition_sweep_rows_and_determinism():
     assert again.condition_csv() == csv
     with pytest.raises(ValueError):
         run_condition_sweep(positions=1)
+
+
+def test_condition_sweep_rejects_a_repeated_configuration(monkeypatch):
+    """Before any assembly: the mesh is never built."""
+    def never_called(*args, **kwargs):
+        raise AssertionError("mesh built for a rejected sweep")
+
+    monkeypatch.setattr(experiments, "mesh_at_level", never_called)
+    with pytest.raises(ValueError, match="sweep configuration repeated: full"):
+        run_condition_sweep(level=0, positions=2, configs=["full", "none",
+                                                            "full"])
 
 
 def test_condition_sweep_nullity_is_the_cut_element_count():
