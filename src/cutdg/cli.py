@@ -5,12 +5,14 @@ Subcommands: ``convergence``, ``condition-sweep``, ``geometry-check`` and
 (``--config-file``); explicit command line flags win over file entries.
 A flag set nowhere is not passed, so the study's keyword default (and
 for the penalty weights the ``StabilizationParams`` default) applies.
-CSV output goes to the directory given by ``--out``.
+CSV output goes to the directory given by ``--out``; a path that cannot
+become a directory exits 2 before the study runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .exceptions import CutDGError
@@ -154,19 +156,33 @@ def _study_kwargs(args: argparse.Namespace, flags: dict) -> dict:
     return kwargs
 
 
+def _check_out(path: str):
+    """Fail before the study if ``path`` cannot become the output
+    directory: its nearest existing ancestor must be a directory. Nothing
+    is created, so a study that fails leaves no directory behind."""
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        head = os.path.dirname(head)
+    if not os.path.isdir(head):
+        raise NotADirectoryError(f"--out {path!r}: {head!r} is not a "
+                                 "directory")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     study, printer, _, flags = _COMMANDS[args.command]
     try:
+        kwargs = _study_kwargs(args, flags)
+        if args.out:
+            _check_out(args.out)
         # looked up at call time, so a replaced study is the one called
-        report = globals()[study](**_study_kwargs(args, flags))
+        report = globals()[study](**kwargs)
         printer(report)
+        for path in report.write(args.out) if args.out else ():
+            print(f"wrote {path}")
     except (ValueError, OSError, CutDGError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        for path in report.write(args.out):
-            print(f"wrote {path}")
     return 0
 
 

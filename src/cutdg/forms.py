@@ -8,9 +8,12 @@ independent of that orientation.
 
 Every form takes the ``quadrature.CutQuadrature`` of one mesh, level set
 and topology, which carries the rules and basis data the forms share;
-``assemble_system`` builds it from the mesh. Each kind of entity is
-assembled in one batch: uncut elements, cut elements, surface segments,
-surface edges and faces. Each batch is one (dofs, blocks) part, and
+``assemble_system`` builds it from the mesh. Each kind of entity has one
+batched builder that returns its dofs and its unweighted terms: stiffness
+and mass blocks of whole elements, cut elements and surface segments,
+unit jump and consistency blocks of surface edges (faces go through
+``_face_batch``). A form or Gram sums the terms it needs, block by block,
+into one (dofs, blocks) part per batch, and
 ``_accumulate`` writes the triplets of a form's parts once, in a fixed
 order (uncut block, cut elements ascending, then each face scatter on its
 own), so that the sparse conversion sums duplicates as it always has and
@@ -177,55 +180,56 @@ def _face_consistency_blocks(J0, J1, g_avg, lengths, va, vb):
 
 
 # ---------------------------------------------------------------------------
-# bulk volume pieces
+# entity builders: the dofs and the unweighted terms of one kind of entity
 
-def _bulk_volume_blocks(cq: CutQuadrature, space, mass=True):
-    """Stiffness (and mass) blocks of the active elements: exact on the
-    uncut ones, by the cut-volume rules on the cut ones."""
-    areas = element_areas(cq.mesh)
-    uncut, cut = cq.split
-    parts = []
+def _element_blocks(cq: CutQuadrature, space, elements):
+    """Dofs, exact stiffness and exact mass blocks of whole elements."""
+    areas = element_areas(cq.mesh)[elements, None, None]
+    g = cq.grads[elements]
+    return (space.dofs_array(elements),
+            areas * np.einsum("eik,ejk->eij", g, g), areas * _M3)
 
-    if uncut.size:
-        blocks = np.zeros((uncut.size, 3, 3))
-        g = cq.grads[uncut]
-        blocks += areas[uncut, None, None] * np.einsum("eik,ejk->eij", g, g)
-        if mass:
-            blocks += areas[uncut, None, None] * _M3[None, :, :]
-        parts.append((space.dofs_array(uncut), blocks))
 
+def _cut_element_blocks(cq: CutQuadrature, space):
+    """Dofs, stiffness and mass blocks of the cut elements by their
+    cut-volume rules."""
+    cut = cq.split[1]
     g = cq.grads[cut]
-    stiff = np.matmul(g, g.transpose(0, 2, 1))
-    blocks = np.zeros((cut.size, 3, 3))
+    stiffness = np.matmul(g, g.transpose(0, 2, 1))
+    mass = np.empty((cut.size, 3, 3))
     for rules, phi in cq.volume:
         k = rules.index
-        blocks[k] += rules.weights.sum(axis=1)[:, None, None] * stiff[k]
-        if mass:
-            blocks[k] += np.einsum("kq,kqi,kqj->kij", rules.weights, phi, phi)
-    parts.append((space.dofs_array(cut), blocks))
-    return parts
+        stiffness[k] *= rules.weights.sum(axis=1)[:, None, None]
+        mass[k] = np.einsum("kq,kqi,kqj->kij", rules.weights, phi, phi)
+    return space.dofs_array(cut), stiffness, mass
 
 
-# ---------------------------------------------------------------------------
-# surface pieces (segments and their edges)
+def _volume_blocks(cq: CutQuadrature, space):
+    """(dofs, stiffness, mass) of the uncut active elements, then of the
+    cut ones."""
+    return [_element_blocks(cq, space, cq.split[0]),
+            _cut_element_blocks(cq, space)]
 
-def _segment_blocks(cq: CutQuadrature, space, mass=True):
+
+def _segment_blocks(cq: CutQuadrature, space):
+    """Dofs, tangential stiffness and mass blocks of the surface
+    segments."""
     surf = cq.topo.surface
     g = cq.grads[surf.element]
     n = surf.normal
     pg = g - np.matmul(g, n[:, :, None]) * n[:, None, :]
-    blocks = surf.length[:, None, None] * np.matmul(pg, pg.transpose(0, 2, 1))
-    if mass:
-        rules, phi = cq.segments
-        blocks += np.einsum("kq,kqi,kqj->kij", rules.weights, phi, phi)
-    return [(space.dofs_array(surf.element), blocks)]
+    stiffness = surf.length[:, None, None] * np.matmul(
+        pg, pg.transpose(0, 2, 1))
+    rules, phi = cq.segments
+    mass = np.einsum("kq,kqi,kqj->kij", rules.weights, phi, phi)
+    return space.dofs_array(surf.element), stiffness, mass
 
 
-def _edge_blocks(cq: CutQuadrature, space, gamma, consistency=True):
-    """Pointwise edge terms: gamma/h [v][w] and the co-normal consistency
-    pair -({ne.grad v},[w]) - ([v],{ne.grad w}), both with the measure-1
-    convention for 2D surface edges. Column 0 of each (edge, 2) array is
-    the plus segment."""
+def _edge_blocks(cq: CutQuadrature, space):
+    """Dofs, unit jump blocks [v][w] and co-normal consistency blocks
+    -({ne.grad v},[w]) - ([v],{ne.grad w}) of the surface edges, both with
+    the measure-1 convention for 2D surface edges. Column 0 of each
+    (edge, 2) array is the plus segment."""
     surf = cq.topo.surface
     elements = surf.element[surf.edge_segments]
     tris = cq.mesh.vertices[cq.mesh.elements[elements]].reshape(-1, 3, 2)
@@ -234,15 +238,11 @@ def _edge_blocks(cq: CutQuadrature, space, gamma, consistency=True):
     flux = np.matmul(cq.grads[elements], surf.edge_conormals[..., None])[..., 0]
     jump = np.concatenate([phi[:, 0], -phi[:, 1]], axis=1)
     gavg = 0.5 * np.concatenate([flux[:, 0], -flux[:, 1]], axis=1)
-    blocks = np.zeros((surf.n_edges, 6, 6))
-    if gamma:
-        blocks += (gamma / cq.mesh.h) * (jump[:, :, None] * jump[:, None, :])
-    if consistency:
-        blocks -= (gavg[:, :, None] * jump[:, None, :]
-                   + jump[:, :, None] * gavg[:, None, :])
     dofs = np.hstack([space.dofs_array(elements[:, 0]),
                       space.dofs_array(elements[:, 1])])
-    return [(dofs, blocks)]
+    return (dofs, jump[:, :, None] * jump[:, None, :],
+            -(gavg[:, :, None] * jump[:, None, :]
+              + jump[:, :, None] * gavg[:, None, :]))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +254,7 @@ def bulk_form(cq: CutQuadrature, dofmap: CombinedDofMap,
     penalty on full active faces, symmetric consistency fluxes on the
     negative face parts."""
     mesh = cq.mesh
-    parts = _bulk_volume_blocks(cq, dofmap.bulk)
+    parts = [(dofs, s + m) for dofs, s, m in _volume_blocks(cq, dofmap.bulk)]
     dofs, J0, J1, g_avg, _, lengths, fv = _face_batch(
         mesh, dofmap.bulk, cq.topo.bulk_faces, cq.grads)
     parts.append((dofs, _face_jump_blocks(
@@ -270,9 +270,12 @@ def surface_form(cq: CutQuadrature, dofmap: CombinedDofMap,
                  params: StabilizationParams) -> sp.csr_matrix:
     """Surface form: tangential stiffness and mass on the segments, jump
     penalty and co-normal consistency at the surface edges."""
-    parts = _segment_blocks(cq, dofmap.surface)
-    parts += _edge_blocks(cq, dofmap.surface, params.gamma_surf)
-    return _accumulate(parts, dofmap.ndof)
+    dofs, s, m = _segment_blocks(cq, dofmap.surface)
+    edge_dofs, jump, consistency = _edge_blocks(cq, dofmap.surface)
+    return _accumulate(
+        [(dofs, s + m),
+         (edge_dofs, (params.gamma_surf / cq.mesh.h) * jump + consistency)],
+        dofmap.ndof)
 
 
 def coupling_form(cq: CutQuadrature, dofmap: CombinedDofMap,
@@ -357,8 +360,7 @@ def load_vector(cq: CutQuadrature, dofmap: CombinedDofMap, problem,
         pts, w = cq.uncut
         fvals = np.asarray(problem.f_bulk(pts), dtype=float)
         local = np.einsum("km,mi->ki", w * fvals, bary)
-        np.add.at(b, dofmap.bulk.dofs_array(uncut),
-                  params.c_bulk * local)
+        b[dofmap.bulk.dofs_array(uncut)] += params.c_bulk * local
     for rules, phi in cq.volume:
         fvals = np.asarray(problem.f_bulk(rules.points), dtype=float)
         b[dofmap.bulk.dofs_array(cut[rules.index])] += params.c_bulk * (
@@ -405,30 +407,24 @@ def gradient_gram(cq: CutQuadrature, dofmap: CombinedDofMap,
     if domain not in ("active", "cut"):
         raise ValueError(f"unknown gradient domain {domain!r}")
     if domain == "active":
-        active = cq.topo.active_bulk
-        g = cq.grads[active]
-        blocks = element_areas(cq.mesh)[active, None, None] * np.einsum(
-            "eik,ejk->eij", g, g)
-        return _accumulate([(dofmap.bulk.dofs_array(active), blocks)],
-                           dofmap.ndof)
-    return _accumulate(_bulk_volume_blocks(cq, dofmap.bulk, mass=False),
-                       dofmap.ndof)
+        blocks = [_element_blocks(cq, dofmap.bulk, cq.topo.active_bulk)]
+    else:
+        blocks = _volume_blocks(cq, dofmap.bulk)
+    return _accumulate([(dofs, s) for dofs, s, _ in blocks], dofmap.ndof)
 
 
 def surface_element_mass_gram(cq: CutQuadrature,
                               dofmap: CombinedDofMap) -> sp.csr_matrix:
     """Full-element L2 mass on the surface-active mesh (surface block)."""
-    act = cq.topo.active_surface
-    blocks = element_areas(cq.mesh)[act, None, None] * _M3[None, :, :]
-    return _accumulate([(dofmap.surface.dofs_array(act), blocks)],
-                       dofmap.ndof)
+    dofs, _, m = _element_blocks(cq, dofmap.surface, cq.topo.active_surface)
+    return _accumulate([(dofs, m)], dofmap.ndof)
 
 
 def surface_tangential_gram(cq: CutQuadrature,
                             dofmap: CombinedDofMap) -> sp.csr_matrix:
     """Tangential stiffness on the discrete surface (surface block)."""
-    return _accumulate(_segment_blocks(cq, dofmap.surface, mass=False),
-                       dofmap.ndof)
+    dofs, s, _ = _segment_blocks(cq, dofmap.surface)
+    return _accumulate([(dofs, s)], dofmap.ndof)
 
 
 def surface_trace_load(cq: CutQuadrature,
@@ -449,13 +445,13 @@ def energy_gram(cq: CutQuadrature, dofmap: CombinedDofMap,
     the coupling seminorm, with the ghosts from the unit ``pieces`` of
     ``ghost_pieces``."""
     mesh = cq.mesh
-    bulk = _bulk_volume_blocks(cq, dofmap.bulk)
+    bulk = [(dofs, s + m) for dofs, s, m in _volume_blocks(cq, dofmap.bulk)]
     dofs, J0, J1, _, _, lengths, _ = _face_batch(
         mesh, dofmap.bulk, cq.topo.bulk_faces, cq.grads)
-    bulk.append((dofs, _face_jump_blocks(J0, J1, lengths,
-                                                  1.0 / mesh.h)))
-    surface = _segment_blocks(cq, dofmap.surface) + _edge_blocks(
-        cq, dofmap.surface, gamma=1.0, consistency=False)
+    bulk.append((dofs, _face_jump_blocks(J0, J1, lengths, 1.0 / mesh.h)))
+    dofs, s, m = _segment_blocks(cq, dofmap.surface)
+    edge_dofs, jump, _ = _edge_blocks(cq, dofmap.surface)
+    surface = [(dofs, s + m), (edge_dofs, (1.0 / mesh.h) * jump)]
     return stabilized(_accumulate(bulk, dofmap.ndof),
                       _accumulate(surface, dofmap.ndof),
                       coupling_form(cq, dofmap, params), pieces, params)

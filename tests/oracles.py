@@ -16,13 +16,15 @@ straight-surface tests and of the affine exactness check.
 The per-entity rules (``clip_element_rule``, ``surface_segment_rule``)
 and basis (``evaluate_basis``) are the reference for the batched
 ``cutdg.quadrature`` rules and ``cutdg.space.basis_values``. The
-per-entity reference loops build the cut-entity parts of the forms, the
-load vectors and the error norms from them, one element, segment or
-surface edge at a time. The batched assembly must reproduce them bit for
-bit, block order included. Each builder stands in for the
-``cutdg.forms`` function of the same name (with a leading underscore for
-the block builders) and takes its arguments, but reads only the mesh,
-level set, topology and degree from the ``CutQuadrature``.
+per-entity reference loops build the unweighted terms of the forms
+(stiffness and mass of whole elements, cut elements and segments, jump
+and consistency of surface edges), the load vectors and the error norms
+from them, one element, segment or surface edge at a time. The batched
+assembly must reproduce them bit for bit, block order included. Each
+builder stands in for the ``cutdg.forms`` function of the same name
+(with a leading underscore for the block builders) and takes its
+arguments, but reads only the mesh, level set, topology and degree from
+the ``CutQuadrature``.
 ``accumulate`` expands (dofs, blocks) parts into triplets one block at a
 time, the reference of the single triplet buffer of ``forms._accumulate``.
 ``face_connectivity_reference`` lists interior faces through a dict
@@ -385,6 +387,15 @@ def _part(blocks, k: int):
     return dofs, np.array([blk for _, blk in blocks]).reshape(-1, k, k)
 
 
+def _terms(entities, k: int):
+    """(dofs, first, second) of a batch from per-entity (dofs, first,
+    second) triples in list order."""
+    dofs, first, second = zip(*entities) if entities else ((), (), ())
+    return (np.array(dofs, dtype=np.int64).reshape(-1, k),
+            np.array(first).reshape(-1, k, k),
+            np.array(second).reshape(-1, k, k))
+
+
 def _split(mesh, dls, topo):
     vals = dls[mesh.elements[topo.active_bulk]]
     cut = vals.max(axis=1) > 0.0
@@ -400,64 +411,65 @@ def _dofs(space, e):
     return space.dofs_array(np.array([e]))[0]
 
 
-def bulk_volume_blocks(cq, space, mass=True):
-    """Uncut elements in one exact batch, then one block per cut element."""
-    mesh, dls = cq.mesh, cq.dls
+def element_blocks(cq, space, elements):
+    """|K| grad(phi) grad(phi)^T and |K| M3, one whole element at a time;
+    the stiffness as the sum of the outer products of the x and the y
+    derivatives."""
+    mesh = cq.mesh
     grads_all = element_gradients(mesh.vertices[mesh.elements])
     areas = element_areas(mesh)
-    uncut, cut = _split(mesh, dls, cq.topo)
-    parts = []
-    if uncut.size:
-        blocks = np.zeros((uncut.size, 3, 3))
-        g = grads_all[uncut]
-        blocks += areas[uncut, None, None] * np.einsum("eik,ejk->eij", g, g)
-        if mass:
-            blocks += areas[uncut, None, None] \
-                * ((np.ones((3, 3)) + np.eye(3)) / 12.0)[None, :, :]
-        parts.append((space.dofs_array(uncut), blocks))
-    blocks = []
+    m3 = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    entities = []
+    for e in elements:
+        g = grads_all[e]
+        stiffness = np.outer(g[:, 0], g[:, 0]) + np.outer(g[:, 1], g[:, 1])
+        entities.append((_dofs(space, e), areas[e] * stiffness,
+                         areas[e] * m3))
+    return _terms(entities, 3)
+
+
+def cut_element_blocks(cq, space):
+    """Stiffness and mass of each cut element by its clipped rule."""
+    mesh, dls = cq.mesh, cq.dls
+    grads_all = element_gradients(mesh.vertices[mesh.elements])
+    _, cut = _split(mesh, dls, cq.topo)
+    entities = []
     for e in cut:
         rule = clip_element_rule(_tri(mesh, e), dls[mesh.elements[e]],
                                  cq.degree)
         if rule.weights.size == 0:
             raise StructuralError(f"active element {e} has an empty cut rule")
-        blk = np.zeros((3, 3))
         g = grads_all[e]
-        blk += rule.total_weight * (g @ g.T)
-        if mass:
-            phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
-            blk += np.einsum("q,qi,qj->ij", rule.weights, phi, phi)
-        blocks.append((_dofs(space, e), blk))
-    parts.append(_part(blocks, 3))
-    return parts
+        phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
+        entities.append((_dofs(space, e), rule.total_weight * (g @ g.T),
+                         np.einsum("q,qi,qj->ij", rule.weights, phi, phi)))
+    return _terms(entities, 3)
 
 
 def _segment_rule(surf, s, degree):
     return surface_segment_rule(surf.points[s, 0], surf.points[s, 1], degree)
 
 
-def segment_blocks(cq, space, mass=True):
+def segment_blocks(cq, space):
     mesh, surf = cq.mesh, cq.topo.surface
     grads_all = element_gradients(mesh.vertices[mesh.elements])
-    blocks = []
+    entities = []
     for s in range(surf.n_segments):
         e = surf.element[s]
         g = grads_all[e]
         n = surf.normal[s]
         pg = g - (g @ n)[:, None] * n[None, :]
-        blk = surf.length[s] * (pg @ pg.T)
-        if mass:
-            rule = _segment_rule(surf, s, cq.degree)
-            phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
-            blk += np.einsum("q,qi,qj->ij", rule.weights, phi, phi)
-        blocks.append((_dofs(space, e), blk))
-    return [_part(blocks, 3)]
+        rule = _segment_rule(surf, s, cq.degree)
+        phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
+        entities.append((_dofs(space, e), surf.length[s] * (pg @ pg.T),
+                         np.einsum("q,qi,qj->ij", rule.weights, phi, phi)))
+    return _terms(entities, 3)
 
 
-def edge_blocks(cq, space, gamma, consistency=True):
+def edge_blocks(cq, space):
     mesh, surf = cq.mesh, cq.topo.surface
     grads_all = element_gradients(mesh.vertices[mesh.elements])
-    blocks = []
+    entities = []
     for k in range(surf.n_edges):
         phis, flux = [], []
         for side, s in enumerate(surf.edge_segments[k]):
@@ -467,15 +479,11 @@ def edge_blocks(cq, space, gamma, consistency=True):
             flux.append(grads_all[e] @ surf.edge_conormals[k, side])
         jump = np.concatenate([phis[0], -phis[1]])
         gavg = 0.5 * np.concatenate([flux[0], -flux[1]])
-        blk = np.zeros((6, 6))
-        if gamma:
-            blk += (gamma / mesh.h) * np.outer(jump, jump)
-        if consistency:
-            blk -= np.outer(gavg, jump) + np.outer(jump, gavg)
-        blocks.append((np.concatenate(
+        entities.append((np.concatenate(
             [_dofs(space, surf.element[s])
-             for s in surf.edge_segments[k]]), blk))
-    return [_part(blocks, 6)]
+             for s in surf.edge_segments[k]]), np.outer(jump, jump),
+            -(np.outer(gavg, jump) + np.outer(jump, gavg))))
+    return _terms(entities, 6)
 
 
 def coupling_form(cq, dofmap, params):

@@ -39,7 +39,11 @@ def _matrices(mesh, dls, topo, dofmap, problem):
            "surface": forms.surface_form(cq, dofmap, PARAMS),
            "coupling": forms.coupling_form(cq, dofmap, PARAMS),
            "system": system.matrix,
+           "surface_gamma0": forms.surface_form(
+               cq, dofmap, dataclasses.replace(PARAMS, gamma_surf=0.0)),
+           "gradient_active": forms.gradient_gram(cq, dofmap, "active"),
            "gradient_cut": forms.gradient_gram(cq, dofmap, "cut"),
+           "element_mass": forms.surface_element_mass_gram(cq, dofmap),
            "tangential": forms.surface_tangential_gram(cq, dofmap),
            "energy": forms.energy_gram(cq, dofmap, PARAMS, pieces)}
     out = {k: (m.data, m.indices, m.indptr) for k, m in out.items()}
@@ -57,8 +61,9 @@ def test_batched_assembly_equals_per_entity_loops(level, box, monkeypatch):
     problem = build_circle_problem()
     mesh, dls, topo, dofmap = _setup(level, box, problem)
     batched = _matrices(mesh, dls, topo, dofmap, problem)
-    monkeypatch.setattr(forms, "_bulk_volume_blocks",
-                        oracles.bulk_volume_blocks)
+    monkeypatch.setattr(forms, "_element_blocks", oracles.element_blocks)
+    monkeypatch.setattr(forms, "_cut_element_blocks",
+                        oracles.cut_element_blocks)
     monkeypatch.setattr(forms, "_segment_blocks", oracles.segment_blocks)
     monkeypatch.setattr(forms, "_edge_blocks", oracles.edge_blocks)
     monkeypatch.setattr(forms, "coupling_form", oracles.coupling_form)

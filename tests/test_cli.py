@@ -199,6 +199,33 @@ def test_non_finite_weight_exits_2_before_the_study(
     assert "mu_bulk must be finite" in err and "tau_surf must be finite" in err
 
 
+def test_unusable_out_exits_2_before_the_study(tmp_path, monkeypatch,
+                                               capsys):
+    """An --out below a file, or a file itself, fails with exit 2 before
+    the study runs, and creates nothing."""
+    monkeypatch.setattr(cli, "run_geometry_check", _never_called)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for out in (blocker / "sub", blocker):
+        assert main(["--out", str(out), "geometry-check", "--levels",
+                     "3"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_failed_write_exits_2(tmp_path, monkeypatch, capsys):
+    """The CSV write after the study is inside the exit-2 path."""
+
+    class Unwritable(StudyReport):
+        def write(self, outdir):
+            raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "run_geometry_check",
+                        lambda **kwargs: Unwritable())
+    assert main(["--out", str(tmp_path / "out"), "geometry-check"]) == 2
+    assert capsys.readouterr().err == "error: disk full\n"
+
+
 _WEIGHT_FLAGS = ["--gamma-bulk", "--gamma-surf", "--mu-bulk", "--mu-surf",
                  "--tau-bulk", "--tau-surf"]
 
