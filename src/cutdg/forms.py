@@ -10,10 +10,13 @@ Every form takes the ``quadrature.CutQuadrature`` of one mesh, level set
 and topology, which carries the rules and basis data the forms share;
 ``assemble_system`` builds it from the mesh. Each kind of entity has one
 batched builder that returns its dofs and its unweighted terms: stiffness
-and mass blocks of whole elements, cut elements and surface segments,
-unit jump and consistency blocks of surface edges (faces go through
-``_face_batch``). A form or Gram sums the terms it needs, block by block,
-into one (dofs, blocks) part per batch, and
+and mass blocks of whole elements, cut elements and surface segments
+(``_element_blocks``, ``_cut_element_blocks``, ``_segment_blocks``), unit
+jump and consistency blocks of surface edges (``_edge_blocks``), and the
+jump and normal-gradient-jump blocks of faces per unit length, with their
+consistency blocks (``_face_blocks``). A form or Gram weights and sums the
+terms it needs, block by block (face blocks scaled in place by
+coefficient times length), into one (dofs, blocks) part per batch, and
 ``_accumulate`` writes the triplets of a form's parts once, in a fixed
 order (uncut block, cut elements ascending, then each face scatter on its
 own), so that the sparse conversion sums duplicates as it always has and
@@ -102,81 +105,15 @@ def _accumulate(parts: list, n: int) -> sp.csr_matrix:
     return sp.coo_matrix((v, (i, j)), shape=(n, n)).tocsr()
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] b[k]^T for every entity k; einsum writes a zero product as
+    +0.0."""
+    return np.einsum("fi,fj->fij", a, b)
+
+
 def _rows_dot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """w[k] @ x[k] for every entity k, as the per-entity BLAS product."""
     return np.matmul(w[:, None, :], x)[:, 0]
-
-
-# ---------------------------------------------------------------------------
-# face machinery (shared by jump penalties, consistency terms and ghosts)
-
-def _face_batch(mesh, space, face_ids, grads_all):
-    """Per-face jump/flux vectors over the 6 dofs (plus element, minus
-    element) of each face in ``face_ids``.
-
-    J0/J1 are the jump coefficient vectors at the two face endpoints (the
-    jump along the face is their linear interpolation). g_avg is the
-    normal-flux average 0.5 (n.grad+ + n.grad-), g_jump the normal flux
-    jump n.grad+ - n.grad-.
-    """
-    fv = mesh.face_vertices[face_ids]
-    fe = mesh.face_elements[face_ids]
-    n = mesh.face_normals[face_ids]
-    lengths = mesh.face_lengths[face_ids]
-    dofs = np.hstack([space.dofs_array(fe[:, 0]), space.dofs_array(fe[:, 1])])
-    ep = mesh.elements[fe[:, 0]]
-    em = mesh.elements[fe[:, 1]]
-    nf = face_ids.size
-    r = np.arange(nf)
-    J0 = np.zeros((nf, 6))
-    J1 = np.zeros((nf, 6))
-    if nf:
-        lp0 = np.argmax(ep == fv[:, 0:1], axis=1)
-        lp1 = np.argmax(ep == fv[:, 1:2], axis=1)
-        lm0 = np.argmax(em == fv[:, 0:1], axis=1)
-        lm1 = np.argmax(em == fv[:, 1:2], axis=1)
-        J0[r, lp0] = 1.0
-        J0[r, 3 + lm0] = -1.0
-        J1[r, lp1] = 1.0
-        J1[r, 3 + lm1] = -1.0
-    gp = np.einsum("fkd,fd->fk", grads_all[fe[:, 0]], n)
-    gm = np.einsum("fkd,fd->fk", grads_all[fe[:, 1]], n)
-    g_avg = 0.5 * np.hstack([gp, gm])
-    g_jump = np.hstack([gp, -gm])
-    return dofs, J0, J1, g_avg, g_jump, lengths, fv
-
-
-def _face_jump_blocks(J0, J1, lengths, coef):
-    """Exact blocks of coef * int_F [v][w] ds over full faces."""
-    o = np.einsum("fi,fj->fij", J0, J0) + np.einsum("fi,fj->fij", J1, J1)
-    x = np.einsum("fi,fj->fij", J0, J1) + np.einsum("fi,fj->fij", J1, J0)
-    return (o / 3.0 + x / 6.0) * (coef * lengths)[:, None, None]
-
-
-def _face_gradjump_blocks(g_jump, lengths, coef):
-    """Exact blocks of coef * int_F (n.[grad v])(n.[grad w]) ds."""
-    blocks = np.einsum("fi,fj->fij", g_jump, g_jump)
-    return blocks * (coef * lengths)[:, None, None]
-
-
-def _face_consistency_blocks(J0, J1, g_avg, lengths, va, vb):
-    """Blocks of -({n.grad v},[w]) - ([v],{n.grad w}) over the negative
-    part of each face, from the snapped endpoint values (va, vb)."""
-    neg_a = va < 0.0
-    neg_b = vb < 0.0
-    denom = va - vb
-    safe = np.where(denom != 0.0, denom, 1.0)
-    s = np.where(denom != 0.0, va / safe, 0.0)
-    t0 = np.where(neg_a, 0.0, s)
-    t1 = np.where(neg_b, 1.0, s)
-    outside = ~neg_a & ~neg_b
-    t0 = np.where(outside, 0.0, t0)
-    t1 = np.where(outside, 0.0, t1)
-    i1 = 0.5 * (t1 ** 2 - t0 ** 2)
-    i0 = (t1 - t0) - i1
-    jw = lengths[:, None] * (i0[:, None] * J0 + i1[:, None] * J1)
-    return -(np.einsum("fi,fj->fij", g_avg, jw)
-             + np.einsum("fi,fj->fij", jw, g_avg))
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +182,43 @@ def _edge_blocks(cq: CutQuadrature, space):
               + jump[:, :, None] * gavg[:, None, :]))
 
 
+def _face_blocks(cq: CutQuadrature, space, faces):
+    """Dofs (plus element, then minus element) and lengths of the faces,
+    their exact jump blocks [v][w] and normal-gradient-jump blocks
+    (n.[grad v])(n.[grad w]) per unit length, and their consistency blocks
+    -({n.grad v},[w]) - ([v],{n.grad w}) over the negative part of each
+    face, cut from the snapped endpoint values. The jump along a face
+    interpolates its endpoint jump vectors j0 and j1 linearly."""
+    mesh = cq.mesh
+    fv = mesh.face_vertices[faces]
+    fe = mesh.face_elements[faces]
+    lengths = mesh.face_lengths[faces]
+    plus, minus = mesh.elements[fe[:, 0]], mesh.elements[fe[:, 1]]
+    j0, j1 = (np.hstack([plus == v, 0.0 - (minus == v)])
+              for v in (fv[:, :1], fv[:, 1:]))
+    jump = ((_outer(j0, j0) + _outer(j1, j1)) / 3.0
+            + (_outer(j0, j1) + _outer(j1, j0)) / 6.0)
+    n = mesh.face_normals[faces]
+    gp = np.einsum("fkd,fd->fk", cq.grads[fe[:, 0]], n)
+    gm = np.einsum("fkd,fd->fk", cq.grads[fe[:, 1]], n)
+    gjump = np.hstack([gp, -gm])
+    gavg = 0.5 * np.hstack([gp, gm])
+    # the negative part of a face is t in [t0, t1], s the zero of the level
+    # set where exactly one endpoint is negative; i0 and i1 integrate 1 - t
+    # and t over it
+    va, vb = cq.dls[fv[:, 0]], cq.dls[fv[:, 1]]
+    neg_a, neg_b = va < 0.0, vb < 0.0
+    s = va / np.where(neg_a != neg_b, va - vb, 1.0)
+    t0 = np.where(neg_b & ~neg_a, s, 0.0)
+    t1 = np.where(neg_b, 1.0, np.where(neg_a, s, 0.0))
+    i1 = 0.5 * (t1 ** 2 - t0 ** 2)
+    i0 = (t1 - t0) - i1
+    jw = lengths[:, None] * (i0[:, None] * j0 + i1[:, None] * j1)
+    dofs = np.hstack([space.dofs_array(fe[:, 0]), space.dofs_array(fe[:, 1])])
+    return (dofs, lengths, jump,
+            _outer(gjump, gjump), -(_outer(gavg, jw) + _outer(jw, gavg)))
+
+
 # ---------------------------------------------------------------------------
 # forms (all on the combined dof map)
 
@@ -253,16 +227,12 @@ def bulk_form(cq: CutQuadrature, dofmap: CombinedDofMap,
     """Interior-penalty bulk form: cut-volume mass and stiffness, jump
     penalty on full active faces, symmetric consistency fluxes on the
     negative face parts."""
-    mesh = cq.mesh
     parts = [(dofs, s + m) for dofs, s, m in _volume_blocks(cq, dofmap.bulk)]
-    dofs, J0, J1, g_avg, _, lengths, fv = _face_batch(
-        mesh, dofmap.bulk, cq.topo.bulk_faces, cq.grads)
-    parts.append((dofs, _face_jump_blocks(
-        J0, J1, lengths, params.gamma_bulk / mesh.h)))
-    va = cq.dls[fv[:, 0]]
-    vb = cq.dls[fv[:, 1]]
-    parts.append((dofs, _face_consistency_blocks(
-        J0, J1, g_avg, lengths, va, vb)))
+    dofs, lengths, jump, gjump, consistency = _face_blocks(
+        cq, dofmap.bulk, cq.topo.bulk_faces)
+    jump *= (params.gamma_bulk / cq.mesh.h * lengths)[:, None, None]
+    parts += [(dofs, jump), (dofs, consistency)]
+    del jump, gjump, consistency  # parts holds the only references
     return _accumulate(parts, dofmap.ndof)
 
 
@@ -300,24 +270,16 @@ def ghost_pieces(cq: CutQuadrature, dofmap: CombinedDofMap) -> dict:
     ``surface_gradient`` (normal gradient jumps on the surface-active
     faces). Multiply by mu/tau weights to obtain the ghost forms.
     """
-    mesh, topo, h = cq.mesh, cq.topo, cq.mesh.h
-    out = {}
-    dofs, J0, J1, _, g_jump, lengths, _ = _face_batch(
-        mesh, dofmap.bulk, topo.bulk_ghost_faces, cq.grads)
-    out["bulk_value"] = _accumulate(
-        [(dofs, _face_jump_blocks(J0, J1, lengths, 1.0 / h))],
-        dofmap.ndof)
-    out["bulk_gradient"] = _accumulate(
-        [(dofs, _face_gradjump_blocks(g_jump, lengths, h))],
-        dofmap.ndof)
-    dofs, J0, J1, _, g_jump, lengths, _ = _face_batch(
-        mesh, dofmap.surface, topo.surface_faces, cq.grads)
-    out["surface_value"] = _accumulate(
-        [(dofs, _face_jump_blocks(J0, J1, lengths, 1.0 / h ** 2))],
-        dofmap.ndof)
-    out["surface_gradient"] = _accumulate(
-        [(dofs, _face_gradjump_blocks(g_jump, lengths, 1.0))],
-        dofmap.ndof)
+    h, out = cq.mesh.h, {}
+    for name, space, faces, value, gradient in (
+            ("bulk", dofmap.bulk, cq.topo.bulk_ghost_faces, 1.0 / h, h),
+            ("surface", dofmap.surface, cq.topo.surface_faces, 1.0 / h ** 2,
+             1.0)):
+        dofs, lengths, jump, gjump, _ = _face_blocks(cq, space, faces)
+        jump *= (value * lengths)[:, None, None]
+        gjump *= (gradient * lengths)[:, None, None]
+        out[f"{name}_value"] = _accumulate([(dofs, jump)], dofmap.ndof)
+        out[f"{name}_gradient"] = _accumulate([(dofs, gjump)], dofmap.ndof)
     return out
 
 
@@ -444,14 +406,15 @@ def energy_gram(cq: CutQuadrature, dofmap: CombinedDofMap,
     faces), the surface part (tangential H1 norm + h^-1 edge jumps) and
     the coupling seminorm, with the ghosts from the unit ``pieces`` of
     ``ghost_pieces``."""
-    mesh = cq.mesh
+    h = cq.mesh.h
     bulk = [(dofs, s + m) for dofs, s, m in _volume_blocks(cq, dofmap.bulk)]
-    dofs, J0, J1, _, _, lengths, _ = _face_batch(
-        mesh, dofmap.bulk, cq.topo.bulk_faces, cq.grads)
-    bulk.append((dofs, _face_jump_blocks(J0, J1, lengths, 1.0 / mesh.h)))
+    dofs, lengths, jump, _, _ = _face_blocks(cq, dofmap.bulk,
+                                             cq.topo.bulk_faces)
+    jump *= (1.0 / h * lengths)[:, None, None]
+    bulk.append((dofs, jump))
     dofs, s, m = _segment_blocks(cq, dofmap.surface)
     edge_dofs, jump, _ = _edge_blocks(cq, dofmap.surface)
-    surface = [(dofs, s + m), (edge_dofs, (1.0 / mesh.h) * jump)]
+    surface = [(dofs, s + m), (edge_dofs, (1.0 / h) * jump)]
     return stabilized(_accumulate(bulk, dofmap.ndof),
                       _accumulate(surface, dofmap.ndof),
                       coupling_form(cq, dofmap, params), pieces, params)

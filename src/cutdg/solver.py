@@ -34,6 +34,10 @@ EPS = np.finfo(float).eps
 SHIFT = 1e-10
 # eigenvalues of magnitude at most this times the largest count as zero
 ZERO_THRESHOLD = 1e-12
+# bytes the two dense float64 copies of a pencil may take: the coercivity
+# pencils of the property suite have 3,177 dofs at level 2 (0.16 GB) and
+# 11,235 at level 3 (2.0 GB, then an O(n^3) solve that runs for minutes)
+DENSE_PENCIL_BYTES = 2 ** 30
 
 
 def preconditioner(matrix: sp.spmatrix, prolongation: sp.spmatrix):
@@ -206,8 +210,15 @@ def generalized_extreme(a: sp.spmatrix, b: sp.spmatrix, *,
                         largest: bool) -> float:
     """Smallest generalized eigenvalue of the symmetric pencil (A, B), or
     with ``largest`` the largest, by one dense LAPACK call that needs B
-    positive definite; a LAPACK failure raises SolverError."""
-    end = a.shape[0] - 1 if largest else 0
+    positive definite; a LAPACK failure raises SolverError, and so does a
+    pencil whose two dense copies would exceed DENSE_PENCIL_BYTES, before
+    either is made."""
+    n = a.shape[0]
+    dense = 2 * n * n * np.dtype(float).itemsize
+    if dense > DENSE_PENCIL_BYTES:
+        raise SolverError(f"the dense pencil of {n} dofs needs {dense:,} "
+                          f"bytes, above the {DENSE_PENCIL_BYTES:,} allowed")
+    end = n - 1 if largest else 0
     try:
         return float(scipy.linalg.eigh(a.toarray(), b.toarray(),
                                        eigvals_only=True,

@@ -18,8 +18,9 @@ and basis (``evaluate_basis``) are the reference for the batched
 ``cutdg.quadrature`` rules and ``cutdg.space.basis_values``. The
 per-entity reference loops build the unweighted terms of the forms
 (stiffness and mass of whole elements, cut elements and segments, jump
-and consistency of surface edges), the load vectors and the error norms
-from them, one element, segment or surface edge at a time. The batched
+and consistency of surface edges, jump, normal-gradient jump and
+consistency of faces), the load vectors and the error norms from them,
+one element, segment, surface edge or face at a time. The batched
 assembly must reproduce them bit for bit, block order included. Each
 builder stands in for the ``cutdg.forms`` function of the same name
 (with a leading underscore for the block builders) and takes its
@@ -153,16 +154,6 @@ def cut_monomial_pairs(tris, values, degree: int = 2):
     if not np.all(covered == 1):
         raise AssertionError("a cut triangle has no batched rule")
     return pairs
-
-
-def integrate_segment_monomial(p0, p1, a: int, b: int, panels: int = 4096) -> float:
-    """Composite-midpoint line integral of x^a y^b along a segment."""
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
-    t = (np.arange(panels) + 0.5) / panels
-    pts = p0[None, :] + t[:, None] * (p1 - p0)[None, :]
-    length = np.linalg.norm(p1 - p0)
-    return float(np.mean(pts[:, 0] ** a * pts[:, 1] ** b) * length)
 
 
 def dense_condition_number(matrix, zero_threshold: float = 1e-12):
@@ -484,6 +475,57 @@ def edge_blocks(cq, space):
              for s in surf.edge_segments[k]]), np.outer(jump, jump),
             -(np.outer(gavg, jump) + np.outer(jump, gavg))))
     return _terms(entities, 6)
+
+
+def face_blocks(cq, space, faces):
+    """Dofs, lengths, unit jump and normal-gradient-jump blocks and
+    consistency blocks of the faces, one face at a time. The jump vectors
+    at the endpoints come from the local index of each endpoint in the
+    plus and the minus element, the integrals along the face from
+    np.outer products of them, and the negative part of the face from a
+    branch on the signs of the level set at its endpoints. A normal
+    derivative is the x product plus the y product, as the batched
+    contraction sums them; a matmul can fuse the two and round
+    differently."""
+    mesh, dls = cq.mesh, cq.dls
+    grads_all = element_gradients(mesh.vertices[mesh.elements])
+    dofs, lengths, jumps, gjumps, consistencies = [], [], [], [], []
+    for f in faces:
+        plus, minus = mesh.face_elements[f]
+        ends = []
+        for v in mesh.face_vertices[f]:
+            j = np.zeros(6)
+            j[list(mesh.elements[plus]).index(v)] = 1.0
+            j[3 + list(mesh.elements[minus]).index(v)] = -1.0
+            ends.append(j)
+        j0, j1 = ends
+        n, length = mesh.face_normals[f], mesh.face_lengths[f]
+        dn = [grads_all[e][:, 0] * n[0] + grads_all[e][:, 1] * n[1]
+              for e in (plus, minus)]
+        gjump = np.concatenate([dn[0], -dn[1]])
+        gavg = 0.5 * np.concatenate(dn)
+        va, vb = dls[mesh.face_vertices[f]]
+        if va < 0.0 and vb < 0.0:
+            t0, t1 = 0.0, 1.0
+        elif va < 0.0:
+            t0, t1 = 0.0, va / (va - vb)
+        elif vb < 0.0:
+            t0, t1 = va / (va - vb), 1.0
+        else:
+            t0, t1 = 0.0, 0.0
+        i1 = 0.5 * (t1 * t1 - t0 * t0)
+        i0 = (t1 - t0) - i1
+        jw = length * (i0 * j0 + i1 * j1)
+        dofs.append(np.concatenate([_dofs(space, plus), _dofs(space, minus)]))
+        lengths.append(length)
+        jumps.append((np.outer(j0, j0) + np.outer(j1, j1)) / 3.0
+                     + (np.outer(j0, j1) + np.outer(j1, j0)) / 6.0)
+        gjumps.append(np.outer(gjump, gjump))
+        consistencies.append(-(np.outer(gavg, jw) + np.outer(jw, gavg)))
+    return (np.array(dofs, dtype=np.int64).reshape(-1, 6),
+            np.array(lengths, dtype=float),
+            *(np.array(b, dtype=float).reshape(-1, 6, 6)
+              for b in (jumps, gjumps, consistencies)))
 
 
 def coupling_form(cq, dofmap, params):

@@ -66,6 +66,7 @@ def test_batched_assembly_equals_per_entity_loops(level, box, monkeypatch):
                         oracles.cut_element_blocks)
     monkeypatch.setattr(forms, "_segment_blocks", oracles.segment_blocks)
     monkeypatch.setattr(forms, "_edge_blocks", oracles.edge_blocks)
+    monkeypatch.setattr(forms, "_face_blocks", oracles.face_blocks)
     monkeypatch.setattr(forms, "coupling_form", oracles.coupling_form)
     monkeypatch.setattr(forms, "load_vector", oracles.load_vector)
     reference = _matrices(mesh, dls, topo, dofmap, problem)

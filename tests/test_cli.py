@@ -213,6 +213,17 @@ def test_unusable_out_exits_2_before_the_study(tmp_path, monkeypatch,
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
+def test_properties_too_large_to_densify_exits_2(tmp_path, capsys):
+    """At level 4 the first property pencil has 40,374 dofs: a typed
+    error and exit 2 instead of a MemoryError, and no output directory."""
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "properties", "--level", "4",
+                 "--positions", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the dense pencil of 40374 dofs")
+    assert not out.exists()
+
+
 def test_failed_write_exits_2(tmp_path, monkeypatch, capsys):
     """The CSV write after the study is inside the exit-2 path."""
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -216,6 +217,21 @@ def test_generalized_extreme_needs_a_positive_definite_b():
     b = sp.diags([1.0, 0.0, 1.0]).tocsr()
     with pytest.raises(SolverError, match="generalized eigensolver"):
         generalized_extreme(a, b, largest=True)
+
+
+def test_generalized_extreme_refuses_a_pencil_too_large_to_densify():
+    """A 9,000-dof pencil would take 1.3 GB as two dense copies: it raises
+    a typed error that names its size, before densifying either."""
+    a = sp.identity(9000, format="csr")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverError,
+                           match="9000 dofs needs 1,296,000,000 bytes"):
+            generalized_extreme(a, a, largest=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 def test_condition_scaling_smoke():
