@@ -34,7 +34,7 @@ import scipy.sparse as sp
 from .exceptions import GeometryError
 from .levelset import CutTopology
 from .mesh import BackgroundMesh, element_areas
-from .quadrature import CutQuadrature, triangle_reference_rule
+from .quadrature import CutQuadrature
 from .space import CombinedDofMap, basis_values, prolongation
 
 # Exact P1 element mass matrix is area * _M3.
@@ -315,14 +315,12 @@ def load_vector(cq: CutQuadrature, dofmap: CombinedDofMap, problem,
     when a surface quadrature point leaves the validity radius of that
     map."""
     b = np.zeros(dofmap.ndof)
-    bary, _ = triangle_reference_rule(cq.degree)
-
     uncut, cut = cq.split
-    if uncut.size:
-        pts, w = cq.uncut
-        fvals = np.asarray(problem.f_bulk(pts), dtype=float)
-        local = np.einsum("km,mi->ki", w * fvals, bary)
-        b[dofmap.bulk.dofs_array(uncut)] += params.c_bulk * local
+    rules, phi = cq.uncut
+    fvals = np.asarray(problem.f_bulk(rules.points), dtype=float)
+    # einsum keeps the rounding of these sums; _rows_dot would change it
+    b[dofmap.bulk.dofs_array(uncut)] += params.c_bulk * np.einsum(
+        "km,kmi->ki", rules.weights * fvals, phi)
     for rules, phi in cq.volume:
         fvals = np.asarray(problem.f_bulk(rules.points), dtype=float)
         b[dofmap.bulk.dofs_array(cut[rules.index])] += params.c_bulk * (

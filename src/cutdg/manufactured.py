@@ -17,7 +17,7 @@ import numpy as np
 
 from .levelset import CutTopology, LevelSet, circle_levelset
 from .mesh import BackgroundMesh
-from .quadrature import ERROR_DEGREE, CutQuadrature, triangle_reference_rule
+from .quadrature import ERROR_DEGREE, CutQuadrature
 from .space import CombinedDofMap
 
 
@@ -173,44 +173,30 @@ def compute_errors(coeffs: np.ndarray, problem: ManufacturedProblem,
     pair, over the cut bulk domain and the discrete surface. The exact
     surface solution is evaluated through its closest-point extension.
 
-    The element contributions are summed one after another in element
-    (and segment) order, after the uncut block."""
+    The entity contributions are summed one after another: the uncut
+    elements ascending, then the cut elements ascending, then the
+    segments in segment order."""
     cq = CutQuadrature(mesh, dls, topo, ERROR_DEGREE)
     uncut, cut = cq.split
-
-    l2b = 0.0
-    semib = 0.0
-    if uncut.size:
-        bary, _ = triangle_reference_rule(cq.degree)
-        pts, w = cq.uncut
-        u_elem = coeffs[dofmap.bulk.dofs_array(uncut)]
-        uh = np.einsum("mb,kb->km", bary, u_elem)
-        diff = uh - np.asarray(problem.u_bulk(pts), dtype=float)
-        l2b += float(np.sum(w * diff ** 2))
-        gh = np.einsum("kbd,kb->kd", cq.grads[uncut], u_elem)
-        gdiff = gh[:, None, :] - np.asarray(problem.grad_u_bulk(pts),
-                                            dtype=float)
-        semib += float(np.sum(w * np.sum(gdiff ** 2, axis=-1)))
-    l2_cut = np.empty(cut.size)
-    semi_cut = np.empty(cut.size)
-    for rules, phi in cq.volume:
-        e = cut[rules.index]
-        l2_cut[rules.index], semi_cut[rules.index] = _entity_errors(
-            rules, phi, coeffs[dofmap.bulk.dofs_array(e)], cq.grads[e],
-            problem.u_bulk, problem.grad_u_bulk)
+    bulk = np.empty((2, uncut.size + cut.size))
+    for start, elements, batches in ((0, uncut, [cq.uncut]),
+                                     (uncut.size, cut, cq.volume)):
+        for rules, phi in batches:
+            e = elements[rules.index]
+            bulk[:, start + rules.index] = _entity_errors(
+                rules, phi, coeffs[dofmap.bulk.dofs_array(e)], cq.grads[e],
+                problem.u_bulk, problem.grad_u_bulk)
 
     surf = cq.topo.surface
     rules, phi = cq.segments
-    l2_seg, semi_seg = _entity_errors(
+    surface = _entity_errors(
         rules, phi, coeffs[dofmap.surface.dofs_array(surf.element)],
         cq.grads[surf.element], problem.u_surf_ext, problem.grad_u_surf_ext,
         surf.normal)
 
     # cumsum adds sequentially, unlike the pairwise np.sum
-    l2b = np.cumsum(np.r_[l2b, l2_cut])[-1]
-    semib = np.cumsum(np.r_[semib, semi_cut])[-1]
-    l2s = np.cumsum(np.r_[0.0, l2_seg])[-1]
-    semis = np.cumsum(np.r_[0.0, semi_seg])[-1]
+    l2b, semib, l2s, semis = (np.cumsum(np.r_[0.0, values])[-1]
+                              for values in (*bulk, *surface))
     return ErrorReport(l2_bulk=np.sqrt(l2b), h1_bulk=np.sqrt(l2b + semib),
                        l2_surf=np.sqrt(l2s), h1_surf=np.sqrt(l2s + semis))
 

@@ -139,8 +139,9 @@ class CutQuadrature:
     grads: (ne, 3, 2) basis gradients of every background element.
     split: active bulk elements as (uncut, cut); the cut ones are the
         surface-active elements ``topo.active_surface``.
-    uncut: (points, weights) of the reference rule on the uncut active
-        elements split[0], shaped (k, m, 2) and (k, m).
+    uncut: (rules, phi) of the reference rule on the uncut active
+        elements split[0]; rules.index points into split[0] and phi is
+        the exact barycentric table of the rule, broadcast read-only.
     volume: [(rules, phi)] for the cut elements with a triangular and with
         a quadrilateral negative part; rules.index points into split[1]
         and phi (k, m, 3) holds the basis values at the rule points.
@@ -162,8 +163,11 @@ class CutQuadrature:
 
     @cached_property
     def uncut(self):
-        nodes = self.mesh.elements[self.split[0]]
-        return _map_triangles(self.mesh.vertices[nodes], self.degree)
+        uncut = self.split[0]
+        bary = triangle_reference_rule(self.degree)[0]
+        rules = RuleBatch(np.arange(uncut.size), *_map_triangles(
+            self.mesh.vertices[self.mesh.elements[uncut]], self.degree))
+        return rules, np.broadcast_to(bary, (uncut.size,) + bary.shape)
 
     @cached_property
     def volume(self):

@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 from .exceptions import DegenerateMatrixError, SolverError
 from .forms import AssembledSystem
 
-# two-level CG takes 38-57 iterations from 498 to 262k dofs, so this cap
+# two-level CG takes 40-71 iterations from 498 to 1.04M dofs, so this cap
 # only bounds the work of a failing solve
 SOLVE_MAX_ITER = 400
 # reliable-update interval of pcg, sqrt(eps) (van der Vorst and Ye, 2000)
@@ -63,11 +63,12 @@ def pcg(matrix: sp.spmatrix, rhs: np.ndarray, precondition, max_iter: int,
 
     Returns (x, iterations, converged); converged means the true residual
     ||rhs - A x|| is at most rel_tol ||rhs|| or, if rel_tol asks for
-    less, eps || |A| |x| ||, the rounding level of A x. At every REPLACE
-    drop of the recursive residual, and when it meets the target, the
-    update is folded into x and the true residual replaces the recursive
-    one, which rounding makes drift (reliable update); a missed target
-    then restarts CG from x.
+    less, eps || |A| |x| ||, the rounding level of A x. Whenever the
+    recursive residual, which rounding makes drift, drops to rel_tol
+    ||rhs|| or by REPLACE since the last fold, the update is folded into
+    x, the true residual replaces the recursive one (reliable update) and
+    CG restarts from x, so that the round-off of the replaced residual
+    does not spoil the next search direction.
     """
     n = rhs.shape[0]
     x, update, r = np.zeros(n), np.zeros(n), rhs.copy()
@@ -86,19 +87,18 @@ def pcg(matrix: sp.spmatrix, rhs: np.ndarray, precondition, max_iter: int,
         alpha = rz / pap
         update += alpha * p
         r -= alpha * ap
-        norm = np.linalg.norm(r)
-        restart = norm <= target
-        if restart or norm <= REPLACE * reference:
+        fold = np.linalg.norm(r) <= max(target, REPLACE * reference)
+        if fold:
             x += update
             update[:] = 0.0
             r = rhs - matrix @ x
             reference = np.linalg.norm(r)
-            if reference <= target or (restart and reference <= EPS
-                                       * np.linalg.norm(abs(matrix) @ abs(x))):
+            if reference <= target or reference <= EPS * np.linalg.norm(
+                    abs(matrix) @ abs(x)):
                 return x, k, True
         z = precondition(r)
         rz_new = r @ z
-        p = z if restart else z + (rz_new / rz) * p
+        p = z if fold else z + (rz_new / rz) * p
         rz = rz_new
     return x + update, max_iter, False
 

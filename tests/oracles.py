@@ -585,23 +585,21 @@ def surface_trace_load(mesh, topo, dofmap, degree=2):
 
 def compute_errors(coeffs, problem, mesh, dls, topo, dofmap,
                    degree=ERROR_DEGREE):
-    """Running sums over the uncut block, then cut elements, then
+    """Running sums over the uncut elements, then cut elements, then
     segments, one entity at a time."""
     grads_all = element_gradients(mesh.vertices[mesh.elements])
     uncut, cut = _split(mesh, dls, topo)
     l2b = semib = l2s = semis = 0.0
-    if uncut.size:
-        bary, wref = triangle_reference_rule(degree)
-        pts = np.einsum("mb,kbd->kmd", bary, mesh.vertices[mesh.elements[uncut]])
-        w = wref[None, :] * (element_areas(mesh)[uncut, None] / 0.5)
-        u_elem = coeffs[dofmap.bulk.dofs_array(uncut)]
-        diff = np.einsum("mb,kb->km", bary, u_elem) \
-            - np.asarray(problem.u_bulk(pts), dtype=float)
-        l2b += float(np.sum(w * diff ** 2))
-        gh = np.einsum("kbd,kb->kd", grads_all[uncut], u_elem)
-        gdiff = gh[:, None, :] - np.asarray(problem.grad_u_bulk(pts),
-                                            dtype=float)
-        semib += float(np.sum(w * np.sum(gdiff ** 2, axis=-1)))
+    bary, wref = triangle_reference_rule(degree)
+    pts = np.einsum("mb,kbd->kmd", bary, mesh.vertices[mesh.elements[uncut]])
+    w = wref[None, :] * (element_areas(mesh)[uncut, None] / 0.5)
+    for k, e in enumerate(uncut):
+        u_elem = coeffs[_dofs(dofmap.bulk, e)]
+        diff = bary @ u_elem - np.asarray(problem.u_bulk(pts[k]), dtype=float)
+        l2b += float(w[k] @ diff ** 2)
+        gdiff = (grads_all[e].T @ u_elem)[None, :] \
+            - np.asarray(problem.grad_u_bulk(pts[k]), dtype=float)
+        semib += float(w[k] @ np.sum(gdiff ** 2, axis=-1))
     for e in cut:
         rule = clip_element_rule(_tri(mesh, e), dls[mesh.elements[e]],
                                  degree)

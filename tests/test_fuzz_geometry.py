@@ -7,7 +7,9 @@ coefficients, whose values on the dyadic vertices are exact, and vertex
 values drawn from {-1, -1/2, 0, 1/2, 1}. Each drawn topology is either
 refused with a typed ``CutDGError`` or carries a surface, and the
 cut-volume rules, the stabilized matrix and the coupling form keep their
-invariants on it.
+invariants on it. On circles drawn on the 8x8 mesh and its first
+refinement, the two-level solve either fails with a typed error or meets
+its true-residual stop.
 """
 
 import numpy as np
@@ -15,18 +17,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cutdg.exceptions import CutDGError
-from cutdg.forms import (StabilizationParams, bulk_form, coupling_form,
-                         ghost_pieces, stabilized, surface_form)
+from cutdg.forms import (AssembledSystem, StabilizationParams, bulk_form,
+                         coupling_form, ghost_pieces, stabilized,
+                         surface_form)
 from cutdg.levelset import (build_cut_topology, circle_levelset,
                             interpolate_levelset)
-from cutdg.mesh import build_structured_mesh, element_areas
+from cutdg.mesh import build_structured_mesh, element_areas, refine_uniform
 from cutdg.quadrature import CutQuadrature, clip_element_rules
-from cutdg.space import build_spaces
+from cutdg.solver import EPS, solve
+from cutdg.space import build_spaces, prolongation
 from tests.oracles import line_levelset
 
 UNIT = ((0.0, 0.0), (1.0, 1.0))
 PARAMS = StabilizationParams()
 MESHES = {n0: build_structured_mesh(UNIT, n0) for n0 in (4, 8)}
+SOLVE_MESHES = (MESHES[8], refine_uniform(MESHES[8]))
 FUZZ = settings(derandomize=True, deadline=None, database=None,
                 max_examples=40)
 
@@ -142,3 +147,25 @@ def test_vertex_values_with_exact_zeros(drawn):
     topo = _topology(mesh, values)
     if topo is not None:
         _check_invariants(mesh, values, topo)
+
+
+@FUZZ
+@given(st.sampled_from(range(len(SOLVE_MESHES))), coords, coords,
+       st.floats(0.01, 1.2), st.integers(0, 2 ** 32 - 1))
+def test_solve_meets_its_residual_stop(level, cx, cy, radius, seed):
+    """b = A x* for a drawn x*: ``solve`` raises a typed error or returns
+    x with ||b - A x|| <= max(1e-10 ||b||, eps || |A| |x| ||)."""
+    mesh = SOLVE_MESHES[level]
+    values = interpolate_levelset(circle_levelset((cx, cy), radius), mesh)
+    topo = _topology(mesh, values)
+    if topo is None:
+        return
+    dofmap = build_spaces(mesh, topo)
+    matrix = _matrices(mesh, values, topo)[1]
+    b = matrix @ np.random.default_rng(seed).standard_normal(dofmap.ndof)
+    try:
+        x = solve(AssembledSystem(matrix, b, prolongation(dofmap, mesh)))
+    except CutDGError:
+        return
+    assert np.linalg.norm(b - matrix @ x) <= max(
+        1e-10 * np.linalg.norm(b), EPS * np.linalg.norm(abs(matrix) @ abs(x)))

@@ -164,10 +164,15 @@ def test_uncut_rule_is_the_reference_rule_on_the_uncut_elements(degree):
     cq = CutQuadrature(mesh, dls, build_cut_topology(mesh, dls), degree)
     uncut = cq.split[0]
     bary, wref = triangle_reference_rule(degree)
-    points, weights = cq.uncut
-    assert uncut.size and points.shape == (uncut.size, bary.shape[0], 2)
+    rules, phi = cq.uncut
+    assert uncut.size and rules.points.shape == (uncut.size, bary.shape[0], 2)
+    assert np.array_equal(rules.index, np.arange(uncut.size))
     tris = mesh.vertices[mesh.elements[uncut]]
-    np.testing.assert_allclose(points, np.einsum("mb,kbd->kmd", bary, tris),
+    np.testing.assert_allclose(rules.points,
+                               np.einsum("mb,kbd->kmd", bary, tris),
                                rtol=0, atol=1e-15)
-    np.testing.assert_allclose(weights.sum(axis=1),
+    np.testing.assert_allclose(rules.weights.sum(axis=1),
                                element_areas(mesh)[uncut], rtol=1e-14)
+    # the basis values are the barycentric table itself, not evaluated
+    assert phi.shape == (uncut.size,) + bary.shape
+    assert np.array_equal(phi, np.broadcast_to(bary, phi.shape))
