@@ -71,10 +71,10 @@ def _print_condition(report: StudyReport):
 
 
 def _print_geometry(report: StudyReport):
-    for row, length in zip(report.geometry_rows, report.geometry_lengths):
+    for row in report.geometry_rows:
         print(f"level {row['level']}: sup|rho| = {row['sup_dist']:.4e}, "
               f"sup|n - n_h| = {row['sup_normal_dev']:.4e}, "
-              f"length = {length:.8f}")
+              f"length = {row['length']:.8f}")
 
 
 def _print_properties(report: StudyReport):

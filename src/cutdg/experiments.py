@@ -94,15 +94,15 @@ def _csv(header: str, rows) -> str:
 @dataclass
 class StudyReport:
     """Collected study rows plus side information that does not go into
-    the CSV files (solver failures, surface lengths, raw constants)."""
+    the CSV files (solver failures, raw constants). Some rows carry keys
+    that the CSV leaves out: ``nullity`` on a condition row, ``h`` and
+    ``length`` on a geometry row."""
 
     convergence_rows: list = field(default_factory=list)
     condition_rows: list = field(default_factory=list)
     geometry_rows: list = field(default_factory=list)
     property_rows: list = field(default_factory=list)
     solver_failures: list = field(default_factory=list)
-    geometry_lengths: list = field(default_factory=list)
-    geometry_h: list = field(default_factory=list)
     property_summary: dict = field(default_factory=dict)
 
     def convergence_csv(self) -> str:
@@ -299,8 +299,8 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
 
 def run_geometry_check(levels: int = 4, n0: int = DEFAULT_N0) -> StudyReport:
     """Per-level sup of |rho| on the discrete surface and of the normal
-    deviation, plus the discrete surface length (kept on the report for
-    the length-convergence check)."""
+    deviation; each row also carries the mesh size ``h`` and the discrete
+    surface ``length`` for the convergence checks, outside the CSV."""
     if levels < 3:
         raise ValueError("geometry check needs at least 3 levels")
     ls = circle_levelset()
@@ -311,9 +311,8 @@ def run_geometry_check(levels: int = 4, n0: int = DEFAULT_N0) -> StudyReport:
         topo = build_cut_topology(mesh, dls)
         sup_dist, sup_dev = check_geometry_assumptions(ls, topo)
         report.geometry_rows.append({"level": level, "sup_dist": sup_dist,
-                                     "sup_normal_dev": sup_dev})
-        report.geometry_lengths.append(surface_length(topo))
-        report.geometry_h.append(mesh.h)
+                                     "sup_normal_dev": sup_dev, "h": mesh.h,
+                                     "length": surface_length(topo)})
     return report
 
 
@@ -337,8 +336,7 @@ def _cut_area_ratio(cq: CutQuadrature) -> float:
     cut elements: both gradient Grams sum the element stiffnesses S_K,
     weighted by |K| and by |K cap Omega_h|."""
     areas = element_areas(cq.mesh)[cq.split[1]]
-    return max(float(np.max(areas[rules.index] / rules.weights.sum(axis=1)))
-               for rules, _ in cq.volume)
+    return float(np.max(areas / cq.volume[0].weights.sum(axis=1)))
 
 
 def _property_constants(state: SurfaceState, rng, n_random: int) -> dict:

@@ -132,12 +132,10 @@ def _cut_element_blocks(cq: CutQuadrature, space):
     cut-volume rules."""
     cut = cq.split[1]
     g = cq.grads[cut]
+    rules, phi = cq.volume
     stiffness = np.matmul(g, g.transpose(0, 2, 1))
-    mass = np.empty((cut.size, 3, 3))
-    for rules, phi in cq.volume:
-        k = rules.index
-        stiffness[k] *= rules.weights.sum(axis=1)[:, None, None]
-        mass[k] = np.einsum("kq,kqi,kqj->kij", rules.weights, phi, phi)
+    stiffness *= rules.weights.sum(axis=1)[:, None, None]
+    mass = np.einsum("kq,kqi,kqj->kij", rules.weights, phi, phi)
     return space.dofs_array(cut), stiffness, mass
 
 
@@ -315,16 +313,10 @@ def load_vector(cq: CutQuadrature, dofmap: CombinedDofMap, problem,
     when a surface quadrature point leaves the validity radius of that
     map."""
     b = np.zeros(dofmap.ndof)
-    uncut, cut = cq.split
-    rules, phi = cq.uncut
-    fvals = np.asarray(problem.f_bulk(rules.points), dtype=float)
-    # einsum keeps the rounding of these sums; _rows_dot would change it
-    b[dofmap.bulk.dofs_array(uncut)] += params.c_bulk * np.einsum(
-        "km,kmi->ki", rules.weights * fvals, phi)
-    for rules, phi in cq.volume:
+    for elements, (rules, phi) in zip(cq.split, (cq.uncut, cq.volume)):
         fvals = np.asarray(problem.f_bulk(rules.points), dtype=float)
-        b[dofmap.bulk.dofs_array(cut[rules.index])] += params.c_bulk * (
-            _rows_dot(rules.weights * fvals, phi))
+        b[dofmap.bulk.dofs_array(elements)] += params.c_bulk * np.einsum(
+            "km,kmi->ki", rules.weights * fvals, phi)
 
     surf = cq.topo.surface
     rules, phi = cq.segments

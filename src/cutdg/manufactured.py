@@ -177,15 +177,10 @@ def compute_errors(coeffs: np.ndarray, problem: ManufacturedProblem,
     elements ascending, then the cut elements ascending, then the
     segments in segment order."""
     cq = CutQuadrature(mesh, dls, topo, ERROR_DEGREE)
-    uncut, cut = cq.split
-    bulk = np.empty((2, uncut.size + cut.size))
-    for start, elements, batches in ((0, uncut, [cq.uncut]),
-                                     (uncut.size, cut, cq.volume)):
-        for rules, phi in batches:
-            e = elements[rules.index]
-            bulk[:, start + rules.index] = _entity_errors(
-                rules, phi, coeffs[dofmap.bulk.dofs_array(e)], cq.grads[e],
-                problem.u_bulk, problem.grad_u_bulk)
+    bulk = np.hstack([_entity_errors(
+        rules, phi, coeffs[dofmap.bulk.dofs_array(elements)],
+        cq.grads[elements], problem.u_bulk, problem.grad_u_bulk)
+        for elements, (rules, phi) in zip(cq.split, (cq.uncut, cq.volume))])
 
     surf = cq.topo.surface
     rules, phi = cq.segments

@@ -3,8 +3,9 @@
 All integrands assembled in this package are products of piecewise-linear
 traces and gradients on straight geometry, so the default exactness
 degree is 2 everywhere. Error norms use ``ERROR_DEGREE``. Rules carry
-physical points and positive weights summing to the measure of their
-domain. Every rule is built for a batch of entities at once
+physical points and non-negative weights summing to the measure of their
+domain; a weight is zero only on the padding triangle of a triangular
+cut part. Every rule is built for a batch of entities at once
 (``clip_element_rules``, ``segment_rules``); ``CutQuadrature`` builds the
 rules of one topology once for every form and norm evaluated on it.
 """
@@ -48,8 +49,8 @@ class RuleBatch:
     """Rules of equal size on a batch of entities.
 
     index: (k,) position of each entity in the batch the rules were built
-        for.
-    points: (k, m, 2) physical points; weights: (k, m) positive weights.
+        for. points: (k, m, 2) physical points; weights: (k, m) non-negative
+        weights, zero only on the padding triangle of a triangular cut part.
     """
 
     index: np.ndarray
@@ -101,12 +102,12 @@ def segment_rules(p0: np.ndarray, p1: np.ndarray, degree: int = 2) -> RuleBatch:
 
 
 def clip_element_rules(tris: np.ndarray, values: np.ndarray,
-                       degree: int = 2) -> tuple[RuleBatch, RuleBatch]:
+                       degree: int = 2) -> RuleBatch:
     """Rules on the parts of the triangles tris[k] (k, 3, 2) where the
-    interpolant of the vertex values[k] is negative. Each part, a triangle
-    or a quadrilateral, is fanned into at most two triangles. Returns the
-    triangular and the quadrilateral parts as two batches; a triangle
-    without a negative part is in neither."""
+    interpolant of the vertex values[k] is negative, each part fanned into
+    two triangles: a quadrilateral along a diagonal, a triangle into itself
+    and a zero-area, zero-weight copy of its last corner. A triangle
+    without a negative part is not in the batch."""
     j = [1, 2, 0]
     neg = values < 0.0
     change = neg != neg[:, j]
@@ -114,19 +115,20 @@ def clip_element_rules(tris: np.ndarray, values: np.ndarray,
     t[change] = values[change] / (values - values[:, j])[change]
     crossing = tris + t[:, :, None] * (tris[:, j] - tris)
     # walk the boundary: vertex i if negative, then the crossing on edge
-    # (i, i+1) if the sign changes there
+    # (i, i+1) if the sign changes there; a part has 3 or 4 corners, and a
+    # triangular one repeats its last corner
     candidates = np.stack([tris, crossing], axis=2).reshape(-1, 6, 2)
     keep = np.stack([neg, change], axis=2).reshape(-1, 6)
     size = keep.sum(axis=1)
-    batches = []
-    for n, fan in ((3, [[0, 1, 2]]), (4, [[0, 1, 2], [0, 2, 3]])):
-        index = np.flatnonzero(size == n)
-        poly = candidates[index][keep[index]].reshape(-1, n, 2)
-        pts, w = _map_triangles(poly[:, fan].reshape(-1, 3, 2), degree)
-        m = (n - 2) * w.shape[1]
-        batches.append(RuleBatch(index, pts.reshape(index.size, m, 2),
-                                 w.reshape(index.size, m)))
-    return tuple(batches)
+    corners = np.argsort(~keep, axis=1, kind="stable")[:, :4]
+    corners[:, 3] = np.where(size == 3, corners[:, 2], corners[:, 3])
+    index = np.flatnonzero(size)
+    poly = np.take_along_axis(candidates, corners[:, :, None], axis=1)[index]
+    pts, w = _map_triangles(poly[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3, 2),
+                            degree)
+    m = 2 * w.shape[1]
+    return RuleBatch(index, pts.reshape(index.size, m, 2),
+                     w.reshape(index.size, m))
 
 
 class CutQuadrature:
@@ -142,9 +144,9 @@ class CutQuadrature:
     uncut: (rules, phi) of the reference rule on the uncut active
         elements split[0]; rules.index points into split[0] and phi is
         the exact barycentric table of the rule, broadcast read-only.
-    volume: [(rules, phi)] for the cut elements with a triangular and with
-        a quadrilateral negative part; rules.index points into split[1]
-        and phi (k, m, 3) holds the basis values at the rule points.
+    volume: (rules, phi) of the cut-volume rules on the cut elements
+        split[1], in that order (rules.index is arange), and phi (k, m, 3)
+        the basis values at the rule points.
     segments: (rules, phi) of the surface segments, in segment order.
     """
 
@@ -174,15 +176,11 @@ class CutQuadrature:
         cut = self.split[1]
         nodes = self.mesh.elements[cut]
         tris = self.mesh.vertices[nodes]
-        groups = clip_element_rules(tris, self.dls[nodes], self.degree)
-        covered = np.zeros(cut.size, dtype=bool)
-        for rules in groups:
-            covered[rules.index] = True
-        if not covered.all():
-            raise StructuralError(f"active element {cut[~covered][0]} has an "
-                                  "empty cut rule")
-        return [(rules, basis_values(tris[rules.index], rules.points))
-                for rules in groups]
+        rules = clip_element_rules(tris, self.dls[nodes], self.degree)
+        if rules.index.size < cut.size:
+            e = cut[np.setdiff1d(np.arange(cut.size), rules.index)[0]]
+            raise StructuralError(f"active element {e} has an empty cut rule")
+        return rules, basis_values(tris, rules.points)
 
     @cached_property
     def segments(self):

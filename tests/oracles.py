@@ -8,7 +8,9 @@ condition-number oracle is a dense symmetric eigensolve of the whole
 spectrum, and the generalized-extremes oracle deflates the whole dense
 Gram and computes every eigenvalue of the deflated pencil.
 ``fit_slope`` gives the observed rates that the convergence, geometry
-and conditioning tests bound.
+and conditioning tests bound, and ``degenerate_positions`` the circle
+positions at which a background vertex lies on the circle, so that a
+surface segment shrinks to zero.
 ``line_levelset`` (a half-plane) and ``build_affine_problem`` (an affine
 bulk-surface pair on the unit disk) are the exact data of the
 straight-surface tests and of the affine exactness check.
@@ -138,22 +140,34 @@ def cut_monomial_pairs(tris, values, degree: int = 2):
     """(approx, exact) integrals of x^a y^b, a + b <= 2, over the negative
     part of each cut triangle: approx by the batched
     ``clip_element_rules``, exact by ``integrate_negative_monomial``.
-    Every triangle must land in one of the two batches."""
+    Every triangle must be in the batch."""
     pairs = []
-    covered = np.zeros(len(tris), dtype=int)
-    for rules in clip_element_rules(tris, values, degree):
-        covered[rules.index] += 1
-        for k, points, weights in zip(rules.index, rules.points,
-                                      rules.weights):
-            for a in range(3):
-                for b in range(3 - a):
-                    approx = float(weights @ (points[:, 0] ** a
-                                              * points[:, 1] ** b))
-                    pairs.append((approx, integrate_negative_monomial(
-                        tris[k], values[k], a, b)))
-    if not np.all(covered == 1):
+    rules = clip_element_rules(tris, values, degree)
+    if not np.array_equal(rules.index, np.arange(len(tris))):
         raise AssertionError("a cut triangle has no batched rule")
+    for k, points, weights in zip(rules.index, rules.points, rules.weights):
+        for a in range(3):
+            for b in range(3 - a):
+                approx = float(weights @ (points[:, 0] ** a
+                                          * points[:, 1] ** b))
+                pairs.append((approx, integrate_negative_monomial(
+                    tris[k], values[k], a, b)))
     return pairs
+
+
+def degenerate_positions(mesh) -> np.ndarray:
+    """Distinct positions delta in [0, 1] at which a background vertex x_v
+    lies on the unit circle centred at delta * cell: the real roots of
+    |x_v - delta * cell| = 1, a quadratic in delta."""
+    cell = np.asarray(mesh.cell)
+    x = mesh.vertices
+    a = cell @ cell
+    b = x @ cell
+    disc = b ** 2 - a * (np.einsum("ij,ij->i", x, x) - 1.0)
+    root = np.sqrt(disc[disc >= 0.0])
+    b = b[disc >= 0.0]
+    roots = np.concatenate([(b - root) / a, (b + root) / a])
+    return np.unique(np.round(roots[(roots >= 0.0) & (roots <= 1.0)], 12))
 
 
 def dense_condition_number(matrix, zero_threshold: float = 1e-12):
@@ -558,8 +572,8 @@ def load_vector(cq, dofmap, problem, params):
                                  degree)
         phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
         fvals = np.asarray(problem.f_bulk(rule.points), dtype=float)
-        b[_dofs(dofmap.bulk, e)] += params.c_bulk * (
-            (rule.weights * fvals) @ phi)
+        b[_dofs(dofmap.bulk, e)] += params.c_bulk * np.einsum(
+            "m,mi->i", rule.weights * fvals, phi)
     surf, geom = cq.topo.surface, problem.geometry
     for s in range(surf.n_segments):
         e = surf.element[s]

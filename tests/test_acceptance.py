@@ -31,7 +31,8 @@ from cutdg.quadrature import CutQuadrature, clip_element_rules
 from cutdg.solver import condition_number, rescaled_matrix, solve
 from cutdg.space import build_spaces, interpolate_pair
 from tests.oracles import (build_affine_problem, cut_monomial_pairs,
-                           fit_slope, random_cut_triangles)
+                           degenerate_positions, fit_slope,
+                           random_cut_triangles)
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
 PARAMS = StabilizationParams()
@@ -157,10 +158,11 @@ def test_criterion_5_geometry_assumptions():
     report = run_geometry_check(levels=4, n0=8)
     sup = [r["sup_dist"] for r in report.geometry_rows]
     dev = [r["sup_normal_dev"] for r in report.geometry_rows]
-    s_dist = fit_slope(report.geometry_h, sup)
-    s_dev = fit_slope(report.geometry_h, dev)
-    length_err = np.abs(2.0 * np.pi - np.asarray(report.geometry_lengths))
-    s_len = fit_slope(report.geometry_h, length_err)
+    h = [r["h"] for r in report.geometry_rows]
+    lengths = np.asarray([r["length"] for r in report.geometry_rows])
+    s_dist = fit_slope(h, sup)
+    s_dev = fit_slope(h, dev)
+    s_len = fit_slope(h, np.abs(2.0 * np.pi - lengths))
     _check("5 geometry-assumptions",
            s_dist >= 1.8 and s_dev >= 0.8 and s_len >= 1.8,
            f"sup-dist slope {s_dist:.2f} >= 1.8, normal-dev slope "
@@ -177,8 +179,8 @@ def test_criterion_6_quadrature_oracle():
     errors, hs = [], []
     for _ in range(4):
         dls = interpolate_levelset(ls, mesh)
-        total = sum(rules.weights.sum() for rules in clip_element_rules(
-            mesh.vertices[mesh.elements], dls[mesh.elements]))
+        total = clip_element_rules(mesh.vertices[mesh.elements],
+                                   dls[mesh.elements]).weights.sum()
         errors.append(abs(np.pi - total))
         hs.append(mesh.h)
         mesh = refine_uniform(mesh)
@@ -192,21 +194,6 @@ def test_criterion_7_coercivity_positive(property_report):
     info = property_report.property_summary[("coercivity", "full")]
     _check("7 coercivity-positive", info["min"] > 0.0,
            f"min over sweep lambda_min(A, G) = {info['min']:.4f} > 0")
-
-
-def _degenerate_positions(mesh) -> np.ndarray:
-    """Distinct positions delta in [0, 1] at which a background vertex x_v
-    lies on the unit circle centred at delta * cell: the real roots of
-    |x_v - delta * cell| = 1, a quadratic in delta."""
-    cell = np.asarray(mesh.cell)
-    x = mesh.vertices
-    a = cell @ cell
-    b = x @ cell
-    disc = b ** 2 - a * (np.einsum("ij,ij->i", x, x) - 1.0)
-    root = np.sqrt(disc[disc >= 0.0])
-    b = b[disc >= 0.0]
-    roots = np.concatenate([(b - root) / a, (b + root) / a])
-    return np.unique(np.round(roots[(roots >= 0.0) & (roots <= 1.0)], 12))
 
 
 def _coercivity_limit_check(property_report, config: str):
@@ -228,7 +215,7 @@ def _coercivity_limit_check(property_report, config: str):
     rows = [r for r in property_report.property_rows
             if r["name"] == f"coercivity[{config}]"]
     worst = min(rows, key=lambda r: r["constant"])["delta"]
-    roots = _degenerate_positions(coarse)
+    roots = degenerate_positions(coarse)
     star = float(roots[np.argmin(np.abs(roots - worst))])
     path = [SurfaceState(coarse, star + (worst - star) * 10.0 ** -k,
                          PARAMS).coercivity(config) for k in range(5)]

@@ -20,10 +20,11 @@ from cutdg.levelset import (build_cut_topology, circle_levelset,
                             interpolate_levelset, surface_length)
 from cutdg.manufactured import build_circle_problem
 from cutdg.quadrature import CutQuadrature
-from cutdg.solver import generalized_extreme, rescaled_matrix
+from cutdg.solver import (condition_number, generalized_extreme,
+                          rescaled_matrix)
 from cutdg.space import build_spaces
-from tests.oracles import (dense_condition_number, dense_generalized_extremes,
-                           fit_slope)
+from tests.oracles import (degenerate_positions, dense_condition_number,
+                           dense_generalized_extremes, fit_slope)
 
 
 def test_mesh_at_level_matches_direct_build():
@@ -161,6 +162,42 @@ def test_condition_sweep_matches_dense_eigensolve(box):
         assert row["nullity"] == nullity
 
 
+def test_condition_number_near_degenerate_positions():
+    """Level 0 on DEFAULT_BOX, 1e-3 to 1e-12 of a cell on either side of
+    the first, middle and last position where a background vertex lies on
+    the circle, so that a surface segment shrinks towards zero. In every
+    configuration the sweep's condition number agrees with the dense
+    oracle in nullity and kappa, and the fully stabilized kappa stays
+    within the factor 10 of criterion 4 of its value at delta = 0."""
+    params = StabilizationParams()
+    mesh = mesh_at_level(0)
+    roots = degenerate_positions(mesh)
+    assert roots.size == 12
+
+    def rows(delta, configs):
+        state = SurfaceState(mesh, delta, params)
+        for config in configs:
+            matrix = rescaled_matrix(state.matrix(config),
+                                     state.dofmap.n_bulk, mesh.h)
+            yield (config, condition_number(matrix, state.null_basis),
+                   dense_condition_number(matrix))
+
+    kappa0 = next(rows(0.0, ("full",)))[1][0]
+    count = 0
+    for root in roots[[0, roots.size // 2, -1]]:
+        for offset in (1e-3, 1e-6, 1e-9, 1e-12):
+            for delta in (root - offset, root + offset):
+                for config, (kappa, *_, nullity), dense in rows(
+                        delta, SWEEP_CONFIGS):
+                    where = f"delta = {delta!r}, {config}"
+                    assert nullity == dense[3], where
+                    assert kappa == pytest.approx(dense[0], rel=1e-6), where
+                    if config == "full":
+                        assert 0.1 <= kappa / kappa0 <= 10.0, where
+                    count += 1
+    assert count == 96
+
+
 def test_condition_sweep_clipped_corner_null_field():
     """On DEFAULT_BOX at level 0 and delta = 1 the box clips the circle.
     The corner element (1.1, 0.825), (1.1, 1.1), (0.825, 1.1) is cut, and
@@ -195,10 +232,11 @@ def test_geometry_check_rows_and_slopes():
     assert report.geometry_csv().splitlines()[0] == GEOMETRY_HEADER
     sup = [r["sup_dist"] for r in report.geometry_rows]
     dev = [r["sup_normal_dev"] for r in report.geometry_rows]
-    assert fit_slope(report.geometry_h, sup) >= 1.8
-    assert fit_slope(report.geometry_h, dev) >= 0.8
-    lengths = np.asarray(report.geometry_lengths)
-    assert fit_slope(report.geometry_h, np.abs(2 * np.pi - lengths)) >= 1.8
+    h = [r["h"] for r in report.geometry_rows]
+    assert fit_slope(h, sup) >= 1.8
+    assert fit_slope(h, dev) >= 0.8
+    lengths = np.asarray([r["length"] for r in report.geometry_rows])
+    assert fit_slope(h, np.abs(2 * np.pi - lengths)) >= 1.8
 
 
 def test_property_suite_rows(tmp_path):

@@ -69,9 +69,8 @@ def _check_invariants(mesh, values, topo):
     nodes = mesh.elements[topo.active_surface]
     total = np.zeros(len(nodes))
     for sign in (1.0, -1.0):
-        for rules in clip_element_rules(mesh.vertices[nodes],
-                                        sign * values[nodes]):
-            total[rules.index] += rules.weights.sum(axis=1)
+        rules = clip_element_rules(mesh.vertices[nodes], sign * values[nodes])
+        total[rules.index] += rules.weights.sum(axis=1)
     area = element_areas(mesh)[topo.active_surface]
     assert np.all(np.abs(total - area) <= 1e-12 * area)
 

@@ -121,27 +121,31 @@ def test_negative_polygon_shapes():
 
 @pytest.mark.parametrize("degree", [2, 4])
 def test_batched_clip_rules_equal_the_per_element_rules(degree):
-    """Every sign pattern, exact zeros included: each triangle lands in the
-    group of its polygon size with the per-element points and weights,
-    bit for bit, and one without a negative part in neither."""
+    """Every sign pattern, exact zeros included: each triangle with a
+    negative part is in the batch with the per-element points and weights
+    first, bit for bit, and exactly zero padding weights after them; one
+    without a negative part is not in the batch."""
     rng = np.random.default_rng(11)
     tris = rng.uniform(-1.0, 1.0, size=(400, 3, 2))
     values = rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0], size=(400, 3)) \
         * rng.uniform(0.5, 1.5, size=(400, 3))
-    tri_cuts, quad_cuts = clip_element_rules(tris, values, degree)
+    batch = clip_element_rules(tris, values, degree)
+    m = 2 * triangle_reference_rule(degree)[1].size
+    assert batch.points.shape == (batch.index.size, m, 2)
+    padded = 0
+    for k, i in enumerate(batch.index):
+        rule = clip_element_rule(tris[i], values[i], degree)
+        n = rule.weights.size
+        assert rule.points.tobytes() == batch.points[k, :n].tobytes()
+        assert rule.weights.tobytes() == batch.weights[k, :n].tobytes()
+        assert np.all(batch.weights[k, n:] == 0.0)
+        assert rule.total_weight == batch.weights[k, :n].sum()
+        padded += n < m
     seen = np.zeros(400, dtype=bool)
-    for batch, n_tris in ((tri_cuts, 1), (quad_cuts, 2)):
-        m = n_tris * triangle_reference_rule(degree)[1].size
-        assert batch.points.shape == (batch.index.size, m, 2)
-        for k, i in enumerate(batch.index):
-            rule = clip_element_rule(tris[i], values[i], degree)
-            assert rule.points.tobytes() == batch.points[k].tobytes()
-            assert rule.weights.tobytes() == batch.weights[k].tobytes()
-            assert rule.total_weight == batch.weights[k].sum()
-        seen[batch.index] = True
+    seen[batch.index] = True
     for i in np.flatnonzero(~seen):
         assert clip_element_rule(tris[i], values[i], degree).weights.size == 0
-    assert 0 < (~seen).sum() < 400
+    assert 0 < (~seen).sum() < 400 and 0 < padded < batch.index.size
 
 
 def test_batched_segment_rules_equal_the_per_segment_rules():
