@@ -5,13 +5,13 @@ from .exceptions import (ConfigurationError, CutDGError,
                          DegenerateMatrixError, GeometryError, SolverError,
                          StructuralError)
 from .forms import (AssembledSystem, StabilizationParams, assemble_system,
-                    bulk_form, coupling_form, energy_gram, ghost_bulk,
-                    ghost_pieces, ghost_surface, load_vector, stabilized,
+                    bulk_form, coupling_form, ghost_bulk, ghost_pieces,
+                    ghost_surface, load_vector, property_grams, stabilized,
                     surface_form)
 from .levelset import (CutTopology, LevelSet, build_cut_topology,
                        check_geometry_assumptions, circle_levelset,
                        closest_point_circle, extract_surface_segments,
-                       interpolate_levelset, surface_length)
+                       interpolate_levelset)
 from .manufactured import (ErrorReport, ManufacturedProblem,
                            build_circle_problem, compute_errors, eoc)
 from .mesh import (BackgroundMesh, build_structured_mesh, face_connectivity,
@@ -19,7 +19,6 @@ from .mesh import (BackgroundMesh, build_structured_mesh, face_connectivity,
 from .quadrature import CutQuadrature
 from .solver import condition_number, rescaled_matrix, solve
 from .space import (BrokenSpace, CombinedDofMap, build_spaces,
-                    interpolate_nodal, interpolate_pair, levelset_null_basis,
-                    prolongation)
+                    interpolate_pair, levelset_null_basis, prolongation)
 
 __version__ = "0.1.0"

@@ -16,12 +16,10 @@ from scipy.sparse.csgraph import connected_components
 
 from .exceptions import ConfigurationError, DegenerateMatrixError, SolverError
 from .forms import (StabilizationParams, assemble_system, bulk_form,
-                    coupling_form, energy_gram, ghost_bulk, ghost_pieces,
-                    ghost_surface, gradient_gram, stabilized,
-                    surface_element_mass_gram, surface_form,
-                    surface_tangential_gram, surface_trace_load)
+                    coupling_form, ghost_bulk, ghost_pieces, ghost_surface,
+                    property_grams, stabilized, surface_form)
 from .levelset import (build_cut_topology, check_geometry_assumptions,
-                       circle_levelset, interpolate_levelset, surface_length)
+                       circle_levelset, interpolate_levelset)
 from .manufactured import build_circle_problem, compute_errors, eoc
 from .mesh import build_structured_mesh, element_areas, refine_uniform
 from .quadrature import CutQuadrature
@@ -35,6 +33,9 @@ DEFAULT_BOX = ((-1.1, -1.1), (1.1, 1.1))
 # position (the default box clips it for large shifts).
 PROPERTY_BOX = ((-1.4, -1.4), (1.4, 1.4))
 DEFAULT_N0 = 8
+# The most triangles a study mesh may have: the level-7 mesh of n0 = 8,
+# four times the level-6 one, whose convergence solve peaks near 1.5 GB.
+MAX_ELEMENTS = 2 ** 21
 SENTINEL_KAPPA = 1e300
 SENTINEL_ERROR = 1e300
 # the ghost weights each sweep configuration switches off
@@ -55,11 +56,23 @@ GEOMETRY_HEADER = "level,sup_dist,sup_normal_dev"
 PROPERTIES_HEADER = "name,constant,delta,pass"
 
 
+def _check_mesh_size(level: int, n0: int):
+    """ConfigurationError if the mesh at ``level`` of the n0-by-n0 start
+    mesh has more than ``MAX_ELEMENTS`` triangles; nothing is built."""
+    elements = 2 * (n0 * 2 ** level) ** 2
+    if elements > MAX_ELEMENTS:
+        raise ConfigurationError(
+            f"mesh too large: level {level} of n0 = {n0} has {elements} "
+            f"elements, more than {MAX_ELEMENTS}")
+
+
 def mesh_at_level(level: int, n0: int = DEFAULT_N0, box=DEFAULT_BOX):
     """Background mesh at refinement level ``level``, built by uniformly
-    refining the n0-by-n0 starting mesh."""
+    refining the n0-by-n0 starting mesh; ``_check_mesh_size`` refuses a
+    mesh too large before any is built."""
     if level < 0:
         raise ValueError(f"refinement level must be >= 0, got {level}")
+    _check_mesh_size(level, n0)
     mesh = build_structured_mesh(box, n0)
     for _ in range(level):
         mesh = refine_uniform(mesh)
@@ -158,6 +171,7 @@ def run_convergence(levels: int = 5, n0: int = DEFAULT_N0,
     """
     if levels < 3:
         raise ValueError("convergence study needs at least 3 levels")
+    _check_mesh_size(levels - 1, n0)
     params = params or StabilizationParams()
     if ablate_ghost:
         params = ablated_params(params)
@@ -198,7 +212,7 @@ class SurfaceState:
     ``mesh``, with what the studies share at that position: the discrete
     level set, cut topology, dof map and one CutQuadrature, and, built on
     first use, the unit ghost pieces, the unweighted forms, the level-set
-    null basis and the energy Gram."""
+    null basis and the property Grams."""
 
     def __init__(self, mesh, delta: float, params: StabilizationParams):
         ls = circle_levelset(center=delta * np.asarray(mesh.cell), radius=1.0)
@@ -225,6 +239,11 @@ class SurfaceState:
         return levelset_null_basis(self.dofmap, self.mesh, self.dls)
 
     @cached_property
+    def grams(self) -> dict:
+        """The ``property_grams`` of this position."""
+        return property_grams(self.cq, self.dofmap, self.params, self.pieces)
+
+    @property
     def energy(self):
         """The fully stabilized energy Gram, positive definite on a closed
         surface chain with both surface ghost weights positive (a field of
@@ -234,7 +253,7 @@ class SurfaceState:
         if surf.n_edges < surf.n_segments or min(p.mu_surf, p.tau_surf) == 0:
             raise ConfigurationError("singular energy Gram: open surface "
                                      "chain or zero surface ghost weight")
-        return energy_gram(self.cq, self.dofmap, self.params, self.pieces)
+        return self.grams["energy"]
 
     def matrix(self, config: str):
         """System matrix of one of ``SWEEP_CONFIGS``."""
@@ -303,6 +322,7 @@ def run_geometry_check(levels: int = 4, n0: int = DEFAULT_N0) -> StudyReport:
     surface ``length`` for the convergence checks, outside the CSV."""
     if levels < 3:
         raise ValueError("geometry check needs at least 3 levels")
+    _check_mesh_size(levels - 1, n0)
     ls = circle_levelset()
     report = StudyReport()
     for level in range(levels):
@@ -310,25 +330,26 @@ def run_geometry_check(levels: int = 4, n0: int = DEFAULT_N0) -> StudyReport:
         dls = interpolate_levelset(ls, mesh)
         topo = build_cut_topology(mesh, dls)
         sup_dist, sup_dev = check_geometry_assumptions(ls, topo)
+        length = float(topo.surface.length.sum())
         report.geometry_rows.append({"level": level, "sup_dist": sup_dist,
                                      "sup_normal_dev": sup_dev, "h": mesh.h,
-                                     "length": surface_length(topo)})
+                                     "length": length})
     return report
 
 
-def _bulk_norm_equivalence(cq, dofmap, pieces, params) -> float:
+def _bulk_norm_equivalence(grams, pieces, params, n: int) -> float:
     """Largest generalized eigenvalue of the active gradient Gram against
-    the cut one plus the bulk ghost, on the bulk block. Both vanish exactly
-    on the constants of each set of elements that the value ghost joins;
-    adding Q Q^T, Q their indicators, keeps that eigenvalue and makes the
-    right-hand side positive definite."""
-    n, cut = dofmap.n_bulk, gradient_gram(cq, dofmap, "cut")
+    the cut one plus the bulk ghost, on the bulk block of size n. Both
+    vanish exactly on the constants of each set of elements that the value
+    ghost joins; adding Q Q^T, Q their indicators, keeps that eigenvalue
+    and makes the right-hand side positive definite."""
+    cut = grams["gradient_cut"]
     joined = (cut + params.mu_bulk * pieces["bulk_value"])[:n, :n] != 0
     count, labels = connected_components(joined, directed=False)
     q = sp.csr_matrix((np.ones(n), (np.arange(n), labels)), shape=(n, count))
     gram = (cut + ghost_bulk(pieces, params))[:n, :n] + q @ q.T
-    return generalized_extreme(gradient_gram(cq, dofmap, "active")[:n, :n],
-                               gram, largest=True)
+    return generalized_extreme(grams["gradient_active"][:n, :n], gram,
+                               largest=True)
 
 
 def _cut_area_ratio(cq: CutQuadrature) -> float:
@@ -343,24 +364,25 @@ def _property_constants(state: SurfaceState, rng, n_random: int) -> dict:
     """{property: {configuration: constant}} at one position (see
     ``run_property_suite``). Each Poincare dot runs on contiguous rows, as
     for one field at a time: on strided columns it can round differently."""
-    mesh, topo, dofmap, cq = state.mesh, state.topo, state.dofmap, state.cq
-    bulk = _bulk_norm_equivalence(cq, dofmap, state.pieces, state.params)
+    mesh, dofmap, cq, grams = state.mesh, state.dofmap, state.cq, state.grams
+    bulk = _bulk_norm_equivalence(grams, state.pieces, state.params,
+                                  dofmap.n_bulk)
     fields = np.hstack([np.zeros((n_random, dofmap.n_bulk)),
                         rng.standard_normal((n_random, dofmap.n_surface))])
-    load = surface_trace_load(cq, dofmap)
+    load = grams["trace"]
     fields[:, dofmap.n_bulk:] -= np.array([[load @ v] for v in fields]) \
-        / surface_length(topo)
+        / float(state.topo.surface.length.sum())
 
     def quadratic(matrix):
         products = np.ascontiguousarray((matrix @ fields.T).T)
         return np.array([v @ w for v, w in zip(fields, products)])
 
-    num = quadratic(surface_element_mass_gram(cq, dofmap)) / mesh.h
+    num = quadratic(grams["surface_mass"]) / mesh.h
 
     def worst(den):
         return float(np.max(num[den > 0.0] / den[den > 0.0], initial=0.0))
 
-    tangent = surface_tangential_gram(cq, dofmap)
+    tangent = grams["tangential"]
     surf_ghost = (tangent + ghost_surface(state.pieces, state.params)).tocsr()
     poincare, poincare_bare = (worst(quadratic(gram))
                                for gram in (surf_ghost, tangent))

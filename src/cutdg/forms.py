@@ -349,62 +349,43 @@ def assemble_system(mesh: BackgroundMesh, dls: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# energy norms and property-suite Gram pieces
+# energy norm and property-suite Grams
 
-def gradient_gram(cq: CutQuadrature, dofmap: CombinedDofMap,
-                  domain: str) -> sp.csr_matrix:
-    """Gram matrix of the broken gradient seminorm on the bulk space,
-    over full active elements (``active``) or their negative parts
-    (``cut``)."""
-    if domain not in ("active", "cut"):
-        raise ValueError(f"unknown gradient domain {domain!r}")
-    if domain == "active":
-        blocks = [_element_blocks(cq, dofmap.bulk, cq.topo.active_bulk)]
-    else:
-        blocks = _volume_blocks(cq, dofmap.bulk)
-    return _accumulate([(dofs, s) for dofs, s, _ in blocks], dofmap.ndof)
-
-
-def surface_element_mass_gram(cq: CutQuadrature,
-                              dofmap: CombinedDofMap) -> sp.csr_matrix:
-    """Full-element L2 mass on the surface-active mesh (surface block)."""
-    dofs, _, m = _element_blocks(cq, dofmap.surface, cq.topo.active_surface)
-    return _accumulate([(dofs, m)], dofmap.ndof)
-
-
-def surface_tangential_gram(cq: CutQuadrature,
-                            dofmap: CombinedDofMap) -> sp.csr_matrix:
-    """Tangential stiffness on the discrete surface (surface block)."""
-    dofs, s, _ = _segment_blocks(cq, dofmap.surface)
-    return _accumulate([(dofs, s)], dofmap.ndof)
-
-
-def surface_trace_load(cq: CutQuadrature,
-                       dofmap: CombinedDofMap) -> np.ndarray:
-    """Vector of int_Gamma_h phi_i, used for surface mean values."""
-    rules, phi = cq.segments
-    load = np.zeros(dofmap.ndof)
-    load[dofmap.surface.dofs_array(cq.topo.surface.element)] += _rows_dot(
-        rules.weights, phi)
-    return load
-
-
-def energy_gram(cq: CutQuadrature, dofmap: CombinedDofMap,
-                params: StabilizationParams, pieces: dict) -> sp.csr_matrix:
-    """Gram matrix of the discrete energy norm: ``stabilized`` applied to
-    the bulk part (cut-volume H1 norm + h^-1 value jumps on the active
-    faces), the surface part (tangential H1 norm + h^-1 edge jumps) and
-    the coupling seminorm, with the ghosts from the unit ``pieces`` of
-    ``ghost_pieces``."""
-    h = cq.mesh.h
-    bulk = [(dofs, s + m) for dofs, s, m in _volume_blocks(cq, dofmap.bulk)]
+def property_grams(cq: CutQuadrature, dofmap: CombinedDofMap,
+                   params: StabilizationParams, pieces: dict) -> dict:
+    """The Grams and the trace vector of the property suite, each entity
+    built once. Keys: ``energy`` (the energy norm, ``stabilized`` applied
+    to the cut-volume H1 norm + h^-1 value jumps on the active faces, the
+    tangential H1 norm + h^-1 edge jumps and the coupling seminorm, with
+    the ghosts from the unit ``pieces``), ``gradient_active`` and
+    ``gradient_cut`` (the broken bulk gradient seminorm over the full
+    active elements and over their negative parts), ``surface_mass``
+    (full-element L2 mass on the surface-active mesh), ``tangential``
+    (tangential stiffness on the discrete surface) and ``trace`` (the
+    vector of int_Gamma_h phi_i, for surface mean values)."""
+    h, n = cq.mesh.h, dofmap.ndof
+    volume = _volume_blocks(cq, dofmap.bulk)
+    bulk = [(dofs, s + m) for dofs, s, m in volume]
     dofs, lengths, jump, _, _ = _face_blocks(cq, dofmap.bulk,
                                              cq.topo.bulk_faces)
     jump *= (1.0 / h * lengths)[:, None, None]
     bulk.append((dofs, jump))
-    dofs, s, m = _segment_blocks(cq, dofmap.surface)
+    segment_dofs, tangential, m = _segment_blocks(cq, dofmap.surface)
     edge_dofs, jump, _ = _edge_blocks(cq, dofmap.surface)
-    surface = [(dofs, s + m), (edge_dofs, (1.0 / h) * jump)]
-    return stabilized(_accumulate(bulk, dofmap.ndof),
-                      _accumulate(surface, dofmap.ndof),
-                      coupling_form(cq, dofmap, params), pieces, params)
+    surface = [(segment_dofs, tangential + m), (edge_dofs, (1.0 / h) * jump)]
+    rules, phi = cq.segments
+    trace = np.zeros(n)
+    trace[segment_dofs] += _rows_dot(rules.weights, phi)
+    active_dofs, gradient, _ = _element_blocks(cq, dofmap.bulk,
+                                               cq.topo.active_bulk)
+    mass_dofs, _, mass = _element_blocks(cq, dofmap.surface,
+                                         cq.topo.active_surface)
+    return {"energy": stabilized(_accumulate(bulk, n),
+                                 _accumulate(surface, n),
+                                 coupling_form(cq, dofmap, params), pieces,
+                                 params),
+            "gradient_active": _accumulate([(active_dofs, gradient)], n),
+            "gradient_cut": _accumulate([(d, s) for d, s, _ in volume], n),
+            "surface_mass": _accumulate([(mass_dofs, mass)], n),
+            "tangential": _accumulate([(segment_dofs, tangential)], n),
+            "trace": trace}

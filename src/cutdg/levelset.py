@@ -285,8 +285,3 @@ def check_geometry_assumptions(ls: LevelSet, topo: CutTopology):
     dev = n_exact - surf.normal[:, None, :]
     sup_normal_dev = float(np.linalg.norm(dev, axis=-1).max())
     return sup_dist, sup_normal_dev
-
-
-def surface_length(topo: CutTopology) -> float:
-    """Total length of the discrete surface."""
-    return float(topo.surface.length.sum())

@@ -9,7 +9,6 @@ and the surface block contiguously after it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,20 +123,14 @@ def basis_values(tris: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.stack([1.0 - lam1 - lam2, lam1, lam2], axis=-1)
 
 
-def interpolate_nodal(space: BrokenSpace, mesh: BackgroundMesh,
-                      f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Per-element vertex interpolation; returns the coefficient vector of
-    this space block (length space.ndof)."""
-    verts = mesh.vertices[mesh.elements[space.elements]]  # (na, 3, 2)
-    vals = np.asarray(f(verts), dtype=float)
-    return vals.reshape(-1)
-
-
 def interpolate_pair(dofmap: CombinedDofMap, mesh: BackgroundMesh,
                      f_bulk, f_surface) -> np.ndarray:
     """Combined coefficient vector of the nodal interpolants of a
-    bulk/surface callable pair."""
+    bulk/surface callable pair: each block holds its callable's values at
+    the vertices of each of its elements."""
     u = np.empty(dofmap.ndof)
-    u[:dofmap.n_bulk] = interpolate_nodal(dofmap.bulk, mesh, f_bulk)
-    u[dofmap.n_bulk:] = interpolate_nodal(dofmap.surface, mesh, f_surface)
+    for space, f in ((dofmap.bulk, f_bulk), (dofmap.surface, f_surface)):
+        verts = mesh.vertices[mesh.elements[space.elements]]  # (na, 3, 2)
+        u[space.offset:space.offset + space.ndof] = np.asarray(
+            f(verts), dtype=float).reshape(-1)
     return u

@@ -35,18 +35,16 @@ def _matrices(mesh, dls, topo, dofmap, problem):
     cq = CutQuadrature(mesh, dls, topo)
     system = forms.assemble_system(mesh, dls, topo, dofmap, problem, PARAMS)
     pieces = forms.ghost_pieces(cq, dofmap)
+    grams = forms.property_grams(cq, dofmap, PARAMS, pieces)
     out = {"bulk": forms.bulk_form(cq, dofmap, PARAMS),
            "surface": forms.surface_form(cq, dofmap, PARAMS),
            "coupling": forms.coupling_form(cq, dofmap, PARAMS),
            "system": system.matrix,
            "surface_gamma0": forms.surface_form(
                cq, dofmap, dataclasses.replace(PARAMS, gamma_surf=0.0)),
-           "gradient_active": forms.gradient_gram(cq, dofmap, "active"),
-           "gradient_cut": forms.gradient_gram(cq, dofmap, "cut"),
-           "element_mass": forms.surface_element_mass_gram(cq, dofmap),
-           "tangential": forms.surface_tangential_gram(cq, dofmap),
-           "energy": forms.energy_gram(cq, dofmap, PARAMS, pieces)}
+           **{k: m for k, m in grams.items() if k != "trace"}}
     out = {k: (m.data, m.indices, m.indptr) for k, m in out.items()}
+    out["trace"] = (grams["trace"],)
     out["system_rhs"] = (system.rhs,)
     out["rhs"] = (forms.load_vector(cq, dofmap, problem, PARAMS),)
     return out
@@ -74,9 +72,8 @@ def test_batched_assembly_equals_per_entity_loops(level, box, monkeypatch):
         for ref, new in zip(arrays, batched[key]):
             assert np.array_equal(ref, new), key
 
-    assert np.array_equal(
-        forms.surface_trace_load(CutQuadrature(mesh, dls, topo), dofmap),
-        oracles.surface_trace_load(mesh, topo, dofmap))
+    assert np.array_equal(batched["trace"][0],
+                          oracles.surface_trace_load(mesh, topo, dofmap))
     exact = interpolate_pair(dofmap, mesh, problem.u_bulk,
                              problem.u_surf_ext)
     coeffs = exact + 1e-3 * np.sin(np.arange(dofmap.ndof))

@@ -101,7 +101,14 @@ def test_invalid_arguments_exit_nonzero(capsys):
     (["properties", "--level", "-1", "--positions", "2"],
      "error: refinement level must be >= 0, got -1"),
     (["condition-sweep", "--level", "0", "--positions", "2", "--config",
-      "full", "--config", "full"], "error: sweep configuration repeated: full")])
+      "full", "--config", "full"], "error: sweep configuration repeated: full"),
+    # refused before any mesh is built: the finest level is checked first
+    (["geometry-check", "--levels", "40"],
+     "error: mesh too large: level 39 of n0 = 8 has"),
+    (["convergence", "--levels", "3", "--n0", "100000"],
+     "error: mesh too large: level 2 of n0 = 100000 has"),
+    (["condition-sweep", "--level", "30", "--positions", "2"],
+     "error: mesh too large: level 30 of n0 = 8 has")])
 def test_negative_level_and_repeated_config_exit_2(argv, message, tmp_path,
                                                    capsys):
     assert main(["--out", str(tmp_path / "out"), *argv]) == 2

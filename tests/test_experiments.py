@@ -12,12 +12,11 @@ from cutdg.experiments import (CONDITION_HEADER, CONVERGENCE_HEADER,
                                run_condition_sweep, run_convergence,
                                run_geometry_check, run_property_suite)
 from cutdg.forms import (StabilizationParams, assemble_system, bulk_form,
-                         coupling_form, energy_gram, ghost_bulk, ghost_pieces,
-                         ghost_surface, gradient_gram, stabilized,
-                         surface_element_mass_gram, surface_form,
-                         surface_tangential_gram, surface_trace_load)
+                         coupling_form, ghost_bulk, ghost_pieces,
+                         ghost_surface, property_grams, stabilized,
+                         surface_form)
 from cutdg.levelset import (build_cut_topology, circle_levelset,
-                            interpolate_levelset, surface_length)
+                            interpolate_levelset)
 from cutdg.manufactured import build_circle_problem
 from cutdg.quadrature import CutQuadrature
 from cutdg.solver import (condition_number, generalized_extreme,
@@ -313,10 +312,9 @@ def _per_call_constants(mesh, delta, params, seed, n_random):
              coupling_form(cq(), dofmap, params))
     pieces = ghost_pieces(cq(), dofmap)
     surf_ghost = ghost_surface(ghost_pieces(cq(), dofmap), params)
-    gram_total = energy_gram(cq(), dofmap, params, ghost_pieces(cq(), dofmap))
-    mass = surface_element_mass_gram(cq(), dofmap)
-    load = surface_trace_load(cq(), dofmap)
-    tangent = surface_tangential_gram(cq(), dofmap)
+    grams = property_grams(cq(), dofmap, params, ghost_pieces(cq(), dofmap))
+    gram_total, mass, load, tangent = (
+        grams[k] for k in ("energy", "surface_mass", "trace", "tangential"))
     out = {}
     for config in PROPERTY_CONFIGS:
         matrix = stabilized(*forms, pieces, config_params(
@@ -326,7 +324,7 @@ def _per_call_constants(mesh, delta, params, seed, n_random):
         out[("bulk_norm_equivalence", config)] = \
             experiments._cut_area_ratio(cq()) if config == "no-bulk-ghost" \
             else experiments._bulk_norm_equivalence(
-                cq(), dofmap, ghost_pieces(cq(), dofmap), params)
+                grams, ghost_pieces(cq(), dofmap), params, dofmap.n_bulk)
         den_matrix = tangent if config == "no-surface-ghost" \
             else (tangent + surf_ghost).tocsr()
         rng = np.random.default_rng(seed)
@@ -336,7 +334,7 @@ def _per_call_constants(mesh, delta, params, seed, n_random):
         for _ in range(n_random):
             v = np.zeros(dofmap.ndof)
             v[dofmap.n_bulk:] = rng.standard_normal(dofmap.n_surface)
-            v -= ((load @ v) / surface_length(topo)) * ones
+            v -= ((load @ v) / topo.surface.length.sum()) * ones
             num = (v @ (mass @ v)) / mesh.h
             den = v @ (den_matrix @ v)
             if den > 0.0:
@@ -377,12 +375,12 @@ def _assert_suite_matches_the_dense_oracle(monkeypatch, params):
     def oracle_constants(state, rng, n_random):
         out = suite_constants(state, rng, n_random)
         cq, dofmap, pieces = state.cq, state.dofmap, state.pieces
-        energy = energy_gram(cq, dofmap, state.params, pieces)
+        grams = property_grams(cq, dofmap, state.params, pieces)
+        energy = grams["energy"]
         for config in PROPERTY_CONFIGS:
             out["coercivity"][config] = dense_generalized_extremes(
                 state.matrix(PROPERTY_SWEEP_CONFIG[config]), energy)[0]
-        active = gradient_gram(cq, dofmap, "active")
-        cut = gradient_gram(cq, dofmap, "cut")
+        active, cut = grams["gradient_active"], grams["gradient_cut"]
         full = dense_generalized_extremes(
             active, cut + ghost_bulk(pieces, state.params))[1]
         out["bulk_norm_equivalence"] = {
@@ -420,11 +418,12 @@ def test_bare_bulk_constant_is_the_dense_pencil():
     # equal eigenvalues, on which the LAPACK subset eigensolvers fail
     state = SurfaceState(mesh_at_level(0, box=PROPERTY_BOX), 0.48,
                          StabilizationParams())
-    cq, dofmap = state.cq, state.dofmap
-    expected = dense_generalized_extremes(gradient_gram(cq, dofmap, "active"),
-                                          gradient_gram(cq, dofmap, "cut"))[1]
-    assert experiments._cut_area_ratio(cq) == pytest.approx(expected,
-                                                           rel=1e-12)
+    grams = property_grams(state.cq, state.dofmap, state.params,
+                           state.pieces)
+    expected = dense_generalized_extremes(grams["gradient_active"],
+                                          grams["gradient_cut"])[1]
+    assert experiments._cut_area_ratio(state.cq) == pytest.approx(
+        expected, rel=1e-12)
 
 
 def test_bulk_constant_without_bulk_ghost_weights_is_the_closed_form():
@@ -453,8 +452,8 @@ def test_zero_surface_ghost_weight_raises(weight):
     # has zero energy, so the energy Gram is singular
     params = StabilizationParams(**{weight: 0.0})
     state = SurfaceState(mesh_at_level(0, box=PROPERTY_BOX), 0.3, params)
-    eigs = np.linalg.eigvalsh(energy_gram(state.cq, state.dofmap, params,
-                                          state.pieces).toarray())
+    eigs = np.linalg.eigvalsh(property_grams(
+        state.cq, state.dofmap, params, state.pieces)["energy"].toarray())
     assert abs(eigs[0]) < 1e-12 * eigs[-1]
     with pytest.raises(ConfigurationError, match="zero surface ghost"):
         state.coercivity("full")
@@ -496,7 +495,7 @@ def test_surface_state_coercivity_equals_the_suite_row():
 
 
 def test_one_quadrature_and_one_energy_gram_per_position(monkeypatch):
-    calls = {"quadrature": 0, "energy": 0, "extremes": 0}
+    calls = {"quadrature": 0, "grams": 0, "extremes": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -506,13 +505,13 @@ def test_one_quadrature_and_one_energy_gram_per_position(monkeypatch):
 
     monkeypatch.setattr(CutQuadrature, "__init__",
                         counted("quadrature", CutQuadrature.__init__))
-    for name, attr in (("energy", "energy_gram"),
+    for name, attr in (("grams", "property_grams"),
                        ("extremes", "generalized_extreme")):
         monkeypatch.setattr(experiments, attr,
                             counted(name, getattr(experiments, attr)))
     run_condition_sweep(level=0, positions=3)
-    assert calls == {"quadrature": 3, "energy": 0, "extremes": 0}
+    assert calls == {"quadrature": 3, "grams": 0, "extremes": 0}
     run_property_suite(level=0, positions=3, n_random=2)
     # per position: 3 coercivity pencils on one energy Gram and one bulk
     # norm-equivalence pencil; the bare bulk constant is in closed form
-    assert calls == {"quadrature": 6, "energy": 3, "extremes": 12}
+    assert calls == {"quadrature": 6, "grams": 3, "extremes": 12}

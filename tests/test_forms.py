@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from cutdg.forms import (StabilizationParams, assemble_system, bulk_form,
-                         coupling_form, energy_gram, ghost_bulk, ghost_pieces,
-                         ghost_surface, load_vector, surface_form,
-                         surface_tangential_gram)
+                         coupling_form, ghost_bulk, ghost_pieces,
+                         ghost_surface, load_vector, property_grams,
+                         surface_form)
 from cutdg.levelset import (CutTopology, build_cut_topology,
                             circle_levelset, extract_surface_segments,
-                            interpolate_levelset, surface_length)
+                            interpolate_levelset)
 from cutdg.manufactured import build_circle_problem
 from cutdg.mesh import BackgroundMesh, build_structured_mesh, \
     face_connectivity, refine_uniform
 from cutdg.quadrature import CutQuadrature
 from cutdg.solver import solve
-from cutdg.space import build_spaces, interpolate_nodal, interpolate_pair
+from cutdg.space import build_spaces, interpolate_pair
 from tests.oracles import clip_element_rule, line_levelset
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
@@ -154,7 +154,8 @@ def test_surface_form_constant_gives_surface_length():
     a = surface_form(CutQuadrature(mesh, dls, topo), dofmap, PARAMS)
     ones = np.zeros(dofmap.ndof)
     ones[dofmap.n_bulk:] = 1.0
-    assert ones @ (a @ ones) == pytest.approx(surface_length(topo), rel=1e-12)
+    assert ones @ (a @ ones) == pytest.approx(topo.surface.length.sum(),
+                                              rel=1e-12)
 
 
 def test_tangential_stiffness_on_straight_surface():
@@ -163,24 +164,27 @@ def test_tangential_stiffness_on_straight_surface():
     dls = interpolate_levelset(ls, mesh)
     topo = build_cut_topology(mesh, dls)
     dofmap = build_spaces(mesh, topo)
-    g = surface_tangential_gram(CutQuadrature(mesh, dls, topo), dofmap)
-    vx = np.zeros(dofmap.ndof)
-    vx[dofmap.n_bulk:] = interpolate_nodal(dofmap.surface, mesh,
-                                           lambda p: p[..., 0])
-    assert vx @ (g @ vx) == pytest.approx(surface_length(topo), rel=1e-12)
+    cq = CutQuadrature(mesh, dls, topo)
+    g = property_grams(cq, dofmap, PARAMS,
+                       ghost_pieces(cq, dofmap))["tangential"]
+    vx = interpolate_pair(dofmap, mesh, lambda p: np.zeros(p.shape[:-1]),
+                          lambda p: p[..., 0])
+    assert vx @ (g @ vx) == pytest.approx(topo.surface.length.sum(),
+                                          rel=1e-12)
 
 
 def test_continuous_linear_kills_edge_terms():
     mesh, dls, topo, dofmap = _circle_setup()
     cq = CutQuadrature(mesh, dls, topo)
     a = surface_form(cq, dofmap, PARAMS)
-    tangential = surface_tangential_gram(cq, dofmap)
+    tangential = property_grams(cq, dofmap, PARAMS,
+                                ghost_pieces(cq, dofmap))["tangential"]
 
     def linear(p):
         return 0.4 + p[..., 0] - 2.0 * p[..., 1]
 
-    v = np.zeros(dofmap.ndof)
-    v[dofmap.n_bulk:] = interpolate_nodal(dofmap.surface, mesh, linear)
+    v = interpolate_pair(dofmap, mesh, lambda p: np.zeros(p.shape[:-1]),
+                         linear)
     rules, _ = cq.segments
     mass = np.sum(rules.weights * linear(rules.points) ** 2)
     assert v @ (a @ v) == pytest.approx(v @ (tangential @ v) + mass,
@@ -190,7 +194,7 @@ def test_continuous_linear_kills_edge_terms():
 def test_coupling_form_values():
     mesh, dls, topo, dofmap = _circle_setup()
     c = coupling_form(CutQuadrature(mesh, dls, topo), dofmap, PARAMS)
-    length = surface_length(topo)
+    length = topo.surface.length.sum()
     bulk_one = np.zeros(dofmap.ndof)
     bulk_one[:dofmap.n_bulk] = 1.0
     assert bulk_one @ (c @ bulk_one) == pytest.approx(length, rel=1e-12)
@@ -273,8 +277,8 @@ def test_rhs_partition_of_unity_sums():
     b = load_vector(CutQuadrature(mesh, dls, topo), dofmap, fake, PARAMS)
     area = _cut_volume(mesh, dls, topo, lambda p: np.ones(len(p)), degree=2)
     assert b[:dofmap.n_bulk].sum() == pytest.approx(area, rel=1e-12)
-    assert b[dofmap.n_bulk:].sum() == pytest.approx(surface_length(topo),
-                                                    rel=1e-12)
+    assert b[dofmap.n_bulk:].sum() == pytest.approx(
+        topo.surface.length.sum(), rel=1e-12)
 
 
 def test_rhs_interior_element_load_oracle():
@@ -331,11 +335,12 @@ def test_system_positive_definite_at_defaults():
 def test_energy_gram_values_and_psd():
     mesh, dls, topo, dofmap = _circle_setup(6)
     cq = CutQuadrature(mesh, dls, topo)
-    g_total = energy_gram(cq, dofmap, PARAMS, ghost_pieces(cq, dofmap))
+    g_total = property_grams(cq, dofmap, PARAMS,
+                             ghost_pieces(cq, dofmap))["energy"]
     ones_bulk = np.zeros(dofmap.ndof)
     ones_bulk[:dofmap.n_bulk] = 1.0
     area = _cut_volume(mesh, dls, topo, lambda p: np.ones(len(p)), degree=2)
-    length = surface_length(topo)
+    length = topo.surface.length.sum()
     # jumps and ghosts vanish on constants; the coupling adds the length
     assert ones_bulk @ (g_total @ ones_bulk) == pytest.approx(area + length,
                                                               rel=1e-12)
@@ -408,7 +413,8 @@ def test_galerkin_energy_error_decreases():
         ui = interpolate_pair(dofmap, mesh, problem.u_bulk,
                               problem.u_surf_ext)
         cq = CutQuadrature(mesh, dls, topo)
-        g = energy_gram(cq, dofmap, PARAMS, ghost_pieces(cq, dofmap))
+        g = property_grams(cq, dofmap, PARAMS,
+                           ghost_pieces(cq, dofmap))["energy"]
         d = u - ui
         energies.append(np.sqrt(d @ (g @ d)))
         mesh = refine_uniform(mesh)

@@ -148,9 +148,22 @@ def test_vertex_values_with_exact_zeros(drawn):
         _check_invariants(mesh, values, topo)
 
 
+def _grazing_circles(test):
+    """Explicit examples: on each solve mesh, the circle about (1/2, 1/2)
+    through four mesh vertices, its radius 3/8 moved by 1e-3 to 1e-12 of
+    a cell either way, so that four segments shrink towards zero."""
+    for level, mesh in enumerate(SOLVE_MESHES):
+        for offset in (1e-3, 1e-6, 1e-9, 1e-12):
+            for side in (-1.0, 1.0):
+                radius = 0.375 + side * offset * mesh.cell[0]
+                test = example(level, 0.5, 0.5, radius, 0)(test)
+    return test
+
+
 @FUZZ
 @given(st.sampled_from(range(len(SOLVE_MESHES))), coords, coords,
        st.floats(0.01, 1.2), st.integers(0, 2 ** 32 - 1))
+@_grazing_circles
 def test_solve_meets_its_residual_stop(level, cx, cy, radius, seed):
     """b = A x* for a drawn x*: ``solve`` raises a typed error or returns
     x with ||b - A x|| <= max(1e-10 ||b||, eps || |A| |x| ||)."""

@@ -5,7 +5,7 @@ from cutdg.exceptions import ConfigurationError, StructuralError
 from cutdg.levelset import (SNAP_FACTOR, build_cut_topology,
                             check_geometry_assumptions, circle_levelset,
                             closest_point_circle, extract_surface_segments,
-                            interpolate_levelset, surface_length)
+                            interpolate_levelset)
 from cutdg.mesh import BackgroundMesh, build_structured_mesh, refine_uniform
 from tests.oracles import line_levelset
 
@@ -258,7 +258,7 @@ def test_geometry_assumption_bounds_and_rates():
         sups.append(sup_dist)
         sdevs.append(sup_dev)
         hs.append(mesh.h)
-        lengths.append(surface_length(topo))
+        lengths.append(topo.surface.length.sum())
         mesh = refine_uniform(mesh)
     slope = np.polyfit(np.log(hs), np.log(sups), 1)[0]
     assert slope >= 1.8

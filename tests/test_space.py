@@ -4,8 +4,8 @@ import pytest
 from cutdg.levelset import circle_levelset, interpolate_levelset, \
     build_cut_topology
 from cutdg.mesh import build_structured_mesh, element_gradients
-from cutdg.space import (build_spaces, interpolate_nodal, interpolate_pair,
-                         levelset_null_basis, prolongation)
+from cutdg.space import (build_spaces, interpolate_pair, levelset_null_basis,
+                         prolongation)
 from tests.oracles import evaluate_basis
 
 REF = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -59,10 +59,15 @@ def test_dof_map_counts_and_bijection():
 
 def test_interpolation_reproduces_constants_and_linears():
     mesh, _, topo, dofmap = _setup()
-    const = interpolate_nodal(dofmap.bulk, mesh, lambda p: np.full(p.shape[:-1], 3.5))
-    assert np.all(const == 3.5)
-    lin = interpolate_nodal(dofmap.bulk, mesh,
-                            lambda p: 1.0 + 2.0 * p[..., 0] - p[..., 1])
+
+    def const(p):
+        return np.full(p.shape[:-1], 3.5)
+
+    def linear(p):
+        return 1.0 + 2.0 * p[..., 0] - p[..., 1]
+
+    assert np.all(interpolate_pair(dofmap, mesh, const, const) == 3.5)
+    lin = interpolate_pair(dofmap, mesh, linear, const)[:dofmap.n_bulk]
     # zero jumps in value and gradient across every active face
     grads_all = element_gradients(mesh.vertices[mesh.elements])
     coeffs = lin.reshape(-1, 3)
