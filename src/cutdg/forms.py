@@ -13,14 +13,17 @@ batched builder that returns its dofs and its unweighted terms: stiffness
 and mass blocks of whole elements, cut elements and surface segments
 (``_element_blocks``, ``_cut_element_blocks``, ``_segment_blocks``), unit
 jump and consistency blocks of surface edges (``_edge_blocks``), and the
-jump and normal-gradient-jump blocks of faces per unit length, with their
-consistency blocks (``_face_blocks``). A form or Gram weights and sums the
+jump blocks per unit length, normal-gradient jumps and consistency blocks
+of faces (``_face_blocks``). A form or Gram weights and sums the
 terms it needs, block by block (face blocks scaled in place by
 coefficient times length), into one (dofs, blocks) part per batch, and
 ``_accumulate`` writes the triplets of a form's parts once, in a fixed
 order (uncut block, cut elements ascending, then each face scatter on its
 own), so that the sparse conversion sums duplicates as it always has and
-the matrices stay bit-for-bit reproducible.
+the matrices stay bit-for-bit reproducible. The bulk form and the bulk
+part of the energy Gram, the largest, are converted one band of rows at
+a time (``_banded_bulk``), with the same triplets per row in the same
+order.
 """
 
 from __future__ import annotations
@@ -33,12 +36,17 @@ import scipy.sparse as sp
 
 from .exceptions import GeometryError
 from .levelset import CutTopology
-from .mesh import BackgroundMesh, element_areas
+from .mesh import BackgroundMesh
 from .quadrature import CutQuadrature
 from .space import CombinedDofMap, basis_values, prolongation
 
 # Exact P1 element mass matrix is area * _M3.
 _M3 = (np.ones((3, 3)) + np.eye(3)) / 12.0
+# bulk elements per band of ``_banded_bulk``: a band's blocks, triplets and
+# conversion take about 4 kB per element, so near 30 MB at every level;
+# the fixed cost per band made bulk_form at level 5 12 % slower with bands
+# of 4,096 and 48 % slower with 1,024
+BAND_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -81,28 +89,37 @@ class AssembledSystem:
 # ---------------------------------------------------------------------------
 # low-level accumulation helpers
 
-def _accumulate(parts: list, n: int) -> sp.csr_matrix:
-    """Sum the (dofs, blocks) parts into an n x n CSR matrix: block e of a
-    part lands on rows and columns dofs[e]. The triplets of all parts are
-    written once, in list order, into one buffer each for rows, columns
-    and values; ``parts`` is emptied before the conversion, so the blocks
-    are freed by then."""
-    total = sum(blocks.size for _, blocks in parts)
+def _accumulate(parts: list, n: int,
+                rows: tuple | None = None) -> sp.csr_matrix:
+    """Sum the (dofs, blocks) parts into the rows lo <= r < hi of an n x n
+    matrix (all rows by default), returned as a (hi - lo) x n CSR matrix:
+    row a of block e of a part lands on row dofs[e, a] and columns dofs[e]
+    if that row is in the range. The triplets of all parts are written
+    once, in list order, into one buffer each for rows, columns and
+    values; ``parts`` is emptied before the conversion, so the blocks are
+    freed by then. ``coo_matrix.tocsr`` keeps the triplets of each row in
+    input order and sums each row on its own, so the conversions of
+    consecutive row ranges, stacked, equal the conversion of all rows bit
+    for bit."""
+    lo, hi = rows or (0, n)
+    keep = [np.flatnonzero((dofs >= lo) & (dofs < hi)) for dofs, _ in parts]
+    total = sum(r.size * dofs.shape[1] for r, (dofs, _) in zip(keep, parts))
     index = sp.get_index_dtype(maxval=n)
     i = np.empty(total, dtype=index)
     j = np.empty(total, dtype=index)
     v = np.empty(total)
     start = 0
-    for dofs, blocks in parts:
-        m, k = dofs.shape
-        end = start + m * k * k
-        i[start:end].reshape(m, k, k)[...] = dofs[:, :, None]
-        j[start:end].reshape(m, k, k)[...] = dofs[:, None, :]
-        v[start:end].reshape(m, k, k)[...] = blocks
+    for r, (dofs, blocks) in zip(keep, parts):
+        k = dofs.shape[1]
+        end = start + r.size * k
+        i[start:end].reshape(-1, k)[...] = dofs.reshape(-1)[r, None] - lo
+        j[start:end].reshape(-1, k)[...] = dofs[r // k]
+        np.take(blocks.reshape(-1, k), r, axis=0,
+                out=v[start:end].reshape(-1, k))
         start = end
     parts.clear()
     dofs = blocks = None  # the loop's last part, not alive at the conversion
-    return sp.coo_matrix((v, (i, j)), shape=(n, n)).tocsr()
+    return sp.coo_matrix((v, (i, j)), shape=(hi - lo, n)).tocsr()
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -121,29 +138,31 @@ def _rows_dot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _element_blocks(cq: CutQuadrature, space, elements):
     """Dofs, exact stiffness and exact mass blocks of whole elements."""
-    areas = element_areas(cq.mesh)[elements, None, None]
+    areas = cq.areas[elements, None, None]
     g = cq.grads[elements]
     return (space.dofs_array(elements),
             areas * np.einsum("eik,ejk->eij", g, g), areas * _M3)
 
 
-def _cut_element_blocks(cq: CutQuadrature, space):
-    """Dofs, stiffness and mass blocks of the cut elements by their
-    cut-volume rules."""
-    cut = cq.split[1]
+def _cut_element_blocks(cq: CutQuadrature, space, which=slice(None)):
+    """Dofs, stiffness and mass blocks of the cut elements split[1][which]
+    by their cut-volume rules."""
+    cut = cq.split[1][which]
     g = cq.grads[cut]
     rules, phi = cq.volume
+    weights, phi = rules.weights[which], phi[which]
     stiffness = np.matmul(g, g.transpose(0, 2, 1))
-    stiffness *= rules.weights.sum(axis=1)[:, None, None]
-    mass = np.einsum("kq,kqi,kqj->kij", rules.weights, phi, phi)
+    stiffness *= weights.sum(axis=1)[:, None, None]
+    mass = np.einsum("kq,kqi,kqj->kij", weights, phi, phi)
     return space.dofs_array(cut), stiffness, mass
 
 
-def _volume_blocks(cq: CutQuadrature, space):
-    """(dofs, stiffness, mass) of the uncut active elements, then of the
-    cut ones."""
-    return [_element_blocks(cq, space, cq.split[0]),
-            _cut_element_blocks(cq, space)]
+def _volume_blocks(cq: CutQuadrature, space, which=(slice(None),) * 2):
+    """(dofs, stiffness, mass) of the uncut active elements split[0][u],
+    then of the cut ones split[1][c], for the slices (u, c) = which."""
+    uncut, cut = which
+    return [_element_blocks(cq, space, cq.split[0][uncut]),
+            _cut_element_blocks(cq, space, cut)]
 
 
 def _segment_blocks(cq: CutQuadrature, space):
@@ -180,26 +199,49 @@ def _edge_blocks(cq: CutQuadrature, space):
               + jump[:, :, None] * gavg[:, None, :]))
 
 
+def _endpoint_jumps(p0, m0, p1, m1):
+    """Jump vectors j0 and j1 of the two face vertices, from their local
+    indices p in the plus and m in the minus element: unit at p, minus
+    unit at 3 + m."""
+    eye = np.eye(3)
+    return (np.hstack([eye[p], 0.0 - eye[m]]) for p, m in ((p0, m0),
+                                                            (p1, m1)))
+
+
+def _face_jump_table() -> np.ndarray:
+    """Exact jump block [v][w] per unit length of a face, for every local
+    index of its two vertices in the plus and the minus element (entry
+    [p0, m0, p1, m1]): the jump along the face interpolates the endpoint
+    jump vectors linearly."""
+    p0, m0, p1, m1 = np.indices((3, 3, 3, 3)).reshape(4, -1)
+    j0, j1 = _endpoint_jumps(p0, m0, p1, m1)
+    jump = ((_outer(j0, j0) + _outer(j1, j1)) / 3.0
+            + (_outer(j0, j1) + _outer(j1, j0)) / 6.0)
+    return jump.reshape(3, 3, 3, 3, 6, 6)
+
+
+_FACE_JUMP = _face_jump_table()
+
+
 def _face_blocks(cq: CutQuadrature, space, faces):
     """Dofs (plus element, then minus element) and lengths of the faces,
-    their exact jump blocks [v][w] and normal-gradient-jump blocks
-    (n.[grad v])(n.[grad w]) per unit length, and their consistency blocks
-    -({n.grad v},[w]) - ([v],{n.grad w}) over the negative part of each
-    face, cut from the snapped endpoint values. The jump along a face
-    interpolates its endpoint jump vectors j0 and j1 linearly."""
+    their exact jump blocks [v][w] per unit length (from ``_FACE_JUMP``),
+    their normal-gradient jumps n.[grad v] (a (face, 6) array, whose outer
+    products are the normal-gradient-jump blocks per unit length), and
+    their consistency blocks -({n.grad v},[w]) - ([v],{n.grad w}) over the
+    negative part of each face, cut from the snapped endpoint values."""
     mesh = cq.mesh
     fv = mesh.face_vertices[faces]
     fe = mesh.face_elements[faces]
     lengths = mesh.face_lengths[faces]
-    plus, minus = mesh.elements[fe[:, 0]], mesh.elements[fe[:, 1]]
-    j0, j1 = (np.hstack([plus == v, 0.0 - (minus == v)])
-              for v in (fv[:, :1], fv[:, 1:]))
-    jump = ((_outer(j0, j0) + _outer(j1, j1)) / 3.0
-            + (_outer(j0, j1) + _outer(j1, j0)) / 6.0)
+    # local index of each face vertex in the plus and the minus element
+    (p0, p1), (m0, m1) = (
+        np.argmax(mesh.elements[e][:, None, :] == fv[:, :, None], axis=2).T
+        for e in (fe[:, 0], fe[:, 1]))
+    j0, j1 = _endpoint_jumps(p0, m0, p1, m1)
     n = mesh.face_normals[faces]
     gp = np.einsum("fkd,fd->fk", cq.grads[fe[:, 0]], n)
     gm = np.einsum("fkd,fd->fk", cq.grads[fe[:, 1]], n)
-    gjump = np.hstack([gp, -gm])
     gavg = 0.5 * np.hstack([gp, gm])
     # the negative part of a face is t in [t0, t1], s the zero of the level
     # set where exactly one endpoint is negative; i0 and i1 integrate 1 - t
@@ -212,26 +254,59 @@ def _face_blocks(cq: CutQuadrature, space, faces):
     i1 = 0.5 * (t1 ** 2 - t0 ** 2)
     i0 = (t1 - t0) - i1
     jw = lengths[:, None] * (i0[:, None] * j0 + i1[:, None] * j1)
+    consistency = _outer(gavg, jw)
+    consistency += consistency.transpose(0, 2, 1)
+    np.negative(consistency, out=consistency)
     dofs = np.hstack([space.dofs_array(fe[:, 0]), space.dofs_array(fe[:, 1])])
-    return (dofs, lengths, jump,
-            _outer(gjump, gjump), -(_outer(gavg, jw) + _outer(jw, gavg)))
+    return (dofs, lengths, _FACE_JUMP[p0, m0, p1, m1], np.hstack([gp, -gm]),
+            consistency)
 
 
 # ---------------------------------------------------------------------------
 # forms (all on the combined dof map)
+
+def _banded_bulk(cq: CutQuadrature, dofmap: CombinedDofMap, penalty: float,
+                 consistency: bool) -> sp.csr_matrix:
+    """The s + m blocks of the active bulk elements, the jump blocks of the
+    bulk faces scaled by penalty times length and, if ``consistency``,
+    their consistency blocks, assembled one band of BAND_ELEMENTS
+    consecutive bulk slots (a range of rows) at a time. A band converts
+    only its own rows, from the blocks of its elements and of the faces
+    that touch it, in the order of one whole conversion (uncut elements,
+    cut elements, then each face scatter with faces ascending), so every
+    row gets the same triplets in the same order and the stacked bands are
+    bit for bit the whole conversion, while only one band's blocks and
+    triplets are alive at a time."""
+    space, n = dofmap.bulk, dofmap.ndof
+    split_slots = [space.slot[elements] for elements in cq.split]
+    faces = cq.topo.bulk_faces
+    face_slots = space.slot[cq.mesh.face_elements[faces]]
+    bands = []
+    for lo in range(0, space.elements.size, BAND_ELEMENTS):
+        hi = min(lo + BAND_ELEMENTS, space.elements.size)
+        which = [slice(*np.searchsorted(slots, (lo, hi)))
+                 for slots in split_slots]
+        parts = [(dofs, s + m)
+                 for dofs, s, m in _volume_blocks(cq, space, which)]
+        touching = ((face_slots >= lo) & (face_slots < hi)).any(axis=1)
+        dofs, lengths, jump, _, blocks = _face_blocks(cq, space,
+                                                      faces[touching])
+        jump *= (penalty * lengths)[:, None, None]
+        parts += [(dofs, jump)] + ([(dofs, blocks)] if consistency else [])
+        del dofs, jump, blocks  # parts holds the only references
+        bands.append(_accumulate(parts, n, (space.offset + 3 * lo,
+                                            space.offset + 3 * hi)))
+    bands.append(_accumulate([], n, (space.offset + space.ndof, n)))
+    return sp.vstack(bands, format="csr")
+
 
 def bulk_form(cq: CutQuadrature, dofmap: CombinedDofMap,
               params: StabilizationParams) -> sp.csr_matrix:
     """Interior-penalty bulk form: cut-volume mass and stiffness, jump
     penalty on full active faces, symmetric consistency fluxes on the
     negative face parts."""
-    parts = [(dofs, s + m) for dofs, s, m in _volume_blocks(cq, dofmap.bulk)]
-    dofs, lengths, jump, gjump, consistency = _face_blocks(
-        cq, dofmap.bulk, cq.topo.bulk_faces)
-    jump *= (params.gamma_bulk / cq.mesh.h * lengths)[:, None, None]
-    parts += [(dofs, jump), (dofs, consistency)]
-    del jump, gjump, consistency  # parts holds the only references
-    return _accumulate(parts, dofmap.ndof)
+    return _banded_bulk(cq, dofmap, params.gamma_bulk / cq.mesh.h,
+                        consistency=True)
 
 
 def surface_form(cq: CutQuadrature, dofmap: CombinedDofMap,
@@ -275,6 +350,7 @@ def ghost_pieces(cq: CutQuadrature, dofmap: CombinedDofMap) -> dict:
              1.0)):
         dofs, lengths, jump, gjump, _ = _face_blocks(cq, space, faces)
         jump *= (value * lengths)[:, None, None]
+        gjump = _outer(gjump, gjump)
         gjump *= (gradient * lengths)[:, None, None]
         out[f"{name}_value"] = _accumulate([(dofs, jump)], dofmap.ndof)
         out[f"{name}_gradient"] = _accumulate([(dofs, gjump)], dofmap.ndof)
@@ -353,8 +429,8 @@ def assemble_system(mesh: BackgroundMesh, dls: np.ndarray,
 
 def property_grams(cq: CutQuadrature, dofmap: CombinedDofMap,
                    params: StabilizationParams, pieces: dict) -> dict:
-    """The Grams and the trace vector of the property suite, each entity
-    built once. Keys: ``energy`` (the energy norm, ``stabilized`` applied
+    """The Grams and the trace vector of the property suite, each surface
+    entity built once. Keys: ``energy`` (the energy norm, ``stabilized`` applied
     to the cut-volume H1 norm + h^-1 value jumps on the active faces, the
     tangential H1 norm + h^-1 edge jumps and the coupling seminorm, with
     the ghosts from the unit ``pieces``), ``gradient_active`` and
@@ -364,12 +440,6 @@ def property_grams(cq: CutQuadrature, dofmap: CombinedDofMap,
     (tangential stiffness on the discrete surface) and ``trace`` (the
     vector of int_Gamma_h phi_i, for surface mean values)."""
     h, n = cq.mesh.h, dofmap.ndof
-    volume = _volume_blocks(cq, dofmap.bulk)
-    bulk = [(dofs, s + m) for dofs, s, m in volume]
-    dofs, lengths, jump, _, _ = _face_blocks(cq, dofmap.bulk,
-                                             cq.topo.bulk_faces)
-    jump *= (1.0 / h * lengths)[:, None, None]
-    bulk.append((dofs, jump))
     segment_dofs, tangential, m = _segment_blocks(cq, dofmap.surface)
     edge_dofs, jump, _ = _edge_blocks(cq, dofmap.surface)
     surface = [(segment_dofs, tangential + m), (edge_dofs, (1.0 / h) * jump)]
@@ -380,12 +450,14 @@ def property_grams(cq: CutQuadrature, dofmap: CombinedDofMap,
                                                cq.topo.active_bulk)
     mass_dofs, _, mass = _element_blocks(cq, dofmap.surface,
                                          cq.topo.active_surface)
-    return {"energy": stabilized(_accumulate(bulk, n),
+    return {"energy": stabilized(_banded_bulk(cq, dofmap, 1.0 / h,
+                                              consistency=False),
                                  _accumulate(surface, n),
                                  coupling_form(cq, dofmap, params), pieces,
                                  params),
             "gradient_active": _accumulate([(active_dofs, gradient)], n),
-            "gradient_cut": _accumulate([(d, s) for d, s, _ in volume], n),
+            "gradient_cut": _accumulate(
+                [(d, s) for d, s, _ in _volume_blocks(cq, dofmap.bulk)], n),
             "surface_mass": _accumulate([(mass_dofs, mass)], n),
             "tangential": _accumulate([(segment_dofs, tangential)], n),
             "trace": trace}

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .exceptions import StructuralError
-from .mesh import element_gradients
+from .mesh import element_areas, element_gradients
 from .space import basis_values
 
 
@@ -139,6 +139,7 @@ class CutQuadrature:
     for the forms, ``ERROR_DEGREE`` for the error norms):
 
     grads: (ne, 3, 2) basis gradients of every background element.
+    areas: (ne,) signed areas of every background element.
     split: active bulk elements as (uncut, cut); the cut ones are the
         surface-active elements ``topo.active_surface``.
     uncut: (rules, phi) of the reference rule on the uncut active
@@ -156,6 +157,10 @@ class CutQuadrature:
     @cached_property
     def grads(self) -> np.ndarray:
         return element_gradients(self.mesh.vertices[self.mesh.elements])
+
+    @cached_property
+    def areas(self) -> np.ndarray:
+        return element_areas(self.mesh)
 
     @cached_property
     def split(self):

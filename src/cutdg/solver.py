@@ -54,7 +54,8 @@ def preconditioner(matrix: sp.spmatrix, prolongation: sp.spmatrix):
         lu = spla.splu((p.T @ matrix @ p).tocsc())
     except RuntimeError as exc:
         raise SolverError(f"coarse matrix is singular: {exc}") from exc
-    return lambda r: inv_diag * r + p @ lu.solve(p.T @ r)
+    pt = p.T.tocsr()  # transposed once, not at every apply
+    return lambda r: inv_diag * r + p @ lu.solve(pt @ r)
 
 
 def pcg(matrix: sp.spmatrix, rhs: np.ndarray, precondition, max_iter: int,

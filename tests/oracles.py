@@ -433,13 +433,14 @@ def element_blocks(cq, space, elements):
     return _terms(entities, 3)
 
 
-def cut_element_blocks(cq, space):
-    """Stiffness and mass of each cut element by its clipped rule."""
+def cut_element_blocks(cq, space, which=slice(None)):
+    """Stiffness and mass of each cut element in the slice ``which`` of
+    the cut elements by its clipped rule."""
     mesh, dls = cq.mesh, cq.dls
     grads_all = element_gradients(mesh.vertices[mesh.elements])
     _, cut = _split(mesh, dls, cq.topo)
     entities = []
-    for e in cut:
+    for e in cut[which]:
         rule = clip_element_rule(_tri(mesh, e), dls[mesh.elements[e]],
                                  cq.degree)
         if rule.weights.size == 0:
@@ -492,13 +493,13 @@ def edge_blocks(cq, space):
 
 
 def face_blocks(cq, space, faces):
-    """Dofs, lengths, unit jump and normal-gradient-jump blocks and
-    consistency blocks of the faces, one face at a time. The jump vectors
-    at the endpoints come from the local index of each endpoint in the
-    plus and the minus element, the integrals along the face from
-    np.outer products of them, and the negative part of the face from a
-    branch on the signs of the level set at its endpoints. A normal
-    derivative is the x product plus the y product, as the batched
+    """Dofs, lengths, unit jump blocks, normal-gradient jumps (one row of
+    6 per face) and consistency blocks of the faces, one face at a time.
+    The jump vectors at the endpoints come from the local index of each
+    endpoint in the plus and the minus element, the integrals along the
+    face from np.outer products of them, and the negative part of the
+    face from a branch on the signs of the level set at its endpoints. A
+    normal derivative is the x product plus the y product, as the batched
     contraction sums them; a matmul can fuse the two and round
     differently."""
     mesh, dls = cq.mesh, cq.dls
@@ -534,12 +535,13 @@ def face_blocks(cq, space, faces):
         lengths.append(length)
         jumps.append((np.outer(j0, j0) + np.outer(j1, j1)) / 3.0
                      + (np.outer(j0, j1) + np.outer(j1, j0)) / 6.0)
-        gjumps.append(np.outer(gjump, gjump))
+        gjumps.append(gjump)
         consistencies.append(-(np.outer(gavg, jw) + np.outer(jw, gavg)))
     return (np.array(dofs, dtype=np.int64).reshape(-1, 6),
             np.array(lengths, dtype=float),
-            *(np.array(b, dtype=float).reshape(-1, 6, 6)
-              for b in (jumps, gjumps, consistencies)))
+            np.array(jumps, dtype=float).reshape(-1, 6, 6),
+            np.array(gjumps, dtype=float).reshape(-1, 6),
+            np.array(consistencies, dtype=float).reshape(-1, 6, 6))
 
 
 def coupling_form(cq, dofmap, params):
