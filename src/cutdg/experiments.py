@@ -21,7 +21,7 @@ from .forms import (StabilizationParams, assemble_system, bulk_form,
 from .levelset import (build_cut_topology, check_geometry_assumptions,
                        circle_levelset, interpolate_levelset)
 from .manufactured import build_circle_problem, compute_errors, eoc
-from .mesh import build_structured_mesh, refine_uniform
+from .mesh import build_structured_mesh, refine_uniform, row_dot
 from .quadrature import CutQuadrature
 from .solver import (condition_number, generalized_extreme, rescaled_matrix,
                      solve)
@@ -44,6 +44,8 @@ SWEEP_GHOSTS_OFF = {"full": (), "no-surface": ("mu_surf", "tau_surf"),
                     "none": ("mu_bulk", "tau_bulk", "mu_surf", "tau_surf")}
 SWEEP_CONFIGS = tuple(SWEEP_GHOSTS_OFF)
 PROPERTY_CONFIGS = ("full", "no-bulk-ghost", "no-surface-ghost")
+# random mean-zero fields per position of the surface Poincare constant
+POINCARE_FIELDS = 100
 # the sweep configuration whose matrix each property configuration uses
 PROPERTY_SWEEP_CONFIG = {"full": "full", "no-bulk-ghost": "no-bulk",
                          "no-surface-ghost": "no-surface"}
@@ -291,6 +293,9 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
     if positions < 2:
         raise ValueError("sweep needs at least 2 positions")
     configs = tuple(configs)
+    if not configs or not set(configs) <= set(SWEEP_CONFIGS):
+        raise ValueError(f"sweep configurations must be some of "
+                         f"{SWEEP_CONFIGS}, got {configs}")
     repeated = sorted({c for c in configs if configs.count(c) > 1})
     if repeated:
         raise ValueError(f"sweep configuration repeated: {', '.join(repeated)}")
@@ -360,22 +365,23 @@ def _cut_area_ratio(cq: CutQuadrature) -> float:
     return float(np.max(areas / cq.volume[0].weights.sum(axis=1)))
 
 
-def _property_constants(state: SurfaceState, rng, n_random: int) -> dict:
+def _property_constants(state: SurfaceState, rng) -> dict:
     """{property: {configuration: constant}} at one position (see
-    ``run_property_suite``). Each Poincare dot runs on contiguous rows, as
-    for one field at a time: on strided columns it can round differently."""
+    ``run_property_suite``). Each Poincare dot is a ``row_dot`` on
+    contiguous rows: on strided columns it can round differently."""
     mesh, dofmap, cq, grams = state.mesh, state.dofmap, state.cq, state.grams
     bulk = _bulk_norm_equivalence(grams, state.pieces, state.params,
                                   dofmap.n_bulk)
-    fields = np.hstack([np.zeros((n_random, dofmap.n_bulk)),
-                        rng.standard_normal((n_random, dofmap.n_surface))])
-    load = grams["trace"]
-    fields[:, dofmap.n_bulk:] -= np.array([[load @ v] for v in fields]) \
+    fields = np.hstack([
+        np.zeros((POINCARE_FIELDS, dofmap.n_bulk)),
+        rng.standard_normal((POINCARE_FIELDS, dofmap.n_surface))])
+    load = np.broadcast_to(grams["trace"], fields.shape)
+    fields[:, dofmap.n_bulk:] -= row_dot(load, fields[:, :, None]) \
         / float(state.topo.surface.length.sum())
 
     def quadratic(matrix):
         products = np.ascontiguousarray((matrix @ fields.T).T)
-        return np.array([v @ w for v, w in zip(fields, products)])
+        return row_dot(fields, products[:, :, None])[:, 0]
 
     num = quadratic(grams["surface_mass"]) / mesh.h
 
@@ -418,7 +424,6 @@ def _contrast_vs_full(ablated: np.ndarray, full: np.ndarray) -> float:
 def run_property_suite(level: int = 0, positions: int = 101,
                        n0: int = DEFAULT_N0,
                        params: StabilizationParams | None = None,
-                       n_random: int = 100,
                        seed: int = 9176) -> StudyReport:
     """Measured stability constants across the surface-position sweep.
 
@@ -430,9 +435,9 @@ def run_property_suite(level: int = 0, positions: int = 101,
     active elements against the one on the cut elements plus the bulk
     ghost); and the discrete surface Poincare constant (largest ratio
     h^-1 ||v||^2 on the active elements over the tangential seminorm plus
-    the surface ghost) over n_random random mean-zero fields, drawn once
-    per position from seed + 7 * (position index) and shared by the three
-    configurations.
+    the surface ghost) over POINCARE_FIELDS random mean-zero fields, drawn
+    once per position from seed + 7 * (position index) and shared by the
+    three configurations.
 
     Pass flags: the fully stabilized constants must stay within a factor
     2 across positions (coercivity also strictly positive). An ablated
@@ -458,7 +463,7 @@ def run_property_suite(level: int = 0, positions: int = 101,
     deltas = np.linspace(0.0, 1.0, positions)
     per_position = [_property_constants(
         SurfaceState(mesh, delta, params),
-        np.random.default_rng(seed + 7 * idx), n_random)
+        np.random.default_rng(seed + 7 * idx))
         for idx, delta in enumerate(deltas)]
     arrays = {(p, c): np.asarray([k[p][c] for k in per_position])
               for c in PROPERTY_CONFIGS for p in PROPERTY_NAMES}

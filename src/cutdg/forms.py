@@ -36,7 +36,7 @@ import scipy.sparse as sp
 
 from .exceptions import GeometryError
 from .levelset import CutTopology
-from .mesh import BackgroundMesh
+from .mesh import BackgroundMesh, row_dot
 from .quadrature import CutQuadrature
 from .space import CombinedDofMap, basis_values, prolongation
 
@@ -126,11 +126,6 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[k] b[k]^T for every entity k; einsum writes a zero product as
     +0.0."""
     return np.einsum("fi,fj->fij", a, b)
-
-
-def _rows_dot(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """w[k] @ x[k] for every entity k, as the per-entity BLAS product."""
-    return np.matmul(w[:, None, :], x)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -402,8 +397,8 @@ def load_vector(cq: CutQuadrature, dofmap: CombinedDofMap, problem,
                             "validity radius of the closest-point map")
     fvals = np.asarray(problem.f_surf(geom.closest_point(rules.points)),
                        dtype=float)
-    b[dofmap.surface.dofs_array(surf.element)] += params.c_surf * (
-        _rows_dot(rules.weights * fvals, phi))
+    b[dofmap.surface.dofs_array(surf.element)] += params.c_surf * row_dot(
+        rules.weights * fvals, phi)
     return b
 
 
@@ -445,7 +440,7 @@ def property_grams(cq: CutQuadrature, dofmap: CombinedDofMap,
     surface = [(segment_dofs, tangential + m), (edge_dofs, (1.0 / h) * jump)]
     rules, phi = cq.segments
     trace = np.zeros(n)
-    trace[segment_dofs] += _rows_dot(rules.weights, phi)
+    trace[segment_dofs] += row_dot(rules.weights, phi)
     active_dofs, gradient, _ = _element_blocks(cq, dofmap.bulk,
                                                cq.topo.active_bulk)
     mass_dofs, _, mass = _element_blocks(cq, dofmap.surface,

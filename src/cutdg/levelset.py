@@ -18,7 +18,8 @@ from typing import Callable
 import numpy as np
 
 from .exceptions import ConfigurationError, GeometryError, StructuralError
-from .mesh import BackgroundMesh, edge_key, element_gradients, group_keys
+from .mesh import (BackgroundMesh, edge_key, element_gradients, group_keys,
+                   row_dot)
 
 SNAP_FACTOR = 1e-10
 DEGENERATE_SEGMENT_FACTOR = 1e-14
@@ -142,12 +143,6 @@ class CutTopology:
     surface: SurfaceGeometry
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a (k, 2) array, bit-identical to
-    ``np.linalg.norm`` of the row alone (a BLAS dot, unlike ``axis=1``)."""
-    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None]))[:, 0, 0]
-
-
 def extract_surface_segments(mesh: BackgroundMesh,
                              dls: np.ndarray) -> SurfaceGeometry:
     """Extract one straight segment per cut element plus interior edges,
@@ -195,11 +190,11 @@ def extract_surface_segments(mesh: BackgroundMesh,
     g = element_gradients(mesh.vertices[tri])
     grad = (v[:, 1] - v[:, 0])[:, None] * g[:, 1] \
         + (v[:, 2] - v[:, 0])[:, None] * g[:, 2]
-    seg_normal = grad / _norms(grad)[:, None]
+    seg_normal = grad / np.sqrt(row_dot(grad, grad[:, :, None]))
     # Orient each segment so its tangent is the normal rotated by +90deg.
     tangent = np.column_stack([-seg_normal[:, 1], seg_normal[:, 0]])
-    flip = np.matmul((seg_points[:, 1] - seg_points[:, 0])[:, None, :],
-                     tangent[:, :, None])[:, 0, 0] < 0.0
+    flip = row_dot(seg_points[:, 1] - seg_points[:, 0],
+                   tangent[:, :, None])[:, 0] < 0.0
     seg_points[flip] = seg_points[flip, ::-1]
     keys[flip] = keys[flip, ::-1]
 
@@ -230,7 +225,8 @@ def extract_surface_segments(mesh: BackgroundMesh,
     edge_point = seg_points[edge_segments[:, 0], ends[:, 0] % 2]
     others = seg_points[edge_segments, 1 - ends % 2]
     tangents = (edge_point[:, None, :] - others).reshape(-1, 2)
-    edge_conormals = (tangents / _norms(tangents)[:, None]).reshape(-1, 2, 2)
+    edge_conormals = (tangents / np.sqrt(row_dot(
+        tangents, tangents[:, :, None]))).reshape(-1, 2, 2)
 
     return SurfaceGeometry(
         element=cut_elements,

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .levelset import CutTopology, LevelSet, circle_levelset
-from .mesh import BackgroundMesh
+from .mesh import BackgroundMesh, row_dot
 from .quadrature import ERROR_DEGREE, CutQuadrature
 from .space import CombinedDofMap
 
@@ -151,18 +151,18 @@ def _entity_errors(rules, phi, u, grads, value, gradient, normal=None):
     """Squared L2 and gradient-seminorm errors on each entity of a rule
     batch, for element coefficients u (k, 3) and basis gradients grads
     (k, 3, 2); with ``normal`` (k, 2) the gradient error is projected onto
-    the tangent line. Each product is the BLAS call a per-entity loop
-    makes, so every entry is bit-identical to it."""
-    w = rules.weights[:, None, :]
+    the tangent line. The sums are ``row_dot``s, so every entry is
+    bit-identical to a per-entity loop."""
     diff = np.matmul(phi, u[:, :, None])[..., 0] \
         - np.asarray(value(rules.points), dtype=float)
-    l2 = np.matmul(w, (diff ** 2)[:, :, None])[:, 0, 0]
+    l2 = row_dot(rules.weights, (diff ** 2)[:, :, None])[:, 0]
     gh = np.matmul(grads.transpose(0, 2, 1), u[:, :, None])[..., 0]
     gdiff = gh[:, None, :] - np.asarray(gradient(rules.points), dtype=float)
     if normal is not None:
         gdiff = gdiff - np.einsum("kqd,kd->kq", gdiff, normal)[:, :, None] \
             * normal[:, None, :]
-    semi = np.matmul(w, np.sum(gdiff ** 2, axis=-1)[:, :, None])[:, 0, 0]
+    semi = row_dot(rules.weights,
+                   np.sum(gdiff ** 2, axis=-1)[:, :, None])[:, 0]
     return l2, semi
 
 

@@ -4,10 +4,9 @@ All integrands assembled in this package are products of piecewise-linear
 traces and gradients on straight geometry, so the default exactness
 degree is 2 everywhere. Error norms use ``ERROR_DEGREE``. Rules carry
 physical points and non-negative weights summing to the measure of their
-domain; a weight is zero only on the padding triangle of a triangular
-cut part. Every rule is built for a batch of entities at once
-(``clip_element_rules``, ``segment_rules``); ``CutQuadrature`` builds the
-rules of one topology once for every form and norm evaluated on it.
+domain. Every rule is built for a batch of entities at once, row k on
+entity k (``clip_element_rules``, ``segment_rules``); ``CutQuadrature``
+builds the rules of one topology once for every form and norm on it.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .exceptions import StructuralError
-from .mesh import element_areas, element_gradients
+from .mesh import element_areas, element_gradients, row_dot
 from .space import basis_values
 
 
@@ -46,14 +45,13 @@ ERROR_DEGREE = 4
 
 @dataclass(frozen=True)
 class RuleBatch:
-    """Rules of equal size on a batch of entities.
+    """Rules of equal size on a batch of entities, row k on entity k.
 
-    index: (k,) position of each entity in the batch the rules were built
-        for. points: (k, m, 2) physical points; weights: (k, m) non-negative
-        weights, zero only on the padding triangle of a triangular cut part.
+    points: (k, m, 2) physical points; weights: (k, m) non-negative
+    weights, zero only on the padding triangle of a triangular cut part and
+    on a triangle without a negative part.
     """
 
-    index: np.ndarray
     points: np.ndarray
     weights: np.ndarray
 
@@ -91,14 +89,13 @@ def segment_rules(p0: np.ndarray, p1: np.ndarray, degree: int = 2) -> RuleBatch:
     """Gauss rules on the segments (p0[k], p1[k]); errors on a zero
     length."""
     d = p1 - p0
-    # np.linalg.norm of one row is a BLAS dot, which matmul reproduces
-    length = np.sqrt(np.matmul(d[:, None, :], d[:, :, None]))[:, 0, 0]
+    length = np.sqrt(row_dot(d, d[:, :, None]))
     if not np.all(length > 0.0):
         raise StructuralError("degenerate surface segment")
     t, w = _gauss_unit(degree)
     pts = p0[:, None, :] * (1.0 - t)[None, :, None] \
         + p1[:, None, :] * t[None, :, None]
-    return RuleBatch(np.arange(d.shape[0]), pts, w[None, :] * length[:, None])
+    return RuleBatch(pts, w[None, :] * length)
 
 
 def clip_element_rules(tris: np.ndarray, values: np.ndarray,
@@ -107,7 +104,8 @@ def clip_element_rules(tris: np.ndarray, values: np.ndarray,
     interpolant of the vertex values[k] is negative, each part fanned into
     two triangles: a quadrilateral along a diagonal, a triangle into itself
     and a zero-area, zero-weight copy of its last corner. A triangle
-    without a negative part is not in the batch."""
+    without a negative part gets all-zero weights: its crossings are its
+    vertices, so both fan triangles have exactly zero area."""
     j = [1, 2, 0]
     neg = values < 0.0
     change = neg != neg[:, j]
@@ -122,13 +120,11 @@ def clip_element_rules(tris: np.ndarray, values: np.ndarray,
     size = keep.sum(axis=1)
     corners = np.argsort(~keep, axis=1, kind="stable")[:, :4]
     corners[:, 3] = np.where(size == 3, corners[:, 2], corners[:, 3])
-    index = np.flatnonzero(size)
-    poly = np.take_along_axis(candidates, corners[:, :, None], axis=1)[index]
+    poly = np.take_along_axis(candidates, corners[:, :, None], axis=1)
     pts, w = _map_triangles(poly[:, [[0, 1, 2], [0, 2, 3]]].reshape(-1, 3, 2),
                             degree)
-    m = 2 * w.shape[1]
-    return RuleBatch(index, pts.reshape(index.size, m, 2),
-                     w.reshape(index.size, m))
+    k, m = values.shape[0], 2 * w.shape[1]
+    return RuleBatch(pts.reshape(k, m, 2), w.reshape(k, m))
 
 
 class CutQuadrature:
@@ -143,11 +139,10 @@ class CutQuadrature:
     split: active bulk elements as (uncut, cut); the cut ones are the
         surface-active elements ``topo.active_surface``.
     uncut: (rules, phi) of the reference rule on the uncut active
-        elements split[0]; rules.index points into split[0] and phi is
-        the exact barycentric table of the rule, broadcast read-only.
+        elements split[0], phi the exact barycentric table of the rule,
+        broadcast read-only.
     volume: (rules, phi) of the cut-volume rules on the cut elements
-        split[1], in that order (rules.index is arange), and phi (k, m, 3)
-        the basis values at the rule points.
+        split[1], phi (k, m, 3) the basis values at the rule points.
     segments: (rules, phi) of the surface segments, in segment order.
     """
 
@@ -172,7 +167,7 @@ class CutQuadrature:
     def uncut(self):
         uncut = self.split[0]
         bary = triangle_reference_rule(self.degree)[0]
-        rules = RuleBatch(np.arange(uncut.size), *_map_triangles(
+        rules = RuleBatch(*_map_triangles(
             self.mesh.vertices[self.mesh.elements[uncut]], self.degree))
         return rules, np.broadcast_to(bary, (uncut.size,) + bary.shape)
 
@@ -182,8 +177,9 @@ class CutQuadrature:
         nodes = self.mesh.elements[cut]
         tris = self.mesh.vertices[nodes]
         rules = clip_element_rules(tris, self.dls[nodes], self.degree)
-        if rules.index.size < cut.size:
-            e = cut[np.setdiff1d(np.arange(cut.size), rules.index)[0]]
+        empty = rules.weights.sum(axis=1) == 0.0
+        if np.any(empty):
+            e = cut[np.flatnonzero(empty)[0]]
             raise StructuralError(f"active element {e} has an empty cut rule")
         return rules, basis_values(tris, rules.points)
 

@@ -104,21 +104,20 @@ def pcg(matrix: sp.spmatrix, rhs: np.ndarray, precondition, max_iter: int,
     return x + update, max_iter, False
 
 
-def solve(system: AssembledSystem, rel_tol: float = 1e-10,
-          max_iter: int = SOLVE_MAX_ITER) -> np.ndarray:
+def solve(system: AssembledSystem, rel_tol: float = 1e-10) -> np.ndarray:
     """Solve the assembled system to a true relative residual of rel_tol
     (see ``pcg``) by CG with the two-level preconditioner on the system's
     prolongation.
 
-    Raises SolverError on a singular coarse matrix, a CG breakdown or
-    when max_iter is reached (expected when the stabilization is ablated).
+    Raises SolverError on a singular coarse matrix, a CG breakdown or at
+    SOLVE_MAX_ITER iterations (expected when the stabilization is ablated).
     """
     a = system.matrix
     x, iterations, converged = pcg(
-        a, system.rhs, preconditioner(a, system.prolongation), max_iter,
-        rel_tol)
+        a, system.rhs, preconditioner(a, system.prolongation),
+        SOLVE_MAX_ITER, rel_tol)
     if not converged:
-        cause = ("hit its iteration cap" if iterations == max_iter else
+        cause = ("hit its iteration cap" if iterations == SOLVE_MAX_ITER else
                  f"broke down at iteration {iterations} (not positive "
                  "definite)")
         raise SolverError(f"conjugate gradient {cause} short of the "

@@ -140,18 +140,19 @@ def cut_monomial_pairs(tris, values, degree: int = 2):
     """(approx, exact) integrals of x^a y^b, a + b <= 2, over the negative
     part of each cut triangle: approx by the batched
     ``clip_element_rules``, exact by ``integrate_negative_monomial``.
-    Every triangle must be in the batch."""
+    Every triangle must have a rule of positive total weight."""
     pairs = []
     rules = clip_element_rules(tris, values, degree)
-    if not np.array_equal(rules.index, np.arange(len(tris))):
-        raise AssertionError("a cut triangle has no batched rule")
-    for k, points, weights in zip(rules.index, rules.points, rules.weights):
+    if not np.all(rules.weights.sum(axis=1) > 0.0):
+        raise AssertionError("a cut triangle has an empty batched rule")
+    for tri, vals, points, weights in zip(tris, values, rules.points,
+                                          rules.weights):
         for a in range(3):
             for b in range(3 - a):
                 approx = float(weights @ (points[:, 0] ** a
                                           * points[:, 1] ** b))
                 pairs.append((approx, integrate_negative_monomial(
-                    tris[k], values[k], a, b)))
+                    tri, vals, a, b)))
     return pairs
 
 

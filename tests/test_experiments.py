@@ -110,14 +110,18 @@ def test_condition_sweep_rows_and_determinism():
 
 
 def test_condition_sweep_rejects_a_repeated_configuration(monkeypatch):
-    """Before any assembly: the mesh is never built."""
+    """A repeated, an unknown or no configuration: rejected before any
+    assembly, so the mesh is never built."""
     def never_called(*args, **kwargs):
         raise AssertionError("mesh built for a rejected sweep")
 
     monkeypatch.setattr(experiments, "mesh_at_level", never_called)
-    with pytest.raises(ValueError, match="sweep configuration repeated: full"):
-        run_condition_sweep(level=0, positions=2, configs=["full", "none",
-                                                            "full"])
+    for configs, message in (
+            (["full", "none", "full"], "sweep configuration repeated: full"),
+            (("full", "bogus"), "must be some of .*got \\('full', 'bogus'\\)"),
+            ((), "must be some of .*got \\(\\)")):
+        with pytest.raises(ValueError, match=message):
+            run_condition_sweep(level=0, positions=2, configs=configs)
 
 
 def test_condition_sweep_nullity_is_the_cut_element_count():
@@ -238,8 +242,9 @@ def test_geometry_check_rows_and_slopes():
     assert fit_slope(h, np.abs(2 * np.pi - lengths)) >= 1.8
 
 
-def test_property_suite_rows(tmp_path):
-    report = run_property_suite(level=0, positions=3, n_random=20)
+def test_property_suite_rows(tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "POINCARE_FIELDS", 20)
+    report = run_property_suite(level=0, positions=3)
     names = {r["name"] for r in report.property_rows}
     assert "coercivity[full]" in names
     assert "bulk_norm_equivalence[no-bulk-ghost]" in names
@@ -255,15 +260,15 @@ def test_property_suite_rows(tmp_path):
     assert (tmp_path / "properties.csv").exists()
 
 
-def test_coercivity_band_tightens_with_stronger_gradient_ghost():
+def test_coercivity_band_tightens_with_stronger_gradient_ghost(monkeypatch):
     # At the defaults (tau = 0.01) the sharp coercivity constant dips
     # towards positions where a surface segment shrinks to zero. The
     # surface weight tau_surf alone drives the dip: at its limit, tau_surf
     # = 0.1 keeps 0.97 of the delta = 0 constant, while tau_bulk = 0.1
     # leaves the limit unchanged (0.19 of it, as at the defaults).
     params = StabilizationParams(tau_bulk=0.1, tau_surf=0.1)
-    report = run_property_suite(level=0, positions=21, params=params,
-                                n_random=10)
+    monkeypatch.setattr(experiments, "POINCARE_FIELDS", 10)
+    report = run_property_suite(level=0, positions=21, params=params)
     info = report.property_summary[("coercivity", "full")]
     assert info["min"] > 0.0
     assert info["min"] >= 0.5 * info["at_zero"]
@@ -279,12 +284,13 @@ def test_sentinel_and_formatting_roundtrip():
     assert all(np.isfinite(v) for v in values)
 
 
-def test_every_csv_row_matches_its_header_width():
+def test_every_csv_row_matches_its_header_width(monkeypatch):
+    monkeypatch.setattr(experiments, "POINCARE_FIELDS", 5)
     renders = [
         run_convergence(levels=3, n0=4).convergence_csv,
         run_condition_sweep(level=0, positions=2).condition_csv,
         run_geometry_check(levels=3, n0=4).geometry_csv,
-        run_property_suite(level=0, positions=2, n_random=5).properties_csv,
+        run_property_suite(level=0, positions=2).properties_csv,
     ]
     for render in renders:
         lines = render().strip().splitlines()
@@ -351,11 +357,12 @@ def _suite_constants(report):
     return constants
 
 
-def test_property_suite_equals_the_per_call_route():
+def test_property_suite_equals_the_per_call_route(monkeypatch):
     # the shared state (one quadrature, one energy Gram, one block of
     # random fields) must not move a single bit
     params = StabilizationParams()
-    report = run_property_suite(level=0, positions=3, n_random=30, seed=5)
+    monkeypatch.setattr(experiments, "POINCARE_FIELDS", 30)
+    report = run_property_suite(level=0, positions=3, seed=5)
     suite = _suite_constants(report)
     mesh = mesh_at_level(0, box=PROPERTY_BOX)
     for idx, delta in enumerate((0.0, 0.5, 1.0)):
@@ -372,8 +379,8 @@ def _assert_suite_matches_the_dense_oracle(monkeypatch, params):
     report = run_property_suite(level=0, positions=5, params=params)
     suite_constants = experiments._property_constants
 
-    def oracle_constants(state, rng, n_random):
-        out = suite_constants(state, rng, n_random)
+    def oracle_constants(state, rng):
+        out = suite_constants(state, rng)
         cq, dofmap, pieces = state.cq, state.dofmap, state.pieces
         grams = property_grams(cq, dofmap, state.params, pieces)
         energy = grams["energy"]
@@ -426,13 +433,15 @@ def test_bare_bulk_constant_is_the_dense_pencil():
         expected, rel=1e-12)
 
 
-def test_bulk_constant_without_bulk_ghost_weights_is_the_closed_form():
+def test_bulk_constant_without_bulk_ghost_weights_is_the_closed_form(
+        monkeypatch):
     # with mu_bulk = tau_bulk = 0 the ghost couples no elements, so each
     # element is a component of its own and the constant is the closed
     # form of the bare pencil
     params = StabilizationParams(mu_bulk=0.0, tau_bulk=0.0)
+    monkeypatch.setattr(experiments, "POINCARE_FIELDS", 2)
     constants = _suite_constants(run_property_suite(
-        level=0, positions=3, n_random=2, params=params))
+        level=0, positions=3, params=params))
     assert constants[("bulk_norm_equivalence", "full")] == pytest.approx(
         constants[("bulk_norm_equivalence", "no-bulk-ghost")], rel=1e-12)
 
@@ -447,7 +456,7 @@ def test_open_surface_chain_raises():
 
 
 @pytest.mark.parametrize("weight", ["mu_surf", "tau_surf"])
-def test_zero_surface_ghost_weight_raises(weight):
+def test_zero_surface_ghost_weight_raises(weight, monkeypatch):
     # without either surface ghost a field that vanishes on every segment
     # has zero energy, so the energy Gram is singular
     params = StabilizationParams(**{weight: 0.0})
@@ -457,8 +466,9 @@ def test_zero_surface_ghost_weight_raises(weight):
     assert abs(eigs[0]) < 1e-12 * eigs[-1]
     with pytest.raises(ConfigurationError, match="zero surface ghost"):
         state.coercivity("full")
+    monkeypatch.setattr(experiments, "POINCARE_FIELDS", 2)
     with pytest.raises(ConfigurationError, match="zero surface ghost"):
-        run_property_suite(level=0, positions=2, n_random=2, params=params)
+        run_property_suite(level=0, positions=2, params=params)
 
 
 def test_coercivity_next_to_tiny_segments_matches_the_dense_oracle():
@@ -484,10 +494,10 @@ def test_coercivity_next_to_tiny_segments_matches_the_dense_oracle():
             <= 1e-11 * np.abs(row).max(), config
 
 
-def test_surface_state_coercivity_equals_the_suite_row():
+def test_surface_state_coercivity_equals_the_suite_row(monkeypatch):
     params = StabilizationParams()
-    suite = _suite_constants(run_property_suite(level=0, positions=3,
-                                                n_random=2))
+    monkeypatch.setattr(experiments, "POINCARE_FIELDS", 2)
+    suite = _suite_constants(run_property_suite(level=0, positions=3))
     mesh = mesh_at_level(0, box=PROPERTY_BOX)
     for config in PROPERTY_CONFIGS:
         assert np.array_equal(SurfaceState(mesh, 0.5, params).coercivity(
@@ -511,7 +521,8 @@ def test_one_quadrature_and_one_energy_gram_per_position(monkeypatch):
                             counted(name, getattr(experiments, attr)))
     run_condition_sweep(level=0, positions=3)
     assert calls == {"quadrature": 3, "grams": 0, "extremes": 0}
-    run_property_suite(level=0, positions=3, n_random=2)
+    monkeypatch.setattr(experiments, "POINCARE_FIELDS", 2)
+    run_property_suite(level=0, positions=3)
     # per position: 3 coercivity pencils on one energy Gram and one bulk
     # norm-equivalence pencil; the bare bulk constant is in closed form
     assert calls == {"quadrature": 6, "grams": 3, "extremes": 12}

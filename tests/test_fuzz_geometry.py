@@ -9,7 +9,9 @@ refused with a typed ``CutDGError`` or carries a surface, and the
 cut-volume rules, the stabilized matrix and the coupling form keep their
 invariants on it. On circles drawn on the 8x8 mesh and its first
 refinement, the two-level solve either fails with a typed error or meets
-its true-residual stop.
+its true-residual stop. The per-entity row product ``mesh.row_dot`` is
+drawn too: each of its rows must be that entity's own product, bit for
+bit.
 """
 
 import numpy as np
@@ -22,7 +24,8 @@ from cutdg.forms import (AssembledSystem, StabilizationParams, bulk_form,
                          surface_form)
 from cutdg.levelset import (build_cut_topology, circle_levelset,
                             interpolate_levelset)
-from cutdg.mesh import build_structured_mesh, element_areas, refine_uniform
+from cutdg.mesh import (build_structured_mesh, element_areas, refine_uniform,
+                        row_dot)
 from cutdg.quadrature import CutQuadrature, clip_element_rules
 from cutdg.solver import EPS, solve
 from cutdg.space import build_spaces, prolongation
@@ -70,7 +73,7 @@ def _check_invariants(mesh, values, topo):
     total = np.zeros(len(nodes))
     for sign in (1.0, -1.0):
         rules = clip_element_rules(mesh.vertices[nodes], sign * values[nodes])
-        total[rules.index] += rules.weights.sum(axis=1)
+        total += rules.weights.sum(axis=1)
     area = element_areas(mesh)[topo.active_surface]
     assert np.all(np.abs(total - area) <= 1e-12 * area)
 
@@ -181,3 +184,21 @@ def test_solve_meets_its_residual_stop(level, cx, cy, radius, seed):
         return
     assert np.linalg.norm(b - matrix @ x) <= max(
         1e-10 * np.linalg.norm(b), EPS * np.linalg.norm(abs(matrix) @ abs(x)))
+
+
+@FUZZ
+@given(st.integers(1, 12), st.integers(1, 300), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_row_dot_is_the_per_entity_product(k, m, tiled, seed):
+    """For n = 1, each row of ``row_dot`` is a[k] @ b[k] bit for bit, also
+    when a is one vector broadcast over its rows, as in the mean-zero
+    projection of the property suite."""
+    rng = np.random.default_rng(seed)
+    a = np.broadcast_to(rng.standard_normal(m), (k, m)) if tiled \
+        else rng.standard_normal((k, m))
+    b = rng.standard_normal((k, m, 1))
+    got = row_dot(a, b)
+    assert got.shape == (k, 1)
+    for row, x, y in zip(got, a, b):
+        assert np.array_equal(row, x @ y)
+        assert np.array_equal(row[0], x @ y[:, 0])

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from cutdg import solver
 from cutdg.exceptions import DegenerateMatrixError, SolverError
 from cutdg.experiments import (PROPERTY_BOX, SurfaceState, mesh_at_level,
                                run_condition_sweep)
@@ -82,10 +83,11 @@ def test_solver_error_on_singular_coarse_matrix():
         solve(bad)
 
 
-def test_solver_error_at_iteration_cap():
+def test_solver_error_at_iteration_cap(monkeypatch):
     system = _system(n=16)
+    monkeypatch.setattr(solver, "SOLVE_MAX_ITER", 5)
     with pytest.raises(SolverError, match="iteration cap"):
-        solve(system, max_iter=5)
+        solve(system)
 
 
 def test_two_level_solve_matches_sparse_lu():
