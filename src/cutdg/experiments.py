@@ -430,7 +430,8 @@ def run_property_suite(level: int = 0, positions: int = 101,
     The mesh covers ``PROPERTY_BOX``. Per position and configuration:
     coercivity (smallest generalized eigenvalue of the system matrix
     against the fully stabilized energy Gram, which needs both surface
-    ghost weights positive); the ghost-penalty norm-extension constant of
+    ghost weights positive: a zero one raises ConfigurationError before
+    any mesh is built); the ghost-penalty norm-extension constant of
     the bulk gradient (largest generalized eigenvalue of its Gram on the
     active elements against the one on the cut elements plus the bulk
     ghost); and the discrete surface Poincare constant (largest ratio
@@ -458,6 +459,9 @@ def run_property_suite(level: int = 0, positions: int = 101,
     if positions < 2:
         raise ValueError("property sweep needs at least 2 positions")
     params = params or StabilizationParams()
+    if min(params.mu_surf, params.tau_surf) == 0:
+        raise ConfigurationError("singular energy Gram: zero surface ghost "
+                                 "weight")
     mesh = mesh_at_level(level, n0, PROPERTY_BOX)
     report = StudyReport()
     deltas = np.linspace(0.0, 1.0, positions)

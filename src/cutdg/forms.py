@@ -23,7 +23,11 @@ own), so that the sparse conversion sums duplicates as it always has and
 the matrices stay bit-for-bit reproducible. The bulk form and the bulk
 part of the energy Gram, the largest, are converted one band of rows at
 a time (``_banded_bulk``), with the same triplets per row in the same
-order.
+order. ``stabilized`` weights the ghosts and sums the small forms
+first, then weights each band as it is made and writes its rows straight
+into the output arrays (``_join_rows``), so that ``assemble_system``,
+which builds the ghost pieces before the bands, and the energy Gram hold
+no whole bulk form and no whole-matrix sum.
 """
 
 from __future__ import annotations
@@ -37,16 +41,11 @@ import scipy.sparse as sp
 from .exceptions import GeometryError
 from .levelset import CutTopology
 from .mesh import BackgroundMesh, row_dot
-from .quadrature import CutQuadrature
+from .quadrature import BAND_ELEMENTS, CutQuadrature
 from .space import CombinedDofMap, basis_values, prolongation
 
 # Exact P1 element mass matrix is area * _M3.
 _M3 = (np.ones((3, 3)) + np.eye(3)) / 12.0
-# bulk elements per band of ``_banded_bulk``: a band's blocks, triplets and
-# conversion take about 4 kB per element, so near 30 MB at every level;
-# the fixed cost per band made bulk_form at level 5 12 % slower with bands
-# of 4,096 and 48 % slower with 1,024
-BAND_ELEMENTS = 8192
 
 
 @dataclass(frozen=True)
@@ -260,39 +259,89 @@ def _face_blocks(cq: CutQuadrature, space, faces):
 # ---------------------------------------------------------------------------
 # forms (all on the combined dof map)
 
+def _faces_by_band(face_slots: np.ndarray, slots: int, size: int):
+    """The faces with a side in each band of ``size`` consecutive slots out
+    of ``slots``, for faces whose two sides have the slots face_slots
+    (f, 2): band b lists faces[start[b]:start[b + 1]] of the returned
+    (faces, start), ascending, each face once per band it touches."""
+    band = face_slots // size
+    side = np.ones(band.shape, dtype=bool)
+    side[:, 1] = band[:, 1] != band[:, 0]
+    faces = np.broadcast_to(np.arange(band.shape[0])[:, None], band.shape)
+    faces, band = faces[side], band[side]
+    order = np.lexsort((faces, band))
+    return faces[order], np.searchsorted(band[order],
+                                         np.arange(-(-slots // size) + 1))
+
+
 def _banded_bulk(cq: CutQuadrature, dofmap: CombinedDofMap, penalty: float,
-                 consistency: bool) -> sp.csr_matrix:
+                 consistency: bool):
     """The s + m blocks of the active bulk elements, the jump blocks of the
     bulk faces scaled by penalty times length and, if ``consistency``,
-    their consistency blocks, assembled one band of BAND_ELEMENTS
-    consecutive bulk slots (a range of rows) at a time. A band converts
-    only its own rows, from the blocks of its elements and of the faces
-    that touch it, in the order of one whole conversion (uncut elements,
-    cut elements, then each face scatter with faces ascending), so every
-    row gets the same triplets in the same order and the stacked bands are
-    bit for bit the whole conversion, while only one band's blocks and
-    triplets are alive at a time."""
+    their consistency blocks, as (nnz, bands): the CSR row bands of
+    BAND_ELEMENTS consecutive bulk slots, made one at a time from row 0 as
+    the generator ``bands`` is iterated, and nnz, a bound on their stored
+    entries (9 per element, and 18 per face for its two off-diagonal
+    element blocks). A band converts only its own rows, from the blocks
+    of its elements and of the faces that touch it, in the order of one
+    whole conversion (uncut elements, cut elements, then each face scatter
+    with faces ascending), so every row gets the same triplets in the same
+    order and the bands, joined, are bit for bit the whole conversion,
+    while only one band's blocks and triplets are alive at a time."""
     space, n = dofmap.bulk, dofmap.ndof
+    slots = space.elements.size
     split_slots = [space.slot[elements] for elements in cq.split]
     faces = cq.topo.bulk_faces
-    face_slots = space.slot[cq.mesh.face_elements[faces]]
-    bands = []
-    for lo in range(0, space.elements.size, BAND_ELEMENTS):
-        hi = min(lo + BAND_ELEMENTS, space.elements.size)
-        which = [slice(*np.searchsorted(slots, (lo, hi)))
-                 for slots in split_slots]
-        parts = [(dofs, s + m)
-                 for dofs, s, m in _volume_blocks(cq, space, which)]
-        touching = ((face_slots >= lo) & (face_slots < hi)).any(axis=1)
-        dofs, lengths, jump, _, blocks = _face_blocks(cq, space,
-                                                      faces[touching])
-        jump *= (penalty * lengths)[:, None, None]
-        parts += [(dofs, jump)] + ([(dofs, blocks)] if consistency else [])
-        del dofs, jump, blocks  # parts holds the only references
-        bands.append(_accumulate(parts, n, (space.offset + 3 * lo,
-                                            space.offset + 3 * hi)))
-    bands.append(_accumulate([], n, (space.offset + space.ndof, n)))
-    return sp.vstack(bands, format="csr")
+    band_faces, start = _faces_by_band(
+        space.slot[cq.mesh.face_elements[faces]], slots, BAND_ELEMENTS)
+
+    def bands():
+        for band, lo in enumerate(range(0, slots, BAND_ELEMENTS)):
+            hi = min(lo + BAND_ELEMENTS, slots)
+            which = [slice(*np.searchsorted(s, (lo, hi)))
+                     for s in split_slots]
+            parts = [(dofs, s + m)
+                     for dofs, s, m in _volume_blocks(cq, space, which)]
+            dofs, lengths, jump, _, blocks = _face_blocks(
+                cq, space, faces[band_faces[start[band]:start[band + 1]]])
+            jump *= (penalty * lengths)[:, None, None]
+            parts += [(dofs, jump)] + ([(dofs, blocks)] if consistency
+                                       else [])
+            del dofs, jump, blocks  # parts holds the only references
+            yield _accumulate(parts, n, (space.offset + 3 * lo,
+                                         space.offset + 3 * hi))
+
+    return 9 * slots + 18 * faces.size, bands()
+
+
+def _join_rows(bands, n: int, nnz: int) -> sp.csr_matrix:
+    """The n x n CSR matrix whose rows, from row 0, are those of the CSR
+    ``bands`` in order, and empty after the last band; nnz bounds their
+    stored entries. The output arrays are allocated once at that bound,
+    each band is copied in as soon as it is made, and the arrays are then
+    shrunk in place (``ndarray.resize``), so neither the bands nor a
+    second copy of the output are ever alive beside it."""
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    indices = np.empty(nnz, dtype=sp.get_index_dtype(maxval=n))
+    data = np.empty(nnz)
+    lo = 0
+    for band in bands:
+        hi = lo + band.shape[0]
+        indptr[lo + 1:hi + 1] = indptr[lo] + band.indptr[1:]
+        indices[indptr[lo]:indptr[hi]] = band.indices
+        data[indptr[lo]:indptr[hi]] = band.data
+        lo = hi
+    indptr[lo + 1:] = indptr[lo]
+    indices.resize(indptr[lo], refcheck=False)
+    data.resize(indptr[lo], refcheck=False)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _bulk_bands(cq: CutQuadrature, dofmap: CombinedDofMap,
+                params: StabilizationParams):
+    """The (nnz, bands) of ``bulk_form`` (see ``_banded_bulk``)."""
+    return _banded_bulk(cq, dofmap, params.gamma_bulk / cq.mesh.h,
+                        consistency=True)
 
 
 def bulk_form(cq: CutQuadrature, dofmap: CombinedDofMap,
@@ -300,8 +349,8 @@ def bulk_form(cq: CutQuadrature, dofmap: CombinedDofMap,
     """Interior-penalty bulk form: cut-volume mass and stiffness, jump
     penalty on full active faces, symmetric consistency fluxes on the
     negative face parts."""
-    return _banded_bulk(cq, dofmap, params.gamma_bulk / cq.mesh.h,
-                        consistency=True)
+    nnz, bands = _bulk_bands(cq, dofmap, params)
+    return _join_rows(bands, dofmap.ndof, nnz)
 
 
 def surface_form(cq: CutQuadrature, dofmap: CombinedDofMap,
@@ -366,14 +415,35 @@ def ghost_surface(pieces: dict, params: StabilizationParams) -> sp.csr_matrix:
             + params.tau_surf * pieces["surface_gradient"]).tocsr()
 
 
-def stabilized(bulk: sp.spmatrix, surface: sp.spmatrix, coupling: sp.spmatrix,
+def stabilized(bulk, surface: sp.spmatrix, coupling: sp.spmatrix,
                pieces: dict, params: StabilizationParams) -> sp.csr_matrix:
     """c_b (bulk + bulk ghost) + c_s (surface + surface ghost) + coupling:
     the one place where the coupling constants and the ghost weights of
-    ``params`` weight the forms (the ghosts from the unit ``pieces``)."""
-    return (params.c_bulk * (bulk + ghost_bulk(pieces, params))
-            + params.c_surf * (surface + ghost_surface(pieces, params))
+    ``params`` weight the forms (the ghosts from the unit ``pieces``).
+
+    ``bulk`` is the bulk form, whole or as the (nnz, bands) of
+    ``_banded_bulk``, whose bands are written into the result one at a
+    time: with the bulk ghost G and Z = c_s (surface + surface ghost) +
+    coupling built first, each band B becomes c_b (B + G[rows]) +
+    Z[rows], and the rows after the last band are those of Z. Every sum
+    of two CSR matrices is row-local, and the bulk and the surface ghost
+    blocks share no entry, so this is bit for bit the sum of the whole
+    matrices in the order above."""
+    nnz, bands = (bulk.nnz, [bulk]) if sp.issparse(bulk) else bulk
+    ghost = ghost_bulk(pieces, params)
+    rest = (params.c_surf * (surface + ghost_surface(pieces, params))
             + coupling).tocsr()
+    del surface, coupling, pieces  # freed here unless the caller keeps them
+
+    def rows():
+        lo = 0
+        for band in bands:
+            hi = lo + band.shape[0]
+            yield params.c_bulk * (band + ghost[lo:hi]) + rest[lo:hi]
+            lo = hi
+        yield rest[lo:]
+
+    return _join_rows(rows(), rest.shape[0], nnz + ghost.nnz + rest.nnz)
 
 
 def load_vector(cq: CutQuadrature, dofmap: CombinedDofMap, problem,
@@ -384,7 +454,7 @@ def load_vector(cq: CutQuadrature, dofmap: CombinedDofMap, problem,
     when a surface quadrature point leaves the validity radius of that
     map."""
     b = np.zeros(dofmap.ndof)
-    for elements, (rules, phi) in zip(cq.split, (cq.uncut, cq.volume)):
+    for elements, (rules, phi) in cq.bulk_rules():
         fvals = np.asarray(problem.f_bulk(rules.points), dtype=float)
         b[dofmap.bulk.dofs_array(elements)] += params.c_bulk * np.einsum(
             "km,kmi->ki", rules.weights * fvals, phi)
@@ -408,12 +478,16 @@ def assemble_system(mesh: BackgroundMesh, dls: np.ndarray,
     """Full system: the ``stabilized`` bulk, surface and coupling forms,
     with the matching load vector."""
     cq = CutQuadrature(mesh, dls, topo)
-    # the triplet buffer of the bulk form and its conversion set the peak
-    # memory; build the ghost pieces after it so they are not alive then
-    bulk = bulk_form(cq, dofmap, params)
-    pieces = ghost_pieces(cq, dofmap)
-    a = stabilized(bulk, surface_form(cq, dofmap, params),
-                   coupling_form(cq, dofmap, params), pieces, params)
+    # the ghost pieces and the small forms come first, so that each band of
+    # the bulk form goes into the matrix as it is made and no whole bulk
+    # form or whole-matrix sum is alive beside it: the level-5 assembly
+    # workload peaked at 163-165 MB this way, at 244-252 MB with the whole
+    # bulk form built first, and the level-6 assembly at 394-399 MB, not
+    # 680-722 MB
+    a = stabilized(_bulk_bands(cq, dofmap, params),
+                   surface_form(cq, dofmap, params),
+                   coupling_form(cq, dofmap, params),
+                   ghost_pieces(cq, dofmap), params)
     rhs = load_vector(cq, dofmap, problem, params)
     return AssembledSystem(matrix=a, rhs=rhs,
                            prolongation=prolongation(dofmap, mesh))

@@ -175,12 +175,14 @@ def compute_errors(coeffs: np.ndarray, problem: ManufacturedProblem,
 
     The entity contributions are summed one after another: the uncut
     elements ascending, then the cut elements ascending, then the
-    segments in segment order."""
+    segments in segment order. The bulk rules come one chunk at a time
+    (``CutQuadrature.bulk_rules``); each entity's sums are its own, so the
+    chunks change no bit."""
     cq = CutQuadrature(mesh, dls, topo, ERROR_DEGREE)
     bulk = np.hstack([_entity_errors(
         rules, phi, coeffs[dofmap.bulk.dofs_array(elements)],
         cq.grads[elements], problem.u_bulk, problem.grad_u_bulk)
-        for elements, (rules, phi) in zip(cq.split, (cq.uncut, cq.volume))])
+        for elements, (rules, phi) in cq.bulk_rules()])
 
     surf = cq.topo.surface
     rules, phi = cq.segments

@@ -41,6 +41,13 @@ _TRI_TABLES = {
 
 # exactness degree of the error-norm rules (the forms use the default 2)
 ERROR_DEGREE = 4
+# elements per band of the bulk form and per chunk of ``bulk_rules`` (load
+# vector, error norms), each made and freed one at a time. A band's blocks,
+# triplets and conversion take about 4 kB per element. At level 5 the
+# assembly workload's process peak read 163-165 MB with bands of 4,096 and
+# 186-190 MB with 8,192, whose larger transients the heap keeps; 2,048 to
+# 8,192 assemble equally fast, 1,024 is slower
+BAND_ELEMENTS = 4096
 
 
 @dataclass(frozen=True)
@@ -138,9 +145,10 @@ class CutQuadrature:
     areas: (ne,) signed areas of every background element.
     split: active bulk elements as (uncut, cut); the cut ones are the
         surface-active elements ``topo.active_surface``.
-    uncut: (rules, phi) of the reference rule on the uncut active
-        elements split[0], phi the exact barycentric table of the rule,
-        broadcast read-only.
+    uncut(which): (rules, phi) of the reference rule on the uncut active
+        elements split[0][which] (all by default), phi the exact
+        barycentric table of the rule, broadcast read-only; made on each
+        call.
     volume: (rules, phi) of the cut-volume rules on the cut elements
         split[1], phi (k, m, 3) the basis values at the rule points.
     segments: (rules, phi) of the surface segments, in segment order.
@@ -163,13 +171,22 @@ class CutQuadrature:
         uncut = np.setdiff1d(self.topo.active_bulk, cut, assume_unique=True)
         return uncut, cut
 
-    @cached_property
-    def uncut(self):
-        uncut = self.split[0]
+    def uncut(self, which=slice(None)):
+        uncut = self.split[0][which]
         bary = triangle_reference_rule(self.degree)[0]
         rules = RuleBatch(*_map_triangles(
             self.mesh.vertices[self.mesh.elements[uncut]], self.degree))
         return rules, np.broadcast_to(bary, (uncut.size,) + bary.shape)
+
+    def bulk_rules(self):
+        """(elements, (rules, phi)) of the active bulk elements, made and
+        freed one at a time: the uncut ones ascending, in chunks of
+        BAND_ELEMENTS, then all cut ones (``volume``)."""
+        uncut = self.split[0]
+        for lo in range(0, uncut.size, BAND_ELEMENTS):
+            which = slice(lo, lo + BAND_ELEMENTS)
+            yield uncut[which], self.uncut(which)
+        yield self.split[1], self.volume
 
     @cached_property
     def volume(self):

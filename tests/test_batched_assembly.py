@@ -9,13 +9,15 @@ import pytest
 import scipy.sparse as sp
 
 import cutdg.forms as forms
+import cutdg.quadrature as quadrature
 from cutdg.exceptions import GeometryError, StructuralError
-from cutdg.experiments import DEFAULT_BOX, mesh_at_level
+from cutdg.experiments import (DEFAULT_BOX, SWEEP_CONFIGS, ablated_params,
+                               config_params, mesh_at_level)
 from cutdg.forms import StabilizationParams
 from cutdg.levelset import (build_cut_topology, check_geometry_assumptions,
                             interpolate_levelset)
 from cutdg.manufactured import build_circle_problem, compute_errors
-from cutdg.quadrature import CutQuadrature
+from cutdg.quadrature import ERROR_DEGREE, CutQuadrature
 from cutdg.space import build_spaces, interpolate_pair
 from tests import oracles
 
@@ -141,6 +143,113 @@ def test_bulk_form_is_independent_of_the_band_size(monkeypatch):
                                       getattr(reference, name)), name
 
 
+def test_faces_by_band_lists_each_face_once_per_band_it_touches():
+    """Band b lists, ascending and once each, exactly the faces with a
+    side among its slots, for the bulk faces at level 2 on the shifted box
+    and for random slot pairs, some with both sides in one band."""
+    problem = build_circle_problem()
+    mesh, dls, topo, dofmap = _setup(2, SHIFTED_BOX, problem)
+    slots = dofmap.bulk.elements.size
+    rng = np.random.default_rng(0)
+    cases = [(dofmap.bulk.slot[mesh.face_elements[topo.bulk_faces]], slots),
+             (rng.integers(0, 30, (200, 2)), 30)]
+    for face_slots, slots in cases:
+        for size in (1, 7, slots):
+            faces, start = forms._faces_by_band(face_slots, slots, size)
+            assert start.size == -(-slots // size) + 1
+            assert start[-1] == faces.size
+            for band, lo in enumerate(range(0, slots, size)):
+                inside = (face_slots >= lo) & (face_slots < lo + size)
+                assert np.array_equal(faces[start[band]:start[band + 1]],
+                                      np.flatnonzero(inside.any(axis=1)))
+
+
+def _whole(bulk, surface, coupling, pieces, params):
+    """The stabilized sum of whole matrices."""
+    return (params.c_bulk * (bulk + forms.ghost_bulk(pieces, params))
+            + params.c_surf * (surface + forms.ghost_surface(pieces, params))
+            + coupling).tocsr()
+
+
+def _assert_same_csr(a, b, key):
+    assert a.shape == b.shape, key
+    for name in ("data", "indices", "indptr"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), (key, name)
+
+
+@pytest.mark.parametrize("band", [1, 7, None], ids=["1", "7", "all"])
+def test_banded_stabilized_equals_the_sum_of_whole_matrices(band,
+                                                           monkeypatch):
+    """At level 2 on the shifted box, the matrix that ``stabilized`` writes
+    band by band, for the bulk form whole or in bands of 1, 7 or all 1,430
+    bulk elements, is c_b (bulk + bulk ghost) + c_s (surface + surface
+    ghost) + coupling of the whole matrices, bit for bit: for the four
+    sweep configurations and the ablated parameters (with c_b = 0.7 and
+    c_s = 1.3, so that a product by them is not exact), in
+    ``assemble_system`` (whose rhs, summed one chunk of elements at a
+    time, does not move either) and for the energy Gram (with bands of 1
+    it is left to ``test_bulk_form_is_independent_of_the_band_size``,
+    which finds it equal to the one with bands of all elements)."""
+    problem = build_circle_problem()
+    mesh, dls, topo, dofmap = _setup(2, SHIFTED_BOX, problem)
+    base = StabilizationParams(c_bulk=0.7, c_surf=1.3)
+    cq = CutQuadrature(mesh, dls, topo)
+    pieces = forms.ghost_pieces(cq, dofmap)
+    surface = forms.surface_form(cq, dofmap, base)
+    coupling = forms.coupling_form(cq, dofmap, base)
+    bulk = forms.bulk_form(cq, dofmap, base)
+    h, n = mesh.h, dofmap.ndof
+    nnz, bands = forms._banded_bulk(cq, dofmap, 1.0 / h, consistency=False)
+    energy_bulk = forms._join_rows(bands, n, nnz)
+    segment_dofs, tangential, m = forms._segment_blocks(cq, dofmap.surface)
+    edge_dofs, jump, _ = forms._edge_blocks(cq, dofmap.surface)
+    energy_surface = forms._accumulate(
+        [(segment_dofs, tangential + m), (edge_dofs, (1.0 / h) * jump)], n)
+    rhs = forms.load_vector(cq, dofmap, problem, base)
+
+    size = band or topo.active_bulk.size
+    monkeypatch.setattr(forms, "BAND_ELEMENTS", size)
+    monkeypatch.setattr(quadrature, "BAND_ELEMENTS", size)
+    nnz, bands = forms._bulk_bands(cq, dofmap, base)
+    bands = list(bands)
+    assert len(bands) == -(-topo.active_bulk.size // size)
+    for p in ([config_params(base, c) for c in SWEEP_CONFIGS]
+              + [ablated_params(base)]):
+        whole = _whole(bulk, surface, coupling, pieces, p)
+        _assert_same_csr(forms.stabilized((nnz, bands), surface, coupling,
+                                          pieces, p), whole, p)
+        _assert_same_csr(forms.stabilized(bulk, surface, coupling, pieces,
+                                          p), whole, p)
+    system = forms.assemble_system(mesh, dls, topo, dofmap, problem, base)
+    _assert_same_csr(system.matrix,
+                     _whole(bulk, surface, coupling, pieces, base), "system")
+    assert np.array_equal(system.rhs, rhs)
+    if size > 1:
+        _assert_same_csr(
+            forms.property_grams(cq, dofmap, base, pieces)["energy"],
+            _whole(energy_bulk, energy_surface, coupling, pieces, base),
+            "energy")
+
+
+@pytest.mark.parametrize("box", [DEFAULT_BOX, SHIFTED_BOX],
+                         ids=["default", "shifted"])
+def test_chunked_errors_equal_one_chunk(box, monkeypatch):
+    """The error norms over chunks of 1 and 7 uncut elements equal, bit
+    for bit, those over one chunk of all of them at level 2."""
+    problem = build_circle_problem()
+    mesh, dls, topo, dofmap = _setup(2, box, problem)
+    exact = interpolate_pair(dofmap, mesh, problem.u_bulk,
+                             problem.u_surf_ext)
+    coeffs = exact + 1e-3 * np.sin(np.arange(dofmap.ndof))
+    reports = []
+    for size in (topo.active_bulk.size, 1, 7):
+        monkeypatch.setattr(quadrature, "BAND_ELEMENTS", size)
+        reports.append([compute_errors(u, problem, mesh, dls, topo, dofmap)
+                        for u in (exact, coeffs)])
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_bulk_form_peak_memory_is_bounded_by_its_triplets():
     """At level 3 (8,184 bulk faces, 638,964 triplets) bulk_form peaks,
     as traced by tracemalloc, below three times 16 bytes per triplet: the
@@ -177,6 +286,45 @@ def test_bulk_form_peak_memory_is_bounded_by_its_csr():
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * (a.data.nbytes + a.indices.nbytes + a.indptr.nbytes)
+
+
+def test_assemble_system_peak_memory_is_bounded_by_its_csr():
+    """At level 4 (21,690 bulk elements) assemble_system peaks, as traced
+    by tracemalloc, below 4 times the bytes of the CSR matrix it returns
+    (3.74 times measured; 4.21 times when the whole bulk form and each
+    whole-matrix sum of ``stabilized`` were alive): the output arrays are
+    allocated once, and beside them only one band of the bulk form and the
+    small forms are alive."""
+    problem = build_circle_problem()
+    mesh, dls, topo, dofmap = _setup(4, DEFAULT_BOX, problem)
+    assert topo.active_bulk.size == 21_690
+    tracemalloc.start()
+    try:
+        a = forms.assemble_system(mesh, dls, topo, dofmap, problem,
+                                  PARAMS).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0 * (a.data.nbytes + a.indices.nbytes + a.indptr.nbytes)
+
+
+def test_compute_errors_peak_memory_is_bounded_by_its_rules():
+    """At level 4 compute_errors peaks, as traced by tracemalloc, below
+    2.5 times the bytes of the degree-4 rules of all uncut elements (1.94
+    times measured; 7.06 times when the rules, basis values and exact
+    solution of all uncut elements were alive at once)."""
+    problem = build_circle_problem()
+    mesh, dls, topo, dofmap = _setup(4, DEFAULT_BOX, problem)
+    coeffs = interpolate_pair(dofmap, mesh, problem.u_bulk,
+                              problem.u_surf_ext)
+    tracemalloc.start()
+    try:
+        compute_errors(coeffs, problem, mesh, dls, topo, dofmap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rules, _ = CutQuadrature(mesh, dls, topo, ERROR_DEGREE).uncut()
+    assert peak < 2.5 * (rules.points.nbytes + rules.weights.nbytes)
 
 
 def test_empty_cut_rule_raises():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cutdg import experiments
+from cutdg.cli import main
 from cutdg.exceptions import ConfigurationError
 from cutdg.experiments import (CONDITION_HEADER, CONVERGENCE_HEADER,
                                DEFAULT_BOX, GEOMETRY_HEADER,
@@ -469,6 +470,26 @@ def test_zero_surface_ghost_weight_raises(weight, monkeypatch):
     monkeypatch.setattr(experiments, "POINCARE_FIELDS", 2)
     with pytest.raises(ConfigurationError, match="zero surface ghost"):
         run_property_suite(level=0, positions=2, params=params)
+
+
+@pytest.mark.parametrize("weight", ["mu_surf", "tau_surf"])
+def test_zero_surface_ghost_weight_fails_before_any_mesh(weight, tmp_path,
+                                                         monkeypatch, capsys):
+    """The weights are known before the mesh: the suite and ``cutdg
+    properties`` fail at once (exit 2), and no mesh is built."""
+    def never(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(experiments, "mesh_at_level", never)
+    with pytest.raises(ConfigurationError, match="zero surface ghost"):
+        run_property_suite(level=2, positions=2,
+                           params=StabilizationParams(**{weight: 0.0}))
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "properties", "--level", "2",
+                 "--positions", "2", "--" + weight.replace("_", "-"),
+                 "0"]) == 2
+    assert "zero surface ghost weight" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_coercivity_next_to_tiny_segments_matches_the_dense_oracle():
