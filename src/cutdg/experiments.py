@@ -161,6 +161,15 @@ class StudyReport:
         return written
 
 
+def _study_meshes(levels: int, n0: int):
+    """The meshes of levels 0 .. levels-1, each made when the loop reaches
+    it; too few levels or too large a mesh raise before any is made."""
+    if levels < 3:
+        raise ValueError("a refinement study needs at least 3 levels")
+    _check_mesh_size(levels - 1, n0)
+    return (mesh_at_level(level, n0) for level in range(levels))
+
+
 def run_convergence(levels: int = 5, n0: int = DEFAULT_N0,
                     params: StabilizationParams | None = None,
                     ablate_ghost: bool = False) -> StudyReport:
@@ -171,24 +180,16 @@ def run_convergence(levels: int = 5, n0: int = DEFAULT_N0,
     and both gradient-jump ghost weights are set to zero; solver failures
     under ablation are recorded per level instead of aborting.
     """
-    if levels < 3:
-        raise ValueError("convergence study needs at least 3 levels")
-    _check_mesh_size(levels - 1, n0)
     params = params or StabilizationParams()
     if ablate_ghost:
         params = ablated_params(params)
     problem = build_circle_problem(params.c_bulk, params.c_surf)
-    ls = problem.geometry
     report = StudyReport()
     prev_errors = None
-    for level in range(levels):
-        mesh = mesh_at_level(level, n0)
-        dls = interpolate_levelset(ls, mesh)
-        topo = build_cut_topology(mesh, dls)
-        dofmap = build_spaces(mesh, topo)
-        system = assemble_system(mesh, dls, topo, dofmap, problem, params)
+    for level, mesh in enumerate(_study_meshes(levels, n0)):
+        state = SurfaceState(mesh, problem.geometry, params)
         try:
-            u = solve(system)
+            u = solve(state.system(problem))
         except SolverError as exc:
             report.solver_failures.append((level, str(exc)))
             report.convergence_rows.append({
@@ -197,7 +198,7 @@ def run_convergence(levels: int = 5, n0: int = DEFAULT_N0,
                 "eocs": (None,) * 4})
             prev_errors = None
             continue
-        errors = compute_errors(u, problem, mesh, dls, topo, dofmap).as_tuple()
+        errors = state.errors(u, problem).as_tuple()
         if prev_errors is None:
             eocs = (None,) * 4
         else:
@@ -209,20 +210,33 @@ def run_convergence(levels: int = 5, n0: int = DEFAULT_N0,
     return report
 
 
-class SurfaceState:
-    """The unit circle translated along the diagonal by delta grid cells of
-    ``mesh``, with what the studies share at that position: the discrete
-    level set, cut topology, dof map and one CutQuadrature, and, built on
-    first use, the unit ghost pieces, the unweighted forms, the level-set
-    null basis and the property Grams."""
+def shifted_circle(mesh, delta: float):
+    """The unit circle shifted delta cells of ``mesh`` along the diagonal."""
+    return circle_levelset(center=delta * np.asarray(mesh.cell))
 
-    def __init__(self, mesh, delta: float, params: StabilizationParams):
-        ls = circle_levelset(center=delta * np.asarray(mesh.cell), radius=1.0)
-        self.mesh, self.params = mesh, params
-        self.dls = interpolate_levelset(ls, mesh)
+
+class SurfaceState:
+    """One discretization: the caller's ``levelset`` on ``mesh``, its
+    discrete level set, cut topology, dof map and one CutQuadrature, and,
+    built on first use, the unit ghost pieces, the unweighted forms, the
+    level-set null basis and the property Grams. ``system(problem)`` and
+    ``errors(u, problem)`` return the AssembledSystem and the ErrorReport
+    of ``assemble_system`` and ``compute_errors``."""
+
+    def __init__(self, mesh, levelset, params: StabilizationParams):
+        self.mesh, self.levelset, self.params = mesh, levelset, params
+        self.dls = interpolate_levelset(levelset, mesh)
         self.topo = build_cut_topology(mesh, self.dls)
         self.dofmap = build_spaces(mesh, self.topo)
         self.cq = CutQuadrature(mesh, self.dls, self.topo)
+
+    def system(self, problem):
+        return assemble_system(self.mesh, self.dls, self.topo, self.dofmap,
+                               problem, self.params)
+
+    def errors(self, u, problem):
+        return compute_errors(u, problem, self.mesh, self.dls, self.topo,
+                              self.dofmap)
 
     @cached_property
     def pieces(self) -> dict:
@@ -303,7 +317,7 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
     mesh = mesh_at_level(level, n0, box)
     report = StudyReport()
     for delta in np.linspace(0.0, 1.0, positions):
-        state = SurfaceState(mesh, delta, params)
+        state = SurfaceState(mesh, shifted_circle(mesh, delta), params)
         for config in configs:
             try:
                 kappa, lam_min, lam_max, nullity = condition_number(
@@ -325,15 +339,10 @@ def run_geometry_check(levels: int = 4, n0: int = DEFAULT_N0) -> StudyReport:
     """Per-level sup of |rho| on the discrete surface and of the normal
     deviation; each row also carries the mesh size ``h`` and the discrete
     surface ``length`` for the convergence checks, outside the CSV."""
-    if levels < 3:
-        raise ValueError("geometry check needs at least 3 levels")
-    _check_mesh_size(levels - 1, n0)
     ls = circle_levelset()
     report = StudyReport()
-    for level in range(levels):
-        mesh = mesh_at_level(level, n0)
-        dls = interpolate_levelset(ls, mesh)
-        topo = build_cut_topology(mesh, dls)
+    for level, mesh in enumerate(_study_meshes(levels, n0)):
+        topo = SurfaceState(mesh, ls, StabilizationParams()).topo
         sup_dist, sup_dev = check_geometry_assumptions(ls, topo)
         length = float(topo.surface.length.sum())
         report.geometry_rows.append({"level": level, "sup_dist": sup_dist,
@@ -466,7 +475,7 @@ def run_property_suite(level: int = 0, positions: int = 101,
     report = StudyReport()
     deltas = np.linspace(0.0, 1.0, positions)
     per_position = [_property_constants(
-        SurfaceState(mesh, delta, params),
+        SurfaceState(mesh, shifted_circle(mesh, delta), params),
         np.random.default_rng(seed + 7 * idx))
         for idx, delta in enumerate(deltas)]
     arrays = {(p, c): np.asarray([k[p][c] for k in per_position])

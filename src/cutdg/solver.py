@@ -2,11 +2,12 @@
 
 Sparse matrices are scipy CSR throughout. The solver is a conjugate
 gradient with an additive two-level preconditioner, point Jacobi plus an
-exact solve on continuous P1, whose iteration count does not grow as h
-shrinks. Condition numbers of the rescaled system come from sparse
-ARPACK eigensolves: lambda_max directly, the smallest nonzero |lambda| by
-shift-invert after an explicit null basis is deflated. The stability
-constants come from one dense generalized eigensolve per pencil.
+exact solve on continuous P1; its iteration count grows slowly as h
+shrinks: 40, 40, 44, 43, 61, 59, 69 and 78 iterations at levels 0-7 of
+the convergence study. Condition numbers of the rescaled system come from
+sparse ARPACK eigensolves: lambda_max directly, the smallest nonzero
+|lambda| by shift-invert after an explicit null basis is deflated. The
+stability constants come from one dense generalized eigensolve per pencil.
 """
 
 from __future__ import annotations

@@ -20,16 +20,15 @@ import pytest
 from cutdg.experiments import (PROPERTY_BOX, SENTINEL_KAPPA, SurfaceState,
                                config_params, mesh_at_level,
                                run_condition_sweep, run_convergence,
-                               run_geometry_check, run_property_suite)
-from cutdg.forms import (StabilizationParams, assemble_system, ghost_bulk,
-                         ghost_pieces, ghost_surface)
-from cutdg.levelset import (build_cut_topology, circle_levelset,
-                            interpolate_levelset)
-from cutdg.manufactured import build_circle_problem, compute_errors
+                               run_geometry_check, run_property_suite,
+                               shifted_circle)
+from cutdg.forms import StabilizationParams, ghost_bulk, ghost_surface
+from cutdg.levelset import circle_levelset, interpolate_levelset
+from cutdg.manufactured import build_circle_problem
 from cutdg.mesh import build_structured_mesh, refine_uniform
-from cutdg.quadrature import CutQuadrature, clip_element_rules
+from cutdg.quadrature import clip_element_rules
 from cutdg.solver import condition_number, rescaled_matrix, solve
-from cutdg.space import build_spaces, interpolate_pair
+from cutdg.space import interpolate_pair
 from tests.oracles import (build_affine_problem, cut_monomial_pairs,
                            degenerate_positions, fit_slope,
                            random_cut_triangles)
@@ -104,12 +103,9 @@ def test_criterion_3_condition_scaling():
     hs, kappas = [], []
     for level in range(4):
         mesh = mesh_at_level(level, 8, BOX)
-        dls = interpolate_levelset(problem.geometry, mesh)
-        topo = build_cut_topology(mesh, dls)
-        dofmap = build_spaces(mesh, topo)
-        system = assemble_system(mesh, dls, topo, dofmap, problem, PARAMS)
+        state = SurfaceState(mesh, problem.geometry, PARAMS)
         kappa, _, _, _ = condition_number(rescaled_matrix(
-            system.matrix, dofmap.n_bulk, mesh.h))
+            state.system(problem).matrix, state.dofmap.n_bulk, mesh.h))
         hs.append(mesh.h)
         kappas.append(kappa)
     slope = fit_slope(hs, kappas)
@@ -217,15 +213,17 @@ def _coercivity_limit_check(property_report, config: str):
     worst = min(rows, key=lambda r: r["constant"])["delta"]
     roots = degenerate_positions(coarse)
     star = float(roots[np.argmin(np.abs(roots - worst))])
-    path = [SurfaceState(coarse, star + (worst - star) * 10.0 ** -k,
-                         PARAMS).coercivity(config) for k in range(5)]
-    limits = {r + side * 1e-6: SurfaceState(coarse, r + side * 1e-6,
-                                            PARAMS).coercivity(config)
+    def coercivity(mesh, delta):
+        return SurfaceState(mesh, shifted_circle(mesh, delta),
+                            PARAMS).coercivity(config)
+
+    path = [coercivity(coarse, star + (worst - star) * 10.0 ** -k)
+            for k in range(5)]
+    limits = {r + side * 1e-6: coercivity(coarse, r + side * 1e-6)
               for r in roots for side in (-1.0, 1.0)}
     low = min(limits, key=limits.get)
     at_level0 = {star + (worst - star) * 1e-4: path[-1], low: limits[low]}
-    at_level1 = {d: SurfaceState(fine, 2.0 * d, PARAMS).coercivity(config)
-                 for d in at_level0}
+    at_level1 = {d: coercivity(fine, 2.0 * d) for d in at_level0}
     ratio = min(path) / path[0] if path[0] > 0.0 else 0.0
     limit_ratio = limits[low] / path[0] if path[0] > 0.0 else 0.0
     ok = min(path) > 0.0 and ratio >= 0.5 and limits[low] > 0.0 \
@@ -293,15 +291,14 @@ def test_criterion_8_exactness():
     worst_forms = 0.0
     mesh = build_structured_mesh(BOX, 8)
     for level in range(5):
-        dls = interpolate_levelset(affine.geometry, mesh)
-        topo = build_cut_topology(mesh, dls)
-        dofmap = build_spaces(mesh, topo)
-        ui = interpolate_pair(dofmap, mesh, affine.u_bulk, affine.u_surf)
-        rep = compute_errors(ui, affine, mesh, dls, topo, dofmap)
+        state = SurfaceState(mesh, affine.geometry, PARAMS)
+        ui = interpolate_pair(state.dofmap, mesh, affine.u_bulk,
+                              affine.u_surf)
+        rep = state.errors(ui, affine)
         worst_interp = max(worst_interp, max(rep.as_tuple()))
         # DG consistency: every stabilization/jump term vanishes on the
         # affine pair, so the forms reduce to the smooth integrals
-        pieces = ghost_pieces(CutQuadrature(mesh, dls, topo), dofmap)
+        pieces = state.pieces
         jb = ghost_bulk(pieces, PARAMS)
         js = ghost_surface(pieces, PARAMS)
         scale = max(np.abs(jb).max(), np.abs(js).max())
@@ -312,13 +309,10 @@ def test_criterion_8_exactness():
     worst_solve = 0.0
     constant = build_affine_problem((0.8, 0.0, 0.0))
     for level in range(3):
-        mesh = mesh_at_level(level, 8, BOX)
-        dls = interpolate_levelset(constant.geometry, mesh)
-        topo = build_cut_topology(mesh, dls)
-        dofmap = build_spaces(mesh, topo)
-        system = assemble_system(mesh, dls, topo, dofmap, constant, PARAMS)
-        u = solve(system, rel_tol=1e-13)
-        rep = compute_errors(u, constant, mesh, dls, topo, dofmap)
+        state = SurfaceState(mesh_at_level(level, 8, BOX), constant.geometry,
+                             PARAMS)
+        u = solve(state.system(constant), rel_tol=1e-13)
+        rep = state.errors(u, constant)
         worst_solve = max(worst_solve, max(rep.as_tuple()))
     ok = worst_interp <= 1e-9 and worst_forms <= 1e-9 and worst_solve <= 1e-9
     _check("8 exactness", ok,

@@ -11,11 +11,10 @@ import scipy.sparse as sp
 import cutdg.forms as forms
 import cutdg.quadrature as quadrature
 from cutdg.exceptions import GeometryError, StructuralError
-from cutdg.experiments import (DEFAULT_BOX, SWEEP_CONFIGS, ablated_params,
-                               config_params, mesh_at_level)
+from cutdg.experiments import (DEFAULT_BOX, SWEEP_CONFIGS, SurfaceState,
+                               ablated_params, config_params, mesh_at_level)
 from cutdg.forms import StabilizationParams
-from cutdg.levelset import (build_cut_topology, check_geometry_assumptions,
-                            interpolate_levelset)
+from cutdg.levelset import check_geometry_assumptions
 from cutdg.manufactured import build_circle_problem, compute_errors
 from cutdg.quadrature import ERROR_DEGREE, CutQuadrature
 from cutdg.space import build_spaces, interpolate_pair
@@ -26,17 +25,16 @@ PARAMS = StabilizationParams()
 
 
 def _setup(level, box, problem):
-    mesh = mesh_at_level(level, 8, box)
-    dls = interpolate_levelset(problem.geometry, mesh)
-    topo = build_cut_topology(mesh, dls)
-    return mesh, dls, topo, build_spaces(mesh, topo)
+    return SurfaceState(mesh_at_level(level, 8, box), problem.geometry,
+                        PARAMS)
 
 
-def _matrices(mesh, dls, topo, dofmap, problem):
+def _matrices(state, problem):
     """Every form on one fresh CutQuadrature, called through the module
     so that the monkeypatched oracles are reached."""
-    cq = CutQuadrature(mesh, dls, topo)
-    system = forms.assemble_system(mesh, dls, topo, dofmap, problem, PARAMS)
+    dofmap = state.dofmap
+    cq = CutQuadrature(state.mesh, state.dls, state.topo)
+    system = state.system(problem)
     pieces = forms.ghost_pieces(cq, dofmap)
     grams = forms.property_grams(cq, dofmap, PARAMS, pieces)
     out = {"bulk": forms.bulk_form(cq, dofmap, PARAMS),
@@ -60,8 +58,9 @@ def test_batched_assembly_equals_per_entity_loops(level, box, monkeypatch):
     """Every form, Gram matrix, load vector and error report, bit for bit
     (np.array_equal on csr data, indices and indptr)."""
     problem = build_circle_problem()
-    mesh, dls, topo, dofmap = _setup(level, box, problem)
-    batched = _matrices(mesh, dls, topo, dofmap, problem)
+    state = _setup(level, box, problem)
+    mesh, dls, topo, dofmap = state.mesh, state.dls, state.topo, state.dofmap
+    batched = _matrices(state, problem)
     monkeypatch.setattr(forms, "_element_blocks", oracles.element_blocks)
     monkeypatch.setattr(forms, "_cut_element_blocks",
                         oracles.cut_element_blocks)
@@ -70,7 +69,7 @@ def test_batched_assembly_equals_per_entity_loops(level, box, monkeypatch):
     monkeypatch.setattr(forms, "_face_blocks", oracles.face_blocks)
     monkeypatch.setattr(forms, "coupling_form", oracles.coupling_form)
     monkeypatch.setattr(forms, "load_vector", oracles.load_vector)
-    reference = _matrices(mesh, dls, topo, dofmap, problem)
+    reference = _matrices(state, problem)
     for key, arrays in reference.items():
         for ref, new in zip(arrays, batched[key]):
             assert np.array_equal(ref, new), key
@@ -118,9 +117,9 @@ def test_bulk_form_is_independent_of_the_band_size(monkeypatch):
     jump, consistency), built by the per-entity loops; the energy Gram,
     the other banded form, is the same for every band size."""
     problem = build_circle_problem()
-    mesh, dls, topo, dofmap = _setup(2, SHIFTED_BOX, problem)
+    state = _setup(2, SHIFTED_BOX, problem)
+    mesh, topo, dofmap, cq = state.mesh, state.topo, state.dofmap, state.cq
     assert topo.active_bulk.size == 1_430
-    cq = CutQuadrature(mesh, dls, topo)
     space = dofmap.bulk
     volume = [oracles.element_blocks(cq, space, cq.split[0]),
               oracles.cut_element_blocks(cq, space)]
@@ -148,7 +147,8 @@ def test_faces_by_band_lists_each_face_once_per_band_it_touches():
     side among its slots, for the bulk faces at level 2 on the shifted box
     and for random slot pairs, some with both sides in one band."""
     problem = build_circle_problem()
-    mesh, dls, topo, dofmap = _setup(2, SHIFTED_BOX, problem)
+    state = _setup(2, SHIFTED_BOX, problem)
+    mesh, topo, dofmap = state.mesh, state.topo, state.dofmap
     slots = dofmap.bulk.elements.size
     rng = np.random.default_rng(0)
     cases = [(dofmap.bulk.slot[mesh.face_elements[topo.bulk_faces]], slots),
@@ -192,9 +192,10 @@ def test_banded_stabilized_equals_the_sum_of_whole_matrices(band,
     it is left to ``test_bulk_form_is_independent_of_the_band_size``,
     which finds it equal to the one with bands of all elements)."""
     problem = build_circle_problem()
-    mesh, dls, topo, dofmap = _setup(2, SHIFTED_BOX, problem)
     base = StabilizationParams(c_bulk=0.7, c_surf=1.3)
-    cq = CutQuadrature(mesh, dls, topo)
+    state = SurfaceState(mesh_at_level(2, 8, SHIFTED_BOX), problem.geometry,
+                         base)
+    mesh, topo, dofmap, cq = state.mesh, state.topo, state.dofmap, state.cq
     pieces = forms.ghost_pieces(cq, dofmap)
     surface = forms.surface_form(cq, dofmap, base)
     coupling = forms.coupling_form(cq, dofmap, base)
@@ -221,7 +222,7 @@ def test_banded_stabilized_equals_the_sum_of_whole_matrices(band,
                                           pieces, p), whole, p)
         _assert_same_csr(forms.stabilized(bulk, surface, coupling, pieces,
                                           p), whole, p)
-    system = forms.assemble_system(mesh, dls, topo, dofmap, problem, base)
+    system = state.system(problem)
     _assert_same_csr(system.matrix,
                      _whole(bulk, surface, coupling, pieces, base), "system")
     assert np.array_equal(system.rhs, rhs)
@@ -238,15 +239,14 @@ def test_chunked_errors_equal_one_chunk(box, monkeypatch):
     """The error norms over chunks of 1 and 7 uncut elements equal, bit
     for bit, those over one chunk of all of them at level 2."""
     problem = build_circle_problem()
-    mesh, dls, topo, dofmap = _setup(2, box, problem)
-    exact = interpolate_pair(dofmap, mesh, problem.u_bulk,
+    state = _setup(2, box, problem)
+    exact = interpolate_pair(state.dofmap, state.mesh, problem.u_bulk,
                              problem.u_surf_ext)
-    coeffs = exact + 1e-3 * np.sin(np.arange(dofmap.ndof))
+    coeffs = exact + 1e-3 * np.sin(np.arange(state.dofmap.ndof))
     reports = []
-    for size in (topo.active_bulk.size, 1, 7):
+    for size in (state.topo.active_bulk.size, 1, 7):
         monkeypatch.setattr(quadrature, "BAND_ELEMENTS", size)
-        reports.append([compute_errors(u, problem, mesh, dls, topo, dofmap)
-                        for u in (exact, coeffs)])
+        reports.append([state.errors(u, problem) for u in (exact, coeffs)])
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
@@ -255,13 +255,13 @@ def test_bulk_form_peak_memory_is_bounded_by_its_triplets():
     as traced by tracemalloc, below three times 16 bytes per triplet: the
     triplets are written once, and no block is alive at the conversion."""
     problem = build_circle_problem()
-    mesh, dls, topo, dofmap = _setup(3, DEFAULT_BOX, problem)
+    state = _setup(3, DEFAULT_BOX, problem)
+    topo = state.topo
     triplets = 9 * topo.active_bulk.size + 72 * topo.bulk_faces.size
     assert triplets == 638_964
-    cq = CutQuadrature(mesh, dls, topo)
     tracemalloc.start()
     try:
-        forms.bulk_form(cq, dofmap, PARAMS)
+        forms.bulk_form(state.cq, state.dofmap, PARAMS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -275,13 +275,13 @@ def test_bulk_form_peak_memory_is_bounded_by_its_csr():
     only one band's blocks and triplets are alive at a time, beside the
     band matrices and their stacked copy."""
     problem = build_circle_problem()
-    mesh, dls, topo, dofmap = _setup(4, DEFAULT_BOX, problem)
-    assert topo.active_bulk.size == 21_690
-    cq = CutQuadrature(mesh, dls, topo)
+    state = _setup(4, DEFAULT_BOX, problem)
+    cq = state.cq
+    assert state.topo.active_bulk.size == 21_690
     cq.grads, cq.areas, cq.volume  # shared by every form of the system
     tracemalloc.start()
     try:
-        a = forms.bulk_form(cq, dofmap, PARAMS)
+        a = forms.bulk_form(cq, state.dofmap, PARAMS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -296,12 +296,11 @@ def test_assemble_system_peak_memory_is_bounded_by_its_csr():
     allocated once, and beside them only one band of the bulk form and the
     small forms are alive."""
     problem = build_circle_problem()
-    mesh, dls, topo, dofmap = _setup(4, DEFAULT_BOX, problem)
-    assert topo.active_bulk.size == 21_690
+    state = _setup(4, DEFAULT_BOX, problem)
+    assert state.topo.active_bulk.size == 21_690
     tracemalloc.start()
     try:
-        a = forms.assemble_system(mesh, dls, topo, dofmap, problem,
-                                  PARAMS).matrix
+        a = state.system(problem).matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -314,12 +313,13 @@ def test_compute_errors_peak_memory_is_bounded_by_its_rules():
     times measured; 7.06 times when the rules, basis values and exact
     solution of all uncut elements were alive at once)."""
     problem = build_circle_problem()
-    mesh, dls, topo, dofmap = _setup(4, DEFAULT_BOX, problem)
-    coeffs = interpolate_pair(dofmap, mesh, problem.u_bulk,
+    state = _setup(4, DEFAULT_BOX, problem)
+    mesh, dls, topo = state.mesh, state.dls, state.topo
+    coeffs = interpolate_pair(state.dofmap, mesh, problem.u_bulk,
                               problem.u_surf_ext)
     tracemalloc.start()
     try:
-        compute_errors(coeffs, problem, mesh, dls, topo, dofmap)
+        state.errors(coeffs, problem)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -331,7 +331,8 @@ def test_empty_cut_rule_raises():
     """A cut (surface-active) element without a negative vertex has no cut
     part."""
     problem = build_circle_problem()
-    mesh, dls, topo, dofmap = _setup(0, DEFAULT_BOX, problem)
+    state = _setup(0, DEFAULT_BOX, problem)
+    mesh, dls, topo = state.mesh, state.dls, state.topo
     outside = np.flatnonzero(dls[mesh.elements].min(axis=1) > 0.0)[0]
     bad = dataclasses.replace(
         topo, active_bulk=np.union1d(topo.active_bulk, [outside]),
@@ -344,7 +345,8 @@ def test_empty_cut_rule_raises():
 
 def test_degenerate_segment_in_topology_raises():
     problem = build_circle_problem()
-    mesh, dls, topo, dofmap = _setup(0, DEFAULT_BOX, problem)
+    state = _setup(0, DEFAULT_BOX, problem)
+    mesh, dls, topo, dofmap = state.mesh, state.dls, state.topo, state.dofmap
     points = topo.surface.points.copy()
     points[3, 1] = points[3, 0]
     bad = dataclasses.replace(
@@ -361,13 +363,12 @@ def test_surface_data_outside_validity_radius_raises_geometry_error():
     """Both places that evaluate the closest-point map off the surface
     reject points outside its validity radius with a typed error."""
     problem = build_circle_problem()
-    mesh, dls, topo, dofmap = _setup(0, DEFAULT_BOX, problem)
+    state = _setup(0, DEFAULT_BOX, problem)
     narrow = dataclasses.replace(
         problem, geometry=dataclasses.replace(problem.geometry,
                                               validity_radius=1e-6))
     with pytest.raises(GeometryError, match="validity radius"):
-        forms.load_vector(CutQuadrature(mesh, dls, topo), dofmap, narrow,
-                          PARAMS)
+        forms.load_vector(state.cq, state.dofmap, narrow, PARAMS)
     with pytest.raises(GeometryError, match="validity radius"):
-        check_geometry_assumptions(narrow.geometry, topo)
+        check_geometry_assumptions(narrow.geometry, state.topo)
     assert issubclass(GeometryError, ValueError)

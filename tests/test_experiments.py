@@ -11,18 +11,15 @@ from cutdg.experiments import (CONDITION_HEADER, CONVERGENCE_HEADER,
                                SWEEP_CONFIGS, SurfaceState, ablated_params,
                                config_params, mesh_at_level,
                                run_condition_sweep, run_convergence,
-                               run_geometry_check, run_property_suite)
-from cutdg.forms import (StabilizationParams, assemble_system, bulk_form,
-                         coupling_form, ghost_bulk, ghost_pieces,
-                         ghost_surface, property_grams, stabilized,
-                         surface_form)
-from cutdg.levelset import (build_cut_topology, circle_levelset,
-                            interpolate_levelset)
+                               run_geometry_check, run_property_suite,
+                               shifted_circle)
+from cutdg.forms import (StabilizationParams, bulk_form, coupling_form,
+                         ghost_bulk, ghost_pieces, ghost_surface,
+                         property_grams, stabilized, surface_form)
 from cutdg.manufactured import build_circle_problem
 from cutdg.quadrature import CutQuadrature
 from cutdg.solver import (condition_number, generalized_extreme,
                           rescaled_matrix)
-from cutdg.space import build_spaces
 from tests.oracles import (degenerate_positions, dense_condition_number,
                            dense_generalized_extremes, fit_slope)
 
@@ -61,9 +58,8 @@ def test_full_sweep_matrix_is_the_solved_matrix(level):
     convergence study solves, bit for bit."""
     params = StabilizationParams()
     mesh = mesh_at_level(level)
-    state = SurfaceState(mesh, 0.0, params)
-    solved = assemble_system(mesh, state.dls, state.topo, state.dofmap,
-                             build_circle_problem(), params).matrix
+    state = SurfaceState(mesh, shifted_circle(mesh, 0.0), params)
+    solved = state.system(build_circle_problem()).matrix
     swept = state.matrix("full")
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(swept, attr), getattr(solved, attr))
@@ -86,9 +82,20 @@ def test_convergence_rows_and_csv(tmp_path):
     assert [p.endswith("convergence.csv") for p in paths] == [True]
 
 
-def test_convergence_requires_three_levels():
-    with pytest.raises(ValueError):
-        run_convergence(levels=1)
+@pytest.mark.parametrize("study", ["run_convergence", "run_geometry_check"])
+@pytest.mark.parametrize("levels,n0,message", [
+    (1, 8, "at least 3 levels"), (2, 8, "at least 3 levels"),
+    (3, 2 ** 10, "mesh too large")], ids=["levels-1", "levels-2", "n0-1024"])
+def test_level_studies_fail_before_any_mesh(study, levels, n0, message,
+                                            monkeypatch):
+    """Too few levels or too large a finest mesh: both refinement studies
+    raise before the first mesh is built."""
+    def never(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(experiments, "build_structured_mesh", never)
+    with pytest.raises((ValueError, ConfigurationError), match=message):
+        getattr(experiments, study)(levels=levels, n0=n0)
 
 
 def test_convergence_determinism():
@@ -134,8 +141,8 @@ def test_condition_sweep_nullity_is_the_cut_element_count():
                                  box=PROPERTY_BOX)
     mesh = mesh_at_level(0, box=PROPERTY_BOX)
     for row in report.condition_rows:
-        ls = circle_levelset(center=row["delta"] * np.asarray(mesh.cell))
-        topo = build_cut_topology(mesh, interpolate_levelset(ls, mesh))
+        topo = SurfaceState(mesh, shifted_circle(mesh, row["delta"]),
+                            StabilizationParams()).topo
         expected = topo.active_surface.size \
             if row["config"] == "no-surface" else 0
         assert row["nullity"] == expected
@@ -148,7 +155,7 @@ def _dense_sweep_rows(level, deltas, box):
     params = StabilizationParams()
     mesh = mesh_at_level(level, box=box)
     for delta in deltas:
-        state = SurfaceState(mesh, delta, params)
+        state = SurfaceState(mesh, shifted_circle(mesh, delta), params)
         for config in SWEEP_CONFIGS:
             yield dense_condition_number(rescaled_matrix(
                 state.matrix(config), state.dofmap.n_bulk, mesh.h))
@@ -179,7 +186,7 @@ def test_condition_number_near_degenerate_positions():
     assert roots.size == 12
 
     def rows(delta, configs):
-        state = SurfaceState(mesh, delta, params)
+        state = SurfaceState(mesh, shifted_circle(mesh, delta), params)
         for config in configs:
             matrix = rescaled_matrix(state.matrix(config),
                                      state.dofmap.n_bulk, mesh.h)
@@ -306,13 +313,11 @@ def _per_call_constants(mesh, delta, params, seed, n_random):
     public function on a fresh CutQuadrature, every pencil solved on its
     own and every configuration drawing its own Poincare fields one at a
     time."""
-    ls = circle_levelset(center=delta * np.asarray(mesh.cell))
-    dls = interpolate_levelset(ls, mesh)
-    topo = build_cut_topology(mesh, dls)
-    dofmap = build_spaces(mesh, topo)
+    state = SurfaceState(mesh, shifted_circle(mesh, delta), params)
+    topo, dofmap = state.topo, state.dofmap
 
     def cq():
-        return CutQuadrature(mesh, dls, topo)
+        return CutQuadrature(mesh, state.dls, topo)
 
     forms = (bulk_form(cq(), dofmap, params),
              surface_form(cq(), dofmap, params),
@@ -424,7 +429,8 @@ def test_bulk_constant_without_value_ghost_matches_the_dense_oracle(
 def test_bare_bulk_constant_is_the_dense_pencil():
     # at delta = 0.48 the top of the bare pencil is a cluster of exactly
     # equal eigenvalues, on which the LAPACK subset eigensolvers fail
-    state = SurfaceState(mesh_at_level(0, box=PROPERTY_BOX), 0.48,
+    mesh = mesh_at_level(0, box=PROPERTY_BOX)
+    state = SurfaceState(mesh, shifted_circle(mesh, 0.48),
                          StabilizationParams())
     grams = property_grams(state.cq, state.dofmap, state.params,
                            state.pieces)
@@ -450,7 +456,9 @@ def test_bulk_constant_without_bulk_ghost_weights_is_the_closed_form(
 def test_open_surface_chain_raises():
     # on the tight default box the circle at delta = 1 leaves the mesh,
     # and the energy Gram can be singular there
-    state = SurfaceState(mesh_at_level(0), 1.0, StabilizationParams())
+    mesh = mesh_at_level(0)
+    state = SurfaceState(mesh, shifted_circle(mesh, 1.0),
+                         StabilizationParams())
     assert state.topo.surface.n_edges < state.topo.surface.n_segments
     with pytest.raises(ConfigurationError, match="open surface chain"):
         state.coercivity("full")
@@ -461,7 +469,8 @@ def test_zero_surface_ghost_weight_raises(weight, monkeypatch):
     # without either surface ghost a field that vanishes on every segment
     # has zero energy, so the energy Gram is singular
     params = StabilizationParams(**{weight: 0.0})
-    state = SurfaceState(mesh_at_level(0, box=PROPERTY_BOX), 0.3, params)
+    mesh = mesh_at_level(0, box=PROPERTY_BOX)
+    state = SurfaceState(mesh, shifted_circle(mesh, 0.3), params)
     eigs = np.linalg.eigvalsh(property_grams(
         state.cq, state.dofmap, params, state.pieces)["energy"].toarray())
     assert abs(eigs[0]) < 1e-12 * eigs[-1]
@@ -503,7 +512,8 @@ def test_coercivity_next_to_tiny_segments_matches_the_dense_oracle():
     for star in (2.0 / 7.0, 5.0 / 7.0):
         for offset in (1e-3, 1e-6, 1e-9, 1e-12):
             for side in (-1.0, 1.0):
-                state = SurfaceState(mesh, star + side * offset, params)
+                state = SurfaceState(
+                    mesh, shifted_circle(mesh, star + side * offset), params)
                 for config in PROPERTY_CONFIGS:
                     got[config].append(state.coercivity(config))
                     expected[config].append(dense_generalized_extremes(
@@ -521,8 +531,9 @@ def test_surface_state_coercivity_equals_the_suite_row(monkeypatch):
     suite = _suite_constants(run_property_suite(level=0, positions=3))
     mesh = mesh_at_level(0, box=PROPERTY_BOX)
     for config in PROPERTY_CONFIGS:
-        assert np.array_equal(SurfaceState(mesh, 0.5, params).coercivity(
-            config), suite[("coercivity", config)][1])
+        state = SurfaceState(mesh, shifted_circle(mesh, 0.5), params)
+        assert np.array_equal(state.coercivity(config),
+                              suite[("coercivity", config)][1])
 
 
 def test_one_quadrature_and_one_energy_gram_per_position(monkeypatch):

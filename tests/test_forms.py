@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from cutdg.forms import (StabilizationParams, assemble_system, bulk_form,
-                         coupling_form, ghost_bulk, ghost_pieces,
-                         ghost_surface, load_vector, property_grams,
-                         surface_form)
+from cutdg.experiments import SurfaceState
+from cutdg.forms import (StabilizationParams, bulk_form, coupling_form,
+                         ghost_bulk, ghost_pieces, ghost_surface, load_vector,
+                         property_grams, surface_form)
 from cutdg.levelset import (CutTopology, build_cut_topology,
-                            circle_levelset, extract_surface_segments,
-                            interpolate_levelset)
+                            circle_levelset, extract_surface_segments)
 from cutdg.manufactured import build_circle_problem
 from cutdg.mesh import BackgroundMesh, build_structured_mesh, \
     face_connectivity, refine_uniform
@@ -30,10 +29,8 @@ def test_stabilization_params_reject_non_finite_values(name, value):
 
 
 def _circle_setup(n=8):
-    mesh = build_structured_mesh(BOX, n)
-    dls = interpolate_levelset(circle_levelset(), mesh)
-    topo = build_cut_topology(mesh, dls)
-    return mesh, dls, topo, build_spaces(mesh, topo)
+    return SurfaceState(build_structured_mesh(BOX, n), circle_levelset(),
+                        PARAMS)
 
 
 def _uncut_pair():
@@ -49,13 +46,14 @@ def _uncut_pair():
     return mesh, dls, topo, build_spaces(mesh, topo)
 
 
-def _ghosts(mesh, dls, topo, dofmap):
+def _ghosts(cq, dofmap):
     """Bulk and surface ghost penalties at the default weights."""
-    pieces = ghost_pieces(CutQuadrature(mesh, dls, topo), dofmap)
+    pieces = ghost_pieces(cq, dofmap)
     return ghost_bulk(pieces, PARAMS), ghost_surface(pieces, PARAMS)
 
 
-def _cut_volume(mesh, dls, topo, f, degree=4):
+def _cut_volume(state, f, degree=4):
+    mesh, dls, topo = state.mesh, state.dls, state.topo
     total = 0.0
     for e in topo.active_bulk:
         tri = mesh.vertices[mesh.elements[e]]
@@ -66,21 +64,20 @@ def _cut_volume(mesh, dls, topo, f, degree=4):
 
 
 def test_bulk_form_constant_gives_cut_area():
-    mesh, dls, topo, dofmap = _circle_setup()
-    a = bulk_form(CutQuadrature(mesh, dls, topo), dofmap, PARAMS)
-    ones = np.zeros(dofmap.ndof)
-    ones[:dofmap.n_bulk] = 1.0
-    area = _cut_volume(mesh, dls, topo, lambda p: np.ones(len(p)))
+    state = _circle_setup()
+    a = bulk_form(state.cq, state.dofmap, PARAMS)
+    ones = np.zeros(state.dofmap.ndof)
+    ones[:state.dofmap.n_bulk] = 1.0
+    area = _cut_volume(state, lambda p: np.ones(len(p)))
     assert ones @ (a @ ones) == pytest.approx(area, rel=1e-12)
 
 
 def test_bulk_form_linear_matches_clip_integration():
-    mesh, dls, topo, dofmap = _circle_setup()
-    a = bulk_form(CutQuadrature(mesh, dls, topo), dofmap, PARAMS)
-    vx = interpolate_pair(dofmap, mesh, lambda p: p[..., 0],
+    state = _circle_setup()
+    a = bulk_form(state.cq, state.dofmap, PARAMS)
+    vx = interpolate_pair(state.dofmap, state.mesh, lambda p: p[..., 0],
                           lambda p: np.zeros(p.shape[:-1]))
-    expected = _cut_volume(mesh, dls, topo,
-                           lambda p: 1.0 + p[:, 0] ** 2)
+    expected = _cut_volume(state, lambda p: 1.0 + p[:, 0] ** 2)
     assert vx @ (a @ vx) == pytest.approx(expected, rel=1e-12)
 
 
@@ -150,8 +147,9 @@ def test_uncut_pair_reproduces_hand_assembled_sip_matrix():
 
 
 def test_surface_form_constant_gives_surface_length():
-    mesh, dls, topo, dofmap = _circle_setup()
-    a = surface_form(CutQuadrature(mesh, dls, topo), dofmap, PARAMS)
+    state = _circle_setup()
+    topo, dofmap = state.topo, state.dofmap
+    a = surface_form(state.cq, dofmap, PARAMS)
     ones = np.zeros(dofmap.ndof)
     ones[dofmap.n_bulk:] = 1.0
     assert ones @ (a @ ones) == pytest.approx(topo.surface.length.sum(),
@@ -160,11 +158,8 @@ def test_surface_form_constant_gives_surface_length():
 
 def test_tangential_stiffness_on_straight_surface():
     mesh = build_structured_mesh(BOX, 9)
-    ls = line_levelset((0.0, 1.0), 0.03)
-    dls = interpolate_levelset(ls, mesh)
-    topo = build_cut_topology(mesh, dls)
-    dofmap = build_spaces(mesh, topo)
-    cq = CutQuadrature(mesh, dls, topo)
+    state = SurfaceState(mesh, line_levelset((0.0, 1.0), 0.03), PARAMS)
+    topo, dofmap, cq = state.topo, state.dofmap, state.cq
     g = property_grams(cq, dofmap, PARAMS,
                        ghost_pieces(cq, dofmap))["tangential"]
     vx = interpolate_pair(dofmap, mesh, lambda p: np.zeros(p.shape[:-1]),
@@ -174,8 +169,8 @@ def test_tangential_stiffness_on_straight_surface():
 
 
 def test_continuous_linear_kills_edge_terms():
-    mesh, dls, topo, dofmap = _circle_setup()
-    cq = CutQuadrature(mesh, dls, topo)
+    state = _circle_setup()
+    mesh, dofmap, cq = state.mesh, state.dofmap, state.cq
     a = surface_form(cq, dofmap, PARAMS)
     tangential = property_grams(cq, dofmap, PARAMS,
                                 ghost_pieces(cq, dofmap))["tangential"]
@@ -192,17 +187,17 @@ def test_continuous_linear_kills_edge_terms():
 
 
 def test_coupling_form_values():
-    mesh, dls, topo, dofmap = _circle_setup()
-    c = coupling_form(CutQuadrature(mesh, dls, topo), dofmap, PARAMS)
-    length = topo.surface.length.sum()
-    bulk_one = np.zeros(dofmap.ndof)
-    bulk_one[:dofmap.n_bulk] = 1.0
+    state = _circle_setup()
+    c = coupling_form(state.cq, state.dofmap, PARAMS)
+    length = state.topo.surface.length.sum()
+    bulk_one = np.zeros(state.dofmap.ndof)
+    bulk_one[:state.dofmap.n_bulk] = 1.0
     assert bulk_one @ (c @ bulk_one) == pytest.approx(length, rel=1e-12)
-    both = np.ones(dofmap.ndof)
+    both = np.ones(state.dofmap.ndof)
     assert both @ (c @ both) == pytest.approx(0.0, abs=1e-12 * length)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        v = rng.standard_normal(dofmap.ndof)
+        v = rng.standard_normal(state.dofmap.ndof)
         assert v @ (c @ v) >= -1e-12 * np.abs(c).max()
 
 
@@ -219,7 +214,7 @@ def test_ghost_single_face_closed_forms():
     mesh, dls, topo, dofmap = _single_ghost_face_setup()
     assert topo.bulk_ghost_faces.size == 1
     length = np.sqrt(2.0)
-    jb, js = _ghosts(mesh, dls, topo, dofmap)
+    jb, js = _ghosts(CutQuadrature(mesh, dls, topo), dofmap)
     v = np.zeros(dofmap.ndof)
     v[dofmap.bulk.dofs_array([0])] = 1.0  # one on element 0, zero elsewhere
     assert v @ (jb @ v) == pytest.approx(
@@ -238,7 +233,7 @@ def test_surface_ghost_weight_scales_with_refinement():
         dls = np.array([-1.0, 0.5, 0.5, -0.5])
         topo = build_cut_topology(mesh, dls)
         dofmap = build_spaces(mesh, topo)
-        js = _ghosts(mesh, dls, topo, dofmap)[1]
+        js = _ghosts(CutQuadrature(mesh, dls, topo), dofmap)[1]
         v = np.zeros(dofmap.ndof)
         v[dofmap.surface.dofs_array([0])] = 1.0
         return v @ (js @ v), mesh.h
@@ -253,10 +248,10 @@ def test_surface_ghost_weight_scales_with_refinement():
 
 
 def test_ghost_vanishes_on_affine_fields():
-    mesh, dls, topo, dofmap = _circle_setup()
-    jb, js = _ghosts(mesh, dls, topo, dofmap)
+    state = _circle_setup()
+    jb, js = _ghosts(state.cq, state.dofmap)
     lin = lambda p: 0.3 - 1.7 * p[..., 0] + 0.9 * p[..., 1]
-    v = interpolate_pair(dofmap, mesh, lin, lin)
+    v = interpolate_pair(state.dofmap, state.mesh, lin, lin)
     scale = max(np.abs(jb).max(), np.abs(js).max())
     assert abs(v @ (jb @ v)) <= 1e-12 * scale
     assert abs(v @ (js @ v)) <= 1e-12 * scale
@@ -265,29 +260,31 @@ def test_ghost_vanishes_on_affine_fields():
 def test_ghost_empty_without_cut_elements():
     mesh, dls, topo, dofmap = _uncut_pair()
     assert topo.bulk_ghost_faces.size == 0
-    jb = _ghosts(mesh, dls, topo, dofmap)[0]
+    jb = _ghosts(CutQuadrature(mesh, dls, topo), dofmap)[0]
     assert jb.nnz == 0 or np.abs(jb.toarray()).max() == 0.0
 
 
 def test_rhs_partition_of_unity_sums():
-    mesh, dls, topo, dofmap = _circle_setup()
+    state = _circle_setup()
+    topo, dofmap = state.topo, state.dofmap
     problem = build_circle_problem()
     one = lambda p: np.ones(p.shape[:-1])
     fake = type(problem)(**{**problem.__dict__, "f_bulk": one, "f_surf": one})
-    b = load_vector(CutQuadrature(mesh, dls, topo), dofmap, fake, PARAMS)
-    area = _cut_volume(mesh, dls, topo, lambda p: np.ones(len(p)), degree=2)
+    b = load_vector(state.cq, dofmap, fake, PARAMS)
+    area = _cut_volume(state, lambda p: np.ones(len(p)), degree=2)
     assert b[:dofmap.n_bulk].sum() == pytest.approx(area, rel=1e-12)
     assert b[dofmap.n_bulk:].sum() == pytest.approx(
         topo.surface.length.sum(), rel=1e-12)
 
 
 def test_rhs_interior_element_load_oracle():
-    mesh, dls, topo, dofmap = _circle_setup()
+    state = _circle_setup()
+    mesh, dls, topo, dofmap = state.mesh, state.dls, state.topo, state.dofmap
     problem = build_circle_problem()
     fx = lambda p: p[..., 0]
     fake = type(problem)(**{**problem.__dict__, "f_bulk": fx,
                             "f_surf": lambda p: np.zeros(p.shape[:-1])})
-    b = load_vector(CutQuadrature(mesh, dls, topo), dofmap, fake, PARAMS)
+    b = load_vector(state.cq, dofmap, fake, PARAMS)
     # pick a fully interior element; the exact P1 load of f = x on a
     # triangle is area/12 * (2 x_i + x_j + x_k) for each vertex i
     vals = dls[mesh.elements[topo.active_bulk]]
@@ -304,15 +301,16 @@ def test_rhs_interior_element_load_oracle():
 
 
 def test_system_symmetry_and_additivity():
-    mesh, dls, topo, dofmap = _circle_setup()
+    state = _circle_setup()
     problem = build_circle_problem()
-    system = assemble_system(mesh, dls, topo, dofmap, problem, PARAMS)
+    system = state.system(problem)
     a = system.matrix
     assert np.abs(a - a.T).max() <= 1e-12 * np.abs(a).max()
     # ablation switch honored: the system is an additive combination
     ablated = StabilizationParams(mu_surf=0.0, tau_bulk=0.0, tau_surf=0.0)
-    sys_abl = assemble_system(mesh, dls, topo, dofmap, problem, ablated)
-    pieces = ghost_pieces(CutQuadrature(mesh, dls, topo), dofmap)
+    sys_abl = SurfaceState(state.mesh, state.levelset, ablated).system(
+        problem)
+    pieces = state.pieces
     rebuilt = (sys_abl.matrix
                + PARAMS.tau_bulk * pieces["bulk_gradient"]
                + PARAMS.mu_surf * pieces["surface_value"]
@@ -321,30 +319,28 @@ def test_system_symmetry_and_additivity():
 
 
 def test_system_positive_definite_at_defaults():
-    mesh, dls, topo, dofmap = _circle_setup(6)
-    problem = build_circle_problem()
-    system = assemble_system(mesh, dls, topo, dofmap, problem, PARAMS)
+    state = _circle_setup(6)
+    system = state.system(build_circle_problem())
     eigs = np.linalg.eigvalsh(system.matrix.toarray())
     assert eigs.min() > 0.0
     rng = np.random.default_rng(8)
     for _ in range(100):
-        v = rng.standard_normal(dofmap.ndof)
+        v = rng.standard_normal(state.dofmap.ndof)
         assert v @ (system.matrix @ v) >= 0.0
 
 
 def test_energy_gram_values_and_psd():
-    mesh, dls, topo, dofmap = _circle_setup(6)
-    cq = CutQuadrature(mesh, dls, topo)
-    g_total = property_grams(cq, dofmap, PARAMS,
-                             ghost_pieces(cq, dofmap))["energy"]
-    ones_bulk = np.zeros(dofmap.ndof)
-    ones_bulk[:dofmap.n_bulk] = 1.0
-    area = _cut_volume(mesh, dls, topo, lambda p: np.ones(len(p)), degree=2)
-    length = topo.surface.length.sum()
+    state = _circle_setup(6)
+    g_total = property_grams(state.cq, state.dofmap, PARAMS,
+                             state.pieces)["energy"]
+    ones_bulk = np.zeros(state.dofmap.ndof)
+    ones_bulk[:state.dofmap.n_bulk] = 1.0
+    area = _cut_volume(state, lambda p: np.ones(len(p)), degree=2)
+    length = state.topo.surface.length.sum()
     # jumps and ghosts vanish on constants; the coupling adds the length
     assert ones_bulk @ (g_total @ ones_bulk) == pytest.approx(area + length,
                                                               rel=1e-12)
-    both = np.ones(dofmap.ndof)
+    both = np.ones(state.dofmap.ndof)
     expect = area + length  # coupling part vanishes for (1, 1)
     assert both @ (g_total @ both) == pytest.approx(expect, rel=1e-12)
     eigs = np.linalg.eigvalsh(g_total.toarray())
@@ -352,23 +348,23 @@ def test_energy_gram_values_and_psd():
 
 
 def test_assembly_is_relabeling_invariant():
-    mesh, dls, topo, dofmap = _circle_setup(5)
+    state = _circle_setup(5)
+    mesh, dofmap = state.mesh, state.dofmap
     problem = build_circle_problem()
-    a1 = assemble_system(mesh, dls, topo, dofmap, problem, PARAMS).matrix
+    a1 = state.system(problem).matrix
     rng = np.random.default_rng(17)
     perm = rng.permutation(mesh.n_elements)
     elements2 = mesh.elements[perm]
     fv, fe, fn, fl = face_connectivity(mesh.vertices, elements2)
     mesh2 = BackgroundMesh(mesh.vertices, elements2, mesh.h, mesh.cell,
                            fv, fe, fn, fl)
-    topo2 = build_cut_topology(mesh2, dls)
-    dofmap2 = build_spaces(mesh2, topo2)
-    a2 = assemble_system(mesh2, dls, topo2, dofmap2, problem, PARAMS).matrix
+    state2 = SurfaceState(mesh2, circle_levelset(), PARAMS)
+    a2 = state2.system(problem).matrix
     invp = np.empty(mesh.n_elements, dtype=int)
     invp[perm] = np.arange(mesh.n_elements)
     mapping = np.empty(dofmap.ndof, dtype=int)
-    for space, space2 in ((dofmap.bulk, dofmap2.bulk),
-                          (dofmap.surface, dofmap2.surface)):
+    for space, space2 in ((dofmap.bulk, state2.dofmap.bulk),
+                          (dofmap.surface, state2.dofmap.surface)):
         mapping[space.dofs_array(space.elements)] = space2.dofs_array(
             invp[space.elements])
     d1 = a1.toarray()
@@ -381,14 +377,15 @@ def test_surface_ghost_off_creates_exact_null_space():
     # that vanishes on its own segment; without the surface ghost penalty
     # nothing sees those fields, so the system matrix has exactly one
     # null direction per cut element (this is what the penalty cures)
-    mesh, dls, topo, dofmap = _circle_setup()
+    state = _circle_setup()
+    mesh, dls, topo, dofmap = state.mesh, state.dls, state.topo, state.dofmap
     problem = build_circle_problem()
     ablated = StabilizationParams(mu_surf=0.0, tau_surf=0.0)
-    a = assemble_system(mesh, dls, topo, dofmap, problem, ablated).matrix
+    a = SurfaceState(mesh, state.levelset, ablated).system(problem).matrix
     eigs = np.abs(np.linalg.eigvalsh(a.toarray()))
     nullity = int(np.sum(eigs <= 1e-12 * eigs.max()))
     assert nullity == topo.active_surface.size
-    full = assemble_system(mesh, dls, topo, dofmap, problem, PARAMS).matrix
+    full = state.system(problem).matrix
     eigs = np.abs(np.linalg.eigvalsh(full.toarray()))
     assert np.sum(eigs <= 1e-12 * eigs.max()) == 0
     # the per-element construction: the snapped level-set values restricted
@@ -405,16 +402,12 @@ def test_galerkin_energy_error_decreases():
     mesh = build_structured_mesh(BOX, 8)
     energies = []
     for _ in range(3):
-        dls = interpolate_levelset(problem.geometry, mesh)
-        topo = build_cut_topology(mesh, dls)
-        dofmap = build_spaces(mesh, topo)
-        system = assemble_system(mesh, dls, topo, dofmap, problem, PARAMS)
-        u = solve(system)
-        ui = interpolate_pair(dofmap, mesh, problem.u_bulk,
+        state = SurfaceState(mesh, problem.geometry, PARAMS)
+        u = solve(state.system(problem))
+        ui = interpolate_pair(state.dofmap, mesh, problem.u_bulk,
                               problem.u_surf_ext)
-        cq = CutQuadrature(mesh, dls, topo)
-        g = property_grams(cq, dofmap, PARAMS,
-                           ghost_pieces(cq, dofmap))["energy"]
+        g = property_grams(state.cq, state.dofmap, PARAMS,
+                           state.pieces)["energy"]
         d = u - ui
         energies.append(np.sqrt(d @ (g @ d)))
         mesh = refine_uniform(mesh)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from cutdg.levelset import build_cut_topology, interpolate_levelset
-from cutdg.manufactured import build_circle_problem, compute_errors, eoc
+from cutdg.experiments import SurfaceState
+from cutdg.forms import StabilizationParams
+from cutdg.manufactured import build_circle_problem, eoc
 from cutdg.mesh import build_structured_mesh, refine_uniform
-from cutdg.space import build_spaces, interpolate_pair
+from cutdg.space import interpolate_pair
 from tests.oracles import build_affine_problem
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
@@ -123,11 +124,10 @@ def test_interpolant_error_slopes():
     mesh = build_structured_mesh(BOX, 8)
     errs, hs = [], []
     for _ in range(5):
-        dls = interpolate_levelset(problem.geometry, mesh)
-        topo = build_cut_topology(mesh, dls)
-        dofmap = build_spaces(mesh, topo)
-        ui = interpolate_pair(dofmap, mesh, problem.u_bulk, problem.u_surf_ext)
-        rep = compute_errors(ui, problem, mesh, dls, topo, dofmap)
+        state = SurfaceState(mesh, problem.geometry, StabilizationParams())
+        ui = interpolate_pair(state.dofmap, mesh, problem.u_bulk,
+                              problem.u_surf_ext)
+        rep = state.errors(ui, problem)
         errs.append(rep)
         hs.append(mesh.h)
         mesh = refine_uniform(mesh)
@@ -143,11 +143,10 @@ def test_affine_interpolant_reproduced_to_machine_precision():
     problem = build_affine_problem()
     mesh = build_structured_mesh(BOX, 8)
     for _ in range(3):
-        dls = interpolate_levelset(problem.geometry, mesh)
-        topo = build_cut_topology(mesh, dls)
-        dofmap = build_spaces(mesh, topo)
-        ui = interpolate_pair(dofmap, mesh, problem.u_bulk, problem.u_surf_ext)
-        rep = compute_errors(ui, problem, mesh, dls, topo, dofmap)
+        state = SurfaceState(mesh, problem.geometry, StabilizationParams())
+        ui = interpolate_pair(state.dofmap, mesh, problem.u_bulk,
+                              problem.u_surf_ext)
+        rep = state.errors(ui, problem)
         assert max(rep.as_tuple()) <= 1e-10
         mesh = refine_uniform(mesh)
 
@@ -155,13 +154,11 @@ def test_affine_interpolant_reproduced_to_machine_precision():
 def test_zero_solution_gives_solution_norms():
     problem = build_circle_problem()
     mesh = build_structured_mesh(BOX, 16)
-    dls = interpolate_levelset(problem.geometry, mesh)
-    topo = build_cut_topology(mesh, dls)
-    dofmap = build_spaces(mesh, topo)
-    rep = compute_errors(np.zeros(dofmap.ndof), problem, mesh, dls, topo,
-                         dofmap)
-    ui = interpolate_pair(dofmap, mesh, problem.u_bulk, problem.u_surf_ext)
-    ref = compute_errors(2.0 * ui, problem, mesh, dls, topo, dofmap)
+    state = SurfaceState(mesh, problem.geometry, StabilizationParams())
+    rep = state.errors(np.zeros(state.dofmap.ndof), problem)
+    ui = interpolate_pair(state.dofmap, mesh, problem.u_bulk,
+                          problem.u_surf_ext)
+    ref = state.errors(2.0 * ui, problem)
     # sanity: the zero field's "error" is the norm of the solution itself,
     # which nearly matches the norm of (2 interpolant - solution)
     assert rep.l2_bulk == pytest.approx(ref.l2_bulk, rel=0.05)

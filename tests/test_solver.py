@@ -9,15 +9,12 @@ import scipy.sparse.linalg as spla
 from cutdg import solver
 from cutdg.exceptions import DegenerateMatrixError, SolverError
 from cutdg.experiments import (PROPERTY_BOX, SurfaceState, mesh_at_level,
-                               run_condition_sweep)
-from cutdg.forms import AssembledSystem, StabilizationParams, assemble_system
-from cutdg.levelset import build_cut_topology, circle_levelset, \
-    interpolate_levelset
+                               run_condition_sweep, shifted_circle)
+from cutdg.forms import AssembledSystem, StabilizationParams
 from cutdg.manufactured import build_circle_problem
 from cutdg.mesh import build_structured_mesh
 from cutdg.solver import (condition_number, generalized_extreme, pcg,
                           preconditioner, rescaled_matrix, solve)
-from cutdg.space import build_spaces
 from tests.oracles import dense_condition_number, dense_generalized_extremes
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
@@ -26,13 +23,10 @@ PARAMS = StabilizationParams()
 
 def _setup(n=8):
     """The circle system on the n-by-n mesh, with its mesh and dof map."""
-    mesh = build_structured_mesh(BOX, n)
     problem = build_circle_problem()
-    dls = interpolate_levelset(problem.geometry, mesh)
-    topo = build_cut_topology(mesh, dls)
-    dofmap = build_spaces(mesh, topo)
-    return mesh, dofmap, assemble_system(mesh, dls, topo, dofmap, problem,
-                                         PARAMS)
+    state = SurfaceState(build_structured_mesh(BOX, n), problem.geometry,
+                         PARAMS)
+    return state.mesh, state.dofmap, state.system(problem)
 
 
 def _system(n=8):
@@ -207,7 +201,8 @@ def test_condition_number_failures_are_typed(monkeypatch):
 def test_generalized_extreme_on_a_coercivity_pencil(largest):
     # the full system matrix against the energy Gram, at either end of
     # the spectrum, against every eigenvalue of the deflated dense pencil
-    state = SurfaceState(mesh_at_level(0, box=PROPERTY_BOX), 0.3, PARAMS)
+    mesh = mesh_at_level(0, box=PROPERTY_BOX)
+    state = SurfaceState(mesh, shifted_circle(mesh, 0.3), PARAMS)
     a = state.matrix("full")
     expected = dense_generalized_extremes(a, state.energy)[largest]
     got = generalized_extreme(a, state.energy, largest=largest)
@@ -250,17 +245,14 @@ def test_condition_scaling_smoke():
 
 def test_cg_iterations_robust_over_positions():
     mesh = build_structured_mesh(BOX, 8)
-    cell = np.asarray(mesh.cell)
     params = PARAMS
     iters = []
     for delta in np.linspace(0.0, 1.0, 21):
-        ls = circle_levelset(center=delta * cell)
+        state = SurfaceState(mesh, shifted_circle(mesh, delta), params)
         problem = build_circle_problem()
-        problem = type(problem)(**{**problem.__dict__, "geometry": ls})
-        dls = interpolate_levelset(ls, mesh)
-        topo = build_cut_topology(mesh, dls)
-        dofmap = build_spaces(mesh, topo)
-        system = assemble_system(mesh, dls, topo, dofmap, problem, params)
+        problem = type(problem)(**{**problem.__dict__,
+                                   "geometry": state.levelset})
+        system = state.system(problem)
         _, k, converged = pcg(system.matrix, system.rhs,
                               *_jacobi(system.matrix), rel_tol=1e-10)
         assert converged
