@@ -21,7 +21,8 @@ from .forms import (StabilizationParams, assemble_system, bulk_form,
 from .levelset import (build_cut_topology, check_geometry_assumptions,
                        circle_levelset, interpolate_levelset)
 from .manufactured import build_circle_problem, compute_errors, eoc
-from .mesh import build_structured_mesh, refine_uniform, row_dot
+from .mesh import (build_structured_mesh, element_areas, refine_uniform,
+                   row_dot)
 from .quadrature import CutQuadrature
 from .solver import (condition_number, generalized_extreme, rescaled_matrix,
                      solve)
@@ -370,7 +371,7 @@ def _cut_area_ratio(cq: CutQuadrature) -> float:
     """The bulk constant without ghost, max |K| / |K cap Omega_h| over the
     cut elements: both gradient Grams sum the element stiffnesses S_K,
     weighted by |K| and by |K cap Omega_h|."""
-    areas = cq.areas[cq.split[1]]
+    areas = element_areas(cq.mesh.vertices[cq.mesh.elements[cq.split[1]]])
     return float(np.max(areas / cq.volume[0].weights.sum(axis=1)))
 
 

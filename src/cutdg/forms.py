@@ -40,7 +40,8 @@ import scipy.sparse as sp
 
 from .exceptions import GeometryError
 from .levelset import CutTopology
-from .mesh import BackgroundMesh, row_dot
+from .mesh import (BackgroundMesh, element_areas, element_gradients,
+                   row_dot)
 from .quadrature import BAND_ELEMENTS, CutQuadrature
 from .space import CombinedDofMap, basis_values, prolongation
 
@@ -132,8 +133,9 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _element_blocks(cq: CutQuadrature, space, elements):
     """Dofs, exact stiffness and exact mass blocks of whole elements."""
-    areas = cq.areas[elements, None, None]
-    g = cq.grads[elements]
+    tris = cq.mesh.vertices[cq.mesh.elements[elements]]
+    areas = element_areas(tris)[:, None, None]
+    g = element_gradients(tris)
     return (space.dofs_array(elements),
             areas * np.einsum("eik,ejk->eij", g, g), areas * _M3)
 
@@ -142,7 +144,7 @@ def _cut_element_blocks(cq: CutQuadrature, space, which=slice(None)):
     """Dofs, stiffness and mass blocks of the cut elements split[1][which]
     by their cut-volume rules."""
     cut = cq.split[1][which]
-    g = cq.grads[cut]
+    g = element_gradients(cq.mesh.vertices[cq.mesh.elements[cut]])
     rules, phi = cq.volume
     weights, phi = rules.weights[which], phi[which]
     stiffness = np.matmul(g, g.transpose(0, 2, 1))
@@ -163,7 +165,7 @@ def _segment_blocks(cq: CutQuadrature, space):
     """Dofs, tangential stiffness and mass blocks of the surface
     segments."""
     surf = cq.topo.surface
-    g = cq.grads[surf.element]
+    g = element_gradients(cq.mesh.vertices[cq.mesh.elements[surf.element]])
     n = surf.normal
     pg = g - np.matmul(g, n[:, :, None]) * n[:, None, :]
     stiffness = surf.length[:, None, None] * np.matmul(
@@ -183,7 +185,8 @@ def _edge_blocks(cq: CutQuadrature, space):
     tris = cq.mesh.vertices[cq.mesh.elements[elements]].reshape(-1, 3, 2)
     points = np.repeat(surf.edge_point, 2, axis=0)[:, None, :]
     phi = basis_values(tris, points).reshape(-1, 2, 3)
-    flux = np.matmul(cq.grads[elements], surf.edge_conormals[..., None])[..., 0]
+    flux = np.matmul(element_gradients(tris).reshape(-1, 2, 3, 2),
+                     surf.edge_conormals[..., None])[..., 0]
     jump = np.concatenate([phi[:, 0], -phi[:, 1]], axis=1)
     gavg = 0.5 * np.concatenate([flux[:, 0], -flux[:, 1]], axis=1)
     dofs = np.hstack([space.dofs_array(elements[:, 0]),
@@ -225,17 +228,14 @@ def _face_blocks(cq: CutQuadrature, space, faces):
     their consistency blocks -({n.grad v},[w]) - ([v],{n.grad w}) over the
     negative part of each face, cut from the snapped endpoint values."""
     mesh = cq.mesh
-    fv = mesh.face_vertices[faces]
-    fe = mesh.face_elements[faces]
-    lengths = mesh.face_lengths[faces]
+    fv, fe, n, lengths = (a[faces] for a in mesh.faces)
+    nodes = mesh.elements[fe[:, 0]], mesh.elements[fe[:, 1]]  # plus, minus
     # local index of each face vertex in the plus and the minus element
-    (p0, p1), (m0, m1) = (
-        np.argmax(mesh.elements[e][:, None, :] == fv[:, :, None], axis=2).T
-        for e in (fe[:, 0], fe[:, 1]))
+    (p0, p1), (m0, m1) = (np.argmax(e[:, None, :] == fv[:, :, None], axis=2).T
+                          for e in nodes)
     j0, j1 = _endpoint_jumps(p0, m0, p1, m1)
-    n = mesh.face_normals[faces]
-    gp = np.einsum("fkd,fd->fk", cq.grads[fe[:, 0]], n)
-    gm = np.einsum("fkd,fd->fk", cq.grads[fe[:, 1]], n)
+    gp, gm = (np.einsum("fkd,fd->fk", element_gradients(mesh.vertices[e]), n)
+              for e in nodes)
     gavg = 0.5 * np.hstack([gp, gm])
     # the negative part of a face is t in [t0, t1], s the zero of the level
     # set where exactly one endpoint is negative; i0 and i1 integrate 1 - t
@@ -293,7 +293,7 @@ def _banded_bulk(cq: CutQuadrature, dofmap: CombinedDofMap, penalty: float,
     split_slots = [space.slot[elements] for elements in cq.split]
     faces = cq.topo.bulk_faces
     band_faces, start = _faces_by_band(
-        space.slot[cq.mesh.face_elements[faces]], slots, BAND_ELEMENTS)
+        space.slot[cq.mesh.faces.elements[faces]], slots, BAND_ELEMENTS)
 
     def bands():
         for band, lo in enumerate(range(0, slots, BAND_ELEMENTS)):

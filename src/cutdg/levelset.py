@@ -155,7 +155,7 @@ def extract_surface_segments(mesh: BackgroundMesh,
     """
     vals = dls[mesh.elements]
     is_bulk = vals.min(axis=1) < 0.0
-    fe, fv = mesh.face_elements, mesh.face_vertices
+    fe, fv = mesh.faces.elements, mesh.faces.vertices
     on_edge = np.all(dls[fv] == 0.0, axis=1) \
         & (is_bulk[fe[:, 0]] != is_bulk[fe[:, 1]])
     if np.any(on_edge):
@@ -210,14 +210,13 @@ def extract_surface_segments(mesh: BackgroundMesh,
     flat = keys.reshape(-1)
     order, starts, counts = group_keys(flat)
     if np.any(counts > 2):
-        lo, hi = divmod(int(flat[order[starts[counts > 2][0]]]), nv)
-        count = counts[counts > 2][0]
-        # a key with lo == hi is an exact-zero vertex, not a mesh edge
+        # a mesh edge has at most two elements (``mesh.faces`` checks), so
+        # the key is an exact-zero vertex (lo == hi)
+        bad = np.flatnonzero(counts > 2)[0]
+        v = int(flat[order[starts[bad]]]) // nv
         raise StructuralError(
-            f"surface vertex {lo} at {tuple(mesh.vertices[lo].tolist())} "
-            f"ends {count} segments: a saddle of the discrete level set"
-            if lo == hi else
-            f"surface edge ({lo}, {hi}) shared by {count} segments")
+            f"surface vertex {v} at {tuple(mesh.vertices[v].tolist())} ends "
+            f"{counts[bad]} segments: a saddle of the discrete level set")
     # Groups of one are open chain ends (surface clipped by the box).
     first = starts[counts == 2]
     ends = order[np.column_stack([first, first + 1])]
@@ -252,7 +251,7 @@ def build_cut_topology(mesh: BackgroundMesh, dls: np.ndarray) -> CutTopology:
     if not is_cut.any():
         raise ConfigurationError("surface misses the background box: "
                                  "no element is cut")
-    fe = mesh.face_elements
+    fe = mesh.faces.elements
     both_bulk = is_bulk[fe[:, 0]] & is_bulk[fe[:, 1]]
     ghost = both_bulk & (is_cut[fe[:, 0]] | is_cut[fe[:, 1]])
     both_cut = is_cut[fe[:, 0]] & is_cut[fe[:, 1]]

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .levelset import CutTopology, LevelSet, circle_levelset
-from .mesh import BackgroundMesh, row_dot
+from .mesh import BackgroundMesh, element_gradients, row_dot
 from .quadrature import ERROR_DEGREE, CutQuadrature
 from .space import CombinedDofMap
 
@@ -181,15 +181,16 @@ def compute_errors(coeffs: np.ndarray, problem: ManufacturedProblem,
     cq = CutQuadrature(mesh, dls, topo, ERROR_DEGREE)
     bulk = np.hstack([_entity_errors(
         rules, phi, coeffs[dofmap.bulk.dofs_array(elements)],
-        cq.grads[elements], problem.u_bulk, problem.grad_u_bulk)
+        element_gradients(mesh.vertices[mesh.elements[elements]]),
+        problem.u_bulk, problem.grad_u_bulk)
         for elements, (rules, phi) in cq.bulk_rules()])
 
     surf = cq.topo.surface
     rules, phi = cq.segments
     surface = _entity_errors(
         rules, phi, coeffs[dofmap.surface.dofs_array(surf.element)],
-        cq.grads[surf.element], problem.u_surf_ext, problem.grad_u_surf_ext,
-        surf.normal)
+        element_gradients(mesh.vertices[mesh.elements[surf.element]]),
+        problem.u_surf_ext, problem.grad_u_surf_ext, surf.normal)
 
     # cumsum adds sequentially, unlike the pairwise np.sum
     l2b, semib, l2s, semis = (np.cumsum(np.r_[0.0, values])[-1]

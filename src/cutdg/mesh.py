@@ -10,10 +10,28 @@ mesh size halves exactly and all parent vertices persist.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import StructuralError
+
+
+class Faces(NamedTuple):
+    """Interior faces of a mesh.
+
+    vertices: (nf, 2) vertex pair of each interior face, sorted.
+    elements: (nf, 2) incident elements; column 0 is the plus side (the
+        lower element index).
+    normals: (nf, 2) unit normal pointing from plus to minus.
+    lengths: (nf,) face lengths.
+    """
+
+    vertices: np.ndarray
+    elements: np.ndarray
+    normals: np.ndarray
+    lengths: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -24,21 +42,17 @@ class BackgroundMesh:
     elements: (ne, 3) vertex indices, counterclockwise.
     h: global mesh size, i.e. the longest edge (the cell diagonal).
     cell: (dx, dy) grid period of the structured construction.
-    face_vertices: (nf, 2) vertex pair of each interior face, sorted.
-    face_elements: (nf, 2) incident elements; column 0 is the plus side
-        (the lower element index).
-    face_normals: (nf, 2) unit normal pointing from plus to minus.
-    face_lengths: (nf,) face lengths.
+    faces: the ``Faces`` of ``face_connectivity``, built on first read.
     """
 
     vertices: np.ndarray
     elements: np.ndarray
     h: float
     cell: tuple
-    face_vertices: np.ndarray
-    face_elements: np.ndarray
-    face_normals: np.ndarray
-    face_lengths: np.ndarray
+
+    @cached_property
+    def faces(self) -> Faces:
+        return face_connectivity(self.vertices, self.elements)
 
     @property
     def n_vertices(self) -> int:
@@ -86,8 +100,7 @@ def build_structured_mesh(box, n: int) -> BackgroundMesh:
     dx = (bx - ax) / n
     dy = (by - ay) / n
     h = float(np.hypot(dx, dy))
-    fv, fe, fn, fl = face_connectivity(vertices, elements)
-    return BackgroundMesh(vertices, elements, h, (dx, dy), fv, fe, fn, fl)
+    return BackgroundMesh(vertices, elements, h, (dx, dy))
 
 
 def edge_key(a: np.ndarray, b: np.ndarray, n_vertices: int) -> np.ndarray:
@@ -116,13 +129,11 @@ def _element_edge_keys(elements: np.ndarray, n_vertices: int) -> np.ndarray:
                     n_vertices).reshape(-1)
 
 
-def face_connectivity(vertices: np.ndarray, elements: np.ndarray):
-    """Interior faces of a conforming triangle mesh.
-
-    Returns (face_vertices, face_elements, face_normals, face_lengths)
-    with the plus side being the lower incident element index and the
-    unit normal pointing from plus to minus. Raises StructuralError for
-    non-manifold edges (more than two incident elements).
+def face_connectivity(vertices: np.ndarray, elements: np.ndarray) -> Faces:
+    """Interior ``Faces`` of a conforming triangle mesh, the plus side
+    being the lower incident element index and the unit normal pointing
+    from plus to minus. Raises StructuralError for non-manifold edges
+    (more than two incident elements).
     """
     nv = vertices.shape[0]
     keys = _element_edge_keys(elements, nv)
@@ -146,7 +157,7 @@ def face_connectivity(vertices: np.ndarray, elements: np.ndarray):
     midpoint = 0.5 * (pa + pb)
     flip = np.einsum("fd,fd->f", normals, midpoint - centroid_plus) < 0.0
     normals[flip] *= -1.0
-    return face_vertices, face_elements, normals, lengths
+    return Faces(face_vertices, face_elements, normals, lengths)
 
 
 def refine_uniform(mesh: BackgroundMesh) -> BackgroundMesh:
@@ -167,19 +178,17 @@ def refine_uniform(mesh: BackgroundMesh) -> BackgroundMesh:
     children[2::4] = np.column_stack([m20, m12, v2])
     children[3::4] = np.column_stack([m01, m12, m20])
 
-    fv, fe, fn, fl = face_connectivity(vertices, children)
     dx, dy = mesh.cell
     # Exact halving: midpoint refinement scales every edge by 1/2.
-    return BackgroundMesh(vertices, children, mesh.h / 2, (dx / 2, dy / 2),
-                          fv, fe, fn, fl)
+    return BackgroundMesh(vertices, children, mesh.h / 2, (dx / 2, dy / 2))
 
 
-def element_areas(mesh: BackgroundMesh) -> np.ndarray:
-    """Signed areas of all elements (positive for CCW orientation)."""
-    p = mesh.vertices[mesh.elements]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+def element_areas(tris: np.ndarray) -> np.ndarray:
+    """Signed areas (positive for CCW orientation) of the triangles
+    (..., 3, 2), e.g. ``mesh.vertices[mesh.elements]``."""
+    d1 = tris[..., 1, :] - tris[..., 0, :]
+    d2 = tris[..., 2, :] - tris[..., 0, :]
+    return 0.5 * (d1[..., 0] * d2[..., 1] - d1[..., 1] * d2[..., 0])
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .exceptions import StructuralError
-from .mesh import element_areas, element_gradients, row_dot
+from .mesh import element_areas, row_dot
 from .space import basis_values
 
 
@@ -86,9 +86,7 @@ def _map_triangles(tris: np.ndarray, degree: int):
     onto a batch of triangles (k, 3, 2)."""
     bary, wref = triangle_reference_rule(degree)
     pts = np.einsum("mb,kbd->kmd", bary, tris)
-    d1 = tris[:, 1] - tris[:, 0]
-    d2 = tris[:, 2] - tris[:, 0]
-    areas = 0.5 * np.abs(d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    areas = np.abs(element_areas(tris))
     return pts, wref[None, :] * (areas[:, None] / 0.5)
 
 
@@ -141,8 +139,6 @@ class CutQuadrature:
     norm evaluated on the same mesh, level set, topology and degree (2
     for the forms, ``ERROR_DEGREE`` for the error norms):
 
-    grads: (ne, 3, 2) basis gradients of every background element.
-    areas: (ne,) signed areas of every background element.
     split: active bulk elements as (uncut, cut); the cut ones are the
         surface-active elements ``topo.active_surface``.
     uncut(which): (rules, phi) of the reference rule on the uncut active
@@ -156,14 +152,6 @@ class CutQuadrature:
 
     def __init__(self, mesh, dls, topo, degree: int = 2):
         self.mesh, self.dls, self.topo, self.degree = mesh, dls, topo, degree
-
-    @cached_property
-    def grads(self) -> np.ndarray:
-        return element_gradients(self.mesh.vertices[self.mesh.elements])
-
-    @cached_property
-    def areas(self) -> np.ndarray:
-        return element_areas(self.mesh)
 
     @cached_property
     def split(self):

@@ -423,7 +423,7 @@ def element_blocks(cq, space, elements):
     derivatives."""
     mesh = cq.mesh
     grads_all = element_gradients(mesh.vertices[mesh.elements])
-    areas = element_areas(mesh)
+    areas = element_areas(mesh.vertices[mesh.elements])
     m3 = (np.ones((3, 3)) + np.eye(3)) / 12.0
     entities = []
     for e in elements:
@@ -507,20 +507,20 @@ def face_blocks(cq, space, faces):
     grads_all = element_gradients(mesh.vertices[mesh.elements])
     dofs, lengths, jumps, gjumps, consistencies = [], [], [], [], []
     for f in faces:
-        plus, minus = mesh.face_elements[f]
+        plus, minus = mesh.faces.elements[f]
         ends = []
-        for v in mesh.face_vertices[f]:
+        for v in mesh.faces.vertices[f]:
             j = np.zeros(6)
             j[list(mesh.elements[plus]).index(v)] = 1.0
             j[3 + list(mesh.elements[minus]).index(v)] = -1.0
             ends.append(j)
         j0, j1 = ends
-        n, length = mesh.face_normals[f], mesh.face_lengths[f]
+        n, length = mesh.faces.normals[f], mesh.faces.lengths[f]
         dn = [grads_all[e][:, 0] * n[0] + grads_all[e][:, 1] * n[1]
               for e in (plus, minus)]
         gjump = np.concatenate([dn[0], -dn[1]])
         gavg = 0.5 * np.concatenate(dn)
-        va, vb = dls[mesh.face_vertices[f]]
+        va, vb = dls[mesh.faces.vertices[f]]
         if va < 0.0 and vb < 0.0:
             t0, t1 = 0.0, 1.0
         elif va < 0.0:
@@ -565,8 +565,9 @@ def load_vector(cq, dofmap, problem, params):
     uncut, cut = _split(mesh, dls, cq.topo)
     if uncut.size:
         bary, wref = triangle_reference_rule(degree)
-        pts = np.einsum("mb,kbd->kmd", bary, mesh.vertices[mesh.elements[uncut]])
-        w = wref[None, :] * (element_areas(mesh)[uncut, None] / 0.5)
+        tris = mesh.vertices[mesh.elements[uncut]]
+        pts = np.einsum("mb,kbd->kmd", bary, tris)
+        w = wref[None, :] * (element_areas(tris)[:, None] / 0.5)
         local = np.einsum("km,mi->ki",
                           w * np.asarray(problem.f_bulk(pts), dtype=float), bary)
         np.add.at(b, dofmap.bulk.dofs_array(uncut), params.c_bulk * local)
@@ -608,8 +609,9 @@ def compute_errors(coeffs, problem, mesh, dls, topo, dofmap,
     uncut, cut = _split(mesh, dls, topo)
     l2b = semib = l2s = semis = 0.0
     bary, wref = triangle_reference_rule(degree)
-    pts = np.einsum("mb,kbd->kmd", bary, mesh.vertices[mesh.elements[uncut]])
-    w = wref[None, :] * (element_areas(mesh)[uncut, None] / 0.5)
+    tris = mesh.vertices[mesh.elements[uncut]]
+    pts = np.einsum("mb,kbd->kmd", bary, tris)
+    w = wref[None, :] * (element_areas(tris)[:, None] / 0.5)
     for k, e in enumerate(uncut):
         u_elem = coeffs[_dofs(dofmap.bulk, e)]
         diff = bary @ u_elem - np.asarray(problem.u_bulk(pts[k]), dtype=float)

@@ -151,7 +151,7 @@ def test_faces_by_band_lists_each_face_once_per_band_it_touches():
     mesh, topo, dofmap = state.mesh, state.topo, state.dofmap
     slots = dofmap.bulk.elements.size
     rng = np.random.default_rng(0)
-    cases = [(dofmap.bulk.slot[mesh.face_elements[topo.bulk_faces]], slots),
+    cases = [(dofmap.bulk.slot[mesh.faces.elements[topo.bulk_faces]], slots),
              (rng.integers(0, 30, (200, 2)), 30)]
     for face_slots, slots in cases:
         for size in (1, 7, slots):
@@ -278,7 +278,7 @@ def test_bulk_form_peak_memory_is_bounded_by_its_csr():
     state = _setup(4, DEFAULT_BOX, problem)
     cq = state.cq
     assert state.topo.active_bulk.size == 21_690
-    cq.grads, cq.areas, cq.volume  # shared by every form of the system
+    cq.volume  # shared by every form of the system
     tracemalloc.start()
     try:
         a = forms.bulk_form(cq, state.dofmap, PARAMS)

@@ -8,8 +8,7 @@ from cutdg.forms import (StabilizationParams, bulk_form, coupling_form,
 from cutdg.levelset import (CutTopology, build_cut_topology,
                             circle_levelset, extract_surface_segments)
 from cutdg.manufactured import build_circle_problem
-from cutdg.mesh import BackgroundMesh, build_structured_mesh, \
-    face_connectivity, refine_uniform
+from cutdg.mesh import BackgroundMesh, build_structured_mesh, refine_uniform
 from cutdg.quadrature import CutQuadrature
 from cutdg.solver import solve
 from cutdg.space import build_spaces, interpolate_pair
@@ -355,9 +354,7 @@ def test_assembly_is_relabeling_invariant():
     rng = np.random.default_rng(17)
     perm = rng.permutation(mesh.n_elements)
     elements2 = mesh.elements[perm]
-    fv, fe, fn, fl = face_connectivity(mesh.vertices, elements2)
-    mesh2 = BackgroundMesh(mesh.vertices, elements2, mesh.h, mesh.cell,
-                           fv, fe, fn, fl)
+    mesh2 = BackgroundMesh(mesh.vertices, elements2, mesh.h, mesh.cell)
     state2 = SurfaceState(mesh2, circle_levelset(), PARAMS)
     a2 = state2.system(problem).matrix
     invp = np.empty(mesh.n_elements, dtype=int)

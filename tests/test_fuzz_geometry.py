@@ -74,7 +74,7 @@ def _check_invariants(mesh, values, topo):
     for sign in (1.0, -1.0):
         rules = clip_element_rules(mesh.vertices[nodes], sign * values[nodes])
         total += rules.weights.sum(axis=1)
-    area = element_areas(mesh)[topo.active_surface]
+    area = element_areas(mesh.vertices[nodes])
     assert np.all(np.abs(total - area) <= 1e-12 * area)
 
     coupling, matrix = _matrices(mesh, values, topo)

@@ -82,12 +82,12 @@ def test_face_sets_on_circle():
     bulk_set = set(topo.active_bulk)
     cut_set = set(topo.active_surface)
     for f in topo.bulk_faces:
-        assert set(mesh.face_elements[f]) <= bulk_set
+        assert set(mesh.faces.elements[f]) <= bulk_set
     for f in topo.bulk_ghost_faces:
-        assert set(mesh.face_elements[f]) <= bulk_set
-        assert set(mesh.face_elements[f]) & cut_set
+        assert set(mesh.faces.elements[f]) <= bulk_set
+        assert set(mesh.faces.elements[f]) & cut_set
     for f in topo.surface_faces:
-        assert set(mesh.face_elements[f]) <= cut_set
+        assert set(mesh.faces.elements[f]) <= cut_set
     assert set(topo.bulk_ghost_faces) <= set(topo.bulk_faces)
     assert set(topo.surface_faces) <= set(topo.bulk_faces)
 
@@ -163,9 +163,10 @@ def test_exact_zero_vertex_values_give_two_crossings_per_cut_element():
 
 
 def test_extraction_error_paths():
-    """A segment shorter than 1e-14 h, a mesh edge (of a non-manifold
-    mesh) crossed by the surface in three elements, and a saddle of the
-    interpolant whose zero vertex ends four segments."""
+    """A segment shorter than 1e-14 h, a mesh edge of three elements
+    (which reading the mesh faces rejects before the surface crosses it),
+    and a saddle of the interpolant whose zero vertex ends four
+    segments."""
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 1)
     tiny = np.array([-1e-17, 1.0, 1.0, 1.0])
     with pytest.raises(StructuralError, match="degenerate surface segment"):
@@ -173,11 +174,9 @@ def test_extraction_error_paths():
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                          [-1.0, 1.0]])
     fan = np.array([[0, 1, 2], [0, 2, 4], [0, 3, 2]])
-    empty = np.zeros((0, 2))
-    bad = BackgroundMesh(vertices, fan, 1.0, (1.0, 1.0),
-                         empty.astype(np.int64), empty.astype(np.int64),
-                         empty, np.zeros(0))
-    with pytest.raises(StructuralError, match=r"\(0, 2\) shared by 3"):
+    bad = BackgroundMesh(vertices, fan, 1.0, (1.0, 1.0))
+    with pytest.raises(StructuralError,
+                       match=r"non-manifold face \(0, 2\) with 3"):
         extract_surface_segments(bad, np.array([-1.0, 1.0, 1.0, 1.0, 1.0]))
     mesh = build_structured_mesh(((-1.0, -1.0), (1.0, 1.0)), 4)
     x, y = mesh.vertices.T

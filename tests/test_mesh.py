@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+import cutdg.mesh
 from cutdg.exceptions import StructuralError
+from cutdg.experiments import SurfaceState, mesh_at_level
+from cutdg.forms import StabilizationParams
+from cutdg.manufactured import build_circle_problem
 from cutdg.mesh import (build_structured_mesh, element_areas,
                         face_connectivity, refine_uniform)
 from tests.oracles import face_connectivity_reference
@@ -14,7 +18,7 @@ def test_minimal_split_counts():
     mesh = build_structured_mesh(UNIT, 1)
     assert mesh.n_vertices == 4
     assert mesh.n_elements == 2
-    assert len(mesh.face_vertices) == 1
+    assert len(mesh.faces.vertices) == 1
 
 
 def test_counts_n2():
@@ -62,10 +66,12 @@ def test_refinement_is_nested():
 def test_areas_sum_to_box_area():
     for n in (1, 3, 8):
         mesh = build_structured_mesh(BOX, n)
-        assert element_areas(mesh).sum() == pytest.approx(2.2 ** 2, rel=1e-12)
-        assert element_areas(mesh).min() > 0.0
+        areas = element_areas(mesh.vertices[mesh.elements])
+        assert areas.sum() == pytest.approx(2.2 ** 2, rel=1e-12)
+        assert areas.min() > 0.0
     mesh = refine_uniform(build_structured_mesh(BOX, 5))
-    assert element_areas(mesh).sum() == pytest.approx(2.2 ** 2, rel=1e-12)
+    areas = element_areas(mesh.vertices[mesh.elements])
+    assert areas.sum() == pytest.approx(2.2 ** 2, rel=1e-12)
 
 
 def test_quasi_uniformity_bound():
@@ -78,31 +84,31 @@ def test_quasi_uniformity_bound():
 
 def test_conforming_faces_listed_by_both_elements():
     mesh = build_structured_mesh(BOX, 4)
-    for fv, fe in zip(mesh.face_vertices, mesh.face_elements):
+    for fv, fe in zip(mesh.faces.vertices, mesh.faces.elements):
         for e in fe:
             assert set(fv).issubset(set(mesh.elements[e]))
     # plus side is the lower element index
-    assert np.all(mesh.face_elements[:, 0] < mesh.face_elements[:, 1])
+    assert np.all(mesh.faces.elements[:, 0] < mesh.faces.elements[:, 1])
 
 
 def test_face_normals():
     mesh = build_structured_mesh(UNIT, 1)
-    n = mesh.face_normals[0]
+    n = mesh.faces.normals[0]
     assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-15)
     # the split diagonal runs from (1,0) to (0,1); its normal is (1,1)/sqrt(2)
     assert np.abs(n) == pytest.approx(np.ones(2) / np.sqrt(2.0), rel=1e-14)
     # orientation: points from the plus element towards the minus element
-    plus_c = mesh.vertices[mesh.elements[mesh.face_elements[0, 0]]].mean(axis=0)
-    minus_c = mesh.vertices[mesh.elements[mesh.face_elements[0, 1]]].mean(axis=0)
+    plus_c = mesh.vertices[mesh.elements[mesh.faces.elements[0, 0]]].mean(axis=0)
+    minus_c = mesh.vertices[mesh.elements[mesh.faces.elements[0, 1]]].mean(axis=0)
     assert n @ (minus_c - plus_c) > 0.0
     big = build_structured_mesh(BOX, 6)
-    assert np.linalg.norm(big.face_normals, axis=1) == pytest.approx(
-        np.ones(len(big.face_normals)), abs=1e-14)
+    assert np.linalg.norm(big.faces.normals, axis=1) == pytest.approx(
+        np.ones(len(big.faces.normals)), abs=1e-14)
 
 
 def test_boundary_edges_not_in_interior_faces():
     mesh = build_structured_mesh(UNIT, 1)
-    listed = {tuple(fv) for fv in mesh.face_vertices}
+    listed = {tuple(fv) for fv in mesh.faces.vertices}
     assert (0, 1) not in listed  # bottom edge of the box
     assert listed == {(1, 2)}
 
@@ -140,3 +146,22 @@ def test_face_connectivity_matches_dict_oracle(n, levels):
         plus = mesh.vertices[elements[fe[:, 0]]].mean(axis=1)
         minus = mesh.vertices[elements[fe[:, 1]]].mean(axis=1)
         assert np.all(np.einsum("fd,fd->f", normals, minus - plus) > 0.0)
+
+
+def test_faces_are_built_once_where_read(monkeypatch):
+    """Building and refining a mesh makes no faces; one discretization, its
+    system and its error norms build them once, and the mesh keeps them."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return face_connectivity(*args)
+
+    monkeypatch.setattr(cutdg.mesh, "face_connectivity", counted)
+    mesh = mesh_at_level(3)
+    assert not calls
+    problem = build_circle_problem()
+    state = SurfaceState(mesh, problem.geometry, StabilizationParams())
+    state.system(problem)
+    state.errors(np.zeros(state.dofmap.ndof), problem)
+    assert len(calls) == 1 and mesh.faces is mesh.faces

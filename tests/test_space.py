@@ -72,13 +72,13 @@ def test_interpolation_reproduces_constants_and_linears():
     grads_all = element_gradients(mesh.vertices[mesh.elements])
     coeffs = lin.reshape(-1, 3)
     for f in topo.bulk_faces:
-        ep, em = mesh.face_elements[f]
+        ep, em = mesh.faces.elements[f]
         sp, sm = dofmap.bulk.slot[ep], dofmap.bulk.slot[em]
         ge = grads_all[ep].T @ coeffs[sp]
         gm = grads_all[em].T @ coeffs[sm]
         assert ge == pytest.approx(gm, abs=1e-12)
         assert ge == pytest.approx([2.0, -1.0], abs=1e-12)
-        for v in mesh.face_vertices[f]:
+        for v in mesh.faces.vertices[f]:
             ip = list(mesh.elements[ep]).index(v)
             im = list(mesh.elements[em]).index(v)
             assert coeffs[sp][ip] == pytest.approx(coeffs[sm][im], abs=1e-14)
@@ -90,13 +90,13 @@ def test_quadratic_interpolant_has_gradient_jumps():
     # pick the vertical face at x = 1 between cells
     grads_all = element_gradients(mesh.vertices[mesh.elements])
     fid = None
-    for f in range(len(mesh.face_vertices)):
-        pa, pb = mesh.vertices[mesh.face_vertices[f]]
+    for f in range(len(mesh.faces.vertices)):
+        pa, pb = mesh.vertices[mesh.faces.vertices[f]]
         if pa[0] == 1.0 and pb[0] == 1.0:
             fid = f
             break
     assert fid is not None
-    ep, em = mesh.face_elements[fid]
+    ep, em = mesh.faces.elements[fid]
     fx = lambda p: p[..., 0] ** 2
     vals_p = fx(mesh.vertices[mesh.elements[ep]])
     vals_m = fx(mesh.vertices[mesh.elements[em]])
