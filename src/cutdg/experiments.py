@@ -35,7 +35,7 @@ DEFAULT_BOX = ((-1.1, -1.1), (1.1, 1.1))
 PROPERTY_BOX = ((-1.4, -1.4), (1.4, 1.4))
 DEFAULT_N0 = 8
 # The most triangles a study mesh may have: the level-7 mesh of n0 = 8,
-# four times the level-6 one, whose convergence solve peaks near 1.5 GB.
+# four times the level-6 one, whose convergence study peaks near 0.85 GB.
 MAX_ELEMENTS = 2 ** 21
 SENTINEL_KAPPA = 1e300
 SENTINEL_ERROR = 1e300

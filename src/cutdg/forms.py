@@ -228,12 +228,18 @@ def _face_blocks(cq: CutQuadrature, space, faces):
     their consistency blocks -({n.grad v},[w]) - ([v],{n.grad w}) over the
     negative part of each face, cut from the snapped endpoint values."""
     mesh = cq.mesh
-    fv, fe, n, lengths = (a[faces] for a in mesh.faces)
+    fv, fe = (a[faces] for a in mesh.faces)
     nodes = mesh.elements[fe[:, 0]], mesh.elements[fe[:, 1]]  # plus, minus
     # local index of each face vertex in the plus and the minus element
     (p0, p1), (m0, m1) = (np.argmax(e[:, None, :] == fv[:, :, None], axis=2).T
                           for e in nodes)
     j0, j1 = _endpoint_jumps(p0, m0, p1, m1)
+    # the right-hand normal of fv0 -> fv1 points out of the plus element
+    # where that element, wound counterclockwise, runs from fv0 to fv1
+    d = mesh.vertices[fv[:, 1]] - mesh.vertices[fv[:, 0]]
+    lengths = np.linalg.norm(d, axis=1)
+    n = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
+    n[(p1 - p0) % 3 != 1] *= -1.0
     gp, gm = (np.einsum("fkd,fd->fk", element_gradients(mesh.vertices[e]), n)
               for e in nodes)
     gavg = 0.5 * np.hstack([gp, gm])

@@ -24,14 +24,14 @@ class Faces(NamedTuple):
     vertices: (nf, 2) vertex pair of each interior face, sorted.
     elements: (nf, 2) incident elements; column 0 is the plus side (the
         lower element index).
-    normals: (nf, 2) unit normal pointing from plus to minus.
-    lengths: (nf,) face lengths.
+
+    A face's length and its unit normal from plus to minus follow from its
+    vertices and the counterclockwise winding of its plus element; the
+    forms derive them for the faces they read (``forms._face_blocks``).
     """
 
     vertices: np.ndarray
     elements: np.ndarray
-    normals: np.ndarray
-    lengths: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class BackgroundMesh:
 
     @cached_property
     def faces(self) -> Faces:
-        return face_connectivity(self.vertices, self.elements)
+        return face_connectivity(self.elements, self.n_vertices)
 
     @property
     def n_vertices(self) -> int:
@@ -129,35 +129,24 @@ def _element_edge_keys(elements: np.ndarray, n_vertices: int) -> np.ndarray:
                     n_vertices).reshape(-1)
 
 
-def face_connectivity(vertices: np.ndarray, elements: np.ndarray) -> Faces:
-    """Interior ``Faces`` of a conforming triangle mesh, the plus side
-    being the lower incident element index and the unit normal pointing
-    from plus to minus. Raises StructuralError for non-manifold edges
-    (more than two incident elements).
+def face_connectivity(elements: np.ndarray, n_vertices: int) -> Faces:
+    """Interior ``Faces`` of a conforming triangle mesh with ``n_vertices``
+    vertices, the plus side being the lower incident element index.
+    Raises StructuralError for non-manifold edges (more than two incident
+    elements).
     """
-    nv = vertices.shape[0]
-    keys = _element_edge_keys(elements, nv)
+    keys = _element_edge_keys(elements, n_vertices)
     order, starts, counts = group_keys(keys)
     if np.any(counts > 2):
-        bad = divmod(int(keys[order[starts[counts > 2][0]]]), nv)
+        bad = divmod(int(keys[order[starts[counts > 2][0]]]), n_vertices)
         raise StructuralError(f"non-manifold face {bad} with "
                               f"{counts.max()} incident elements")
     first = starts[counts == 2]
-    face_vertices = np.column_stack(divmod(keys[order[first]], nv))
+    face_vertices = np.column_stack(divmod(keys[order[first]], n_vertices))
     # edge position // 3 is the owner, ascending within each run, so
     # column 0 is the lower element index
     face_elements = order[np.column_stack([first, first + 1])] // 3
-
-    pa = vertices[face_vertices[:, 0]]
-    pb = vertices[face_vertices[:, 1]]
-    d = pb - pa
-    lengths = np.linalg.norm(d, axis=1)
-    normals = np.column_stack([d[:, 1], -d[:, 0]]) / lengths[:, None]
-    centroid_plus = vertices[elements[face_elements[:, 0]]].mean(axis=1)
-    midpoint = 0.5 * (pa + pb)
-    flip = np.einsum("fd,fd->f", normals, midpoint - centroid_plus) < 0.0
-    normals[flip] *= -1.0
-    return Faces(face_vertices, face_elements, normals, lengths)
+    return Faces(face_vertices, face_elements)
 
 
 def refine_uniform(mesh: BackgroundMesh) -> BackgroundMesh:

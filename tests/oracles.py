@@ -499,10 +499,12 @@ def face_blocks(cq, space, faces):
     The jump vectors at the endpoints come from the local index of each
     endpoint in the plus and the minus element, the integrals along the
     face from np.outer products of them, and the negative part of the
-    face from a branch on the signs of the level set at its endpoints. A
-    normal derivative is the x product plus the y product, as the batched
-    contraction sums them; a matmul can fuse the two and round
-    differently."""
+    face from a branch on the signs of the level set at its endpoints. The
+    unit normal is the right-hand normal of the face, negated where it
+    points from the face midpoint towards the plus centroid, and the
+    length is summed in the order of np.linalg.norm. A normal derivative
+    is the x product plus the y product, as the batched contraction sums
+    them; a matmul can fuse the two and round differently."""
     mesh, dls = cq.mesh, cq.dls
     grads_all = element_gradients(mesh.vertices[mesh.elements])
     dofs, lengths, jumps, gjumps, consistencies = [], [], [], [], []
@@ -515,7 +517,13 @@ def face_blocks(cq, space, faces):
             j[3 + list(mesh.elements[minus]).index(v)] = -1.0
             ends.append(j)
         j0, j1 = ends
-        n, length = mesh.faces.normals[f], mesh.faces.lengths[f]
+        pa, pb = mesh.vertices[mesh.faces.vertices[f]]
+        d = pb - pa
+        length = np.sqrt(d[0] * d[0] + d[1] * d[1])
+        n = np.array([d[1], -d[0]]) / length
+        centroid = mesh.vertices[mesh.elements[plus]].mean(axis=0)
+        if n @ (0.5 * (pa + pb) - centroid) < 0.0:
+            n = -n
         dn = [grads_all[e][:, 0] * n[0] + grads_all[e][:, 1] * n[1]
               for e in (plus, minus)]
         gjump = np.concatenate([dn[0], -dn[1]])

@@ -4,10 +4,12 @@ import pytest
 import cutdg.mesh
 from cutdg.exceptions import StructuralError
 from cutdg.experiments import SurfaceState, mesh_at_level
-from cutdg.forms import StabilizationParams
+from cutdg.forms import StabilizationParams, _face_blocks
 from cutdg.manufactured import build_circle_problem
-from cutdg.mesh import (build_structured_mesh, element_areas,
+from cutdg.mesh import (BackgroundMesh, build_structured_mesh, element_areas,
                         face_connectivity, refine_uniform)
+from cutdg.quadrature import CutQuadrature
+from cutdg.space import BrokenSpace
 from tests.oracles import face_connectivity_reference
 
 UNIT = ((0.0, 0.0), (1.0, 1.0))
@@ -72,6 +74,7 @@ def test_areas_sum_to_box_area():
     mesh = refine_uniform(build_structured_mesh(BOX, 5))
     areas = element_areas(mesh.vertices[mesh.elements])
     assert areas.sum() == pytest.approx(2.2 ** 2, rel=1e-12)
+    assert areas.min() > 0.0
 
 
 def test_quasi_uniformity_bound():
@@ -91,21 +94,6 @@ def test_conforming_faces_listed_by_both_elements():
     assert np.all(mesh.faces.elements[:, 0] < mesh.faces.elements[:, 1])
 
 
-def test_face_normals():
-    mesh = build_structured_mesh(UNIT, 1)
-    n = mesh.faces.normals[0]
-    assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-15)
-    # the split diagonal runs from (1,0) to (0,1); its normal is (1,1)/sqrt(2)
-    assert np.abs(n) == pytest.approx(np.ones(2) / np.sqrt(2.0), rel=1e-14)
-    # orientation: points from the plus element towards the minus element
-    plus_c = mesh.vertices[mesh.elements[mesh.faces.elements[0, 0]]].mean(axis=0)
-    minus_c = mesh.vertices[mesh.elements[mesh.faces.elements[0, 1]]].mean(axis=0)
-    assert n @ (minus_c - plus_c) > 0.0
-    big = build_structured_mesh(BOX, 6)
-    assert np.linalg.norm(big.faces.normals, axis=1) == pytest.approx(
-        np.ones(len(big.faces.normals)), abs=1e-14)
-
-
 def test_boundary_edges_not_in_interior_faces():
     mesh = build_structured_mesh(UNIT, 1)
     listed = {tuple(fv) for fv in mesh.faces.vertices}
@@ -122,14 +110,13 @@ def test_non_manifold_detection():
     # a genuinely bad one instead: three elements sharing edge (0, 2).
     bad = np.array([[0, 1, 2], [0, 2, 4], [0, 2, 3]])
     with pytest.raises(StructuralError):
-        face_connectivity(verts, bad)
+        face_connectivity(bad, verts.shape[0])
 
 
-@pytest.mark.parametrize("n, levels", [(1, 0), (2, 0), (3, 0), (2, 1), (1, 2)])
-def test_face_connectivity_matches_dict_oracle(n, levels):
-    """Face order, plus/minus sides and normal orientation against a
-    dict-based listing, on the structured mesh and on a copy with shuffled
-    element order and rotated vertex order."""
+def _oracle_meshes(n, levels):
+    """The structured mesh of n-by-n cells of UNIT refined ``levels``
+    times, and a copy with shuffled element order and rotated vertex
+    order."""
     mesh = build_structured_mesh(UNIT, n)
     for _ in range(levels):
         mesh = refine_uniform(mesh)
@@ -137,15 +124,52 @@ def test_face_connectivity_matches_dict_oracle(n, levels):
     shuffled = mesh.elements[rng.permutation(mesh.n_elements)]
     shuffled = np.array([np.roll(tri, r) for tri, r in
                          zip(shuffled, rng.integers(0, 3, mesh.n_elements))])
-    for elements in (mesh.elements, shuffled):
-        fv, fe, normals, lengths = face_connectivity(mesh.vertices, elements)
-        ref_fv, ref_fe = face_connectivity_reference(elements)
+    return mesh, BackgroundMesh(mesh.vertices, shuffled, mesh.h, mesh.cell)
+
+
+ORACLE_MESHES = [(1, 0), (2, 0), (3, 0), (2, 1), (1, 2)]
+
+
+@pytest.mark.parametrize("n, levels", ORACLE_MESHES)
+def test_face_connectivity_matches_dict_oracle(n, levels):
+    """Face order and plus/minus sides against a dict-based listing, on
+    the meshes of ``_oracle_meshes``."""
+    for mesh in _oracle_meshes(n, levels):
+        fv, fe = face_connectivity(mesh.elements, mesh.n_vertices)
+        ref_fv, ref_fe = face_connectivity_reference(mesh.elements)
         assert np.array_equal(fv, ref_fv) and np.array_equal(fe, ref_fe)
+
+
+def test_face_normals():
+    """The lengths and unit normals that ``_face_blocks`` derives from the
+    element winding, on the meshes of ``_oracle_meshes`` for every case
+    of the dict-oracle test and on the 6x6 mesh of BOX. The normal n is
+    read back from the normal-gradient jump [grad(v) . n], whose plus part
+    G n (G the plus basis gradients) summed against the plus vertices is n
+    (the gradient of the identity map), and whose minus part gives n in
+    the same way: unit length, from the plus centroid towards the minus
+    one, and +-(1, 1)/sqrt(2) on the diagonal of the one-cell mesh."""
+    meshes = [mesh for case in ORACLE_MESHES for mesh in _oracle_meshes(*case)]
+    for mesh in meshes + [build_structured_mesh(BOX, 6)]:
+        ne = mesh.n_elements
+        cq = CutQuadrature(mesh, np.ones(mesh.n_vertices), None)
+        space = BrokenSpace(np.arange(ne), 0, np.arange(ne))
+        fv, fe = mesh.faces
+        _, lengths, _, gjump, _ = _face_blocks(cq, space, np.arange(len(fv)))
         pa, pb = mesh.vertices[fv[:, 0]], mesh.vertices[fv[:, 1]]
         assert np.allclose(lengths, np.linalg.norm(pb - pa, axis=1))
-        plus = mesh.vertices[elements[fe[:, 0]]].mean(axis=1)
-        minus = mesh.vertices[elements[fe[:, 1]]].mean(axis=1)
-        assert np.all(np.einsum("fd,fd->f", normals, minus - plus) > 0.0)
+        plus, minus = (mesh.vertices[mesh.elements[e]] for e in fe.T)
+        normals = np.einsum("fk,fkd->fd", gjump[:, :3], plus)
+        assert np.allclose(np.einsum("fk,fkd->fd", -gjump[:, 3:], minus),
+                           normals, rtol=0.0, atol=1e-14)
+        assert np.linalg.norm(normals, axis=1) == pytest.approx(
+            np.ones(len(fv)), abs=1e-14)
+        assert np.all(np.einsum("fd,fd->f", normals, minus.mean(axis=1)
+                                - plus.mean(axis=1)) > 0.0)
+        if ne == 2:
+            # the split diagonal of the one-cell mesh runs from (1,0) to (0,1)
+            assert np.abs(normals[0]) == pytest.approx(
+                np.ones(2) / np.sqrt(2.0), rel=1e-14)
 
 
 def test_faces_are_built_once_where_read(monkeypatch):
