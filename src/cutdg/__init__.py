@@ -10,8 +10,7 @@ from .forms import (AssembledSystem, StabilizationParams, assemble_system,
                     surface_form)
 from .levelset import (CutTopology, LevelSet, build_cut_topology,
                        check_geometry_assumptions, circle_levelset,
-                       closest_point_circle, extract_surface_segments,
-                       interpolate_levelset)
+                       closest_point_circle, interpolate_levelset)
 from .manufactured import (ErrorReport, ManufacturedProblem,
                            build_circle_problem, compute_errors, eoc)
 from .mesh import (BackgroundMesh, build_structured_mesh, face_connectivity,

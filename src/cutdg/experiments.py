@@ -371,7 +371,8 @@ def _cut_area_ratio(cq: CutQuadrature) -> float:
     """The bulk constant without ghost, max |K| / |K cap Omega_h| over the
     cut elements: both gradient Grams sum the element stiffnesses S_K,
     weighted by |K| and by |K cap Omega_h|."""
-    areas = element_areas(cq.mesh.vertices[cq.mesh.elements[cq.split[1]]])
+    tris = cq.mesh.vertices[cq.mesh.elements[cq.topo.active_surface]]
+    areas = element_areas(tris)
     return float(np.max(areas / cq.volume[0].weights.sum(axis=1)))
 
 

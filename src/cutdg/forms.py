@@ -38,11 +38,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.sparse as sp
 
+from . import quadrature
 from .exceptions import GeometryError
 from .levelset import CutTopology
 from .mesh import (BackgroundMesh, element_areas, element_gradients,
                    row_dot)
-from .quadrature import BAND_ELEMENTS, CutQuadrature
+from .quadrature import CutQuadrature
 from .space import CombinedDofMap, basis_values, prolongation
 
 # Exact P1 element mass matrix is area * _M3.
@@ -141,9 +142,9 @@ def _element_blocks(cq: CutQuadrature, space, elements):
 
 
 def _cut_element_blocks(cq: CutQuadrature, space, which=slice(None)):
-    """Dofs, stiffness and mass blocks of the cut elements split[1][which]
-    by their cut-volume rules."""
-    cut = cq.split[1][which]
+    """Dofs, stiffness and mass blocks of the cut elements
+    topo.active_surface[which] by their cut-volume rules."""
+    cut = cq.topo.active_surface[which]
     g = element_gradients(cq.mesh.vertices[cq.mesh.elements[cut]])
     rules, phi = cq.volume
     weights, phi = rules.weights[which], phi[which]
@@ -154,10 +155,11 @@ def _cut_element_blocks(cq: CutQuadrature, space, which=slice(None)):
 
 
 def _volume_blocks(cq: CutQuadrature, space, which=(slice(None),) * 2):
-    """(dofs, stiffness, mass) of the uncut active elements split[0][u],
-    then of the cut ones split[1][c], for the slices (u, c) = which."""
+    """(dofs, stiffness, mass) of the uncut active elements
+    topo.uncut_bulk[u], then of the cut ones topo.active_surface[c], for
+    the slices (u, c) = which."""
     uncut, cut = which
-    return [_element_blocks(cq, space, cq.split[0][uncut]),
+    return [_element_blocks(cq, space, cq.topo.uncut_bulk[uncut]),
             _cut_element_blocks(cq, space, cut)]
 
 
@@ -294,16 +296,17 @@ def _banded_bulk(cq: CutQuadrature, dofmap: CombinedDofMap, penalty: float,
     with faces ascending), so every row gets the same triplets in the same
     order and the bands, joined, are bit for bit the whole conversion,
     while only one band's blocks and triplets are alive at a time."""
-    space, n = dofmap.bulk, dofmap.ndof
-    slots = space.elements.size
-    split_slots = [space.slot[elements] for elements in cq.split]
-    faces = cq.topo.bulk_faces
+    space, n, topo = dofmap.bulk, dofmap.ndof, cq.topo
+    slots, size = space.elements.size, quadrature.BAND_ELEMENTS
+    split_slots = [space.slot[topo.uncut_bulk],
+                   space.slot[topo.active_surface]]
+    faces = topo.bulk_faces
     band_faces, start = _faces_by_band(
-        space.slot[cq.mesh.faces.elements[faces]], slots, BAND_ELEMENTS)
+        space.slot[cq.mesh.faces.elements[faces]], slots, size)
 
     def bands():
-        for band, lo in enumerate(range(0, slots, BAND_ELEMENTS)):
-            hi = min(lo + BAND_ELEMENTS, slots)
+        for band, lo in enumerate(range(0, slots, size)):
+            hi = min(lo + size, slots)
             which = [slice(*np.searchsorted(s, (lo, hi)))
                      for s in split_slots]
             parts = [(dofs, s + m)

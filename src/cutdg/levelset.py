@@ -127,6 +127,7 @@ class CutTopology:
         (some vertex value negative).
     active_surface: active elements crossed by the discrete surface
         (vertex values of both signs); always a subset of active_bulk.
+    uncut_bulk: active_bulk elements not in active_surface, taken whole.
     bulk_faces: interior faces with both incident elements in active_bulk.
     bulk_ghost_faces: bulk faces with at least one incident element in
         active_surface (the ghost-penalty band).
@@ -137,35 +138,54 @@ class CutTopology:
 
     active_bulk: np.ndarray
     active_surface: np.ndarray
+    uncut_bulk: np.ndarray
     bulk_faces: np.ndarray
     bulk_ghost_faces: np.ndarray
     surface_faces: np.ndarray
     surface: SurfaceGeometry
 
 
-def extract_surface_segments(mesh: BackgroundMesh,
-                             dls: np.ndarray) -> SurfaceGeometry:
-    """Extract one straight segment per cut element plus interior edges,
-    from the vertex values ``dls`` of the discrete level set.
+def build_cut_topology(mesh: BackgroundMesh, dls: np.ndarray) -> CutTopology:
+    """Active elements and face sets from the vertex values ``dls`` of the
+    discrete level set, and the surface extracted on the cut elements.
 
     Raises StructuralError where the zero set runs along an interior mesh
     edge between an element with a negative vertex value and one without:
     both vertex values of that edge are exactly zero, no segment
-    represents it, and the chain would end inside the mesh.
-    """
+    represents it, and the chain would end inside the mesh. Raises
+    ConfigurationError when no element is cut: the mesh carries no part of
+    the surface (nor, if no vertex value is negative, of the bulk)."""
+    fv, fe = mesh.faces  # first: building the faces sets the peak
     vals = dls[mesh.elements]
     is_bulk = vals.min(axis=1) < 0.0
-    fe, fv = mesh.faces.elements, mesh.faces.vertices
-    on_edge = np.all(dls[fv] == 0.0, axis=1) \
-        & (is_bulk[fe[:, 0]] != is_bulk[fe[:, 1]])
-    if np.any(on_edge):
-        a, b = sorted(fv[np.flatnonzero(on_edge)[0]].tolist())
+    is_cut = is_bulk & (vals.max(axis=1) > 0.0)
+    bulk_plus, bulk_minus = is_bulk[fe[:, 0]], is_bulk[fe[:, 1]]
+    mixed = np.flatnonzero(bulk_plus != bulk_minus)
+    on_edge = mixed[np.all(dls[fv[mixed]] == 0.0, axis=1)]
+    if on_edge.size:
+        a, b = sorted(fv[on_edge[0]].tolist())
         raise StructuralError(f"surface runs along mesh edge ({a}, {b}), "
                               "whose vertex values are both exactly zero")
-    is_cut = is_bulk & (vals.max(axis=1) > 0.0)
-    cut_elements = np.flatnonzero(is_cut)
+    if not is_cut.any():
+        raise ConfigurationError("surface misses the background box: "
+                                 "no element is cut")
+    cut_plus, cut_minus = is_cut[fe[:, 0]], is_cut[fe[:, 1]]
+    both_bulk = bulk_plus & bulk_minus
+    cut = np.flatnonzero(is_cut)
+    return CutTopology(np.flatnonzero(is_bulk), cut,
+                       np.flatnonzero(is_bulk & ~is_cut),
+                       np.flatnonzero(both_bulk),
+                       np.flatnonzero(both_bulk & (cut_plus | cut_minus)),
+                       np.flatnonzero(cut_plus & cut_minus),
+                       _surface_segments(mesh, dls, cut))
+
+
+def _surface_segments(mesh: BackgroundMesh, dls: np.ndarray,
+                      cut_elements: np.ndarray) -> SurfaceGeometry:
+    """One straight segment per cut element plus the interior surface
+    edges; StructuralError on a degenerate segment or a saddle."""
     tri = mesh.elements[cut_elements]
-    v = vals[cut_elements]
+    v = dls[tri]
 
     # The sign of a cut element changes along exactly two of its local
     # edges (i, i+1), an even count around the triangle that is not zero.
@@ -236,28 +256,6 @@ def extract_surface_segments(mesh: BackgroundMesh,
         edge_segments=edge_segments,
         edge_conormals=edge_conormals,
     )
-
-
-def build_cut_topology(mesh: BackgroundMesh, dls: np.ndarray) -> CutTopology:
-    """Active elements and face sets from the vertex values ``dls`` of the
-    discrete level set, and the extracted surface. Raises
-    ConfigurationError when no element is cut, that is when the mesh
-    carries no part of the surface (and so also when no element has a
-    negative vertex value)."""
-    vals = dls[mesh.elements]
-    is_bulk = vals.min(axis=1) < 0.0
-    is_cut = is_bulk & (vals.max(axis=1) > 0.0)
-    surface = extract_surface_segments(mesh, dls)
-    if not is_cut.any():
-        raise ConfigurationError("surface misses the background box: "
-                                 "no element is cut")
-    fe = mesh.faces.elements
-    both_bulk = is_bulk[fe[:, 0]] & is_bulk[fe[:, 1]]
-    ghost = both_bulk & (is_cut[fe[:, 0]] | is_cut[fe[:, 1]])
-    both_cut = is_cut[fe[:, 0]] & is_cut[fe[:, 1]]
-    return CutTopology(np.flatnonzero(is_bulk), np.flatnonzero(is_cut),
-                       np.flatnonzero(both_bulk), np.flatnonzero(ghost),
-                       np.flatnonzero(both_cut), surface)
 
 
 def check_geometry_assumptions(ls: LevelSet, topo: CutTopology):

@@ -142,11 +142,14 @@ def face_connectivity(elements: np.ndarray, n_vertices: int) -> Faces:
         raise StructuralError(f"non-manifold face {bad} with "
                               f"{counts.max()} incident elements")
     first = starts[counts == 2]
-    face_vertices = np.column_stack(divmod(keys[order[first]], n_vertices))
+    del starts, counts  # each array goes as soon as it is read, for the peak
+    plus, minus = order[first], order[first + 1]
+    del order, first
+    keys = keys[plus]
     # edge position // 3 is the owner, ascending within each run, so
     # column 0 is the lower element index
-    face_elements = order[np.column_stack([first, first + 1])] // 3
-    return Faces(face_vertices, face_elements)
+    return Faces(np.column_stack(divmod(keys, n_vertices)),
+                 np.column_stack([plus // 3, minus // 3]))
 
 
 def refine_uniform(mesh: BackgroundMesh) -> BackgroundMesh:

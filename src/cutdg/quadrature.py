@@ -139,28 +139,21 @@ class CutQuadrature:
     norm evaluated on the same mesh, level set, topology and degree (2
     for the forms, ``ERROR_DEGREE`` for the error norms):
 
-    split: active bulk elements as (uncut, cut); the cut ones are the
-        surface-active elements ``topo.active_surface``.
     uncut(which): (rules, phi) of the reference rule on the uncut active
-        elements split[0][which] (all by default), phi the exact
-        barycentric table of the rule, broadcast read-only; made on each
-        call.
+        elements ``topo.uncut_bulk[which]`` (all by default), phi the
+        exact barycentric table of the rule, broadcast read-only; made on
+        each call.
     volume: (rules, phi) of the cut-volume rules on the cut elements
-        split[1], phi (k, m, 3) the basis values at the rule points.
+        ``topo.active_surface``, phi (k, m, 3) the basis values at the
+        rule points.
     segments: (rules, phi) of the surface segments, in segment order.
     """
 
     def __init__(self, mesh, dls, topo, degree: int = 2):
         self.mesh, self.dls, self.topo, self.degree = mesh, dls, topo, degree
 
-    @cached_property
-    def split(self):
-        cut = self.topo.active_surface
-        uncut = np.setdiff1d(self.topo.active_bulk, cut, assume_unique=True)
-        return uncut, cut
-
     def uncut(self, which=slice(None)):
-        uncut = self.split[0][which]
+        uncut = self.topo.uncut_bulk[which]
         bary = triangle_reference_rule(self.degree)[0]
         rules = RuleBatch(*_map_triangles(
             self.mesh.vertices[self.mesh.elements[uncut]], self.degree))
@@ -170,15 +163,15 @@ class CutQuadrature:
         """(elements, (rules, phi)) of the active bulk elements, made and
         freed one at a time: the uncut ones ascending, in chunks of
         BAND_ELEMENTS, then all cut ones (``volume``)."""
-        uncut = self.split[0]
+        uncut = self.topo.uncut_bulk
         for lo in range(0, uncut.size, BAND_ELEMENTS):
             which = slice(lo, lo + BAND_ELEMENTS)
             yield uncut[which], self.uncut(which)
-        yield self.split[1], self.volume
+        yield self.topo.active_surface, self.volume
 
     @cached_property
     def volume(self):
-        cut = self.split[1]
+        cut = self.topo.active_surface
         nodes = self.mesh.elements[cut]
         tris = self.mesh.vertices[nodes]
         rules = clip_element_rules(tris, self.dls[nodes], self.degree)

@@ -121,7 +121,7 @@ def test_bulk_form_is_independent_of_the_band_size(monkeypatch):
     mesh, topo, dofmap, cq = state.mesh, state.topo, state.dofmap, state.cq
     assert topo.active_bulk.size == 1_430
     space = dofmap.bulk
-    volume = [oracles.element_blocks(cq, space, cq.split[0]),
+    volume = [oracles.element_blocks(cq, space, topo.uncut_bulk),
               oracles.cut_element_blocks(cq, space)]
     dofs, lengths, jump, _, consistency = oracles.face_blocks(
         cq, space, topo.bulk_faces)
@@ -132,7 +132,7 @@ def test_bulk_form_is_independent_of_the_band_size(monkeypatch):
     pieces = forms.ghost_pieces(cq, dofmap)
     energies = []
     for band in (1, 7, topo.active_bulk.size):
-        monkeypatch.setattr(forms, "BAND_ELEMENTS", band)
+        monkeypatch.setattr(quadrature, "BAND_ELEMENTS", band)
         bulk = forms.bulk_form(cq, dofmap, PARAMS)
         energies.append(forms.property_grams(cq, dofmap, PARAMS,
                                              pieces)["energy"])
@@ -210,7 +210,6 @@ def test_banded_stabilized_equals_the_sum_of_whole_matrices(band,
     rhs = forms.load_vector(cq, dofmap, problem, base)
 
     size = band or topo.active_bulk.size
-    monkeypatch.setattr(forms, "BAND_ELEMENTS", size)
     monkeypatch.setattr(quadrature, "BAND_ELEMENTS", size)
     nnz, bands = forms._bulk_bands(cq, dofmap, base)
     bands = list(bands)

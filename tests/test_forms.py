@@ -5,8 +5,8 @@ from cutdg.experiments import SurfaceState
 from cutdg.forms import (StabilizationParams, bulk_form, coupling_form,
                          ghost_bulk, ghost_pieces, ghost_surface, load_vector,
                          property_grams, surface_form)
-from cutdg.levelset import (CutTopology, build_cut_topology,
-                            circle_levelset, extract_surface_segments)
+from cutdg.levelset import (CutTopology, SurfaceGeometry,
+                            build_cut_topology, circle_levelset)
 from cutdg.manufactured import build_circle_problem
 from cutdg.mesh import BackgroundMesh, build_structured_mesh, refine_uniform
 from cutdg.quadrature import CutQuadrature
@@ -35,13 +35,17 @@ def _circle_setup(n=8):
 def _uncut_pair():
     """Two-triangle mesh fully inside the bulk domain. It carries no
     surface, which ``build_cut_topology`` refuses, so its topology is
-    built by hand: both elements and their one face are bulk, nothing is
-    cut."""
+    built by hand: both elements are bulk and uncut, their one face is
+    bulk, and the surface has no segment and no edge."""
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 1)
     dls = -np.ones(4)
     none = np.zeros(0, dtype=np.int64)
-    topo = CutTopology(np.arange(2), none, np.arange(1), none, none,
-                       extract_surface_segments(mesh, dls))
+    empty = SurfaceGeometry(none, np.zeros((0, 2, 2)), np.zeros((0, 2)),
+                            np.zeros(0), np.zeros((0, 2)),
+                            np.zeros((0, 2), dtype=np.int64),
+                            np.zeros((0, 2, 2)))
+    topo = CutTopology(np.arange(2), none, np.arange(2), np.arange(1), none,
+                       none, empty)
     return mesh, dls, topo, build_spaces(mesh, topo)
 
 

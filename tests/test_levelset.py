@@ -2,14 +2,46 @@ import numpy as np
 import pytest
 
 from cutdg.exceptions import ConfigurationError, StructuralError
+from cutdg.experiments import DEFAULT_BOX, mesh_at_level, shifted_circle
 from cutdg.levelset import (SNAP_FACTOR, build_cut_topology,
                             check_geometry_assumptions, circle_levelset,
-                            closest_point_circle, extract_surface_segments,
-                            interpolate_levelset)
+                            closest_point_circle, interpolate_levelset)
 from cutdg.mesh import BackgroundMesh, build_structured_mesh, refine_uniform
 from tests.oracles import line_levelset
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
+
+
+def _classes_by_loops(mesh, dls):
+    """The element and face classes of ``build_cut_topology`` by plain
+    loops over the elements and the faces: an element is bulk where its
+    smallest vertex value is negative, and cut where it is bulk and its
+    largest vertex value is positive."""
+    bulk, cut = set(), set()
+    for e, tri in enumerate(mesh.elements):
+        values = [float(dls[v]) for v in tri]
+        if min(values) < 0.0:
+            bulk.add(e)
+            if max(values) > 0.0:
+                cut.add(e)
+    bulk_faces, ghost_faces, surface_faces = [], [], []
+    for f, (a, b) in enumerate(mesh.faces.elements.tolist()):
+        if a in bulk and b in bulk:
+            bulk_faces.append(f)
+            if a in cut or b in cut:
+                ghost_faces.append(f)
+        if a in cut and b in cut:
+            surface_faces.append(f)
+    return {"active_bulk": sorted(bulk), "active_surface": sorted(cut),
+            "uncut_bulk": sorted(bulk - cut), "bulk_faces": bulk_faces,
+            "bulk_ghost_faces": ghost_faces, "surface_faces": surface_faces}
+
+
+def _assert_classes_equal_loops(topo, mesh, dls):
+    for name, expected in _classes_by_loops(mesh, dls).items():
+        actual = getattr(topo, name)
+        assert actual.dtype == np.int64, name
+        assert actual.tolist() == expected, name
 
 
 def test_circle_distance_values():
@@ -76,27 +108,32 @@ def test_classification_sign_patterns():
 
 
 def test_face_sets_on_circle():
-    mesh = build_structured_mesh(BOX, 8)
-    dls = interpolate_levelset(circle_levelset(), mesh)
-    topo = build_cut_topology(mesh, dls)
-    bulk_set = set(topo.active_bulk)
-    cut_set = set(topo.active_surface)
-    for f in topo.bulk_faces:
-        assert set(mesh.faces.elements[f]) <= bulk_set
-    for f in topo.bulk_ghost_faces:
-        assert set(mesh.faces.elements[f]) <= bulk_set
-        assert set(mesh.faces.elements[f]) & cut_set
-    for f in topo.surface_faces:
-        assert set(mesh.faces.elements[f]) <= cut_set
-    assert set(topo.bulk_ghost_faces) <= set(topo.bulk_faces)
-    assert set(topo.surface_faces) <= set(topo.bulk_faces)
+    """On the circle and on a position the default box clips (level 0,
+    delta 0.75), every class equals that of the plain loops."""
+    clipped = mesh_at_level(0, 8, DEFAULT_BOX)
+    for mesh, ls in ((build_structured_mesh(BOX, 8), circle_levelset()),
+                     (clipped, shifted_circle(clipped, 0.75))):
+        dls = interpolate_levelset(ls, mesh)
+        topo = build_cut_topology(mesh, dls)
+        _assert_classes_equal_loops(topo, mesh, dls)
+        bulk_set = set(topo.active_bulk)
+        cut_set = set(topo.active_surface)
+        for f in topo.bulk_faces:
+            assert set(mesh.faces.elements[f]) <= bulk_set
+        for f in topo.bulk_ghost_faces:
+            assert set(mesh.faces.elements[f]) <= bulk_set
+            assert set(mesh.faces.elements[f]) & cut_set
+        for f in topo.surface_faces:
+            assert set(mesh.faces.elements[f]) <= cut_set
+        assert set(topo.bulk_ghost_faces) <= set(topo.bulk_faces)
+        assert set(topo.surface_faces) <= set(topo.bulk_faces)
 
 
 def test_single_element_segment_oracle():
     # triangle (0,0), (1,0), (0,1) with values (-1, 1, 1): the zeros sit at
     # the edge midpoints (0.5, 0) and (0, 0.5)
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 1)
-    surf = extract_surface_segments(mesh, np.array([-1.0, 1.0, 1.0, 3.0]))
+    surf = build_cut_topology(mesh, np.array([-1.0, 1.0, 1.0, 3.0])).surface
     assert surf.n_segments == 1
     pts = {tuple(p) for p in surf.points[0]}
     assert pts == {(0.5, 0.0), (0.0, 0.5)}
@@ -108,7 +145,7 @@ def test_single_element_segment_oracle():
 def test_circle_chain_is_closed_and_watertight():
     mesh = refine_uniform(build_structured_mesh(BOX, 8))
     dls = interpolate_levelset(circle_levelset(), mesh)
-    surf = extract_surface_segments(mesh, dls)
+    surf = build_cut_topology(mesh, dls).surface
     # closed chain: every endpoint is shared by exactly two segments
     assert surf.n_edges == surf.n_segments
     counts = np.zeros(surf.n_segments, dtype=int)
@@ -148,7 +185,9 @@ def test_exact_zero_vertex_values_give_two_crossings_per_cut_element():
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 4)
     values = mesh.vertices[:, 0] + 2.0 * mesh.vertices[:, 1] - 1.0
     assert np.sum(values == 0.0) == 3
-    surf = extract_surface_segments(mesh, values)
+    topo = build_cut_topology(mesh, values)
+    _assert_classes_equal_loops(topo, mesh, values)
+    surf = topo.surface
     vals = values[mesh.elements]
     cut = np.flatnonzero((vals.min(axis=1) < 0.0) & (vals.max(axis=1) > 0.0))
     assert np.array_equal(surf.element, cut)
@@ -170,21 +209,21 @@ def test_extraction_error_paths():
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 1)
     tiny = np.array([-1e-17, 1.0, 1.0, 1.0])
     with pytest.raises(StructuralError, match="degenerate surface segment"):
-        extract_surface_segments(mesh, tiny)
+        build_cut_topology(mesh, tiny)
     vertices = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
                          [-1.0, 1.0]])
     fan = np.array([[0, 1, 2], [0, 2, 4], [0, 3, 2]])
     bad = BackgroundMesh(vertices, fan, 1.0, (1.0, 1.0))
     with pytest.raises(StructuralError,
                        match=r"non-manifold face \(0, 2\) with 3"):
-        extract_surface_segments(bad, np.array([-1.0, 1.0, 1.0, 1.0, 1.0]))
+        build_cut_topology(bad, np.array([-1.0, 1.0, 1.0, 1.0, 1.0]))
     mesh = build_structured_mesh(((-1.0, -1.0), (1.0, 1.0)), 4)
     x, y = mesh.vertices.T
     saddle = (x - y / 3.0) * (x + y / 2.0)
     with pytest.raises(StructuralError,
                        match=r"surface vertex 12 at \(0\.0, 0\.0\) ends 4 "
                        "segments: a saddle of the discrete level set"):
-        extract_surface_segments(mesh, saddle)
+        build_cut_topology(mesh, saddle)
 
 
 @pytest.mark.parametrize("bump", [None, 0.1], ids=["on-edges", "bumped"])
@@ -201,10 +240,9 @@ def test_surface_along_a_mesh_edge_raises(bump):
         values[(x == 0.5) & (y == 0.5)] = bump
     a, b = np.flatnonzero((x == 0.5) & (y <= 0.25))
     assert np.array_equal(mesh.vertices[[a, b]], [[0.5, 0.0], [0.5, 0.25]])
-    for build in (extract_surface_segments, build_cut_topology):
-        with pytest.raises(StructuralError, match=rf"mesh edge \({a}, {b}\), "
-                           "whose vertex values are both exactly zero"):
-            build(mesh, values)
+    with pytest.raises(StructuralError, match=rf"mesh edge \({a}, {b}\), "
+                       "whose vertex values are both exactly zero"):
+        build_cut_topology(mesh, values)
 
 
 UNIT4 = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 4)

@@ -163,7 +163,7 @@ def test_uncut_rule_is_the_reference_rule_on_the_uncut_elements(degree):
     mesh = build_structured_mesh(BOX, 8)
     dls = interpolate_levelset(circle_levelset(), mesh)
     cq = CutQuadrature(mesh, dls, build_cut_topology(mesh, dls), degree)
-    uncut = cq.split[0]
+    uncut = cq.topo.uncut_bulk
     bary, wref = triangle_reference_rule(degree)
     rules, phi = cq.uncut()
     assert uncut.size and rules.points.shape == (uncut.size, bary.shape[0], 2)
