@@ -245,10 +245,11 @@ class SurfaceState:
 
     @cached_property
     def forms(self) -> tuple:
-        """The bulk, surface and coupling forms that ``stabilized``
-        weights."""
+        """The bulk form, as ``bulk_form``'s (nnz, list(bands)), and the
+        surface and coupling forms that ``stabilized`` weights."""
         cq, dofmap, p = self.cq, self.dofmap, self.params
-        return (bulk_form(cq, dofmap, p), surface_form(cq, dofmap, p),
+        nnz, bands = bulk_form(cq, dofmap, p)
+        return ((nnz, list(bands)), surface_form(cq, dofmap, p),
                 coupling_form(cq, dofmap, p))
 
     @cached_property

@@ -21,13 +21,12 @@ coefficient times length), into one (dofs, blocks) part per batch, and
 order (uncut block, cut elements ascending, then each face scatter on its
 own), so that the sparse conversion sums duplicates as it always has and
 the matrices stay bit-for-bit reproducible. The bulk form and the bulk
-part of the energy Gram, the largest, are converted one band of rows at
-a time (``_banded_bulk``), with the same triplets per row in the same
-order. ``stabilized`` weights the ghosts and sums the small forms
-first, then weights each band as it is made and writes its rows straight
-into the output arrays (``_join_rows``), so that ``assemble_system``,
-which builds the ghost pieces before the bands, and the energy Gram hold
-no whole bulk form and no whole-matrix sum.
+part of the energy Gram, the largest, are only CSR row bands
+(``_banded_bulk``), each converted on its own with the same triplets per
+row in the same order. ``stabilized`` weights the ghosts and sums the
+small forms first, then weights each band and writes its rows straight
+into the output arrays (``_join_rows``): no whole bulk form and no
+whole-matrix sum is ever formed.
 """
 
 from __future__ import annotations
@@ -346,20 +345,13 @@ def _join_rows(bands, n: int, nnz: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _bulk_bands(cq: CutQuadrature, dofmap: CombinedDofMap,
-                params: StabilizationParams):
-    """The (nnz, bands) of ``bulk_form`` (see ``_banded_bulk``)."""
-    return _banded_bulk(cq, dofmap, params.gamma_bulk / cq.mesh.h,
-                        consistency=True)
-
-
 def bulk_form(cq: CutQuadrature, dofmap: CombinedDofMap,
-              params: StabilizationParams) -> sp.csr_matrix:
+              params: StabilizationParams) -> tuple:
     """Interior-penalty bulk form: cut-volume mass and stiffness, jump
     penalty on full active faces, symmetric consistency fluxes on the
-    negative face parts."""
-    nnz, bands = _bulk_bands(cq, dofmap, params)
-    return _join_rows(bands, dofmap.ndof, nnz)
+    negative face parts, as the (nnz, bands) of ``_banded_bulk``."""
+    return _banded_bulk(cq, dofmap, params.gamma_bulk / cq.mesh.h,
+                        consistency=True)
 
 
 def surface_form(cq: CutQuadrature, dofmap: CombinedDofMap,
@@ -430,15 +422,15 @@ def stabilized(bulk, surface: sp.spmatrix, coupling: sp.spmatrix,
     the one place where the coupling constants and the ghost weights of
     ``params`` weight the forms (the ghosts from the unit ``pieces``).
 
-    ``bulk`` is the bulk form, whole or as the (nnz, bands) of
-    ``_banded_bulk``, whose bands are written into the result one at a
-    time: with the bulk ghost G and Z = c_s (surface + surface ghost) +
-    coupling built first, each band B becomes c_b (B + G[rows]) +
-    Z[rows], and the rows after the last band are those of Z. Every sum
-    of two CSR matrices is row-local, and the bulk and the surface ghost
-    blocks share no entry, so this is bit for bit the sum of the whole
-    matrices in the order above."""
-    nnz, bands = (bulk.nnz, [bulk]) if sp.issparse(bulk) else bulk
+    ``bulk`` is the (nnz, bands) of ``bulk_form`` or ``_banded_bulk``,
+    whose bands are written into the result one at a time: with the bulk
+    ghost G and Z = c_s (surface + surface ghost) + coupling built first,
+    each band B becomes c_b (B + G[rows]) + Z[rows], and the rows after
+    the last band are those of Z. Every sum of two CSR matrices is
+    row-local, and the bulk and the surface ghost blocks share no entry,
+    so this is bit for bit the sum of the whole matrices in the order
+    above."""
+    nnz, bands = bulk
     ghost = ghost_bulk(pieces, params)
     rest = (params.c_surf * (surface + ghost_surface(pieces, params))
             + coupling).tocsr()
@@ -493,7 +485,7 @@ def assemble_system(mesh: BackgroundMesh, dls: np.ndarray,
     # workload peaked at 163-165 MB this way, at 244-252 MB with the whole
     # bulk form built first, and the level-6 assembly at 394-399 MB, not
     # 680-722 MB
-    a = stabilized(_bulk_bands(cq, dofmap, params),
+    a = stabilized(bulk_form(cq, dofmap, params),
                    surface_form(cq, dofmap, params),
                    coupling_form(cq, dofmap, params),
                    ghost_pieces(cq, dofmap), params)

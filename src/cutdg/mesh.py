@@ -117,9 +117,11 @@ def group_keys(keys: np.ndarray):
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     first = np.ones(keys.size, dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    del sorted_keys  # each array goes as soon as it is read, for the peak
     starts = np.flatnonzero(first)
-    return order, starts, np.diff(np.r_[starts, keys.size])
+    del first
+    return order, starts, np.diff(starts, append=keys.size)
 
 
 def _element_edge_keys(elements: np.ndarray, n_vertices: int) -> np.ndarray:
@@ -143,13 +145,18 @@ def face_connectivity(elements: np.ndarray, n_vertices: int) -> Faces:
                               f"{counts.max()} incident elements")
     first = starts[counts == 2]
     del starts, counts  # each array goes as soon as it is read, for the peak
-    plus, minus = order[first], order[first + 1]
+    plus = order[first]
+    first += 1
+    minus = order[first]
     del order, first
-    keys = keys[plus]
+    vertices = divmod(keys[plus], n_vertices)
+    del keys
+    vertices = np.column_stack(vertices)
     # edge position // 3 is the owner, ascending within each run, so
     # column 0 is the lower element index
-    return Faces(np.column_stack(divmod(keys, n_vertices)),
-                 np.column_stack([plus // 3, minus // 3]))
+    plus //= 3
+    minus //= 3
+    return Faces(vertices, np.column_stack([plus, minus]))
 
 
 def refine_uniform(mesh: BackgroundMesh) -> BackgroundMesh:

@@ -30,6 +30,8 @@ arguments, but reads only the mesh, level set, topology and degree from
 the ``CutQuadrature``.
 ``accumulate`` expands (dofs, blocks) parts into triplets one block at a
 time, the reference of the single triplet buffer of ``forms._accumulate``.
+``bulk_matrix`` joins the row bands of ``forms.bulk_form`` into the whole
+bulk form, for the tests that read it as one matrix.
 ``face_connectivity_reference`` lists interior faces through a dict
 keyed by vertex pair.
 """
@@ -42,6 +44,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+import cutdg.forms as forms
 from cutdg.exceptions import StructuralError
 from cutdg.levelset import LevelSet, circle_levelset
 from cutdg.manufactured import ErrorReport, ManufacturedProblem
@@ -385,6 +388,13 @@ def accumulate(parts, n: int) -> sp.csr_matrix:
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
+
+
+def bulk_matrix(cq, dofmap, params) -> sp.csr_matrix:
+    """The whole bulk form: the row bands of ``forms.bulk_form`` joined by
+    ``forms._join_rows``."""
+    nnz, bands = forms.bulk_form(cq, dofmap, params)
+    return forms._join_rows(bands, dofmap.ndof, nnz)
 
 
 def _part(blocks, k: int):

@@ -13,15 +13,16 @@ from cutdg.experiments import (CONDITION_HEADER, CONVERGENCE_HEADER,
                                run_condition_sweep, run_convergence,
                                run_geometry_check, run_property_suite,
                                shifted_circle)
-from cutdg.forms import (StabilizationParams, bulk_form, coupling_form,
-                         ghost_bulk, ghost_pieces, ghost_surface,
-                         property_grams, stabilized, surface_form)
+from cutdg.forms import (StabilizationParams, coupling_form, ghost_bulk,
+                         ghost_pieces, ghost_surface, property_grams,
+                         stabilized, surface_form)
 from cutdg.manufactured import build_circle_problem
 from cutdg.quadrature import CutQuadrature
 from cutdg.solver import (condition_number, generalized_extreme,
                           rescaled_matrix)
-from tests.oracles import (degenerate_positions, dense_condition_number,
-                           dense_generalized_extremes, fit_slope)
+from tests.oracles import (bulk_matrix, degenerate_positions,
+                           dense_condition_number, dense_generalized_extremes,
+                           fit_slope)
 
 
 def test_mesh_at_level_matches_direct_build():
@@ -319,7 +320,8 @@ def _per_call_constants(mesh, delta, params, seed, n_random):
     def cq():
         return CutQuadrature(mesh, state.dls, topo)
 
-    forms = (bulk_form(cq(), dofmap, params),
+    bulk = bulk_matrix(cq(), dofmap, params)
+    forms = ((bulk.nnz, [bulk]),
              surface_form(cq(), dofmap, params),
              coupling_form(cq(), dofmap, params))
     pieces = ghost_pieces(cq(), dofmap)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cutdg.experiments import SurfaceState
-from cutdg.forms import (StabilizationParams, bulk_form, coupling_form,
-                         ghost_bulk, ghost_pieces, ghost_surface, load_vector,
+from cutdg.forms import (StabilizationParams, coupling_form, ghost_bulk,
+                         ghost_pieces, ghost_surface, load_vector,
                          property_grams, surface_form)
 from cutdg.levelset import (CutTopology, SurfaceGeometry,
                             build_cut_topology, circle_levelset)
@@ -12,7 +12,7 @@ from cutdg.mesh import BackgroundMesh, build_structured_mesh, refine_uniform
 from cutdg.quadrature import CutQuadrature
 from cutdg.solver import solve
 from cutdg.space import build_spaces, interpolate_pair
-from tests.oracles import clip_element_rule, line_levelset
+from tests.oracles import bulk_matrix, clip_element_rule, line_levelset
 
 BOX = ((-1.1, -1.1), (1.1, 1.1))
 PARAMS = StabilizationParams()
@@ -68,7 +68,7 @@ def _cut_volume(state, f, degree=4):
 
 def test_bulk_form_constant_gives_cut_area():
     state = _circle_setup()
-    a = bulk_form(state.cq, state.dofmap, PARAMS)
+    a = bulk_matrix(state.cq, state.dofmap, PARAMS)
     ones = np.zeros(state.dofmap.ndof)
     ones[:state.dofmap.n_bulk] = 1.0
     area = _cut_volume(state, lambda p: np.ones(len(p)))
@@ -77,7 +77,7 @@ def test_bulk_form_constant_gives_cut_area():
 
 def test_bulk_form_linear_matches_clip_integration():
     state = _circle_setup()
-    a = bulk_form(state.cq, state.dofmap, PARAMS)
+    a = bulk_matrix(state.cq, state.dofmap, PARAMS)
     vx = interpolate_pair(state.dofmap, state.mesh, lambda p: p[..., 0],
                           lambda p: np.zeros(p.shape[:-1]))
     expected = _cut_volume(state, lambda p: 1.0 + p[:, 0] ** 2)
@@ -95,7 +95,7 @@ def _simpson_line(f, pa, pb):
 
 def test_uncut_pair_reproduces_hand_assembled_sip_matrix():
     mesh, dls, topo, dofmap = _uncut_pair()
-    a = bulk_form(CutQuadrature(mesh, dls, topo), dofmap, PARAMS).toarray()
+    a = bulk_matrix(CutQuadrature(mesh, dls, topo), dofmap, PARAMS).toarray()
     h = mesh.h
     gamma = PARAMS.gamma_bulk
 
