@@ -5,9 +5,8 @@ from .exceptions import (ConfigurationError, CutDGError,
                          DegenerateMatrixError, GeometryError, SolverError,
                          StructuralError)
 from .forms import (AssembledSystem, StabilizationParams, assemble_system,
-                    bulk_form, coupling_form, ghost_bulk, ghost_pieces,
-                    ghost_surface, load_vector, property_grams, stabilized,
-                    surface_form)
+                    bulk_form, coupling_form, ghost, ghost_pieces,
+                    load_vector, property_grams, stabilized, surface_form)
 from .levelset import (CutTopology, LevelSet, build_cut_topology,
                        check_geometry_assumptions, circle_levelset,
                        closest_point_circle, interpolate_levelset)

@@ -16,8 +16,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .exceptions import ConfigurationError, DegenerateMatrixError, SolverError
 from .forms import (StabilizationParams, assemble_system, bulk_form,
-                    coupling_form, ghost_bulk, ghost_pieces, ghost_surface,
-                    property_grams, stabilized, surface_form)
+                    coupling_form, ghost, ghost_pieces, property_grams,
+                    stabilized, surface_form)
 from .levelset import (build_cut_topology, check_geometry_assumptions,
                        circle_levelset, interpolate_levelset)
 from .manufactured import build_circle_problem, compute_errors, eoc
@@ -39,11 +39,14 @@ DEFAULT_N0 = 8
 MAX_ELEMENTS = 2 ** 21
 SENTINEL_KAPPA = 1e300
 SENTINEL_ERROR = 1e300
-# the ghost weights each sweep configuration switches off
-SWEEP_GHOSTS_OFF = {"full": (), "no-surface": ("mu_surf", "tau_surf"),
-                    "no-bulk": ("mu_bulk", "tau_bulk"),
-                    "none": ("mu_bulk", "tau_bulk", "mu_surf", "tau_surf")}
-SWEEP_CONFIGS = tuple(SWEEP_GHOSTS_OFF)
+# the ghost weights each configuration switches off: the four of the
+# condition sweep, then the ablation of the convergence study, which keeps
+# the bulk value-jump weight (it mirrors the DG jump penalty)
+GHOSTS_OFF = {"full": (), "no-surface": ("mu_surf", "tau_surf"),
+              "no-bulk": ("mu_bulk", "tau_bulk"),
+              "none": ("mu_bulk", "tau_bulk", "mu_surf", "tau_surf"),
+              "ablated": ("mu_surf", "tau_bulk", "tau_surf")}
+SWEEP_CONFIGS = ("full", "no-surface", "no-bulk", "none")
 PROPERTY_CONFIGS = ("full", "no-bulk-ghost", "no-surface-ghost")
 # random mean-zero fields per position of the surface Poincare constant
 POINCARE_FIELDS = 100
@@ -61,12 +64,17 @@ PROPERTIES_HEADER = "name,constant,delta,pass"
 
 def _check_mesh_size(level: int, n0: int):
     """ConfigurationError if the mesh at ``level`` of the n0-by-n0 start
-    mesh has more than ``MAX_ELEMENTS`` triangles; nothing is built."""
-    elements = 2 * (n0 * 2 ** level) ** 2
-    if elements > MAX_ELEMENTS:
+    mesh has more than ``MAX_ELEMENTS`` triangles; nothing is built. A
+    level past ``MAX_ELEMENTS.bit_length()`` or an n0 past
+    ``MAX_ELEMENTS`` is too large whatever the other is, and is refused
+    before the count is formed, so that forming it costs no time or
+    memory and the message never has to print it. An n0 below 1 passes,
+    for ``build_structured_mesh`` to refuse."""
+    if n0 >= 1 and (level > MAX_ELEMENTS.bit_length() or n0 > MAX_ELEMENTS
+                    or 2 * (n0 * 2 ** level) ** 2 > MAX_ELEMENTS):
         raise ConfigurationError(
-            f"mesh too large: level {level} of n0 = {n0} has {elements} "
-            f"elements, more than {MAX_ELEMENTS}")
+            f"mesh too large: level {level} of n0 = {n0} has more than "
+            f"{MAX_ELEMENTS} elements")
 
 
 def mesh_at_level(level: int, n0: int = DEFAULT_N0, box=DEFAULT_BOX):
@@ -82,20 +90,13 @@ def mesh_at_level(level: int, n0: int = DEFAULT_N0, box=DEFAULT_BOX):
     return mesh
 
 
-def ablated_params(params: StabilizationParams) -> StabilizationParams:
-    """Ghost-penalty ablation of the convergence study: the value-jump
-    ghost weight of the bulk stays (it mirrors the DG jump penalty), all
-    other ghost weights are switched off."""
-    return replace(params, mu_surf=0.0, tau_bulk=0.0, tau_surf=0.0)
-
-
 def config_params(params: StabilizationParams,
                   config: str) -> StabilizationParams:
-    """``params`` with the ghost weights that the sweep configuration
-    ``config`` switches off set to zero."""
-    if config not in SWEEP_GHOSTS_OFF:
-        raise ValueError(f"unknown sweep configuration {config!r}")
-    return replace(params, **dict.fromkeys(SWEEP_GHOSTS_OFF[config], 0.0))
+    """``params`` with the ghost weights that the configuration ``config``
+    of ``GHOSTS_OFF`` switches off set to zero."""
+    if config not in GHOSTS_OFF:
+        raise ValueError(f"unknown configuration {config!r}")
+    return replace(params, **dict.fromkeys(GHOSTS_OFF[config], 0.0))
 
 
 def _fmt(x) -> str:
@@ -183,7 +184,7 @@ def run_convergence(levels: int = 5, n0: int = DEFAULT_N0,
     """
     params = params or StabilizationParams()
     if ablate_ghost:
-        params = ablated_params(params)
+        params = config_params(params, "ablated")
     problem = build_circle_problem(params.c_bulk, params.c_surf)
     report = StudyReport()
     prev_errors = None
@@ -274,7 +275,7 @@ class SurfaceState:
         return self.grams["energy"]
 
     def matrix(self, config: str):
-        """System matrix of one of ``SWEEP_CONFIGS``."""
+        """System matrix of one of the configurations of ``GHOSTS_OFF``."""
         return stabilized(*self.forms, self.pieces,
                           config_params(self.params, config))
 
@@ -323,8 +324,9 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
         for config in configs:
             try:
                 kappa, lam_min, lam_max, nullity = condition_number(
-                    rescaled_matrix(state.matrix(config), state.dofmap.n_bulk,
-                                    mesh.h), state.null_basis)
+                    rescaled_matrix(state.matrix(config),
+                                    state.dofmap.bulk.ndof, mesh.h),
+                    state.null_basis)
             except DegenerateMatrixError:
                 kappa, lam_min, lam_max = SENTINEL_KAPPA, 0.0, 0.0
                 nullity = None
@@ -360,10 +362,10 @@ def _bulk_norm_equivalence(grams, pieces, params, n: int) -> float:
     ghost joins; adding Q Q^T, Q their indicators, keeps that eigenvalue
     and makes the right-hand side positive definite."""
     cut = grams["gradient_cut"]
-    joined = (cut + params.mu_bulk * pieces["bulk_value"])[:n, :n] != 0
+    joined = (cut + params.mu_bulk * pieces["bulk"][0])[:n, :n] != 0
     count, labels = connected_components(joined, directed=False)
     q = sp.csr_matrix((np.ones(n), (np.arange(n), labels)), shape=(n, count))
-    gram = (cut + ghost_bulk(pieces, params))[:n, :n] + q @ q.T
+    gram = (cut + ghost(pieces, params, "bulk"))[:n, :n] + q @ q.T
     return generalized_extreme(grams["gradient_active"][:n, :n], gram,
                                largest=True)
 
@@ -382,13 +384,13 @@ def _property_constants(state: SurfaceState, rng) -> dict:
     ``run_property_suite``). Each Poincare dot is a ``row_dot`` on
     contiguous rows: on strided columns it can round differently."""
     mesh, dofmap, cq, grams = state.mesh, state.dofmap, state.cq, state.grams
-    bulk = _bulk_norm_equivalence(grams, state.pieces, state.params,
-                                  dofmap.n_bulk)
+    n = dofmap.bulk.ndof
+    bulk = _bulk_norm_equivalence(grams, state.pieces, state.params, n)
     fields = np.hstack([
-        np.zeros((POINCARE_FIELDS, dofmap.n_bulk)),
-        rng.standard_normal((POINCARE_FIELDS, dofmap.n_surface))])
+        np.zeros((POINCARE_FIELDS, n)),
+        rng.standard_normal((POINCARE_FIELDS, dofmap.surface.ndof))])
     load = np.broadcast_to(grams["trace"], fields.shape)
-    fields[:, dofmap.n_bulk:] -= row_dot(load, fields[:, :, None]) \
+    fields[:, n:] -= row_dot(load, fields[:, :, None]) \
         / float(state.topo.surface.length.sum())
 
     def quadratic(matrix):
@@ -401,7 +403,7 @@ def _property_constants(state: SurfaceState, rng) -> dict:
         return float(np.max(num[den > 0.0] / den[den > 0.0], initial=0.0))
 
     tangent = grams["tangential"]
-    surf_ghost = (tangent + ghost_surface(state.pieces, state.params)).tocsr()
+    surf_ghost = (tangent + ghost(state.pieces, state.params, "surf")).tocsr()
     poincare, poincare_bare = (worst(quadratic(gram))
                                for gram in (surf_ghost, tangent))
     return {"coercivity": {c: state.coercivity(c) for c in PROPERTY_CONFIGS},

@@ -165,15 +165,15 @@ def _volume_blocks(cq: CutQuadrature, space, which=(slice(None),) * 2):
 def _segment_blocks(cq: CutQuadrature, space):
     """Dofs, tangential stiffness and mass blocks of the surface
     segments."""
-    surf = cq.topo.surface
-    g = element_gradients(cq.mesh.vertices[cq.mesh.elements[surf.element]])
+    surf, cut = cq.topo.surface, cq.topo.active_surface
+    g = element_gradients(cq.mesh.vertices[cq.mesh.elements[cut]])
     n = surf.normal
     pg = g - np.matmul(g, n[:, :, None]) * n[:, None, :]
     stiffness = surf.length[:, None, None] * np.matmul(
         pg, pg.transpose(0, 2, 1))
     rules, phi = cq.segments
     mass = np.einsum("kq,kqi,kqj->kij", rules.weights, phi, phi)
-    return space.dofs_array(surf.element), stiffness, mass
+    return space.dofs_array(cut), stiffness, mass
 
 
 def _edge_blocks(cq: CutQuadrature, space):
@@ -182,7 +182,7 @@ def _edge_blocks(cq: CutQuadrature, space):
     the measure-1 convention for 2D surface edges. Column 0 of each
     (edge, 2) array is the plus segment."""
     surf = cq.topo.surface
-    elements = surf.element[surf.edge_segments]
+    elements = cq.topo.active_surface[surf.edge_segments]
     tris = cq.mesh.vertices[cq.mesh.elements[elements]].reshape(-1, 3, 2)
     points = np.repeat(surf.edge_point, 2, axis=0)[:, None, :]
     phi = basis_values(tris, points).reshape(-1, 2, 3)
@@ -370,7 +370,7 @@ def coupling_form(cq: CutQuadrature, dofmap: CombinedDofMap,
                   params: StabilizationParams) -> sp.csr_matrix:
     """Robin-type coupling (c_b v_b - c_s v_s, c_b w_b - c_s w_s) over the
     discrete surface; positive semidefinite by construction."""
-    elements = cq.topo.surface.element
+    elements = cq.topo.active_surface
     rules, phi = cq.segments
     r = np.concatenate([params.c_bulk * phi, -params.c_surf * phi], axis=2)
     blocks = np.einsum("kq,kqi,kqj->kij", rules.weights, r, r)
@@ -380,40 +380,33 @@ def coupling_form(cq: CutQuadrature, dofmap: CombinedDofMap,
 
 
 def ghost_pieces(cq: CutQuadrature, dofmap: CombinedDofMap) -> dict:
-    """Unit-coefficient ghost penalty matrices.
-
-    Keys: ``bulk_value`` (h^-1 value jumps on the ghost band),
-    ``bulk_gradient`` (h-weighted normal gradient jumps on the ghost band),
-    ``surface_value`` (h^-2 value jumps on the surface-active faces),
-    ``surface_gradient`` (normal gradient jumps on the surface-active
-    faces). Multiply by mu/tau weights to obtain the ghost forms.
-    """
+    """Unit-coefficient ghost penalty matrices (value, gradient) of each
+    family, keyed by the suffix of its ``StabilizationParams`` weights:
+    ``bulk``, h^-1 value jumps and h-weighted normal-gradient jumps on the
+    ghost band, and ``surf``, h^-2 value jumps and normal-gradient jumps
+    on the surface-active faces. ``ghost`` weights them."""
     h, out = cq.mesh.h, {}
-    for name, space, faces, value, gradient in (
+    for family, space, faces, value, gradient in (
             ("bulk", dofmap.bulk, cq.topo.bulk_ghost_faces, 1.0 / h, h),
-            ("surface", dofmap.surface, cq.topo.surface_faces, 1.0 / h ** 2,
+            ("surf", dofmap.surface, cq.topo.surface_faces, 1.0 / h ** 2,
              1.0)):
         dofs, lengths, jump, gjump, _ = _face_blocks(cq, space, faces)
         jump *= (value * lengths)[:, None, None]
         gjump = _outer(gjump, gjump)
         gjump *= (gradient * lengths)[:, None, None]
-        out[f"{name}_value"] = _accumulate([(dofs, jump)], dofmap.ndof)
-        out[f"{name}_gradient"] = _accumulate([(dofs, gjump)], dofmap.ndof)
+        out[family] = (_accumulate([(dofs, jump)], dofmap.ndof),
+                       _accumulate([(dofs, gjump)], dofmap.ndof))
     return out
 
 
-def ghost_bulk(pieces: dict, params: StabilizationParams) -> sp.csr_matrix:
-    """Ghost penalty on the full faces of the band around the surface:
-    mu h^-1 value jumps plus tau h normal-gradient jumps."""
-    return (params.mu_bulk * pieces["bulk_value"]
-            + params.tau_bulk * pieces["bulk_gradient"]).tocsr()
-
-
-def ghost_surface(pieces: dict, params: StabilizationParams) -> sp.csr_matrix:
-    """Ghost penalty on all faces of the surface-active mesh: mu h^-2
-    value jumps plus tau normal-gradient jumps."""
-    return (params.mu_surf * pieces["surface_value"]
-            + params.tau_surf * pieces["surface_gradient"]).tocsr()
+def ghost(pieces: dict, params: StabilizationParams,
+          family: str) -> sp.csr_matrix:
+    """Ghost penalty of ``family`` (``bulk`` or ``surf``) from the unit
+    ``pieces``: mu_<family> times its value jumps plus tau_<family> times
+    its normal-gradient jumps."""
+    value, gradient = pieces[family]
+    return (getattr(params, f"mu_{family}") * value
+            + getattr(params, f"tau_{family}") * gradient).tocsr()
 
 
 def stabilized(bulk, surface: sp.spmatrix, coupling: sp.spmatrix,
@@ -431,8 +424,8 @@ def stabilized(bulk, surface: sp.spmatrix, coupling: sp.spmatrix,
     so this is bit for bit the sum of the whole matrices in the order
     above."""
     nnz, bands = bulk
-    ghost = ghost_bulk(pieces, params)
-    rest = (params.c_surf * (surface + ghost_surface(pieces, params))
+    bulk_ghost = ghost(pieces, params, "bulk")
+    rest = (params.c_surf * (surface + ghost(pieces, params, "surf"))
             + coupling).tocsr()
     del surface, coupling, pieces  # freed here unless the caller keeps them
 
@@ -440,11 +433,12 @@ def stabilized(bulk, surface: sp.spmatrix, coupling: sp.spmatrix,
         lo = 0
         for band in bands:
             hi = lo + band.shape[0]
-            yield params.c_bulk * (band + ghost[lo:hi]) + rest[lo:hi]
+            yield params.c_bulk * (band + bulk_ghost[lo:hi]) + rest[lo:hi]
             lo = hi
         yield rest[lo:]
 
-    return _join_rows(rows(), rest.shape[0], nnz + ghost.nnz + rest.nnz)
+    return _join_rows(rows(), rest.shape[0],
+                      nnz + bulk_ghost.nnz + rest.nnz)
 
 
 def load_vector(cq: CutQuadrature, dofmap: CombinedDofMap, problem,
@@ -460,7 +454,6 @@ def load_vector(cq: CutQuadrature, dofmap: CombinedDofMap, problem,
         b[dofmap.bulk.dofs_array(elements)] += params.c_bulk * np.einsum(
             "km,kmi->ki", rules.weights * fvals, phi)
 
-    surf = cq.topo.surface
     rules, phi = cq.segments
     geom = problem.geometry
     if np.any(np.abs(geom.rho(rules.points)) >= geom.validity_radius):
@@ -468,8 +461,8 @@ def load_vector(cq: CutQuadrature, dofmap: CombinedDofMap, problem,
                             "validity radius of the closest-point map")
     fvals = np.asarray(problem.f_surf(geom.closest_point(rules.points)),
                        dtype=float)
-    b[dofmap.surface.dofs_array(surf.element)] += params.c_surf * row_dot(
-        rules.weights * fvals, phi)
+    dofs = dofmap.surface.dofs_array(cq.topo.active_surface)
+    b[dofs] += params.c_surf * row_dot(rules.weights * fvals, phi)
     return b
 
 
@@ -482,9 +475,8 @@ def assemble_system(mesh: BackgroundMesh, dls: np.ndarray,
     # the ghost pieces and the small forms come first, so that each band of
     # the bulk form goes into the matrix as it is made and no whole bulk
     # form or whole-matrix sum is alive beside it: the level-5 assembly
-    # workload peaked at 163-165 MB this way, at 244-252 MB with the whole
-    # bulk form built first, and the level-6 assembly at 394-399 MB, not
-    # 680-722 MB
+    # workload peaks at 163-165 MB this way, the level-6 assembly at
+    # 394-399 MB
     a = stabilized(bulk_form(cq, dofmap, params),
                    surface_form(cq, dofmap, params),
                    coupling_form(cq, dofmap, params),

@@ -87,9 +87,9 @@ def interpolate_levelset(ls: LevelSet, mesh: BackgroundMesh) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SurfaceGeometry:
-    """Polygonal discrete surface: one straight segment per cut element.
+    """Polygonal discrete surface: one straight segment per cut element,
+    segment k in the cut element ``CutTopology.active_surface[k]``.
 
-    element: (ns,) owning element of each segment.
     points: (ns, 2, 2) segment endpoints; shared endpoints are
         bit-identical because they are computed once per mesh edge.
     normal: (ns, 2) unit segment normal pointing into the positive region.
@@ -102,7 +102,6 @@ class SurfaceGeometry:
         minus segment at the edge.
     """
 
-    element: np.ndarray
     points: np.ndarray
     normal: np.ndarray
     length: np.ndarray
@@ -112,7 +111,7 @@ class SurfaceGeometry:
 
     @property
     def n_segments(self) -> int:
-        return self.element.shape[0]
+        return self.points.shape[0]
 
     @property
     def n_edges(self) -> int:
@@ -248,7 +247,6 @@ def _surface_segments(mesh: BackgroundMesh, dls: np.ndarray,
         tangents, tangents[:, :, None]))).reshape(-1, 2, 2)
 
     return SurfaceGeometry(
-        element=cut_elements,
         points=seg_points,
         normal=seg_normal,
         length=seg_length,

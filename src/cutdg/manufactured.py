@@ -185,12 +185,12 @@ def compute_errors(coeffs: np.ndarray, problem: ManufacturedProblem,
         problem.u_bulk, problem.grad_u_bulk)
         for elements, (rules, phi) in cq.bulk_rules()])
 
-    surf = cq.topo.surface
+    cut = cq.topo.active_surface
     rules, phi = cq.segments
     surface = _entity_errors(
-        rules, phi, coeffs[dofmap.surface.dofs_array(surf.element)],
-        element_gradients(mesh.vertices[mesh.elements[surf.element]]),
-        problem.u_surf_ext, problem.grad_u_surf_ext, surf.normal)
+        rules, phi, coeffs[dofmap.surface.dofs_array(cut)],
+        element_gradients(mesh.vertices[mesh.elements[cut]]),
+        problem.u_surf_ext, problem.grad_u_surf_ext, cq.topo.surface.normal)
 
     # cumsum adds sequentially, unlike the pairwise np.sum
     l2b, semib, l2s, semis = (np.cumsum(np.r_[0.0, values])[-1]

@@ -183,7 +183,7 @@ class CutQuadrature:
 
     @cached_property
     def segments(self):
-        surf = self.topo.surface
-        rules = segment_rules(surf.points[:, 0], surf.points[:, 1], self.degree)
-        tris = self.mesh.vertices[self.mesh.elements[surf.element]]
+        points = self.topo.surface.points
+        rules = segment_rules(points[:, 0], points[:, 1], self.degree)
+        tris = self.mesh.vertices[self.mesh.elements[self.topo.active_surface]]
         return rules, basis_values(tris, rules.points)

@@ -54,14 +54,6 @@ class CombinedDofMap:
     def ndof(self) -> int:
         return self.bulk.ndof + self.surface.ndof
 
-    @property
-    def n_bulk(self) -> int:
-        return self.bulk.ndof
-
-    @property
-    def n_surface(self) -> int:
-        return self.surface.ndof
-
 
 def _make_space(active: np.ndarray, offset: int, n_elements: int) -> BrokenSpace:
     slot = np.full(n_elements, -1, dtype=np.int64)

@@ -472,7 +472,7 @@ def segment_blocks(cq, space):
     grads_all = element_gradients(mesh.vertices[mesh.elements])
     entities = []
     for s in range(surf.n_segments):
-        e = surf.element[s]
+        e = cq.topo.active_surface[s]
         g = grads_all[e]
         n = surf.normal[s]
         pg = g - (g @ n)[:, None] * n[None, :]
@@ -490,14 +490,14 @@ def edge_blocks(cq, space):
     for k in range(surf.n_edges):
         phis, flux = [], []
         for side, s in enumerate(surf.edge_segments[k]):
-            e = surf.element[s]
+            e = cq.topo.active_surface[s]
             phi, _ = evaluate_basis(_tri(mesh, e), surf.edge_point[k])
             phis.append(phi)
             flux.append(grads_all[e] @ surf.edge_conormals[k, side])
         jump = np.concatenate([phis[0], -phis[1]])
         gavg = 0.5 * np.concatenate([flux[0], -flux[1]])
         entities.append((np.concatenate(
-            [_dofs(space, surf.element[s])
+            [_dofs(space, cq.topo.active_surface[s])
              for s in surf.edge_segments[k]]), np.outer(jump, jump),
             -(np.outer(gavg, jump) + np.outer(jump, gavg))))
     return _terms(entities, 6)
@@ -567,7 +567,7 @@ def coupling_form(cq, dofmap, params):
     mesh, surf = cq.mesh, cq.topo.surface
     blocks = []
     for s in range(surf.n_segments):
-        e = surf.element[s]
+        e = cq.topo.active_surface[s]
         rule = _segment_rule(surf, s, cq.degree)
         phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
         r = np.concatenate([params.c_bulk * phi, -params.c_surf * phi], axis=1)
@@ -598,7 +598,7 @@ def load_vector(cq, dofmap, problem, params):
             "m,mi->i", rule.weights * fvals, phi)
     surf, geom = cq.topo.surface, problem.geometry
     for s in range(surf.n_segments):
-        e = surf.element[s]
+        e = cq.topo.active_surface[s]
         rule = _segment_rule(surf, s, degree)
         fvals = np.asarray(problem.f_surf(geom.closest_point(rule.points)),
                            dtype=float)
@@ -612,7 +612,7 @@ def surface_trace_load(mesh, topo, dofmap, degree=2):
     surf = topo.surface
     load = np.zeros(dofmap.ndof)
     for s in range(surf.n_segments):
-        e = surf.element[s]
+        e = topo.active_surface[s]
         rule = _segment_rule(surf, s, degree)
         phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
         load[_dofs(dofmap.surface, e)] += rule.weights @ phi
@@ -650,7 +650,7 @@ def compute_errors(coeffs, problem, mesh, dls, topo, dofmap,
         semib += float(rule.weights @ np.sum(gdiff ** 2, axis=-1))
     surf = topo.surface
     for s in range(surf.n_segments):
-        e = surf.element[s]
+        e = topo.active_surface[s]
         rule = _segment_rule(surf, s, degree)
         phi, _ = evaluate_basis(_tri(mesh, e), rule.points)
         u_elem = coeffs[_dofs(dofmap.surface, e)]

@@ -22,7 +22,7 @@ from cutdg.experiments import (PROPERTY_BOX, SENTINEL_KAPPA, SurfaceState,
                                run_condition_sweep, run_convergence,
                                run_geometry_check, run_property_suite,
                                shifted_circle)
-from cutdg.forms import StabilizationParams, ghost_bulk, ghost_surface
+from cutdg.forms import StabilizationParams, ghost
 from cutdg.levelset import circle_levelset, interpolate_levelset
 from cutdg.manufactured import build_circle_problem
 from cutdg.mesh import build_structured_mesh, refine_uniform
@@ -105,7 +105,7 @@ def test_criterion_3_condition_scaling():
         mesh = mesh_at_level(level, 8, BOX)
         state = SurfaceState(mesh, problem.geometry, PARAMS)
         kappa, _, _, _ = condition_number(rescaled_matrix(
-            state.system(problem).matrix, state.dofmap.n_bulk, mesh.h))
+            state.system(problem).matrix, state.dofmap.bulk.ndof, mesh.h))
         hs.append(mesh.h)
         kappas.append(kappa)
     slope = fit_slope(hs, kappas)
@@ -299,8 +299,8 @@ def test_criterion_8_exactness():
         # DG consistency: every stabilization/jump term vanishes on the
         # affine pair, so the forms reduce to the smooth integrals
         pieces = state.pieces
-        jb = ghost_bulk(pieces, PARAMS)
-        js = ghost_surface(pieces, PARAMS)
+        jb = ghost(pieces, PARAMS, "bulk")
+        js = ghost(pieces, PARAMS, "surf")
         scale = max(np.abs(jb).max(), np.abs(js).max())
         worst_forms = max(worst_forms, abs(ui @ (jb @ ui)) / scale,
                           abs(ui @ (js @ ui)) / scale)

@@ -12,7 +12,7 @@ import cutdg.forms as forms
 import cutdg.quadrature as quadrature
 from cutdg.exceptions import GeometryError, StructuralError
 from cutdg.experiments import (DEFAULT_BOX, SWEEP_CONFIGS, SurfaceState,
-                               ablated_params, config_params, mesh_at_level)
+                               config_params, mesh_at_level)
 from cutdg.forms import StabilizationParams
 from cutdg.levelset import check_geometry_assumptions
 from cutdg.manufactured import build_circle_problem, compute_errors
@@ -166,8 +166,8 @@ def test_faces_by_band_lists_each_face_once_per_band_it_touches():
 
 def _whole(bulk, surface, coupling, pieces, params):
     """The stabilized sum of whole matrices."""
-    return (params.c_bulk * (bulk + forms.ghost_bulk(pieces, params))
-            + params.c_surf * (surface + forms.ghost_surface(pieces, params))
+    return (params.c_bulk * (bulk + forms.ghost(pieces, params, "bulk"))
+            + params.c_surf * (surface + forms.ghost(pieces, params, "surf"))
             + coupling).tocsr()
 
 
@@ -214,8 +214,7 @@ def test_banded_stabilized_equals_the_sum_of_whole_matrices(band,
     nnz, bands = forms.bulk_form(cq, dofmap, base)
     bands = list(bands)
     assert len(bands) == -(-topo.active_bulk.size // size)
-    for p in ([config_params(base, c) for c in SWEEP_CONFIGS]
-              + [ablated_params(base)]):
+    for p in [config_params(base, c) for c in SWEEP_CONFIGS + ("ablated",)]:
         whole = _whole(bulk, surface, coupling, pieces, p)
         _assert_same_csr(forms.stabilized((nnz, bands), surface, coupling,
                                           pieces, p), whole, p)

@@ -108,7 +108,10 @@ def test_invalid_arguments_exit_nonzero(capsys):
     (["convergence", "--levels", "3", "--n0", "100000"],
      "error: mesh too large: level 2 of n0 = 100000 has"),
     (["condition-sweep", "--level", "30", "--positions", "2"],
-     "error: mesh too large: level 30 of n0 = 8 has")])
+     "error: mesh too large: level 30 of n0 = 8 has"),
+    # an n0 below 1 is refused as such, at any level
+    (["convergence", "--levels", "30", "--n0", "0"],
+     "error: subdivision count must be >= 1, got 0")])
 def test_negative_level_and_repeated_config_exit_2(argv, message, tmp_path,
                                                    capsys):
     assert main(["--out", str(tmp_path / "out"), *argv]) == 2

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,14 @@ from cutdg.experiments import (CONDITION_HEADER, CONVERGENCE_HEADER,
                                DEFAULT_BOX, GEOMETRY_HEADER,
                                PROPERTIES_HEADER, PROPERTY_BOX,
                                PROPERTY_CONFIGS, PROPERTY_SWEEP_CONFIG,
-                               SWEEP_CONFIGS, SurfaceState, ablated_params,
-                               config_params, mesh_at_level,
+                               SWEEP_CONFIGS, SurfaceState, config_params,
+                               mesh_at_level,
                                run_condition_sweep, run_convergence,
                                run_geometry_check, run_property_suite,
                                shifted_circle)
-from cutdg.forms import (StabilizationParams, coupling_form, ghost_bulk,
-                         ghost_pieces, ghost_surface, property_grams,
-                         stabilized, surface_form)
+from cutdg.forms import (StabilizationParams, coupling_form, ghost,
+                         ghost_pieces, property_grams, stabilized,
+                         surface_form)
 from cutdg.manufactured import build_circle_problem
 from cutdg.quadrature import CutQuadrature
 from cutdg.solver import (condition_number, generalized_extreme,
@@ -34,7 +36,7 @@ def test_mesh_at_level_matches_direct_build():
 
 
 def test_ablated_params():
-    p = ablated_params(StabilizationParams())
+    p = config_params(StabilizationParams(), "ablated")
     assert p.mu_bulk == 50.0 and p.mu_surf == 0.0
     assert p.tau_bulk == 0.0 and p.tau_surf == 0.0
     assert p.gamma_bulk == 50.0 and p.gamma_surf == 50.0
@@ -81,6 +83,18 @@ def test_convergence_rows_and_csv(tmp_path):
     assert lines[1].split(",")[3] == ""  # no EOC at the first level
     paths = report.write(str(tmp_path))
     assert [p.endswith("convergence.csv") for p in paths] == [True]
+
+
+@pytest.mark.parametrize("level,n0", [(10 ** 9, 8), (3, 10 ** 3000)],
+                         ids=["level-1e9", "n0-1e3000"])
+def test_oversized_mesh_fails_fast_with_the_mesh_size_error(level, n0):
+    """A level or n0 whose element count would take seconds and gigabytes
+    to form, or would have too many digits to format, is refused at once
+    with the mesh-size error."""
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError, match="mesh too large"):
+        experiments._check_mesh_size(level, n0)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("study", ["run_convergence", "run_geometry_check"])
@@ -159,7 +173,7 @@ def _dense_sweep_rows(level, deltas, box):
         state = SurfaceState(mesh, shifted_circle(mesh, delta), params)
         for config in SWEEP_CONFIGS:
             yield dense_condition_number(rescaled_matrix(
-                state.matrix(config), state.dofmap.n_bulk, mesh.h))
+                state.matrix(config), state.dofmap.bulk.ndof, mesh.h))
 
 
 @pytest.mark.parametrize("box", [DEFAULT_BOX, ((-1.05, -1.06), (1.15, 1.14))])
@@ -190,7 +204,7 @@ def test_condition_number_near_degenerate_positions():
         state = SurfaceState(mesh, shifted_circle(mesh, delta), params)
         for config in configs:
             matrix = rescaled_matrix(state.matrix(config),
-                                     state.dofmap.n_bulk, mesh.h)
+                                     state.dofmap.bulk.ndof, mesh.h)
             yield (config, condition_number(matrix, state.null_basis),
                    dense_condition_number(matrix))
 
@@ -325,7 +339,7 @@ def _per_call_constants(mesh, delta, params, seed, n_random):
              surface_form(cq(), dofmap, params),
              coupling_form(cq(), dofmap, params))
     pieces = ghost_pieces(cq(), dofmap)
-    surf_ghost = ghost_surface(ghost_pieces(cq(), dofmap), params)
+    surf_ghost = ghost(ghost_pieces(cq(), dofmap), params, "surf")
     grams = property_grams(cq(), dofmap, params, ghost_pieces(cq(), dofmap))
     gram_total, mass, load, tangent = (
         grams[k] for k in ("energy", "surface_mass", "trace", "tangential"))
@@ -338,16 +352,16 @@ def _per_call_constants(mesh, delta, params, seed, n_random):
         out[("bulk_norm_equivalence", config)] = \
             experiments._cut_area_ratio(cq()) if config == "no-bulk-ghost" \
             else experiments._bulk_norm_equivalence(
-                grams, ghost_pieces(cq(), dofmap), params, dofmap.n_bulk)
+                grams, ghost_pieces(cq(), dofmap), params, dofmap.bulk.ndof)
         den_matrix = tangent if config == "no-surface-ghost" \
             else (tangent + surf_ghost).tocsr()
         rng = np.random.default_rng(seed)
         ones = np.zeros(dofmap.ndof)
-        ones[dofmap.n_bulk:] = 1.0
+        ones[dofmap.bulk.ndof:] = 1.0
         worst = 0.0
         for _ in range(n_random):
             v = np.zeros(dofmap.ndof)
-            v[dofmap.n_bulk:] = rng.standard_normal(dofmap.n_surface)
+            v[dofmap.bulk.ndof:] = rng.standard_normal(dofmap.surface.ndof)
             v -= ((load @ v) / topo.surface.length.sum()) * ones
             num = (v @ (mass @ v)) / mesh.h
             den = v @ (den_matrix @ v)
@@ -397,7 +411,7 @@ def _assert_suite_matches_the_dense_oracle(monkeypatch, params):
                 state.matrix(PROPERTY_SWEEP_CONFIG[config]), energy)[0]
         active, cut = grams["gradient_active"], grams["gradient_cut"]
         full = dense_generalized_extremes(
-            active, cut + ghost_bulk(pieces, state.params))[1]
+            active, cut + ghost(pieces, state.params, "bulk"))[1]
         out["bulk_norm_equivalence"] = {
             "full": full, "no-surface-ghost": full,
             "no-bulk-ghost": dense_generalized_extremes(active, cut)[1]}

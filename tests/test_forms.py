@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cutdg.experiments import SurfaceState
-from cutdg.forms import (StabilizationParams, coupling_form, ghost_bulk,
-                         ghost_pieces, ghost_surface, load_vector,
-                         property_grams, surface_form)
+from cutdg.forms import (StabilizationParams, coupling_form, ghost,
+                         ghost_pieces, load_vector, property_grams,
+                         surface_form)
 from cutdg.levelset import (CutTopology, SurfaceGeometry,
                             build_cut_topology, circle_levelset)
 from cutdg.manufactured import build_circle_problem
@@ -40,7 +40,7 @@ def _uncut_pair():
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 1)
     dls = -np.ones(4)
     none = np.zeros(0, dtype=np.int64)
-    empty = SurfaceGeometry(none, np.zeros((0, 2, 2)), np.zeros((0, 2)),
+    empty = SurfaceGeometry(np.zeros((0, 2, 2)), np.zeros((0, 2)),
                             np.zeros(0), np.zeros((0, 2)),
                             np.zeros((0, 2), dtype=np.int64),
                             np.zeros((0, 2, 2)))
@@ -52,7 +52,7 @@ def _uncut_pair():
 def _ghosts(cq, dofmap):
     """Bulk and surface ghost penalties at the default weights."""
     pieces = ghost_pieces(cq, dofmap)
-    return ghost_bulk(pieces, PARAMS), ghost_surface(pieces, PARAMS)
+    return ghost(pieces, PARAMS, "bulk"), ghost(pieces, PARAMS, "surf")
 
 
 def _cut_volume(state, f, degree=4):
@@ -70,7 +70,7 @@ def test_bulk_form_constant_gives_cut_area():
     state = _circle_setup()
     a = bulk_matrix(state.cq, state.dofmap, PARAMS)
     ones = np.zeros(state.dofmap.ndof)
-    ones[:state.dofmap.n_bulk] = 1.0
+    ones[:state.dofmap.bulk.ndof] = 1.0
     area = _cut_volume(state, lambda p: np.ones(len(p)))
     assert ones @ (a @ ones) == pytest.approx(area, rel=1e-12)
 
@@ -154,7 +154,7 @@ def test_surface_form_constant_gives_surface_length():
     topo, dofmap = state.topo, state.dofmap
     a = surface_form(state.cq, dofmap, PARAMS)
     ones = np.zeros(dofmap.ndof)
-    ones[dofmap.n_bulk:] = 1.0
+    ones[dofmap.bulk.ndof:] = 1.0
     assert ones @ (a @ ones) == pytest.approx(topo.surface.length.sum(),
                                               rel=1e-12)
 
@@ -194,7 +194,7 @@ def test_coupling_form_values():
     c = coupling_form(state.cq, state.dofmap, PARAMS)
     length = state.topo.surface.length.sum()
     bulk_one = np.zeros(state.dofmap.ndof)
-    bulk_one[:state.dofmap.n_bulk] = 1.0
+    bulk_one[:state.dofmap.bulk.ndof] = 1.0
     assert bulk_one @ (c @ bulk_one) == pytest.approx(length, rel=1e-12)
     both = np.ones(state.dofmap.ndof)
     assert both @ (c @ both) == pytest.approx(0.0, abs=1e-12 * length)
@@ -275,8 +275,8 @@ def test_rhs_partition_of_unity_sums():
     fake = type(problem)(**{**problem.__dict__, "f_bulk": one, "f_surf": one})
     b = load_vector(state.cq, dofmap, fake, PARAMS)
     area = _cut_volume(state, lambda p: np.ones(len(p)), degree=2)
-    assert b[:dofmap.n_bulk].sum() == pytest.approx(area, rel=1e-12)
-    assert b[dofmap.n_bulk:].sum() == pytest.approx(
+    assert b[:dofmap.bulk.ndof].sum() == pytest.approx(area, rel=1e-12)
+    assert b[dofmap.bulk.ndof:].sum() == pytest.approx(
         topo.surface.length.sum(), rel=1e-12)
 
 
@@ -315,9 +315,9 @@ def test_system_symmetry_and_additivity():
         problem)
     pieces = state.pieces
     rebuilt = (sys_abl.matrix
-               + PARAMS.tau_bulk * pieces["bulk_gradient"]
-               + PARAMS.mu_surf * pieces["surface_value"]
-               + PARAMS.tau_surf * pieces["surface_gradient"])
+               + PARAMS.tau_bulk * pieces["bulk"][1]
+               + PARAMS.mu_surf * pieces["surf"][0]
+               + PARAMS.tau_surf * pieces["surf"][1])
     assert np.abs(rebuilt - a).max() <= 1e-12 * np.abs(a).max()
 
 
@@ -337,7 +337,7 @@ def test_energy_gram_values_and_psd():
     g_total = property_grams(state.cq, state.dofmap, PARAMS,
                              state.pieces)["energy"]
     ones_bulk = np.zeros(state.dofmap.ndof)
-    ones_bulk[:state.dofmap.n_bulk] = 1.0
+    ones_bulk[:state.dofmap.bulk.ndof] = 1.0
     area = _cut_volume(state, lambda p: np.ones(len(p)), degree=2)
     length = state.topo.surface.length.sum()
     # jumps and ghosts vanish on constants; the coupling adds the length

@@ -6,12 +6,12 @@ vertex values with exact zeros: a line through a mesh vertex with integer
 coefficients, whose values on the dyadic vertices are exact, and vertex
 values drawn from {-1, -1/2, 0, 1/2, 1}. Each drawn topology is either
 refused with a typed ``CutDGError`` or carries a surface, and the
-cut-volume rules, the stabilized matrix and the coupling form keep their
-invariants on it. On circles drawn on the 8x8 mesh and its first
-refinement, the two-level solve either fails with a typed error or meets
-its true-residual stop. The per-entity row product ``mesh.row_dot`` is
-drawn too: each of its rows must be that entity's own product, bit for
-bit.
+cut-volume rules, the segments (each in its cut element), the stabilized
+matrix and the coupling form keep their invariants on it. On circles
+drawn on the 8x8 mesh and its first refinement, the two-level solve
+either fails with a typed error or meets its true-residual stop. The
+per-entity row product ``mesh.row_dot`` is drawn too: each of its rows
+must be that entity's own product, bit for bit.
 """
 
 import numpy as np
@@ -76,6 +76,15 @@ def _check_invariants(mesh, values, topo):
         total += rules.weights.sum(axis=1)
     area = element_areas(mesh.vertices[nodes])
     assert np.all(np.abs(total - area) <= 1e-12 * area)
+
+    # segment k lies in the closed cut element topo.active_surface[k]: the
+    # barycentric coordinates of both its endpoints there are at least
+    # -1e-12
+    tris = mesh.vertices[nodes]
+    edges = (tris[:, 1:] - tris[:, :1]).transpose(0, 2, 1)
+    rel = topo.surface.points - tris[:, None, 0]
+    lam = np.linalg.solve(edges[:, None], rel[..., None])[..., 0]
+    assert np.all(lam >= -1e-12) and np.all(lam.sum(axis=-1) <= 1.0 + 1e-12)
 
     coupling, matrix = _matrices(mesh, values, topo)
     scale = abs(matrix).max()

@@ -190,7 +190,8 @@ def test_exact_zero_vertex_values_give_two_crossings_per_cut_element():
     surf = topo.surface
     vals = values[mesh.elements]
     cut = np.flatnonzero((vals.min(axis=1) < 0.0) & (vals.max(axis=1) > 0.0))
-    assert np.array_equal(surf.element, cut)
+    assert np.array_equal(topo.active_surface, cut)
+    assert surf.n_segments == cut.size
     assert np.all(surf.length > 0.0)
     on_line = surf.points[..., 0] + 2.0 * surf.points[..., 1] - 1.0
     assert np.max(np.abs(on_line)) < 1e-15

@@ -130,7 +130,7 @@ def test_pcg_matches_direct_solution():
 
 def test_rescaled_matrix_block_scaling():
     mesh, dofmap, system = _setup(n=6)
-    nb = dofmap.n_bulk
+    nb = dofmap.bulk.ndof
     h = mesh.h
     resc = rescaled_matrix(system.matrix, nb, h)
     a = system.matrix.toarray()
@@ -158,7 +158,7 @@ def test_condition_number_examples():
 
 def test_iterative_matches_dense_condition_number():
     mesh, dofmap, system = _setup(n=8)
-    resc = rescaled_matrix(system.matrix, dofmap.n_bulk, mesh.h)
+    resc = rescaled_matrix(system.matrix, dofmap.bulk.ndof, mesh.h)
     kappa, lmin, lmax, nullity = condition_number(resc)
     dense = dense_condition_number(resc)
     assert (kappa, lmin, lmax) == pytest.approx(dense[:3], rel=1e-6)
@@ -236,7 +236,7 @@ def test_condition_scaling_smoke():
     for n in (8, 16, 32):
         mesh, dofmap, system = _setup(n=n)
         kappa, _, _, _ = condition_number(rescaled_matrix(
-            system.matrix, dofmap.n_bulk, mesh.h))
+            system.matrix, dofmap.bulk.ndof, mesh.h))
         kappas.append(kappa)
         hs.append(mesh.h)
     slope = np.polyfit(np.log(hs), np.log(kappas), 1)[0]

@@ -43,9 +43,9 @@ def test_partition_of_unity():
 
 def test_dof_map_counts_and_bijection():
     mesh, _, topo, dofmap = _setup()
-    assert dofmap.n_bulk == 3 * topo.active_bulk.size
-    assert dofmap.n_surface == 3 * topo.active_surface.size
-    assert dofmap.ndof == dofmap.n_bulk + dofmap.n_surface
+    assert dofmap.bulk.ndof == 3 * topo.active_bulk.size
+    assert dofmap.surface.ndof == 3 * topo.active_surface.size
+    assert dofmap.ndof == dofmap.bulk.ndof + dofmap.surface.ndof
     seen = set()
     for space in (dofmap.bulk, dofmap.surface):
         for dofs in space.dofs_array(space.elements):
@@ -67,7 +67,7 @@ def test_interpolation_reproduces_constants_and_linears():
         return 1.0 + 2.0 * p[..., 0] - p[..., 1]
 
     assert np.all(interpolate_pair(dofmap, mesh, const, const) == 3.5)
-    lin = interpolate_pair(dofmap, mesh, linear, const)[:dofmap.n_bulk]
+    lin = interpolate_pair(dofmap, mesh, linear, const)[:dofmap.bulk.ndof]
     # zero jumps in value and gradient across every active face
     grads_all = element_gradients(mesh.vertices[mesh.elements])
     coeffs = lin.reshape(-1, 3)
@@ -113,8 +113,8 @@ def test_interpolate_pair_layout():
     u = interpolate_pair(dofmap, mesh,
                          lambda p: np.ones(p.shape[:-1]),
                          lambda p: 2.0 * np.ones(p.shape[:-1]))
-    assert np.all(u[:dofmap.n_bulk] == 1.0)
-    assert np.all(u[dofmap.n_bulk:] == 2.0)
+    assert np.all(u[:dofmap.bulk.ndof] == 1.0)
+    assert np.all(u[dofmap.bulk.ndof:] == 2.0)
 
 
 def test_prolongation_injects_continuous_p1_into_both_blocks():
