@@ -173,7 +173,7 @@ def _study_meshes(levels: int, n0: int):
 
 
 def run_convergence(levels: int = 5, n0: int = DEFAULT_N0,
-                    params: StabilizationParams | None = None,
+                    params: StabilizationParams = StabilizationParams(),
                     ablate_ghost: bool = False) -> StudyReport:
     """Manufactured-solution refinement study on the unit-circle geometry.
 
@@ -182,7 +182,6 @@ def run_convergence(levels: int = 5, n0: int = DEFAULT_N0,
     and both gradient-jump ghost weights are set to zero; solver failures
     under ablation are recorded per level instead of aborting.
     """
-    params = params or StabilizationParams()
     if ablate_ghost:
         params = config_params(params, "ablated")
     problem = build_circle_problem(params.c_bulk, params.c_surf)
@@ -288,7 +287,7 @@ class SurfaceState:
 
 def run_condition_sweep(level: int = 1, positions: int = 101,
                         n0: int = DEFAULT_N0,
-                        params: StabilizationParams | None = None,
+                        params: StabilizationParams = StabilizationParams(),
                         configs=SWEEP_CONFIGS,
                         box=DEFAULT_BOX) -> StudyReport:
     """Condition number of the rescaled system matrix while the circle is
@@ -316,7 +315,6 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
     repeated = sorted({c for c in configs if configs.count(c) > 1})
     if repeated:
         raise ValueError(f"sweep configuration repeated: {', '.join(repeated)}")
-    params = params or StabilizationParams()
     mesh = mesh_at_level(level, n0, box)
     report = StudyReport()
     for delta in np.linspace(0.0, 1.0, positions):
@@ -437,7 +435,7 @@ def _contrast_vs_full(ablated: np.ndarray, full: np.ndarray) -> float:
 
 def run_property_suite(level: int = 0, positions: int = 101,
                        n0: int = DEFAULT_N0,
-                       params: StabilizationParams | None = None,
+                       params: StabilizationParams = StabilizationParams(),
                        seed: int = 9176) -> StudyReport:
     """Measured stability constants across the surface-position sweep.
 
@@ -472,7 +470,6 @@ def run_property_suite(level: int = 0, positions: int = 101,
     """
     if positions < 2:
         raise ValueError("property sweep needs at least 2 positions")
-    params = params or StabilizationParams()
     if min(params.mu_surf, params.tau_surf) == 0:
         raise ConfigurationError("singular energy Gram: zero surface ghost "
                                  "weight")

@@ -153,15 +153,6 @@ def _cut_element_blocks(cq: CutQuadrature, space, which=slice(None)):
     return space.dofs_array(cut), stiffness, mass
 
 
-def _volume_blocks(cq: CutQuadrature, space, which=(slice(None),) * 2):
-    """(dofs, stiffness, mass) of the uncut active elements
-    topo.uncut_bulk[u], then of the cut ones topo.active_surface[c], for
-    the slices (u, c) = which."""
-    uncut, cut = which
-    return [_element_blocks(cq, space, cq.topo.uncut_bulk[uncut]),
-            _cut_element_blocks(cq, space, cut)]
-
-
 def _segment_blocks(cq: CutQuadrature, space):
     """Dofs, tangential stiffness and mass blocks of the surface
     segments."""
@@ -306,10 +297,11 @@ def _banded_bulk(cq: CutQuadrature, dofmap: CombinedDofMap, penalty: float,
     def bands():
         for band, lo in enumerate(range(0, slots, size)):
             hi = min(lo + size, slots)
-            which = [slice(*np.searchsorted(s, (lo, hi)))
-                     for s in split_slots]
-            parts = [(dofs, s + m)
-                     for dofs, s, m in _volume_blocks(cq, space, which)]
+            uncut, cut = [slice(*np.searchsorted(s, (lo, hi)))
+                          for s in split_slots]
+            parts = [(dofs, s + m) for dofs, s, m in (
+                _element_blocks(cq, space, topo.uncut_bulk[uncut]),
+                _cut_element_blocks(cq, space, cut))]
             dofs, lengths, jump, _, blocks = _face_blocks(
                 cq, space, faces[band_faces[start[band]:start[band + 1]]])
             jump *= (penalty * lengths)[:, None, None]
@@ -518,8 +510,9 @@ def property_grams(cq: CutQuadrature, dofmap: CombinedDofMap,
                                  coupling_form(cq, dofmap, params), pieces,
                                  params),
             "gradient_active": _accumulate([(active_dofs, gradient)], n),
-            "gradient_cut": _accumulate(
-                [(d, s) for d, s, _ in _volume_blocks(cq, dofmap.bulk)], n),
+            "gradient_cut": _accumulate([(d, s) for d, s, _ in (
+                _element_blocks(cq, dofmap.bulk, cq.topo.uncut_bulk),
+                _cut_element_blocks(cq, dofmap.bulk))], n),
             "surface_mass": _accumulate([(mass_dofs, mass)], n),
             "tangential": _accumulate([(segment_dofs, tangential)], n),
             "trace": trace}

@@ -10,7 +10,7 @@ central finite differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
@@ -138,13 +138,13 @@ def build_circle_problem(c_bulk: float = 1.0,
 class ErrorReport:
     """Discrete error norms on the cut bulk domain and discrete surface."""
 
-    l2_bulk: float
     h1_bulk: float
-    l2_surf: float
+    l2_bulk: float
     h1_surf: float
+    l2_surf: float
 
     def as_tuple(self):
-        return (self.h1_bulk, self.l2_bulk, self.h1_surf, self.l2_surf)
+        return astuple(self)
 
 
 def _entity_errors(rules, phi, u, grads, value, gradient, normal=None):

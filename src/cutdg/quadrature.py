@@ -139,10 +139,6 @@ class CutQuadrature:
     norm evaluated on the same mesh, level set, topology and degree (2
     for the forms, ``ERROR_DEGREE`` for the error norms):
 
-    uncut(which): (rules, phi) of the reference rule on the uncut active
-        elements ``topo.uncut_bulk[which]`` (all by default), phi the
-        exact barycentric table of the rule, broadcast read-only; made on
-        each call.
     volume: (rules, phi) of the cut-volume rules on the cut elements
         ``topo.active_surface``, phi (k, m, 3) the basis values at the
         rule points.
@@ -152,21 +148,19 @@ class CutQuadrature:
     def __init__(self, mesh, dls, topo, degree: int = 2):
         self.mesh, self.dls, self.topo, self.degree = mesh, dls, topo, degree
 
-    def uncut(self, which=slice(None)):
-        uncut = self.topo.uncut_bulk[which]
-        bary = triangle_reference_rule(self.degree)[0]
-        rules = RuleBatch(*_map_triangles(
-            self.mesh.vertices[self.mesh.elements[uncut]], self.degree))
-        return rules, np.broadcast_to(bary, (uncut.size,) + bary.shape)
-
     def bulk_rules(self):
         """(elements, (rules, phi)) of the active bulk elements, made and
         freed one at a time: the uncut ones ascending, in chunks of
-        BAND_ELEMENTS, then all cut ones (``volume``)."""
-        uncut = self.topo.uncut_bulk
-        for lo in range(0, uncut.size, BAND_ELEMENTS):
-            which = slice(lo, lo + BAND_ELEMENTS)
-            yield uncut[which], self.uncut(which)
+        BAND_ELEMENTS, each with the reference rule mapped onto it and phi
+        the exact barycentric table of the rule, broadcast read-only; then
+        all cut ones (``volume``)."""
+        bary = triangle_reference_rule(self.degree)[0]
+        for lo in range(0, self.topo.uncut_bulk.size, BAND_ELEMENTS):
+            uncut = self.topo.uncut_bulk[lo:lo + BAND_ELEMENTS]
+            rules = RuleBatch(*_map_triangles(
+                self.mesh.vertices[self.mesh.elements[uncut]], self.degree))
+            yield uncut, (rules, np.broadcast_to(bary, (uncut.size,)
+                                                 + bary.shape))
         yield self.topo.active_surface, self.volume
 
     @cached_property

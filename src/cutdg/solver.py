@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 from .exceptions import DegenerateMatrixError, SolverError
 from .forms import AssembledSystem
 
-# two-level CG takes 40-71 iterations from 498 to 1.04M dofs, so this cap
+# two-level CG takes 40-69 iterations from 498 to 1.04M dofs, so this cap
 # only bounds the work of a failing solve
 SOLVE_MAX_ITER = 400
 # reliable-update interval of pcg, sqrt(eps) (van der Vorst and Ye, 2000)

@@ -67,6 +67,14 @@ def build_spaces(mesh: BackgroundMesh, topo: CutTopology) -> CombinedDofMap:
     return CombinedDofMap(bulk=bulk, surface=surface)
 
 
+def _block_vertices(dofmap: CombinedDofMap, mesh: BackgroundMesh):
+    """(vertices, local) per block, bulk first: the ascending ids of the
+    vertices of its elements, and the index into them of each dof."""
+    return [np.unique(mesh.elements[space.elements].reshape(-1),
+                      return_inverse=True)
+            for space in (dofmap.bulk, dofmap.surface)]
+
+
 def prolongation(dofmap: CombinedDofMap,
                  mesh: BackgroundMesh) -> sp.csr_matrix:
     """0/1 injection of continuous P1 into the broken combined space.
@@ -78,11 +86,9 @@ def prolongation(dofmap: CombinedDofMap,
     nodal interpolant in both blocks.
     """
     columns, n_coarse = [], 0
-    for space in (dofmap.bulk, dofmap.surface):
-        vertices = mesh.elements[space.elements].reshape(-1)
-        unique, local = np.unique(vertices, return_inverse=True)
+    for vertices, local in _block_vertices(dofmap, mesh):
         columns.append(n_coarse + local)
-        n_coarse += unique.size
+        n_coarse += vertices.size
     cols = np.concatenate(columns)
     return sp.csr_matrix((np.ones(cols.size), cols, np.arange(cols.size + 1)),
                          shape=(dofmap.ndof, n_coarse))
@@ -118,11 +124,9 @@ def basis_values(tris: np.ndarray, points: np.ndarray) -> np.ndarray:
 def interpolate_pair(dofmap: CombinedDofMap, mesh: BackgroundMesh,
                      f_bulk, f_surface) -> np.ndarray:
     """Combined coefficient vector of the nodal interpolants of a
-    bulk/surface callable pair: each block holds its callable's values at
-    the vertices of each of its elements."""
-    u = np.empty(dofmap.ndof)
-    for space, f in ((dofmap.bulk, f_bulk), (dofmap.surface, f_surface)):
-        verts = mesh.vertices[mesh.elements[space.elements]]  # (na, 3, 2)
-        u[space.offset:space.offset + space.ndof] = np.asarray(
-            f(verts), dtype=float).reshape(-1)
-    return u
+    bulk/surface callable pair, each called once on the (k, 2) points of
+    its block's distinct vertices and returning one value per point."""
+    return np.concatenate([
+        np.asarray(f(mesh.vertices[vertices]), dtype=float)[local]
+        for (vertices, local), f in zip(_block_vertices(dofmap, mesh),
+                                        (f_bulk, f_surface))])

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -18,7 +19,7 @@ from cutdg.experiments import (CONDITION_HEADER, CONVERGENCE_HEADER,
 from cutdg.forms import (StabilizationParams, coupling_form, ghost,
                          ghost_pieces, property_grams, stabilized,
                          surface_form)
-from cutdg.manufactured import build_circle_problem
+from cutdg.manufactured import ErrorReport, build_circle_problem
 from cutdg.quadrature import CutQuadrature
 from cutdg.solver import (condition_number, generalized_extreme,
                           rescaled_matrix)
@@ -83,6 +84,17 @@ def test_convergence_rows_and_csv(tmp_path):
     assert lines[1].split(",")[3] == ""  # no EOC at the first level
     paths = report.write(str(tmp_path))
     assert [p.endswith("convergence.csv") for p in paths] == [True]
+
+
+def test_error_report_fields_follow_the_convergence_columns():
+    """The ErrorReport fields, and so ``as_tuple``, are in the order of the
+    err_ columns of the convergence CSV."""
+    names = [f.name for f in dataclasses.fields(ErrorReport)]
+    columns = [c[len("err_"):] for c in CONVERGENCE_HEADER.split(",")
+               if c.startswith("err_")]
+    assert names == columns
+    report = ErrorReport(l2_bulk=1.0, h1_bulk=2.0, l2_surf=3.0, h1_surf=4.0)
+    assert report.as_tuple() == tuple(getattr(report, c) for c in columns)
 
 
 @pytest.mark.parametrize("level,n0", [(10 ** 9, 8), (3, 10 ** 3000)],

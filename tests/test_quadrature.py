@@ -165,7 +165,9 @@ def test_uncut_rule_is_the_reference_rule_on_the_uncut_elements(degree):
     cq = CutQuadrature(mesh, dls, build_cut_topology(mesh, dls), degree)
     uncut = cq.topo.uncut_bulk
     bary, wref = triangle_reference_rule(degree)
-    rules, phi = cq.uncut()
+    # at level 0 all uncut elements form the first chunk
+    elements, (rules, phi) = next(cq.bulk_rules())
+    assert np.array_equal(elements, uncut)
     assert uncut.size and rules.points.shape == (uncut.size, bary.shape[0], 2)
     tris = mesh.vertices[mesh.elements[uncut]]
     np.testing.assert_allclose(rules.points,

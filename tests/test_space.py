@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from cutdg.experiments import DEFAULT_BOX, mesh_at_level
 from cutdg.levelset import circle_levelset, interpolate_levelset, \
     build_cut_topology
+from cutdg.manufactured import build_circle_problem
 from cutdg.mesh import build_structured_mesh, element_gradients
 from cutdg.space import (build_spaces, interpolate_pair, levelset_null_basis,
                          prolongation)
@@ -115,6 +117,37 @@ def test_interpolate_pair_layout():
                          lambda p: 2.0 * np.ones(p.shape[:-1]))
     assert np.all(u[:dofmap.bulk.ndof] == 1.0)
     assert np.all(u[dofmap.bulk.ndof:] == 2.0)
+
+
+@pytest.mark.parametrize("box", [DEFAULT_BOX,
+                                 ((-1.05, -1.07), (1.15, 1.13))],
+                         ids=["default", "shifted"])
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_interpolate_pair_calls_each_callable_once_per_vertex(box, level):
+    """Each callable gets one call, on its block's distinct vertices, and
+    the interpolant is bit for bit the values at every element vertex."""
+    problem = build_circle_problem()
+    mesh = mesh_at_level(level, box=box)
+    dls = interpolate_levelset(problem.geometry, mesh)
+    dofmap = build_spaces(mesh, build_cut_topology(mesh, dls))
+    calls = {"bulk": [], "surface": []}
+
+    def recording(name, f):
+        def g(points):
+            calls[name].append(points.copy())
+            return f(points)
+        return g
+
+    u = interpolate_pair(dofmap, mesh, recording("bulk", problem.u_bulk),
+                         recording("surface", problem.u_surf_ext))
+    for name, space, f in (("bulk", dofmap.bulk, problem.u_bulk),
+                           ("surface", dofmap.surface, problem.u_surf_ext)):
+        [points] = calls[name]
+        vertices = np.unique(mesh.elements[space.elements])
+        assert np.array_equal(points, mesh.vertices[vertices])
+        assert np.array_equal(
+            u[space.offset:space.offset + space.ndof],
+            f(mesh.vertices[mesh.elements[space.elements]]).reshape(-1))
 
 
 def test_prolongation_injects_continuous_p1_into_both_blocks():
