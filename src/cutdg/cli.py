@@ -16,9 +16,9 @@ import os
 import sys
 
 from .exceptions import CutDGError
-from .experiments import (SWEEP_CONFIGS, StudyReport, run_condition_sweep,
-                          run_convergence, run_geometry_check,
-                          run_property_suite)
+from .experiments import (CONVERGENCE_HEADER, SWEEP_CONFIGS, StudyReport,
+                          run_condition_sweep, run_convergence,
+                          run_geometry_check, run_property_suite)
 from .forms import StabilizationParams
 
 def read_config_file(path: str) -> dict:
@@ -49,8 +49,8 @@ def _boolean(value: str) -> bool:
 
 def _print_convergence(report: StudyReport):
     print("level  h            " + "  ".join(
-        f"{name:>12s} {'eoc':>6s}" for name in
-        ("h1_bulk", "l2_bulk", "h1_surf", "l2_surf")))
+        f"{name.removeprefix('err_'):>12s} {'eoc':>6s}" for name in
+        CONVERGENCE_HEADER.split(",") if name.startswith("err_")))
     for row in report.convergence_rows:
         cells = [f"{row['level']:>5d}", f"{row['h']:.6e}"]
         for err, ec in zip(row["errors"], row["eocs"]):

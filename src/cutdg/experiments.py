@@ -7,7 +7,7 @@ deterministic for fixed inputs and can be dumped to CSV.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -20,7 +20,8 @@ from .forms import (StabilizationParams, assemble_system, bulk_form,
                     stabilized, surface_form)
 from .levelset import (build_cut_topology, check_geometry_assumptions,
                        circle_levelset, interpolate_levelset)
-from .manufactured import build_circle_problem, compute_errors, eoc
+from .manufactured import (ErrorReport, build_circle_problem, compute_errors,
+                           eoc)
 from .mesh import (build_structured_mesh, element_areas, refine_uniform,
                    row_dot)
 from .quadrature import CutQuadrature
@@ -47,16 +48,15 @@ GHOSTS_OFF = {"full": (), "no-surface": ("mu_surf", "tau_surf"),
               "none": ("mu_bulk", "tau_bulk", "mu_surf", "tau_surf"),
               "ablated": ("mu_surf", "tau_bulk", "tau_surf")}
 SWEEP_CONFIGS = ("full", "no-surface", "no-bulk", "none")
-PROPERTY_CONFIGS = ("full", "no-bulk-ghost", "no-surface-ghost")
 # random mean-zero fields per position of the surface Poincare constant
 POINCARE_FIELDS = 100
 # the sweep configuration whose matrix each property configuration uses
 PROPERTY_SWEEP_CONFIG = {"full": "full", "no-bulk-ghost": "no-bulk",
                          "no-surface-ghost": "no-surface"}
+PROPERTY_CONFIGS = tuple(PROPERTY_SWEEP_CONFIG)
 
-CONVERGENCE_HEADER = ("level,h,err_h1_bulk,eoc_h1_bulk,err_l2_bulk,"
-                      "eoc_l2_bulk,err_h1_surf,eoc_h1_surf,err_l2_surf,"
-                      "eoc_l2_surf")
+CONVERGENCE_HEADER = ",".join(["level", "h"] + [
+    f"{kind}_{f.name}" for f in fields(ErrorReport) for kind in ("err", "eoc")])
 CONDITION_HEADER = "delta,kappa,lambda_min,lambda_max,config"
 GEOMETRY_HEADER = "level,sup_dist,sup_normal_dev"
 PROPERTIES_HEADER = "name,constant,delta,pass"
@@ -200,11 +200,8 @@ def run_convergence(levels: int = 5, n0: int = DEFAULT_N0,
             prev_errors = None
             continue
         errors = state.errors(u, problem).as_tuple()
-        if prev_errors is None:
-            eocs = (None,) * 4
-        else:
-            eocs = tuple(float(eoc([a, b])[0])
-                         for a, b in zip(prev_errors, errors))
+        eocs = (None,) * 4 if prev_errors is None else \
+            tuple(map(float, eoc([prev_errors, errors])[0]))
         report.convergence_rows.append({"level": level, "h": mesh.h,
                                         "errors": errors, "eocs": eocs})
         prev_errors = errors
@@ -344,7 +341,7 @@ def run_geometry_check(levels: int = 4, n0: int = DEFAULT_N0) -> StudyReport:
     ls = circle_levelset()
     report = StudyReport()
     for level, mesh in enumerate(_study_meshes(levels, n0)):
-        topo = SurfaceState(mesh, ls, StabilizationParams()).topo
+        topo = build_cut_topology(mesh, interpolate_levelset(ls, mesh))
         sup_dist, sup_dev = check_geometry_assumptions(ls, topo)
         length = float(topo.surface.length.sum())
         report.geometry_rows.append({"level": level, "sup_dist": sup_dist,

@@ -3,11 +3,13 @@
 Sparse matrices are scipy CSR throughout. The solver is a conjugate
 gradient with an additive two-level preconditioner, point Jacobi plus an
 exact solve on continuous P1; its iteration count grows slowly as h
-shrinks: 40, 40, 44, 43, 61, 59, 69 and 78 iterations at levels 0-7 of
-the convergence study. Condition numbers of the rescaled system come from
-sparse ARPACK eigensolves: lambda_max directly, the smallest nonzero
-|lambda| by shift-invert after an explicit null basis is deflated. The
-stability constants come from one dense generalized eigensolve per pencil.
+shrinks: 40, 40, 44, 43, 61, 58, 72 and 77 iterations at levels 0-7 of
+the convergence study. It sums its dot products and norms in numpy's
+pairwise order, so its solution does not depend on the BLAS thread
+count. Condition numbers of the rescaled system come from sparse ARPACK
+eigensolves: lambda_max directly, the smallest nonzero |lambda| by
+shift-invert after an explicit null basis is deflated. The stability
+constants come from one dense generalized eigensolve per pencil.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import scipy.sparse.linalg as spla
 from .exceptions import DegenerateMatrixError, SolverError
 from .forms import AssembledSystem
 
-# two-level CG takes 40-69 iterations from 498 to 1.04M dofs, so this cap
-# only bounds the work of a failing solve
+# two-level CG takes 40-72 iterations from 498 to 1.04M dofs (77 at 4.1M),
+# so this cap only bounds the work of a failing solve
 SOLVE_MAX_ITER = 400
 # reliable-update interval of pcg, sqrt(eps) (van der Vorst and Ye, 2000)
 REPLACE = 1.5e-8
@@ -51,12 +53,18 @@ def preconditioner(matrix: sp.spmatrix, prolongation: sp.spmatrix):
     # identity; pcg's breakdown check handles indefiniteness
     inv_diag = 1.0 / np.where(diag == 0.0, 1.0, diag)
     p = prolongation
+    pt = p.T.tocsr()  # transposed once, for the coarse product and the apply
     try:
-        lu = spla.splu((p.T @ matrix @ p).tocsc())
+        lu = spla.splu((pt @ matrix @ p).tocsc())
     except RuntimeError as exc:
         raise SolverError(f"coarse matrix is singular: {exc}") from exc
-    pt = p.T.tocsr()  # transposed once, not at every apply
     return lambda r: inv_diag * r + p @ lu.solve(pt @ r)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b by numpy's pairwise summation, whose order, unlike that of a
+    BLAS dot, does not depend on the thread count."""
+    return np.add.reduce(a * b)
 
 
 def pcg(matrix: sp.spmatrix, rhs: np.ndarray, precondition, max_iter: int,
@@ -67,42 +75,39 @@ def pcg(matrix: sp.spmatrix, rhs: np.ndarray, precondition, max_iter: int,
     ||rhs - A x|| is at most rel_tol ||rhs|| or, if rel_tol asks for
     less, eps || |A| |x| ||, the rounding level of A x. Whenever the
     recursive residual, which rounding makes drift, drops to rel_tol
-    ||rhs|| or by REPLACE since the last fold, the update is folded into
-    x, the true residual replaces the recursive one (reliable update) and
-    CG restarts from x, so that the round-off of the replaced residual
-    does not spoil the next search direction.
+    ||rhs|| or by REPLACE since the last fold, the true residual of x
+    replaces the recursive one (reliable update) and CG restarts from x,
+    so that the round-off of the replaced residual does not spoil the
+    next search direction. Every dot product and norm is a ``_dot``, so
+    x does not depend on the BLAS thread count.
     """
-    n = rhs.shape[0]
-    x, update, r = np.zeros(n), np.zeros(n), rhs.copy()
-    target = rel_tol * np.linalg.norm(rhs)
-    reference = np.linalg.norm(r)
+    x, r = np.zeros(rhs.shape[0]), rhs.copy()
+    reference = np.sqrt(_dot(r, r))
+    target = rel_tol * reference
     if reference <= target:
         return x, 0, True
-    z = precondition(r)
-    p = z.copy()
-    rz = r @ z
+    p = z = precondition(r)
+    rz = _dot(r, z)
     for k in range(1, max_iter + 1):
         ap = matrix @ p
-        pap = p @ ap
+        pap = _dot(p, ap)
         if pap <= 0.0 or not np.isfinite(pap):
-            return x + update, k, False  # breakdown: not positive definite
+            return x, k, False  # breakdown: not positive definite
         alpha = rz / pap
-        update += alpha * p
+        x += alpha * p
         r -= alpha * ap
-        fold = np.linalg.norm(r) <= max(target, REPLACE * reference)
+        fold = np.sqrt(_dot(r, r)) <= max(target, REPLACE * reference)
         if fold:
-            x += update
-            update[:] = 0.0
             r = rhs - matrix @ x
-            reference = np.linalg.norm(r)
-            if reference <= target or reference <= EPS * np.linalg.norm(
-                    abs(matrix) @ abs(x)):
+            reference = np.sqrt(_dot(r, r))
+            if reference <= target or reference <= EPS * np.sqrt(
+                    _dot(floor := abs(matrix) @ abs(x), floor)):
                 return x, k, True
         z = precondition(r)
-        rz_new = r @ z
+        rz_new = _dot(r, z)
         p = z if fold else z + (rz_new / rz) * p
         rz = rz_new
-    return x + update, max_iter, False
+    return x, max_iter, False
 
 
 def solve(system: AssembledSystem, rel_tol: float = 1e-10) -> np.ndarray:

@@ -25,9 +25,9 @@ consistency of faces), the load vectors and the error norms from them,
 one element, segment, surface edge or face at a time. The batched
 assembly must reproduce them bit for bit, block order included. Each
 builder stands in for the ``cutdg.forms`` function of the same name
-(with a leading underscore for the block builders) and takes its
-arguments, but reads only the mesh, level set, topology and degree from
-the ``CutQuadrature``.
+(with a leading underscore for the block builders; ``stand_in`` swaps
+them all in) and takes its arguments, but reads only the mesh, level
+set, topology and degree from the ``CutQuadrature``.
 ``accumulate`` expands (dofs, blocks) parts into triplets one block at a
 time, the reference of the single triplet buffer of ``forms._accumulate``.
 ``bulk_matrix`` joins the row bands of ``forms.bulk_form`` into the whole
@@ -388,6 +388,15 @@ def accumulate(parts, n: int) -> sp.csr_matrix:
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n)).tocsr()
+
+
+def stand_in(monkeypatch):
+    """Swap every per-entity builder in for its ``cutdg.forms`` function,
+    so that the forms built through the module are the reference."""
+    for name in ("_element_blocks", "_cut_element_blocks", "_segment_blocks",
+                 "_edge_blocks", "_face_blocks", "coupling_form",
+                 "load_vector"):
+        monkeypatch.setattr(forms, name, globals()[name.lstrip("_")])
 
 
 def bulk_matrix(cq, dofmap, params) -> sp.csr_matrix:

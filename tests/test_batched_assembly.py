@@ -61,14 +61,7 @@ def test_batched_assembly_equals_per_entity_loops(level, box, monkeypatch):
     state = _setup(level, box, problem)
     mesh, dls, topo, dofmap = state.mesh, state.dls, state.topo, state.dofmap
     batched = _matrices(state, problem)
-    monkeypatch.setattr(forms, "_element_blocks", oracles.element_blocks)
-    monkeypatch.setattr(forms, "_cut_element_blocks",
-                        oracles.cut_element_blocks)
-    monkeypatch.setattr(forms, "_segment_blocks", oracles.segment_blocks)
-    monkeypatch.setattr(forms, "_edge_blocks", oracles.edge_blocks)
-    monkeypatch.setattr(forms, "_face_blocks", oracles.face_blocks)
-    monkeypatch.setattr(forms, "coupling_form", oracles.coupling_form)
-    monkeypatch.setattr(forms, "load_vector", oracles.load_vector)
+    oracles.stand_in(monkeypatch)
     reference = _matrices(state, problem)
     for key, arrays in reference.items():
         for ref, new in zip(arrays, batched[key]):

@@ -11,13 +11,19 @@ matrix and the coupling form keep their invariants on it. On circles
 drawn on the 8x8 mesh and its first refinement, the two-level solve
 either fails with a typed error or meets its true-residual stop. The
 per-entity row product ``mesh.row_dot`` is drawn too: each of its rows
-must be that entity's own product, bit for bit.
+must be that entity's own product, bit for bit. Every kind of level set
+is also drawn on the 8x8 mesh and its first refinement (the vertex
+values with exact zeros on the 4x4 mesh), and every form, ghost piece
+and property Gram built on it must equal the per-entity loops of
+``tests/oracles.py``, bit for bit.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cutdg.forms as forms
 from cutdg.exceptions import CutDGError
 from cutdg.forms import (AssembledSystem, StabilizationParams, bulk_form,
                          coupling_form, ghost_pieces, stabilized,
@@ -29,6 +35,7 @@ from cutdg.mesh import (build_structured_mesh, element_areas, refine_uniform,
 from cutdg.quadrature import CutQuadrature, clip_element_rules
 from cutdg.solver import EPS, solve
 from cutdg.space import build_spaces, prolongation
+from tests import oracles
 from tests.oracles import line_levelset
 
 UNIT = ((0.0, 0.0), (1.0, 1.0))
@@ -40,6 +47,47 @@ FUZZ = settings(derandomize=True, deadline=None, database=None,
 
 n0s = st.sampled_from(sorted(MESHES))
 coords = st.floats(-0.5, 1.5, allow_nan=False)
+radii = st.floats(0.01, 1.2)
+angles = st.floats(0.0, 2.0 * np.pi)
+offsets = st.floats(-1.5, 1.5)
+slopes = st.integers(-3, 3)
+vertex_ids = st.integers(0, 80)
+zero_values = st.lists(st.sampled_from([-1.0, 1.0, -0.5, 0.5, 0.0]),
+                       min_size=25, max_size=25)
+
+
+def _circle(mesh, cx, cy, radius):
+    return interpolate_levelset(circle_levelset((cx, cy), radius), mesh)
+
+
+def _line(mesh, angle, offset):
+    return interpolate_levelset(
+        line_levelset((np.cos(angle), np.sin(angle)), offset), mesh)
+
+
+def _line_through_vertex(mesh, p, q, vertex):
+    """p (x - x_v) + q (y - y_v), exactly zero on the vertex v and on every
+    other vertex of that line."""
+    if p == 0 and q == 0:
+        p = 1
+    x0, y0 = mesh.vertices[vertex % mesh.n_vertices]
+    x, y = mesh.vertices.T
+    values = p * (x - x0) + q * (y - y0)
+    assert values[vertex % mesh.n_vertices] == 0.0
+    return values
+
+
+def levelsets(meshes):
+    """(mesh, vertex values) of each kind of level set drawn below: a
+    circle, a line or a line through a vertex on a mesh drawn from
+    ``meshes``, or vertex values with exact zeros on the 4x4 mesh."""
+    def on(values, *args):
+        return st.builds(lambda mesh, *a: (mesh, values(mesh, *a)), meshes,
+                         *args)
+    return st.one_of(on(_circle, coords, coords, radii),
+                     on(_line, angles, offsets),
+                     on(_line_through_vertex, slopes, slopes, vertex_ids),
+                     zero_values.map(lambda v: (MESHES[4], np.asarray(v))))
 
 
 def _topology(mesh, values):
@@ -99,13 +147,13 @@ def _check_invariants(mesh, values, topo):
 
 
 @FUZZ
-@given(n0s, coords, coords, st.floats(0.01, 1.2))
+@given(n0s, coords, coords, radii)
 @example(4, 0.5, 0.5, 0.25)  # through the vertices (0.75, 0.5), (0.5, 0.75)
 @example(8, 0.5, 0.5, 0.125 + 1e-13)  # grazing the vertex ring at 1/8
 @example(8, 1.0, 1.0, 0.5)  # clipped by the box corner
 def test_circles(n0, cx, cy, radius):
     mesh = MESHES[n0]
-    values = interpolate_levelset(circle_levelset((cx, cy), radius), mesh)
+    values = _circle(mesh, cx, cy, radius)
     topo = _topology(mesh, values)
     if topo is None:
         return
@@ -118,40 +166,31 @@ def test_circles(n0, cx, cy, radius):
 
 
 @FUZZ
-@given(n0s, st.floats(0.0, 2.0 * np.pi), st.floats(-1.5, 1.5))
+@given(n0s, angles, offsets)
 @example(4, 0.0, 1.0)  # along the box boundary x = 1
 @example(8, 0.5 * np.pi, 0.5)  # along the mesh edges y = 1/2
 def test_lines(n0, angle, offset):
     mesh = MESHES[n0]
-    values = interpolate_levelset(
-        line_levelset((np.cos(angle), np.sin(angle)), offset), mesh)
+    values = _line(mesh, angle, offset)
     topo = _topology(mesh, values)
     if topo is not None:
         _check_invariants(mesh, values, topo)
 
 
 @FUZZ
-@given(n0s, st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 80))
+@given(n0s, slopes, slopes, vertex_ids)
 @example(4, 1, 0, 4)  # x = 1: exact zeros on the box boundary only
 @example(4, 1, 2, 4)  # x + 2y = 1 through three vertices
 def test_lines_through_vertices(n0, p, q, vertex):
-    """p (x - x_v) + q (y - y_v), exactly zero on the vertex v and on every
-    other vertex of that line."""
     mesh = MESHES[n0]
-    if p == 0 and q == 0:
-        p = 1
-    x0, y0 = mesh.vertices[vertex % mesh.n_vertices]
-    x, y = mesh.vertices.T
-    values = p * (x - x0) + q * (y - y0)
-    assert values[vertex % mesh.n_vertices] == 0.0
+    values = _line_through_vertex(mesh, p, q, vertex)
     topo = _topology(mesh, values)
     if topo is not None:
         _check_invariants(mesh, values, topo)
 
 
 @FUZZ
-@given(st.lists(st.sampled_from([-1.0, 1.0, -0.5, 0.5, 0.0]), min_size=25,
-                max_size=25))
+@given(zero_values)
 def test_vertex_values_with_exact_zeros(drawn):
     mesh = MESHES[4]
     values = np.asarray(drawn)
@@ -173,14 +212,14 @@ def _grazing_circles(test):
 
 
 @FUZZ
-@given(st.sampled_from(range(len(SOLVE_MESHES))), coords, coords,
-       st.floats(0.01, 1.2), st.integers(0, 2 ** 32 - 1))
+@given(st.sampled_from(range(len(SOLVE_MESHES))), coords, coords, radii,
+       st.integers(0, 2 ** 32 - 1))
 @_grazing_circles
 def test_solve_meets_its_residual_stop(level, cx, cy, radius, seed):
     """b = A x* for a drawn x*: ``solve`` raises a typed error or returns
     x with ||b - A x|| <= max(1e-10 ||b||, eps || |A| |x| ||)."""
     mesh = SOLVE_MESHES[level]
-    values = interpolate_levelset(circle_levelset((cx, cy), radius), mesh)
+    values = _circle(mesh, cx, cy, radius)
     topo = _topology(mesh, values)
     if topo is None:
         return
@@ -211,3 +250,44 @@ def test_row_dot_is_the_per_entity_product(k, m, tiled, seed):
     for row, x, y in zip(got, a, b):
         assert np.array_equal(row, x @ y)
         assert np.array_equal(row[0], x @ y[:, 0])
+
+
+def _forms(mesh, values, topo, dofmap):
+    """Every form, ghost piece and property Gram that needs no problem, as
+    arrays (csr data, indices and indptr), each built through the
+    ``cutdg.forms`` module so that ``oracles.stand_in`` reaches it."""
+    cq = CutQuadrature(mesh, values, topo)
+    pieces = forms.ghost_pieces(cq, dofmap)
+    out = {"bulk": oracles.bulk_matrix(cq, dofmap, PARAMS),
+           "surface": forms.surface_form(cq, dofmap, PARAMS),
+           "coupling": forms.coupling_form(cq, dofmap, PARAMS),
+           **{f"{family}_{i}": m for family, pair in pieces.items()
+              for i, m in enumerate(pair)},
+           **forms.property_grams(cq, dofmap, PARAMS, pieces)}
+    return {k: (m,) if isinstance(m, np.ndarray) else
+            (m.data, m.indices, m.indptr) for k, m in out.items()}
+
+
+@FUZZ
+@given(levelsets(st.sampled_from(SOLVE_MESHES)))
+def test_forms_equal_the_per_entity_loops(drawn):
+    """The bulk bands joined, the surface and coupling forms, both ghost
+    pieces of each family and every ``property_grams`` entry equal those
+    built by the per-entity loops, bit for bit, and the trace vector
+    equals ``oracles.surface_trace_load``. The load vector needs a
+    closest-point map, so it is checked on circles only (in
+    ``tests/test_batched_assembly.py``)."""
+    mesh, values = drawn
+    topo = _topology(mesh, values)
+    if topo is None:
+        return
+    dofmap = build_spaces(mesh, topo)
+    batched = _forms(mesh, values, topo, dofmap)
+    with pytest.MonkeyPatch.context() as patch:
+        oracles.stand_in(patch)
+        reference = _forms(mesh, values, topo, dofmap)
+    for key, arrays in reference.items():
+        for ref, new in zip(arrays, batched[key]):
+            assert np.array_equal(ref, new), key
+    assert np.array_equal(batched["trace"][0],
+                          oracles.surface_trace_load(mesh, topo, dofmap))
