@@ -254,6 +254,15 @@ class SurfaceState:
         return levelset_null_basis(self.dofmap, self.mesh, self.dls)
 
     @cached_property
+    def dof_order(self) -> np.ndarray:
+        """The dof permutation that sorts the unknowns, bulk block first,
+        stably by the ``dissection_rank`` of their element."""
+        elements = np.concatenate([self.dofmap.bulk.elements,
+                                   self.dofmap.surface.elements])
+        return np.argsort(np.repeat(self.mesh.dissection_rank[elements], 3),
+                          kind="stable")
+
+    @cached_property
     def grams(self) -> dict:
         """The ``property_grams`` of this position."""
         return property_grams(self.cq, self.dofmap, self.params, self.pieces)
@@ -302,7 +311,8 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
     infinite. Only a matrix whose whole spectrum counts as zero, or whose
     shifted sparse LU is singular, is recorded with the sentinel condition
     number, zero lambdas and nullity None; an ARPACK failure raises
-    SolverError."""
+    SolverError. Every shifted LU eliminates in ``SurfaceState.dof_order``,
+    the nested-dissection order of the one mesh, which is built once."""
     if positions < 2:
         raise ValueError("sweep needs at least 2 positions")
     configs = tuple(configs)
@@ -321,7 +331,7 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
                 kappa, lam_min, lam_max, nullity = condition_number(
                     rescaled_matrix(state.matrix(config),
                                     state.dofmap.bulk.ndof, mesh.h),
-                    state.null_basis)
+                    state.null_basis, state.dof_order)
             except DegenerateMatrixError:
                 kappa, lam_min, lam_max = SENTINEL_KAPPA, 0.0, 0.0
                 nullity = None

@@ -17,6 +17,9 @@ import numpy as np
 
 from .exceptions import StructuralError
 
+# the most elements that nested_dissection_rank leaves undivided
+DISSECTION_LEAF = 4
+
 
 class Faces(NamedTuple):
     """Interior faces of a mesh.
@@ -53,6 +56,13 @@ class BackgroundMesh:
     @cached_property
     def faces(self) -> Faces:
         return face_connectivity(self.elements, self.n_vertices)
+
+    @cached_property
+    def dissection_rank(self) -> np.ndarray:
+        """(ne,) position of each element in the ``nested_dissection_rank``
+        order of the element centroids and the interior faces."""
+        return nested_dissection_rank(
+            self.vertices[self.elements].mean(axis=1), self.faces.elements)
 
     @property
     def n_vertices(self) -> int:
@@ -157,6 +167,78 @@ def face_connectivity(elements: np.ndarray, n_vertices: int) -> Faces:
     plus //= 3
     minus //= 3
     return Faces(vertices, np.column_stack([plus, minus]))
+
+
+def _runs(start: np.ndarray):
+    """Runs of equal values in the nondecreasing ``start``: the run index
+    of each entry, the first entry of each run and its length."""
+    _, heads, counts = group_keys(start)
+    return np.repeat(np.arange(heads.size), counts), heads, counts
+
+
+def nested_dissection_rank(points: np.ndarray, pairs: np.ndarray,
+                           leaf: int = DISSECTION_LEAF) -> np.ndarray:
+    """Nested-dissection position of each of the (n, 2) ``points`` (George
+    1973) in the graph of the (m, 2) index ``pairs``, as an (n,) permutation.
+
+    A subdomain of more than ``leaf`` points is bisected at the median
+    coordinate along the longer extent of its points: the points below
+    the median (at it, if none is below) form the lower half, and those of
+    them that a pair joins to the upper half are its separator.
+    Each half takes the first positions of the subdomain's range in turn,
+    the separator the last ones, so that eliminating in this order fills
+    no entry between the two halves. Every recursion level is one
+    vectorized pass over all its subdomains, which stay contiguous in
+    ``idx``, sorted by ``start``, the first position of their range."""
+    n = points.shape[0]
+    # each coordinate as its rank among the distinct values of its axis,
+    # so that one integer key sorts by subdomain, then by coordinate
+    grid = np.column_stack([np.unique(points[:, k], return_inverse=True)[1]
+                            for k in range(2)])
+    rank = np.empty(n, dtype=np.int64)
+    first, second = np.ascontiguousarray(pairs.T)
+    idx, start = np.arange(n), np.zeros(n, dtype=np.int64)
+    while idx.size:
+        run, heads, counts = _runs(start)
+        pts = np.take(points, idx, axis=0)
+        extent = np.maximum.reduceat(pts, heads) - np.minimum.reduceat(
+            pts, heads)
+        # a leaf, or a subdomain whose points all coincide, keeps its order
+        whole = (counts <= leaf) | ~np.any(extent > 0.0, axis=1)
+        done = whole[run]
+        rank[idx[done]] = (start + np.arange(idx.size) - heads[run])[done]
+        idx, start = idx[~done], start[~done]
+        if not idx.size:
+            break
+        run, heads, counts = _runs(start)
+        n_runs = heads.size
+        axis = (extent[:, 1] > extent[:, 0])[~whole].astype(np.int64)
+        coord = grid[idx, axis[run]]
+        order = np.argsort(run * n + coord, kind="stable")
+        idx, start, coord = idx[order], start[order], coord[order]
+        median = coord[heads + counts // 2][run]
+        left = coord < median
+        # no point below the median: the points at it form the lower half
+        empty = np.bincount(run[left], minlength=n_runs) == 0
+        left |= empty[run] & (coord == median)
+        # 2 run in the lower half of a subdomain, 2 run + 1 in the upper
+        half = np.full(n, -1, dtype=np.int64)
+        half[idx] = 2 * run + ~left
+        a = half[first]
+        # the pairs that join the two halves of one subdomain
+        cross = np.flatnonzero((a ^ half[second]) == 1)
+        cut = np.zeros(n, dtype=bool)
+        cut[np.where(a[cross] & 1, second[cross], first[cross])] = True
+        cut = cut[idx]
+        n_cut = np.bincount(run[cut], minlength=n_runs)
+        n_left = np.bincount(run[left & ~cut], minlength=n_runs)
+        before = np.cumsum(cut) - cut  # separator entries before each entry
+        rank[idx[cut]] = (start + counts[run] - n_cut[run] + before
+                          - before[heads][run])[cut]
+        keep = ~cut
+        idx = idx[keep]
+        start = (start + np.where(left, 0, n_left[run]))[keep]
+    return rank
 
 
 def refine_uniform(mesh: BackgroundMesh) -> BackgroundMesh:

@@ -33,7 +33,8 @@ time, the reference of the single triplet buffer of ``forms._accumulate``.
 ``bulk_matrix`` joins the row bands of ``forms.bulk_form`` into the whole
 bulk form, for the tests that read it as one matrix.
 ``face_connectivity_reference`` lists interior faces through a dict
-keyed by vertex pair.
+keyed by vertex pair, and ``nested_dissection_reference`` orders points
+by one recursive call per subdomain.
 """
 
 from __future__ import annotations
@@ -293,6 +294,39 @@ def face_connectivity_reference(elements):
     return (np.array(interior, dtype=np.int64).reshape(-1, 2),
             np.array([sorted(owners[key]) for key in interior],
                      dtype=np.int64).reshape(-1, 2))
+
+
+def nested_dissection_reference(points, pairs, leaf: int) -> np.ndarray:
+    """The rank of ``mesh.nested_dissection_rank`` by a recursion over one
+    subdomain at a time, each a list of point ids in its current order."""
+    points = np.asarray(points, dtype=float)
+    neighbours = [set() for _ in range(len(points))]
+    for a, b in np.asarray(pairs).tolist():
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    rank = np.empty(len(points), dtype=np.int64)
+
+    def place(ids, start):
+        if not ids:
+            return
+        extent = np.ptp(points[ids], axis=0)
+        if len(ids) <= leaf or not np.any(extent > 0.0):
+            rank[ids] = start + np.arange(len(ids))
+            return
+        axis = int(extent[1] > extent[0])
+        ids = sorted(ids, key=lambda i: points[i, axis])  # stable
+        median = points[ids[len(ids) // 2], axis]
+        left = [i for i in ids if points[i, axis] < median] or \
+            [i for i in ids if points[i, axis] == median]
+        right = [i for i in ids if i not in set(left)]
+        cut = [i for i in left if neighbours[i] & set(right)]
+        rest = [i for i in left if i not in set(cut)]
+        rank[cut] = start + len(ids) - len(cut) + np.arange(len(cut))
+        place(rest, start)
+        place(right, start + len(rest))
+
+    place(list(range(len(points))), 0)
+    return rank
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,12 @@ from cutdg.experiments import SurfaceState, mesh_at_level
 from cutdg.forms import StabilizationParams, _face_blocks
 from cutdg.manufactured import build_circle_problem
 from cutdg.mesh import (BackgroundMesh, build_structured_mesh, element_areas,
-                        face_connectivity, refine_uniform)
+                        face_connectivity, nested_dissection_rank,
+                        refine_uniform)
 from cutdg.quadrature import CutQuadrature
 from cutdg.space import BrokenSpace
-from tests.oracles import face_connectivity_reference
+from tests.oracles import (face_connectivity_reference,
+                           nested_dissection_reference)
 
 UNIT = ((0.0, 0.0), (1.0, 1.0))
 BOX = ((-1.1, -1.1), (1.1, 1.1))
@@ -206,3 +208,49 @@ def test_face_connectivity_peak_memory_is_bounded_by_its_faces():
     finally:
         tracemalloc.stop()
     assert peak <= 2.0 * (faces.vertices.nbytes + faces.elements.nbytes)
+
+
+@pytest.mark.parametrize("level, n0, box", [(0, 1, UNIT), (2, 8, BOX),
+                                            (1, 5, ((0.0, 0.0), (3.0, 1.0)))])
+def test_dissection_rank_is_a_repeatable_permutation(level, n0, box):
+    """The nested-dissection rank of the elements is a permutation of
+    0 .. ne-1, and a second build of the same mesh gets the same one."""
+    rank = mesh_at_level(level, n0, box).dissection_rank
+    assert np.array_equal(np.sort(rank), np.arange(rank.size))
+    assert np.array_equal(mesh_at_level(level, n0, box).dissection_rank, rank)
+
+
+@pytest.mark.parametrize("level, leaf", [(0, 1), (1, 4), (2, 16)])
+def test_dissection_rank_matches_the_recursion(level, leaf):
+    """Each vectorized pass over a recursion level places every element
+    where one recursive call per subdomain does."""
+    mesh = mesh_at_level(level)
+    centroids = mesh.vertices[mesh.elements].mean(axis=1)
+    assert np.array_equal(
+        nested_dissection_rank(centroids, mesh.faces.elements, leaf),
+        nested_dissection_reference(centroids, mesh.faces.elements, leaf))
+
+
+_RNG = np.random.default_rng(3)
+
+
+@pytest.mark.parametrize("points, pairs, leaf", [
+    # coordinates from a few values tie in every subdomain, and random
+    # pairs join points that no mesh face would
+    (_RNG.integers(0, 4, (60, 2)) * [1.0, 0.7], _RNG.integers(0, 60, (150, 2)),
+     1),
+    (_RNG.integers(0, 4, (60, 2)) * [1.0, 0.7], _RNG.integers(0, 60, (150, 2)),
+     3),
+    # a chain on one line, with four points on each position
+    (np.column_stack([np.repeat(np.arange(5.0), 4), np.zeros(20)]),
+     np.column_stack([np.arange(19), np.arange(1, 20)]), 1),
+    # coincident points, which keep their order
+    (np.ones((6, 2)), np.column_stack([np.arange(5), np.arange(1, 6)]), 1)])
+def test_dissection_rank_of_degenerate_points_matches_the_recursion(
+        points, pairs, leaf):
+    """On inputs that no structured mesh makes the rank is still a
+    permutation, the recursion's."""
+    rank = nested_dissection_rank(points, pairs, leaf)
+    assert np.array_equal(np.sort(rank), np.arange(len(points)))
+    assert np.array_equal(rank, nested_dissection_reference(points, pairs,
+                                                            leaf))

@@ -178,6 +178,28 @@ def test_condition_number_deflates_an_unsupplied_indefinite_null_space():
         dense_condition_number(m), rel=1e-9)
 
 
+def test_dissection_order_shrinks_the_shifted_lu():
+    """On a level-2 sweep matrix of DEFAULT_BOX the shifted LU in the
+    state's nested-dissection dof order holds fewer L+U entries than in
+    COLAMD's order (383k against 529k measured), and condition_number
+    gives the same result on either path."""
+    mesh = mesh_at_level(2)
+    state = SurfaceState(mesh, shifted_circle(mesh, 0.3), PARAMS)
+    matrix = rescaled_matrix(state.matrix("full"), state.dofmap.bulk.ndof,
+                             mesh.h)
+    shifted = (matrix + 1e-10 * sp.identity(matrix.shape[0])).tocsr()
+    order = state.dof_order
+    ordered = spla.splu(shifted[order][:, order].tocsc(),
+                        permc_spec="NATURAL")
+    colamd = spla.splu(shifted.tocsc())
+    assert ordered.L.nnz + ordered.U.nnz < colamd.L.nnz + colamd.U.nnz
+    kappa, lmin, lmax, nullity = condition_number(matrix, state.null_basis,
+                                                  order)
+    assert (kappa, lmin, lmax) == pytest.approx(
+        condition_number(matrix, state.null_basis)[:3], rel=1e-8)
+    assert nullity == 0
+
+
 def test_condition_number_failures_are_typed(monkeypatch):
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
