@@ -176,15 +176,15 @@ def _runs(start: np.ndarray):
     return np.repeat(np.arange(heads.size), counts), heads, counts
 
 
-def nested_dissection_rank(points: np.ndarray, pairs: np.ndarray,
-                           leaf: int = DISSECTION_LEAF) -> np.ndarray:
+def nested_dissection_rank(points: np.ndarray,
+                           pairs: np.ndarray) -> np.ndarray:
     """Nested-dissection position of each of the (n, 2) ``points`` (George
     1973) in the graph of the (m, 2) index ``pairs``, as an (n,) permutation.
 
-    A subdomain of more than ``leaf`` points is bisected at the median
-    coordinate along the longer extent of its points: the points below
-    the median (at it, if none is below) form the lower half, and those of
-    them that a pair joins to the upper half are its separator.
+    A subdomain of more than ``DISSECTION_LEAF`` points is bisected at the
+    median coordinate along the longer extent of its points: the points
+    below the median (at it, if none is below) form the lower half, and
+    those of them that a pair joins to the upper half are its separator.
     Each half takes the first positions of the subdomain's range in turn,
     the separator the last ones, so that eliminating in this order fills
     no entry between the two halves. Every recursion level is one
@@ -204,7 +204,7 @@ def nested_dissection_rank(points: np.ndarray, pairs: np.ndarray,
         extent = np.maximum.reduceat(pts, heads) - np.minimum.reduceat(
             pts, heads)
         # a leaf, or a subdomain whose points all coincide, keeps its order
-        whole = (counts <= leaf) | ~np.any(extent > 0.0, axis=1)
+        whole = (counts <= DISSECTION_LEAF) | ~np.any(extent > 0.0, axis=1)
         done = whole[run]
         rank[idx[done]] = (start + np.arange(idx.size) - heads[run])[done]
         idx, start = idx[~done], start[~done]

@@ -171,9 +171,10 @@ def condition_number(matrix: sp.spmatrix,
     negative shift (one sparse LU) then returns the eigenvalue nearest
     zero, and each one still counted as zero is projected out of the
     shift-invert operator and counted. The LU eliminates in the dof
-    permutation ``order`` if one is given (``SurfaceState.dof_order``),
-    otherwise in SuperLU's COLAMD order; either way it pivots partially,
-    since an ablated matrix can be indefinite. Returns (kappa,
+    permutation ``order`` (SuperLU's ``NATURAL`` column order on the
+    permuted matrix): ``SurfaceState.dof_order`` for a system matrix, the
+    identity if none is given. It pivots partially, since an ablated
+    matrix can be indefinite. Returns (kappa,
     lambda_min_nonzero, lambda_max, nullity), where nullity is the number
     of eigenvalues counted as zero: kappa is that of the nonzero spectrum
     only, so the true condition number is infinite whenever nullity > 0.
@@ -198,13 +199,11 @@ def condition_number(matrix: sp.spmatrix,
         nullity = q.shape[1]
         matrix = (matrix + lam_max * (q @ q.T)).tocsr()
     sigma = -SHIFT * lam_max
-    shifted = (matrix - sigma * sp.identity(n)).tocsr()
     if order is None:
-        order, permc_spec = np.arange(n), "COLAMD"
-    else:
-        shifted, permc_spec = shifted[order][:, order], "NATURAL"
+        order = np.arange(n)
+    shifted = (matrix - sigma * sp.identity(n)).tocsr()[order][:, order]
     try:
-        lu = spla.splu(shifted.tocsc(), permc_spec=permc_spec)
+        lu = spla.splu(shifted.tocsc(), permc_spec="NATURAL")
     except RuntimeError as exc:
         raise DegenerateMatrixError(f"shifted matrix is singular: {exc}") \
             from exc

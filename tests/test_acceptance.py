@@ -105,7 +105,8 @@ def test_criterion_3_condition_scaling():
         mesh = mesh_at_level(level, 8, BOX)
         state = SurfaceState(mesh, problem.geometry, PARAMS)
         kappa, _, _, _ = condition_number(rescaled_matrix(
-            state.system(problem).matrix, state.dofmap.bulk.ndof, mesh.h))
+            state.system(problem).matrix, state.dofmap.bulk.ndof, mesh.h),
+            order=state.dof_order)
         hs.append(mesh.h)
         kappas.append(kappa)
     slope = fit_slope(hs, kappas)

@@ -8,7 +8,8 @@ from cutdg.exceptions import StructuralError
 from cutdg.experiments import SurfaceState, mesh_at_level
 from cutdg.forms import StabilizationParams, _face_blocks
 from cutdg.manufactured import build_circle_problem
-from cutdg.mesh import (BackgroundMesh, build_structured_mesh, element_areas,
+from cutdg.mesh import (DISSECTION_LEAF, BackgroundMesh,
+                        build_structured_mesh, element_areas,
                         face_connectivity, nested_dissection_rank,
                         refine_uniform)
 from cutdg.quadrature import CutQuadrature
@@ -220,37 +221,38 @@ def test_dissection_rank_is_a_repeatable_permutation(level, n0, box):
     assert np.array_equal(mesh_at_level(level, n0, box).dissection_rank, rank)
 
 
-@pytest.mark.parametrize("level, leaf", [(0, 1), (1, 4), (2, 16)])
-def test_dissection_rank_matches_the_recursion(level, leaf):
+@pytest.mark.parametrize("level", [0, 1, 2])
+def test_dissection_rank_matches_the_recursion(level):
     """Each vectorized pass over a recursion level places every element
     where one recursive call per subdomain does."""
     mesh = mesh_at_level(level)
     centroids = mesh.vertices[mesh.elements].mean(axis=1)
     assert np.array_equal(
-        nested_dissection_rank(centroids, mesh.faces.elements, leaf),
-        nested_dissection_reference(centroids, mesh.faces.elements, leaf))
+        nested_dissection_rank(centroids, mesh.faces.elements),
+        nested_dissection_reference(centroids, mesh.faces.elements,
+                                    DISSECTION_LEAF))
 
 
 _RNG = np.random.default_rng(3)
 
 
-@pytest.mark.parametrize("points, pairs, leaf", [
+@pytest.mark.parametrize("points, pairs", [
     # coordinates from a few values tie in every subdomain, and random
     # pairs join points that no mesh face would
-    (_RNG.integers(0, 4, (60, 2)) * [1.0, 0.7], _RNG.integers(0, 60, (150, 2)),
-     1),
-    (_RNG.integers(0, 4, (60, 2)) * [1.0, 0.7], _RNG.integers(0, 60, (150, 2)),
-     3),
+    (_RNG.integers(0, 4, (60, 2)) * [1.0, 0.7],
+     _RNG.integers(0, 60, (150, 2))),
+    (_RNG.integers(0, 6, (200, 2)) * [1.0, 0.7],
+     _RNG.integers(0, 200, (500, 2))),
     # a chain on one line, with four points on each position
     (np.column_stack([np.repeat(np.arange(5.0), 4), np.zeros(20)]),
-     np.column_stack([np.arange(19), np.arange(1, 20)]), 1),
-    # coincident points, which keep their order
-    (np.ones((6, 2)), np.column_stack([np.arange(5), np.arange(1, 6)]), 1)])
+     np.column_stack([np.arange(19), np.arange(1, 20)])),
+    # more coincident points than a leaf holds, which keep their order
+    (np.ones((6, 2)), np.column_stack([np.arange(5), np.arange(1, 6)]))])
 def test_dissection_rank_of_degenerate_points_matches_the_recursion(
-        points, pairs, leaf):
+        points, pairs):
     """On inputs that no structured mesh makes the rank is still a
     permutation, the recursion's."""
-    rank = nested_dissection_rank(points, pairs, leaf)
+    rank = nested_dissection_rank(points, pairs)
     assert np.array_equal(np.sort(rank), np.arange(len(points)))
-    assert np.array_equal(rank, nested_dissection_reference(points, pairs,
-                                                            leaf))
+    assert np.array_equal(rank, nested_dissection_reference(
+        points, pairs, DISSECTION_LEAF))

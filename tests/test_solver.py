@@ -22,15 +22,15 @@ PARAMS = StabilizationParams()
 
 
 def _setup(n=8):
-    """The circle system on the n-by-n mesh, with its mesh and dof map."""
+    """The circle system on the n-by-n mesh, with its state."""
     problem = build_circle_problem()
     state = SurfaceState(build_structured_mesh(BOX, n), problem.geometry,
                          PARAMS)
-    return state.mesh, state.dofmap, state.system(problem)
+    return state, state.system(problem)
 
 
 def _system(n=8):
-    return _setup(n)[2]
+    return _setup(n)[1]
 
 
 def _wrap(matrix, rhs):
@@ -129,9 +129,9 @@ def test_pcg_matches_direct_solution():
 
 
 def test_rescaled_matrix_block_scaling():
-    mesh, dofmap, system = _setup(n=6)
-    nb = dofmap.bulk.ndof
-    h = mesh.h
+    state, system = _setup(n=6)
+    nb = state.dofmap.bulk.ndof
+    h = state.mesh.h
     resc = rescaled_matrix(system.matrix, nb, h)
     a = system.matrix.toarray()
     r = resc.toarray()
@@ -157,9 +157,11 @@ def test_condition_number_examples():
 
 
 def test_iterative_matches_dense_condition_number():
-    mesh, dofmap, system = _setup(n=8)
-    resc = rescaled_matrix(system.matrix, dofmap.bulk.ndof, mesh.h)
-    kappa, lmin, lmax, nullity = condition_number(resc)
+    state, system = _setup(n=8)
+    resc = rescaled_matrix(system.matrix, state.dofmap.bulk.ndof,
+                           state.mesh.h)
+    kappa, lmin, lmax, nullity = condition_number(resc,
+                                                  order=state.dof_order)
     dense = dense_condition_number(resc)
     assert (kappa, lmin, lmax) == pytest.approx(dense[:3], rel=1e-6)
     assert nullity == dense[3]
@@ -182,7 +184,7 @@ def test_dissection_order_shrinks_the_shifted_lu():
     """On a level-2 sweep matrix of DEFAULT_BOX the shifted LU in the
     state's nested-dissection dof order holds fewer L+U entries than in
     COLAMD's order (383k against 529k measured), and condition_number
-    gives the same result on either path."""
+    gives the same result in it as in the identity order."""
     mesh = mesh_at_level(2)
     state = SurfaceState(mesh, shifted_circle(mesh, 0.3), PARAMS)
     matrix = rescaled_matrix(state.matrix("full"), state.dofmap.bulk.ndof,
@@ -256,11 +258,12 @@ def test_generalized_extreme_refuses_a_pencil_too_large_to_densify():
 def test_condition_scaling_smoke():
     kappas, hs = [], []
     for n in (8, 16, 32):
-        mesh, dofmap, system = _setup(n=n)
+        state, system = _setup(n=n)
         kappa, _, _, _ = condition_number(rescaled_matrix(
-            system.matrix, dofmap.bulk.ndof, mesh.h))
+            system.matrix, state.dofmap.bulk.ndof, state.mesh.h),
+            order=state.dof_order)
         kappas.append(kappa)
-        hs.append(mesh.h)
+        hs.append(state.mesh.h)
     slope = np.polyfit(np.log(hs), np.log(kappas), 1)[0]
     assert -2.5 <= slope <= -1.6
 
