@@ -9,7 +9,7 @@ from .forms import (AssembledSystem, StabilizationParams, assemble_system,
                     load_vector, property_grams, stabilized, surface_form)
 from .levelset import (CutTopology, LevelSet, build_cut_topology,
                        check_geometry_assumptions, circle_levelset,
-                       closest_point_circle, interpolate_levelset)
+                       interpolate_levelset)
 from .manufactured import (ErrorReport, ManufacturedProblem,
                            build_circle_problem, compute_errors, eoc)
 from .mesh import (BackgroundMesh, build_structured_mesh, face_connectivity,

@@ -19,7 +19,7 @@ from .exceptions import CutDGError
 from .experiments import (CONVERGENCE_HEADER, SWEEP_CONFIGS, StudyReport,
                           run_condition_sweep, run_convergence,
                           run_geometry_check, run_property_suite)
-from .forms import StabilizationParams
+from .forms import PENALTY_WEIGHTS, StabilizationParams
 
 def read_config_file(path: str) -> dict:
     """key=value lines; blank lines and '#' comments are ignored."""
@@ -86,8 +86,7 @@ def _print_properties(report: StudyReport):
 
 # the penalty weights of StabilizationParams (the coupling constants have
 # no flag); they reach the study as its ``params``
-_WEIGHTS = {name: float for name in ("gamma_bulk", "gamma_surf", "mu_bulk",
-                                     "mu_surf", "tau_bulk", "tau_surf")}
+_WEIGHTS = dict.fromkeys(PENALTY_WEIGHTS, float)
 
 # subcommand: (study, printer, help, flags). Each flag is the study keyword
 # it sets, spelled --with-dashes, and its type, which also converts its
@@ -150,7 +149,7 @@ def _study_kwargs(args: argparse.Namespace, flags: dict) -> dict:
             kwargs[name] = value
     if entries:
         raise ValueError(f"unknown config file keys: {sorted(entries)}")
-    if "gamma_bulk" in flags:  # all but geometry-check take the weights
+    if _WEIGHTS.keys() <= flags.keys():  # all but geometry-check
         kwargs["params"] = StabilizationParams(
             **{name: kwargs.pop(name) for name in _WEIGHTS if name in kwargs})
     return kwargs

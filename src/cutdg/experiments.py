@@ -25,8 +25,8 @@ from .manufactured import (ErrorReport, build_circle_problem, compute_errors,
 from .mesh import (build_structured_mesh, element_areas, refine_uniform,
                    row_dot)
 from .quadrature import CutQuadrature
-from .solver import (condition_number, generalized_extreme, rescaled_matrix,
-                     solve)
+from .solver import (check_dense_pencil, condition_number, generalized_extreme,
+                     rescaled_matrix, solve)
 from .space import build_spaces, levelset_null_basis
 
 DEFAULT_BOX = ((-1.1, -1.1), (1.1, 1.1))
@@ -387,9 +387,13 @@ def _cut_area_ratio(cq: CutQuadrature) -> float:
 def _property_constants(state: SurfaceState, rng) -> dict:
     """{property: {configuration: constant}} at one position (see
     ``run_property_suite``). Each Poincare dot is a ``row_dot`` on
-    contiguous rows: on strided columns it can round differently."""
+    contiguous rows: on strided columns it can round differently. The bulk
+    block and then all dofs, in the order the suite densifies them, pass
+    ``check_dense_pencil`` before any Gram is built."""
+    n = state.dofmap.bulk.ndof
+    for size in (n, state.dofmap.ndof):
+        check_dense_pencil(size)
     mesh, dofmap, cq, grams = state.mesh, state.dofmap, state.cq, state.grams
-    n = dofmap.bulk.ndof
     bulk = _bulk_norm_equivalence(grams, state.pieces, state.params, n)
     fields = np.hstack([
         np.zeros((POINCARE_FIELDS, n)),

@@ -69,10 +69,14 @@ class StabilizationParams:
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
         if not (self.c_bulk > 0.0 and self.c_surf > 0.0):
             raise ValueError("coupling constants must be positive")
-        for name in ("gamma_bulk", "gamma_surf", "mu_bulk", "mu_surf",
-                     "tau_bulk", "tau_surf"):
+        for name in PENALTY_WEIGHTS:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"penalty weight {name} must be >= 0")
+
+
+# every field of StabilizationParams but the coupling constants
+PENALTY_WEIGHTS = tuple(f.name for f in fields(StabilizationParams)
+                        if f.name not in ("c_bulk", "c_surf"))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ approximates the exact one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -45,30 +46,25 @@ class LevelSet:
     validity_radius: float
 
 
-def closest_point_circle(points: np.ndarray, center=(0.0, 0.0),
-                         radius: float = 1.0) -> np.ndarray:
-    """Project points radially onto the circle. Errors at the center."""
-    points = np.asarray(points, dtype=float)
-    c = np.asarray(center, dtype=float)
-    d = points - c
-    r = np.linalg.norm(d, axis=-1)
-    if np.any(r == 0.0):
-        raise ValueError("closest point undefined at the circle center")
-    return c + radius * d / r[..., None]
-
-
 def circle_levelset(center=(0.0, 0.0), radius: float = 1.0) -> LevelSet:
     c = np.asarray(center, dtype=float)
 
+    def offset(x):  # x - c and |x - c|, shared by all three maps
+        d = np.asarray(x, dtype=float) - c
+        return d, np.linalg.norm(d, axis=-1)
+
     def rho(x):
-        return np.linalg.norm(np.asarray(x, dtype=float) - c, axis=-1) - radius
+        return offset(x)[1] - radius
 
     def normal(x):
-        d = np.asarray(x, dtype=float) - c
-        return d / np.linalg.norm(d, axis=-1)[..., None]
+        d, r = offset(x)
+        return d / r[..., None]
 
     def closest(x):
-        return closest_point_circle(x, center=c, radius=radius)
+        d, r = offset(x)
+        if np.any(r == 0.0):
+            raise ValueError("closest point undefined at the circle center")
+        return c + radius * d / r[..., None]
 
     return LevelSet(rho=rho, closest_point=closest, normal=normal,
                     validity_radius=radius)
@@ -90,10 +86,10 @@ class SurfaceGeometry:
     """Polygonal discrete surface: one straight segment per cut element,
     segment k in the cut element ``CutTopology.active_surface[k]``.
 
-    points: (ns, 2, 2) segment endpoints; shared endpoints are
-        bit-identical because they are computed once per mesh edge.
+    points: (ns, 2, 2) segment endpoints, from which ``length`` and ``at``
+        derive the rest; shared endpoints are bit-identical because they
+        are computed once per mesh edge.
     normal: (ns, 2) unit segment normal pointing into the positive region.
-    length: (ns,) segment lengths.
     edge_point: (nE, 2) interior surface edges (points shared by exactly
         two segments).
     edge_segments: (nE, 2) incident segment indices, plus side first
@@ -104,10 +100,20 @@ class SurfaceGeometry:
 
     points: np.ndarray
     normal: np.ndarray
-    length: np.ndarray
     edge_point: np.ndarray
     edge_segments: np.ndarray
     edge_conormals: np.ndarray
+
+    @cached_property
+    def length(self) -> np.ndarray:
+        """(ns,) segment lengths, the one length every reader uses."""
+        d = self.points[:, 1] - self.points[:, 0]
+        return np.sqrt(row_dot(d, d[:, :, None]))[:, 0]
+
+    def at(self, t: np.ndarray) -> np.ndarray:
+        """(ns, m, 2) points at t (m,) along each segment, 0 at its start."""
+        return (self.points[:, None, 0, :] * (1.0 - t)[None, :, None]
+                + self.points[:, None, 1, :] * t[None, :, None])
 
     @property
     def n_segments(self) -> int:
@@ -217,13 +223,6 @@ def _surface_segments(mesh: BackgroundMesh, dls: np.ndarray,
     seg_points[flip] = seg_points[flip, ::-1]
     keys[flip] = keys[flip, ::-1]
 
-    seg_length = np.linalg.norm(seg_points[:, 1] - seg_points[:, 0], axis=1)
-    degenerate = seg_length < DEGENERATE_SEGMENT_FACTOR * mesh.h
-    if np.any(degenerate):
-        raise StructuralError(
-            f"degenerate surface segment in elements "
-            f"{cut_elements[degenerate].tolist()}")
-
     # Group the segment endpoints by edge key; a stable sort keeps the
     # lower segment (and so the lower owning element) first in each group.
     flat = keys.reshape(-1)
@@ -246,14 +245,13 @@ def _surface_segments(mesh: BackgroundMesh, dls: np.ndarray,
     edge_conormals = (tangents / np.sqrt(row_dot(
         tangents, tangents[:, :, None]))).reshape(-1, 2, 2)
 
-    return SurfaceGeometry(
-        points=seg_points,
-        normal=seg_normal,
-        length=seg_length,
-        edge_point=edge_point,
-        edge_segments=edge_segments,
-        edge_conormals=edge_conormals,
-    )
+    surface = SurfaceGeometry(seg_points, seg_normal, edge_point,
+                              edge_segments, edge_conormals)
+    degenerate = surface.length < DEGENERATE_SEGMENT_FACTOR * mesh.h
+    if np.any(degenerate):
+        raise StructuralError("degenerate surface segment in elements "
+                              f"{cut_elements[degenerate].tolist()}")
+    return surface
 
 
 def check_geometry_assumptions(ls: LevelSet, topo: CutTopology):
@@ -264,9 +262,7 @@ def check_geometry_assumptions(ls: LevelSet, topo: CutTopology):
     leaves the validity radius of the closest-point map.
     """
     surf = topo.surface
-    t = np.linspace(0.0, 1.0, GEOMETRY_SAMPLES)
-    pts = (surf.points[:, None, 0, :] * (1.0 - t)[None, :, None]
-           + surf.points[:, None, 1, :] * t[None, :, None])  # (ns, m, 2)
+    pts = surf.at(np.linspace(0.0, 1.0, GEOMETRY_SAMPLES))
     rho = ls.rho(pts)
     if np.any(np.abs(rho) >= ls.validity_radius):
         raise GeometryError("sampled surface point outside the validity "

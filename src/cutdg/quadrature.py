@@ -5,8 +5,9 @@ traces and gradients on straight geometry, so the default exactness
 degree is 2 everywhere. Error norms use ``ERROR_DEGREE``. Rules carry
 physical points and non-negative weights summing to the measure of their
 domain. Every rule is built for a batch of entities at once, row k on
-entity k (``clip_element_rules``, ``segment_rules``); ``CutQuadrature``
-builds the rules of one topology once for every form and norm on it.
+entity k (``clip_element_rules``); ``CutQuadrature`` builds the rules of
+one topology once for every form and norm on it, the Gauss rules of the
+surface segments from the points and lengths of ``SurfaceGeometry``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .exceptions import StructuralError
-from .mesh import element_areas, row_dot
+from .mesh import element_areas
 from .space import basis_values
 
 
@@ -88,19 +89,6 @@ def _map_triangles(tris: np.ndarray, degree: int):
     pts = np.einsum("mb,kbd->kmd", bary, tris)
     areas = np.abs(element_areas(tris))
     return pts, wref[None, :] * (areas[:, None] / 0.5)
-
-
-def segment_rules(p0: np.ndarray, p1: np.ndarray, degree: int = 2) -> RuleBatch:
-    """Gauss rules on the segments (p0[k], p1[k]); errors on a zero
-    length."""
-    d = p1 - p0
-    length = np.sqrt(row_dot(d, d[:, :, None]))
-    if not np.all(length > 0.0):
-        raise StructuralError("degenerate surface segment")
-    t, w = _gauss_unit(degree)
-    pts = p0[:, None, :] * (1.0 - t)[None, :, None] \
-        + p1[:, None, :] * t[None, :, None]
-    return RuleBatch(pts, w[None, :] * length)
 
 
 def clip_element_rules(tris: np.ndarray, values: np.ndarray,
@@ -177,7 +165,11 @@ class CutQuadrature:
 
     @cached_property
     def segments(self):
-        points = self.topo.surface.points
-        rules = segment_rules(points[:, 0], points[:, 1], self.degree)
+        surf = self.topo.surface
+        # a topology built by hand may carry a zero-length segment
+        if not np.all(surf.length > 0.0):
+            raise StructuralError("degenerate surface segment")
+        t, w = _gauss_unit(self.degree)
+        rules = RuleBatch(surf.at(t), w[None, :] * surf.length[:, None])
         tris = self.mesh.vertices[self.mesh.elements[self.topo.active_surface]]
         return rules, basis_values(tris, rules.points)

@@ -233,18 +233,22 @@ def condition_number(matrix: sp.spmatrix,
         nullity += 1
 
 
-def generalized_extreme(a: sp.spmatrix, b: sp.spmatrix, *,
-                        largest: bool) -> float:
-    """Smallest generalized eigenvalue of the symmetric pencil (A, B), or
-    with ``largest`` the largest, by one dense LAPACK call that needs B
-    positive definite; a LAPACK failure raises SolverError, and so does a
-    pencil whose two dense copies would exceed DENSE_PENCIL_BYTES, before
-    either is made."""
-    n = a.shape[0]
+def check_dense_pencil(n: int):
+    """SolverError if two dense n x n copies exceed DENSE_PENCIL_BYTES."""
     dense = 2 * n * n * np.dtype(float).itemsize
     if dense > DENSE_PENCIL_BYTES:
         raise SolverError(f"the dense pencil of {n} dofs needs {dense:,} "
                           f"bytes, above the {DENSE_PENCIL_BYTES:,} allowed")
+
+
+def generalized_extreme(a: sp.spmatrix, b: sp.spmatrix, *,
+                        largest: bool) -> float:
+    """Smallest generalized eigenvalue of the symmetric pencil (A, B), or
+    with ``largest`` the largest, by one dense LAPACK call that needs B
+    positive definite; a LAPACK failure raises SolverError, and so does
+    ``check_dense_pencil`` before either copy is made."""
+    n = a.shape[0]
+    check_dense_pencil(n)
     end = n - 1 if largest else 0
     try:
         return float(scipy.linalg.eigh(a.toarray(), b.toarray(),

@@ -1,11 +1,12 @@
 import argparse
+import dataclasses
 
 import pytest
 
 from cutdg import cli
 from cutdg.cli import main, read_config_file
 from cutdg.experiments import CONVERGENCE_HEADER, StudyReport
-from cutdg.forms import StabilizationParams
+from cutdg.forms import PENALTY_WEIGHTS, StabilizationParams
 
 
 def test_convergence_subcommand_writes_csv(tmp_path, capsys):
@@ -249,6 +250,22 @@ def test_failed_write_exits_2(tmp_path, monkeypatch, capsys):
 
 _WEIGHT_FLAGS = ["--gamma-bulk", "--gamma-surf", "--mu-bulk", "--mu-surf",
                  "--tau-bulk", "--tau-surf"]
+
+
+def test_weight_flags_are_the_penalty_weights():
+    """The flags that set a field of ``StabilizationParams`` are, on every
+    subcommand that takes the weights, those of ``PENALTY_WEIGHTS``."""
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    params = {f.name for f in dataclasses.fields(StabilizationParams)}
+    weights = ["--" + name.replace("_", "-") for name in PENALTY_WEIGHTS]
+    assert weights == _WEIGHT_FLAGS
+    for command in ("convergence", "condition-sweep", "properties"):
+        options = [o for a in subparsers.choices[command]._actions
+                   for o in a.option_strings]
+        assert [o for o in options
+                if o[2:].replace("-", "_") in params] == weights
 
 
 def test_option_strings_of_every_subcommand():

@@ -1,12 +1,13 @@
 import dataclasses
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cutdg import experiments
 from cutdg.cli import main
-from cutdg.exceptions import ConfigurationError
+from cutdg.exceptions import ConfigurationError, SolverError
 from cutdg.experiments import (CONDITION_HEADER, CONVERGENCE_HEADER,
                                DEFAULT_BOX, GEOMETRY_HEADER,
                                PROPERTIES_HEADER, PROPERTY_BOX,
@@ -529,6 +530,20 @@ def test_zero_surface_ghost_weight_fails_before_any_mesh(weight, tmp_path,
                  "0"]) == 2
     assert "zero surface ghost weight" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_property_suite_too_large_to_densify_fails_before_any_gram():
+    """At level 5 the bulk pencil is too large to densify: the suite
+    raises before it builds a Gram or forms Q Q^T (32.0 M entries on the
+    one component of 5,616 dofs that the value ghost joins)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(SolverError, match="the dense pencil of"):
+            run_property_suite(level=5, positions=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2 ** 20
 
 
 def test_coercivity_next_to_tiny_segments_matches_the_dense_oracle():

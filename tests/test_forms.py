@@ -41,7 +41,7 @@ def _uncut_pair():
     dls = -np.ones(4)
     none = np.zeros(0, dtype=np.int64)
     empty = SurfaceGeometry(np.zeros((0, 2, 2)), np.zeros((0, 2)),
-                            np.zeros(0), np.zeros((0, 2)),
+                            np.zeros((0, 2)),
                             np.zeros((0, 2), dtype=np.int64),
                             np.zeros((0, 2, 2)))
     topo = CutTopology(np.arange(2), none, np.arange(2), np.arange(1), none,

@@ -5,7 +5,7 @@ from cutdg.exceptions import ConfigurationError, StructuralError
 from cutdg.experiments import DEFAULT_BOX, mesh_at_level, shifted_circle
 from cutdg.levelset import (SNAP_FACTOR, build_cut_topology,
                             check_geometry_assumptions, circle_levelset,
-                            closest_point_circle, interpolate_levelset)
+                            interpolate_levelset)
 from cutdg.mesh import BackgroundMesh, build_structured_mesh, refine_uniform
 from tests.oracles import line_levelset
 
@@ -51,16 +51,17 @@ def test_circle_distance_values():
 
 
 def test_closest_point_circle():
-    assert closest_point_circle(np.array([2.0, 0.0])) == pytest.approx([1.0, 0.0])
-    assert closest_point_circle(np.array([0.0, 0.5])) == pytest.approx([0.0, 1.0])
+    closest_point = circle_levelset().closest_point
+    assert closest_point(np.array([2.0, 0.0])) == pytest.approx([1.0, 0.0])
+    assert closest_point(np.array([0.0, 0.5])) == pytest.approx([0.0, 1.0])
     rng = np.random.default_rng(3)
     pts = rng.uniform(-2, 2, size=(64, 2))
     pts = pts[np.linalg.norm(pts, axis=1) > 1e-3]
-    proj = closest_point_circle(pts)
+    proj = closest_point(pts)
     assert np.linalg.norm(proj, axis=1) == pytest.approx(
         np.ones(len(proj)), abs=1e-12)
     with pytest.raises(ValueError):
-        closest_point_circle(np.array([0.0, 0.0]))
+        closest_point(np.array([0.0, 0.0]))
 
 
 def test_closest_point_properties_of_levelset():

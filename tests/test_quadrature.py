@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from cutdg.exceptions import StructuralError
+from cutdg.experiments import DEFAULT_BOX, mesh_at_level
 from cutdg.levelset import (build_cut_topology, circle_levelset,
                             interpolate_levelset)
 from cutdg.mesh import build_structured_mesh, element_areas, refine_uniform
-from cutdg.quadrature import (CutQuadrature, clip_element_rules,
-                              segment_rules, triangle_reference_rule)
+from cutdg.quadrature import (CutQuadrature, _gauss_unit, clip_element_rules,
+                              triangle_reference_rule)
 from tests.oracles import (clip_element_rule, cut_monomial_pairs,
                            negative_polygon, random_cut_triangles,
                            surface_segment_rule)
@@ -146,16 +147,37 @@ def test_batched_clip_rules_equal_the_per_element_rules(degree):
 
 
 def test_batched_segment_rules_equal_the_per_segment_rules():
-    rng = np.random.default_rng(5)
-    p0, p1 = rng.uniform(-1.0, 1.0, size=(2, 300, 2))
-    batch = segment_rules(p0, p1, degree=4)
-    for k in range(300):
-        rule = surface_segment_rule(p0[k], p1[k], degree=4)
-        assert rule.points.tobytes() == batch.points[k].tobytes()
-        assert rule.weights.tobytes() == batch.weights[k].tobytes()
-    p1[7] = p0[7]
-    with pytest.raises(StructuralError, match="degenerate surface segment"):
-        segment_rules(p0, p1)
+    mesh = mesh_at_level(1)
+    dls = interpolate_levelset(circle_levelset(), mesh)
+    topo = build_cut_topology(mesh, dls)
+    rules = CutQuadrature(mesh, dls, topo, 4).segments[0]
+    points = topo.surface.points
+    assert points.shape[0] > 50
+    for k, (p0, p1) in enumerate(points):
+        rule = surface_segment_rule(p0, p1, degree=4)
+        assert rule.points.tobytes() == rules.points[k].tobytes()
+        assert rule.weights.tobytes() == rules.weights[k].tobytes()
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+@pytest.mark.parametrize("shift", [0.0, 0.37], ids=["default-box",
+                                                    "shifted-box"])
+def test_segment_weights_read_the_one_segment_length(degree, shift):
+    """Every rule weight of a segment is a Gauss weight times the segment's
+    ``length``, the one the tangential stiffness and the length sums read,
+    bit for bit at levels 0-5; the box moves by ``shift`` of a level-0
+    cell."""
+    (x0, y0), (x1, y1) = DEFAULT_BOX
+    step = shift * (x1 - x0) / 8
+    box = ((x0 + step, y0 + step), (x1 + step, y1 + step))
+    w = _gauss_unit(degree)[1]
+    for level in range(6):
+        mesh = mesh_at_level(level, 8, box)
+        dls = interpolate_levelset(circle_levelset(), mesh)
+        cq = CutQuadrature(mesh, dls, build_cut_topology(mesh, dls), degree)
+        length = cq.topo.surface.length
+        assert np.array_equal(cq.segments[0].weights,
+                              w[None, :] * length[:, None])
 
 
 @pytest.mark.parametrize("degree", [2, 4])
