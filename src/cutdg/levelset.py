@@ -73,8 +73,8 @@ def circle_levelset(center=(0.0, 0.0), radius: float = 1.0) -> LevelSet:
 def interpolate_levelset(ls: LevelSet, mesh: BackgroundMesh) -> np.ndarray:
     """Vertex values of the continuous piecewise-linear interpolant of
     ``ls`` on ``mesh``. Values within SNAP_FACTOR * h of zero are replaced
-    by -SNAP_FACTOR * h, so no vertex value is exactly zero and every cut
-    element has exactly two sign-change edges."""
+    by -SNAP_FACTOR * h (the snap), so every vertex value is nonzero, as
+    ``build_cut_topology`` requires, and the surface never meets a vertex."""
     values = np.asarray(ls.rho(mesh.vertices), dtype=float).copy()
     snap = SNAP_FACTOR * mesh.h
     values[np.abs(values) < snap] = -snap
@@ -154,23 +154,22 @@ def build_cut_topology(mesh: BackgroundMesh, dls: np.ndarray) -> CutTopology:
     """Active elements and face sets from the vertex values ``dls`` of the
     discrete level set, and the surface extracted on the cut elements.
 
-    Raises StructuralError where the zero set runs along an interior mesh
-    edge between an element with a negative vertex value and one without:
-    both vertex values of that edge are exactly zero, no segment
-    represents it, and the chain would end inside the mesh. Raises
-    ConfigurationError when no element is cut: the mesh carries no part of
-    the surface (nor, if no vertex value is negative, of the bulk)."""
-    fv, fe = mesh.faces  # first: building the faces sets the peak
+    Every vertex value must be finite and nonzero (``interpolate_levelset``
+    snaps the zeros away); a StructuralError names the first vertex that
+    is not, before any face is built. The sign change of each cut element
+    then lies on two of its mesh edges. Raises ConfigurationError when no
+    element is cut: the mesh carries no part of the surface (nor, if no
+    vertex value is negative, of the bulk)."""
+    bad = np.flatnonzero(~(np.isfinite(dls) & (dls != 0.0)))
+    if bad.size:
+        raise StructuralError(
+            f"vertex {bad[0]} has level-set value {dls[bad[0]]}: every "
+            "vertex value must be finite and nonzero")
+    fe = mesh.faces.elements  # first: building the faces sets the peak
     vals = dls[mesh.elements]
     is_bulk = vals.min(axis=1) < 0.0
     is_cut = is_bulk & (vals.max(axis=1) > 0.0)
     bulk_plus, bulk_minus = is_bulk[fe[:, 0]], is_bulk[fe[:, 1]]
-    mixed = np.flatnonzero(bulk_plus != bulk_minus)
-    on_edge = mixed[np.all(dls[fv[mixed]] == 0.0, axis=1)]
-    if on_edge.size:
-        a, b = sorted(fv[on_edge[0]].tolist())
-        raise StructuralError(f"surface runs along mesh edge ({a}, {b}), "
-                              "whose vertex values are both exactly zero")
     if not is_cut.any():
         raise ConfigurationError("surface misses the background box: "
                                  "no element is cut")
@@ -188,7 +187,7 @@ def build_cut_topology(mesh: BackgroundMesh, dls: np.ndarray) -> CutTopology:
 def _surface_segments(mesh: BackgroundMesh, dls: np.ndarray,
                       cut_elements: np.ndarray) -> SurfaceGeometry:
     """One straight segment per cut element plus the interior surface
-    edges; StructuralError on a degenerate segment or a saddle."""
+    edges; StructuralError on a degenerate segment."""
     tri = mesh.elements[cut_elements]
     v = dls[tri]
 
@@ -199,15 +198,11 @@ def _surface_segments(mesh: BackgroundMesh, dls: np.ndarray,
     nv = mesh.n_vertices
     keys = edge_key(tri, np.roll(tri, -1, axis=1), nv)[change]
     # Each zero is computed from the sorted vertex pair, so both elements
-    # of an edge share the same floating-point point. A zero on a vertex v
-    # (an exact zero, which snapping never leaves) is keyed by the pair
-    # (v, v) and placed on v: the segments reaching it by other edges share it.
+    # of an edge share the same floating-point point.
     lo, hi = divmod(keys, nv)
     va, vb = dls[lo], dls[hi]
     t = va / (va - vb)
-    lo = np.where(vb == 0.0, hi, lo)
-    hi = np.where(va == 0.0, lo, hi)
-    keys = edge_key(lo, hi, nv).reshape(-1, 2)
+    keys = keys.reshape(-1, 2)
     seg_points = (mesh.vertices[lo] + t[:, None]
                   * (mesh.vertices[hi] - mesh.vertices[lo])).reshape(-1, 2, 2)
 
@@ -225,16 +220,9 @@ def _surface_segments(mesh: BackgroundMesh, dls: np.ndarray,
 
     # Group the segment endpoints by edge key; a stable sort keeps the
     # lower segment (and so the lower owning element) first in each group.
-    flat = keys.reshape(-1)
-    order, starts, counts = group_keys(flat)
-    if np.any(counts > 2):
-        # a mesh edge has at most two elements (``mesh.faces`` checks), so
-        # the key is an exact-zero vertex (lo == hi)
-        bad = np.flatnonzero(counts > 2)[0]
-        v = int(flat[order[starts[bad]]]) // nv
-        raise StructuralError(
-            f"surface vertex {v} at {tuple(mesh.vertices[v].tolist())} ends "
-            f"{counts[bad]} segments: a saddle of the discrete level set")
+    # A mesh edge has at most two elements (``mesh.faces`` checks), so a
+    # group holds one or two endpoints.
+    order, starts, counts = group_keys(keys.reshape(-1))
     # Groups of one are open chain ends (surface clipped by the box).
     first = starts[counts == 2]
     ends = order[np.column_stack([first, first + 1])]

@@ -2,21 +2,22 @@
 
 Circles (clipped by the box, inside it or missing it) and lines are drawn
 on the n0-by-n0 mesh of the unit square for n0 in {4, 8}, and so are
-vertex values with exact zeros: a line through a mesh vertex with integer
-coefficients, whose values on the dyadic vertices are exact, and vertex
-values drawn from {-1, -1/2, 0, 1/2, 1}. Each drawn topology is either
-refused with a typed ``CutDGError`` or carries a surface, and the
-cut-volume rules, the segments (each in its cut element), the stabilized
-matrix and the coupling form keep their invariants on it. On circles
-drawn on the 8x8 mesh and its first refinement, the two-level solve
-either fails with a typed error or meets its true-residual stop. The
-per-entity row product ``mesh.row_dot`` is drawn too: each of its rows
-must be that entity's own product, bit for bit. Every kind of level set
-is also drawn on the 8x8 mesh and its first refinement (the vertex
-values with exact zeros on the 4x4 mesh), and every form, ghost piece
-and property Gram built on it must equal the per-entity loops of
-``tests/oracles.py``, bit for bit.
-"""
+lines through a mesh vertex with integer coefficients, which the snap of
+``interpolate_levelset`` moves off every vertex on the line, as the
+program meets them. Vertex values drawn from {-1, -1/2, 0, 1/2, 1} must
+be refused with a ``StructuralError`` when they hold a zero. Each other
+drawn topology is either refused with a typed ``CutDGError`` or carries
+a surface, and the cut-volume rules, the segments (each in its cut
+element), the stabilized matrix and the coupling form keep their
+invariants on it. On circles drawn on the 8x8 mesh and its first
+refinement, the two-level solve either fails with a typed error or
+meets its true-residual stop. The per-entity row product
+``mesh.row_dot`` is drawn too: each of its rows must be that entity's
+own product, bit for bit. Every kind of level set is also drawn on the
+8x8 mesh and its first refinement (nonzero vertex values drawn from
+{-1, -1/2, 1/2, 1} on the 4x4 mesh), and every form, ghost piece and
+property Gram built on it must equal the per-entity loops of
+``tests/oracles.py``, bit for bit."""
 
 import numpy as np
 import pytest
@@ -24,12 +25,12 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import cutdg.forms as forms
-from cutdg.exceptions import CutDGError
+from cutdg.exceptions import CutDGError, StructuralError
 from cutdg.forms import (AssembledSystem, StabilizationParams, bulk_form,
                          coupling_form, ghost_pieces, stabilized,
                          surface_form)
-from cutdg.levelset import (build_cut_topology, circle_levelset,
-                            interpolate_levelset)
+from cutdg.levelset import (SNAP_FACTOR, build_cut_topology,
+                            circle_levelset, interpolate_levelset)
 from cutdg.mesh import (build_structured_mesh, element_areas, refine_uniform,
                         row_dot)
 from cutdg.quadrature import CutQuadrature, clip_element_rules
@@ -52,8 +53,10 @@ angles = st.floats(0.0, 2.0 * np.pi)
 offsets = st.floats(-1.5, 1.5)
 slopes = st.integers(-3, 3)
 vertex_ids = st.integers(0, 80)
-zero_values = st.lists(st.sampled_from([-1.0, 1.0, -0.5, 0.5, 0.0]),
-                       min_size=25, max_size=25)
+nonzero = [-1.0, 1.0, -0.5, 0.5]
+zero_values = st.lists(st.sampled_from(nonzero + [0.0]), min_size=25,
+                       max_size=25)
+nonzero_values = st.lists(st.sampled_from(nonzero), min_size=25, max_size=25)
 
 
 def _circle(mesh, cx, cy, radius):
@@ -66,28 +69,29 @@ def _line(mesh, angle, offset):
 
 
 def _line_through_vertex(mesh, p, q, vertex):
-    """p (x - x_v) + q (y - y_v), exactly zero on the vertex v and on every
-    other vertex of that line."""
+    """The line p (x - x_v) + q (y - y_v) = 0 through the vertex v,
+    interpolated: v and every other vertex on the line are snapped."""
     if p == 0 and q == 0:
         p = 1
-    x0, y0 = mesh.vertices[vertex % mesh.n_vertices]
-    x, y = mesh.vertices.T
-    values = p * (x - x0) + q * (y - y0)
-    assert values[vertex % mesh.n_vertices] == 0.0
+    n = np.array([p, q], dtype=float) / np.hypot(p, q)
+    v = vertex % mesh.n_vertices
+    values = interpolate_levelset(line_levelset(n, mesh.vertices[v] @ n),
+                                  mesh)
+    assert values[v] == -SNAP_FACTOR * mesh.h
     return values
 
 
 def levelsets(meshes):
     """(mesh, vertex values) of each kind of level set drawn below: a
     circle, a line or a line through a vertex on a mesh drawn from
-    ``meshes``, or vertex values with exact zeros on the 4x4 mesh."""
+    ``meshes``, or nonzero vertex values on the 4x4 mesh."""
     def on(values, *args):
         return st.builds(lambda mesh, *a: (mesh, values(mesh, *a)), meshes,
                          *args)
     return st.one_of(on(_circle, coords, coords, radii),
                      on(_line, angles, offsets),
                      on(_line_through_vertex, slopes, slopes, vertex_ids),
-                     zero_values.map(lambda v: (MESHES[4], np.asarray(v))))
+                     nonzero_values.map(lambda v: (MESHES[4], np.asarray(v))))
 
 
 def _topology(mesh, values):
@@ -179,8 +183,8 @@ def test_lines(n0, angle, offset):
 
 @FUZZ
 @given(n0s, slopes, slopes, vertex_ids)
-@example(4, 1, 0, 4)  # x = 1: exact zeros on the box boundary only
-@example(4, 1, 2, 4)  # x + 2y = 1 through three vertices
+@example(4, 1, 0, 4)  # x = 1: snapped on the box boundary, no cut element
+@example(4, 1, 2, 4)  # x + 2y = 1 through three snapped vertices
 def test_lines_through_vertices(n0, p, q, vertex):
     mesh = MESHES[n0]
     values = _line_through_vertex(mesh, p, q, vertex)
@@ -192,8 +196,15 @@ def test_lines_through_vertices(n0, p, q, vertex):
 @FUZZ
 @given(zero_values)
 def test_vertex_values_with_exact_zeros(drawn):
+    """A draw that holds a zero is refused, naming its first zero vertex;
+    one without keeps the invariants."""
     mesh = MESHES[4]
     values = np.asarray(drawn)
+    if 0.0 in drawn:
+        with pytest.raises(StructuralError, match=(
+                rf"vertex {drawn.index(0.0)} has level-set value 0\.0: ")):
+            build_cut_topology(mesh, values)
+        return
     topo = _topology(mesh, values)
     if topo is not None:
         _check_invariants(mesh, values, topo)

@@ -1,8 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cutdg.exceptions import ConfigurationError, StructuralError
-from cutdg.experiments import DEFAULT_BOX, mesh_at_level, shifted_circle
+from cutdg.experiments import (DEFAULT_BOX, SurfaceState, mesh_at_level,
+                               shifted_circle)
+from cutdg.forms import StabilizationParams
 from cutdg.levelset import (SNAP_FACTOR, build_cut_topology,
                             check_geometry_assumptions, circle_levelset,
                             interpolate_levelset)
@@ -176,38 +180,38 @@ def test_circle_chain_is_closed_and_watertight():
             assert abs(abs(c @ t) - 1.0) < 1e-12
 
 
-def test_exact_zero_vertex_values_give_two_crossings_per_cut_element():
-    """Without snapping, some vertex values are exactly zero. A cut element
-    has a negative and a positive vertex, so its sign changes along exactly
-    two local edges (an even, nonzero count around the triangle), and each
-    cut element still gets one segment on the zero line. Two segments that
-    meet at a zero vertex reach it through different mesh edges, and they
-    still share it as a surface edge placed on the vertex."""
+def test_line_through_vertices_gives_one_segment_per_cut_element():
+    """The line x + 2y = 1 runs through three vertices of the 4x4 unit
+    mesh; the snap moves each of them just inside the bulk. Each cut
+    element still gets one segment, four of them shorter than 1e-9 h
+    around the snapped vertices, and the segments form one open chain
+    whose shared endpoints are bit-identical."""
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 4)
-    values = mesh.vertices[:, 0] + 2.0 * mesh.vertices[:, 1] - 1.0
-    assert np.sum(values == 0.0) == 3
+    n = np.array([1.0, 2.0]) / np.sqrt(5.0)
+    values = interpolate_levelset(line_levelset(n, n[0]), mesh)
+    on = np.flatnonzero(values == -SNAP_FACTOR * mesh.h)
+    assert np.array_equal(mesh.vertices[on], [[1.0, 0.0], [0.5, 0.25],
+                                              [0.0, 0.5]])
     topo = build_cut_topology(mesh, values)
     _assert_classes_equal_loops(topo, mesh, values)
     surf = topo.surface
-    vals = values[mesh.elements]
-    cut = np.flatnonzero((vals.min(axis=1) < 0.0) & (vals.max(axis=1) > 0.0))
-    assert np.array_equal(topo.active_surface, cut)
-    assert surf.n_segments == cut.size
+    assert surf.n_segments == topo.active_surface.size == 8
     assert np.all(surf.length > 0.0)
-    on_line = surf.points[..., 0] + 2.0 * surf.points[..., 1] - 1.0
-    assert np.max(np.abs(on_line)) < 1e-15
-    # 4 segments in a chain: 3 shared endpoints, each a surface edge, one
-    # of them on the interior zero vertex (0.5, 0.25)
-    assert surf.n_segments == 4 and surf.n_edges == 3
-    on_vertex = np.all(surf.edge_point == (0.5, 0.25), axis=1)
-    assert on_vertex.sum() == 1
+    assert np.sum(surf.length < 1e-9 * mesh.h) == 4
+    dist = (surf.points @ n - n[0]) / mesh.h
+    assert np.max(np.abs(dist)) < 2.0 * SNAP_FACTOR
+    # one open chain from boundary to boundary
+    assert surf.n_edges == 7
+    for k, segments in enumerate(surf.edge_segments):
+        for s in segments:
+            assert np.any(np.all(surf.points[s] == surf.edge_point[k],
+                                 axis=1))
 
 
 def test_extraction_error_paths():
-    """A segment shorter than 1e-14 h, a mesh edge of three elements
-    (which reading the mesh faces rejects before the surface crosses it),
-    and a saddle of the interpolant whose zero vertex ends four
-    segments."""
+    """A segment shorter than 1e-14 h, and a mesh edge of three elements
+    (which reading the mesh faces rejects before the surface crosses
+    it)."""
     mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 1)
     tiny = np.array([-1e-17, 1.0, 1.0, 1.0])
     with pytest.raises(StructuralError, match="degenerate surface segment"):
@@ -219,32 +223,78 @@ def test_extraction_error_paths():
     with pytest.raises(StructuralError,
                        match=r"non-manifold face \(0, 2\) with 3"):
         build_cut_topology(bad, np.array([-1.0, 1.0, 1.0, 1.0, 1.0]))
-    mesh = build_structured_mesh(((-1.0, -1.0), (1.0, 1.0)), 4)
-    x, y = mesh.vertices.T
-    saddle = (x - y / 3.0) * (x + y / 2.0)
-    with pytest.raises(StructuralError,
-                       match=r"surface vertex 12 at \(0\.0, 0\.0\) ends 4 "
-                       "segments: a saddle of the discrete level set"):
-        build_cut_topology(mesh, saddle)
 
 
-@pytest.mark.parametrize("bump", [None, 0.1], ids=["on-edges", "bumped"])
-def test_surface_along_a_mesh_edge_raises(bump):
-    """x - 0.5 on the 4x4 unit mesh is zero along the mesh edges of the
-    line x = 0.5: no element is cut, so no segment would represent the
-    surface. With the vertex (0.5, 0.5) raised to 0.1, three segments
-    circle it, and their chain would end at (0.5, 0.25) and (0.5, 0.75)
-    inside the box. Both name the first such edge, (0.5, 0)-(0.5, 0.25)."""
-    mesh = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 4)
+def _unit4():
+    return build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 4)
+
+
+def _bumped(mesh):
     x, y = mesh.vertices.T
     values = x - 0.5
-    if bump is not None:
-        values[(x == 0.5) & (y == 0.5)] = bump
-    a, b = np.flatnonzero((x == 0.5) & (y <= 0.25))
-    assert np.array_equal(mesh.vertices[[a, b]], [[0.5, 0.0], [0.5, 0.25]])
-    with pytest.raises(StructuralError, match=rf"mesh edge \({a}, {b}\), "
-                       "whose vertex values are both exactly zero"):
+    values[(x == 0.5) & (y == 0.5)] = 0.1
+    return values
+
+
+def _saddle(mesh):
+    x, y = mesh.vertices.T
+    return (x - y / 3.0) * (x + y / 2.0)
+
+
+def _circle_with(value):
+    """The unit circle on the level-1 default mesh, ``value`` at vertex
+    88, a vertex of its first cut element."""
+    def values(mesh):
+        dls = interpolate_levelset(circle_levelset(), mesh)
+        vals = dls[mesh.elements]
+        cut = (vals.min(axis=1) < 0.0) & (vals.max(axis=1) > 0.0)
+        assert 88 in mesh.elements[np.flatnonzero(cut)[0]]
+        dls[88] = value
+        return dls
+    return values
+
+
+@pytest.mark.parametrize("make_mesh, values, vertex", [
+    # x + 2y = 1 through (1, 0), (0.5, 0.25) and (0, 0.5)
+    (_unit4, lambda mesh: mesh.vertices @ [1.0, 2.0] - 1.0, 4),
+    # a saddle of the interpolant at (0, 0), also zero at (0.5, -1)
+    (lambda: build_structured_mesh(((-1.0, -1.0), (1.0, 1.0)), 4),
+     _saddle, 3),
+    # zero along the mesh edges of x = 0.5, and around a bumped vertex
+    (_unit4, lambda mesh: mesh.vertices[:, 0] - 0.5, 2),
+    (_unit4, _bumped, 2),
+    # zero along the box boundary x = 1
+    (_unit4, lambda mesh: mesh.vertices[:, 0] - 1.0, 4),
+    *[(lambda: mesh_at_level(1), _circle_with(v), 88)
+      for v in (np.nan, np.inf, -np.inf)],
+], ids=["line", "saddle", "on-edges", "bumped", "boundary-line", "nan",
+        "inf", "-inf"])
+def test_vertex_value_zero_or_not_finite_raises(make_mesh, values, vertex):
+    """A vertex value that is zero, NaN or infinite is refused, naming the
+    first such vertex, before the mesh faces are built."""
+    mesh = make_mesh()
+    values = values(mesh)
+    with pytest.raises(StructuralError, match=(
+            rf"vertex {vertex} has level-set value {values[vertex]}: every "
+            "vertex value must be finite and nonzero")):
         build_cut_topology(mesh, values)
+    assert "faces" not in mesh.__dict__
+
+
+def test_surface_state_refuses_a_nan_level_set():
+    """A level set that is NaN at the vertex nearest the circle passes the
+    snap, and ``SurfaceState`` refuses it instead of assembling."""
+    mesh = mesh_at_level(1)
+    circle = circle_levelset()
+    nearest = np.argmin(np.abs(circle.rho(mesh.vertices)))
+
+    def rho(x):
+        at = np.all(x == mesh.vertices[nearest], axis=-1)
+        return np.where(at, np.nan, circle.rho(x))
+
+    with pytest.raises(StructuralError, match=f"vertex {nearest} has "
+                       "level-set value nan"):
+        SurfaceState(mesh, replace(circle, rho=rho), StabilizationParams())
 
 
 UNIT4 = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 4)
@@ -253,11 +303,9 @@ UNIT4 = build_structured_mesh(((0.0, 0.0), (1.0, 1.0)), 4)
 @pytest.mark.parametrize("mesh, values", [
     # the snapped line x = 1 on the box boundary: every vertex is negative
     (UNIT4, interpolate_levelset(line_levelset((1.0, 0.0), 1.0), UNIT4)),
-    # the same line by hand, exactly zero on the boundary vertices
-    (UNIT4, UNIT4.vertices[:, 0] - 1.0),
     # a circle of radius 10 around the whole box
     (build_structured_mesh(BOX, 8), None),
-], ids=["snapped-boundary-line", "exact-zero-boundary-line", "big-circle"])
+], ids=["snapped-boundary-line", "big-circle"])
 def test_surface_the_mesh_does_not_carry_raises(mesh, values):
     """The mesh carries bulk elements but no cut one, so no part of the
     surface: the topology is refused instead of assembling a system
