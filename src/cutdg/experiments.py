@@ -38,6 +38,10 @@ DEFAULT_N0 = 8
 # The most triangles a study mesh may have: the level-7 mesh of n0 = 8,
 # four times the level-6 one, whose convergence study peaks near 0.85 GB.
 MAX_ELEMENTS = 2 ** 21
+# The most positions a condition sweep or property suite may take: their
+# rows, 1.5 kB (sweep) and 3.6 kB (suite) a position, stay below 40 MB,
+# where 10^9 positions would take 8 GB for the deltas alone.
+MAX_POSITIONS = 10_000
 SENTINEL_KAPPA = 1e300
 SENTINEL_ERROR = 1e300
 # the ghost weights each configuration switches off: the four of the
@@ -88,6 +92,18 @@ def mesh_at_level(level: int, n0: int = DEFAULT_N0, box=DEFAULT_BOX):
     for _ in range(level):
         mesh = refine_uniform(mesh)
     return mesh
+
+
+def _sweep_deltas(positions: int, study: str) -> np.ndarray:
+    """The positions delta = l/(positions-1) of a ``study`` sweep, for
+    2 <= positions <= MAX_POSITIONS; a count out of that range is refused
+    before any delta or mesh is built."""
+    if positions < 2:
+        raise ValueError(f"{study} needs at least 2 positions")
+    if positions > MAX_POSITIONS:
+        raise ConfigurationError(f"{study} of {positions} positions: at most "
+                                 f"{MAX_POSITIONS} are allowed")
+    return np.linspace(0.0, 1.0, positions)
 
 
 def config_params(params: StabilizationParams,
@@ -313,8 +329,7 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
     number, zero lambdas and nullity None; an ARPACK failure raises
     SolverError. Every shifted LU eliminates in ``SurfaceState.dof_order``,
     the nested-dissection order of the one mesh, which is built once."""
-    if positions < 2:
-        raise ValueError("sweep needs at least 2 positions")
+    deltas = _sweep_deltas(positions, "sweep")
     configs = tuple(configs)
     if not configs or not set(configs) <= set(SWEEP_CONFIGS):
         raise ValueError(f"sweep configurations must be some of "
@@ -324,7 +339,7 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
         raise ValueError(f"sweep configuration repeated: {', '.join(repeated)}")
     mesh = mesh_at_level(level, n0, box)
     report = StudyReport()
-    for delta in np.linspace(0.0, 1.0, positions):
+    for delta in deltas:
         state = SurfaceState(mesh, shifted_circle(mesh, delta), params)
         for config in configs:
             try:
@@ -479,14 +494,12 @@ def run_property_suite(level: int = 0, positions: int = 101,
     a finer sweep lands closer to it (at level 0 the flag passes at 21
     positions and fails at 101).
     """
-    if positions < 2:
-        raise ValueError("property sweep needs at least 2 positions")
+    deltas = _sweep_deltas(positions, "property sweep")
     if min(params.mu_surf, params.tau_surf) == 0:
         raise ConfigurationError("singular energy Gram: zero surface ghost "
                                  "weight")
     mesh = mesh_at_level(level, n0, PROPERTY_BOX)
     report = StudyReport()
-    deltas = np.linspace(0.0, 1.0, positions)
     per_position = [_property_constants(
         SurfaceState(mesh, shifted_circle(mesh, delta), params),
         np.random.default_rng(seed + 7 * idx))

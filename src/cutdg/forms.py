@@ -20,13 +20,13 @@ coefficient times length), into one (dofs, blocks) part per batch, and
 ``_accumulate`` writes the triplets of a form's parts once, in a fixed
 order (uncut block, cut elements ascending, then each face scatter on its
 own), so that the sparse conversion sums duplicates as it always has and
-the matrices stay bit-for-bit reproducible. The bulk form and the bulk
-part of the energy Gram, the largest, are only CSR row bands
-(``_banded_bulk``), each converted on its own with the same triplets per
-row in the same order. ``stabilized`` weights the ghosts and sums the
-small forms first, then weights each band and writes its rows straight
-into the output arrays (``_join_rows``): no whole bulk form and no
-whole-matrix sum is ever formed.
+the matrices stay bit-for-bit reproducible. Only the system's bulk form,
+the largest, is banded: ``bulk_form`` makes it as CSR row bands, each
+converted on its own with the same triplets per row in the same order.
+``stabilized`` weights the ghosts and sums the small forms first, then
+weights each band and writes its rows straight into the output arrays
+(``_join_rows``): the system never forms a whole bulk form or a
+whole-matrix sum. The property-suite Grams are converted whole.
 """
 
 from __future__ import annotations
@@ -276,11 +276,11 @@ def _faces_by_band(face_slots: np.ndarray, slots: int, size: int):
                                          np.arange(-(-slots // size) + 1))
 
 
-def _banded_bulk(cq: CutQuadrature, dofmap: CombinedDofMap, penalty: float,
-                 consistency: bool):
-    """The s + m blocks of the active bulk elements, the jump blocks of the
-    bulk faces scaled by penalty times length and, if ``consistency``,
-    their consistency blocks, as (nnz, bands): the CSR row bands of
+def bulk_form(cq: CutQuadrature, dofmap: CombinedDofMap,
+              params: StabilizationParams) -> tuple:
+    """Interior-penalty bulk form: cut-volume mass and stiffness, jump
+    penalty gamma_b/h on full active faces, symmetric consistency fluxes
+    on the negative face parts, as (nnz, bands): the CSR row bands of
     BAND_ELEMENTS consecutive bulk slots, made one at a time from row 0 as
     the generator ``bands`` is iterated, and nnz, a bound on their stored
     entries (9 per element, and 18 per face for its two off-diagonal
@@ -291,6 +291,7 @@ def _banded_bulk(cq: CutQuadrature, dofmap: CombinedDofMap, penalty: float,
     order and the bands, joined, are bit for bit the whole conversion,
     while only one band's blocks and triplets are alive at a time."""
     space, n, topo = dofmap.bulk, dofmap.ndof, cq.topo
+    penalty = params.gamma_bulk / cq.mesh.h
     slots, size = space.elements.size, quadrature.BAND_ELEMENTS
     split_slots = [space.slot[topo.uncut_bulk],
                    space.slot[topo.active_surface]]
@@ -306,12 +307,11 @@ def _banded_bulk(cq: CutQuadrature, dofmap: CombinedDofMap, penalty: float,
             parts = [(dofs, s + m) for dofs, s, m in (
                 _element_blocks(cq, space, topo.uncut_bulk[uncut]),
                 _cut_element_blocks(cq, space, cut))]
-            dofs, lengths, jump, _, blocks = _face_blocks(
+            dofs, lengths, jump, _, consistency = _face_blocks(
                 cq, space, faces[band_faces[start[band]:start[band + 1]]])
             jump *= (penalty * lengths)[:, None, None]
-            parts += [(dofs, jump)] + ([(dofs, blocks)] if consistency
-                                       else [])
-            del dofs, jump, blocks  # parts holds the only references
+            parts += [(dofs, jump), (dofs, consistency)]
+            del dofs, jump, consistency  # parts holds the only references
             yield _accumulate(parts, n, (space.offset + 3 * lo,
                                          space.offset + 3 * hi))
 
@@ -339,15 +339,6 @@ def _join_rows(bands, n: int, nnz: int) -> sp.csr_matrix:
     indices.resize(indptr[lo], refcheck=False)
     data.resize(indptr[lo], refcheck=False)
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
-
-
-def bulk_form(cq: CutQuadrature, dofmap: CombinedDofMap,
-              params: StabilizationParams) -> tuple:
-    """Interior-penalty bulk form: cut-volume mass and stiffness, jump
-    penalty on full active faces, symmetric consistency fluxes on the
-    negative face parts, as the (nnz, bands) of ``_banded_bulk``."""
-    return _banded_bulk(cq, dofmap, params.gamma_bulk / cq.mesh.h,
-                        consistency=True)
 
 
 def surface_form(cq: CutQuadrature, dofmap: CombinedDofMap,
@@ -411,10 +402,10 @@ def stabilized(bulk, surface: sp.spmatrix, coupling: sp.spmatrix,
     the one place where the coupling constants and the ghost weights of
     ``params`` weight the forms (the ghosts from the unit ``pieces``).
 
-    ``bulk`` is the (nnz, bands) of ``bulk_form`` or ``_banded_bulk``,
-    whose bands are written into the result one at a time: with the bulk
-    ghost G and Z = c_s (surface + surface ghost) + coupling built first,
-    each band B becomes c_b (B + G[rows]) + Z[rows], and the rows after
+    ``bulk`` is the (nnz, bands) of ``bulk_form``; a whole matrix is one
+    band. The bands are written into the result one at a time: with the
+    bulk ghost G and Z = c_s (surface + surface ghost) + coupling built
+    first, each band B becomes c_b (B + G[rows]) + Z[rows], and the rows after
     the last band are those of Z. Every sum of two CSR matrices is
     row-local, and the bulk and the surface ghost blocks share no entry,
     so this is bit for bit the sum of the whole matrices in the order
@@ -487,36 +478,42 @@ def assemble_system(mesh: BackgroundMesh, dls: np.ndarray,
 
 def property_grams(cq: CutQuadrature, dofmap: CombinedDofMap,
                    params: StabilizationParams, pieces: dict) -> dict:
-    """The Grams and the trace vector of the property suite, each surface
-    entity built once. Keys: ``energy`` (the energy norm, ``stabilized`` applied
-    to the cut-volume H1 norm + h^-1 value jumps on the active faces, the
-    tangential H1 norm + h^-1 edge jumps and the coupling seminorm, with
-    the ghosts from the unit ``pieces``), ``gradient_active`` and
+    """The Grams and the trace vector of the property suite, each block
+    built once and each Gram converted whole: they are sized for the
+    suite's dense pencils (levels 0-2), not banded as the system is.
+    Keys: ``energy`` (the energy norm, ``stabilized`` applied to the
+    cut-volume H1 norm + h^-1 value jumps on the active faces as one band,
+    the tangential H1 norm + h^-1 edge jumps and the coupling seminorm,
+    with the ghosts from the unit ``pieces``), ``gradient_active`` and
     ``gradient_cut`` (the broken bulk gradient seminorm over the full
     active elements and over their negative parts), ``surface_mass``
     (full-element L2 mass on the surface-active mesh), ``tangential``
     (tangential stiffness on the discrete surface) and ``trace`` (the
     vector of int_Gamma_h phi_i, for surface mean values)."""
-    h, n = cq.mesh.h, dofmap.ndof
+    h, n, topo, bulk = cq.mesh.h, dofmap.ndof, cq.topo, dofmap.bulk
     segment_dofs, tangential, m = _segment_blocks(cq, dofmap.surface)
     edge_dofs, jump, _ = _edge_blocks(cq, dofmap.surface)
     surface = [(segment_dofs, tangential + m), (edge_dofs, (1.0 / h) * jump)]
     rules, phi = cq.segments
     trace = np.zeros(n)
     trace[segment_dofs] += row_dot(rules.weights, phi)
-    active_dofs, gradient, _ = _element_blocks(cq, dofmap.bulk,
-                                               cq.topo.active_bulk)
-    mass_dofs, _, mass = _element_blocks(cq, dofmap.surface,
-                                         cq.topo.active_surface)
-    return {"energy": stabilized(_banded_bulk(cq, dofmap, 1.0 / h,
-                                              consistency=False),
+    uncut_dofs, uncut_s, uncut_m = _element_blocks(cq, bulk, topo.uncut_bulk)
+    cut_dofs, cut_s, cut_m = _cut_element_blocks(cq, bulk)
+    mass_dofs, whole_s, mass = _element_blocks(cq, dofmap.surface,
+                                               topo.active_surface)
+    face_dofs, lengths, jump, _, _ = _face_blocks(cq, bulk, topo.bulk_faces)
+    jump *= (1.0 / h * lengths)[:, None, None]
+    energy = _accumulate([(uncut_dofs, uncut_s + uncut_m),
+                          (cut_dofs, cut_s + cut_m), (face_dofs, jump)], n)
+    # each gradient Gram is block-diagonal, so its part order is free
+    return {"energy": stabilized((energy.nnz, [energy]),
                                  _accumulate(surface, n),
                                  coupling_form(cq, dofmap, params), pieces,
                                  params),
-            "gradient_active": _accumulate([(active_dofs, gradient)], n),
-            "gradient_cut": _accumulate([(d, s) for d, s, _ in (
-                _element_blocks(cq, dofmap.bulk, cq.topo.uncut_bulk),
-                _cut_element_blocks(cq, dofmap.bulk))], n),
+            "gradient_active": _accumulate(
+                [(uncut_dofs, uncut_s), (cut_dofs, whole_s)], n),
+            "gradient_cut": _accumulate(
+                [(uncut_dofs, uncut_s), (cut_dofs, cut_s)], n),
             "surface_mass": _accumulate([(mass_dofs, mass)], n),
             "tangential": _accumulate([(segment_dofs, tangential)], n),
             "trace": trace}

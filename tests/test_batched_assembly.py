@@ -11,8 +11,9 @@ import scipy.sparse as sp
 import cutdg.forms as forms
 import cutdg.quadrature as quadrature
 from cutdg.exceptions import GeometryError, StructuralError
-from cutdg.experiments import (DEFAULT_BOX, SWEEP_CONFIGS, SurfaceState,
-                               config_params, mesh_at_level)
+from cutdg.experiments import (DEFAULT_BOX, PROPERTY_BOX, SWEEP_CONFIGS,
+                               SurfaceState, config_params, mesh_at_level,
+                               shifted_circle)
 from cutdg.forms import StabilizationParams
 from cutdg.levelset import check_geometry_assumptions
 from cutdg.manufactured import build_circle_problem, compute_errors
@@ -107,8 +108,7 @@ def test_bulk_form_is_independent_of_the_band_size(monkeypatch):
     """At level 2 on the shifted box (1,430 bulk elements), bands of 1, of
     7 and of all bulk elements give the csr data, indices and indptr of
     one conversion of the whole form's parts in their order (uncut, cut,
-    jump, consistency), built by the per-entity loops; the energy Gram,
-    the other banded form, is the same for every band size."""
+    jump, consistency), built by the per-entity loops."""
     problem = build_circle_problem()
     state = _setup(2, SHIFTED_BOX, problem)
     mesh, topo, dofmap, cq = state.mesh, state.topo, state.dofmap, state.cq
@@ -122,17 +122,40 @@ def test_bulk_form_is_independent_of_the_band_size(monkeypatch):
     whole = oracles.accumulate(
         [(d, s + m) for d, s, m in volume]
         + [(dofs, jump), (dofs, consistency)], dofmap.ndof)
-    pieces = forms.ghost_pieces(cq, dofmap)
-    energies = []
     for band in (1, 7, topo.active_bulk.size):
         monkeypatch.setattr(quadrature, "BAND_ELEMENTS", band)
         bulk = oracles.bulk_matrix(cq, dofmap, PARAMS)
-        energies.append(forms.property_grams(cq, dofmap, PARAMS,
-                                             pieces)["energy"])
-        for matrix, reference in ((bulk, whole), (energies[-1], energies[0])):
-            for name in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(matrix, name),
-                                      getattr(reference, name)), name
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(bulk, name),
+                                  getattr(whole, name)), name
+
+
+@pytest.mark.parametrize("band", [None, 7], ids=["default", "7"])
+def test_property_grams_builds_each_bulk_block_once(band, monkeypatch):
+    """One ``property_grams`` call at level 2 on the property box (903
+    bulk elements) builds the uncut and the whole cut element blocks, the
+    cut-volume blocks and the bulk-face blocks once each, whatever the
+    band size of the system's bulk form."""
+    mesh = mesh_at_level(2, 8, PROPERTY_BOX)
+    state = SurfaceState(mesh, shifted_circle(mesh, 0.3), PARAMS)
+    assert state.topo.active_bulk.size == 903
+    pieces = state.pieces
+    if band is not None:
+        monkeypatch.setattr(quadrature, "BAND_ELEMENTS", band)
+    calls = dict.fromkeys(("_element_blocks", "_cut_element_blocks",
+                           "_face_blocks"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(forms, name, counted(name, getattr(forms, name)))
+    forms.property_grams(state.cq, state.dofmap, PARAMS, pieces)
+    assert calls == {"_element_blocks": 2, "_cut_element_blocks": 1,
+                     "_face_blocks": 1}
 
 
 def test_faces_by_band_lists_each_face_once_per_band_it_touches():
@@ -181,9 +204,8 @@ def test_banded_stabilized_equals_the_sum_of_whole_matrices(band,
     sweep configurations and the ablated parameters (with c_b = 0.7 and
     c_s = 1.3, so that a product by them is not exact), in
     ``assemble_system`` (whose rhs, summed one chunk of elements at a
-    time, does not move either) and for the energy Gram (with bands of 1
-    it is left to ``test_bulk_form_is_independent_of_the_band_size``,
-    which finds it equal to the one with bands of all elements)."""
+    time, does not move either) and for the energy Gram, whose bulk part
+    is one band whatever the band size."""
     problem = build_circle_problem()
     base = StabilizationParams(c_bulk=0.7, c_surf=1.3)
     state = SurfaceState(mesh_at_level(2, 8, SHIFTED_BOX), problem.geometry,
@@ -194,8 +216,13 @@ def test_banded_stabilized_equals_the_sum_of_whole_matrices(band,
     coupling = forms.coupling_form(cq, dofmap, base)
     bulk = oracles.bulk_matrix(cq, dofmap, base)
     h, n = mesh.h, dofmap.ndof
-    nnz, bands = forms._banded_bulk(cq, dofmap, 1.0 / h, consistency=False)
-    energy_bulk = forms._join_rows(bands, n, nnz)
+    space = dofmap.bulk
+    dofs, lengths, jump, _, _ = forms._face_blocks(cq, space, topo.bulk_faces)
+    jump *= (1.0 / h * lengths)[:, None, None]
+    energy_bulk = forms._accumulate(
+        [(d, s + m) for d, s, m in (
+            forms._element_blocks(cq, space, topo.uncut_bulk),
+            forms._cut_element_blocks(cq, space))] + [(dofs, jump)], n)
     segment_dofs, tangential, m = forms._segment_blocks(cq, dofmap.surface)
     edge_dofs, jump, _ = forms._edge_blocks(cq, dofmap.surface)
     energy_surface = forms._accumulate(
@@ -215,11 +242,9 @@ def test_banded_stabilized_equals_the_sum_of_whole_matrices(band,
     _assert_same_csr(system.matrix,
                      _whole(bulk, surface, coupling, pieces, base), "system")
     assert np.array_equal(system.rhs, rhs)
-    if size > 1:
-        _assert_same_csr(
-            forms.property_grams(cq, dofmap, base, pieces)["energy"],
-            _whole(energy_bulk, energy_surface, coupling, pieces, base),
-            "energy")
+    _assert_same_csr(forms.property_grams(cq, dofmap, base, pieces)["energy"],
+                     _whole(energy_bulk, energy_surface, coupling, pieces,
+                            base), "energy")
 
 
 @pytest.mark.parametrize("box", [DEFAULT_BOX, SHIFTED_BOX],

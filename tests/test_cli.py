@@ -112,7 +112,12 @@ def test_invalid_arguments_exit_nonzero(capsys):
      "error: mesh too large: level 30 of n0 = 8 has"),
     # an n0 below 1 is refused as such, at any level
     (["convergence", "--levels", "30", "--n0", "0"],
-     "error: subdivision count must be >= 1, got 0")])
+     "error: subdivision count must be >= 1, got 0"),
+    # a position count past MAX_POSITIONS, before any delta or mesh
+    (["condition-sweep", "--level", "0", "--positions", "1000000000000"],
+     "error: sweep of 1000000000000 positions: at most 10000"),
+    (["properties", "--level", "0", "--positions", "1000000000000"],
+     "error: property sweep of 1000000000000 positions: at most 10000")])
 def test_negative_level_and_repeated_config_exit_2(argv, message, tmp_path,
                                                    capsys):
     assert main(["--out", str(tmp_path / "out"), *argv]) == 2

@@ -532,6 +532,24 @@ def test_zero_surface_ghost_weight_fails_before_any_mesh(weight, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("study,name", [
+    (run_condition_sweep, "sweep"), (run_property_suite, "property sweep")])
+def test_too_many_positions_fail_before_any_mesh(study, name, monkeypatch):
+    """A position count past MAX_POSITIONS raises ConfigurationError and
+    builds no mesh; up to it, the deltas are those of np.linspace."""
+    def never(*args, **kwargs):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(experiments, "mesh_at_level", never)
+    limit = experiments.MAX_POSITIONS
+    with pytest.raises(ConfigurationError,
+                       match=f"^{name} of {limit + 1} positions: at most "
+                             f"{limit} are allowed$"):
+        study(level=0, positions=limit + 1)
+    assert np.array_equal(experiments._sweep_deltas(limit, name),
+                          np.linspace(0.0, 1.0, limit))
+
+
 def test_property_suite_too_large_to_densify_fails_before_any_gram():
     """At level 5 the bulk pencil is too large to densify: the suite
     raises before it builds a Gram or forms Q Q^T (32.0 M entries on the

@@ -4,20 +4,21 @@ Circles (clipped by the box, inside it or missing it) and lines are drawn
 on the n0-by-n0 mesh of the unit square for n0 in {4, 8}, and so are
 lines through a mesh vertex with integer coefficients, which the snap of
 ``interpolate_levelset`` moves off every vertex on the line, as the
-program meets them. Vertex values drawn from {-1, -1/2, 0, 1/2, 1} must
-be refused with a ``StructuralError`` when they hold a zero. Each other
-drawn topology is either refused with a typed ``CutDGError`` or carries
-a surface, and the cut-volume rules, the segments (each in its cut
-element), the stabilized matrix and the coupling form keep their
-invariants on it. On circles drawn on the 8x8 mesh and its first
-refinement, the two-level solve either fails with a typed error or
-meets its true-residual stop. The per-entity row product
-``mesh.row_dot`` is drawn too: each of its rows must be that entity's
-own product, bit for bit. Every kind of level set is also drawn on the
-8x8 mesh and its first refinement (nonzero vertex values drawn from
-{-1, -1/2, 1/2, 1} on the 4x4 mesh), and every form, ghost piece and
-property Gram built on it must equal the per-entity loops of
-``tests/oracles.py``, bit for bit."""
+program meets them. Vertex values drawn from {-1, -1/2, 0, 1/2, 1} with
+a zero set at a drawn vertex must be refused with a ``StructuralError``
+naming the first zero; values drawn from {-1, -1/2, 1/2, 1} on the 4x4
+mesh are a level set of their own. Each drawn topology is either
+refused with a typed ``CutDGError`` or carries a surface, and the
+cut-volume rules, the segments (each in its cut element), the
+stabilized matrix and the coupling form keep their invariants on it. On
+circles drawn on the 8x8 mesh and its first refinement, the two-level
+solve either fails with a typed error or meets its true-residual stop.
+The per-entity row product ``mesh.row_dot`` is drawn too: each of its
+rows must be that entity's own product, bit for bit. Every kind of level
+set is also drawn on the 8x8 mesh and its first refinement (the nonzero
+vertex values on the 4x4 mesh), and every form, ghost piece and property
+Gram built on it must equal the per-entity loops of ``tests/oracles.py``,
+bit for bit."""
 
 import numpy as np
 import pytest
@@ -194,17 +195,22 @@ def test_lines_through_vertices(n0, p, q, vertex):
 
 
 @FUZZ
-@given(zero_values)
-def test_vertex_values_with_exact_zeros(drawn):
-    """A draw that holds a zero is refused, naming its first zero vertex;
-    one without keeps the invariants."""
+@given(zero_values, st.integers(0, 24))
+def test_vertex_values_with_exact_zeros(drawn, index):
+    """A draw with a zero at ``index``, and at any other vertex it drew
+    one, is refused, naming its first zero vertex."""
+    values = list(drawn)
+    values[index] = 0.0
+    with pytest.raises(StructuralError, match=(
+            rf"vertex {values.index(0.0)} has level-set value 0\.0: ")):
+        build_cut_topology(MESHES[4], np.asarray(values))
+
+
+@FUZZ
+@given(nonzero_values)
+def test_nonzero_vertex_values_keep_the_invariants(drawn):
     mesh = MESHES[4]
     values = np.asarray(drawn)
-    if 0.0 in drawn:
-        with pytest.raises(StructuralError, match=(
-                rf"vertex {drawn.index(0.0)} has level-set value 0\.0: ")):
-            build_cut_topology(mesh, values)
-        return
     topo = _topology(mesh, values)
     if topo is not None:
         _check_invariants(mesh, values, topo)
