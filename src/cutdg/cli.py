@@ -143,6 +143,9 @@ def _study_kwargs(args: argparse.Namespace, flags: dict) -> dict:
     for name, kind in flags.items():
         value = getattr(args, name)
         entry = entries.pop(name, None) if callable(kind) else None
+        if not callable(kind) and entries.keys() & {name, name[:-1]}:
+            raise ValueError(f"--{name[:-1]} can only be given on the "
+                             "command line, not in the config file")
         if value is None and entry is not None:
             value = kind(entry)
         if value is not None:

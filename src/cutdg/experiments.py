@@ -94,18 +94,6 @@ def mesh_at_level(level: int, n0: int = DEFAULT_N0, box=DEFAULT_BOX):
     return mesh
 
 
-def _sweep_deltas(positions: int, study: str) -> np.ndarray:
-    """The positions delta = l/(positions-1) of a ``study`` sweep, for
-    2 <= positions <= MAX_POSITIONS; a count out of that range is refused
-    before any delta or mesh is built."""
-    if positions < 2:
-        raise ValueError(f"{study} needs at least 2 positions")
-    if positions > MAX_POSITIONS:
-        raise ConfigurationError(f"{study} of {positions} positions: at most "
-                                 f"{MAX_POSITIONS} are allowed")
-    return np.linspace(0.0, 1.0, positions)
-
-
 def config_params(params: StabilizationParams,
                   config: str) -> StabilizationParams:
     """``params`` with the ghost weights that the configuration ``config``
@@ -119,9 +107,22 @@ def _fmt(x) -> str:
     return f"{float(x):.16e}"
 
 
-def _csv(header: str, rows) -> str:
-    """The header line, then one line of comma-joined cells per row."""
-    return "\n".join([header] + [",".join(cells) for cells in rows]) + "\n"
+# Each CSV file, in the order ``StudyReport.write`` writes them: the
+# StudyReport field whose rows it holds, its header, and the cells of a row
+# (a convergence row has no EOC at its first level, and an empty cell there).
+CSV_FILES = {
+    "convergence.csv": ("convergence_rows", CONVERGENCE_HEADER, lambda r: [
+        str(r["level"]), _fmt(r["h"])] + ["" if x is None else _fmt(x)
+        for pair in zip(r["errors"], r["eocs"]) for x in pair]),
+    "condition.csv": ("condition_rows", CONDITION_HEADER, lambda r: [
+        _fmt(r[k]) for k in ("delta", "kappa", "lambda_min", "lambda_max")]
+        + [r["config"]]),
+    "geometry.csv": ("geometry_rows", GEOMETRY_HEADER, lambda r: [
+        str(r["level"]), _fmt(r["sup_dist"]), _fmt(r["sup_normal_dev"])]),
+    "properties.csv": ("property_rows", PROPERTIES_HEADER, lambda r: [
+        r["name"], _fmt(r["constant"]), _fmt(r["delta"]),
+        str(int(r["pass"]))]),
+}
 
 
 @dataclass
@@ -138,43 +139,20 @@ class StudyReport:
     solver_failures: list = field(default_factory=list)
     property_summary: dict = field(default_factory=dict)
 
-    def convergence_csv(self) -> str:
-        def cells(r):
-            out = [str(r["level"]), _fmt(r["h"])]
-            for err, ec in zip(r["errors"], r["eocs"]):
-                out += [_fmt(err), "" if ec is None else _fmt(ec)]
-            return out
-        return _csv(CONVERGENCE_HEADER, map(cells, self.convergence_rows))
-
-    def condition_csv(self) -> str:
-        return _csv(CONDITION_HEADER, (
-            [_fmt(r[k]) for k in ("delta", "kappa", "lambda_min",
-                                  "lambda_max")] + [r["config"]]
-            for r in self.condition_rows))
-
-    def geometry_csv(self) -> str:
-        return _csv(GEOMETRY_HEADER, (
-            [str(r["level"]), _fmt(r["sup_dist"]), _fmt(r["sup_normal_dev"])]
-            for r in self.geometry_rows))
-
-    def properties_csv(self) -> str:
-        return _csv(PROPERTIES_HEADER, (
-            [r["name"], _fmt(r["constant"]), _fmt(r["delta"]),
-             str(int(r["pass"]))] for r in self.property_rows))
+    def csv(self, name: str) -> str:
+        """The text of ``CSV_FILES[name]``: its header, then a line a row."""
+        rows, header, cells = CSV_FILES[name]
+        return "\n".join([header] + [",".join(cells(r))
+                                     for r in getattr(self, rows)]) + "\n"
 
     def write(self, outdir: str) -> list:
         os.makedirs(outdir, exist_ok=True)
         written = []
-        sections = [("convergence.csv", self.convergence_rows,
-                     self.convergence_csv),
-                    ("condition.csv", self.condition_rows, self.condition_csv),
-                    ("geometry.csv", self.geometry_rows, self.geometry_csv),
-                    ("properties.csv", self.property_rows, self.properties_csv)]
-        for name, rows, render in sections:
-            if rows:
+        for name, (rows, _, _) in CSV_FILES.items():
+            if getattr(self, rows):
                 path = os.path.join(outdir, name)
                 with open(path, "w") as handle:
-                    handle.write(render())
+                    handle.write(self.csv(name))
                 written.append(path)
         return written
 
@@ -307,6 +285,27 @@ class SurfaceState:
                                    self.energy, largest=False)
 
 
+def _position_states(positions: int, study: str, level: int, n0: int, box,
+                     params: StabilizationParams):
+    """The pairs (delta, SurfaceState of ``shifted_circle`` at delta) of a
+    ``study`` sweep, delta = l/(positions-1), on one ``mesh_at_level``
+    mesh. A count below 2 or past MAX_POSITIONS is refused at the call;
+    the mesh is built when the pairs are iterated, after the caller's
+    own checks."""
+    if positions < 2:
+        raise ValueError(f"{study} needs at least 2 positions")
+    if positions > MAX_POSITIONS:
+        raise ConfigurationError(f"{study} of {positions} positions: at most "
+                                 f"{MAX_POSITIONS} are allowed")
+
+    def states():
+        mesh = mesh_at_level(level, n0, box)
+        for delta in np.linspace(0.0, 1.0, positions):
+            yield delta, SurfaceState(mesh, shifted_circle(mesh, delta),
+                                      params)
+    return states()
+
+
 def run_condition_sweep(level: int = 1, positions: int = 101,
                         n0: int = DEFAULT_N0,
                         params: StabilizationParams = StabilizationParams(),
@@ -329,7 +328,7 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
     number, zero lambdas and nullity None; an ARPACK failure raises
     SolverError. Every shifted LU eliminates in ``SurfaceState.dof_order``,
     the nested-dissection order of the one mesh, which is built once."""
-    deltas = _sweep_deltas(positions, "sweep")
+    states = _position_states(positions, "sweep", level, n0, box, params)
     configs = tuple(configs)
     if not configs or not set(configs) <= set(SWEEP_CONFIGS):
         raise ValueError(f"sweep configurations must be some of "
@@ -337,15 +336,13 @@ def run_condition_sweep(level: int = 1, positions: int = 101,
     repeated = sorted({c for c in configs if configs.count(c) > 1})
     if repeated:
         raise ValueError(f"sweep configuration repeated: {', '.join(repeated)}")
-    mesh = mesh_at_level(level, n0, box)
     report = StudyReport()
-    for delta in deltas:
-        state = SurfaceState(mesh, shifted_circle(mesh, delta), params)
+    for delta, state in states:
         for config in configs:
             try:
                 kappa, lam_min, lam_max, nullity = condition_number(
                     rescaled_matrix(state.matrix(config),
-                                    state.dofmap.bulk.ndof, mesh.h),
+                                    state.dofmap.bulk.ndof, state.mesh.h),
                     state.null_basis, state.dof_order)
             except DegenerateMatrixError:
                 kappa, lam_min, lam_max = SENTINEL_KAPPA, 0.0, 0.0
@@ -494,16 +491,15 @@ def run_property_suite(level: int = 0, positions: int = 101,
     a finer sweep lands closer to it (at level 0 the flag passes at 21
     positions and fails at 101).
     """
-    deltas = _sweep_deltas(positions, "property sweep")
+    states = _position_states(positions, "property sweep", level, n0,
+                              PROPERTY_BOX, params)
     if min(params.mu_surf, params.tau_surf) == 0:
         raise ConfigurationError("singular energy Gram: zero surface ghost "
                                  "weight")
-    mesh = mesh_at_level(level, n0, PROPERTY_BOX)
     report = StudyReport()
-    per_position = [_property_constants(
-        SurfaceState(mesh, shifted_circle(mesh, delta), params),
-        np.random.default_rng(seed + 7 * idx))
-        for idx, delta in enumerate(deltas)]
+    deltas, per_position = zip(*[(delta, _property_constants(
+        state, np.random.default_rng(seed + 7 * idx)))
+        for idx, (delta, state) in enumerate(states)])
     arrays = {(p, c): np.asarray([k[p][c] for k in per_position])
               for c in PROPERTY_CONFIGS for p in PROPERTY_NAMES}
     for (prop, config), values in arrays.items():

@@ -157,9 +157,8 @@ def _eigsh(matrix, **kwargs):
         raise SolverError(f"ARPACK eigensolver failed: {exc}") from exc
 
 
-def condition_number(matrix: sp.spmatrix,
-                     null_basis: sp.spmatrix | None = None,
-                     order: np.ndarray | None = None):
+def condition_number(matrix: sp.spmatrix, null_basis: sp.spmatrix,
+                     order: np.ndarray):
     """Spectral condition number: largest over smallest nonzero
     eigenvalue magnitude of a symmetric matrix.
 
@@ -172,12 +171,12 @@ def condition_number(matrix: sp.spmatrix,
     zero, and each one still counted as zero is projected out of the
     shift-invert operator and counted. The LU eliminates in the dof
     permutation ``order`` (SuperLU's ``NATURAL`` column order on the
-    permuted matrix): ``SurfaceState.dof_order`` for a system matrix, the
-    identity if none is given. It pivots partially, since an ablated
-    matrix can be indefinite. Returns (kappa,
-    lambda_min_nonzero, lambda_max, nullity), where nullity is the number
-    of eigenvalues counted as zero: kappa is that of the nonzero spectrum
-    only, so the true condition number is infinite whenever nullity > 0.
+    permuted matrix): ``SurfaceState.dof_order`` for a system matrix. It
+    pivots partially, since an ablated matrix can be indefinite. Returns
+    (kappa, lambda_min_nonzero, lambda_max, nullity), where nullity is the
+    number of eigenvalues counted as zero: kappa is that of the nonzero
+    spectrum only, so the true condition number is infinite whenever
+    nullity > 0.
 
     Raises DegenerateMatrixError for an all-zero matrix or a singular
     shifted LU, and SolverError when ARPACK fails to converge.
@@ -192,15 +191,11 @@ def condition_number(matrix: sp.spmatrix,
                                tol=LAM_MAX_TOL,
                                return_eigenvectors=False)[0]))
     cutoff = ZERO_THRESHOLD * lam_max
-    nullity = 0
-    if null_basis is not None:
-        keep = spla.norm(matrix @ null_basis, axis=0) <= cutoff
-        q = null_basis[:, np.flatnonzero(keep)]
-        nullity = q.shape[1]
-        matrix = (matrix + lam_max * (q @ q.T)).tocsr()
+    keep = spla.norm(matrix @ null_basis, axis=0) <= cutoff
+    q = null_basis[:, np.flatnonzero(keep)]
+    nullity = q.shape[1]
+    matrix = (matrix + lam_max * (q @ q.T)).tocsr()
     sigma = -SHIFT * lam_max
-    if order is None:
-        order = np.arange(n)
     shifted = (matrix - sigma * sp.identity(n)).tocsr()[order][:, order]
     try:
         lu = spla.splu(shifted.tocsc(), permc_spec="NATURAL")

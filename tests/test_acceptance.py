@@ -106,7 +106,7 @@ def test_criterion_3_condition_scaling():
         state = SurfaceState(mesh, problem.geometry, PARAMS)
         kappa, _, _, _ = condition_number(rescaled_matrix(
             state.system(problem).matrix, state.dofmap.bulk.ndof, mesh.h),
-            order=state.dof_order)
+            state.null_basis, state.dof_order)
         hs.append(mesh.h)
         kappas.append(kappa)
     slope = fit_slope(hs, kappas)

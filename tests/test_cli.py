@@ -46,6 +46,25 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert "unknown config file keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text,message", [
+    ("config = full\n", "--config can only be given on the command line, "
+                        "not in the config file"),
+    ("configs = full\n", "--config can only be given on the command line, "
+                         "not in the config file"),
+    ("not_a_flag = 1\n", "unknown config file keys: ['not_a_flag']")],
+    ids=["config", "configs", "unknown"])
+def test_config_file_names_a_command_line_only_key(text, message, tmp_path,
+                                                   monkeypatch, capsys):
+    """``--config`` is a condition-sweep flag that the config file cannot
+    set: either spelling of its key says so, and exits 2 without a
+    study; a key that is no flag keeps the unknown-key message."""
+    monkeypatch.setattr(cli, "run_condition_sweep", _never_called)
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(text)
+    assert main(["--config-file", str(cfg), "condition-sweep"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_read_config_file_syntax(tmp_path):
     cfg = tmp_path / "kv.cfg"
     cfg.write_text("# full line comment\nalpha=1\nbeta = two\n\n")

@@ -9,7 +9,7 @@ from cutdg import experiments
 from cutdg.cli import main
 from cutdg.exceptions import ConfigurationError, SolverError
 from cutdg.experiments import (CONDITION_HEADER, CONVERGENCE_HEADER,
-                               DEFAULT_BOX, GEOMETRY_HEADER,
+                               CSV_FILES, DEFAULT_BOX, GEOMETRY_HEADER,
                                PROPERTIES_HEADER, PROPERTY_BOX,
                                PROPERTY_CONFIGS, PROPERTY_SWEEP_CONFIG,
                                SWEEP_CONFIGS, SurfaceState, config_params,
@@ -78,7 +78,7 @@ def test_convergence_rows_and_csv(tmp_path):
     later = report.convergence_rows[-1]
     assert all(e is not None for e in later["eocs"])
     assert not report.solver_failures
-    csv = report.convergence_csv()
+    csv = report.csv("convergence.csv")
     lines = csv.strip().splitlines()
     assert lines[0] == CONVERGENCE_HEADER
     assert len(lines) == 4
@@ -127,8 +127,8 @@ def test_level_studies_fail_before_any_mesh(study, levels, n0, message,
 
 
 def test_convergence_determinism():
-    a = run_convergence(levels=3, n0=4).convergence_csv()
-    b = run_convergence(levels=3, n0=4).convergence_csv()
+    a = run_convergence(levels=3, n0=4).csv("convergence.csv")
+    b = run_convergence(levels=3, n0=4).csv("convergence.csv")
     assert a == b
 
 
@@ -137,10 +137,10 @@ def test_condition_sweep_rows_and_determinism():
     # vector, or the last digits of kappa move between runs
     report = run_condition_sweep(level=0, positions=3)
     assert len(report.condition_rows) == 3 * len(SWEEP_CONFIGS)
-    csv = report.condition_csv()
+    csv = report.csv("condition.csv")
     assert csv.splitlines()[0] == CONDITION_HEADER
     again = run_condition_sweep(level=0, positions=3)
-    assert again.condition_csv() == csv
+    assert again.csv("condition.csv") == csv
     with pytest.raises(ValueError):
         run_condition_sweep(positions=1)
 
@@ -174,7 +174,7 @@ def test_condition_sweep_nullity_is_the_cut_element_count():
         expected = topo.active_surface.size \
             if row["config"] == "no-surface" else 0
         assert row["nullity"] == expected
-    assert "nullity" not in report.condition_csv()
+    assert "nullity" not in report.csv("condition.csv")
 
 
 def _dense_sweep_rows(level, deltas, box):
@@ -270,7 +270,7 @@ def test_condition_sweep_full_cell_translation_is_periodic():
 def test_geometry_check_rows_and_slopes():
     report = run_geometry_check(levels=4, n0=4)
     assert len(report.geometry_rows) == 4
-    assert report.geometry_csv().splitlines()[0] == GEOMETRY_HEADER
+    assert report.csv("geometry.csv").splitlines()[0] == GEOMETRY_HEADER
     sup = [r["sup_dist"] for r in report.geometry_rows]
     dev = [r["sup_normal_dev"] for r in report.geometry_rows]
     h = [r["h"] for r in report.geometry_rows]
@@ -287,7 +287,7 @@ def test_property_suite_rows(tmp_path, monkeypatch):
     assert "coercivity[full]" in names
     assert "bulk_norm_equivalence[no-bulk-ghost]" in names
     assert len(report.property_rows) == 9 * 3
-    csv = report.properties_csv()
+    csv = report.csv("properties.csv")
     assert csv.splitlines()[0] == PROPERTIES_HEADER
     for row in report.property_rows:
         assert np.isfinite(row["constant"])
@@ -317,25 +317,49 @@ def test_sentinel_and_formatting_roundtrip():
     report = run_condition_sweep(level=0, positions=2, configs=("none",))
     for row in report.condition_rows:
         assert np.isfinite(row["kappa"])
-    text = report.condition_csv()
+    text = report.csv("condition.csv")
     values = [float(line.split(",")[1]) for line in text.splitlines()[1:]]
     assert all(np.isfinite(v) for v in values)
 
 
-def test_every_csv_row_matches_its_header_width(monkeypatch):
-    monkeypatch.setattr(experiments, "POINCARE_FIELDS", 5)
-    renders = [
-        run_convergence(levels=3, n0=4).convergence_csv,
-        run_condition_sweep(level=0, positions=2).condition_csv,
-        run_geometry_check(levels=3, n0=4).geometry_csv,
-        run_property_suite(level=0, positions=2).properties_csv,
-    ]
-    for render in renders:
-        lines = render().strip().splitlines()
+@pytest.fixture(scope="module")
+def smallest_reports():
+    """Each study at its smallest size, by the name of its CSV file."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(experiments, "POINCARE_FIELDS", 5)
+        return {"convergence.csv": run_convergence(levels=3, n0=4),
+                "condition.csv": run_condition_sweep(level=0, positions=2),
+                "geometry.csv": run_geometry_check(levels=3, n0=4),
+                "properties.csv": run_property_suite(level=0, positions=2)}
+
+
+def test_every_csv_row_matches_its_header_width(smallest_reports):
+    for name, report in smallest_reports.items():
+        lines = report.csv(name).strip().splitlines()
         width = len(lines[0].split(","))
         assert len(lines) > 1
         for line in lines[1:]:
             assert len(line.split(",")) == width
+
+
+def test_write_follows_the_csv_table(smallest_reports, tmp_path):
+    """Each study writes only the file of its ``CSV_FILES`` row: the row's
+    header, then one line per report row. A report with rows in two
+    fields writes both files, in the order of the table."""
+    for name, report in smallest_reports.items():
+        rows, header, _ = CSV_FILES[name]
+        out = tmp_path / name.removesuffix(".csv")
+        assert report.write(str(out)) == [str(out / name)]
+        assert [path.name for path in out.iterdir()] == [name]
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 1 + len(getattr(report, rows))
+    both = dataclasses.replace(
+        smallest_reports["properties.csv"],
+        convergence_rows=smallest_reports["convergence.csv"].convergence_rows)
+    out = tmp_path / "both"
+    assert both.write(str(out)) == [str(out / "convergence.csv"),
+                                    str(out / "properties.csv")]
 
 
 def _per_call_constants(mesh, delta, params, seed, n_random):
@@ -546,7 +570,14 @@ def test_too_many_positions_fail_before_any_mesh(study, name, monkeypatch):
                        match=f"^{name} of {limit + 1} positions: at most "
                              f"{limit} are allowed$"):
         study(level=0, positions=limit + 1)
-    assert np.array_equal(experiments._sweep_deltas(limit, name),
+    states = experiments._position_states(limit, name, 0, 1, DEFAULT_BOX,
+                                          StabilizationParams())
+    # the mesh is looked up when the states are iterated: stand-ins for
+    # the mesh and the states keep the 10,000 positions cheap
+    mesh = experiments.build_structured_mesh(DEFAULT_BOX, 1)
+    monkeypatch.setattr(experiments, "mesh_at_level", lambda *args: mesh)
+    monkeypatch.setattr(experiments, "SurfaceState", lambda *args: None)
+    assert np.array_equal([delta for delta, _ in states],
                           np.linspace(0.0, 1.0, limit))
 
 
