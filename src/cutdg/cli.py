@@ -37,16 +37,6 @@ def read_config_file(path: str) -> dict:
     return entries
 
 
-def _boolean(value: str) -> bool:
-    """A config-file switch: 1/true/yes/on or 0/false/no/off."""
-    low = value.lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
-
-
 def _print_convergence(report: StudyReport):
     print("level  h            " + "  ".join(
         f"{name.removeprefix('err_'):>12s} {'eoc':>6s}" for name in
@@ -90,14 +80,12 @@ _WEIGHTS = dict.fromkeys(PENALTY_WEIGHTS, float)
 
 # subcommand: (study, printer, help, flags). Each flag is the study keyword
 # it sets, spelled --with-dashes, and its type, which also converts its
-# config-file entry; a ``_boolean`` flag is a switch. A tuple of choices is
-# a repeatable flag named by the singular of its keyword (--config), which
-# the config file cannot set.
+# config-file entry. A tuple of choices is a repeatable flag named by the
+# singular of its keyword (--config), which the config file cannot set.
 _COMMANDS = {
     "convergence": ("run_convergence", _print_convergence,
                     "refinement/EOC study",
-                    {"levels": int, "n0": int, "ablate_ghost": _boolean,
-                     **_WEIGHTS}),
+                    {"levels": int, "n0": int, **_WEIGHTS}),
     "condition-sweep": ("run_condition_sweep", _print_condition,
                         "condition number vs. surface position",
                         {"level": int, "positions": int, "n0": int,
@@ -123,9 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=help_text)
         for name, kind in flags.items():
             option = "--" + name.replace("_", "-")
-            if kind is _boolean:
-                p.add_argument(option, action="store_true", default=None)
-            elif isinstance(kind, tuple):
+            if isinstance(kind, tuple):
                 p.add_argument(option[:-1], action="append", choices=kind,
                                dest=name,
                                help="stabilization configuration "

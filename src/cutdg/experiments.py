@@ -1,7 +1,7 @@
-"""Batch experiment drivers: convergence/EOC study with ghost-penalty
-ablation, condition-number sweep over surface positions, geometry
-approximation checks and the stability property suite. Every study is
-deterministic for fixed inputs and can be dumped to CSV.
+"""Batch experiment drivers: convergence/EOC study, condition-number
+sweep over surface positions, geometry approximation checks and the
+stability property suite. Every study is deterministic for fixed inputs
+and can be dumped to CSV.
 """
 
 from __future__ import annotations
@@ -44,14 +44,11 @@ MAX_ELEMENTS = 2 ** 21
 MAX_POSITIONS = 10_000
 SENTINEL_KAPPA = 1e300
 SENTINEL_ERROR = 1e300
-# the ghost weights each configuration switches off: the four of the
-# condition sweep, then the ablation of the convergence study, which keeps
-# the bulk value-jump weight (it mirrors the DG jump penalty)
+# the ghost weights each configuration of the condition sweep switches off
 GHOSTS_OFF = {"full": (), "no-surface": ("mu_surf", "tau_surf"),
               "no-bulk": ("mu_bulk", "tau_bulk"),
-              "none": ("mu_bulk", "tau_bulk", "mu_surf", "tau_surf"),
-              "ablated": ("mu_surf", "tau_bulk", "tau_surf")}
-SWEEP_CONFIGS = ("full", "no-surface", "no-bulk", "none")
+              "none": ("mu_bulk", "tau_bulk", "mu_surf", "tau_surf")}
+SWEEP_CONFIGS = tuple(GHOSTS_OFF)
 # random mean-zero fields per position of the surface Poincare constant
 POINCARE_FIELDS = 100
 # the sweep configuration whose matrix each property configuration uses
@@ -167,17 +164,14 @@ def _study_meshes(levels: int, n0: int):
 
 
 def run_convergence(levels: int = 5, n0: int = DEFAULT_N0,
-                    params: StabilizationParams = StabilizationParams(),
-                    ablate_ghost: bool = False) -> StudyReport:
+                    params: StabilizationParams = StabilizationParams()
+                    ) -> StudyReport:
     """Manufactured-solution refinement study on the unit-circle geometry.
 
     Solves on ``levels`` successive refinements, records the four error
-    norms and their EOCs. With ``ablate_ghost`` the surface value-jump
-    and both gradient-jump ghost weights are set to zero; solver failures
-    under ablation are recorded per level instead of aborting.
+    norms and their EOCs. A level whose solve fails is recorded as a
+    solver failure and a sentinel row.
     """
-    if ablate_ghost:
-        params = config_params(params, "ablated")
     problem = build_circle_problem(params.c_bulk, params.c_surf)
     report = StudyReport()
     prev_errors = None

@@ -12,6 +12,7 @@ circle and a surface segment shrinks to zero, and its limit at every
 such position.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -52,7 +53,11 @@ def convergence_report():
 
 @pytest.fixture(scope="module")
 def ablation_report():
-    return run_convergence(levels=3, n0=8, params=PARAMS, ablate_ghost=True)
+    """The convergence study with the surface value-jump and both
+    gradient-jump ghost weights off; the bulk value-jump weight stays, as
+    it mirrors the DG jump penalty."""
+    return run_convergence(levels=3, n0=8, params=dataclasses.replace(
+        PARAMS, mu_surf=0.0, tau_bulk=0.0, tau_surf=0.0))
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import inspect
 
 import pytest
 
@@ -193,34 +194,6 @@ def _never_called(**kwargs):
     raise AssertionError("the study must not be called")
 
 
-@pytest.mark.parametrize("spelling,expected", [
-    ("yes", True), ("On", True), ("1", True),
-    ("off", False), ("NO", False), ("0", False)])
-def test_config_file_boolean_reaches_the_study(
-        tmp_path, monkeypatch, spelling, expected):
-    calls = []
-
-    def fake(**kwargs):
-        calls.append(kwargs)
-        return StudyReport()
-
-    monkeypatch.setattr(cli, "run_convergence", fake)
-    cfg = tmp_path / "study.cfg"
-    cfg.write_text(f"ablate-ghost = {spelling}\n")
-    assert main(["--config-file", str(cfg), "convergence"]) == 0
-    assert calls == [{"ablate_ghost": expected,
-                      "params": StabilizationParams()}]
-
-
-def test_config_file_bad_boolean_exits_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "run_convergence", _never_called)
-    cfg = tmp_path / "study.cfg"
-    cfg.write_text("ablate_ghost = maybe\n")
-    assert main(["--config-file", str(cfg), "convergence"]) == 2
-    assert capsys.readouterr().err == \
-        "error: expected a boolean, got 'maybe'\n"
-
-
 @pytest.mark.parametrize("command,study", [
     ("convergence", "run_convergence"),
     ("condition-sweep", "run_condition_sweep"),
@@ -230,8 +203,22 @@ def test_non_finite_weight_exits_2_before_the_study(
     monkeypatch.setattr(cli, study, _never_called)
     assert main([command, "--mu-bulk", "nan"]) == 2
     assert main([command, "--tau-surf", "inf"]) == 2
+    assert main([command, "--gamma-bulk", "-1"]) == 2
     err = capsys.readouterr().err
     assert "mu_bulk must be finite" in err and "tau_surf must be finite" in err
+    assert "penalty weight gamma_bulk must be >= 0" in err
+
+
+def test_convergence_prints_its_solver_failures(capsys):
+    """With the surface value-jump and both gradient-jump ghost weights
+    off, the solves of levels 1 and 2 fail: the study still exits 0, and
+    prints one line for each failed level."""
+    assert main(["convergence", "--levels", "3", "--mu-surf", "0",
+                 "--tau-bulk", "0", "--tau-surf", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "level 0: solver failure" not in out
+    assert "level 1: solver failure: " in out
+    assert "level 2: solver failure: " in out
 
 
 def test_unusable_out_exits_2_before_the_study(tmp_path, monkeypatch,
@@ -301,10 +288,20 @@ def test_option_strings_of_every_subcommand():
     options = {command: [o for a in sub._actions for o in a.option_strings]
                for command, sub in subparsers.choices.items()}
     assert options == {
-        "convergence": ["-h", "--help", "--levels", "--n0", "--ablate-ghost",
-                        *_WEIGHT_FLAGS],
+        "convergence": ["-h", "--help", "--levels", "--n0", *_WEIGHT_FLAGS],
         "condition-sweep": ["-h", "--help", "--level", "--positions", "--n0",
                             "--config", *_WEIGHT_FLAGS],
         "geometry-check": ["-h", "--help", "--levels", "--n0"],
         "properties": ["-h", "--help", "--level", "--positions", "--n0",
                        *_WEIGHT_FLAGS]}
+
+
+def test_every_flag_is_a_keyword_of_its_study():
+    """Each flag but the penalty weights names a parameter of its study,
+    and a study whose flags include the weights takes them as ``params``,
+    so no flag outlives the keyword it sets."""
+    for command, (study, _, _, flags) in cli._COMMANDS.items():
+        keywords = inspect.signature(getattr(cli, study)).parameters
+        assert flags.keys() - set(PENALTY_WEIGHTS) <= keywords.keys(), command
+        if flags.keys() & set(PENALTY_WEIGHTS):
+            assert "params" in keywords, command

@@ -37,13 +37,6 @@ def test_mesh_at_level_matches_direct_build():
         mesh_at_level(-1)
 
 
-def test_ablated_params():
-    p = config_params(StabilizationParams(), "ablated")
-    assert p.mu_bulk == 50.0 and p.mu_surf == 0.0
-    assert p.tau_bulk == 0.0 and p.tau_surf == 0.0
-    assert p.gamma_bulk == 50.0 and p.gamma_surf == 50.0
-
-
 def test_config_params():
     p = StabilizationParams()
     assert config_params(p, "full") == p

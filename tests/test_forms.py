@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from cutdg.experiments import SurfaceState
-from cutdg.forms import (StabilizationParams, coupling_form, ghost,
-                         ghost_pieces, load_vector, property_grams,
+from cutdg.forms import (PENALTY_WEIGHTS, StabilizationParams, coupling_form,
+                         ghost, ghost_pieces, load_vector, property_grams,
                          surface_form)
 from cutdg.levelset import (CutTopology, SurfaceGeometry,
                             build_cut_topology, circle_levelset)
@@ -18,12 +18,30 @@ BOX = ((-1.1, -1.1), (1.1, 1.1))
 PARAMS = StabilizationParams()
 
 
+_EVERY_PARAM = pytest.mark.parametrize(
+    "name", ["c_bulk", "c_surf", "gamma_bulk", "gamma_surf", "mu_bulk",
+             "mu_surf", "tau_bulk", "tau_surf"])
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-@pytest.mark.parametrize("name", ["c_bulk", "c_surf", "gamma_bulk",
-                                  "gamma_surf", "mu_bulk", "mu_surf",
-                                  "tau_bulk", "tau_surf"])
+@_EVERY_PARAM
 def test_stabilization_params_reject_non_finite_values(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
+        StabilizationParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+@_EVERY_PARAM
+def test_stabilization_params_reject_values_out_of_range(name, value):
+    """A coupling constant must be positive. A penalty weight may be zero,
+    which is how a configuration switches a ghost penalty off, but not
+    negative."""
+    if name in PENALTY_WEIGHTS and value == 0.0:
+        assert getattr(StabilizationParams(**{name: value}), name) == 0.0
+        return
+    message = (f"penalty weight {name} must be >= 0" if name in
+               PENALTY_WEIGHTS else "coupling constants must be positive")
+    with pytest.raises(ValueError, match=message):
         StabilizationParams(**{name: value})
 
 

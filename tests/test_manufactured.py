@@ -53,6 +53,8 @@ def test_coupling_residual_on_circle():
         dn = np.einsum("pd,pd->p", problem.grad_u_bulk(pts), pts)
         residual = dn - (cs * problem.u_surf(pts) - cb * problem.u_bulk(pts))
         assert np.max(np.abs(residual)) < 1e-8
+    with pytest.raises(ValueError, match="coupling constants must be positive"):
+        build_circle_problem(c_bulk=0.0)
 
 
 def _second_derivative(f, x, step):
