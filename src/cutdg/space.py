@@ -94,6 +94,13 @@ def prolongation(dofmap: CombinedDofMap,
                          shape=(dofmap.ndof, n_coarse))
 
 
+def coarse_points(dofmap: CombinedDofMap, mesh: BackgroundMesh) -> np.ndarray:
+    """(n_coarse, 2) coordinates of the vertex behind each column of
+    ``prolongation``, in its column order."""
+    return mesh.vertices[np.concatenate(
+        [vertices for vertices, _ in _block_vertices(dofmap, mesh)])]
+
+
 def levelset_null_basis(dofmap: CombinedDofMap, mesh: BackgroundMesh,
                         dls: np.ndarray) -> sp.csc_matrix:
     """Orthonormal candidate basis of the surface null space: one column

@@ -286,11 +286,12 @@ def test_bulk_form_peak_memory_is_bounded_by_its_triplets():
 
 
 def test_bulk_form_peak_memory_is_bounded_by_its_csr():
-    """At level 4 (21,690 bulk elements, three bands) bulk_form's bands,
+    """At level 4 (21,690 bulk elements, 22 bands) bulk_form's bands,
     made and joined, peak, as traced by tracemalloc, below 4.5 times the
-    bytes of the joined CSR (2.95 times measured; 8.55 times when one
-    conversion took all rows): only one band's blocks and triplets are
-    alive at a time, beside one band matrix and the joined output."""
+    bytes of the joined CSR (1.55 times measured; 2.96 times with bands
+    of 4,096 elements, 8.55 times when one conversion took all rows):
+    only one band's blocks and triplets are alive at a time, beside one
+    band matrix and the joined output."""
     problem = build_circle_problem()
     state = _setup(4, DEFAULT_BOX, problem)
     cq = state.cq
@@ -308,10 +309,11 @@ def test_bulk_form_peak_memory_is_bounded_by_its_csr():
 def test_assemble_system_peak_memory_is_bounded_by_its_csr():
     """At level 4 (21,690 bulk elements) assemble_system peaks, as traced
     by tracemalloc, below 4 times the bytes of the CSR matrix it returns
-    (3.74 times measured; 4.21 times when the whole bulk form and each
-    whole-matrix sum of ``stabilized`` were alive): the output arrays are
-    allocated once, and beside them only one band of the bulk form and the
-    small forms are alive."""
+    (1.95 times measured, 3.53 times with bands of 4,096 elements; 4.21
+    times when the whole bulk form and each whole-matrix sum of
+    ``stabilized`` were alive): the output arrays are allocated once, and
+    beside them only one band of the bulk form and the small forms are
+    alive."""
     problem = build_circle_problem()
     state = _setup(4, DEFAULT_BOX, problem)
     assert state.topo.active_bulk.size == 21_690
@@ -326,9 +328,10 @@ def test_assemble_system_peak_memory_is_bounded_by_its_csr():
 
 def test_compute_errors_peak_memory_is_bounded_by_its_rules():
     """At level 4 compute_errors peaks, as traced by tracemalloc, below
-    2.5 times the bytes of the degree-4 rules of all uncut elements (1.94
-    times measured; 7.06 times when the rules, basis values and exact
-    solution of all uncut elements were alive at once)."""
+    2.5 times the bytes of the degree-4 rules of all uncut elements (0.67
+    times measured, 1.33 times with chunks of 4,096 elements; 7.06 times
+    when the rules, basis values and exact solution of all uncut elements
+    were alive at once)."""
     problem = build_circle_problem()
     state = _setup(4, DEFAULT_BOX, problem)
     mesh, topo = state.mesh, state.topo

@@ -36,7 +36,7 @@ from cutdg.mesh import (build_structured_mesh, element_areas, refine_uniform,
                         row_dot)
 from cutdg.quadrature import CutQuadrature, clip_element_rules
 from cutdg.solver import EPS, solve
-from cutdg.space import build_spaces, prolongation
+from cutdg.space import build_spaces, coarse_points, prolongation
 from tests import oracles
 from tests.oracles import line_levelset
 
@@ -244,7 +244,8 @@ def test_solve_meets_its_residual_stop(level, cx, cy, radius, seed):
     matrix = _matrices(mesh, values, topo)[1]
     b = matrix @ np.random.default_rng(seed).standard_normal(dofmap.ndof)
     try:
-        x = solve(AssembledSystem(matrix, b, prolongation(dofmap, mesh)))
+        x = solve(AssembledSystem(matrix, b, prolongation(dofmap, mesh),
+                                  coarse_points(dofmap, mesh)))
     except CutDGError:
         return
     assert np.linalg.norm(b - matrix @ x) <= max(
